@@ -46,6 +46,7 @@ func BenchmarkDilatedQueueCycle(b *testing.B) {
 		}{
 			{"depth4-drop", 4, QueueDrop},
 			{"depth4-backpressure", 4, QueueBackpressure},
+			{"depth0-backpressure", 0, QueueBackpressure}, // the unbuffered wave sweep
 		} {
 			b.Run(fmt.Sprintf("%s/%s/advance", g.name, qc.name), func(b *testing.B) {
 				benchmarkDilatedCycle(b, dcfg, DilatedQueueOptions{Depth: qc.depth, Policy: qc.policy}, nil)

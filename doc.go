@@ -32,7 +32,12 @@
 //     paper's memoryless model cannot express — per-wire FIFOs of
 //     configurable depth at every stage input, head-of-line arbitration,
 //     one hop per cycle, and per-packet injection timestamps feeding
-//     latency Histograms. MeasureLatency and SaturationSweep produce
+//     latency Histograms. It is the repository's one packet engine: a
+//     per-stage fabric descriptor (switches, buckets of interchangeable
+//     wires, interstage tables, a retire stage onto the terminals) runs
+//     the EDN and its dilated counterpart alike, and depth 0 is a
+//     within-cycle wave sweep that arbitrates exactly as the unbuffered
+//     Network does. MeasureLatency and SaturationSweep produce
 //     throughput and P50/P95/P99 latency-vs-load curves (with run-level
 //     parallel sharding), DrainPermutations measures the Section 5.1
 //     permutation time against ExpectedPermutationTime, and the bursty
@@ -50,11 +55,13 @@
 //     through UpdateFaults (in-place, allocation-free mask swaps) and
 //     LifetimeSweep records bandwidth/reachability/latency per epoch
 //     with lifetime aggregates. See cmd/edn-faults and cmd/edn-lifetime.
-//   - Measured dilated counterpart: DilatedQueueNetwork is a packet-level
-//     simulator for the d-dilated delta networks the introduction
-//     compares EDNs against, sharing the queueing engine's architecture
-//     (ring FIFOs, policies, in-place DilatedMasks swaps; at d=1 it is
-//     bit-for-bit the plain-delta QueueNetwork). MeasureDilatedLatency,
+//   - Measured dilated counterpart: DilatedQueueNetwork runs the
+//     d-dilated delta networks the introduction compares EDNs against
+//     on the same queueing engine, built from the dilated fabric's
+//     descriptor (buckets of d sub-wires, the output ports as the retire
+//     stage) with its own sub-wire fault model (in-place DilatedMasks
+//     swaps); at d=1 it is bit-for-bit the plain-delta QueueNetwork.
+//     MeasureDilatedLatency,
 //     DilatedSaturationSweep, DilatedAvailabilitySweep and
 //     DilatedLifetimeSweep pair with their EDN twins seed-for-seed, so
 //     edn-latency -dilated and edn-lifetime -dilated run both networks

@@ -589,8 +589,8 @@ func ExpectedDilatedDegraded(cfg DilatedDelta, f float64) (*DilatedDegraded, err
 // Measured dilated counterpart (packet-level dilated simulator)
 
 // DilatedQueueNetwork is an instantiated buffered d-dilated delta: the
-// packet-level engine behind the measured side of every -dilated
-// comparison. It shares queuesim's architecture — per-sub-wire ring
+// measured side of every -dilated comparison. It is the QueueNetwork
+// engine built from the dilated fabric's descriptor — per-sub-wire ring
 // FIFOs, Drop/Backpressure, head-of-line arbitration, in-place fault
 // mask swaps — and at d=1 reproduces the plain-delta QueueNetwork bit
 // for bit. See internal/dilatedsim.

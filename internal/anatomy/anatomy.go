@@ -2,8 +2,8 @@
 // *where* every packet's latency went, stage by stage, and *which*
 // switch is to blame when queues back up.
 //
-// The packet engines (internal/queuesim, internal/dilatedsim) already
-// expose probe hooks that record what happened; anatomy answers why it
+// The packet engine (internal/queuesim, over either fabric) already
+// exposes probe hooks that record what happened; anatomy answers why it
 // took that long. An attached Collector mirrors every FIFO in the
 // network as a queue of record handles, kept in lockstep with the real
 // rings by the engine hooks (Inject/Advance/Deliver/Block/Drop/Strand

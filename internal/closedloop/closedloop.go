@@ -54,9 +54,9 @@ import (
 const NoRequest = queuesim.NoRequest
 
 // Engine is the slice of the packet-engine surface the orchestrator
-// drives. Both queuesim.Network and dilatedsim.Network satisfy it; the
-// loop code is written once against this seam, exactly as the simulate
-// harnesses are written against their packetEngine seam.
+// drives. queuesim.Network satisfies it, over either fabric (a
+// dilatedsim.Network is the same engine behind a typed face); the
+// seam lets a caller decorate the engine, for example to time it.
 type Engine interface {
 	Cycle(dest []int) (queuesim.CycleStats, error)
 	InputFree(i int) bool

@@ -49,7 +49,6 @@ type Network struct {
 	cfg      topology.Config
 	factory  ArbiterFactory
 	arbiters [][]switchfab.Arbiter // [stage-1][switch]
-	workers  int                   // goroutines per stage; <=1 means serial
 	// fastPriority marks the default nil-factory network: every switch
 	// arbitrates with the stateless input-label priority rule, so the
 	// stage kernel can fuse gather/arbitrate/apply into one pass without
@@ -82,12 +81,11 @@ type Network struct {
 	tags      []int32 // [stage][input] routing digit, row-major, L+1 rows
 	blocked   []int   // CycleStats.Blocked backing store
 	scratch   stageScratch
-	wscratch  []stageScratch // per-worker scratch, parallel mode only
 
 	// Optional flight-recorder probe. All hooks live at the cycle level
 	// (injection loop and per-stage outcome scan), never inside the
-	// routeStage kernels, so the parallel workers and the fused fast
-	// paths are untouched and a nil probe costs one predictable branch.
+	// routeStage kernels, so the fused fast paths are untouched and a
+	// nil probe costs one predictable branch.
 	probe    *probe.Probe
 	traceIn  []int   // input index of each sampled request this cycle
 	traceRec []int32 // matching open trace record handles
@@ -95,8 +93,8 @@ type Network struct {
 	pcycle   int64 // probe timestamp: cycles routed since SetProbe
 }
 
-// stageScratch is the per-goroutine working set of routeStage: the digit
-// vector presented to one switch plus the switch-level grant buffers.
+// stageScratch is the working set of routeStage: the digit vector
+// presented to one switch plus the switch-level grant buffers.
 type stageScratch struct {
 	digits []int
 	route  switchfab.RouteScratch
@@ -401,13 +399,7 @@ func (n *Network) RouteCycleInto(dest []int, outcomes []Outcome) (CycleStats, er
 				n.lineOwner[ln] = i
 			}
 		}
-		var blocked, delivered int
-		var err error
-		if n.workers > 1 {
-			blocked, delivered, err = n.routeStageParallel(s, outcomes)
-		} else {
-			blocked, delivered, err = n.routeStage(s, 0, cfg.SwitchesInStage(s), outcomes, &n.scratch)
-		}
+		blocked, delivered, err := n.routeStage(s, outcomes)
 		if err != nil {
 			return CycleStats{}, err
 		}
@@ -454,21 +446,20 @@ func (n *Network) traceStage(s int, outcomes []Outcome) {
 	}
 }
 
-// routeStage arbitrates switches [lo, hi) of one stage: it gathers each
+// routeStage arbitrates every switch of one stage: it gathers each
 // switch's digit vector from the precomputed tag rows, runs the
 // allocation-free switch arbitration, and applies the grants — advancing
 // winners through the interstage table (hyperbar stages) or recording
-// deliveries (the final crossbar stage). It is the single kernel behind
-// both the serial cycle and the parallel workers; switches within a
-// stage share no wires or arbitration state, so disjoint ranges may run
-// concurrently as long as each goroutine brings its own scratch.
-func (n *Network) routeStage(stage, lo, hi int, outcomes []Outcome, sc *stageScratch) (blocked, delivered int, err error) {
+// deliveries (the final crossbar stage).
+func (n *Network) routeStage(stage int, outcomes []Outcome) (blocked, delivered int, err error) {
 	if n.live != nil {
 		if live := n.live[stage-1]; live != nil {
-			return n.routeStageMasked(stage, lo, hi, outcomes, sc, live)
+			return n.routeStageMasked(stage, outcomes, live)
 		}
 	}
 	cfg := n.cfg
+	sc := &n.scratch
+	switches := cfg.SwitchesInStage(stage)
 	inputs := cfg.Inputs()
 	isCrossbar := stage == cfg.L+1
 	width, buckets, capacity := cfg.A, cfg.B, cfg.C
@@ -492,7 +483,7 @@ func (n *Network) routeStage(stage, lo, hi int, outcomes []Outcome, sc *stageScr
 		// application fuse into a single pass per switch with no
 		// per-switch arbiter state at all.
 		used := sc.route.Used[:buckets]
-		for sw := lo; sw < hi; sw++ {
+		for sw := 0; sw < switches; sw++ {
 			base := sw * width
 			outBase := sw * bc // hyperbar stage-output wire base
 			for i := range used {
@@ -529,7 +520,7 @@ func (n *Network) routeStage(stage, lo, hi int, outcomes []Outcome, sc *stageScr
 	hb := cfg.Hyperbar()
 	xb := cfg.OutputCrossbar()
 	digits := sc.digits[:width]
-	for sw := lo; sw < hi; sw++ {
+	for sw := 0; sw < switches; sw++ {
 		base := sw * width
 		busy := false
 		for p := 0; p < width; p++ {
@@ -587,8 +578,10 @@ func (n *Network) routeStage(stage, lo, hi int, outcomes []Outcome, sc *stageScr
 // left is blocked at this stage. It remains a fused single pass with no
 // allocations; unfaulted stages of the same network never reach it, so
 // the empty mask costs nothing.
-func (n *Network) routeStageMasked(stage, lo, hi int, outcomes []Outcome, sc *stageScratch, live []bool) (blocked, delivered int, err error) {
+func (n *Network) routeStageMasked(stage int, outcomes []Outcome, live []bool) (blocked, delivered int, err error) {
 	cfg := n.cfg
+	sc := &n.scratch
+	switches := cfg.SwitchesInStage(stage)
 	inputs := cfg.Inputs()
 	isCrossbar := stage == cfg.L+1
 	width, buckets, capacity := cfg.A, cfg.B, cfg.C
@@ -609,7 +602,7 @@ func (n *Network) routeStageMasked(stage, lo, hi int, outcomes []Outcome, sc *st
 	used := sc.route.Used[:buckets]
 	digits := sc.digits[:width]
 
-	for sw := lo; sw < hi; sw++ {
+	for sw := 0; sw < switches; sw++ {
 		base := sw * width
 		outBase := sw * bc
 		// Arbitration order: natural for the fused priority default,

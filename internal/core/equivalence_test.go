@@ -14,9 +14,9 @@ import (
 // of the seed implementation — per-cycle slice allocation, per-stage
 // digit division, interface-dispatched gamma application, allocating
 // switch arbitration — and the equivalence suite asserts bit-identical
-// Outcomes and CycleStats between it, RouteCycleInto, the RouteCycle
-// wrapper, and the stage-parallel path, across geometries, request
-// loads, seeds and every arbiter factory.
+// Outcomes and CycleStats between it, RouteCycleInto and the RouteCycle
+// wrapper, across geometries, request loads, seeds and every arbiter
+// factory.
 
 type referenceEngine struct {
 	cfg     topology.Config
@@ -182,24 +182,19 @@ func (e *referenceEngine) routeCycle(dest []int) ([]Outcome, CycleStats, error) 
 type factoryCase struct {
 	name string
 	make func(seed uint64) ArbiterFactory
-	// parallel marks factories safe under stage-parallel workers. The
-	// random factory shares one RNG across all of a network's arbiters,
-	// which is deterministic serially (switches are visited in order)
-	// but racy across worker goroutines, so it is excluded there.
-	parallel bool
 }
 
 func equivalenceFactories() []factoryCase {
 	return []factoryCase{
-		{name: "default-priority", make: func(uint64) ArbiterFactory { return nil }, parallel: true},
-		{name: "explicit-priority", make: func(uint64) ArbiterFactory { return PriorityArbiters }, parallel: true},
+		{name: "default-priority", make: func(uint64) ArbiterFactory { return nil }},
+		{name: "explicit-priority", make: func(uint64) ArbiterFactory { return PriorityArbiters }},
 		{name: "round-robin", make: func(uint64) ArbiterFactory {
 			return func() switchfab.Arbiter { return &switchfab.RoundRobinArbiter{} }
-		}, parallel: true},
+		}},
 		{name: "random", make: func(seed uint64) ArbiterFactory {
 			rng := xrand.New(seed)
 			return func() switchfab.Arbiter { return switchfab.RandomArbiter{Perm: rng.Perm} }
-		}, parallel: false},
+		}},
 	}
 }
 
@@ -232,19 +227,10 @@ func TestRouteCycleEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					var par *Network
-					if fc.parallel {
-						par, err = NewNetwork(cfg, fc.make(seed))
-						if err != nil {
-							t.Fatal(err)
-						}
-						par.SetParallelism(3)
-					}
 
 					trafficRng := xrand.New(seed * 977)
 					dest := make([]int, cfg.Inputs())
 					intoOut := make([]Outcome, cfg.Inputs())
-					parOut := make([]Outcome, cfg.Inputs())
 					rates := []float64{0, 0.25, 0.6, 1}
 					for trial := 0; trial < 12; trial++ {
 						rate := rates[trial%len(rates)]
@@ -264,7 +250,6 @@ func TestRouteCycleEquivalence(t *testing.T) {
 						// slot is rewritten each cycle.
 						for i := range intoOut {
 							intoOut[i] = Outcome{Output: -99, BlockedStage: -99}
-							parOut[i] = Outcome{Output: -99, BlockedStage: -99}
 						}
 						gotStats, err := into.RouteCycleInto(dest, intoOut)
 						if err != nil {
@@ -277,14 +262,6 @@ func TestRouteCycleEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 						compareCycle(t, trial, "RouteCycle", wantOut, wantStats, wOut, wStats)
-
-						if par != nil {
-							pStats, err := par.RouteCycleInto(dest, parOut)
-							if err != nil {
-								t.Fatal(err)
-							}
-							compareCycle(t, trial, "parallel", wantOut, wantStats, parOut, pStats)
-						}
 					}
 				})
 			}

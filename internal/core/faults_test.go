@@ -24,7 +24,7 @@ func faultCfg(t testing.TB, a, b, c, l int) topology.Config {
 // TestEmptyMaskBitForBit pins the first fault-tolerance invariant: a
 // network built with an empty (or nil-compiled) fault mask produces
 // exactly the same Outcomes and CycleStats as one built without masks,
-// across geometries, arbiter factories, traffic and the parallel path.
+// across geometries, arbiter factories and traffic.
 func TestEmptyMaskBitForBit(t *testing.T) {
 	geometries := []struct{ a, b, c, l int }{
 		{4, 4, 2, 2}, {8, 2, 4, 2}, {16, 4, 4, 2}, {4, 4, 1, 2},
@@ -61,13 +61,7 @@ func TestEmptyMaskBitForBit(t *testing.T) {
 				if masked.Faulted() {
 					t.Fatal("empty mask marked the network faulted")
 				}
-				par, err := NewNetworkWithFaults(cfg, fac.factory, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				par.SetParallelism(3)
 				compareNetworksBitForBit(t, cfg, newRef(), masked, 40, 11)
-				compareNetworksBitForBit(t, cfg, newRef(), par, 40, 11)
 			})
 		}
 	}
@@ -128,14 +122,8 @@ func TestMaskedFastPathMatchesMaskedArbiterPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := NewNetworkWithFaults(cfg, nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par.SetParallelism(3)
 		t.Run(cfg.String(), func(t *testing.T) {
 			compareNetworksBitForBit(t, cfg, fast, slow, 50, 17)
-			compareNetworksBitForBit(t, cfg, fast, par, 50, 17)
 		})
 	}
 }
@@ -212,7 +200,7 @@ func TestDeltaCornerDeadWireDisconnects(t *testing.T) {
 
 // TestFullyDeadStage kills every switch of a middle stage: the network
 // must route nothing, block everything, and not panic — on the fused
-// path, the arbiter path and the parallel path.
+// path and the arbiter path.
 func TestFullyDeadStage(t *testing.T) {
 	cfg := faultCfg(t, 16, 4, 4, 2)
 	var set faults.Set
@@ -227,38 +215,33 @@ func TestFullyDeadStage(t *testing.T) {
 		name    string
 		factory ArbiterFactory
 	}{{"priority", nil}, {"roundrobin", func() switchfab.Arbiter { return &switchfab.RoundRobinArbiter{} }}} {
-		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/workers=%d", fac.name, workers), func(t *testing.T) {
-				net, err := NewNetworkWithFaults(cfg, fac.factory, m)
+		t.Run(fac.name, func(t *testing.T) {
+			net, err := NewNetworkWithFaults(cfg, fac.factory, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := traffic.Uniform{Rate: 1, Rng: xrand.New(2)}
+			dest := make([]int, cfg.Inputs())
+			outcomes := make([]Outcome, cfg.Inputs())
+			for cycle := 0; cycle < 10; cycle++ {
+				gen.GenerateInto(dest, cfg.Outputs())
+				cs, err := net.RouteCycleInto(dest, outcomes)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if workers > 1 {
-					net.SetParallelism(workers)
+				if cs.Delivered != 0 {
+					t.Fatalf("delivered %d through a fully dead stage", cs.Delivered)
 				}
-				gen := traffic.Uniform{Rate: 1, Rng: xrand.New(2)}
-				dest := make([]int, cfg.Inputs())
-				outcomes := make([]Outcome, cfg.Inputs())
-				for cycle := 0; cycle < 10; cycle++ {
-					gen.GenerateInto(dest, cfg.Outputs())
-					cs, err := net.RouteCycleInto(dest, outcomes)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if cs.Delivered != 0 {
-						t.Fatalf("delivered %d through a fully dead stage", cs.Delivered)
-					}
-					if cs.BlockedTotal() != cs.Offered {
-						t.Fatalf("offered %d but blocked only %d", cs.Offered, cs.BlockedTotal())
-					}
-					// Everything dies at stage 1: the dead stage-2 switches
-					// mask every stage-1 output wire.
-					if cs.Blocked[0] != cs.Offered {
-						t.Fatalf("blocked %v, want all %d at stage 1", cs.Blocked, cs.Offered)
-					}
+				if cs.BlockedTotal() != cs.Offered {
+					t.Fatalf("offered %d but blocked only %d", cs.Offered, cs.BlockedTotal())
 				}
-			})
-		}
+				// Everything dies at stage 1: the dead stage-2 switches
+				// mask every stage-1 output wire.
+				if cs.Blocked[0] != cs.Offered {
+					t.Fatalf("blocked %v, want all %d at stage 1", cs.Blocked, cs.Offered)
+				}
+			}
+		})
 	}
 }
 

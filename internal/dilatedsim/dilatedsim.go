@@ -1,58 +1,44 @@
-// Package dilatedsim is the buffered packet-level simulator for
-// d-dilated delta networks — the measured counterpart of the mean-field
-// acceptance model in internal/dilated, and the dilated twin of
-// internal/queuesim. With it the paper's equal-redundancy comparison
-// (EDN versus the dilated delta spending the same wire budget on link
-// replication) runs as two measurements of the same replayed packet
-// streams instead of a measurement against a model, which is what lets
-// the comparison speak to latency tails and lifetime churn.
+// Package dilatedsim is the d-dilated delta fabric of the shared packet
+// engine in internal/queuesim — the measured counterpart of the
+// mean-field acceptance model in internal/dilated. With it the paper's
+// equal-redundancy comparison (EDN versus the dilated delta spending
+// the same wire budget on link replication) runs as two measurements of
+// the same replayed packet streams instead of a measurement against a
+// model, which is what lets the comparison speak to latency tails and
+// lifetime churn.
 //
 // A d-dilated delta(b,l) is the plain delta network EDN(b,b,1,l) with
 // every interstage link replicated d times: stage 1 switches are
 // H(b -> b x d), interior stages H(bd -> b x d), and each single-wire
 // output port accepts one of the up-to-d arrivals on its final link
-// group. The simulator makes that structural statement literal — the
-// group-level interstage wiring is taken from topology.Config{b,b,1,l}
-// (the EDN family's c=1 corner) and expanded sub-wire-wise, so at d=1
-// the network is bit-for-bit the plain delta queuesim simulates, and
-// the equivalence test pins exactly that.
+// group. The package makes that structural statement literal. Tables
+// takes the group-level interstage wiring from topology.Config{b,b,1,l}
+// (the EDN family's c=1 corner) and expands it sub-wire-wise, and New
+// hands queuesim a per-stage descriptor: l switch stages whose buckets
+// hold d sub-wires, then the output ports as a retire stage with one
+// bucket per switch. At d=1 the network is bit-for-bit the plain delta
+// queuesim builds from topology tables, and the equivalence test pins
+// exactly that.
 //
-// The engine shares queuesim's architecture wholesale: flat int32
-// interstage tables, one ringbuf.Ring per sub-wire (bounded depths
-// carve slots out of a single backing array; the advance loop is 0
-// allocs/op in steady state, see BenchmarkDilatedQueueCycle), packets
-// packed as (inject-cycle | dest) uint64s via ringbuf.Pack feeding a
-// stats.Histogram, Drop/Backpressure policies, head-of-line arbitration
-// per switch with per-bucket live-sub-wire counts, and an UpdateFaults
-// in-place mask swap with the PR 4 stranding/parking semantics (Drop
-// discards packets queued on newly dead sub-wires into Totals.Stranded;
-// Backpressure parks them, reported per cycle in
-// CycleStats.ParkedOnDead, and releases them intact on repair).
-//
-// Depth semantics also mirror queuesim: >= 1 bounded FIFOs, Unbounded,
-// and 0 for the unbuffered corner — no interstage buffering, each
-// offered packet traverses all stages within one cycle, and blocked
-// packets are resubmitted from their input (Backpressure) or lost
-// (Drop). One behavioral note specific to deltas: a packet's switch
-// path is unique (only the sub-wire within each link group is free), so
-// under faults a head-of-line packet whose next bucket has no live
-// sub-wire is parked for as long as the mask stands — dilation is
+// This package holds what is specific to the dilated fabric: the
+// sub-wire fault model (Masks, Compile, Plan, Churn), the routing
+// Tables, and a thin typed face over the shared engine (Config returns
+// a dilated.Config, UpdateFaults takes dilatedsim Masks). Everything
+// else — depths, policies, arbitration, stranding and parking, probes
+// and anatomy — is queuesim's, with one fabric-specific rule: a delta's
+// switch path is unique (only the sub-wire within each link group is
+// free), so under faults a packet whose path crosses a bucket with no
+// live sub-wire is parked for as long as the mask stands — dilation is
 // redundancy without path diversity, which is precisely the paper's
 // point against it.
 package dilatedsim
 
 import (
 	"fmt"
-	"math"
 
-	"edn/internal/anatomy"
 	"edn/internal/core"
 	"edn/internal/dilated"
-	"edn/internal/probe"
 	"edn/internal/queuesim"
-	"edn/internal/ringbuf"
-	"edn/internal/stats"
-	"edn/internal/switchfab"
 	"edn/internal/topology"
 )
 
@@ -60,10 +46,10 @@ import (
 const NoRequest = queuesim.NoRequest
 
 // Unbounded selects per-sub-wire FIFOs that grow without limit.
-const Unbounded = ringbuf.Unbounded
+const Unbounded = queuesim.Unbounded
 
 // Policy is the blocked-packet discipline, shared with queuesim so the
-// two engines are configured with the same vocabulary.
+// two fabrics are configured with the same vocabulary.
 type Policy = queuesim.Policy
 
 // Backpressure retains blocked packets; Drop discards them.
@@ -109,88 +95,14 @@ type Options struct {
 	Tables *Tables
 }
 
-func (o Options) withDefaults() Options {
-	if o.LatencyBuckets <= 0 {
-		o.LatencyBuckets = 1024
-	}
-	if o.LatencyBucketWidth <= 0 {
-		o.LatencyBucketWidth = 1
-	}
-	return o
-}
-
-// Network is an instantiated queueing dilated delta. It is not safe for
-// concurrent use; the sweep harness builds one per shard.
+// Network is a queueing dilated delta: the shared engine behind the
+// dilated fabric's typed face. Every engine method — Cycle, Drain,
+// InputFree, Totals, Latency, SetProbe, SetAnatomy, SetDeliveryHook and
+// the rest — is queuesim's. It is not safe for concurrent use; the
+// sweep harness builds one per shard.
 type Network struct {
+	*queuesim.Network
 	dcfg dilated.Config
-	opts Options
-
-	ports   int // b^l network inputs and outputs
-	b, d, l int
-	stages  int // l switch stages + 1 output-port stage
-	nsw     int // switches per stage, b^(l-1)
-
-	// Pipelined state (Depth != 0). rings holds one FIFO per sub-wire:
-	// boundary 0 (the injection row, single wires) then boundaries 1..l
-	// (d-wide link groups, sub-wire label group*d + wire).
-	rings []ringbuf.Ring
-	base  []int // base[i] = first ring of boundary i, i in [0, l]
-
-	gtab   [][]int32 // [interstage] group-level delta tables; nil = identity
-	subTab [][]int32 // gtab expanded to sub-wire labels (shared when d == 1)
-	shift  []uint    // per switch stage: right-shift to its routing digit
-	maskB  uint32
-
-	// Fault availability (nil = fully live), swapped between cycles by
-	// UpdateFaults. live[s-1] is the boundary-s sub-wire row, pointed at
-	// the active Masks. deadRing marks rings whose feeding sub-wire the
-	// mask disables; liveCap[s-1][sw*b+bucket] counts the bucket's live
-	// sub-wires so the advance loop can tell "parked on a dead bucket"
-	// from "blocked by contention" without rescanning the row.
-	live           [][]bool
-	deadRing       []bool
-	deadRingBuf    []bool
-	liveCap        [][]int32
-	strandedQueued int64 // packets parked in dead rings (Backpressure)
-
-	factory      core.ArbiterFactory
-	fastPriority bool
-	arbiters     [][]switchfab.Arbiter // [stage-1][switch]; stage l+1 = ports
-	used         []int32               // per-bucket sub-wires consumed this cycle
-	digits       []int                 // arbiter-path digit gather
-	order        []int                 // arbiter-path arbitration order
-
-	// Unbuffered state (Depth == 0): one in-flight slot per input; the
-	// wave buffers carry each boundary's per-wire occupancy (origin
-	// input index, -1 empty) through the within-cycle stage sweep.
-	pending []int
-	pendAt  []int64
-	waveA   []int32
-	waveB   []int32
-
-	now       int64
-	queued    int64
-	totals    Totals
-	perStage  []int64 // drops per stage (Policy Drop), stage l+1 = output ports
-	lat       *stats.Histogram
-	idleBatch []int
-
-	// deliver, when set, observes every retirement (see SetDeliveryHook).
-	deliver func(dest int, inject int64)
-
-	// probe, when set, flight-records sampled packets and per-stage heat
-	// (see SetProbe). pendTrace holds the unbuffered corner's per-input
-	// trace record handles (-1 = untraced), mirroring pending.
-	probe     *probe.Probe
-	pendTrace []int32
-
-	// anat, when set, mirrors every FIFO and attributes each in-flight
-	// packet's cycles to wait/block/service (see SetAnatomy); the
-	// anatBlockDown/anatTo fields carry advancePacket's diagnosis out
-	// to the caller, as in queuesim.
-	anat          *anatomy.Collector
-	anatTo        int
-	anatBlockDown int
 }
 
 // New builds a queueing network over dcfg. See Options for the depth
@@ -199,121 +111,41 @@ func New(dcfg dilated.Config, opts Options) (*Network, error) {
 	if err := dcfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Depth < Unbounded {
-		return nil, fmt.Errorf("dilatedsim: depth %d invalid (want >= 1, 0, or Unbounded)", opts.Depth)
+	t := opts.Tables
+	if t != nil && t.Config() != dcfg {
+		return nil, fmt.Errorf("dilatedsim: tables built for %v, network is %v", t.Config(), dcfg)
 	}
-	switch opts.Policy {
-	case Backpressure, Drop:
-	default:
-		return nil, fmt.Errorf("dilatedsim: unknown policy %d", int(opts.Policy))
-	}
-	if opts.Tables != nil && opts.Tables.Config() != dcfg {
-		return nil, fmt.Errorf("dilatedsim: tables built for %v, network is %v", opts.Tables.Config(), dcfg)
-	}
-	opts = opts.withDefaults()
-	ports := dcfg.Ports()
-	if int64(ports)*int64(dcfg.D) > math.MaxInt32 {
-		return nil, fmt.Errorf("dilatedsim: %v has %d sub-wires per boundary, beyond the simulable limit", dcfg, int64(ports)*int64(dcfg.D))
-	}
-	// The group-level wiring is the plain delta skeleton — the EDN
-	// family's c=1 corner with the same radix and depth.
-	delta, err := topology.New(dcfg.B, dcfg.B, 1, dcfg.L)
-	if err != nil {
-		return nil, fmt.Errorf("dilatedsim: %v has no delta skeleton: %w", dcfg, err)
-	}
-	n := &Network{
-		dcfg:         dcfg,
-		opts:         opts,
-		ports:        ports,
-		b:            dcfg.B,
-		d:            dcfg.D,
-		l:            dcfg.L,
-		stages:       dcfg.L + 1,
-		nsw:          topology.Pow(dcfg.B, dcfg.L-1),
-		factory:      opts.Factory,
-		fastPriority: opts.Factory == nil,
-		perStage:     make([]int64, dcfg.L+1),
-		lat:          stats.NewHistogram(opts.LatencyBuckets, opts.LatencyBucketWidth),
-		maskB:        uint32(dcfg.B - 1),
-	}
-	if n.factory == nil {
-		n.factory = core.PriorityArbiters
-	}
-	logB := topology.Log2(dcfg.B)
-	n.shift = make([]uint, dcfg.L)
-	for s := 1; s <= dcfg.L; s++ {
-		n.shift[s-1] = uint((dcfg.L - s) * logB)
-	}
-	if opts.Tables != nil {
-		n.gtab, n.subTab = opts.Tables.gtab, opts.Tables.subTab
-	} else {
-		n.gtab = make([][]int32, dcfg.L)
-		n.subTab = make([][]int32, dcfg.L)
-		for s := 1; s <= dcfg.L; s++ {
-			tab := delta.InterstageTable(s) // nil at s == l: groups feed ports
-			n.gtab[s-1] = tab
-			switch {
-			case tab == nil:
-				// identity at both levels
-			case dcfg.D == 1:
-				n.subTab[s-1] = tab // sub-wire labels are group labels
-			default:
-				sub := make([]int32, ports*dcfg.D)
-				for o := range sub {
-					sub[o] = tab[o/dcfg.D]*int32(dcfg.D) + int32(o%dcfg.D)
-				}
-				n.subTab[s-1] = sub
-			}
-		}
-	}
-	n.arbiters = make([][]switchfab.Arbiter, n.stages)
-	for s := 1; s <= dcfg.L; s++ {
-		n.arbiters[s-1] = make([]switchfab.Arbiter, n.nsw)
-	}
-	n.arbiters[n.stages-1] = make([]switchfab.Arbiter, ports)
-	width := dcfg.B * dcfg.D // widest gather: an interior switch
-	n.used = make([]int32, dcfg.B)
-	n.digits = make([]int, width)
-	n.order = make([]int, width)
-	n.liveCap = make([][]int32, dcfg.L)
-	for s := 1; s <= dcfg.L; s++ {
-		n.liveCap[s-1] = make([]int32, n.nsw*dcfg.B)
-	}
-
-	if opts.Depth == 0 {
-		n.pending = make([]int, ports)
-		for i := range n.pending {
-			n.pending[i] = NoRequest
-		}
-		n.pendAt = make([]int64, ports)
-		n.waveA = make([]int32, ports*dcfg.D)
-		n.waveB = make([]int32, ports*dcfg.D)
-		if err := n.UpdateFaults(opts.Faults); err != nil {
+	if t == nil {
+		var err error
+		if t, err = NewTables(dcfg); err != nil {
 			return nil, err
 		}
-		return n, nil
 	}
-
-	n.base = make([]int, dcfg.L+1)
-	total := ports // boundary 0: single-wire inputs
-	for i := 1; i <= dcfg.L; i++ {
-		n.base[i] = total
-		total += ports * dcfg.D
-	}
-	n.rings = make([]ringbuf.Ring, total)
-	if opts.Depth >= 1 {
-		// One flat backing array, power-of-two slots per ring, so the
-		// steady state never allocates and neighbors share cache lines.
-		slot := 1
-		for slot < opts.Depth {
-			slot <<= 1
+	b, d, l := dcfg.B, dcfg.D, dcfg.L
+	ports := dcfg.Ports()
+	logB := topology.Log2(b)
+	st := make([]queuesim.Stage, l+1)
+	for s := 1; s <= l; s++ {
+		width := b * d
+		if s == 1 {
+			width = b // single-wire input ports
 		}
-		backing := make([]uint64, total*slot)
-		for i := range n.rings {
-			n.rings[i].Buf = backing[i*slot : (i+1)*slot]
+		st[s-1] = queuesim.Stage{
+			Switches: ports / b, Width: width, Buckets: b, Wires: d,
+			Shift: uint((l - s) * logB), Mask: uint32(b - 1), Table: t.subTab[s-1],
 		}
 	}
-	n.deadRingBuf = make([]bool, total)
+	// The output ports: each retires at most one packet per cycle from
+	// the d sub-wires of its final link group.
+	st[l] = queuesim.Stage{Switches: ports, Width: d, Buckets: 1, Wires: 1}
+	net, err := queuesim.NewFabric(queuesim.Fabric{Name: "dilatedsim", Label: dcfg, Stages: st, Settle: queuesim.SettleBySweep}, queuesim.Options{
+		Depth: opts.Depth, Policy: opts.Policy, Factory: opts.Factory,
+		LatencyBuckets: opts.LatencyBuckets, LatencyBucketWidth: opts.LatencyBucketWidth,
+	})
+	if err != nil {
+		return nil, err
+	}
+	n := &Network{Network: net, dcfg: dcfg}
 	if err := n.UpdateFaults(opts.Faults); err != nil {
 		return nil, err
 	}
@@ -332,997 +164,20 @@ func New(dcfg dilated.Config, opts Options) (*Network, error) {
 // counted in Totals.Stranded; under Backpressure they stay parked in
 // place — skipped by arbitration, reported each cycle via
 // CycleStats.ParkedOnDead — and resume unharmed if a later update
-// repairs the sub-wire. Masks must have been compiled for this
+// repairs the sub-wire. Inputs are single wires and cannot die in the
+// sub-wire fault model. Masks must have been compiled for this
 // network's configuration. Not safe to call concurrently with Cycle.
 func (n *Network) UpdateFaults(m *Masks) error {
 	if m.Empty() {
-		n.live = nil
-		n.deadRing = nil
-		n.strandedQueued = 0
+		n.UpdateLive(nil, nil)
 		return nil
 	}
 	if got := m.Config(); got != n.dcfg {
 		return fmt.Errorf("dilatedsim: masks compiled for %v, network is %v", got, n.dcfg)
 	}
-	n.live = m.rows
-	n.refreshLiveView()
+	n.UpdateLive(nil, m.rows)
 	return nil
-}
-
-// refreshLiveView recomputes the engine's view of the current masks:
-// per-bucket live-sub-wire counts and (pipelined) which rings sit on
-// dead sub-wires, stranding their queued packets per policy. O(sub-
-// wires) per mask swap, no allocations.
-func (n *Network) refreshLiveView() {
-	d := n.d
-	for s := 1; s <= n.l; s++ {
-		row := n.live[s-1]
-		caps := n.liveCap[s-1]
-		if row == nil {
-			for i := range caps {
-				caps[i] = int32(d)
-			}
-			continue
-		}
-		for g := range caps { // group label == sw*b + bucket
-			liveCnt := int32(0)
-			for w := 0; w < d; w++ {
-				if row[g*d+w] {
-					liveCnt++
-				}
-			}
-			caps[g] = liveCnt
-		}
-	}
-	if n.opts.Depth == 0 {
-		return
-	}
-	for i := range n.deadRingBuf {
-		n.deadRingBuf[i] = false
-	}
-	any := false
-	for s := 1; s <= n.l; s++ {
-		row := n.live[s-1]
-		if row == nil {
-			continue
-		}
-		tab := n.subTab[s-1]
-		base := n.base[s]
-		for o, ok := range row {
-			if ok {
-				continue
-			}
-			// The ring is the buffer attached to the sub-wire's
-			// downstream end; boundary-l groups feed the ports directly.
-			down := o
-			if tab != nil {
-				down = int(tab[o])
-			}
-			n.deadRingBuf[base+down] = true
-			any = true
-		}
-	}
-	n.strandedQueued = 0
-	if !any {
-		n.deadRing = nil
-		return
-	}
-	n.deadRing = n.deadRingBuf
-	drop := n.opts.Policy == Drop
-	for i := range n.rings {
-		if !n.deadRing[i] {
-			continue
-		}
-		r := &n.rings[i]
-		if r.N == 0 {
-			continue
-		}
-		stranded := int64(r.N)
-		if drop {
-			for r.N > 0 {
-				pkt := r.Pop()
-				if n.probe != nil && pkt&ringbuf.TraceBit != 0 {
-					n.probe.Close(pkt, n.ringStage(i), probe.EvStrand, n.now)
-				}
-				if n.anat != nil {
-					n.anat.Strand(i, n.now)
-				}
-			}
-			n.queued -= stranded
-			n.totals.Stranded += stranded
-		} else {
-			n.strandedQueued += stranded
-			if n.probe != nil {
-				for k := int32(0); k < r.N; k++ {
-					pkt := r.Buf[(int(r.Head)+int(k))&(len(r.Buf)-1)]
-					if pkt&ringbuf.TraceBit != 0 {
-						n.probe.Hop(pkt, n.ringStage(i), probe.EvPark, n.now)
-					}
-				}
-			}
-		}
-	}
 }
 
 // Config returns the network's dilated configuration.
 func (n *Network) Config() dilated.Config { return n.dcfg }
-
-// Depth returns the configured FIFO depth.
-func (n *Network) Depth() int { return n.opts.Depth }
-
-// Policy returns the configured blocked-packet discipline.
-func (n *Network) Policy() Policy { return n.opts.Policy }
-
-// Now returns the number of cycles simulated so far.
-func (n *Network) Now() int64 { return n.now }
-
-// Queued returns the number of packets currently inside the network.
-func (n *Network) Queued() int64 { return n.queued }
-
-// Totals returns the lifetime packet counters.
-func (n *Network) Totals() Totals { return n.totals }
-
-// DroppedPerStage returns a copy of the per-stage drop counters
-// (1-based stage s at index s-1; index l is the output-port stage; all
-// zeros under Backpressure).
-func (n *Network) DroppedPerStage() []int64 {
-	return append([]int64(nil), n.perStage...)
-}
-
-// Latency returns the live delivery-latency histogram, measured in
-// cycles from injection to retirement at the output port: the
-// pipelined floor is Stages() = l+1 (one hop per cycle plus the port),
-// the unbuffered corner's floor is 1. ResetLatency starts a fresh
-// measurement window.
-func (n *Network) Latency() *stats.Histogram { return n.lat }
-
-// ResetLatency clears the latency histogram — typically called after
-// warmup. Queue state and lifetime totals are unaffected.
-func (n *Network) ResetLatency() { n.lat.Reset() }
-
-// SetDeliveryHook installs fn to be called once per retired packet,
-// with the packet's destination port and its injection cycle truncated
-// to the 32 bits the in-flight word carries (compare against
-// int64(uint32(cycle))). The hook fires inside Cycle after the
-// delivery is counted; it must not call back into the network. A nil
-// fn removes the hook. This is the same seam queuesim exposes, so
-// closed-loop drivers treat both engines identically.
-func (n *Network) SetDeliveryHook(fn func(dest int, inject int64)) { n.deliver = fn }
-
-// ProbeMetrics names the per-stage heat metrics this engine reports,
-// in the AddStage index order of the pm* constants — the same set as
-// queuesim's so EDN/dilated heatmaps compare stage for stage.
-var ProbeMetrics = []string{"occupancy", "hol_blocked", "parked", "dropped"}
-
-const (
-	pmOccupancy = iota
-	pmHolBlocked
-	pmParked
-	pmDropped
-)
-
-// SetProbe attaches a flight-recorder probe (nil detaches), with the
-// same non-perturbation contract as queuesim.SetProbe: decisions are
-// identical with or without it, and the nil path costs one predictable
-// branch per site (BenchmarkProbeOff pins 0 allocs/op). Not safe to
-// swap mid-cycle.
-func (n *Network) SetProbe(p *probe.Probe) {
-	n.probe = p
-	if p == nil {
-		return
-	}
-	p.Bind(n.stages, ProbeMetrics)
-	if n.opts.Depth == 0 && n.pendTrace == nil {
-		n.pendTrace = make([]int32, n.ports)
-	}
-	for i := range n.pendTrace {
-		n.pendTrace[i] = -1
-	}
-}
-
-// SetAnatomy attaches a latency-anatomy collector (nil detaches),
-// binding it to this network's ring geometry — the same observation
-// contract as queuesim.SetAnatomy: no decision changes, one branch per
-// site when detached. Not safe to swap mid-cycle.
-func (n *Network) SetAnatomy(a *anatomy.Collector) {
-	n.anat = a
-	if a == nil {
-		return
-	}
-	if n.opts.Depth == 0 {
-		a.Bind(anatomy.Layout{Stages: n.stages, Inputs: n.ports, Outputs: n.ports})
-		return
-	}
-	lay := anatomy.Layout{
-		Stages: n.stages, Inputs: n.ports, Outputs: n.ports,
-		Rings:      len(n.rings),
-		RingStage:  make([]int32, len(n.rings)),
-		RingSwitch: make([]int32, len(n.rings)),
-		TermSwitch: make([]int32, n.ports),
-	}
-	for i := range n.rings {
-		s := n.ringStage(i)
-		width := n.b * n.d
-		switch s {
-		case 1:
-			width = n.b // single-wire input ports
-		case n.stages:
-			width = n.d // the "switch" of the output stage is the port
-		}
-		lay.RingStage[i] = int32(s)
-		lay.RingSwitch[i] = int32((i - n.base[s-1]) / width)
-	}
-	for t := 0; t < n.ports; t++ {
-		lay.TermSwitch[t] = int32(t)
-	}
-	a.Bind(lay)
-}
-
-// ringStage returns the 1-based stage fed by ring i (boundary-l rings
-// feed the output-port stage).
-func (n *Network) ringStage(i int) int {
-	s := 1
-	for s < len(n.base) && i >= n.base[s] {
-		s++
-	}
-	return s
-}
-
-// recordHeat folds this cycle's occupancy census into the probe and
-// closes the heat cycle. Only called with a probe attached.
-func (n *Network) recordHeat() {
-	if n.opts.Depth == 0 {
-		n.probe.AddStage(pmOccupancy, 0, float64(n.queued))
-	} else {
-		for s := 1; s <= n.stages; s++ {
-			lo := n.base[s-1]
-			hi := len(n.rings)
-			if s < len(n.base) {
-				hi = n.base[s]
-			}
-			occ := int64(0)
-			for i := lo; i < hi; i++ {
-				occ += int64(n.rings[i].N)
-			}
-			n.probe.AddStage(pmOccupancy, s-1, float64(occ))
-		}
-	}
-	n.probe.EndCycle()
-}
-
-// Stages returns the stage count: l switch stages plus the output-port
-// stage.
-func (n *Network) Stages() int { return n.stages }
-
-// InputFree reports whether input i can accept an injection this
-// cycle. Inputs are single wires and cannot die in the sub-wire fault
-// model, so only FIFO (or in-flight slot) occupancy gates injection.
-func (n *Network) InputFree(i int) bool {
-	if n.opts.Depth == 0 {
-		return n.pending[i] == NoRequest
-	}
-	return n.rings[i].HasSpace(n.opts.Depth)
-}
-
-// Cycle advances the network by one cycle and then injects dest:
-// dest[i] is the destination port for a new packet entering input i,
-// or NoRequest. Stages advance downstream-first, exactly as in
-// queuesim, so a buffer slot freed this cycle is usable upstream in the
-// same cycle. Injections that find their input full are counted as
-// Refused and lost.
-func (n *Network) Cycle(dest []int) (CycleStats, error) {
-	if len(dest) != n.ports {
-		return CycleStats{}, fmt.Errorf("dilatedsim: %v got %d injections, want %d inputs", n.dcfg, len(dest), n.ports)
-	}
-	// Validate before touching state: a mid-cycle abort would break the
-	// conservation invariant forever.
-	for i, dst := range dest {
-		if dst != NoRequest && (dst < 0 || dst >= n.ports) {
-			return CycleStats{}, fmt.Errorf("dilatedsim: input %d requests output %d out of range [0,%d)", i, dst, n.ports)
-		}
-	}
-	n.now++
-	var cs CycleStats
-	if n.opts.Depth == 0 {
-		n.cycleUnbuffered(dest, &cs)
-	} else {
-		n.advanceOutput(&cs)
-		for s := n.l; s >= 1; s-- {
-			n.advanceStage(s, &cs)
-		}
-		if n.strandedQueued != 0 {
-			cs.ParkedOnDead += int(n.strandedQueued)
-		}
-		depth := n.opts.Depth
-		for i, dst := range dest {
-			if dst == NoRequest {
-				continue
-			}
-			cs.Injected++
-			r := &n.rings[i]
-			if !r.HasSpace(depth) {
-				cs.Refused++
-				continue
-			}
-			pkt := ringbuf.Pack(dst, n.now)
-			if n.probe != nil {
-				pkt = n.probe.TagInject(i, pkt, n.now)
-			}
-			r.Push(pkt)
-			n.queued++
-			if n.anat != nil {
-				n.anat.Inject(i, i, dst, n.now)
-			}
-		}
-		if n.anat != nil {
-			n.anat.EndCycle(n.now)
-		}
-	}
-	if n.probe != nil {
-		n.recordHeat()
-	}
-	n.totals.Injected += int64(cs.Injected)
-	n.totals.Refused += int64(cs.Refused)
-	n.totals.Delivered += int64(cs.Delivered)
-	n.totals.Dropped += int64(cs.Dropped)
-	return cs, nil
-}
-
-// Drain runs idle cycles until the network empties, returning how many
-// it took; it fails if packets remain after maxCycles.
-func (n *Network) Drain(maxCycles int) (int, error) {
-	if n.idleBatch == nil {
-		n.idleBatch = make([]int, n.ports)
-		for i := range n.idleBatch {
-			n.idleBatch[i] = NoRequest
-		}
-	}
-	for c := 0; c < maxCycles; c++ {
-		if n.queued == 0 {
-			return c, nil
-		}
-		if _, err := n.Cycle(n.idleBatch); err != nil {
-			return c, err
-		}
-	}
-	if n.queued == 0 {
-		return maxCycles, nil
-	}
-	return maxCycles, fmt.Errorf("dilatedsim: %d packets still queued after %d drain cycles", n.queued, maxCycles)
-}
-
-// retire records one delivery.
-func (n *Network) retire(pkt uint64, cs *CycleStats) {
-	n.lat.Add(ringbuf.Latency(pkt, n.now))
-	n.queued--
-	cs.Delivered++
-	if n.probe != nil {
-		n.probe.Close(pkt, n.stages, probe.EvDeliver, n.now)
-	}
-	if n.deliver != nil {
-		n.deliver(ringbuf.Dest(pkt), int64(uint32(pkt>>32)))
-	}
-}
-
-// advanceStage runs one cycle of switch stage s (1-based): head-of-line
-// arbitration per switch over the boundary s-1 FIFOs, winners crossing
-// the sub-wire interstage table into the boundary s FIFOs, losers
-// retained or dropped per policy. Structure and semantics mirror
-// queuesim.advanceStage with bucket capacity d.
-func (n *Network) advanceStage(s int, cs *CycleStats) {
-	width := n.b * n.d
-	if s == 1 {
-		width = n.b // single-wire input ports
-	}
-	tab := n.subTab[s-1]
-	shift := n.shift[s-1]
-	bc := n.b * n.d
-	var live []bool
-	var liveCap []int32
-	if n.live != nil {
-		live = n.live[s-1]
-		if live != nil {
-			liveCap = n.liveCap[s-1]
-		}
-	}
-	inBase := n.base[s-1]
-	var dead []bool
-	if n.deadRing != nil {
-		dead = n.deadRing[inBase:]
-	}
-	outRings := n.rings[n.base[s]:]
-	depth := n.opts.Depth
-	drop := n.opts.Policy == Drop
-	used := n.used[:n.b]
-
-	if n.fastPriority {
-		for sw := 0; sw < n.nsw; sw++ {
-			swIn := inBase + sw*width
-			for i := range used {
-				used[i] = 0
-			}
-			for p := 0; p < width; p++ {
-				r := &n.rings[swIn+p]
-				if r.N == 0 {
-					continue
-				}
-				if dead != nil && dead[sw*width+p] {
-					continue // parked on a dead sub-wire (Drop strands at swap time)
-				}
-				pkt := r.Peek()
-				dgt := int((uint32(pkt) >> shift) & n.maskB)
-				if !n.advancePacket(r, pkt, dgt, sw*bc, depth, tab, outRings, live) {
-					switch {
-					case drop:
-						r.Pop()
-						n.queued--
-						cs.Dropped++
-						n.perStage[s-1]++
-						if n.probe != nil {
-							n.probe.AddStage(pmDropped, s-1, 1)
-							n.probe.Close(pkt, s, probe.EvDrop, n.now)
-						}
-						if n.anat != nil {
-							n.anat.Drop(swIn+p, n.anatBlocker(s), n.now)
-						}
-					case liveCap != nil && liveCap[sw*n.b+dgt] == 0:
-						cs.ParkedOnDead++ // every sub-wire of its bucket is dead
-						if n.probe != nil {
-							n.probe.AddStage(pmParked, s-1, 1)
-							n.probe.Hop(pkt, s, probe.EvPark, n.now)
-						}
-						if n.anat != nil {
-							n.anat.Park(swIn+p, n.now)
-						}
-					default:
-						if n.probe != nil {
-							n.probe.AddStage(pmHolBlocked, s-1, 1)
-							n.probe.Hop(pkt, s, probe.EvBlock, n.now)
-						}
-						if n.anat != nil {
-							n.anat.Block(swIn+p, n.anatBlocker(s), n.now)
-						}
-					}
-				} else {
-					if n.probe != nil {
-						n.probe.Hop(pkt, s, probe.EvTraverse, n.now)
-					}
-					if n.anat != nil {
-						n.anat.Advance(swIn+p, n.base[s]+n.anatTo, n.now)
-					}
-				}
-			}
-		}
-		return
-	}
-
-	digits := n.digits[:width]
-	for sw := 0; sw < n.nsw; sw++ {
-		swIn := inBase + sw*width
-		busy := false
-		for p := 0; p < width; p++ {
-			r := &n.rings[swIn+p]
-			if r.N == 0 || (dead != nil && dead[sw*width+p]) {
-				digits[p] = switchfab.Idle
-				continue
-			}
-			busy = true
-			digits[p] = int((uint32(r.Peek()) >> shift) & n.maskB)
-		}
-		if !busy {
-			continue
-		}
-		order := n.arbiterOrder(s, sw, width)
-		for i := range used {
-			used[i] = 0
-		}
-		for idx := 0; idx < width; idx++ {
-			p := idx
-			if order != nil {
-				p = order[idx]
-			}
-			dgt := digits[p]
-			if dgt == switchfab.Idle {
-				continue
-			}
-			r := &n.rings[swIn+p]
-			pkt := r.Peek()
-			if !n.advancePacket(r, pkt, dgt, sw*bc, depth, tab, outRings, live) {
-				switch {
-				case drop:
-					r.Pop()
-					n.queued--
-					cs.Dropped++
-					n.perStage[s-1]++
-					if n.probe != nil {
-						n.probe.AddStage(pmDropped, s-1, 1)
-						n.probe.Close(pkt, s, probe.EvDrop, n.now)
-					}
-					if n.anat != nil {
-						n.anat.Drop(swIn+p, n.anatBlocker(s), n.now)
-					}
-				case liveCap != nil && liveCap[sw*n.b+dgt] == 0:
-					cs.ParkedOnDead++
-					if n.probe != nil {
-						n.probe.AddStage(pmParked, s-1, 1)
-						n.probe.Hop(pkt, s, probe.EvPark, n.now)
-					}
-					if n.anat != nil {
-						n.anat.Park(swIn+p, n.now)
-					}
-				default:
-					if n.probe != nil {
-						n.probe.AddStage(pmHolBlocked, s-1, 1)
-						n.probe.Hop(pkt, s, probe.EvBlock, n.now)
-					}
-					if n.anat != nil {
-						n.anat.Block(swIn+p, n.anatBlocker(s), n.now)
-					}
-				}
-			} else {
-				if n.probe != nil {
-					n.probe.Hop(pkt, s, probe.EvTraverse, n.now)
-				}
-				if n.anat != nil {
-					n.anat.Advance(swIn+p, n.base[s]+n.anatTo, n.now)
-				}
-			}
-		}
-	}
-}
-
-// advancePacket tries to move the head packet of r (routing digit dgt)
-// through its switch: it takes the first live bucket-dgt sub-wire whose
-// downstream FIFO has room, crossing the sub-wire table tab (nil =
-// identity) into outRings. Each sub-wire carries at most one packet per
-// cycle — used counts grants, full and dead sub-wires alike.
-func (n *Network) advancePacket(r *ringbuf.Ring, pkt uint64, dgt, outBase, depth int, tab []int32, outRings []ringbuf.Ring, live []bool) bool {
-	if n.anat != nil {
-		n.anatBlockDown = -1
-	}
-	for int(n.used[dgt]) < n.d {
-		o := outBase + dgt*n.d + int(n.used[dgt])
-		n.used[dgt]++
-		if live != nil && !live[o] {
-			continue // dead sub-wire: permanently unusable, skip it
-		}
-		down := o
-		if tab != nil {
-			down = int(tab[o])
-		}
-		dr := &outRings[down]
-		if dr.HasSpace(depth) {
-			r.Pop()
-			dr.Push(pkt)
-			if n.anat != nil {
-				n.anatTo = down
-			}
-			return true
-		}
-		// This sub-wire leads to a full FIFO: consumed for the cycle.
-		if n.anat != nil && n.anatBlockDown < 0 {
-			n.anatBlockDown = down
-		}
-	}
-	return false
-}
-
-// anatBlocker resolves advancePacket's failure diagnosis into an
-// anatomy node: the first full downstream FIFO tried, or -1 when
-// nothing downstream is to blame.
-func (n *Network) anatBlocker(s int) int {
-	if n.anatBlockDown >= 0 {
-		return n.base[s] + n.anatBlockDown
-	}
-	return -1
-}
-
-// advanceOutput runs the output-port stage: each port retires at most
-// one packet per cycle from the d FIFOs of its final link group —
-// head-of-line arbitration with a single one-capacity bucket. Losers
-// wait (Backpressure: pure contention, the port itself cannot die) or
-// are discarded (Drop), mirroring queuesim's crossbar-stage handling of
-// bucket conflicts.
-func (n *Network) advanceOutput(cs *CycleStats) {
-	inBase := n.base[n.l]
-	var dead []bool
-	if n.deadRing != nil {
-		dead = n.deadRing[inBase:]
-	}
-	d := n.d
-	drop := n.opts.Policy == Drop
-	if n.fastPriority {
-		for port := 0; port < n.ports; port++ {
-			pBase := inBase + port*d
-			taken := false
-			for w := 0; w < d; w++ {
-				r := &n.rings[pBase+w]
-				if r.N == 0 {
-					continue
-				}
-				if dead != nil && dead[port*d+w] {
-					continue
-				}
-				if !taken {
-					taken = true
-					n.retire(r.Pop(), cs)
-					if n.anat != nil {
-						n.anat.Deliver(pBase+w, n.now)
-					}
-				} else if drop {
-					pkt := r.Pop()
-					n.queued--
-					cs.Dropped++
-					n.perStage[n.stages-1]++
-					if n.probe != nil {
-						n.probe.AddStage(pmDropped, n.stages-1, 1)
-						n.probe.Close(pkt, n.stages, probe.EvDrop, n.now)
-					}
-					if n.anat != nil {
-						n.anat.Drop(pBase+w, len(n.rings)+port, n.now)
-					}
-				} else {
-					if n.probe != nil {
-						n.probe.AddStage(pmHolBlocked, n.stages-1, 1)
-						n.probe.Hop(r.Peek(), n.stages, probe.EvBlock, n.now)
-					}
-					if n.anat != nil {
-						n.anat.Block(pBase+w, len(n.rings)+port, n.now)
-					}
-				}
-			}
-		}
-		return
-	}
-	digits := n.digits[:d]
-	for port := 0; port < n.ports; port++ {
-		pBase := inBase + port*d
-		busy := false
-		for w := 0; w < d; w++ {
-			r := &n.rings[pBase+w]
-			if r.N == 0 || (dead != nil && dead[port*d+w]) {
-				digits[w] = switchfab.Idle
-				continue
-			}
-			busy = true
-			digits[w] = 0 // every head here is addressed to this port
-		}
-		if !busy {
-			continue
-		}
-		order := n.arbiterOrder(n.stages, port, d)
-		taken := false
-		for idx := 0; idx < d; idx++ {
-			w := idx
-			if order != nil {
-				w = order[idx]
-			}
-			if digits[w] == switchfab.Idle {
-				continue
-			}
-			r := &n.rings[pBase+w]
-			if !taken {
-				taken = true
-				n.retire(r.Pop(), cs)
-				if n.anat != nil {
-					n.anat.Deliver(pBase+w, n.now)
-				}
-			} else if drop {
-				pkt := r.Pop()
-				n.queued--
-				cs.Dropped++
-				n.perStage[n.stages-1]++
-				if n.probe != nil {
-					n.probe.AddStage(pmDropped, n.stages-1, 1)
-					n.probe.Close(pkt, n.stages, probe.EvDrop, n.now)
-				}
-				if n.anat != nil {
-					n.anat.Drop(pBase+w, len(n.rings)+port, n.now)
-				}
-			} else {
-				if n.probe != nil {
-					n.probe.AddStage(pmHolBlocked, n.stages-1, 1)
-					n.probe.Hop(r.Peek(), n.stages, probe.EvBlock, n.now)
-				}
-				if n.anat != nil {
-					n.anat.Block(pBase+w, len(n.rings)+port, n.now)
-				}
-			}
-		}
-	}
-}
-
-// arbiterOrder returns the arbitration order for switch sw of stage s
-// (nil = natural order), advancing stateful arbiters exactly once per
-// busy switch per cycle as queuesim does.
-func (n *Network) arbiterOrder(s, sw, width int) []int {
-	if n.arbiters[s-1][sw] == nil {
-		n.arbiters[s-1][sw] = n.factory()
-	}
-	switch a := n.arbiters[s-1][sw].(type) {
-	case switchfab.PriorityArbiter:
-		return nil
-	case switchfab.InPlaceArbiter:
-		order := n.order[:width]
-		a.OrderInto(order)
-		return order
-	default:
-		return a.Order(width)
-	}
-}
-
-// cycleUnbuffered is the Depth == 0 cycle: every input's in-flight
-// packet (retained from a blocked attempt, or freshly injected) sweeps
-// through all stages within the cycle — per-switch arbitration at each
-// stage over the wave of surviving packets, one packet per sub-wire,
-// then at most one retirement per output port. Backpressure resubmits
-// blocked packets from their input next cycle; Drop discards them.
-func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) {
-	for i := range n.pending {
-		if n.pending[i] != NoRequest {
-			if dest[i] != NoRequest {
-				cs.Injected++
-				cs.Refused++ // input busy: the retained packet resubmits
-			}
-			continue
-		}
-		dst := dest[i]
-		if dst == NoRequest {
-			continue
-		}
-		cs.Injected++
-		n.pending[i] = dst
-		n.pendAt[i] = n.now
-		n.queued++
-		if n.probe != nil {
-			if rec := n.probe.SampleInject(i, dst, n.now); rec >= 0 {
-				n.pendTrace[i] = rec
-				n.probe.HopRec(rec, 0, probe.EvInject, n.now)
-			}
-		}
-		if n.anat != nil {
-			n.anat.Inject0(i, i, dst, n.now)
-		}
-	}
-
-	cur := n.waveA[:n.ports]
-	for i := range cur {
-		if n.pending[i] != NoRequest {
-			cur[i] = int32(i)
-		} else {
-			cur[i] = -1
-		}
-	}
-	next := n.waveB
-	for s := 1; s <= n.l; s++ {
-		width := n.b * n.d
-		if s == 1 {
-			width = n.b
-		}
-		nxt := next[:n.ports*n.d]
-		for i := range nxt {
-			nxt[i] = -1
-		}
-		tab := n.subTab[s-1]
-		shift := n.shift[s-1]
-		bc := n.b * n.d
-		var live []bool
-		if n.live != nil {
-			live = n.live[s-1]
-		}
-		used := n.used[:n.b]
-		nsw := len(cur) / width
-		if n.fastPriority {
-			for sw := 0; sw < nsw; sw++ {
-				swIn := sw * width
-				for i := range used {
-					used[i] = 0
-				}
-				for p := 0; p < width; p++ {
-					org := cur[swIn+p]
-					if org < 0 {
-						continue
-					}
-					dgt := int((uint32(n.pending[org]) >> shift) & n.maskB)
-					if !n.grantWave(org, dgt, sw*bc, tab, live, nxt) {
-						n.blockWave(org, s, cs)
-					}
-				}
-			}
-		} else {
-			digits := n.digits[:width]
-			for sw := 0; sw < nsw; sw++ {
-				swIn := sw * width
-				busy := false
-				for p := 0; p < width; p++ {
-					org := cur[swIn+p]
-					if org < 0 {
-						digits[p] = switchfab.Idle
-						continue
-					}
-					busy = true
-					digits[p] = int((uint32(n.pending[org]) >> shift) & n.maskB)
-				}
-				if !busy {
-					continue
-				}
-				order := n.arbiterOrder(s, sw, width)
-				for i := range used {
-					used[i] = 0
-				}
-				for idx := 0; idx < width; idx++ {
-					p := idx
-					if order != nil {
-						p = order[idx]
-					}
-					if digits[p] == switchfab.Idle {
-						continue
-					}
-					org := cur[swIn+p]
-					if !n.grantWave(org, digits[p], sw*bc, tab, live, nxt) {
-						n.blockWave(org, s, cs)
-					}
-				}
-			}
-		}
-		cur, next = nxt, cur[:cap(cur)]
-	}
-
-	// Output ports: one retirement per port; losers resubmit or drop.
-	d := n.d
-	for port := 0; port < n.ports; port++ {
-		pBase := port * d
-		if n.fastPriority {
-			taken := false
-			for w := 0; w < d; w++ {
-				org := cur[pBase+w]
-				if org < 0 {
-					continue
-				}
-				if !taken {
-					taken = true
-					n.retireWave(org, cs)
-				} else {
-					n.blockWave(org, n.stages, cs)
-				}
-			}
-			continue
-		}
-		digits := n.digits[:d]
-		busy := false
-		for w := 0; w < d; w++ {
-			if cur[pBase+w] < 0 {
-				digits[w] = switchfab.Idle
-				continue
-			}
-			busy = true
-			digits[w] = 0
-		}
-		if !busy {
-			continue
-		}
-		order := n.arbiterOrder(n.stages, port, d)
-		taken := false
-		for idx := 0; idx < d; idx++ {
-			w := idx
-			if order != nil {
-				w = order[idx]
-			}
-			if digits[w] == switchfab.Idle {
-				continue
-			}
-			org := cur[pBase+w]
-			if !taken {
-				taken = true
-				n.retireWave(org, cs)
-			} else {
-				n.blockWave(org, n.stages, cs)
-			}
-		}
-	}
-	if n.anat != nil {
-		n.anat.EndCycle0()
-	}
-}
-
-// grantWave places origin's packet on the first live bucket-dgt
-// sub-wire, mapping it through the sub-wire table into the next wave.
-// Without FIFOs every sub-wire is free each cycle, so only bucket
-// capacity and dead sub-wires can refuse.
-func (n *Network) grantWave(org int32, dgt, outBase int, tab []int32, live []bool, nxt []int32) bool {
-	for int(n.used[dgt]) < n.d {
-		o := outBase + dgt*n.d + int(n.used[dgt])
-		n.used[dgt]++
-		if live != nil && !live[o] {
-			continue
-		}
-		down := o
-		if tab != nil {
-			down = int(tab[o])
-		}
-		nxt[down] = org
-		return true
-	}
-	return false
-}
-
-// retireWave delivers the unbuffered packet of input org: latency 1 on
-// a first-attempt delivery (whole-network transit within the injection
-// cycle), matching queuesim's unbuffered corner.
-func (n *Network) retireWave(org int32, cs *CycleStats) {
-	n.lat.Add(float64(n.now-n.pendAt[org]) + 1)
-	n.queued--
-	cs.Delivered++
-	if n.probe != nil {
-		n.probe.CloseRec(n.pendTrace[org], n.stages, probe.EvDeliver, n.now)
-		n.pendTrace[org] = -1
-	}
-	if n.anat != nil {
-		n.anat.Deliver0(int(org), n.now)
-	}
-	if n.deliver != nil {
-		n.deliver(n.pending[org], int64(uint32(n.pendAt[org])))
-	}
-	n.pending[org] = NoRequest
-}
-
-// blockWave handles an unbuffered packet blocked at stage s: Drop
-// discards it, Backpressure retains it for resubmission. A retained
-// packet is parked — it will resubmit forever while the mask stands —
-// when any bucket on its unique switch path has no live sub-wire left;
-// unlike an EDN, a delta's switch path is fully pinned by the (input,
-// destination) pair, so the walk classifies exactly.
-func (n *Network) blockWave(org int32, s int, cs *CycleStats) {
-	if n.opts.Policy == Drop {
-		n.pending[org] = NoRequest
-		n.queued--
-		cs.Dropped++
-		n.perStage[s-1]++
-		if n.probe != nil {
-			n.probe.AddStage(pmDropped, s-1, 1)
-			n.probe.CloseRec(n.pendTrace[org], s, probe.EvDrop, n.now)
-			n.pendTrace[org] = -1
-		}
-		if n.anat != nil {
-			n.anat.Drop0(int(org), s, n.now)
-		}
-		return
-	}
-	parked := n.live != nil && n.pinnedDead(int(org))
-	if parked {
-		cs.ParkedOnDead++
-	}
-	if n.probe != nil {
-		if parked {
-			n.probe.AddStage(pmParked, s-1, 1)
-			n.probe.HopRec(n.pendTrace[org], s, probe.EvPark, n.now)
-		} else {
-			n.probe.AddStage(pmHolBlocked, s-1, 1)
-			n.probe.HopRec(n.pendTrace[org], s, probe.EvBlock, n.now)
-		}
-	}
-	if n.anat != nil {
-		n.anat.Block0(int(org), s, parked, n.now)
-	}
-}
-
-// pinnedDead walks the unique group-level path from input i to its
-// pending destination and reports whether any en-route bucket has zero
-// live sub-wires under the current mask.
-func (n *Network) pinnedDead(i int) bool {
-	dst := n.pending[i]
-	g := i // boundary-0 group label = input wire
-	for s := 1; s <= n.l; s++ {
-		sw := g / n.b
-		dgt := (dst >> n.shift[s-1]) & int(n.maskB)
-		if n.liveCap[s-1][sw*n.b+dgt] == 0 {
-			return true
-		}
-		o := sw*n.b + dgt // boundary-s group label
-		if gt := n.gtab[s-1]; gt != nil {
-			o = int(gt[o])
-		}
-		g = o
-	}
-	return false
-}

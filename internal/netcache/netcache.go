@@ -14,10 +14,12 @@
 //     never writes through them.
 //
 // Because sharing is reference sharing, a cache hit is bit-for-bit
-// identical to a fresh build — the property test in
-// internal/netcache's tests and the serve layer's cache-correctness
-// suite pin exactly that, including after UpdateFaults churn between
-// jobs.
+// identical to a fresh build — TestCachedArtifactsMatchFreshBuilds
+// pins that on both fabrics through a mid-run UpdateFaults, and the
+// root package's TestRunCacheTransparent across whole jobs. The tests
+// also pin LRU eviction order, the byte ledger (an artifact over the
+// whole budget is served but never retained), that failed builds are
+// not cached, and single-flight builds under the race detector.
 //
 // Builds are single-flight: concurrent requests for one key block on a
 // single construction instead of duplicating it.

@@ -1,21 +1,28 @@
 // Package queuesim is the buffered, packet-level counterpart of the
-// circuit-switched cycle engine in internal/core. Where core's
-// RouteCycle resolves a whole request batch in one memoryless network
-// cycle (losers vanish, matching the paper's Section 3.2 model), this
-// package gives every stage-input wire a FIFO: packets advance one
-// stage per cycle, losers wait (or drop), and each packet carries its
-// injection timestamp so the simulator measures what the closed forms
-// cannot — queueing delay, tail latency and saturation throughput under
-// temporally correlated load.
+// circuit-switched cycle engine in internal/core, and the one packet
+// engine of the repository: the EDN and its equal-redundancy
+// comparator, the d-dilated delta, are two fabrics it runs. Where
+// core's RouteCycle resolves a whole request batch in one memoryless
+// network cycle (losers vanish, matching the paper's Section 3.2
+// model), this package gives every stage-input wire a FIFO: packets
+// advance one stage per cycle, losers wait (or drop), and each packet
+// carries its injection timestamp so the simulator measures what the
+// closed forms cannot — queueing delay, tail latency and saturation
+// throughput under temporally correlated load.
 //
-// The simulator is built from the same precomputed machinery as core:
-// the interstage gamma permutations are the flat int32 tables of
-// topology.InterstageTable, per-stage routing digits come from the same
-// shift/mask decomposition, and head-of-line arbitration per switch
-// uses the switchfab arbiter orders (the nil-factory default takes the
-// fused priority fast path). All FIFO storage is ring buffers sized at
-// construction, so the per-cycle advance is allocation-free in steady
-// state for bounded depths (BenchmarkQueueCycle pins this at 0
+// A network is built from a Fabric: a per-stage descriptor of switches
+// whose output buckets hold interchangeable wires, joined by flat int32
+// interstage tables, the last stage retiring onto the terminals. New
+// builds the EDN's descriptor from topology.Tables (hyperbar buckets of
+// c wires, then the c x c crossbars as the retire stage with c buckets
+// per switch); internal/dilatedsim builds the dilated delta's (buckets
+// of d sub-wires, then the output ports as a retire stage with one
+// bucket per switch). Per-stage routing digits come from the same
+// shift/mask decomposition as core, and head-of-line arbitration per
+// switch uses the switchfab arbiter orders (the nil-factory default
+// takes the fused priority fast path). All FIFO storage is ring buffers
+// sized at construction, so the per-cycle advance is allocation-free in
+// steady state for bounded depths (BenchmarkQueueCycle pins this at 0
 // allocs/op).
 //
 // Depth semantics tie the family together:
@@ -26,20 +33,19 @@
 //     FIFO head, under Drop they are discarded.
 //   - Depth == Unbounded: FIFOs grow without limit — the infinite
 //     buffering idealization.
-//   - Depth == 0: no interstage buffering at all. The network degenerates
-//     to the unbuffered single-cycle engine (each offered packet
-//     traverses every stage within one cycle via core.RouteCycleInto);
-//     Backpressure then means a blocked packet is resubmitted from its
-//     input next cycle — exactly the Section 4/5.1 closed-loop regime —
-//     and Drop reproduces the memoryless Section 3.2 model packet for
-//     packet.
+//   - Depth == 0: no interstage buffering at all. Each offered packet
+//     traverses every stage within one cycle, a wave sweep that
+//     arbitrates exactly as core.RouteCycleInto does; Backpressure then
+//     means a blocked packet is resubmitted from its input next cycle —
+//     exactly the Section 4/5.1 closed-loop regime — and Drop reproduces
+//     the memoryless Section 3.2 model packet for packet.
 //
 // The depth-1 Drop configuration is the bridge between the two worlds:
 // batches march through the pipeline in lockstep, one stage per cycle,
 // without ever interacting, so its per-batch grant decisions — and
 // therefore its bandwidth and per-stage blocking — are bit-identical to
-// core's, just time-shifted by the pipeline fill. The equivalence test
-// pins this.
+// core's, just time-shifted by the pipeline fill. The equivalence tests
+// pin this, and the depth-0 sweep against core directly.
 package queuesim
 
 import (
@@ -114,14 +120,16 @@ type Options struct {
 	// measurements normally pair immutable faults with Drop. Nil or
 	// empty means fully live and changes nothing. UpdateFaults swaps the
 	// masks of a running network in place, which is how time-varying
-	// fault processes (internal/lifecycle) drive this engine.
+	// fault processes (internal/lifecycle) drive this engine. EDN only:
+	// NewFabric ignores it.
 	Faults *faults.Masks
 	// Tables, when non-nil, supplies prebuilt interstage routing tables
 	// for the same Config: the network shares the read-only slices
 	// instead of materializing its own, skipping the dominant O(wires)
 	// build cost. Must have been built for the identical Config;
 	// results are bit-for-bit those of a fresh build. The serve-layer
-	// geometry cache is the intended supplier.
+	// geometry cache is the intended supplier. EDN only: NewFabric
+	// ignores it.
 	Tables *topology.Tables
 }
 
@@ -176,36 +184,86 @@ type CycleStats struct {
 	ParkedOnDead int
 }
 
-// Network is an instantiated queueing EDN. It is not safe for
+// Stage describes one switch stage of a fabric: Switches switches of
+// Width input wires each, whose outputs form Buckets buckets of Wires
+// interchangeable wires. A packet's routing digit at the stage is
+// (dest >> Shift) & Mask. Output label sw*Buckets*Wires + bucket*Wires
+// + k crosses Table (nil = identity) onto the next stage's input wire.
+// The last stage of a fabric retires onto terminal sw*Buckets + bucket
+// instead: it has one wire per bucket and no table.
+type Stage struct {
+	Switches, Width, Buckets, Wires int
+	Shift                           uint
+	Mask                            uint32
+	Table                           []int32
+}
+
+// Settlement is how the unbuffered (Depth 0) corner settles the
+// packets its wave sweep blocks or delivers. Fabric constructors pick
+// it; it is part of a fabric's definition, not a user option.
+type Settlement int
+
+const (
+	// SettleByInput settles outcomes after the sweep in input order, the
+	// order of core's outcome vector. A blocked packet is parked when a
+	// component fixed by its (input, destination) pair is dead — its
+	// input wire, its stage-1 bucket (the switch is pinned by the input),
+	// or its destination terminal — and is charged to that component's
+	// stage. Beyond stage 1 an expanded network's c-way wire freedom
+	// redraws paths every cycle, so mid-network dead buckets count as
+	// contention (the c=1 corner's longer pinned paths are not
+	// classified). The EDN's rule.
+	SettleByInput Settlement = iota
+	// SettleBySweep settles each outcome the moment the sweep resolves
+	// it. A blocked packet is parked when any bucket on its switch path
+	// has no live wire, and is charged to the stage that blocked it; the
+	// walk is exact for fabrics whose bucket wires all land on one
+	// downstream switch, which pins the switch path. The dilated delta's
+	// rule.
+	SettleBySweep
+)
+
+// Fabric is the per-stage descriptor a Network runs. Name prefixes the
+// engine's error messages and Label names the geometry in them.
+type Fabric struct {
+	Name   string
+	Label  fmt.Stringer
+	Stages []Stage
+	Settle Settlement
+}
+
+// Network is an instantiated queueing network. It is not safe for
 // concurrent use; the sweep harness builds one per shard.
 type Network struct {
-	cfg    topology.Config
-	opts   Options
-	stages int
-	inputs int
+	cfg     topology.Config // EDN fabrics only (see UpdateFaults)
+	name    string
+	label   fmt.Stringer
+	st      []Stage
+	settle  Settlement
+	opts    Options
+	stages  int
+	inputs  int
+	outputs int
 
 	// Pipelined state (Depth != 0). rings holds one FIFO per stage-input
 	// wire across all boundaries: boundary s-1 (rings[base[s-1]:]) feeds
 	// stage s; boundary 0 is the injection row.
-	rings    []ringbuf.Ring
-	base     []int     // base[i] = first ring of boundary i, i in [0, L]
-	gammaTab [][]int32 // [hyperbar stage-1]; nil = identity interstage
-	shift    []uint    // per hyperbar stage: right-shift to its digit
-	maskB    uint32
-	maskC    uint32
+	rings []ringbuf.Ring
+	base  []int // base[i] = first ring of boundary i, i in [0, stages-1]
 
 	// Fault availability (nil = fully live), swapped between cycles by
-	// UpdateFaults; see Options.Faults. liveRows is the preallocated
-	// backing store live points into when a mask is active. deadRing
-	// (nil when every wire is live) marks rings whose feeding wire the
-	// current mask disables: their queued packets are stranded and their
-	// heads are skipped by arbitration. liveCap[s-1][sw*B+bucket] counts
-	// the bucket's live wires under the current mask, so the advance
-	// loop can tell "parked on a dead bucket" from "blocked by
-	// contention" without rescanning the row.
+	// UpdateLive. live points at liveRows when any stage row is masked.
+	// deadRing (nil when every wire is live) marks rings whose feeding
+	// wire the current mask disables: their queued packets are stranded
+	// and their heads are skipped by arbitration.
+	// liveCap[s-1][sw*Buckets+bucket] counts the bucket's live wires
+	// under the current mask, so the advance loop can tell "parked on a
+	// dead bucket" from "blocked by contention" without rescanning the
+	// row.
 	liveIn         []bool
 	live           [][]bool // [stage-1] stage-local output label availability
 	liveRows       [][]bool
+	faultRows      [][]bool // UpdateFaults' gather buffer
 	deadRing       []bool
 	deadRingBuf    []bool
 	liveCap        [][]int32
@@ -215,23 +273,20 @@ type Network struct {
 	fastPriority bool
 	arbiters     [][]switchfab.Arbiter // [stage-1][switch], lazily built
 	used         []int32               // per-bucket wires consumed this cycle
-	digits       []int                 // arbiter-path digit gather
 	order        []int                 // arbiter-path arbitration order
 
-	// Unbuffered state (Depth == 0): one in-flight slot per input over a
-	// wrapped core.Network. s1cap mirrors the pipelined liveCap for
-	// stage 1 only — the one stage an unbuffered packet cannot route
-	// around, since its switch is fixed by the input and its bucket by
-	// the destination — so the parked-on-dead census can classify
-	// permanently pinned resubmissions; s1shift extracts the stage-1
-	// routing digit.
-	net     *core.Network
-	pending []int   // destination held by input i, or NoRequest
-	pendAt  []int64 // injection cycle of the pending packet
-	destBuf []int
-	outBuf  []core.Outcome
-	s1cap   []int32
-	s1shift uint
+	// Unbuffered state (Depth == 0): one in-flight slot per input. The
+	// wave buffers carry each boundary's per-wire occupancy (origin
+	// input, -1 empty) through the within-cycle stage sweep, and
+	// waveOrder holds one switch's slice of it in arbitration order;
+	// outcome holds each input's result under SettleByInput (0
+	// delivered, s blocked at stage s).
+	pending   []int   // destination held by input i, or NoRequest
+	pendAt    []int64 // injection cycle of the pending packet
+	waveA     []int32
+	waveB     []int32
+	waveOrder []int32
+	outcome   []int32
 
 	now       int64
 	queued    int64
@@ -250,146 +305,154 @@ type Network struct {
 	pendTrace []int32
 
 	// anat, when set, mirrors every FIFO and attributes each in-flight
-	// packet's cycles to wait/block/service (see SetAnatomy). The
-	// anatBlock* fields carry advancePacket's failure diagnosis out to
-	// the caller: the relative downstream ring that was full, or the
-	// contended crossbar terminal; anatTo carries the relative ring a
-	// successful hyperbar advance landed in.
-	anat          *anatomy.Collector
-	anatTo        int
-	anatBlockDown int
-	anatBlockTerm bool
+	// packet's cycles to wait/block/service (see SetAnatomy).
+	anat *anatomy.Collector
 }
 
-// New builds a queueing network over cfg. See Options for the depth and
+// New builds a queueing EDN over cfg. See Options for the depth and
 // policy semantics.
 func New(cfg topology.Config, opts Options) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Depth < Unbounded {
-		return nil, fmt.Errorf("queuesim: depth %d invalid (want >= 1, 0, or Unbounded)", opts.Depth)
-	}
-	switch opts.Policy {
-	case Backpressure, Drop:
-	default:
-		return nil, fmt.Errorf("queuesim: unknown policy %d", int(opts.Policy))
+	if err := checkOptions("queuesim", opts); err != nil {
+		return nil, err
 	}
 	if opts.Tables != nil && opts.Tables.Config() != cfg {
 		return nil, fmt.Errorf("queuesim: tables built for %v, network is %v", opts.Tables.Config(), cfg)
 	}
-	opts = opts.withDefaults()
-	n := &Network{
-		cfg:          cfg,
-		opts:         opts,
-		stages:       cfg.Stages(),
-		inputs:       cfg.Inputs(),
-		factory:      opts.Factory,
-		fastPriority: opts.Factory == nil,
-		perStage:     make([]int64, cfg.Stages()),
-		lat:          stats.NewHistogram(opts.LatencyBuckets, opts.LatencyBucketWidth),
-	}
-	if n.factory == nil {
-		n.factory = core.PriorityArbiters
-	}
-	n.liveRows = make([][]bool, n.stages)
-
-	if opts.Depth == 0 {
-		// The unbuffered corner delegates routing to the core engine
-		// (masks applied below via the shared swap path; dead-input
-		// refusal happens here at the source, so core's own input
-		// masking never fires).
-		var net *core.Network
-		var err error
-		if opts.Tables != nil {
-			net, err = core.NewNetworkFromTables(opts.Tables, opts.Factory, nil)
-		} else {
-			net, err = core.NewNetwork(cfg, opts.Factory)
-		}
-		if err != nil {
-			return nil, err
-		}
-		n.net = net
-		n.pending = make([]int, n.inputs)
-		for i := range n.pending {
-			n.pending[i] = NoRequest
-		}
-		n.pendAt = make([]int64, n.inputs)
-		n.destBuf = make([]int, n.inputs)
-		n.outBuf = make([]core.Outcome, n.inputs)
-		n.s1cap = make([]int32, cfg.SwitchesInStage(1)*cfg.B)
-		n.s1shift = uint(topology.Log2(cfg.C) + (cfg.L-1)*topology.Log2(cfg.B))
-		n.maskB = uint32(cfg.B - 1)
-		if err := n.UpdateFaults(opts.Faults); err != nil {
-			return nil, err
-		}
-		return n, nil
-	}
-
-	// Boundary wire counts; reuse core's int32 cap for the gamma tables.
-	total := 0
-	n.base = make([]int, cfg.L+1)
 	for i := 0; i <= cfg.L; i++ {
-		n.base[i] = total
-		w := cfg.WiresAfterStage(i)
-		if w > math.MaxInt32 {
+		if w := cfg.WiresAfterStage(i); w > math.MaxInt32 {
 			return nil, fmt.Errorf("queuesim: %v has %d wires in one stage, beyond the simulable limit", cfg, w)
 		}
-		total += w
 	}
-	n.rings = make([]ringbuf.Ring, total)
-	if opts.Depth >= 1 {
-		// One flat backing array, power-of-two slots per ring, so the
-		// steady state never allocates and neighbors share cache lines.
-		slot := 1
-		for slot < opts.Depth {
-			slot <<= 1
-		}
-		backing := make([]uint64, total*slot)
-		for i := range n.rings {
-			n.rings[i].Buf = backing[i*slot : (i+1)*slot]
-		}
-	}
-	n.gammaTab = make([][]int32, cfg.L)
-	n.shift = make([]uint, cfg.L)
 	logB, logC := topology.Log2(cfg.B), topology.Log2(cfg.C)
+	st := make([]Stage, cfg.L+1)
 	for s := 1; s <= cfg.L; s++ {
+		var tab []int32
 		if opts.Tables != nil {
-			n.gammaTab[s-1] = opts.Tables.Interstage(s)
+			tab = opts.Tables.Interstage(s)
 		} else {
-			n.gammaTab[s-1] = cfg.InterstageTable(s)
+			tab = cfg.InterstageTable(s)
 		}
-		n.shift[s-1] = uint(logC + (cfg.L-s)*logB)
+		st[s-1] = Stage{
+			Switches: cfg.SwitchesInStage(s), Width: cfg.A, Buckets: cfg.B, Wires: cfg.C,
+			Shift: uint(logC + (cfg.L-s)*logB), Mask: uint32(cfg.B - 1), Table: tab,
+		}
 	}
-	n.maskB = uint32(cfg.B - 1)
-	n.maskC = uint32(cfg.C - 1)
-	n.arbiters = make([][]switchfab.Arbiter, n.stages)
-	for s := 1; s <= n.stages; s++ {
-		n.arbiters[s-1] = make([]switchfab.Arbiter, cfg.SwitchesInStage(s))
+	st[cfg.L] = Stage{
+		Switches: cfg.SwitchesInStage(cfg.L + 1), Width: cfg.C, Buckets: cfg.C, Wires: 1,
+		Mask: uint32(cfg.C - 1),
 	}
-	width := cfg.A
-	if cfg.C > width {
-		width = cfg.C
+	n, err := NewFabric(Fabric{Name: "queuesim", Label: cfg, Stages: st, Settle: SettleByInput}, opts)
+	if err != nil {
+		return nil, err
 	}
-	buckets := cfg.B
-	if cfg.C > buckets {
-		buckets = cfg.C
-	}
-	n.used = make([]int32, buckets)
-	n.digits = make([]int, width)
-	n.order = make([]int, width)
-	n.deadRingBuf = make([]bool, total)
-	n.liveCap = make([][]int32, cfg.L)
-	for s := 1; s <= cfg.L; s++ {
-		n.liveCap[s-1] = make([]int32, cfg.SwitchesInStage(s)*cfg.B)
-	}
+	n.cfg = cfg
 	if err := n.UpdateFaults(opts.Faults); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
-// UpdateFaults swaps the network's availability masks in place: packets
+// NewFabric builds a queueing network over an arbitrary fabric
+// descriptor, fully live; the fabric's constructor installs masks
+// through UpdateLive. opts.Faults and opts.Tables are EDN-typed and
+// ignored here. The descriptor's tables are shared, never copied or
+// written.
+func NewFabric(f Fabric, opts Options) (*Network, error) {
+	if err := checkOptions(f.Name, opts); err != nil {
+		return nil, err
+	}
+	opts = opts.withDefaults()
+	stages := len(f.Stages)
+	last := f.Stages[stages-1]
+	n := &Network{
+		name:         f.Name,
+		label:        f.Label,
+		st:           f.Stages,
+		settle:       f.Settle,
+		opts:         opts,
+		stages:       stages,
+		inputs:       f.Stages[0].Switches * f.Stages[0].Width,
+		outputs:      last.Switches * last.Buckets,
+		factory:      opts.Factory,
+		fastPriority: opts.Factory == nil,
+		perStage:     make([]int64, stages),
+		lat:          stats.NewHistogram(opts.LatencyBuckets, opts.LatencyBucketWidth),
+		liveRows:     make([][]bool, stages),
+		faultRows:    make([][]bool, stages),
+		liveCap:      make([][]int32, stages-1),
+		arbiters:     make([][]switchfab.Arbiter, stages),
+	}
+	if n.factory == nil {
+		n.factory = core.PriorityArbiters
+	}
+	width, buckets := 0, 0
+	for s, st := range f.Stages {
+		n.arbiters[s] = make([]switchfab.Arbiter, st.Switches)
+		if s < stages-1 {
+			n.liveCap[s] = make([]int32, st.Switches*st.Buckets)
+		}
+		width = max(width, st.Width)
+		buckets = max(buckets, st.Buckets)
+	}
+	n.used = make([]int32, buckets)
+	n.order = make([]int, width)
+
+	if opts.Depth == 0 {
+		n.pending = make([]int, n.inputs)
+		for i := range n.pending {
+			n.pending[i] = NoRequest
+		}
+		n.pendAt = make([]int64, n.inputs)
+		n.outcome = make([]int32, n.inputs)
+		wave := 0
+		for _, st := range f.Stages {
+			wave = max(wave, st.Switches*st.Width)
+		}
+		n.waveA = make([]int32, wave)
+		n.waveB = make([]int32, wave)
+		n.waveOrder = make([]int32, width)
+	} else {
+		total := 0
+		n.base = make([]int, stages)
+		for s, st := range f.Stages {
+			n.base[s] = total
+			total += st.Switches * st.Width
+		}
+		n.rings = make([]ringbuf.Ring, total)
+		if opts.Depth >= 1 {
+			// One flat backing array, power-of-two slots per ring, so the
+			// steady state never allocates and neighbors share cache lines.
+			slot := 1
+			for slot < opts.Depth {
+				slot <<= 1
+			}
+			backing := make([]uint64, total*slot)
+			for i := range n.rings {
+				n.rings[i].Buf = backing[i*slot : (i+1)*slot]
+			}
+		}
+		n.deadRingBuf = make([]bool, total)
+	}
+	n.UpdateLive(nil, nil)
+	return n, nil
+}
+
+func checkOptions(name string, opts Options) error {
+	if opts.Depth < Unbounded {
+		return fmt.Errorf("%s: depth %d invalid (want >= 1, 0, or Unbounded)", name, opts.Depth)
+	}
+	switch opts.Policy {
+	case Backpressure, Drop:
+	default:
+		return fmt.Errorf("%s: unknown policy %d", name, int(opts.Policy))
+	}
+	return nil
+}
+
+// UpdateFaults swaps the EDN's availability masks in place: packets
 // keep flowing through the same rings, tables and arbiter state while
 // the set of live components changes under them — the epoch primitive
 // of an availability-over-time simulation. A nil or empty mask restores
@@ -405,99 +468,89 @@ func New(cfg topology.Config, opts Options) (*Network, error) {
 // safe to call concurrently with Cycle.
 func (n *Network) UpdateFaults(m *faults.Masks) error {
 	if m.Empty() {
-		n.liveIn, n.live = nil, nil
-		if n.opts.Depth == 0 {
-			return n.net.UpdateFaults(m)
-		}
-		// Every wire is live again: parked packets resume next cycle.
-		n.deadRing = nil
-		n.strandedQueued = 0
+		n.UpdateLive(nil, nil)
 		return nil
 	}
 	if got := m.Config(); got != n.cfg {
 		return fmt.Errorf("queuesim: masks compiled for %v, network is %v", got, n.cfg)
 	}
-	for s := 1; s <= n.stages; s++ {
-		n.liveRows[s-1] = m.LiveStageOutputs(s)
+	for s := range n.faultRows {
+		n.faultRows[s] = m.LiveStageOutputs(s + 1)
 	}
-	n.liveIn = m.LiveInputs()
-	n.live = n.liveRows
-	if n.opts.Depth == 0 {
-		n.refreshS1Cap()
-		return n.net.UpdateFaults(m)
-	}
-	n.refreshDeadRings()
+	n.UpdateLive(m.LiveInputs(), n.faultRows)
 	return nil
 }
 
-// refreshS1Cap recomputes the unbuffered corner's stage-1 bucket
-// live-wire counts from the current mask.
-func (n *Network) refreshS1Cap() {
-	c := n.cfg.C
-	row := n.live[0]
-	for b := range n.s1cap {
-		if row == nil {
-			n.s1cap[b] = int32(c)
-			continue
+// UpdateLive is the fabric-neutral form of UpdateFaults, with the same
+// stranding and parking semantics: in[i] is the availability of input
+// wire i and rows[s-1] that of stage s's output labels (nil, or rows
+// shorter than the stage count, mean fully live). The engine reads the
+// slices, never writes them; they must stay unchanged while installed.
+// Fabric constructors translate their own fault masks into this form.
+func (n *Network) UpdateLive(in []bool, rows [][]bool) {
+	n.liveIn, n.live = in, nil
+	for s := range n.liveRows {
+		var row []bool
+		if s < len(rows) {
+			row = rows[s]
 		}
-		liveCnt := int32(0)
-		for k := 0; k < c; k++ {
-			if row[b*c+k] {
-				liveCnt++
-			}
+		n.liveRows[s] = row
+		if row != nil {
+			n.live = n.liveRows
 		}
-		n.s1cap[b] = liveCnt
 	}
+	n.refreshLive()
 }
 
-// refreshDeadRings recomputes the ring-level view of the current masks:
-// which FIFOs sit on dead wires (the per-stage rows fold a wire's own
-// death, its switch port and its downstream switch into one bit, and
-// the ring is the buffer attached to that wire), and how many live
-// wires each bucket retains. Packets found queued in a dead ring are
+// refreshLive recomputes the engine's view of the current masks:
+// per-bucket live-wire counts and (pipelined) which rings sit on dead
+// wires — the per-stage rows fold a wire's own death, its switch port
+// and its downstream switch into one bit, and the ring is the buffer
+// attached to that wire. Packets found queued in a dead ring are
 // stranded per policy. O(wires) per mask swap, no allocations.
-func (n *Network) refreshDeadRings() {
-	for i := range n.deadRingBuf {
-		n.deadRingBuf[i] = false
+func (n *Network) refreshLive() {
+	var dead []bool
+	if n.rings != nil {
+		dead = n.deadRingBuf
+		for i := range dead {
+			dead[i] = false
+		}
 	}
 	any := false
-	if n.liveIn != nil {
+	if dead != nil {
 		for w, ok := range n.liveIn {
 			if !ok {
-				n.deadRingBuf[w] = true
+				dead[w] = true
 				any = true
 			}
 		}
 	}
-	cfg := n.cfg
-	c := cfg.C
-	for s := 1; s <= cfg.L; s++ {
-		row := n.live[s-1]
-		caps := n.liveCap[s-1]
+	for s, caps := range n.liveCap {
+		row, wires := n.liveRows[s], n.st[s].Wires
+		for b := range caps {
+			caps[b] = int32(wires)
+		}
 		if row == nil {
-			for i := range caps {
-				caps[i] = int32(c)
-			}
 			continue
 		}
-		tab := n.gammaTab[s-1]
-		base := n.base[s]
-		for b := range caps {
-			liveCnt := int32(0)
-			for k := 0; k < c; k++ {
-				o := b*c + k
-				if row[o] {
-					liveCnt++
-					continue
-				}
+		tab := n.st[s].Table
+		var deadDown []bool // the rings of boundary s+1
+		if dead != nil {
+			deadDown = dead[n.base[s+1]:]
+		}
+		for o, ok := range row {
+			if ok {
+				continue
+			}
+			caps[o/wires]--
+			if deadDown != nil {
 				down := o
 				if tab != nil {
 					down = int(tab[o])
 				}
-				n.deadRingBuf[base+down] = true
+				deadDown[down] = true
 				any = true
 			}
-			caps[b] = liveCnt
 		}
 	}
 	n.strandedQueued = 0
@@ -505,7 +558,7 @@ func (n *Network) refreshDeadRings() {
 		n.deadRing = nil
 		return
 	}
-	n.deadRing = n.deadRingBuf
+	n.deadRing = dead
 	drop := n.opts.Policy == Drop
 	for i := range n.rings {
 		if !n.deadRing[i] {
@@ -542,8 +595,12 @@ func (n *Network) refreshDeadRings() {
 	}
 }
 
-// Config returns the network's configuration.
+// Config returns the EDN's configuration (the zero Config for other
+// fabrics, whose constructors expose their own).
 func (n *Network) Config() topology.Config { return n.cfg }
+
+// Stages returns the stage count, the retire stage included.
+func (n *Network) Stages() int { return n.stages }
 
 // Depth returns the configured FIFO depth.
 func (n *Network) Depth() int { return n.opts.Depth }
@@ -632,29 +689,24 @@ func (n *Network) SetAnatomy(a *anatomy.Collector) {
 	if a == nil {
 		return
 	}
-	outputs := n.cfg.Outputs()
 	if n.opts.Depth == 0 {
-		a.Bind(anatomy.Layout{Stages: n.stages, Inputs: n.inputs, Outputs: outputs})
+		a.Bind(anatomy.Layout{Stages: n.stages, Inputs: n.inputs, Outputs: n.outputs})
 		return
 	}
 	lay := anatomy.Layout{
-		Stages: n.stages, Inputs: n.inputs, Outputs: outputs,
+		Stages: n.stages, Inputs: n.inputs, Outputs: n.outputs,
 		Rings:      len(n.rings),
 		RingStage:  make([]int32, len(n.rings)),
 		RingSwitch: make([]int32, len(n.rings)),
-		TermSwitch: make([]int32, outputs),
+		TermSwitch: make([]int32, n.outputs),
 	}
 	for i := range n.rings {
 		s := n.ringStage(i)
-		width := n.cfg.A
-		if s == n.stages {
-			width = n.cfg.C
-		}
 		lay.RingStage[i] = int32(s)
-		lay.RingSwitch[i] = int32((i - n.base[s-1]) / width)
+		lay.RingSwitch[i] = int32((i - n.base[s-1]) / n.st[s-1].Width)
 	}
-	for t := 0; t < outputs; t++ {
-		lay.TermSwitch[t] = int32(t / n.cfg.C)
+	for t := range lay.TermSwitch {
+		lay.TermSwitch[t] = int32(t / n.st[n.stages-1].Buckets)
 	}
 	a.Bind(lay)
 }
@@ -716,23 +768,20 @@ func (n *Network) InputFree(i int) bool {
 // only what fits).
 func (n *Network) Cycle(dest []int) (CycleStats, error) {
 	if len(dest) != n.inputs {
-		return CycleStats{}, fmt.Errorf("queuesim: %v got %d injections, want %d inputs", n.cfg, len(dest), n.inputs)
+		return CycleStats{}, fmt.Errorf("%s: %v got %d injections, want %d inputs", n.name, n.label, len(dest), n.inputs)
 	}
 	// Validate the whole injection vector before touching any state: a
 	// mid-cycle abort would leave the lifetime Totals out of step with
 	// the queue contents and break the conservation invariant forever.
-	outputs := n.cfg.Outputs()
 	for i, d := range dest {
-		if d != NoRequest && (d < 0 || d >= outputs) {
-			return CycleStats{}, fmt.Errorf("queuesim: input %d requests output %d out of range [0,%d)", i, d, outputs)
+		if d != NoRequest && (d < 0 || d >= n.outputs) {
+			return CycleStats{}, fmt.Errorf("%s: input %d requests output %d out of range [0,%d)", n.name, i, d, n.outputs)
 		}
 	}
 	n.now++
 	var cs CycleStats
 	if n.opts.Depth == 0 {
-		if err := n.cycleUnbuffered(dest, &cs); err != nil {
-			return CycleStats{}, err
-		}
+		n.cycleUnbuffered(dest, &cs)
 	} else {
 		for s := n.stages; s >= 1; s-- {
 			n.advanceStage(s, &cs)
@@ -804,7 +853,7 @@ func (n *Network) Drain(maxCycles int) (int, error) {
 	if n.queued == 0 {
 		return maxCycles, nil
 	}
-	return maxCycles, fmt.Errorf("queuesim: %d packets still queued after %d drain cycles", n.queued, maxCycles)
+	return maxCycles, fmt.Errorf("%s: %d packets still queued after %d drain cycles", n.name, n.queued, maxCycles)
 }
 
 // retire records one delivery.
@@ -820,37 +869,49 @@ func (n *Network) retire(pkt uint64, cs *CycleStats) {
 	}
 }
 
+// switchOrder returns the arbitration order of switch sw of stage s
+// for one cycle (nil = natural order). The fused priority default
+// never calls it, and the other paths call it only for busy switches,
+// so stateful arbiters advance exactly as they do in core.
+func (n *Network) switchOrder(s, sw, width int) []int {
+	a := n.arbiters[s-1][sw]
+	if a == nil {
+		a = n.factory()
+		n.arbiters[s-1][sw] = a
+	}
+	switch a := a.(type) {
+	case switchfab.PriorityArbiter:
+		return nil
+	case switchfab.InPlaceArbiter:
+		order := n.order[:width]
+		a.OrderInto(order)
+		return order
+	default:
+		return a.Order(width)
+	}
+}
+
 // advanceStage runs one cycle of stage s (1-based): head-of-line
 // arbitration per switch over the boundary s-1 FIFOs, winners crossing
 // the interstage table into the boundary s FIFOs (or retiring at the
-// crossbar), losers retained or dropped per policy. It mirrors
-// core.routeStage's structure — fused priority fast path, arbiter
-// orders otherwise — with the FIFO heads standing in for the wire
-// ownership vector.
+// last stage), losers retained or dropped per policy. It mirrors
+// core.routeStage's structure — natural order for the fused priority
+// default, arbiter orders otherwise — with the FIFO heads standing in
+// for the wire ownership vector.
 func (n *Network) advanceStage(s int, cs *CycleStats) {
-	cfg := n.cfg
-	isCrossbar := s == n.stages
-	width, buckets, capacity := cfg.A, cfg.B, cfg.C
-	var tab []int32
-	var shift uint
-	var bc int
-	if isCrossbar {
-		// bc = c makes outBase + d the crossbar's stage-local output
-		// label (the network output terminal), which is how the fault
-		// row indexes it; the unmasked paths never read outBase here.
-		width, buckets, capacity = cfg.C, cfg.C, 1
-		bc = cfg.C
-	} else {
-		tab = n.gammaTab[s-1]
-		shift = n.shift[s-1]
-		bc = cfg.B * cfg.C
-	}
+	st := &n.st[s-1]
+	retire := s == n.stages
+	width, buckets, capacity := st.Width, st.Buckets, st.Wires
+	shift, mask, tab := st.Shift, st.Mask, st.Table
+	// At the retire stage outBase + d is the terminal label, which is
+	// how its fault row indexes it.
+	bc := buckets * capacity
 	var live []bool
 	if n.live != nil {
 		live = n.live[s-1]
 	}
 	var liveCap []int32
-	if live != nil && !isCrossbar {
+	if live != nil && !retire {
 		liveCap = n.liveCap[s-1]
 	}
 	inBase := n.base[s-1]
@@ -859,284 +920,168 @@ func (n *Network) advanceStage(s int, cs *CycleStats) {
 		dead = n.deadRing[inBase:]
 	}
 	var outRings []ringbuf.Ring
-	if !isCrossbar {
-		outRings = n.rings[n.base[s]:]
+	outBaseRing := len(n.rings) // anatomy node of terminal 0
+	if !retire {
+		outBaseRing = n.base[s]
+		outRings = n.rings[outBaseRing:]
 	}
-	nsw := cfg.SwitchesInStage(s)
 	depth := n.opts.Depth
-	drop := n.opts.Policy == Drop
 	used := n.used[:buckets]
 
-	if n.fastPriority {
-		// Priority arbitration considers inputs in natural wire order, so
-		// gather/arbitrate/advance fuse into one pass per switch.
-		for sw := 0; sw < nsw; sw++ {
-			swIn := inBase + sw*width
-			for i := range used {
-				used[i] = 0
-			}
-			for p := 0; p < width; p++ {
-				r := &n.rings[swIn+p]
-				if r.N == 0 {
-					continue
-				}
-				if dead != nil && dead[sw*width+p] {
-					continue // parked on a dead wire (Drop strands at swap time)
-				}
-				pkt := r.Peek()
-				var d int
-				if isCrossbar {
-					d = int(uint32(pkt) & n.maskC)
-				} else {
-					d = int((uint32(pkt) >> shift) & n.maskB)
-				}
-				if !n.advancePacket(r, pkt, d, sw*bc, capacity, isCrossbar, depth, tab, outRings, live, cs) {
-					switch {
-					case drop:
-						r.Pop()
-						n.queued--
-						cs.Dropped++
-						n.perStage[s-1]++
-						if n.probe != nil {
-							n.probe.AddStage(pmDropped, s-1, 1)
-							n.probe.Close(pkt, s, probe.EvDrop, n.now)
-						}
-						if n.anat != nil {
-							n.anat.Drop(swIn+p, n.anatBlocker(s, sw*bc, d), n.now)
-						}
-					case headDeadBlocked(sw, d, isCrossbar, cfg, live, liveCap):
-						cs.ParkedOnDead++
-						if n.probe != nil {
-							n.probe.AddStage(pmParked, s-1, 1)
-							n.probe.Hop(pkt, s, probe.EvPark, n.now)
-						}
-						if n.anat != nil {
-							n.anat.Park(swIn+p, n.now)
-						}
-					default:
-						if n.probe != nil {
-							n.probe.AddStage(pmHolBlocked, s-1, 1)
-							n.probe.Hop(pkt, s, probe.EvBlock, n.now)
-						}
-						if n.anat != nil {
-							n.anat.Block(swIn+p, n.anatBlocker(s, sw*bc, d), n.now)
-						}
-					}
-				} else {
-					if n.probe != nil && !isCrossbar {
-						n.probe.Hop(pkt, s, probe.EvTraverse, n.now)
-					}
-					if n.anat != nil {
-						if isCrossbar {
-							n.anat.Deliver(swIn+p, n.now)
-						} else {
-							n.anat.Advance(swIn+p, n.base[s]+n.anatTo, n.now)
-						}
-					}
-				}
-			}
-		}
-		return
-	}
-
-	// General-arbiter path: gather each switch's head digits, obtain the
-	// arbitration order (idle switches never consult their arbiter, so
-	// stateful arbiters advance exactly as in core), then advance in
-	// order.
-	digits := n.digits[:width]
-	for sw := 0; sw < nsw; sw++ {
+	for sw := 0; sw < st.Switches; sw++ {
 		swIn := inBase + sw*width
-		busy := false
-		for p := 0; p < width; p++ {
-			r := &n.rings[swIn+p]
-			if r.N == 0 || (dead != nil && dead[sw*width+p]) {
-				digits[p] = switchfab.Idle
+		in := n.rings[swIn : swIn+width]
+		var inDead []bool
+		if dead != nil {
+			inDead = dead[sw*width : (sw+1)*width]
+		}
+		outBase := sw * bc
+		var order []int
+		if !n.fastPriority {
+			busy := false
+			for p := range in {
+				if in[p].N != 0 && (inDead == nil || !inDead[p]) {
+					busy = true
+					break
+				}
+			}
+			if !busy {
 				continue
 			}
-			busy = true
-			pkt := r.Peek()
-			if isCrossbar {
-				digits[p] = int(uint32(pkt) & n.maskC)
-			} else {
-				digits[p] = int((uint32(pkt) >> shift) & n.maskB)
-			}
-		}
-		if !busy {
-			continue
-		}
-		var order []int // nil = natural order
-		switch a := n.arbiter(s, sw).(type) {
-		case switchfab.PriorityArbiter:
-		case switchfab.InPlaceArbiter:
-			order = n.order[:width]
-			a.OrderInto(order)
-		default:
-			order = a.Order(width)
+			order = n.switchOrder(s, sw, width)
 		}
 		for i := range used {
 			used[i] = 0
 		}
-		for idx := 0; idx < width; idx++ {
+		for idx := range in {
 			p := idx
 			if order != nil {
 				p = order[idx]
 			}
-			d := digits[p]
-			if d == switchfab.Idle {
+			r := &in[p]
+			if r.N == 0 {
 				continue
 			}
-			r := &n.rings[swIn+p]
+			if inDead != nil && inDead[p] {
+				continue // parked on a dead wire (Drop strands at swap time)
+			}
 			pkt := r.Peek()
-			if !n.advancePacket(r, pkt, d, sw*bc, capacity, isCrossbar, depth, tab, outRings, live, cs) {
+			d := int((uint32(pkt) >> shift) & mask)
+			// Move the head: at the retire stage onto terminal outBase+d,
+			// elsewhere onto the first *live* bucket-d wire whose
+			// downstream FIFO has room. Each output wire carries at most
+			// one packet per cycle — used counts grants, wires skipped as
+			// full and dead wires alike, so every wire is considered at
+			// most once. blocker is the anatomy node to blame if the head
+			// stays: the contended terminal or the first full FIFO tried
+			// (-1 when every wire was dead or already consumed).
+			to, blocker := -1, -1
+			if retire {
 				switch {
-				case drop:
-					r.Pop()
-					n.queued--
-					cs.Dropped++
-					n.perStage[s-1]++
-					if n.probe != nil {
-						n.probe.AddStage(pmDropped, s-1, 1)
-						n.probe.Close(pkt, s, probe.EvDrop, n.now)
-					}
-					if n.anat != nil {
-						n.anat.Drop(swIn+p, n.anatBlocker(s, sw*bc, d), n.now)
-					}
-				case headDeadBlocked(sw, d, isCrossbar, cfg, live, liveCap):
-					cs.ParkedOnDead++
-					if n.probe != nil {
-						n.probe.AddStage(pmParked, s-1, 1)
-						n.probe.Hop(pkt, s, probe.EvPark, n.now)
-					}
-					if n.anat != nil {
-						n.anat.Park(swIn+p, n.now)
-					}
+				case live != nil && !live[outBase+d]:
+				case used[d] != 0:
+					blocker = outBaseRing + outBase + d
 				default:
-					if n.probe != nil {
-						n.probe.AddStage(pmHolBlocked, s-1, 1)
-						n.probe.Hop(pkt, s, probe.EvBlock, n.now)
-					}
-					if n.anat != nil {
-						n.anat.Block(swIn+p, n.anatBlocker(s, sw*bc, d), n.now)
-					}
+					used[d] = 1
+					r.Pop()
+					n.retire(pkt, cs)
+					to = outBaseRing + outBase + d
 				}
 			} else {
-				if n.probe != nil && !isCrossbar {
-					n.probe.Hop(pkt, s, probe.EvTraverse, n.now)
-				}
-				if n.anat != nil {
-					if isCrossbar {
-						n.anat.Deliver(swIn+p, n.now)
-					} else {
-						n.anat.Advance(swIn+p, n.base[s]+n.anatTo, n.now)
+				for int(used[d]) < capacity {
+					o := outBase + d*capacity + int(used[d])
+					used[d]++
+					if live != nil && !live[o] {
+						continue // dead wire: permanently unusable, skip it
+					}
+					down := o
+					if tab != nil {
+						down = int(tab[o])
+					}
+					if dr := &outRings[down]; dr.HasSpace(depth) {
+						r.Pop()
+						dr.Push(pkt)
+						to = outBaseRing + down
+						break
+					}
+					// This wire leads to a full FIFO: it is consumed for
+					// the cycle; try the bucket's next wire.
+					if blocker < 0 {
+						blocker = outBaseRing + down
 					}
 				}
 			}
-		}
-	}
-}
-
-// headDeadBlocked classifies a failed head-of-line advance: true when
-// the packet's target is dead under the current mask — the crossbar
-// terminal itself, or a hyperbar bucket with zero live wires — rather
-// than merely oversubscribed or backed up, so the packet is parked for
-// as long as the mask stands.
-func headDeadBlocked(sw, d int, isCrossbar bool, cfg topology.Config, live []bool, liveCap []int32) bool {
-	if live == nil {
-		return false
-	}
-	if isCrossbar {
-		return !live[sw*cfg.C+d]
-	}
-	return liveCap[sw*cfg.B+d] == 0
-}
-
-// advancePacket tries to move the head packet of r (destination digit
-// d) through its switch: at the crossbar it retires on output bucket d,
-// at a hyperbar it takes the first *live* bucket-d wire whose
-// downstream FIFO has room, crossing the interstage table tab (nil =
-// identity) into the boundary FIFOs outRings. Each output wire carries
-// at most one packet per cycle — used counts grants, wires skipped as
-// full and dead wires alike, so every wire is considered at most once.
-// Returns false if the packet cannot advance this cycle (a packet aimed
-// at a dead output terminal, or at a fully dead bucket, never can).
-func (n *Network) advancePacket(r *ringbuf.Ring, pkt uint64, d, outBase, capacity int, isCrossbar bool, depth int, tab []int32, outRings []ringbuf.Ring, live []bool, cs *CycleStats) bool {
-	if n.anat != nil {
-		n.anatBlockDown, n.anatBlockTerm = -1, false
-	}
-	if isCrossbar {
-		if live != nil && !live[outBase+d] {
-			return false
-		}
-		if n.used[d] != 0 {
-			if n.anat != nil {
-				n.anatBlockTerm = true
+			if to < 0 {
+				// Parked when the target is dead under the current mask —
+				// the terminal itself, or a bucket with zero live wires —
+				// rather than merely oversubscribed or backed up.
+				parked := live != nil && (retire && !live[outBase+d] || !retire && liveCap[sw*buckets+d] == 0)
+				n.stall(s, swIn+p, pkt, parked, blocker, cs)
+				continue
 			}
-			return false
-		}
-		n.used[d] = 1
-		r.Pop()
-		n.retire(pkt, cs)
-		return true
-	}
-	for int(n.used[d]) < capacity {
-		o := outBase + d*capacity + int(n.used[d])
-		n.used[d]++
-		if live != nil && !live[o] {
-			continue // dead wire: permanently unusable, skip it
-		}
-		down := o
-		if tab != nil {
-			down = int(tab[o])
-		}
-		dr := &outRings[down]
-		if dr.HasSpace(depth) {
-			r.Pop()
-			dr.Push(pkt)
-			if n.anat != nil {
-				n.anatTo = down
+			if n.probe != nil && !retire {
+				n.probe.Hop(pkt, s, probe.EvTraverse, n.now)
 			}
-			return true
-		}
-		// This wire leads to a full FIFO: it is consumed for the cycle;
-		// try the bucket's next wire.
-		if n.anat != nil && n.anatBlockDown < 0 {
-			n.anatBlockDown = down
+			if n.anat != nil {
+				if retire {
+					n.anat.Deliver(swIn+p, n.now)
+				} else {
+					n.anat.Advance(swIn+p, to, n.now)
+				}
+			}
 		}
 	}
-	return false
 }
 
-// anatBlocker resolves advancePacket's failure diagnosis into an
-// anatomy node: the contended crossbar terminal, the first full
-// downstream FIFO tried, or -1 when nothing downstream is to blame
-// (every wire of the bucket was dead, or the head lost to a wire
-// already consumed this cycle).
-func (n *Network) anatBlocker(s, outBase, d int) int {
-	if n.anatBlockTerm {
-		return len(n.rings) + outBase + d
+// stall settles a stage-s head packet that could not move this cycle:
+// discarded under Drop; otherwise it stays at the head of its ring,
+// parked for as long as the mask stands when its target is dead, or
+// blocked by contention, with blocker the anatomy node to blame.
+func (n *Network) stall(s, ring int, pkt uint64, parked bool, blocker int, cs *CycleStats) {
+	switch {
+	case n.opts.Policy == Drop:
+		n.rings[ring].Pop()
+		n.queued--
+		cs.Dropped++
+		n.perStage[s-1]++
+		if n.probe != nil {
+			n.probe.AddStage(pmDropped, s-1, 1)
+			n.probe.Close(pkt, s, probe.EvDrop, n.now)
+		}
+		if n.anat != nil {
+			n.anat.Drop(ring, blocker, n.now)
+		}
+	case parked:
+		cs.ParkedOnDead++
+		if n.probe != nil {
+			n.probe.AddStage(pmParked, s-1, 1)
+			n.probe.Hop(pkt, s, probe.EvPark, n.now)
+		}
+		if n.anat != nil {
+			n.anat.Park(ring, n.now)
+		}
+	default:
+		if n.probe != nil {
+			n.probe.AddStage(pmHolBlocked, s-1, 1)
+			n.probe.Hop(pkt, s, probe.EvBlock, n.now)
+		}
+		if n.anat != nil {
+			n.anat.Block(ring, blocker, n.now)
+		}
 	}
-	if n.anatBlockDown >= 0 {
-		return n.base[s] + n.anatBlockDown
-	}
-	return -1
-}
-
-func (n *Network) arbiter(stage, sw int) switchfab.Arbiter {
-	if n.arbiters[stage-1][sw] == nil {
-		n.arbiters[stage-1][sw] = n.factory()
-	}
-	return n.arbiters[stage-1][sw]
 }
 
 // cycleUnbuffered is the Depth == 0 cycle: every input's in-flight
-// packet (retained from a blocked attempt, or freshly injected) is
-// offered to the core engine, which resolves the whole batch in one
+// packet (retained from a blocked attempt, or freshly injected) sweeps
+// through all stages within the cycle — per-switch arbitration at each
+// stage over the wave of surviving packets, at most one packet per
+// wire, then at most one retirement per terminal — which is core's
 // circuit-switched pass. Backpressure resubmits blocked packets from
 // the input next cycle — the Section 4 / Section 5.1 closed-loop
 // regime; Drop discards them, reproducing the memoryless engine.
 // Destinations were validated by Cycle before any state changed.
-func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) error {
-	for i := range n.destBuf {
+func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) {
+	for i := range n.pending {
 		if n.pending[i] != NoRequest {
 			// Input busy: a retained packet resubmits; any new offer is
 			// refused at the source.
@@ -1144,24 +1089,20 @@ func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) error {
 				cs.Injected++
 				cs.Refused++
 			}
-			n.destBuf[i] = n.pending[i]
 			continue
 		}
 		d := dest[i]
 		if d == NoRequest {
-			n.destBuf[i] = NoRequest
 			continue
 		}
 		cs.Injected++
 		if n.liveIn != nil && !n.liveIn[i] {
 			cs.Refused++ // severed input wire: refused at the source
-			n.destBuf[i] = NoRequest
 			continue
 		}
 		n.pending[i] = d
 		n.pendAt[i] = n.now
 		n.queued++
-		n.destBuf[i] = d
 		if n.probe != nil {
 			if rec := n.probe.SampleInject(i, d, n.now); rec >= 0 {
 				n.pendTrace[i] = rec
@@ -1172,94 +1113,219 @@ func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) error {
 			n.anat.Inject0(i, i, d, n.now)
 		}
 	}
-	if _, err := n.net.RouteCycleInto(n.destBuf, n.outBuf); err != nil {
-		return err
-	}
-	drop := n.opts.Policy == Drop
-	var termRow []bool
-	if n.live != nil {
-		termRow = n.live[n.stages-1]
-	}
-	for i := range n.outBuf {
-		if n.pending[i] == NoRequest {
+
+	cur := n.waveA[:n.inputs]
+	for i, d := range n.pending {
+		cur[i] = -1
+		if d == NoRequest {
 			continue
 		}
-		o := n.outBuf[i]
-		switch {
-		case o.Delivered():
-			// A first-attempt delivery has latency 1: one whole-network
-			// transit inside the injection cycle.
-			n.lat.Add(float64(n.now-n.pendAt[i]) + 1)
-			n.queued--
-			cs.Delivered++
-			if n.probe != nil {
-				n.probe.CloseRec(n.pendTrace[i], n.stages, probe.EvDeliver, n.now)
-				n.pendTrace[i] = -1
+		if n.liveIn != nil && !n.liveIn[i] {
+			// A retained packet whose input wire died under it is
+			// blocked at stage 1 before any arbitration.
+			n.resolve(i, 1, cs)
+			continue
+		}
+		cur[i] = int32(i)
+	}
+	next := n.waveB
+	for s := 1; s <= n.stages; s++ {
+		st := &n.st[s-1]
+		retire := s == n.stages
+		width, wires, shift, mask, tab := st.Width, st.Wires, st.Shift, st.Mask, st.Table
+		var nxt []int32
+		if !retire {
+			nxt = next[:n.st[s].Switches*n.st[s].Width]
+			for i := range nxt {
+				nxt[i] = -1
 			}
-			if n.anat != nil {
-				n.anat.Deliver0(i, n.now)
-			}
-			if n.deliver != nil {
-				n.deliver(n.pending[i], int64(uint32(n.pendAt[i])))
-			}
-			n.pending[i] = NoRequest
-		case drop:
-			n.queued--
-			cs.Dropped++
-			n.perStage[o.BlockedStage-1]++
-			if n.probe != nil {
-				n.probe.AddStage(pmDropped, o.BlockedStage-1, 1)
-				n.probe.CloseRec(n.pendTrace[i], o.BlockedStage, probe.EvDrop, n.now)
-				n.pendTrace[i] = -1
-			}
-			if n.anat != nil {
-				n.anat.Drop0(i, o.BlockedStage, n.now)
-			}
-			n.pending[i] = NoRequest
-		default:
-			// Retained for resubmission. A packet is parked — it will
-			// resubmit forever while the mask stands — when a component
-			// fixed by its (input, destination) pair is dead: its input
-			// wire, its destination terminal, or its stage-1 bucket (the
-			// switch is pinned by the input; beyond stage 1 the c-way
-			// wire freedom redraws paths every cycle, so mid-network
-			// dead buckets in the expanded family are contention, not
-			// parking; the c=1 delta corner's longer pinned paths are
-			// not classified).
-			d := n.pending[i]
-			parkStage := 0
-			switch {
-			case n.liveIn != nil && !n.liveIn[i]:
-				cs.ParkedOnDead++
-				parkStage = 1
-			case termRow != nil && !termRow[d]:
-				cs.ParkedOnDead++
-				parkStage = n.stages
-			case n.live != nil && n.live[0] != nil &&
-				n.s1cap[(i/n.cfg.A)*n.cfg.B+int((uint32(d)>>n.s1shift)&n.maskB)] == 0:
-				cs.ParkedOnDead++
-				parkStage = 1
-			}
-			if n.probe != nil {
-				if parkStage != 0 {
-					n.probe.AddStage(pmParked, parkStage-1, 1)
-					n.probe.HopRec(n.pendTrace[i], parkStage, probe.EvPark, n.now)
-				} else {
-					n.probe.AddStage(pmHolBlocked, o.BlockedStage-1, 1)
-					n.probe.HopRec(n.pendTrace[i], o.BlockedStage, probe.EvBlock, n.now)
+		}
+		var live []bool
+		if n.live != nil {
+			live = n.live[s-1]
+		}
+		bc := st.Buckets * wires
+		used := n.used[:st.Buckets]
+		for sw := 0; sw < st.Switches; sw++ {
+			in := cur[sw*width : (sw+1)*width]
+			if !n.fastPriority {
+				busy := false
+				for _, org := range in {
+					if org >= 0 {
+						busy = true
+						break
+					}
+				}
+				if !busy {
+					continue
+				}
+				if order := n.switchOrder(s, sw, width); order != nil {
+					// Arbitrate in the arbiter's order: permute the
+					// switch's slice of the wave into scratch.
+					ordered := n.waveOrder[:width]
+					for i, p := range order {
+						ordered[i] = in[p]
+					}
+					in = ordered
 				}
 			}
-			if n.anat != nil {
-				if parkStage != 0 {
-					n.anat.Block0(i, parkStage, true, n.now)
-				} else {
-					n.anat.Block0(i, o.BlockedStage, false, n.now)
+			for i := range used {
+				used[i] = 0
+			}
+			for _, org := range in {
+				if org < 0 {
+					continue
 				}
+				d := int((uint32(n.pending[org]) >> shift) & mask)
+				granted := false
+				for int(used[d]) < wires {
+					o := sw*bc + d*wires + int(used[d])
+					used[d]++
+					if live != nil && !live[o] {
+						continue // dead wire: skip it
+					}
+					granted = true
+					if !retire {
+						down := o
+						if tab != nil {
+							down = int(tab[o])
+						}
+						nxt[down] = org
+					}
+					break
+				}
+				switch {
+				case !granted:
+					n.resolve(int(org), s, cs)
+				case retire:
+					n.resolve(int(org), 0, cs)
+				}
+			}
+		}
+		cur, next = nxt, cur[:cap(cur)]
+	}
+	if n.settle == SettleByInput {
+		for i, d := range n.pending {
+			if d != NoRequest {
+				n.settle0(i, int(n.outcome[i]), cs)
 			}
 		}
 	}
 	if n.anat != nil {
 		n.anat.EndCycle0()
 	}
-	return nil
+}
+
+// resolve records the sweep's verdict on input i's packet: delivered
+// (s == 0) or blocked at stage s, settled now or after the sweep per
+// the fabric's Settlement.
+func (n *Network) resolve(i, s int, cs *CycleStats) {
+	if n.settle == SettleBySweep {
+		n.settle0(i, s, cs)
+		return
+	}
+	n.outcome[i] = int32(s)
+}
+
+// settle0 applies input i's depth-0 outcome: a delivery (s == 0) has
+// latency 1 on its first attempt — one whole-network transit inside
+// the injection cycle; a packet blocked at stage s is discarded under
+// Drop and otherwise retained to resubmit, classified as parked when a
+// dead component pins it (see Settlement).
+func (n *Network) settle0(i, s int, cs *CycleStats) {
+	switch {
+	case s == 0:
+		n.lat.Add(float64(n.now-n.pendAt[i]) + 1)
+		n.queued--
+		cs.Delivered++
+		if n.probe != nil {
+			n.probe.CloseRec(n.pendTrace[i], n.stages, probe.EvDeliver, n.now)
+			n.pendTrace[i] = -1
+		}
+		if n.anat != nil {
+			n.anat.Deliver0(i, n.now)
+		}
+		if n.deliver != nil {
+			n.deliver(n.pending[i], int64(uint32(n.pendAt[i])))
+		}
+		n.pending[i] = NoRequest
+	case n.opts.Policy == Drop:
+		n.queued--
+		cs.Dropped++
+		n.perStage[s-1]++
+		if n.probe != nil {
+			n.probe.AddStage(pmDropped, s-1, 1)
+			n.probe.CloseRec(n.pendTrace[i], s, probe.EvDrop, n.now)
+			n.pendTrace[i] = -1
+		}
+		if n.anat != nil {
+			n.anat.Drop0(i, s, n.now)
+		}
+		n.pending[i] = NoRequest
+	default:
+		at, parked := s, false
+		if n.settle == SettleByInput {
+			if dead := n.deadEnd(i); dead != 0 {
+				at, parked = dead, true
+			}
+		} else {
+			parked = n.live != nil && n.pinnedDead(i)
+		}
+		if parked {
+			cs.ParkedOnDead++
+		}
+		if n.probe != nil {
+			metric, ev := pmHolBlocked, probe.EvBlock
+			if parked {
+				metric, ev = pmParked, probe.EvPark
+			}
+			n.probe.AddStage(metric, at-1, 1)
+			n.probe.HopRec(n.pendTrace[i], at, ev, n.now)
+		}
+		if n.anat != nil {
+			n.anat.Block0(i, at, parked, n.now)
+		}
+	}
+}
+
+// deadEnd is SettleByInput's parking test: the stage of the dead
+// component fixed by input i's (input, destination) pair — its input
+// wire, its destination terminal, or its stage-1 bucket — or 0 if all
+// three live.
+func (n *Network) deadEnd(i int) int {
+	d := n.pending[i]
+	switch {
+	case n.liveIn != nil && !n.liveIn[i]:
+		return 1
+	case n.live == nil:
+		return 0
+	case n.live[n.stages-1] != nil && !n.live[n.stages-1][d]:
+		return n.stages
+	}
+	st := &n.st[0]
+	if n.live[0] != nil && n.liveCap[0][(i/st.Width)*st.Buckets+int((uint32(d)>>st.Shift)&st.Mask)] == 0 {
+		return 1
+	}
+	return 0
+}
+
+// pinnedDead is SettleBySweep's parking test: it walks input i's
+// switch path to its pending destination — following each bucket's
+// first wire, which lands on the same downstream switch as its others
+// — and reports whether any bucket on the way has zero live wires.
+func (n *Network) pinnedDead(i int) bool {
+	d := uint32(n.pending[i])
+	w := i
+	for s := 0; s < n.stages-1; s++ {
+		st := &n.st[s]
+		b := (w/st.Width)*st.Buckets + int((d>>st.Shift)&st.Mask)
+		if n.liveCap[s][b] == 0 {
+			return true
+		}
+		w = b * st.Wires
+		if st.Table != nil {
+			w = int(st.Table[w])
+		}
+	}
+	return false
 }

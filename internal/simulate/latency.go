@@ -102,28 +102,13 @@ func (r *LatencyResult) fillQuantiles(inputs int) {
 	}
 }
 
-// packetEngine is the measurement surface shared by the two buffered
-// packet-level simulators, queuesim.Network (EDN) and
-// dilatedsim.Network (dilated delta). The harness loops are written
-// against it once, so EDN and counterpart measurements are the same
-// code driving different fabrics.
-type packetEngine interface {
-	Cycle(dest []int) (queuesim.CycleStats, error)
-	Queued() int64
-	Totals() queuesim.Totals
-	Latency() *stats.Histogram
-	ResetLatency()
-	SetProbe(*probe.Probe)
-	SetAnatomy(*anatomy.Collector)
-}
-
 // measurePacketEngine drives pattern through net for opts.Warmup +
 // opts.Cycles cycles and fills res's counters, histogram and quantiles.
 // Latencies retired during warmup are discarded; packets injected
 // during warmup but retired inside the window do count, and the
 // window's still-queued survivors not at all — the standard open-loop
 // truncation.
-func measurePacketEngine(net packetEngine, inputs, outputs int, pattern traffic.Pattern, opts Options, res *LatencyResult) error {
+func measurePacketEngine(net *queuesim.Network, inputs, outputs int, pattern traffic.Pattern, opts Options, res *LatencyResult) error {
 	dest := make([]int, inputs)
 	gen, inPlace := pattern.(traffic.IntoGenerator)
 	var queuedSum int64
@@ -232,7 +217,7 @@ func MeasureDilatedLatency(dcfg dilated.Config, pattern traffic.Pattern, dopts d
 		Cycles:  opts.Cycles,
 		Shards:  1,
 	}
-	if err := measurePacketEngine(net, dcfg.Ports(), dcfg.Ports(), pattern, opts, &res); err != nil {
+	if err := measurePacketEngine(net.Network, dcfg.Ports(), dcfg.Ports(), pattern, opts, &res); err != nil {
 		return LatencyResult{}, err
 	}
 	return res, nil
@@ -531,7 +516,7 @@ func DrainPermutations(cfg topology.Config, q int, qopts queuesim.Options, opts 
 	if err != nil {
 		return DrainResult{}, err
 	}
-	res, err := drainPermutations(net, cfg.Inputs(), cfg.Stages(), q, opts.Seed)
+	res, err := drainPermutations(net, cfg.Inputs(), q, opts.Seed)
 	if err != nil {
 		return DrainResult{}, err
 	}
@@ -565,7 +550,7 @@ func DilatedDrainPermutations(dcfg dilated.Config, q int, dopts dilatedsim.Optio
 	if err != nil {
 		return DrainResult{}, err
 	}
-	res, err := drainPermutations(net, dcfg.Ports(), net.Stages(), q, opts.Seed)
+	res, err := drainPermutations(net.Network, dcfg.Ports(), q, opts.Seed)
 	if err != nil {
 		return DrainResult{}, err
 	}
@@ -573,20 +558,10 @@ func DilatedDrainPermutations(dcfg dilated.Config, q int, dopts dilatedsim.Optio
 	return res, nil
 }
 
-// drainEngine is the closed-loop drain surface both packet engines
-// share: offer-when-free plus the delivered total that terminates the
-// run.
-type drainEngine interface {
-	InputFree(i int) bool
-	Cycle(dest []int) (queuesim.CycleStats, error)
-	Totals() queuesim.Totals
-	Latency() *stats.Histogram
-}
-
 // drainPermutations is the engine-agnostic drain loop: preload q
 // permutations, offer each input's next packet whenever the input can
 // take it, and run until everything is delivered.
-func drainPermutations(net drainEngine, inputs, stages, q int, seed uint64) (DrainResult, error) {
+func drainPermutations(net *queuesim.Network, inputs, q int, seed uint64) (DrainResult, error) {
 	rng := xrand.New(seed)
 	// queue[i] holds input i's packets in offer order: one entry from
 	// each of q independent permutations.
@@ -604,7 +579,7 @@ func drainPermutations(net drainEngine, inputs, stages, q int, seed uint64) (Dra
 	// The closed loop cannot take longer than every packet being
 	// serialized through one output, with generous headroom for the
 	// pipeline; use it as the runaway guard.
-	maxCycles := int64(q*inputs)*int64(stages+1) + 1000
+	maxCycles := int64(q*inputs)*int64(net.Stages()+1) + 1000
 	var cycles int64
 	for net.Totals().Delivered < total {
 		if cycles++; cycles > maxCycles {

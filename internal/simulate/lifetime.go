@@ -347,13 +347,12 @@ func runLifetimeShard(cfg topology.Config, lopts LifetimeOptions, src LoadPatter
 }
 
 // runLifetimeLoop is the per-shard epoch loop both lifetime sweeps
-// share, written against the engine-agnostic packetEngine surface:
-// warmup fault-free, then Epochs iterations of (step — advance the
+// share, driving either fabric of the one packet engine: warmup fault-free, then Epochs iterations of (step — advance the
 // fault process and re-mask the running engine in place — then run
 // EpochCycles cycles and record the epoch's series). step returns the
 // epoch's reachable-output and dead-population fractions alongside any
 // compile/swap error.
-func runLifetimeLoop(net packetEngine, inputs, outputs int, lopts LifetimeOptions, pattern traffic.Pattern, warmup int, pr *probe.Probe, step func() (reachable, deadFrac float64, err error)) partialLifetime {
+func runLifetimeLoop(net *queuesim.Network, inputs, outputs int, lopts LifetimeOptions, pattern traffic.Pattern, warmup int, pr *probe.Probe, step func() (reachable, deadFrac float64, err error)) partialLifetime {
 	var p partialLifetime
 	p.bandwidth = stats.NewTimeSeries(lopts.Epochs)
 	p.reachable = stats.NewTimeSeries(lopts.Epochs)
@@ -599,5 +598,5 @@ func runDilatedLifetimeShard(dcfg dilated.Config, lopts LifetimeOptions, src Loa
 		}
 		return float64(masks.ReachableOutputs()) / float64(ports), churn.DeadFraction(), nil
 	}
-	return runLifetimeLoop(net, ports, ports, lopts, src(lopts.Load, xrand.New(trafficSeed)), opts.Warmup, lifetimeProbe(opts.Probe, lopts, w), step)
+	return runLifetimeLoop(net.Network, ports, ports, lopts, src(lopts.Load, xrand.New(trafficSeed)), opts.Warmup, lifetimeProbe(opts.Probe, lopts, w), step)
 }

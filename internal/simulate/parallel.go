@@ -15,8 +15,7 @@ import (
 // runs — each with its own network instance and a seed derived from
 // opts.Seed — whose aggregates are merged exactly (Welford merge for the
 // confidence interval). Monte-Carlo cycles are embarrassingly parallel,
-// so this scales where stage-level parallelism (core.SetParallelism)
-// does not.
+// so run-level sharding is how this repository uses multiple cores.
 //
 // Results are deterministic for a fixed (seed, workers) pair; changing
 // the worker count changes the substreams and therefore the noise, not

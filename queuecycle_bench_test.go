@@ -30,6 +30,7 @@ func BenchmarkQueueCycle(b *testing.B) {
 		{"depth1-drop", 1, QueueDrop, false},                 // the core-equivalent corner
 		{"depth4-backpressure", 4, QueueBackpressure, false}, // the store-and-forward default
 		{"depth4-drop-faulted", 4, QueueDrop, true},          // degraded mode: 5% dead wires
+		{"depth0-backpressure", 0, QueueBackpressure, false}, // the unbuffered wave sweep
 	}
 	for _, g := range geometries {
 		cfg, err := New(g.a, g.bb, g.c, g.l)
