@@ -136,32 +136,6 @@ func BenchmarkAblationScheduler(b *testing.B) {
 	}
 }
 
-// BenchmarkMonteCarloParallelism compares serial versus worker-split
-// Monte-Carlo throughput on the MasPar network (the scaling lever the
-// core engine's stage-level parallelism cannot provide; see
-// internal/core/parallel.go).
-func BenchmarkMonteCarloParallelism(b *testing.B) {
-	cfg, err := New(64, 16, 4, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const cycles = 400
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := MeasureUniformPA(cfg, 1, SimOptions{Cycles: cycles, Seed: uint64(i) + 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("workers8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := MeasureUniformPAParallel(cfg, 1, SimOptions{Cycles: cycles, Seed: uint64(i) + 1}, 8); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkDesignExploration enumerates and Pareto-reduces the full
 // 4096-port design space per iteration.
 func BenchmarkDesignExploration(b *testing.B) {

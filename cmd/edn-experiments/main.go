@@ -105,7 +105,7 @@ func run(args []string, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			res, err := edn.MeasureUniformPAParallel(cfg, 1, edn.SimOptions{Cycles: 600, Seed: *seed}, 0)
+			res, err := edn.MeasureUniformPA(cfg, 1, edn.SimOptions{Cycles: 600, Seed: *seed})
 			if err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -51,6 +52,29 @@ func TestRunWithSimulation(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "Equation 4") {
 		t.Errorf("simulation artifact malformed:\n%s", data)
+	}
+}
+
+// TestSimulationIndependentOfGOMAXPROCS pins the "seeded,
+// deterministic" promise of simulation.txt: the Monte-Carlo
+// cross-checks must not depend on the host's CPU count.
+func TestSimulationIndependentOfGOMAXPROCS(t *testing.T) {
+	simulate := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		dir := t.TempDir()
+		var sb strings.Builder
+		if err := run([]string{"-out", dir, "-max-inputs", "64", "-simulate", "-seed", "1"}, &sb); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "simulation.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	one, four := simulate(1), simulate(4)
+	if one != four {
+		t.Fatalf("simulation.txt differs between GOMAXPROCS 1 and 4:\n%s\nvs\n%s", one, four)
 	}
 }
 

@@ -91,32 +91,24 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		rep, network = res.Observed, cfg.String()
-	case "edn":
-		qopts := edn.QueueOptions{Depth: *depth, Factory: opts.Factory}
-		if qopts.Policy, err = cliutil.ParsePolicy(*policy); err != nil {
-			return err
-		}
-		rng := edn.NewRand(*seed)
-		res, err := edn.MeasureLatency(cfg, edn.Uniform{Rate: *load, Rng: rng}, qopts, opts)
+	case "edn", "dilated":
+		pol, err := cliutil.ParsePolicy(*policy)
 		if err != nil {
 			return err
 		}
-		rep, network = res.Observed, cfg.String()
-	case "dilated":
-		dcfg, err := edn.DilatedCounterpart(cfg)
+		var net edn.Net = edn.EDNNet{Config: cfg, Queue: edn.QueueOptions{Depth: *depth, Policy: pol, Factory: opts.Factory}}
+		if *engine == "dilated" {
+			dcfg, err := edn.DilatedCounterpart(cfg)
+			if err != nil {
+				return err
+			}
+			net = edn.DilatedNet{Config: dcfg, Queue: edn.DilatedQueueOptions{Depth: *depth, Policy: pol, Factory: opts.Factory}}
+		}
+		res, err := edn.MeasureLatency(net, edn.Uniform{Rate: *load, Rng: edn.NewRand(*seed)}, opts)
 		if err != nil {
 			return err
 		}
-		dopts := edn.DilatedQueueOptions{Depth: *depth, Factory: opts.Factory}
-		if dopts.Policy, err = cliutil.ParsePolicy(*policy); err != nil {
-			return err
-		}
-		rng := edn.NewRand(*seed)
-		res, err := edn.MeasureDilatedLatency(dcfg, edn.Uniform{Rate: *load, Rng: rng}, dopts, opts)
-		if err != nil {
-			return err
-		}
-		rep, network = res.Observed, dcfg.String()
+		rep, network = res.Observed, net.String()
 	case "loop":
 		qopts := edn.QueueOptions{Depth: *depth, Factory: opts.Factory}
 		if qopts.Policy, err = cliutil.ParsePolicy(*policy); err != nil {
@@ -132,7 +124,7 @@ func run(args []string, w io.Writer) error {
 		if lo.Retry, err = edn.ParseRetryPolicy(*retry); err != nil {
 			return err
 		}
-		results, err := edn.MeasureClosedLoop(cfg, []float64{*load}, lo, qopts, opts, 1)
+		results, err := edn.MeasureClosedLoop(edn.EDNNet{Config: cfg, Queue: qopts}, []float64{*load}, lo, opts, 1)
 		if err != nil {
 			return err
 		}

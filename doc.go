@@ -39,8 +39,10 @@
 //     within-cycle wave sweep that arbitrates exactly as the unbuffered
 //     Network does. MeasureLatency and SaturationSweep produce
 //     throughput and P50/P95/P99 latency-vs-load curves (with run-level
-//     parallel sharding), DrainPermutations measures the Section 5.1
-//     permutation time against ExpectedPermutationTime, and the bursty
+//     parallel sharding) for any Net — an EDNNet or a DilatedNet, each
+//     a geometry plus its queue options — DrainPermutations measures
+//     the Section 5.1 permutation time against
+//     ExpectedPermutationTime, and the bursty
 //     MarkovOnOff / MovingHotSpot sources supply the temporally
 //     correlated load that makes queues interesting. The depth-1 Drop
 //     configuration is pinned bit-for-bit to the unbuffered Network;
@@ -61,14 +63,15 @@
 //     descriptor (buckets of d sub-wires, the output ports as the retire
 //     stage) with its own sub-wire fault model (in-place DilatedMasks
 //     swaps); at d=1 it is bit-for-bit the plain-delta QueueNetwork.
-//     MeasureDilatedLatency,
-//     DilatedSaturationSweep, DilatedAvailabilitySweep and
-//     DilatedLifetimeSweep pair with their EDN twins seed-for-seed, so
-//     edn-latency -dilated and edn-lifetime -dilated run both networks
-//     under identical replayed traffic — latency tails and lifetime
-//     churn included, where previously only the mean-field
-//     DilatedDegraded model spoke (edn-faults -dilated keeps that
-//     model as its cheap analytic overlay).
+//     Every packet-level measurement takes the counterpart as a
+//     DilatedNet through the same harness the EDN runs on, so the same
+//     Options drive both networks under identical replayed traffic —
+//     latency tails and lifetime churn included, where previously only
+//     the mean-field DilatedDegraded model spoke (edn-faults -dilated
+//     keeps that model as its cheap analytic overlay). Only the
+//     degradation and lifetime sweeps keep a typed entry point
+//     (DilatedAvailabilitySweep, DilatedLifetimeSweep), because their
+//     results carry the sub-wire fault census.
 //   - Closed-loop workloads: NewClosedLoop layers a request/response
 //     memory workload over two instances of either packet engine —
 //     requests route forward, memory ports service them, replies route

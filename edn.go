@@ -179,12 +179,6 @@ func MeasureUniformPA(cfg Config, r float64, opts SimOptions) (SimResult, error)
 	return simulate.MeasureUniformPA(cfg, r, opts)
 }
 
-// MeasureUniformPAParallel splits the cycle budget across independent
-// worker runs (exact Welford merge); workers <= 0 selects GOMAXPROCS.
-func MeasureUniformPAParallel(cfg Config, r float64, opts SimOptions, workers int) (SimResult, error) {
-	return simulate.MeasureUniformPAParallel(cfg, r, opts, workers)
-}
-
 // MeasurePermutationPA measures acceptance under fresh random
 // permutations, the counterpart of PAPermutation.
 func MeasurePermutationPA(cfg Config, opts SimOptions) (SimResult, error) {
@@ -227,6 +221,15 @@ func SimulateMIMD(cfg Config, r float64, opts MIMDOptions) (MIMDMeasured, error)
 
 // ---------------------------------------------------------------------------
 // Buffered packet-level queueing simulation
+//
+// One packet engine measures both networks of the paper's comparison.
+// A Net names the network and its queue regime — an EDNNet or the
+// DilatedNet counterpart that spends the same wire budget on link
+// replication — and every measurement below takes one, so the two sides
+// of a comparison are the same harness under the same Options, with
+// identical per-input traffic replays. Only the degradation and
+// lifetime sweeps keep a typed entry point per network, because their
+// results carry network-specific fault censuses.
 
 // QueueNetwork is an instantiated buffered EDN: per-wire FIFOs at every
 // stage input, head-of-line arbitration per switch, one hop per cycle,
@@ -262,14 +265,27 @@ func NewQueueNetwork(cfg Config, opts QueueOptions) (*QueueNetwork, error) {
 	return queuesim.New(cfg, opts)
 }
 
+// Net is a network under measurement plus its queue regime: an EDNNet
+// or a DilatedNet.
+type Net = simulate.Net
+
+// EDNNet is an EDN measured on the packet engine under its
+// QueueOptions.
+type EDNNet = simulate.EDN
+
+// DilatedNet is a dilated delta measured on the packet engine under its
+// DilatedQueueOptions.
+type DilatedNet = simulate.Dilated
+
 // LatencyResult aggregates one queueing measurement: throughput plus
-// P50/P95/P99 delivery latency.
+// P50/P95/P99 delivery latency. Config or Dilated names the measured
+// network.
 type LatencyResult = simulate.LatencyResult
 
-// MeasureLatency runs pattern through a queueing network and reports
+// MeasureLatency runs pattern through net's packet engine and reports
 // throughput and the latency distribution after warmup.
-func MeasureLatency(cfg Config, pattern Pattern, qopts QueueOptions, opts SimOptions) (LatencyResult, error) {
-	return simulate.MeasureLatency(cfg, pattern, qopts, opts)
+func MeasureLatency(net Net, pattern Pattern, opts SimOptions) (LatencyResult, error) {
+	return simulate.MeasureLatency(net, pattern, opts)
 }
 
 // LoadPattern builds the traffic source for one offered-load point of a
@@ -282,9 +298,11 @@ func BurstyLoad(meanBurst float64) LoadPattern { return simulate.BurstyLoad(mean
 
 // SaturationSweep measures the latency-vs-load curve: one LatencyResult
 // per offered load, each load's cycle budget split across parallel
-// shards and merged exactly. shards <= 0 selects GOMAXPROCS.
-func SaturationSweep(cfg Config, loads []float64, src LoadPattern, qopts QueueOptions, opts SimOptions, shards int) ([]LatencyResult, error) {
-	return simulate.SaturationSweep(cfg, loads, src, qopts, opts, shards)
+// shards and merged exactly. The same Options and shard count drive an
+// EDN and its counterpart with identical per-input injection replays.
+// shards <= 0 selects GOMAXPROCS.
+func SaturationSweep(net Net, loads []float64, src LoadPattern, opts SimOptions, shards int) ([]LatencyResult, error) {
+	return simulate.SaturationSweep(net, loads, src, opts, shards)
 }
 
 // DrainResult reports a closed-loop drain of q preloaded permutations
@@ -292,9 +310,11 @@ func SaturationSweep(cfg Config, loads []float64, src LoadPattern, qopts QueueOp
 type DrainResult = simulate.DrainResult
 
 // DrainPermutations preloads q permutation packets per input and runs
-// the network closed-loop until all are delivered.
-func DrainPermutations(cfg Config, q int, qopts QueueOptions, opts SimOptions) (DrainResult, error) {
-	return simulate.DrainPermutations(cfg, q, qopts, opts)
+// the network closed-loop until all are delivered. The network must be
+// square; at d=1 a dilated delta's drain equals the plain delta's bit
+// for bit.
+func DrainPermutations(net Net, q int, opts SimOptions) (DrainResult, error) {
+	return simulate.DrainPermutations(net, q, opts)
 }
 
 // Histogram is the fixed-bucket streaming latency histogram with
@@ -398,8 +418,8 @@ type AvailabilityResult = simulate.AvailabilityResult
 // AvailabilityResult per fault fraction, each averaged over parallel
 // shards that grow nested fault plans under identical traffic replays.
 // shards <= 0 selects GOMAXPROCS; src nil selects uniform traffic.
-func AvailabilitySweep(cfg Config, aopts AvailabilityOptions, src LoadPattern, qopts QueueOptions, opts SimOptions, shards int) ([]AvailabilityResult, error) {
-	return simulate.AvailabilitySweep(cfg, aopts, src, qopts, opts, shards)
+func AvailabilitySweep(n EDNNet, aopts AvailabilityOptions, src LoadPattern, opts SimOptions, shards int) ([]AvailabilityResult, error) {
+	return simulate.AvailabilitySweep(n, aopts, src, opts, shards)
 }
 
 // ---------------------------------------------------------------------------
@@ -453,8 +473,8 @@ type LifetimeResult = simulate.LifetimeResult
 // epochs (no rebuilds; queue and arbiter state survive every swap) and
 // each epoch's metrics are recorded into exact-merge time series.
 // shards <= 0 selects GOMAXPROCS; src nil selects uniform traffic.
-func LifetimeSweep(cfg Config, lopts LifetimeOptions, src LoadPattern, qopts QueueOptions, opts SimOptions, shards int) (LifetimeResult, error) {
-	return simulate.LifetimeSweep(cfg, lopts, src, qopts, opts, shards)
+func LifetimeSweep(n EDNNet, lopts LifetimeOptions, src LoadPattern, opts SimOptions, shards int) (LifetimeResult, error) {
+	return simulate.LifetimeSweep(n, lopts, src, opts, shards)
 }
 
 // ---------------------------------------------------------------------------
@@ -586,7 +606,11 @@ func ExpectedDilatedDegraded(cfg DilatedDelta, f float64) (*DilatedDegraded, err
 }
 
 // ---------------------------------------------------------------------------
-// Measured dilated counterpart (packet-level dilated simulator)
+// Measured dilated counterpart (the dilated fabric of the packet engine)
+//
+// The dilated delta's engine, fault model and churn process, plus the
+// two sweeps whose results carry its sub-wire census. Every other
+// measurement takes the counterpart as a DilatedNet.
 
 // DilatedQueueNetwork is an instantiated buffered d-dilated delta: the
 // measured side of every -dilated comparison. It is the QueueNetwork
@@ -638,29 +662,16 @@ func NewDilatedChurn(cfg DilatedDelta, mtbf, mttr float64, timing LifecycleTimin
 	return dilatedsim.NewChurn(cfg, mtbf, mttr, timing, rng)
 }
 
-// MeasureDilatedLatency is MeasureLatency over the dilated engine; the
-// result sets Dilated instead of Config.
-func MeasureDilatedLatency(cfg DilatedDelta, pattern Pattern, dopts DilatedQueueOptions, opts SimOptions) (LatencyResult, error) {
-	return simulate.MeasureDilatedLatency(cfg, pattern, dopts, opts)
-}
-
-// DilatedSaturationSweep measures the counterpart's latency-vs-load
-// curve with the same shard seeding as SaturationSweep: identical
-// Options and shard count drive both networks with identical per-input
-// injection replays.
-func DilatedSaturationSweep(cfg DilatedDelta, loads []float64, src LoadPattern, dopts DilatedQueueOptions, opts SimOptions, shards int) ([]LatencyResult, error) {
-	return simulate.DilatedSaturationSweep(cfg, loads, src, dopts, opts, shards)
-}
-
 // DilatedAvailabilityResult is one measured point of the counterpart's
 // degradation curve.
 type DilatedAvailabilityResult = simulate.DilatedAvailabilityResult
 
 // DilatedAvailabilitySweep measures the counterpart's graceful-
 // degradation curve as sub-wires die (nested per-shard plans, replayed
-// traffic), pairing with AvailabilitySweep under the same Options.
-func DilatedAvailabilitySweep(cfg DilatedDelta, aopts AvailabilityOptions, src LoadPattern, dopts DilatedQueueOptions, opts SimOptions, shards int) ([]DilatedAvailabilityResult, error) {
-	return simulate.DilatedAvailabilitySweep(cfg, aopts, src, dopts, opts, shards)
+// traffic): AvailabilitySweep's harness, pairing with it under the
+// same Options.
+func DilatedAvailabilitySweep(n DilatedNet, aopts AvailabilityOptions, src LoadPattern, opts SimOptions, shards int) ([]DilatedAvailabilityResult, error) {
+	return simulate.DilatedAvailabilitySweep(n, aopts, src, opts, shards)
 }
 
 // DilatedLifetimeResult is the counterpart's availability-over-time
@@ -669,17 +680,10 @@ type DilatedLifetimeResult = simulate.DilatedLifetimeResult
 
 // DilatedLifetimeSweep simulates the counterpart's whole service life
 // under sub-wire churn (MTBF/MTTR/Timing from lopts.Spec; the dilated
-// population is always the sub-wires), pairing with LifetimeSweep under
-// the same Options.
-func DilatedLifetimeSweep(cfg DilatedDelta, lopts LifetimeOptions, src LoadPattern, dopts DilatedQueueOptions, opts SimOptions, shards int) (DilatedLifetimeResult, error) {
-	return simulate.DilatedLifetimeSweep(cfg, lopts, src, dopts, opts, shards)
-}
-
-// DilatedDrainPermutations preloads q permutation rounds per port into
-// the dilated engine and drains to empty — the counterpart of
-// DrainPermutations, bit-equal to it at d=1.
-func DilatedDrainPermutations(cfg DilatedDelta, q int, dopts DilatedQueueOptions, opts SimOptions) (DrainResult, error) {
-	return simulate.DilatedDrainPermutations(cfg, q, dopts, opts)
+// population is always the sub-wires): LifetimeSweep's harness,
+// pairing with it under the same Options.
+func DilatedLifetimeSweep(n DilatedNet, lopts LifetimeOptions, src LoadPattern, opts SimOptions, shards int) (DilatedLifetimeResult, error) {
+	return simulate.DilatedLifetimeSweep(n, lopts, src, opts, shards)
 }
 
 // ---------------------------------------------------------------------------
@@ -745,22 +749,17 @@ func NewClosedLoop(fwd, rev ClosedLoopEngine, inputs, outputs int, opts ClosedLo
 // retry/timeout ledger.
 type ClosedLoopResult = simulate.ClosedLoopResult
 
-// MeasureClosedLoop sweeps the closed-loop workload over an EDN at each
-// demand rate, sharded and exactly merged like SaturationSweep.
-func MeasureClosedLoop(cfg Config, rates []float64, lo ClosedLoopOptions, qopts QueueOptions, opts SimOptions, shards int) ([]ClosedLoopResult, error) {
-	return simulate.MeasureClosedLoop(cfg, rates, lo, qopts, opts, shards)
-}
-
-// MeasureDilatedClosedLoop is MeasureClosedLoop over the dilated
-// engine; identical Options replay identical demand.
-func MeasureDilatedClosedLoop(cfg DilatedDelta, rates []float64, lo ClosedLoopOptions, dopts DilatedQueueOptions, opts SimOptions, shards int) ([]ClosedLoopResult, error) {
-	return simulate.MeasureDilatedClosedLoop(cfg, rates, lo, dopts, opts, shards)
+// MeasureClosedLoop sweeps the closed-loop workload over net at each
+// demand rate, sharded and exactly merged like SaturationSweep;
+// identical Options replay identical demand on either network.
+func MeasureClosedLoop(net Net, rates []float64, lo ClosedLoopOptions, opts SimOptions, shards int) ([]ClosedLoopResult, error) {
+	return simulate.MeasureClosedLoop(net, rates, lo, opts, shards)
 }
 
 // MeasureClosedLoopPair runs the replay-matched EDN vs dilated
 // comparison and asserts bit-equal offered demand at every rate point.
-func MeasureClosedLoopPair(cfg Config, dcfg DilatedDelta, rates []float64, lo ClosedLoopOptions, qopts QueueOptions, dopts DilatedQueueOptions, opts SimOptions, shards int) (ednRes, dilRes []ClosedLoopResult, err error) {
-	return simulate.MeasureClosedLoopPair(cfg, dcfg, rates, lo, qopts, dopts, opts, shards)
+func MeasureClosedLoopPair(e EDNNet, d DilatedNet, rates []float64, lo ClosedLoopOptions, opts SimOptions, shards int) (ednRes, dilRes []ClosedLoopResult, err error) {
+	return simulate.MeasureClosedLoopPair(e, d, rates, lo, opts, shards)
 }
 
 // ClosedLoopLifetimeResult is the closed-loop availability-over-time
@@ -768,19 +767,14 @@ func MeasureClosedLoopPair(cfg Config, dcfg DilatedDelta, rates []float64, lo Cl
 // SLA-weighted cost-of-downtime aggregate.
 type ClosedLoopLifetimeResult = simulate.ClosedLoopLifetimeResult
 
-// ClosedLoopLifetimeSweep runs the closed-loop workload over an EDN's
-// whole service life under lopts.Spec churn on both fabrics, avoidance
-// list refreshed from forward-fabric reachability every epoch, request
-// conservation asserted at every epoch boundary.
-func ClosedLoopLifetimeSweep(cfg Config, lopts LifetimeOptions, lo ClosedLoopOptions, qopts QueueOptions, opts SimOptions, shards int) (ClosedLoopLifetimeResult, error) {
-	return simulate.ClosedLoopLifetimeSweep(cfg, lopts, lo, qopts, opts, shards)
-}
-
-// DilatedClosedLoopLifetimeSweep is ClosedLoopLifetimeSweep over the
-// dilated counterpart under sub-wire churn, replay-matched to the EDN
-// sweep by the same Options.
-func DilatedClosedLoopLifetimeSweep(cfg DilatedDelta, lopts LifetimeOptions, lo ClosedLoopOptions, dopts DilatedQueueOptions, opts SimOptions, shards int) (ClosedLoopLifetimeResult, error) {
-	return simulate.DilatedClosedLoopLifetimeSweep(cfg, lopts, lo, dopts, opts, shards)
+// ClosedLoopLifetimeSweep runs the closed-loop workload over net's
+// whole service life under lopts.Spec churn on both fabrics (sub-wire
+// churn on a dilated delta), avoidance list refreshed from
+// forward-fabric reachability every epoch, request conservation
+// asserted at every epoch boundary. Identical Options replay-match an
+// EDN and its counterpart.
+func ClosedLoopLifetimeSweep(net Net, lopts LifetimeOptions, lo ClosedLoopOptions, opts SimOptions, shards int) (ClosedLoopLifetimeResult, error) {
+	return simulate.ClosedLoopLifetimeSweep(net, lopts, lo, opts, shards)
 }
 
 // ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ func main() {
 		BackoffBase: 2, BackoffCap: 32,
 		SLA: edn.SLA{Deadline: 48, Zero: 16}, // full credit <= 16 cycles, none past 48
 	}
-	qopts := edn.QueueOptions{Depth: 4, Policy: edn.QueueDrop}
-	dopts := edn.DilatedQueueOptions{Depth: 4, Policy: edn.QueueDrop}
+	ednNet := edn.EDNNet{Config: cfg, Queue: edn.QueueOptions{Depth: 4, Policy: edn.QueueDrop}}
+	dilNet := edn.DilatedNet{Config: dcfg, Queue: edn.DilatedQueueOptions{Depth: 4, Policy: edn.QueueDrop}}
 	opts := edn.SimOptions{Cycles: 2000, Warmup: 300, Seed: 1}
 	const shards = 4 // fixed so the run is deterministic
 
@@ -57,7 +57,7 @@ func main() {
 	// wiring keeps it comfortable well past where the counterpart
 	// starts missing deadlines.
 	rates := []float64{0.1, 0.2, 0.25}
-	ednRes, dilRes, err := edn.MeasureClosedLoopPair(cfg, dcfg, rates, lo, qopts, dopts, opts, shards)
+	ednRes, dilRes, err := edn.MeasureClosedLoopPair(ednNet, dilNet, rates, lo, opts, shards)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func main() {
 	// trip into a single cost-of-downtime number.
 	spec := edn.LifecycleSpec{Mode: edn.FaultWires, MTBF: 32, MTTR: 8}
 	lopts := edn.LifetimeOptions{Epochs: 30, EpochCycles: 200, Load: 0.2, Spec: spec}
-	ednLife, err := edn.ClosedLoopLifetimeSweep(cfg, lopts, lo, qopts, opts, shards)
+	ednLife, err := edn.ClosedLoopLifetimeSweep(ednNet, lopts, lo, opts, shards)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dilLife, err := edn.DilatedClosedLoopLifetimeSweep(dcfg, lopts, lo, dopts, opts, shards)
+	dilLife, err := edn.ClosedLoopLifetimeSweep(dilNet, lopts, lo, opts, shards)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func main() {
 	const shards = 4 // fixed so the run is deterministic
 
 	for _, cfg := range []edn.Config{expanded, delta} {
-		results, err := edn.AvailabilitySweep(cfg, aopts, nil, qopts, opts, shards)
+		results, err := edn.AvailabilitySweep(edn.EDNNet{Config: cfg, Queue: qopts}, aopts, nil, opts, shards)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func main() {
 	opts := edn.SimOptions{Cycles: 4000, Warmup: 1000, Seed: 1}
 
 	for _, cfg := range []edn.Config{expanded, delta} {
-		results, err := edn.SaturationSweep(cfg, loads, nil, qopts, opts, 0)
+		results, err := edn.SaturationSweep(edn.EDNNet{Config: cfg, Queue: qopts}, loads, nil, opts, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

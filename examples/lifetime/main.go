@@ -41,7 +41,7 @@ func main() {
 	opts := edn.SimOptions{Warmup: 500, Seed: 1}
 	const shards = 4 // fixed so the run is deterministic
 
-	churned, err := edn.LifetimeSweep(expanded, lopts, nil, qopts, opts, shards)
+	churned, err := edn.LifetimeSweep(edn.EDNNet{Config: expanded, Queue: qopts}, lopts, nil, opts, shards)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func main() {
 	healthySpec := edn.LifecycleSpec{Mode: edn.FaultWires, MTBF: 1e12, MTTR: 1}
 	healthyOpts := lopts
 	healthyOpts.Spec = healthySpec
-	pristine, err := edn.LifetimeSweep(delta, healthyOpts, nil, qopts, opts, shards)
+	pristine, err := edn.LifetimeSweep(edn.EDNNet{Config: delta, Queue: qopts}, healthyOpts, nil, opts, shards)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -299,7 +299,7 @@ func TestDegradationCurveShape(t *testing.T) {
 	const shards = 4
 
 	sweep := func(cfg Config) []AvailabilityResult {
-		res, err := AvailabilitySweep(cfg, aopts, nil, qopts, opts, shards)
+		res, err := AvailabilitySweep(EDNNet{Config: cfg, Queue: qopts}, aopts, nil, opts, shards)
 		if err != nil {
 			t.Fatal(err)
 		}

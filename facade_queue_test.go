@@ -42,16 +42,16 @@ func TestFacadeMeasureLatencyAndSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureLatency(cfg, Uniform{Rate: 0.3, Rng: NewRand(2)},
-		QueueOptions{Depth: 8}, SimOptions{Cycles: 400, Warmup: 100})
+	res, err := MeasureLatency(EDNNet{Config: cfg, Queue: QueueOptions{Depth: 8}},
+		Uniform{Rate: 0.3, Rng: NewRand(2)}, SimOptions{Cycles: 400, Warmup: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.LatencyP50 < float64(cfg.Stages()) {
 		t.Errorf("P50 %.1f below the pipeline floor %d", res.LatencyP50, cfg.Stages())
 	}
-	sweep, err := SaturationSweep(cfg, []float64{0.2, 0.8}, BurstyLoad(16),
-		QueueOptions{Depth: 8}, SimOptions{Cycles: 300, Warmup: 50}, 2)
+	sweep, err := SaturationSweep(EDNNet{Config: cfg, Queue: QueueOptions{Depth: 8}},
+		[]float64{0.2, 0.8}, BurstyLoad(16), SimOptions{Cycles: 300, Warmup: 50}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestFacadeDrainPermutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DrainPermutations(cfg, 4, QueueOptions{Depth: QueueUnbounded}, SimOptions{Seed: 3})
+	res, err := DrainPermutations(EDNNet{Config: cfg, Queue: QueueOptions{Depth: QueueUnbounded}}, 4, SimOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestAnatomySweepShardInvariant(t *testing.T) {
 		var rep *anatomy.Report
 		opts := Options{Cycles: 1200, Warmup: 100, Seed: 9, Anatomy: ao,
 			OnAnatomy: func(r *anatomy.Report) { rep = r }}
-		res, err := SaturationSweep(cfg, []float64{0.8}, nil, qopts, opts, shards)
+		res, err := SaturationSweep(EDN{Config: cfg, Queue: qopts}, []float64{0.8}, nil, opts, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestAnatomyDilatedSweepShardInvariant(t *testing.T) {
 		var rep *anatomy.Report
 		opts := Options{Cycles: 1200, Warmup: 100, Seed: 9, Anatomy: ao,
 			OnAnatomy: func(r *anatomy.Report) { rep = r }}
-		res, err := DilatedSaturationSweep(dcfg, []float64{0.8}, nil, dopts, opts, shards)
+		res, err := SaturationSweep(Dilated{Config: dcfg, Queue: dopts}, []float64{0.8}, nil, opts, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestAnatomyClosedLoopShardInvariant(t *testing.T) {
 		var rep *anatomy.Report
 		opts := Options{Cycles: 1000, Warmup: 100, Seed: 9, Anatomy: ao,
 			OnAnatomy: func(r *anatomy.Report) { rep = r }}
-		res, err := MeasureClosedLoop(cfg, []float64{0.4}, lo, qopts, opts, shards)
+		res, err := MeasureClosedLoop(EDN{Config: cfg, Queue: qopts}, []float64{0.4}, lo, opts, shards)
 		if err != nil {
 			t.Fatal(err)
 		}

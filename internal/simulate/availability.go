@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"edn/internal/dilated"
-	"edn/internal/dilatedsim"
 	"edn/internal/faults"
 	"edn/internal/queuesim"
 	"edn/internal/stats"
@@ -108,42 +107,67 @@ func (r AvailabilityResult) String() string {
 }
 
 // AvailabilitySweep measures one AvailabilityResult per fault fraction:
-// the graceful-degradation curve of a network as components die. Each
+// the graceful-degradation curve of an EDN as components die. Each
 // shard owns one nested fault Plan — rising fractions grow one fixed
 // failure story per shard instead of resampling the world, and the
 // traffic stream is replayed identically at every fraction — so the
 // sweep is a paired comparison and the delivered-bandwidth curve
 // degrades monotonically up to Monte-Carlo noise. Shards are fully
-// independent runs (own network, own fault sample, own traffic source)
+// independent runs (own engine, own fault sample, own traffic source)
 // executed in parallel and merged exactly, the run-level pattern of
 // SaturationSweep; results are deterministic for a fixed (seed, shards)
 // pair. shards <= 0 selects GOMAXPROCS; src nil selects uniform iid
 // traffic at aopts.Load.
 //
-// qopts picks the engine regime. Fault sets that kill output terminals
-// (SwitchFaults/MixedFaults reaching the crossbar stage) pair naturally
-// with the Drop policy: under Backpressure a packet addressed to a dead
-// terminal parks at the crossbar head forever and head-of-line blocks
-// everything behind it — a real failure mode worth measuring, but a
-// collapsed curve rather than a degradation curve.
-func AvailabilitySweep(cfg topology.Config, aopts AvailabilityOptions, src LoadPattern, qopts queuesim.Options, opts Options, shards int) ([]AvailabilityResult, error) {
-	opts = opts.withDefaults()
-	aopts, err := aopts.withDefaults()
+// n.Queue picks the engine regime. Fault sets that kill output
+// terminals (SwitchFaults/MixedFaults reaching the crossbar stage) pair
+// naturally with the Drop policy: under Backpressure a packet addressed
+// to a dead terminal parks at the crossbar head forever and
+// head-of-line blocks everything behind it — a real failure mode worth
+// measuring, but a collapsed curve rather than a degradation curve.
+func AvailabilitySweep(n EDN, aopts AvailabilityOptions, src LoadPattern, opts Options, shards int) ([]AvailabilityResult, error) {
+	pts, err := availabilitySweep(n, aopts, src, opts, shards)
 	if err != nil {
+		return nil, err
+	}
+	results := make([]AvailabilityResult, len(pts))
+	for i := range pts {
+		results[i] = pts[i].edn(n.Config)
+	}
+	return results, nil
+}
+
+// availabilitySweep is the one degradation-sweep harness behind both
+// networks' typed entry points. It draws the per-shard fault plans and
+// traffic seeds once, fixed across the whole fraction axis: fraction
+// f2 > f1 sees a superset of f1's faults under an identical traffic
+// replay. The draws depend only on (opts.Seed, shards) — never on the
+// fraction — which is what lets the Point entry points reconstruct a
+// batch sweep's failure stories one fraction at a time, and the
+// traffic seeds are drawn identically for both networks, so an EDN and
+// its counterpart swept under the same Options see identical
+// per-input injection realizations.
+func availabilitySweep(net Net, aopts AvailabilityOptions, src LoadPattern, opts Options, shards int) ([]availabilityMerge, error) {
+	opts, shards, err := prepare(net, opts, shards, true)
+	if err != nil {
+		return nil, err
+	}
+	if aopts, err = aopts.withDefaults(); err != nil {
 		return nil, err
 	}
 	if src == nil {
 		src = UniformLoad
 	}
-	shards, err = normalizeShards(shards, opts.Cycles)
-	if err != nil {
-		return nil, err
+	root := xrand.New(opts.Seed ^ 0xaf63bd4c8601b7df)
+	plans := make([]faultPlan, shards)
+	trafficSeeds := make([]uint64, shards)
+	for w := range plans {
+		plans[w] = net.faultPlan(aopts.Mode, xrand.New(root.Uint64()|1))
+		trafficSeeds[w] = root.Uint64() | 1
 	}
-
-	plans, trafficSeeds := availabilityPlans(cfg, aopts, opts, shards)
-	results := make([]AvailabilityResult, 0, len(aopts.Fractions))
+	results := make([]availabilityMerge, 0, len(aopts.Fractions))
 	for _, f := range aopts.Fractions {
-		merged, err := availabilityPoint(cfg, aopts, f, src, qopts, opts, shards, plans, trafficSeeds)
+		merged, err := availabilityPoint(net, aopts, f, src, opts, shards, plans, trafficSeeds)
 		if err != nil {
 			return nil, err
 		}
@@ -152,113 +176,121 @@ func AvailabilitySweep(cfg topology.Config, aopts AvailabilityOptions, src LoadP
 	return results, nil
 }
 
-// availabilityPlans draws the per-shard fault plans and traffic seeds,
-// fixed across the whole fraction axis: fraction f2 > f1 sees a
-// superset of f1's faults under an identical traffic replay. The draws
-// depend only on (opts.Seed, shards) — never on the fraction — which
-// is what lets AvailabilityPoint reconstruct a batch sweep's failure
-// stories one fraction at a time.
-func availabilityPlans(cfg topology.Config, aopts AvailabilityOptions, opts Options, shards int) ([]*faults.Plan, []uint64) {
-	root := xrand.New(opts.Seed ^ 0xaf63bd4c8601b7df)
-	plans := make([]*faults.Plan, shards)
-	trafficSeeds := make([]uint64, shards)
-	for w := range plans {
-		plans[w] = faults.NewPlan(cfg, aopts.Mode, xrand.New(root.Uint64()|1))
-		trafficSeeds[w] = root.Uint64() | 1
-	}
-	return plans, trafficSeeds
+// availabilityMerge is one merged point of a degradation curve before
+// it takes its network's typed result shape: the packet accumulation
+// and the mean fault census over the shards that ran.
+type availabilityMerge struct {
+	f      float64
+	mode   faults.Mode
+	inputs int
+	acc    sweepPointAccum
+	census faultCensus
 }
 
 // availabilityPoint measures one fault fraction over pre-drawn shard
-// plans and merges exactly; the engine-specific half of the per-point
-// degradation measurement.
-func availabilityPoint(cfg topology.Config, aopts AvailabilityOptions, f float64, src LoadPattern, qopts queuesim.Options, opts Options, shards int, plans []*faults.Plan, trafficSeeds []uint64) (AvailabilityResult, error) {
+// plans and merges exactly.
+func availabilityPoint(net Net, aopts AvailabilityOptions, f float64, src LoadPattern, opts Options, shards int, plans []faultPlan, trafficSeeds []uint64) (availabilityMerge, error) {
 	type partial struct {
-		res      LatencyResult
-		masks    *faults.Masks
-		expected float64
-		err      error
+		res    LatencyResult
+		census faultCensus
+		err    error
 	}
 	parts := make([]partial, shards)
 	runShards(opts.Cycles, shards, func(w, cycles int) {
 		start := time.Now()
 		p := &parts[w]
-		p.masks, p.err = faults.Compile(cfg, plans[w].At(f))
+		var faulted Net
+		faulted, p.census, p.err = plans[w](f, aopts.Load, aopts.WithExpected)
 		if p.err != nil {
 			return
 		}
-		sq := qopts
-		sq.Faults = p.masks
 		sub := opts
 		sub.Cycles = cycles
 		pattern := src(aopts.Load, xrand.New(trafficSeeds[w]))
-		p.res, p.err = MeasureLatency(cfg, pattern, sq, sub)
-		if p.err == nil && aopts.WithExpected {
-			p.expected = faults.ExpectedUniformBandwidth(p.masks, aopts.Load)
-		}
+		p.res, p.err = MeasureLatency(faulted, pattern, sub)
 		if opts.OnStage != nil {
 			opts.OnStage("shard", w, cycles, start, time.Since(start))
 		}
 	})
 
 	mergeStart := time.Now()
-	merged := AvailabilityResult{
-		Config:        cfg,
-		FaultFraction: f,
-		Mode:          aopts.Mode,
-	}
-	inputs := cfg.Inputs()
-	outputs := cfg.Outputs()
-	var acc sweepPointAccum
+	inputs, _ := net.ports()
+	merged := availabilityMerge{f: f, mode: aopts.Mode, inputs: inputs}
 	for w := range parts {
 		p := &parts[w]
 		if p.err != nil {
-			return AvailabilityResult{}, p.err
+			return availabilityMerge{}, p.err
 		}
-		ran, err := acc.add(&p.res)
+		ran, err := merged.acc.add(&p.res)
 		if err != nil {
-			return AvailabilityResult{}, err
+			return availabilityMerge{}, err
 		}
-		if !ran {
-			continue
+		if ran {
+			merged.census.add(p.census)
 		}
-		merged.DeadSwitches += float64(p.masks.DeadSwitches())
-		merged.DeadWires += float64(p.masks.DeadWires())
-		merged.ReachableFraction += float64(p.masks.ReachableOutputs()) / float64(outputs)
-		merged.LiveInputFraction += float64(p.masks.LiveInputCount()) / float64(inputs)
-		merged.ExpectedThroughput += p.expected
 	}
-	if acc.shards > 0 {
-		n := float64(acc.shards)
-		merged.DeadSwitches /= n
-		merged.DeadWires /= n
-		merged.ReachableFraction /= n
-		merged.LiveInputFraction /= n
-		merged.ExpectedThroughput /= n
+	if merged.acc.shards > 0 {
+		merged.census.scale(float64(merged.acc.shards))
 	}
-	merged.Depth = acc.depth
-	merged.Policy = acc.policy
-	merged.Cycles = acc.cycles
-	merged.Shards = acc.shards
-	merged.Injected = acc.injected
-	merged.Refused = acc.refused
-	merged.Delivered = acc.delivered
-	merged.Dropped = acc.dropped
-	merged.Histogram = acc.histogram
-	merged.OfferedRate, merged.Throughput, merged.ThroughputPerInput, merged.AcceptedFraction = acc.rates(inputs)
-	merged.LatencyMean, merged.LatencyP50, merged.LatencyP95, merged.LatencyP99, merged.LatencyMax = acc.quantiles()
 	if opts.OnStage != nil {
 		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
 	}
 	return merged, nil
 }
 
-// sweepPointAccum folds per-shard measurements into the
-// engine-agnostic portion of one degradation-sweep point: the
-// shard-skip rule, metadata adoption, counter summation, exact
-// histogram merge and the derived rates/quantiles. Both availability
-// sweeps build their points through one of these, so the merge rules
-// of the paired EDN and dilated curves cannot drift apart.
+// edn labels the point as an EDN degradation-curve point.
+func (m *availabilityMerge) edn(cfg topology.Config) AvailabilityResult {
+	r := AvailabilityResult{
+		Config:             cfg,
+		FaultFraction:      m.f,
+		Mode:               m.mode,
+		DeadSwitches:       m.census.deadSwitches,
+		DeadWires:          m.census.deadWires,
+		ReachableFraction:  m.census.reachable,
+		LiveInputFraction:  m.census.liveInputs,
+		ExpectedThroughput: m.census.expected,
+		Depth:              m.acc.depth,
+		Policy:             m.acc.policy,
+		Cycles:             m.acc.cycles,
+		Shards:             m.acc.shards,
+		Injected:           m.acc.injected,
+		Refused:            m.acc.refused,
+		Delivered:          m.acc.delivered,
+		Dropped:            m.acc.dropped,
+		Histogram:          m.acc.histogram,
+	}
+	r.OfferedRate, r.Throughput, r.ThroughputPerInput, r.AcceptedFraction = m.acc.rates(m.inputs)
+	r.LatencyMean, r.LatencyP50, r.LatencyP95, r.LatencyP99, r.LatencyMax = m.acc.quantiles()
+	return r
+}
+
+// dilated labels the point as a dilated degradation-curve point.
+func (m *availabilityMerge) dilated(dcfg dilated.Config) DilatedAvailabilityResult {
+	r := DilatedAvailabilityResult{
+		Dilated:            dcfg,
+		FaultFraction:      m.f,
+		DeadSubWires:       m.census.deadWires,
+		ReachableFraction:  m.census.reachable,
+		ExpectedThroughput: m.census.expected,
+		Depth:              m.acc.depth,
+		Policy:             m.acc.policy,
+		Cycles:             m.acc.cycles,
+		Shards:             m.acc.shards,
+		Injected:           m.acc.injected,
+		Refused:            m.acc.refused,
+		Delivered:          m.acc.delivered,
+		Dropped:            m.acc.dropped,
+		Histogram:          m.acc.histogram,
+	}
+	r.OfferedRate, r.Throughput, r.ThroughputPerInput, r.AcceptedFraction = m.acc.rates(m.inputs)
+	r.LatencyMean, r.LatencyP50, r.LatencyP95, r.LatencyP99, r.LatencyMax = m.acc.quantiles()
+	return r
+}
+
+// sweepPointAccum folds per-shard measurements into the packet half of
+// one degradation-sweep point: the shard-skip rule, metadata adoption,
+// counter summation, exact histogram merge and the derived
+// rates/quantiles.
 type sweepPointAccum struct {
 	depth  int
 	policy queuesim.Policy
@@ -369,135 +401,20 @@ func (r DilatedAvailabilityResult) String() string {
 }
 
 // DilatedAvailabilitySweep measures the graceful-degradation curve of a
-// dilated delta as its sub-wires die — the measured counterpart of the
-// analytic curve cmd/edn-faults previously plotted from
-// dilated.ExpectedDegraded. Each shard owns one nested dilatedsim.Plan
-// (rising fractions grow one fixed failure story) under an identical
-// traffic replay, the paired-comparison structure of AvailabilitySweep;
-// and the per-shard traffic seeds derive from (opts.Seed, shards)
-// exactly as there, so running both sweeps with the same Options drives
-// the EDN and its counterpart with identical per-input injection
-// realizations. aopts.Mode is ignored: the dilated fault population is
-// always the sub-wires, the network's entire redundancy budget.
-func DilatedAvailabilitySweep(dcfg dilated.Config, aopts AvailabilityOptions, src LoadPattern, dopts dilatedsim.Options, opts Options, shards int) ([]DilatedAvailabilityResult, error) {
-	opts = opts.withDefaults()
-	aopts, err := aopts.withDefaults()
+// dilated delta as its sub-wires die: AvailabilitySweep's harness over
+// nested per-shard dilatedsim.Plan failure stories. Under the same
+// Options and shard count the two sweeps drive an EDN and its
+// counterpart with identical per-input injection realizations.
+// aopts.Mode is ignored: the dilated fault population is always the
+// sub-wires, the network's entire redundancy budget.
+func DilatedAvailabilitySweep(n Dilated, aopts AvailabilityOptions, src LoadPattern, opts Options, shards int) ([]DilatedAvailabilityResult, error) {
+	pts, err := availabilitySweep(n, aopts, src, opts, shards)
 	if err != nil {
 		return nil, err
 	}
-	if src == nil {
-		src = UniformLoad
-	}
-	shards, err = normalizeShards(shards, opts.Cycles)
-	if err != nil {
-		return nil, err
-	}
-
-	plans, trafficSeeds := dilatedAvailabilityPlans(dcfg, opts, shards)
-	results := make([]DilatedAvailabilityResult, 0, len(aopts.Fractions))
-	for _, f := range aopts.Fractions {
-		merged, err := dilatedAvailabilityPoint(dcfg, aopts, f, src, dopts, opts, shards, plans, trafficSeeds)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, merged)
+	results := make([]DilatedAvailabilityResult, len(pts))
+	for i := range pts {
+		results[i] = pts[i].dilated(n.Config)
 	}
 	return results, nil
-}
-
-// dilatedAvailabilityPlans draws the per-shard fault plans and traffic
-// seeds, fixed across the whole fraction axis. The derivation (root
-// constant, draw order) matches availabilityPlans draw for draw so the
-// traffic replays pair up between a network and its counterpart.
-func dilatedAvailabilityPlans(dcfg dilated.Config, opts Options, shards int) ([]*dilatedsim.Plan, []uint64) {
-	root := xrand.New(opts.Seed ^ 0xaf63bd4c8601b7df)
-	plans := make([]*dilatedsim.Plan, shards)
-	trafficSeeds := make([]uint64, shards)
-	for w := range plans {
-		plans[w] = dilatedsim.NewPlan(dcfg, xrand.New(root.Uint64()|1))
-		trafficSeeds[w] = root.Uint64() | 1
-	}
-	return plans, trafficSeeds
-}
-
-// dilatedAvailabilityPoint measures one sub-wire fault fraction over
-// pre-drawn shard plans, the dilated twin of availabilityPoint.
-func dilatedAvailabilityPoint(dcfg dilated.Config, aopts AvailabilityOptions, f float64, src LoadPattern, dopts dilatedsim.Options, opts Options, shards int, plans []*dilatedsim.Plan, trafficSeeds []uint64) (DilatedAvailabilityResult, error) {
-	ports := dcfg.Ports()
-	type partial struct {
-		res      LatencyResult
-		masks    *dilatedsim.Masks
-		expected float64
-		err      error
-	}
-	parts := make([]partial, shards)
-	runShards(opts.Cycles, shards, func(w, cycles int) {
-		start := time.Now()
-		p := &parts[w]
-		set := plans[w].At(f)
-		p.masks, p.err = dilatedsim.Compile(dcfg, set)
-		if p.err != nil {
-			return
-		}
-		sd := dopts
-		sd.Faults = p.masks
-		sub := opts
-		sub.Cycles = cycles
-		pattern := src(aopts.Load, xrand.New(trafficSeeds[w]))
-		p.res, p.err = MeasureDilatedLatency(dcfg, pattern, sd, sub)
-		if p.err == nil && aopts.WithExpected {
-			var deg *dilated.Degraded
-			deg, p.err = dcfg.CompileFaults(set)
-			if p.err == nil {
-				p.expected = deg.Bandwidth(aopts.Load)
-			}
-		}
-		if opts.OnStage != nil {
-			opts.OnStage("shard", w, cycles, start, time.Since(start))
-		}
-	})
-
-	mergeStart := time.Now()
-	merged := DilatedAvailabilityResult{
-		Dilated:       dcfg,
-		FaultFraction: f,
-	}
-	var acc sweepPointAccum
-	for w := range parts {
-		p := &parts[w]
-		if p.err != nil {
-			return DilatedAvailabilityResult{}, p.err
-		}
-		ran, err := acc.add(&p.res)
-		if err != nil {
-			return DilatedAvailabilityResult{}, err
-		}
-		if !ran {
-			continue
-		}
-		merged.DeadSubWires += float64(p.masks.DeadSubWires())
-		merged.ReachableFraction += float64(p.masks.ReachableOutputs()) / float64(ports)
-		merged.ExpectedThroughput += p.expected
-	}
-	if acc.shards > 0 {
-		n := float64(acc.shards)
-		merged.DeadSubWires /= n
-		merged.ReachableFraction /= n
-		merged.ExpectedThroughput /= n
-	}
-	merged.Depth = acc.depth
-	merged.Policy = acc.policy
-	merged.Cycles = acc.cycles
-	merged.Shards = acc.shards
-	merged.Injected = acc.injected
-	merged.Refused = acc.refused
-	merged.Delivered = acc.delivered
-	merged.Dropped = acc.dropped
-	merged.Histogram = acc.histogram
-	merged.OfferedRate, merged.Throughput, merged.ThroughputPerInput, merged.AcceptedFraction = acc.rates(ports)
-	merged.LatencyMean, merged.LatencyP50, merged.LatencyP95, merged.LatencyP99, merged.LatencyMax = acc.quantiles()
-	if opts.OnStage != nil {
-		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
-	}
-	return merged, nil
 }

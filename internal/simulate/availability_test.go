@@ -20,10 +20,10 @@ func availCfg(t *testing.T, a, b, c, l int) topology.Config {
 func TestAvailabilitySweepValidation(t *testing.T) {
 	cfg := availCfg(t, 4, 4, 2, 2)
 	qopts := queuesim.Options{Depth: 2, Policy: queuesim.Drop}
-	if _, err := AvailabilitySweep(cfg, AvailabilityOptions{}, nil, qopts, Options{Cycles: 10}, 1); err == nil {
+	if _, err := AvailabilitySweep(EDN{Config: cfg, Queue: qopts}, AvailabilityOptions{}, nil, Options{Cycles: 10}, 1); err == nil {
 		t.Error("empty fraction axis accepted")
 	}
-	if _, err := AvailabilitySweep(cfg, AvailabilityOptions{Fractions: []float64{-0.1}}, nil, qopts, Options{Cycles: 10}, 1); err == nil {
+	if _, err := AvailabilitySweep(EDN{Config: cfg, Queue: qopts}, AvailabilityOptions{Fractions: []float64{-0.1}}, nil, Options{Cycles: 10}, 1); err == nil {
 		t.Error("negative fraction accepted")
 	}
 }
@@ -32,7 +32,7 @@ func TestAvailabilitySweepZeroFractionMatchesFaultFree(t *testing.T) {
 	cfg := availCfg(t, 16, 4, 4, 2)
 	qopts := queuesim.Options{Depth: 2, Policy: queuesim.Drop}
 	opts := Options{Cycles: 400, Warmup: 100, Seed: 5}
-	res, err := AvailabilitySweep(cfg, AvailabilityOptions{Fractions: []float64{0}}, nil, qopts, opts, 2)
+	res, err := AvailabilitySweep(EDN{Config: cfg, Queue: qopts}, AvailabilityOptions{Fractions: []float64{0}}, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestAvailabilitySweepDeterministicAndMonotone(t *testing.T) {
 	}
 	qopts := queuesim.Options{Depth: 2, Policy: queuesim.Drop}
 	opts := Options{Cycles: 600, Warmup: 150, Seed: 9}
-	res, err := AvailabilitySweep(cfg, aopts, nil, qopts, opts, 4)
+	res, err := AvailabilitySweep(EDN{Config: cfg, Queue: qopts}, aopts, nil, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := AvailabilitySweep(cfg, aopts, nil, qopts, opts, 4)
+	res2, err := AvailabilitySweep(EDN{Config: cfg, Queue: qopts}, aopts, nil, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestAvailabilitySweepSwitchModeLosesInputs(t *testing.T) {
 		Mode:      faults.SwitchFaults,
 	}
 	qopts := queuesim.Options{Depth: 2, Policy: queuesim.Drop}
-	res, err := AvailabilitySweep(cfg, aopts, nil, qopts, Options{Cycles: 200, Warmup: 50, Seed: 3}, 3)
+	res, err := AvailabilitySweep(EDN{Config: cfg, Queue: qopts}, aopts, nil, Options{Cycles: 200, Warmup: 50, Seed: 3}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

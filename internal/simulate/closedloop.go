@@ -2,14 +2,12 @@ package simulate
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"edn/internal/anatomy"
 	"edn/internal/closedloop"
+	"edn/internal/core"
 	"edn/internal/dilated"
-	"edn/internal/dilatedsim"
-	"edn/internal/faults"
 	"edn/internal/lifecycle"
 	"edn/internal/probe"
 	"edn/internal/queuesim"
@@ -58,18 +56,13 @@ type ClosedLoopResult struct {
 	// Observed carries the flight-recorder report when Options.Probe
 	// was set: sampled request traces (attempt-numbered issue, timeout,
 	// retry and completion events) plus per-cycle ledger-gauge heat,
-	// from a dedicated sequential observation pass (see sweepLoads for
-	// the determinism argument).
+	// from a dedicated sequential observation pass (see saturationPoint
+	// for the determinism argument).
 	Observed *probe.Report
 }
 
 // Network names the measured network.
-func (r ClosedLoopResult) Network() string {
-	if r.Config == (topology.Config{}) {
-		return r.Dilated.String()
-	}
-	return r.Config.String()
-}
+func (r ClosedLoopResult) Network() string { return networkName(r.Config, r.Dilated) }
 
 // String renders the headline numbers.
 func (r ClosedLoopResult) String() string {
@@ -124,14 +117,20 @@ func ledgerAdd(into *closedloop.Ledger, d closedloop.Ledger) {
 	into.RetryWaiting += d.RetryWaiting
 }
 
-// runClosedLoopShard builds a fresh loop over fresh fabrics, runs
+// runClosedLoopShard builds a fresh loop over two fresh fabrics of net
+// (requests forward, replies back), runs
 // warmup + cycles, asserts conservation, and returns the
 // measurement-window deltas.
-func runClosedLoopShard(build func() (fwd, rev closedloop.Engine, err error), inputs, outputs int, lo closedloop.Options, warmup, cycles int, po *probe.Options, ao *anatomy.Options, onAnat func(*anatomy.Report)) closedLoopPartial {
-	fwd, rev, err := build()
+func runClosedLoopShard(net Net, factory core.ArbiterFactory, lo closedloop.Options, warmup, cycles int, po *probe.Options, ao *anatomy.Options, onAnat func(*anatomy.Report)) closedLoopPartial {
+	fwd, err := net.engine(factory)
 	if err != nil {
 		return closedLoopPartial{err: err}
 	}
+	rev, err := net.engine(factory)
+	if err != nil {
+		return closedLoopPartial{err: err}
+	}
+	inputs, outputs := net.ports()
 	loop, err := closedloop.New(fwd, rev, inputs, outputs, lo)
 	if err != nil {
 		return closedLoopPartial{err: err}
@@ -177,33 +176,13 @@ func runClosedLoopShard(build func() (fwd, rev closedloop.Engine, err error), in
 	return part
 }
 
-// sweepClosedLoop is the engine-agnostic rate sweep: one merged result
-// per demand rate, each rate's cycle budget split across shards with
-// seeds derived exactly as sweepLoads derives them — same Options mean
-// same shard seeds, which is what keeps an EDN sweep and its dilated
-// counterpart replay-matched at the request level.
-func sweepClosedLoop(inputs, outputs int, rates []float64, lo closedloop.Options, opts Options, shards int, build func() (fwd, rev closedloop.Engine, err error)) ([]ClosedLoopResult, error) {
-	opts = opts.withDefaults()
-	shards, err := normalizeShards(shards, opts.Cycles)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]ClosedLoopResult, 0, len(rates))
-	for i, rate := range rates {
-		res, err := sweepClosedLoopPoint(inputs, outputs, rate, i, lo, opts, shards, build)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, res)
-	}
-	return results, nil
-}
-
-// sweepClosedLoopPoint measures one demand-rate point — point `index`
-// on the sweep's rate axis — with the seed derivation the batch sweep
-// has always used. Callers must have normalized shards and applied
-// opts.withDefaults.
-func sweepClosedLoopPoint(inputs, outputs int, rate float64, index int, lo closedloop.Options, opts Options, shards int, build func() (fwd, rev closedloop.Engine, err error)) (ClosedLoopResult, error) {
+// closedLoopPoint measures one demand-rate point — point `index` on
+// the sweep's rate axis — splitting its cycle budget across shards with
+// seeds derived exactly as saturationPoint derives them: same Options
+// mean same shard seeds, which is what keeps an EDN sweep and its
+// dilated counterpart replay-matched at the request level. Callers must
+// have run prepare.
+func closedLoopPoint(net Net, rate float64, index int, lo closedloop.Options, opts Options, shards int) (ClosedLoopResult, error) {
 	// Derive shard seeds up front so the assignment does not depend
 	// on scheduling.
 	root := xrand.New(opts.Seed ^ uint64(index+1)*0x9e3779b97f4a7c15)
@@ -217,14 +196,16 @@ func sweepClosedLoopPoint(inputs, outputs int, rate float64, index int, lo close
 		slo := lo
 		slo.Rate = rate
 		slo.Seed = seeds[w]
-		parts[w] = runClosedLoopShard(build, inputs, outputs, slo, opts.Warmup, cycles, nil, nil, nil)
+		parts[w] = runClosedLoopShard(net, opts.Factory, slo, opts.Warmup, cycles, nil, nil, nil)
 		if opts.OnStage != nil {
 			opts.OnStage("shard", w, cycles, start, time.Since(start))
 		}
 	})
 
 	mergeStart := time.Now()
-	res := ClosedLoopResult{Rate: rate, Shards: shards}
+	res := ClosedLoopResult{Rate: rate, Window: lo.Window, Retry: lo.Retry, Shards: shards}
+	res.Config, res.Dilated = net.label()
+	res.Depth, res.Policy = net.regime()
 	for w := range parts {
 		p := &parts[w]
 		if p.err != nil {
@@ -242,6 +223,7 @@ func sweepClosedLoopPoint(inputs, outputs int, rate float64, index int, lo close
 			return ClosedLoopResult{}, err
 		}
 	}
+	inputs, _ := net.ports()
 	res.fill(inputs)
 	if opts.OnStage != nil {
 		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
@@ -256,7 +238,7 @@ func sweepClosedLoopPoint(inputs, outputs int, rate float64, index int, lo close
 		slo := lo
 		slo.Rate = rate
 		slo.Seed = seeds[0]
-		obs := runClosedLoopShard(build, inputs, outputs, slo, opts.Warmup, opts.Cycles, opts.Probe, opts.Anatomy, opts.OnAnatomy)
+		obs := runClosedLoopShard(net, opts.Factory, slo, opts.Warmup, opts.Cycles, opts.Probe, opts.Anatomy, opts.OnAnatomy)
 		if obs.err != nil {
 			return ClosedLoopResult{}, obs.err
 		}
@@ -295,90 +277,30 @@ func (r *ClosedLoopResult) fill(inputs int) {
 }
 
 // MeasureClosedLoop measures the closed-loop request/response workload
-// over an EDN at each demand rate: two fabric instances (requests
-// forward, replies back through the Outputs/Inputs concentrator), W
-// outstanding requests per source, timeout/retry per lo. Results carry
-// goodput vs offered demand, the end-to-end latency histogram, and the
-// full retry/timeout/give-up ledger. lo.Rate and lo.Seed are overridden
-// per rate point and shard. shards <= 0 selects GOMAXPROCS; results are
-// deterministic for a fixed (seed, shards) pair.
-func MeasureClosedLoop(cfg topology.Config, rates []float64, lo closedloop.Options, qopts queuesim.Options, opts Options, shards int) ([]ClosedLoopResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	results, err := sweepClosedLoop(cfg.Inputs(), cfg.Outputs(), rates, lo, opts, shards, closedLoopBuild(cfg, qopts, opts))
-	if err != nil {
-		return nil, err
-	}
-	for i := range results {
-		results[i].Config = cfg
-		results[i].Window = lo.Window
-		results[i].Depth = qopts.Depth
-		results[i].Policy = qopts.Policy
-		results[i].Retry = lo.Retry
-	}
-	return results, nil
-}
-
-// MeasureDilatedClosedLoop is MeasureClosedLoop over a dilated delta
-// (square, so the concentrator is the identity). Same Options derive
-// the same shard seeds as the EDN sweep, so the two sides of a
+// over net at each demand rate: two fabric instances (requests forward,
+// replies back — through the Outputs/Inputs concentrator on an EDN, the
+// identity on a square dilated delta), W outstanding requests per
+// source, timeout/retry per lo. Results carry goodput vs offered
+// demand, the end-to-end latency histogram, and the full
+// retry/timeout/give-up ledger. lo.Rate and lo.Seed are overridden per
+// rate point and shard. shards <= 0 selects GOMAXPROCS; results are
+// deterministic for a fixed (seed, shards) pair, and the same Options
+// derive the same shard seeds for either network, so the two sides of a
 // counterpart comparison draw bit-identical demand.
-func MeasureDilatedClosedLoop(dcfg dilated.Config, rates []float64, lo closedloop.Options, dopts dilatedsim.Options, opts Options, shards int) ([]ClosedLoopResult, error) {
-	if err := dcfg.Validate(); err != nil {
-		return nil, err
-	}
-	results, err := sweepClosedLoop(dcfg.Ports(), dcfg.Ports(), rates, lo, opts, shards, dilatedClosedLoopBuild(dcfg, dopts, opts))
+func MeasureClosedLoop(net Net, rates []float64, lo closedloop.Options, opts Options, shards int) ([]ClosedLoopResult, error) {
+	opts, shards, err := prepare(net, opts, shards, true)
 	if err != nil {
 		return nil, err
 	}
-	for i := range results {
-		results[i].Dilated = dcfg
-		results[i].Window = lo.Window
-		results[i].Depth = dopts.Depth
-		results[i].Policy = dopts.Policy
-		results[i].Retry = lo.Retry
+	results := make([]ClosedLoopResult, 0, len(rates))
+	for i, rate := range rates {
+		res, err := closedLoopPoint(net, rate, i, lo, opts, shards)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, res)
 	}
 	return results, nil
-}
-
-// closedLoopBuild returns the per-shard fabric constructor of an EDN
-// closed-loop run: two fresh queuesim instances per shard (forward and
-// return), with the arbiter-factory default applied once. The sweeps
-// and the per-point entry points share it.
-func closedLoopBuild(cfg topology.Config, qopts queuesim.Options, opts Options) func() (closedloop.Engine, closedloop.Engine, error) {
-	if qopts.Factory == nil {
-		qopts.Factory = opts.Factory
-	}
-	return func() (closedloop.Engine, closedloop.Engine, error) {
-		fwd, err := queuesim.New(cfg, qopts)
-		if err != nil {
-			return nil, nil, err
-		}
-		rev, err := queuesim.New(cfg, qopts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fwd, rev, nil
-	}
-}
-
-// dilatedClosedLoopBuild is closedLoopBuild for the dilated engine.
-func dilatedClosedLoopBuild(dcfg dilated.Config, dopts dilatedsim.Options, opts Options) func() (closedloop.Engine, closedloop.Engine, error) {
-	if dopts.Factory == nil {
-		dopts.Factory = opts.Factory
-	}
-	return func() (closedloop.Engine, closedloop.Engine, error) {
-		fwd, err := dilatedsim.New(dcfg, dopts)
-		if err != nil {
-			return nil, nil, err
-		}
-		rev, err := dilatedsim.New(dcfg, dopts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fwd, rev, nil
-	}
 }
 
 // MeasureClosedLoopPair runs the replay-matched EDN vs dilated
@@ -388,16 +310,21 @@ func dilatedClosedLoopBuild(dcfg dilated.Config, dopts dilatedsim.Options, opts 
 // replay matching broke and the comparison is invalid. The dilated side
 // must have as many ports as the EDN has inputs (dilated.Counterpart
 // arranges this).
-func MeasureClosedLoopPair(cfg topology.Config, dcfg dilated.Config, rates []float64, lo closedloop.Options, qopts queuesim.Options, dopts dilatedsim.Options, opts Options, shards int) (ednRes, dilRes []ClosedLoopResult, err error) {
-	if cfg.Inputs() != dcfg.Ports() {
-		return nil, nil, fmt.Errorf("simulate: closed-loop pair needs matching source counts, EDN %v has %d inputs, %v has %d ports",
-			cfg, cfg.Inputs(), dcfg, dcfg.Ports())
+func MeasureClosedLoopPair(e EDN, d Dilated, rates []float64, lo closedloop.Options, opts Options, shards int) (ednRes, dilRes []ClosedLoopResult, err error) {
+	for _, net := range []Net{e, d} {
+		if err := net.validate(); err != nil {
+			return nil, nil, err
+		}
 	}
-	ednRes, err = MeasureClosedLoop(cfg, rates, lo, qopts, opts, shards)
+	if e.Config.Inputs() != d.Config.Ports() {
+		return nil, nil, fmt.Errorf("simulate: closed-loop pair needs matching source counts, EDN %v has %d inputs, %v has %d ports",
+			e.Config, e.Config.Inputs(), d.Config, d.Config.Ports())
+	}
+	ednRes, err = MeasureClosedLoop(e, rates, lo, opts, shards)
 	if err != nil {
 		return nil, nil, err
 	}
-	dilRes, err = MeasureDilatedClosedLoop(dcfg, rates, lo, dopts, opts, shards)
+	dilRes, err = MeasureClosedLoop(d, rates, lo, opts, shards)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -456,12 +383,7 @@ type ClosedLoopLifetimeResult struct {
 }
 
 // Network names the measured network.
-func (r ClosedLoopLifetimeResult) Network() string {
-	if r.Config == (topology.Config{}) {
-		return r.Dilated.String()
-	}
-	return r.Config.String()
-}
+func (r ClosedLoopLifetimeResult) Network() string { return networkName(r.Config, r.Dilated) }
 
 // String renders the headline numbers.
 func (r ClosedLoopLifetimeResult) String() string {
@@ -481,16 +403,13 @@ type closedLoopLifetimePartial struct {
 	err     error
 }
 
-// closedLoopStep advances a shard's fault state one epoch: churn both
-// fabrics, refresh the avoidance list from the forward fabric's
-// reachability, and report the epoch's reachable/dead fractions.
-type closedLoopStep func(loop *closedloop.Loop) (reachable, deadFrac float64, err error)
-
-// runClosedLoopLifetimeShard is the per-shard epoch loop both
-// closed-loop lifetime sweeps share: fault-free warmup, then Epochs
-// iterations of (step, run EpochCycles cycles, record), with the full
+// runClosedLoopLifetimeShard is one shard's closed-loop lifetime: both
+// fabrics churned by independent replicas of lopts.Spec drawn from
+// procSeed, fault-free warmup, then Epochs iterations of (churn both
+// fabrics, refresh the sources' avoidance list from the forward
+// fabric's reachability, run EpochCycles cycles, record), with the full
 // conservation invariant asserted at every epoch boundary.
-func runClosedLoopLifetimeShard(build func() (fwd, rev closedloop.Engine, err error), inputs, outputs int, lopts LifetimeOptions, lo closedloop.Options, warmup int, pr *probe.Probe, step closedLoopStep) closedLoopLifetimePartial {
+func runClosedLoopLifetimeShard(net Net, lopts LifetimeOptions, lo closedloop.Options, opts Options, w int, procSeed, trafficSeed uint64) closedLoopLifetimePartial {
 	p := closedLoopLifetimePartial{
 		goodput:   stats.NewTimeSeries(lopts.Epochs),
 		sla:       stats.NewTimeSeries(lopts.Epochs),
@@ -500,34 +419,53 @@ func runClosedLoopLifetimeShard(build func() (fwd, rev closedloop.Engine, err er
 		reachable: stats.NewTimeSeries(lopts.Epochs),
 		deadFrac:  stats.NewTimeSeries(lopts.Epochs),
 	}
-	fwd, rev, err := build()
+	procRoot := xrand.New(procSeed)
+	fwd, err := net.churned(lopts.Spec, procRoot.Split(), opts.Factory)
 	if err != nil {
 		p.err = err
 		return p
 	}
-	loop, err := closedloop.New(fwd, rev, inputs, outputs, lo)
+	rev, err := net.churned(lopts.Spec, procRoot.Split(), opts.Factory)
 	if err != nil {
 		p.err = err
 		return p
 	}
-	for c := 0; c < warmup; c++ {
+	inputs, outputs := net.ports()
+	slo := lo
+	slo.Rate = lopts.Load
+	slo.Seed = trafficSeed
+	loop, err := closedloop.New(fwd.eng, rev.eng, inputs, outputs, slo)
+	if err != nil {
+		p.err = err
+		return p
+	}
+	for c := 0; c < opts.Warmup; c++ {
 		if _, p.err = loop.Cycle(); p.err != nil {
 			return p
 		}
 	}
 	warmLed, warmSLA := loop.Ledger(), loop.SLACredit()
+	pr := lifetimeProbe(opts.Probe, lopts, w)
 	if pr != nil {
 		// Attached at the churn boundary: heat bin e is exactly epoch e.
 		loop.SetProbe(pr)
 	}
 
+	live := make([]bool, outputs)
 	perEpoch := float64(lopts.EpochCycles * inputs)
 	for e := 0; e < lopts.Epochs; e++ {
-		reachable, deadFrac, err := step(loop)
+		reach, deadFrac, err := fwd.step(live)
+		if err == nil {
+			_, _, err = rev.step(nil)
+		}
+		if err == nil {
+			err = loop.SetLiveOutputs(live)
+		}
 		if err != nil {
 			p.err = err
 			return p
 		}
+		reachable := float64(reach) / float64(outputs)
 		before, slaBefore := loop.Ledger(), loop.SLACredit()
 		loop.ResetLatency()
 		for c := 0; c < lopts.EpochCycles; c++ {
@@ -565,27 +503,16 @@ func runClosedLoopLifetimeShard(build func() (fwd, rev closedloop.Engine, err er
 }
 
 // runClosedLoopLifetime fans a closed-loop lifetime across shards —
-// seeds derived exactly as runLifetimeShards derives them, so the EDN
-// and dilated sweeps stay replay-matched — and merges series, ledger
-// and aggregates.
-func runClosedLoopLifetime(inputs, outputs int, lopts LifetimeOptions, lo closedloop.Options, opts Options, shards int, shard func(w int, procSeed, trafficSeed uint64) closedLoopLifetimePartial) (ClosedLoopLifetimeResult, error) {
-	root := xrand.New(opts.Seed ^ 0x5bf0_3635_d1c2_a94f)
-	type shardSeed struct{ proc, traffic uint64 }
-	seeds := make([]shardSeed, shards)
-	for w := range seeds {
-		seeds[w] = shardSeed{proc: root.Uint64() | 1, traffic: root.Uint64() | 1}
-	}
+// through runLifetimeFanout, so the EDN and dilated sweeps stay
+// replay-matched and every shard reports its stage — and merges series,
+// ledger and aggregates.
+func runClosedLoopLifetime(net Net, lopts LifetimeOptions, lo closedloop.Options, opts Options, shards int) (ClosedLoopLifetimeResult, error) {
 	parts := make([]closedLoopLifetimePartial, shards)
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			parts[w] = shard(w, seeds[w].proc, seeds[w].traffic)
-		}(w)
-	}
-	wg.Wait()
+	runLifetimeFanout(lopts, opts, shards, func(w int, procSeed, trafficSeed uint64) {
+		parts[w] = runClosedLoopLifetimeShard(net, lopts, lo, opts, w, procSeed, trafficSeed)
+	})
 
+	mergeStart := time.Now()
 	res := ClosedLoopLifetimeResult{
 		Rate:          lopts.Load,
 		Epochs:        lopts.Epochs,
@@ -638,6 +565,9 @@ func runClosedLoopLifetime(inputs, outputs int, lopts LifetimeOptions, lo closed
 		res.SLAAttainmentOverall = 1
 	}
 	res.CostOfDowntime = 1 - res.SLAAttainmentOverall
+	if opts.OnStage != nil {
+		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
+	}
 	return res, nil
 }
 
@@ -659,173 +589,35 @@ func closedLoopLifetimeDefaults(lopts LifetimeOptions) (LifetimeOptions, error) 
 	return lopts, nil
 }
 
-// ClosedLoopLifetimeSweep runs the closed-loop workload over an EDN's
+// ClosedLoopLifetimeSweep runs the closed-loop workload over net's
 // whole service life: both fabrics (requests and replies) churn under
-// independent replicas of lopts.Spec, the running engines are re-masked
-// in place at every epoch boundary, the sources' avoidance list follows
-// the forward fabric's reachable-output set, and every epoch records
-// goodput, SLA attainment, tail latency and retry pressure. The
-// request-ledger conservation invariant is asserted at every epoch of
-// every shard. lopts.Load is the per-source demand probability;
-// lopts.Threshold is unused here (the SLA curve in lo plays that role).
-func ClosedLoopLifetimeSweep(cfg topology.Config, lopts LifetimeOptions, lo closedloop.Options, qopts queuesim.Options, opts Options, shards int) (ClosedLoopLifetimeResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return ClosedLoopLifetimeResult{}, err
-	}
-	opts = opts.withDefaults()
-	lopts, err := closedLoopLifetimeDefaults(lopts)
+// independent replicas of lopts.Spec — sub-wire churn with its
+// MTBF/MTTR/Timing on a dilated delta — the running engines are
+// re-masked in place at every epoch boundary, the sources' avoidance
+// list follows the forward fabric's reachable-output set, and every
+// epoch records goodput, SLA attainment, tail latency and retry
+// pressure. The request-ledger conservation invariant is asserted at
+// every epoch of every shard. lopts.Load is the per-source demand
+// probability; lopts.Threshold is unused here (the SLA curve in lo
+// plays that role). The same Options derive the same shard seeds for
+// either network, so the two sides of a counterpart comparison face
+// identically distributed outages under bit-identical demand.
+func ClosedLoopLifetimeSweep(net Net, lopts LifetimeOptions, lo closedloop.Options, opts Options, shards int) (ClosedLoopLifetimeResult, error) {
+	opts, shards, err := prepare(net, opts, shards, false)
 	if err != nil {
 		return ClosedLoopLifetimeResult{}, err
 	}
-	if qopts.Factory == nil {
-		qopts.Factory = opts.Factory
+	if lopts, err = closedLoopLifetimeDefaults(lopts); err != nil {
+		return ClosedLoopLifetimeResult{}, err
 	}
-	shards, err = normalizeShards(shards, 0)
+	res, err := runClosedLoopLifetime(net, lopts, lo, opts, shards)
 	if err != nil {
 		return ClosedLoopLifetimeResult{}, err
 	}
-	qopts.Faults = nil // the lifetime starts healthy; epochs swap masks in
-
-	res, err := runClosedLoopLifetime(cfg.Inputs(), cfg.Outputs(), lopts, lo, opts, shards, func(w int, procSeed, trafficSeed uint64) closedLoopLifetimePartial {
-		procRoot := xrand.New(procSeed)
-		fwdProc, err := lifecycle.New(cfg, lopts.Spec, procRoot.Split())
-		if err != nil {
-			return closedLoopLifetimePartial{err: err}
-		}
-		revProc, err := lifecycle.New(cfg, lopts.Spec, procRoot.Split())
-		if err != nil {
-			return closedLoopLifetimePartial{err: err}
-		}
-		var fwdNet, revNet *queuesim.Network
-		build := func() (closedloop.Engine, closedloop.Engine, error) {
-			if fwdNet, err = queuesim.New(cfg, qopts); err != nil {
-				return nil, nil, err
-			}
-			if revNet, err = queuesim.New(cfg, qopts); err != nil {
-				return nil, nil, err
-			}
-			return fwdNet, revNet, nil
-		}
-		live := make([]bool, cfg.Outputs())
-		step := func(loop *closedloop.Loop) (float64, float64, error) {
-			fwdMasks, err := faults.Compile(cfg, fwdProc.Step())
-			if err != nil {
-				return 0, 0, err
-			}
-			revMasks, err := faults.Compile(cfg, revProc.Step())
-			if err != nil {
-				return 0, 0, err
-			}
-			if err := fwdNet.UpdateFaults(fwdMasks); err != nil {
-				return 0, 0, err
-			}
-			if err := revNet.UpdateFaults(revMasks); err != nil {
-				return 0, 0, err
-			}
-			reach := fwdMasks.ReachableOutputsInto(live)
-			if err := loop.SetLiveOutputs(live); err != nil {
-				return 0, 0, err
-			}
-			return float64(reach) / float64(cfg.Outputs()), fwdProc.DeadFraction(), nil
-		}
-		slo := lo
-		slo.Rate = lopts.Load
-		slo.Seed = trafficSeed
-		return runClosedLoopLifetimeShard(build, cfg.Inputs(), cfg.Outputs(), lopts, slo, opts.Warmup, lifetimeProbe(opts.Probe, lopts, w), step)
-	})
-	if err != nil {
-		return ClosedLoopLifetimeResult{}, err
-	}
-	res.Config = cfg
+	res.Config, res.Dilated = net.label()
 	res.Spec = lopts.Spec
 	res.Window = lo.Window
-	res.Depth = qopts.Depth
-	res.Policy = qopts.Policy
-	res.Retry = lo.Retry
-	return res, nil
-}
-
-// DilatedClosedLoopLifetimeSweep is ClosedLoopLifetimeSweep over a
-// dilated delta under sub-wire churn (both fabrics churned by
-// independent renewal processes with lopts.Spec's MTBF/MTTR/Timing, as
-// in DilatedLifetimeSweep the population is always the sub-wires). Same
-// Options derive the same shard seeds as the EDN sweep, so the two
-// sides of a counterpart comparison face identically distributed
-// outages under bit-identical demand.
-func DilatedClosedLoopLifetimeSweep(dcfg dilated.Config, lopts LifetimeOptions, lo closedloop.Options, dopts dilatedsim.Options, opts Options, shards int) (ClosedLoopLifetimeResult, error) {
-	if err := dcfg.Validate(); err != nil {
-		return ClosedLoopLifetimeResult{}, err
-	}
-	opts = opts.withDefaults()
-	lopts, err := closedLoopLifetimeDefaults(lopts)
-	if err != nil {
-		return ClosedLoopLifetimeResult{}, err
-	}
-	if dopts.Factory == nil {
-		dopts.Factory = opts.Factory
-	}
-	shards, err = normalizeShards(shards, 0)
-	if err != nil {
-		return ClosedLoopLifetimeResult{}, err
-	}
-	dopts.Faults = nil
-	ports := dcfg.Ports()
-
-	res, err := runClosedLoopLifetime(ports, ports, lopts, lo, opts, shards, func(w int, procSeed, trafficSeed uint64) closedLoopLifetimePartial {
-		procRoot := xrand.New(procSeed)
-		fwdChurn, err := dilatedsim.NewChurn(dcfg, lopts.Spec.MTBF, lopts.Spec.MTTR, lopts.Spec.Timing, procRoot.Split())
-		if err != nil {
-			return closedLoopLifetimePartial{err: err}
-		}
-		revChurn, err := dilatedsim.NewChurn(dcfg, lopts.Spec.MTBF, lopts.Spec.MTTR, lopts.Spec.Timing, procRoot.Split())
-		if err != nil {
-			return closedLoopLifetimePartial{err: err}
-		}
-		var fwdNet, revNet *dilatedsim.Network
-		build := func() (closedloop.Engine, closedloop.Engine, error) {
-			if fwdNet, err = dilatedsim.New(dcfg, dopts); err != nil {
-				return nil, nil, err
-			}
-			if revNet, err = dilatedsim.New(dcfg, dopts); err != nil {
-				return nil, nil, err
-			}
-			return fwdNet, revNet, nil
-		}
-		live := make([]bool, ports)
-		step := func(loop *closedloop.Loop) (float64, float64, error) {
-			fwdMasks, err := dilatedsim.Compile(dcfg, fwdChurn.Step())
-			if err != nil {
-				return 0, 0, err
-			}
-			revMasks, err := dilatedsim.Compile(dcfg, revChurn.Step())
-			if err != nil {
-				return 0, 0, err
-			}
-			if err := fwdNet.UpdateFaults(fwdMasks); err != nil {
-				return 0, 0, err
-			}
-			if err := revNet.UpdateFaults(revMasks); err != nil {
-				return 0, 0, err
-			}
-			reach := fwdMasks.ReachableOutputsInto(live)
-			if err := loop.SetLiveOutputs(live); err != nil {
-				return 0, 0, err
-			}
-			return float64(reach) / float64(ports), fwdChurn.DeadFraction(), nil
-		}
-		slo := lo
-		slo.Rate = lopts.Load
-		slo.Seed = trafficSeed
-		return runClosedLoopLifetimeShard(build, ports, ports, lopts, slo, opts.Warmup, lifetimeProbe(opts.Probe, lopts, w), step)
-	})
-	if err != nil {
-		return ClosedLoopLifetimeResult{}, err
-	}
-	res.Dilated = dcfg
-	res.Spec = lopts.Spec
-	res.Window = lo.Window
-	res.Depth = dopts.Depth
-	res.Policy = dopts.Policy
+	res.Depth, res.Policy = net.regime()
 	res.Retry = lo.Retry
 	return res, nil
 }

@@ -33,8 +33,7 @@ func TestMeasureClosedLoopPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	rates := []float64{0.2, 0.6}
-	ednRes, dilRes, err := MeasureClosedLoopPair(cfg, dcfg, rates, testLoopOptions(),
-		queuesim.Options{Depth: 2}, dilatedsim.Options{Depth: 2},
+	ednRes, dilRes, err := MeasureClosedLoopPair(EDN{Config: cfg, Queue: queuesim.Options{Depth: 2}}, Dilated{Config: dcfg, Queue: dilatedsim.Options{Depth: 2}}, rates, testLoopOptions(),
 		Options{Cycles: 600, Warmup: 100, Seed: 7}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +75,7 @@ func TestMeasureClosedLoopDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() ClosedLoopResult {
-		res, err := MeasureClosedLoop(cfg, []float64{0.5}, testLoopOptions(),
-			queuesim.Options{}, Options{Cycles: 400, Warmup: 50, Seed: 11}, 3)
+		res, err := MeasureClosedLoop(EDN{Config: cfg, Queue: queuesim.Options{}}, []float64{0.5}, testLoopOptions(), Options{Cycles: 400, Warmup: 50, Seed: 11}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,8 +101,7 @@ func TestClosedLoopLifetimeSweep(t *testing.T) {
 		Load:        0.4,
 		Spec:        lifecycle.Spec{Mode: faults.WireFaults, MTBF: 40, MTTR: 10},
 	}
-	res, err := ClosedLoopLifetimeSweep(cfg, lopts, testLoopOptions(),
-		queuesim.Options{Depth: 2}, Options{Warmup: 80, Seed: 5}, 2)
+	res, err := ClosedLoopLifetimeSweep(EDN{Config: cfg, Queue: queuesim.Options{Depth: 2}}, lopts, testLoopOptions(), Options{Warmup: 80, Seed: 5}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +156,7 @@ func TestDilatedClosedLoopLifetimeSweep(t *testing.T) {
 		Load:        0.4,
 		Spec:        lifecycle.Spec{MTBF: 40, MTTR: 10},
 	}
-	res, err := DilatedClosedLoopLifetimeSweep(dcfg, lopts, testLoopOptions(),
-		dilatedsim.Options{Depth: 2}, Options{Warmup: 80, Seed: 5}, 2)
+	res, err := ClosedLoopLifetimeSweep(Dilated{Config: dcfg, Queue: dilatedsim.Options{Depth: 2}}, lopts, testLoopOptions(), Options{Warmup: 80, Seed: 5}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,17 +180,16 @@ func TestClosedLoopValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := MeasureClosedLoopPair(cfg, big, []float64{0.5}, testLoopOptions(),
-		queuesim.Options{}, dilatedsim.Options{}, Options{Cycles: 10}, 1); err == nil {
+	if _, _, err := MeasureClosedLoopPair(EDN{Config: cfg, Queue: queuesim.Options{}}, Dilated{Config: big, Queue: dilatedsim.Options{}}, []float64{0.5}, testLoopOptions(), Options{Cycles: 10}, 1); err == nil {
 		t.Error("mismatched source counts should be rejected")
 	}
-	if _, err := ClosedLoopLifetimeSweep(cfg, LifetimeOptions{Epochs: 0},
-		testLoopOptions(), queuesim.Options{}, Options{}, 1); err == nil {
+	if _, err := ClosedLoopLifetimeSweep(EDN{Config: cfg, Queue: queuesim.Options{}}, LifetimeOptions{Epochs: 0},
+		testLoopOptions(), Options{}, 1); err == nil {
 		t.Error("zero epochs should be rejected")
 	}
-	if _, err := ClosedLoopLifetimeSweep(cfg,
+	if _, err := ClosedLoopLifetimeSweep(EDN{Config: cfg, Queue: queuesim.Options{}},
 		LifetimeOptions{Epochs: 2, Load: 1.5, Spec: lifecycle.Spec{MTBF: 40, MTTR: 10}},
-		testLoopOptions(), queuesim.Options{}, Options{}, 1); err == nil {
+		testLoopOptions(), Options{}, 1); err == nil {
 		t.Error("demand rate above 1 should be rejected")
 	}
 }

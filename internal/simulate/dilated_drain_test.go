@@ -26,13 +26,11 @@ func TestDilatedDrainBitEqualAtD1(t *testing.T) {
 	const q = 6
 	for _, depth := range []int{0, 2, queuesim.Unbounded} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			qres, err := DrainPermutations(cfg, q,
-				queuesim.Options{Depth: depth}, Options{Seed: seed})
+			qres, err := DrainPermutations(EDN{Config: cfg, Queue: queuesim.Options{Depth: depth}}, q, Options{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			dres, err := DilatedDrainPermutations(dcfg, q,
-				dilatedsim.Options{Depth: depth}, Options{Seed: seed})
+			dres, err := DrainPermutations(Dilated{Config: dcfg, Queue: dilatedsim.Options{Depth: depth}}, q, Options{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,8 +74,7 @@ func TestDilatedDrainMatchesSection51ModelAtD1(t *testing.T) {
 	var sum, sumsq float64
 	const seeds = 6
 	for seed := uint64(1); seed <= seeds; seed++ {
-		res, err := DilatedDrainPermutations(dcfg, q,
-			dilatedsim.Options{Depth: 0}, Options{Seed: seed})
+		res, err := DrainPermutations(Dilated{Config: dcfg, Queue: dilatedsim.Options{Depth: 0}}, q, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,13 +100,13 @@ func TestDilatedDrainValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DilatedDrainPermutations(dcfg, 0, dilatedsim.Options{}, Options{}); err == nil {
+	if _, err := DrainPermutations(Dilated{Config: dcfg, Queue: dilatedsim.Options{}}, 0, Options{}); err == nil {
 		t.Error("q=0 should be rejected")
 	}
-	if _, err := DilatedDrainPermutations(dcfg, 4, dilatedsim.Options{Policy: dilatedsim.Drop}, Options{}); err == nil {
+	if _, err := DrainPermutations(Dilated{Config: dcfg, Queue: dilatedsim.Options{Policy: dilatedsim.Drop}}, 4, Options{}); err == nil {
 		t.Error("drop policy should be rejected for a drain")
 	}
-	if res, err := DilatedDrainPermutations(dcfg, 2, dilatedsim.Options{Depth: 2}, Options{Seed: 1}); err != nil {
+	if res, err := DrainPermutations(Dilated{Config: dcfg, Queue: dilatedsim.Options{Depth: 2}}, 2, Options{Seed: 1}); err != nil {
 		t.Fatal(err)
 	} else if res.Network() != dcfg.String() {
 		t.Errorf("Network() = %q, want %q", res.Network(), dcfg.String())

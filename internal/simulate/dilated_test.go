@@ -40,11 +40,11 @@ func TestDilatedSaturationSweepPairsWithEDN(t *testing.T) {
 	qopts := queuesim.Options{Depth: 4, Policy: queuesim.Drop}
 	dopts := dilatedsim.Options{Depth: 4, Policy: dilatedsim.Drop}
 	const shards = 3
-	eres, err := SaturationSweep(cfg, loads, nil, qopts, opts, shards)
+	eres, err := SaturationSweep(EDN{Config: cfg, Queue: qopts}, loads, nil, opts, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := DilatedSaturationSweep(dcfg, loads, nil, dopts, opts, shards)
+	dres, err := SaturationSweep(Dilated{Config: dcfg, Queue: dopts}, loads, nil, opts, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestDilatedSaturationSweepDeterministic(t *testing.T) {
 	loads := []float64{0.5, 1}
 	opts := Options{Cycles: 300, Warmup: 50, Seed: 11}
 	dopts := dilatedsim.Options{Depth: 2, Policy: dilatedsim.Backpressure}
-	a, err := DilatedSaturationSweep(dcfg, loads, nil, dopts, opts, 4)
+	a, err := SaturationSweep(Dilated{Config: dcfg, Queue: dopts}, loads, nil, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DilatedSaturationSweep(dcfg, loads, nil, dopts, opts, 4)
+	b, err := SaturationSweep(Dilated{Config: dcfg, Queue: dopts}, loads, nil, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestDilatedAvailabilitySweep(t *testing.T) {
 	}
 	dopts := dilatedsim.Options{Depth: 4, Policy: dilatedsim.Drop}
 	opts := Options{Cycles: 600, Warmup: 150, Seed: 3}
-	res, err := DilatedAvailabilitySweep(dcfg, aopts, nil, dopts, opts, 2)
+	res, err := DilatedAvailabilitySweep(Dilated{Config: dcfg, Queue: dopts}, aopts, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +141,11 @@ func TestDilatedLifetimeSweep(t *testing.T) {
 	}
 	dopts := dilatedsim.Options{Depth: 4, Policy: dilatedsim.Drop}
 	opts := Options{Warmup: 80, Seed: 9}
-	a, err := DilatedLifetimeSweep(dcfg, lopts, nil, dopts, opts, 2)
+	a, err := DilatedLifetimeSweep(Dilated{Config: dcfg, Queue: dopts}, lopts, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DilatedLifetimeSweep(dcfg, lopts, nil, dopts, opts, 2)
+	b, err := DilatedLifetimeSweep(Dilated{Config: dcfg, Queue: dopts}, lopts, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,11 @@ func TestDilatedLifetimePairsWithEDN(t *testing.T) {
 	opts := Options{Warmup: 40, Seed: 21}
 	qopts := queuesim.Options{Depth: 4, Policy: queuesim.Drop}
 	dopts := dilatedsim.Options{Depth: 4, Policy: dilatedsim.Drop}
-	eres, err := LifetimeSweep(cfg, lopts, nil, qopts, opts, 2)
+	eres, err := LifetimeSweep(EDN{Config: cfg, Queue: qopts}, lopts, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := DilatedLifetimeSweep(dcfg, lopts, nil, dopts, opts, 2)
+	dres, err := DilatedLifetimeSweep(Dilated{Config: dcfg, Queue: dopts}, lopts, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"edn/internal/anatomy"
 	"edn/internal/dilated"
-	"edn/internal/dilatedsim"
 	"edn/internal/probe"
 	"edn/internal/queuesim"
 	"edn/internal/stats"
@@ -18,11 +17,10 @@ import (
 
 // LatencyResult aggregates one queueing measurement: throughput plus the
 // delivery-latency distribution of the packets retired inside the
-// measurement window. Config identifies an EDN measurement; a dilated
-// counterpart measurement (MeasureDilatedLatency and the Dilated*
-// sweeps) leaves Config zero and sets Dilated instead — the stat fields
-// mean the same thing either way, which is what lets the CLIs print the
-// two engines' curves side by side.
+// measurement window. Config identifies an EDN measurement; measuring a
+// Dilated network leaves Config zero and sets Dilated instead — the
+// stat fields mean the same thing either way, which is what lets the
+// CLIs print the two networks' curves side by side.
 type LatencyResult struct {
 	Config  topology.Config
 	Dilated dilated.Config // set instead of Config for dilated runs
@@ -68,12 +66,7 @@ type LatencyResult struct {
 
 // Network names the measured network: the EDN configuration, or the
 // dilated counterpart for dilated runs.
-func (r LatencyResult) Network() string {
-	if r.Config == (topology.Config{}) {
-		return r.Dilated.String()
-	}
-	return r.Config.String()
-}
+func (r LatencyResult) Network() string { return networkName(r.Config, r.Dilated) }
 
 // String renders the headline numbers.
 func (r LatencyResult) String() string {
@@ -163,61 +156,36 @@ func measurePacketEngine(net *queuesim.Network, inputs, outputs int, pattern tra
 	return nil
 }
 
-// MeasureLatency drives pattern through a queueing network for
+// MeasureLatency drives pattern through net's packet engine for
 // opts.Warmup + opts.Cycles cycles and reports throughput and the
 // latency distribution of the measurement window. The steady-state loop
 // is allocation-free for bounded depths: IntoGenerator patterns fill
-// the injection vector in place and the queueing engine reuses all ring
-// and histogram storage.
-func MeasureLatency(cfg topology.Config, pattern traffic.Pattern, qopts queuesim.Options, opts Options) (LatencyResult, error) {
-	opts = opts.withDefaults()
-	if qopts.Factory == nil {
-		qopts.Factory = opts.Factory
+// the injection vector in place and the engine reuses all ring and
+// histogram storage. Destinations are drawn in net's own output space;
+// with the same seed and input count, an EDN and its dilated
+// counterpart see the identical per-input injection realization (the
+// traffic sources draw the inject coin before the destination), which
+// is what "same replayed traffic" means across two networks with
+// different output counts.
+func MeasureLatency(net Net, pattern traffic.Pattern, opts Options) (LatencyResult, error) {
+	if err := net.validate(); err != nil {
+		return LatencyResult{}, err
 	}
-	net, err := queuesim.New(cfg, qopts)
+	opts = opts.withDefaults()
+	eng, err := net.engine(opts.Factory)
 	if err != nil {
 		return LatencyResult{}, err
 	}
 	res := LatencyResult{
-		Config:  cfg,
 		Pattern: pattern.Name(),
-		Depth:   net.Depth(),
-		Policy:  net.Policy(),
+		Depth:   eng.Depth(),
+		Policy:  eng.Policy(),
 		Cycles:  opts.Cycles,
 		Shards:  1,
 	}
-	if err := measurePacketEngine(net, cfg.Inputs(), cfg.Outputs(), pattern, opts, &res); err != nil {
-		return LatencyResult{}, err
-	}
-	return res, nil
-}
-
-// MeasureDilatedLatency is MeasureLatency for the dilated packet
-// engine: the same harness, warmup truncation and result schema over a
-// d-dilated delta. Destinations are drawn in the dilated network's own
-// output space; with the same seed and input count as an EDN
-// measurement, the per-input injection process is the identical
-// realization (the traffic sources draw the inject coin before the
-// destination), which is what "same replayed traffic" means across two
-// networks with different output counts.
-func MeasureDilatedLatency(dcfg dilated.Config, pattern traffic.Pattern, dopts dilatedsim.Options, opts Options) (LatencyResult, error) {
-	opts = opts.withDefaults()
-	if dopts.Factory == nil {
-		dopts.Factory = opts.Factory
-	}
-	net, err := dilatedsim.New(dcfg, dopts)
-	if err != nil {
-		return LatencyResult{}, err
-	}
-	res := LatencyResult{
-		Dilated: dcfg,
-		Pattern: pattern.Name(),
-		Depth:   net.Depth(),
-		Policy:  net.Policy(),
-		Cycles:  opts.Cycles,
-		Shards:  1,
-	}
-	if err := measurePacketEngine(net.Network, dcfg.Ports(), dcfg.Ports(), pattern, opts, &res); err != nil {
+	res.Config, res.Dilated = net.label()
+	inputs, outputs := net.ports()
+	if err := measurePacketEngine(eng, inputs, outputs, pattern, opts, &res); err != nil {
 		return LatencyResult{}, err
 	}
 	return res, nil
@@ -263,56 +231,28 @@ func BurstyLoad(meanBurst float64) LoadPattern {
 // SaturationSweep measures one LatencyResult per offered load: the
 // latency-vs-load curve whose knee is the network's saturation
 // throughput. Each load point splits opts.Cycles across `shards`
-// fully independent runs — own network, own traffic source, seed
-// derived from opts.Seed — executed in parallel and merged exactly
-// (counter sums and histogram merges), the run-level sharding pattern
-// of MeasureUniformPAParallel. Results are deterministic for a fixed
-// (seed, shards) pair. shards <= 0 selects GOMAXPROCS; src nil selects
-// UniformLoad.
-func SaturationSweep(cfg topology.Config, loads []float64, src LoadPattern, qopts queuesim.Options, opts Options, shards int) ([]LatencyResult, error) {
-	opts = opts.withDefaults()
-	if src == nil {
-		src = UniformLoad
-	}
-	return sweepLoads(cfg.Inputs(), loads, opts, shards, saturationMeasure(cfg, src, qopts, opts))
-}
-
-// saturationMeasure builds the one-shard measurement closure of an EDN
-// saturation sweep; SaturationSweep and SaturationPoint share it so a
-// streamed point is the batch sweep's point by construction.
-func saturationMeasure(cfg topology.Config, src LoadPattern, qopts queuesim.Options, opts Options) pointMeasure {
-	return func(load float64, seed uint64, cycles int, po *probe.Options, ao *anatomy.Options) (LatencyResult, error) {
-		sub := opts
-		sub.Cycles = cycles
-		sub.Probe = po
-		sub.Anatomy = ao
-		return MeasureLatency(cfg, src(load, xrand.New(seed)), qopts, sub)
-	}
-}
-
-// DilatedSaturationSweep is SaturationSweep over the dilated packet
-// engine. Shard seeds derive from (opts.Seed, load index, shards)
-// exactly as in SaturationSweep, so running both sweeps with the same
-// Options and shard count drives the EDN and its counterpart with
+// fully independent runs — own engine, own traffic source, seed
+// derived from (opts.Seed, load index) — executed in parallel and
+// merged exactly (counter sums and histogram merges). Results are
+// deterministic for a fixed (seed, shards) pair, so sweeping an EDN and
+// its dilated counterpart under the same Options drives both with
 // identical per-input injection replays — the measured two-sided form
-// of the paper's equal-redundancy comparison, tails included.
-func DilatedSaturationSweep(dcfg dilated.Config, loads []float64, src LoadPattern, dopts dilatedsim.Options, opts Options, shards int) ([]LatencyResult, error) {
-	opts = opts.withDefaults()
-	if src == nil {
-		src = UniformLoad
+// of the paper's equal-redundancy comparison, tails included. shards
+// <= 0 selects GOMAXPROCS; src nil selects UniformLoad.
+func SaturationSweep(net Net, loads []float64, src LoadPattern, opts Options, shards int) ([]LatencyResult, error) {
+	opts, shards, err := prepare(net, opts, shards, true)
+	if err != nil {
+		return nil, err
 	}
-	return sweepLoads(dcfg.Ports(), loads, opts, shards, dilatedSaturationMeasure(dcfg, src, dopts, opts))
-}
-
-// dilatedSaturationMeasure is saturationMeasure for the dilated engine.
-func dilatedSaturationMeasure(dcfg dilated.Config, src LoadPattern, dopts dilatedsim.Options, opts Options) pointMeasure {
-	return func(load float64, seed uint64, cycles int, po *probe.Options, ao *anatomy.Options) (LatencyResult, error) {
-		sub := opts
-		sub.Cycles = cycles
-		sub.Probe = po
-		sub.Anatomy = ao
-		return MeasureDilatedLatency(dcfg, src(load, xrand.New(seed)), dopts, sub)
+	results := make([]LatencyResult, 0, len(loads))
+	for i, load := range loads {
+		merged, err := saturationPoint(net, load, i, src, opts, shards)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, merged)
 	}
+	return results, nil
 }
 
 // runShards splits a cycle budget across parallel shards — shard w
@@ -343,46 +283,33 @@ func runShards(totalCycles, shards int, fn func(w, cycles int)) {
 	wg.Wait()
 }
 
-// sweepLoads runs one measurement per load point, splitting each
-// point's cycle budget across parallel shards (seed derived per (load
-// index, shard), independent of scheduling) and merging counters and
-// histograms exactly. It is the engine-agnostic core of the saturation
-// sweeps; measure runs one shard.
+// saturationPoint measures point `index` of a saturation sweep,
+// splitting the cycle budget across parallel shards with seeds derived
+// from (opts.Seed, index), independent of scheduling, and merging
+// counters and histograms exactly. SaturationSweep and SaturationPoint
+// share it, so a streamed point is the batch sweep's point by
+// construction. Callers must have run prepare.
 //
 // When opts.Probe is set, every shard still runs unprobed — the merged
-// counters and histograms are bit-identical either way — and each load
+// counters and histograms are bit-identical either way — and the
 // point's Observed report comes from one extra sequential observation
 // pass at the full cycle budget under seeds[0]. The first root draw
 // does not depend on the shard count, so the sampled trace set is a
 // pure function of Options, regardless of how the measured budget was
 // sharded.
-func sweepLoads(inputs int, loads []float64, opts Options, shards int, measure pointMeasure) ([]LatencyResult, error) {
-	shards, err := normalizeShards(shards, opts.Cycles)
-	if err != nil {
-		return nil, err
+func saturationPoint(net Net, load float64, index int, src LoadPattern, opts Options, shards int) (LatencyResult, error) {
+	if src == nil {
+		src = UniformLoad
 	}
-	results := make([]LatencyResult, 0, len(loads))
-	for i, load := range loads {
-		merged, err := sweepLoadPoint(inputs, load, i, opts, shards, measure)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, merged)
+	// measure runs one shard (probed when po is set, anatomy-attributed
+	// when ao is set — shard runs pass nil for both).
+	measure := func(seed uint64, cycles int, po *probe.Options, ao *anatomy.Options) (LatencyResult, error) {
+		sub := opts
+		sub.Cycles = cycles
+		sub.Probe = po
+		sub.Anatomy = ao
+		return MeasureLatency(net, src(load, xrand.New(seed)), sub)
 	}
-	return results, nil
-}
-
-// pointMeasure runs one shard of one sweep point: the given load at the
-// given traffic seed for the given cycle share (probed when po is set,
-// anatomy-attributed when ao is set — shard runs pass nil for both).
-type pointMeasure func(load float64, seed uint64, cycles int, po *probe.Options, ao *anatomy.Options) (LatencyResult, error)
-
-// sweepLoadPoint measures one point of a load sweep — point `index` on
-// the sweep's axis — splitting the cycle budget across shards with
-// seeds derived from (opts.Seed, index) exactly as the batch sweeps
-// always have, and merging exactly. Callers must have normalized
-// shards and applied opts.withDefaults.
-func sweepLoadPoint(inputs int, load float64, index int, opts Options, shards int, measure pointMeasure) (LatencyResult, error) {
 	// Derive shard seeds up front so the assignment does not depend
 	// on scheduling.
 	root := xrand.New(opts.Seed ^ uint64(index+1)*0x9e3779b97f4a7c15)
@@ -397,7 +324,7 @@ func sweepLoadPoint(inputs int, load float64, index int, opts Options, shards in
 	parts := make([]partial, shards)
 	runShards(opts.Cycles, shards, func(w, cycles int) {
 		start := time.Now()
-		parts[w].res, parts[w].err = measure(load, seeds[w], cycles, nil, nil)
+		parts[w].res, parts[w].err = measure(seeds[w], cycles, nil, nil)
 		if opts.OnStage != nil {
 			opts.OnStage("shard", w, cycles, start, time.Since(start))
 		}
@@ -436,6 +363,7 @@ func sweepLoadPoint(inputs int, load float64, index int, opts Options, shards in
 	if merged.Cycles > 0 {
 		merged.AvgQueued = queuedWeighted / float64(merged.Cycles)
 	}
+	inputs, _ := net.ports()
 	merged.fillQuantiles(inputs)
 	if opts.OnStage != nil {
 		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
@@ -446,7 +374,7 @@ func sweepLoadPoint(inputs int, load float64, index int, opts Options, shards in
 		// function of Options regardless of shard count, and the merged
 		// measured numbers above never see the collector at all.
 		obsStart := time.Now()
-		obs, err := measure(load, seeds[0], opts.Cycles, opts.Probe, opts.Anatomy)
+		obs, err := measure(seeds[0], opts.Cycles, opts.Probe, opts.Anatomy)
 		if err != nil {
 			return LatencyResult{}, err
 		}
@@ -476,12 +404,7 @@ type DrainResult struct {
 
 // Network names the drained network: the EDN configuration, or the
 // dilated one for dilated drains.
-func (r DrainResult) Network() string {
-	if r.Config == (topology.Config{}) {
-		return r.Dilated.String()
-	}
-	return r.Config.String()
-}
+func (r DrainResult) Network() string { return networkName(r.Config, r.Dilated) }
 
 // DrainPermutations preloads every input with q packets — packet k of
 // every input drawn from an independent random permutation, the
@@ -497,64 +420,34 @@ func (r DrainResult) Network() string {
 //   - Depth >= 1 / Unbounded quantifies how much interstage buffering
 //     shortens the drain below the unbuffered baseline.
 //
-// The workload needs a square network (permutations over the ports).
-func DrainPermutations(cfg topology.Config, q int, qopts queuesim.Options, opts Options) (DrainResult, error) {
-	if !cfg.IsSquare() {
-		return DrainResult{}, fmt.Errorf("simulate: permutation drain needs a square network, got %v (%d x %d)", cfg, cfg.Inputs(), cfg.Outputs())
+// The workload needs a square network (permutations over the ports),
+// which every dilated delta is. At d=1 the dilated delta and the square
+// EDN(b,b,1,l) are the same wiring, so their drains agree bit for bit
+// under the same seed.
+func DrainPermutations(net Net, q int, opts Options) (DrainResult, error) {
+	if err := net.validate(); err != nil {
+		return DrainResult{}, err
+	}
+	inputs, outputs := net.ports()
+	if inputs != outputs {
+		return DrainResult{}, fmt.Errorf("simulate: permutation drain needs a square network, got %v (%d x %d)", net, inputs, outputs)
 	}
 	if q < 1 {
 		return DrainResult{}, fmt.Errorf("simulate: q=%d packets per input must be positive", q)
 	}
 	opts = opts.withDefaults()
-	if qopts.Policy == queuesim.Drop {
+	if _, policy := net.regime(); policy == queuesim.Drop {
 		return DrainResult{}, fmt.Errorf("simulate: a drain needs the lossless Backpressure policy")
 	}
-	if qopts.Factory == nil {
-		qopts.Factory = opts.Factory
-	}
-	net, err := queuesim.New(cfg, qopts)
+	eng, err := net.engine(opts.Factory)
 	if err != nil {
 		return DrainResult{}, err
 	}
-	res, err := drainPermutations(net, cfg.Inputs(), q, opts.Seed)
+	res, err := drainPermutations(eng, inputs, q, opts.Seed)
 	if err != nil {
 		return DrainResult{}, err
 	}
-	res.Config = cfg
-	return res, nil
-}
-
-// DilatedDrainPermutations is the dilated-network analog of
-// DrainPermutations: every port preloaded with q permutation-drawn
-// packets, run closed-loop until empty. At d=1 the dilated delta and
-// the square EDN(b,b,1,l) are the same wiring, so the two drains agree
-// bit-for-bit under the same seed — the cross-check that pins the two
-// engines' closed-loop behavior together (the equivalence test asserts
-// it), and ExpectedPermutationTime models the depth-0 Backpressure
-// corner exactly as on the EDN side.
-func DilatedDrainPermutations(dcfg dilated.Config, q int, dopts dilatedsim.Options, opts Options) (DrainResult, error) {
-	if err := dcfg.Validate(); err != nil {
-		return DrainResult{}, err
-	}
-	if q < 1 {
-		return DrainResult{}, fmt.Errorf("simulate: q=%d packets per input must be positive", q)
-	}
-	opts = opts.withDefaults()
-	if dopts.Policy == dilatedsim.Drop {
-		return DrainResult{}, fmt.Errorf("simulate: a drain needs the lossless Backpressure policy")
-	}
-	if dopts.Factory == nil {
-		dopts.Factory = opts.Factory
-	}
-	net, err := dilatedsim.New(dcfg, dopts)
-	if err != nil {
-		return DrainResult{}, err
-	}
-	res, err := drainPermutations(net.Network, dcfg.Ports(), q, opts.Seed)
-	if err != nil {
-		return DrainResult{}, err
-	}
-	res.Dilated = dcfg
+	res.Config, res.Dilated = net.label()
 	return res, nil
 }
 

@@ -7,10 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"edn/internal/analytic"
 	"edn/internal/dilated"
-	"edn/internal/dilatedsim"
-	"edn/internal/faults"
 	"edn/internal/lifecycle"
 	"edn/internal/probe"
 	"edn/internal/queuesim"
@@ -34,13 +31,13 @@ type LifetimeOptions struct {
 	// Load is the offered load per input (default 1: saturation).
 	Load float64
 	// Threshold is the delivered-bandwidth-per-input floor for the
-	// TimeBelowThreshold metric. <= 0 selects half the fault-free
-	// analytic bandwidth per input — "degraded to less than half of
-	// healthy".
+	// TimeBelowThreshold metric. <= 0 selects half the network's own
+	// fault-free analytic bandwidth per input — "degraded to less than
+	// half of healthy" (the mean-field recursion for a dilated delta).
 	Threshold float64
 }
 
-func (o LifetimeOptions) withDefaults(cfg topology.Config) (LifetimeOptions, error) {
+func (o LifetimeOptions) withDefaults(net Net) (LifetimeOptions, error) {
 	if o.Epochs <= 0 {
 		return o, fmt.Errorf("simulate: lifetime sweep needs a positive epoch count")
 	}
@@ -51,7 +48,7 @@ func (o LifetimeOptions) withDefaults(cfg topology.Config) (LifetimeOptions, err
 		o.Load = 1
 	}
 	if o.Threshold <= 0 {
-		o.Threshold = 0.5 * analytic.Bandwidth(cfg, o.Load) / float64(cfg.Inputs())
+		o.Threshold = net.threshold(o.Load)
 	}
 	return o, nil
 }
@@ -129,7 +126,7 @@ func (r LifetimeResult) MarshalJSON() ([]byte, error) {
 	return json.Marshal(aux)
 }
 
-// LifetimeSweep simulates a network's whole service life: components
+// LifetimeSweep simulates an EDN's whole service life: components
 // fail and get repaired epoch by epoch (one lifecycle.Process per
 // shard), the running engines are re-masked in place via UpdateFaults —
 // queue contents, arbiter state and all precomputed tables survive
@@ -138,7 +135,7 @@ func (r LifetimeResult) MarshalJSON() ([]byte, error) {
 // reachability and latency tail are recorded into per-epoch time
 // series.
 //
-// Shards are fully independent lifetimes (own network, own failure
+// Shards are fully independent lifetimes (own engine, own failure
 // story, own traffic stream, seeds derived from opts.Seed) executed in
 // parallel and merged exactly per epoch, the run-level pattern of
 // SaturationSweep; results are deterministic for a fixed (seed, shards)
@@ -152,38 +149,20 @@ func (r LifetimeResult) MarshalJSON() ([]byte, error) {
 // addressed to a dead terminal park until the repair arrives (counted
 // in the Parked series) — a real operational regime, but one that
 // conflates queueing with availability in the bandwidth series.
-func LifetimeSweep(cfg topology.Config, lopts LifetimeOptions, src LoadPattern, qopts queuesim.Options, opts Options, shards int) (LifetimeResult, error) {
-	opts = opts.withDefaults()
-	lopts, err := lopts.withDefaults(cfg)
-	if err != nil {
-		return LifetimeResult{}, err
-	}
-	if src == nil {
-		src = UniformLoad
-	}
-	if qopts.Factory == nil {
-		qopts.Factory = opts.Factory
-	}
-	shards, err = normalizeShards(shards, 0)
-	if err != nil {
-		return LifetimeResult{}, err
-	}
-
-	m, err := runLifetimeShards(lopts, opts, shards, func(w int, procSeed, trafficSeed uint64) partialLifetime {
-		return runLifetimeShard(cfg, lopts, src, qopts, opts, w, procSeed, trafficSeed)
-	})
+func LifetimeSweep(n EDN, lopts LifetimeOptions, src LoadPattern, opts Options, shards int) (LifetimeResult, error) {
+	m, err := lifetimeSweep(n, lopts, src, opts, shards)
 	if err != nil {
 		return LifetimeResult{}, err
 	}
 	return LifetimeResult{
-		Config:             cfg,
-		Spec:               lopts.Spec,
-		Epochs:             lopts.Epochs,
-		EpochCycles:        lopts.EpochCycles,
-		Shards:             shards,
-		Threshold:          lopts.Threshold,
-		Depth:              qopts.Depth,
-		Policy:             qopts.Policy,
+		Config:             n.Config,
+		Spec:               m.lopts.Spec,
+		Epochs:             m.lopts.Epochs,
+		EpochCycles:        m.lopts.EpochCycles,
+		Shards:             m.shards,
+		Threshold:          m.lopts.Threshold,
+		Depth:              n.Queue.Depth,
+		Policy:             n.Queue.Policy,
 		Bandwidth:          m.bandwidth,
 		Reachable:          m.reachable,
 		DeadFraction:       m.deadFrac,
@@ -202,12 +181,38 @@ func LifetimeSweep(cfg topology.Config, lopts LifetimeOptions, src LoadPattern, 
 	}, nil
 }
 
-// lifetimeMerge is the engine-agnostic half of a lifetime result: the
-// exactly-merged per-epoch series, the summed lifetime counters and
-// the derived aggregates. Both sweeps build their public result from
-// one of these, so the merge and aggregate rules cannot drift between
-// the EDN and dilated halves of a paired comparison.
+// lifetimeSweep is the one lifetime harness behind both networks'
+// typed entry points: defaults, shard fan-out (runLifetimeFanout, so
+// the same Options churn an EDN and its counterpart through identically
+// distributed outages under identical per-input traffic replays), the
+// per-shard epoch loop and the exact merge.
+func lifetimeSweep(net Net, lopts LifetimeOptions, src LoadPattern, opts Options, shards int) (lifetimeMerge, error) {
+	opts, shards, err := prepare(net, opts, shards, false)
+	if err != nil {
+		return lifetimeMerge{}, err
+	}
+	if lopts, err = lopts.withDefaults(net); err != nil {
+		return lifetimeMerge{}, err
+	}
+	if src == nil {
+		src = UniformLoad
+	}
+	parts := make([]partialLifetime, shards)
+	runLifetimeFanout(lopts, opts, shards, func(w int, procSeed, trafficSeed uint64) {
+		parts[w] = runLifetimeShard(net, lopts, src, opts, w, procSeed, trafficSeed)
+	})
+	m, err := mergeLifetimes(parts, lopts, opts)
+	m.lopts, m.shards = lopts, shards
+	return m, err
+}
+
+// lifetimeMerge is a lifetime result before it takes its network's
+// typed shape: the defaulted options and shard count, the
+// exactly-merged per-epoch series, the summed lifetime counters and the
+// derived aggregates.
 type lifetimeMerge struct {
+	lopts                                       LifetimeOptions
+	shards                                      int
 	bandwidth, reachable, deadFrac, p99, parked *stats.TimeSeries
 	totals                                      queuesim.Totals
 	rep                                         *probe.Report
@@ -237,11 +242,13 @@ func lifetimeProbe(po *probe.Options, lopts LifetimeOptions, w int) *probe.Probe
 	return probe.New(p)
 }
 
-// runLifetimeShards derives one (process, traffic) seed pair per shard
-// from opts.Seed — the derivation is shared by both sweeps, which is
-// what makes "same Options" mean "same replays" — runs the shard
-// lifetimes in parallel and merges series, counters and aggregates.
-func runLifetimeShards(lopts LifetimeOptions, opts Options, shards int, runShard func(w int, procSeed, trafficSeed uint64) partialLifetime) (lifetimeMerge, error) {
+// runLifetimeFanout derives one (process, traffic) seed pair per shard
+// from opts.Seed — shared by every lifetime sweep, open- and
+// closed-loop, which is what makes "same Options" mean "same replays"
+// across the two networks — runs shard for every shard in parallel and
+// reports each shard's stage. Every lifetime shard runs the full epoch
+// schedule.
+func runLifetimeFanout(lopts LifetimeOptions, opts Options, shards int, shard func(w int, procSeed, trafficSeed uint64)) {
 	// Derive per-shard seeds up front so the assignment does not depend
 	// on scheduling.
 	root := xrand.New(opts.Seed ^ 0x5bf0_3635_d1c2_a94f)
@@ -250,23 +257,24 @@ func runLifetimeShards(lopts LifetimeOptions, opts Options, shards int, runShard
 	for w := range seeds {
 		seeds[w] = shardSeed{proc: root.Uint64() | 1, traffic: root.Uint64() | 1}
 	}
-
-	parts := make([]partialLifetime, shards)
 	var wg sync.WaitGroup
 	for w := 0; w < shards; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			start := time.Now()
-			parts[w] = runShard(w, seeds[w].proc, seeds[w].traffic)
+			shard(w, seeds[w].proc, seeds[w].traffic)
 			if opts.OnStage != nil {
-				// Every lifetime shard runs the full epoch schedule.
 				opts.OnStage("shard", w, lopts.Epochs*lopts.EpochCycles, start, time.Since(start))
 			}
 		}(w)
 	}
 	wg.Wait()
+}
 
+// mergeLifetimes merges the shard lifetimes' series, counters and
+// probe reports exactly and derives the aggregates.
+func mergeLifetimes(parts []partialLifetime, lopts LifetimeOptions, opts Options) (lifetimeMerge, error) {
 	mergeStart := time.Now()
 	m := lifetimeMerge{
 		bandwidth: stats.NewTimeSeries(lopts.Epochs),
@@ -320,55 +328,33 @@ func runLifetimeShards(lopts LifetimeOptions, opts Options, shards int, runShard
 
 // runLifetimeShard simulates one independent lifetime: warmup
 // fault-free, then Epochs iterations of (advance the failure process,
-// compile, swap the masks in place, run EpochCycles cycles, record).
-func runLifetimeShard(cfg topology.Config, lopts LifetimeOptions, src LoadPattern, qopts queuesim.Options, opts Options, w int, procSeed, trafficSeed uint64) partialLifetime {
-	proc, err := lifecycle.New(cfg, lopts.Spec, xrand.New(procSeed))
+// compile, swap the masks into the running engine in place, run
+// EpochCycles cycles, record the epoch's series).
+func runLifetimeShard(net Net, lopts LifetimeOptions, src LoadPattern, opts Options, w int, procSeed, trafficSeed uint64) partialLifetime {
+	fab, err := net.churned(lopts.Spec, xrand.New(procSeed), opts.Factory)
 	if err != nil {
 		return partialLifetime{err: err}
 	}
-	sq := qopts
-	sq.Faults = nil // the lifetime starts healthy; epochs swap masks in
-	net, err := queuesim.New(cfg, sq)
-	if err != nil {
-		return partialLifetime{err: err}
+	eng, pr := fab.eng, lifetimeProbe(opts.Probe, lopts, w)
+	pattern := src(lopts.Load, xrand.New(trafficSeed))
+	inputs, outputs := net.ports()
+	live := make([]bool, outputs)
+	p := partialLifetime{
+		bandwidth: stats.NewTimeSeries(lopts.Epochs),
+		reachable: stats.NewTimeSeries(lopts.Epochs),
+		deadFrac:  stats.NewTimeSeries(lopts.Epochs),
+		p99:       stats.NewTimeSeries(lopts.Epochs),
+		parked:    stats.NewTimeSeries(lopts.Epochs),
 	}
-	inputs, outputs := cfg.Inputs(), cfg.Outputs()
-	step := func() (reachable, deadFrac float64, err error) {
-		masks, err := faults.Compile(cfg, proc.Step())
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := net.UpdateFaults(masks); err != nil {
-			return 0, 0, err
-		}
-		return float64(masks.ReachableOutputs()) / float64(outputs), proc.DeadFraction(), nil
-	}
-	return runLifetimeLoop(net, inputs, outputs, lopts, src(lopts.Load, xrand.New(trafficSeed)), opts.Warmup, lifetimeProbe(opts.Probe, lopts, w), step)
-}
-
-// runLifetimeLoop is the per-shard epoch loop both lifetime sweeps
-// share, driving either fabric of the one packet engine: warmup fault-free, then Epochs iterations of (step — advance the
-// fault process and re-mask the running engine in place — then run
-// EpochCycles cycles and record the epoch's series). step returns the
-// epoch's reachable-output and dead-population fractions alongside any
-// compile/swap error.
-func runLifetimeLoop(net *queuesim.Network, inputs, outputs int, lopts LifetimeOptions, pattern traffic.Pattern, warmup int, pr *probe.Probe, step func() (reachable, deadFrac float64, err error)) partialLifetime {
-	var p partialLifetime
-	p.bandwidth = stats.NewTimeSeries(lopts.Epochs)
-	p.reachable = stats.NewTimeSeries(lopts.Epochs)
-	p.deadFrac = stats.NewTimeSeries(lopts.Epochs)
-	p.p99 = stats.NewTimeSeries(lopts.Epochs)
-	p.parked = stats.NewTimeSeries(lopts.Epochs)
-
 	gen, inPlace := pattern.(traffic.IntoGenerator)
 	dest := make([]int, inputs)
-	for c := 0; c < warmup; c++ {
+	for c := 0; c < opts.Warmup; c++ {
 		if inPlace {
 			gen.GenerateInto(dest, outputs)
 		} else {
 			dest = pattern.Generate(inputs, outputs)
 		}
-		if _, p.err = net.Cycle(dest); p.err != nil {
+		if _, p.err = eng.Cycle(dest); p.err != nil {
 			return p
 		}
 	}
@@ -377,19 +363,19 @@ func runLifetimeLoop(net *queuesim.Network, inputs, outputs int, lopts LifetimeO
 	// delivered fraction describes the churned lifetime, not the
 	// healthy fill. The probe attaches at the same boundary, so heat
 	// bin e is exactly epoch e.
-	warm := net.Totals()
+	warm := eng.Totals()
 	if pr != nil {
-		net.SetProbe(pr)
+		eng.SetProbe(pr)
 	}
 
 	for e := 0; e < lopts.Epochs; e++ {
-		reachable, deadFrac, err := step()
+		reach, deadFrac, err := fab.step(live)
 		if err != nil {
 			p.err = err
 			return p
 		}
-		net.ResetLatency()
-		before := net.Totals()
+		eng.ResetLatency()
+		before := eng.Totals()
 		parked := 0
 		for c := 0; c < lopts.EpochCycles; c++ {
 			if inPlace {
@@ -397,27 +383,27 @@ func runLifetimeLoop(net *queuesim.Network, inputs, outputs int, lopts LifetimeO
 			} else {
 				dest = pattern.Generate(inputs, outputs)
 			}
-			cs, err := net.Cycle(dest)
+			cs, err := eng.Cycle(dest)
 			if err != nil {
 				p.err = err
 				return p
 			}
 			parked += cs.ParkedOnDead
 		}
-		after := net.Totals()
+		after := eng.Totals()
 		delivered := after.Delivered - before.Delivered
 		p.bandwidth.Add(e, float64(delivered)/float64(lopts.EpochCycles*inputs))
-		p.reachable.Add(e, reachable)
+		p.reachable.Add(e, float64(reach)/float64(outputs))
 		p.deadFrac.Add(e, deadFrac)
-		if net.Latency().N() > 0 {
+		if eng.Latency().N() > 0 {
 			// A blackout epoch that retires nothing has no latency
 			// observation; recording its empty-histogram quantile (0)
 			// would make a total outage look like a perfect tail.
-			p.p99.Add(e, net.Latency().Quantile(0.99))
+			p.p99.Add(e, eng.Latency().Quantile(0.99))
 		}
 		p.parked.Add(e, float64(parked)/float64(lopts.EpochCycles))
 	}
-	tot := net.Totals()
+	tot := eng.Totals()
 	p.totals = queuesim.Totals{
 		Injected:  tot.Injected - warm.Injected,
 		Refused:   tot.Refused - warm.Refused,
@@ -497,64 +483,31 @@ func (r DilatedLifetimeResult) MarshalJSON() ([]byte, error) {
 }
 
 // DilatedLifetimeSweep simulates a dilated delta's whole service life
-// under sub-wire churn: every sub-wire runs an alternating-renewal
-// clock with lopts.Spec's MTBF/MTTR/Timing (the population is always
-// the sub-wires — the network's entire redundancy budget — so
-// Spec.Mode and the blast overlay, which name EDN structures, are
-// ignored), and the running engine is re-masked in place at every
-// epoch boundary exactly as LifetimeSweep does for the EDN.
-//
-// Per-shard process and traffic seeds derive from (opts.Seed, shards)
-// exactly as in LifetimeSweep, so running both sweeps with the same
-// Options churns the EDN and its counterpart through identically
-// distributed outages under identical per-input traffic replays — the
-// measured lifetime half of the equal-redundancy comparison.
-// lopts.Threshold <= 0 selects half the counterpart's own fault-free
-// mean-field bandwidth per input.
-func DilatedLifetimeSweep(dcfg dilated.Config, lopts LifetimeOptions, src LoadPattern, dopts dilatedsim.Options, opts Options, shards int) (DilatedLifetimeResult, error) {
-	opts = opts.withDefaults()
-	if lopts.Epochs <= 0 {
-		return DilatedLifetimeResult{}, fmt.Errorf("simulate: lifetime sweep needs a positive epoch count")
-	}
-	if lopts.EpochCycles <= 0 {
-		lopts.EpochCycles = 200
-	}
-	if lopts.Load <= 0 {
-		lopts.Load = 1
-	}
-	if lopts.Threshold <= 0 {
-		lopts.Threshold = 0.5 * dcfg.PA(lopts.Load) * lopts.Load
-	}
-	if src == nil {
-		src = UniformLoad
-	}
-	if dopts.Factory == nil {
-		dopts.Factory = opts.Factory
-	}
-	shards, err := normalizeShards(shards, 0)
-	if err != nil {
-		return DilatedLifetimeResult{}, err
-	}
-
-	// Seed derivation and merging are the shared core, so they match
-	// LifetimeSweep draw for draw and rule for rule.
-	m, err := runLifetimeShards(lopts, opts, shards, func(w int, procSeed, trafficSeed uint64) partialLifetime {
-		return runDilatedLifetimeShard(dcfg, lopts, src, dopts, opts, w, procSeed, trafficSeed)
-	})
+// under sub-wire churn: LifetimeSweep's harness with every sub-wire on
+// an alternating-renewal clock of lopts.Spec's MTBF/MTTR/Timing (the
+// population is always the sub-wires — the network's entire redundancy
+// budget — so Spec.Mode and the blast overlay, which name EDN
+// structures, are ignored). Under the same Options the two sweeps churn
+// an EDN and its counterpart through identically distributed outages
+// under identical per-input traffic replays — the measured lifetime
+// half of the equal-redundancy comparison. lopts.Threshold <= 0 selects
+// half the counterpart's own fault-free mean-field bandwidth per input.
+func DilatedLifetimeSweep(n Dilated, lopts LifetimeOptions, src LoadPattern, opts Options, shards int) (DilatedLifetimeResult, error) {
+	m, err := lifetimeSweep(n, lopts, src, opts, shards)
 	if err != nil {
 		return DilatedLifetimeResult{}, err
 	}
 	return DilatedLifetimeResult{
-		Dilated:            dcfg,
-		MTBF:               lopts.Spec.MTBF,
-		MTTR:               lopts.Spec.MTTR,
-		Timing:             lopts.Spec.Timing,
-		Epochs:             lopts.Epochs,
-		EpochCycles:        lopts.EpochCycles,
-		Shards:             shards,
-		Threshold:          lopts.Threshold,
-		Depth:              dopts.Depth,
-		Policy:             dopts.Policy,
+		Dilated:            n.Config,
+		MTBF:               m.lopts.Spec.MTBF,
+		MTTR:               m.lopts.Spec.MTTR,
+		Timing:             m.lopts.Spec.Timing,
+		Epochs:             m.lopts.Epochs,
+		EpochCycles:        m.lopts.EpochCycles,
+		Shards:             m.shards,
+		Threshold:          m.lopts.Threshold,
+		Depth:              n.Queue.Depth,
+		Policy:             n.Queue.Policy,
 		Bandwidth:          m.bandwidth,
 		Reachable:          m.reachable,
 		DeadFraction:       m.deadFrac,
@@ -571,32 +524,4 @@ func DilatedLifetimeSweep(dcfg dilated.Config, lopts LifetimeOptions, src LoadPa
 		RecoveryHalfLife:   m.recoveryHalfLife,
 		Observed:           m.rep,
 	}, nil
-}
-
-// runDilatedLifetimeShard simulates one independent dilated lifetime —
-// the same epoch loop as the EDN shard (runLifetimeLoop), driving the
-// dilated engine through sub-wire churn.
-func runDilatedLifetimeShard(dcfg dilated.Config, lopts LifetimeOptions, src LoadPattern, dopts dilatedsim.Options, opts Options, w int, procSeed, trafficSeed uint64) partialLifetime {
-	churn, err := dilatedsim.NewChurn(dcfg, lopts.Spec.MTBF, lopts.Spec.MTTR, lopts.Spec.Timing, xrand.New(procSeed))
-	if err != nil {
-		return partialLifetime{err: err}
-	}
-	sd := dopts
-	sd.Faults = nil // the lifetime starts healthy; epochs swap masks in
-	net, err := dilatedsim.New(dcfg, sd)
-	if err != nil {
-		return partialLifetime{err: err}
-	}
-	ports := dcfg.Ports()
-	step := func() (reachable, deadFrac float64, err error) {
-		masks, err := dilatedsim.Compile(dcfg, churn.Step())
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := net.UpdateFaults(masks); err != nil {
-			return 0, 0, err
-		}
-		return float64(masks.ReachableOutputs()) / float64(ports), churn.DeadFraction(), nil
-	}
-	return runLifetimeLoop(net.Network, ports, ports, lopts, src(lopts.Load, xrand.New(trafficSeed)), opts.Warmup, lifetimeProbe(opts.Probe, lopts, w), step)
 }

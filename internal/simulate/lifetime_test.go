@@ -29,7 +29,7 @@ func TestLifetimeSweepDeterministic(t *testing.T) {
 	qopts := queuesim.Options{Depth: 2, Policy: queuesim.Drop}
 	opts := Options{Warmup: 40, Seed: 7}
 	run := func() LifetimeResult {
-		r, err := LifetimeSweep(cfg, lopts, nil, qopts, opts, 3)
+		r, err := LifetimeSweep(EDN{Config: cfg, Queue: qopts}, lopts, nil, opts, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,19 +55,19 @@ func TestLifetimeSweepChurnDegradesBandwidth(t *testing.T) {
 	cfg := lifetimeCfg(t)
 	qopts := queuesim.Options{Depth: 2, Policy: queuesim.Drop}
 	opts := Options{Warmup: 50, Seed: 3}
-	healthy, err := LifetimeSweep(cfg, LifetimeOptions{
+	healthy, err := LifetimeSweep(EDN{Config: cfg, Queue: qopts}, LifetimeOptions{
 		Epochs:      10,
 		EpochCycles: 80,
 		Spec:        lifecycle.Spec{Mode: faults.WireFaults, MTBF: 1e9, MTTR: 1},
-	}, nil, qopts, opts, 2)
+	}, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	churned, err := LifetimeSweep(cfg, LifetimeOptions{
+	churned, err := LifetimeSweep(EDN{Config: cfg, Queue: qopts}, LifetimeOptions{
 		Epochs:      10,
 		EpochCycles: 80,
 		Spec:        lifecycle.Spec{Mode: faults.WireFaults, MTBF: 8, MTTR: 8},
-	}, nil, qopts, opts, 2)
+	}, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +97,12 @@ func TestLifetimeSweepChurnDegradesBandwidth(t *testing.T) {
 
 func TestLifetimeSweepAggregates(t *testing.T) {
 	cfg := lifetimeCfg(t)
-	r, err := LifetimeSweep(cfg, LifetimeOptions{
+	r, err := LifetimeSweep(EDN{Config: cfg, Queue: queuesim.Options{Depth: 2, Policy: queuesim.Drop}}, LifetimeOptions{
 		Epochs:      8,
 		EpochCycles: 50,
 		Spec:        lifecycle.Spec{Mode: faults.WireFaults, MTBF: 10, MTTR: 5},
 		Threshold:   0.99, // everything is below an impossible threshold
-	}, nil, queuesim.Options{Depth: 2, Policy: queuesim.Drop}, Options{Warmup: 20, Seed: 5}, 2)
+	}, nil, Options{Warmup: 20, Seed: 5}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +122,12 @@ func TestLifetimeSweepAggregates(t *testing.T) {
 
 func TestLifetimeSweepValidation(t *testing.T) {
 	cfg := lifetimeCfg(t)
-	if _, err := LifetimeSweep(cfg, LifetimeOptions{}, nil, queuesim.Options{Depth: 1}, Options{}, 1); err == nil {
+	if _, err := LifetimeSweep(EDN{Config: cfg, Queue: queuesim.Options{Depth: 1}}, LifetimeOptions{}, nil, Options{}, 1); err == nil {
 		t.Error("zero epochs should fail")
 	}
-	if _, err := LifetimeSweep(cfg, LifetimeOptions{
+	if _, err := LifetimeSweep(EDN{Config: cfg, Queue: queuesim.Options{Depth: 1}}, LifetimeOptions{
 		Epochs: 2, Spec: lifecycle.Spec{Mode: faults.WireFaults, MTBF: 0, MTTR: 5},
-	}, nil, queuesim.Options{Depth: 1}, Options{}, 1); err == nil {
+	}, nil, Options{}, 1); err == nil {
 		t.Error("invalid spec should fail")
 	}
 }

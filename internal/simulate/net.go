@@ -1,0 +1,256 @@
+package simulate
+
+import (
+	"edn/internal/analytic"
+	"edn/internal/core"
+	"edn/internal/dilated"
+	"edn/internal/dilatedsim"
+	"edn/internal/faults"
+	"edn/internal/lifecycle"
+	"edn/internal/queuesim"
+	"edn/internal/topology"
+	"edn/internal/xrand"
+)
+
+// Net is one network under measurement together with the queue regime
+// its packet engine runs: an EDN or the d-dilated delta it is compared
+// against. Every harness in this package takes a Net, so one harness
+// measures both sides of the paper's equal-redundancy comparison; the
+// interface is sealed, and everything the two networks do differently
+// — validation, port counts, result labels, engine construction, the
+// fault plan and census of a degradation sweep, the failure/repair
+// process of a lifetime, and the default lifetime threshold — lives in
+// its two implementations.
+type Net interface {
+	String() string
+
+	validate() error
+	// ports returns the input and output terminal counts.
+	ports() (inputs, outputs int)
+	// label returns the (EDN, dilated) configuration pair a result
+	// records; the side that is not measured stays zero.
+	label() (topology.Config, dilated.Config)
+	// regime returns the configured FIFO depth and policy.
+	regime() (depth int, policy queuesim.Policy)
+	// engine builds a packet engine, defaulting the arbiter factory to
+	// factory when the queue options leave it nil.
+	engine(factory core.ArbiterFactory) (*queuesim.Network, error)
+	// churned builds a healthy engine plus a failure/repair process
+	// drawn from rng (see churnedFabric).
+	churned(spec lifecycle.Spec, rng *xrand.Rand, factory core.ArbiterFactory) (churnedFabric, error)
+	// faultPlan draws one shard's nested fault plan for a degradation
+	// sweep (see faultPlan).
+	faultPlan(mode faults.Mode, rng *xrand.Rand) faultPlan
+	// threshold is the default lifetime bandwidth floor per input at
+	// the given load: half the fault-free analytic bandwidth.
+	threshold(load float64) float64
+}
+
+// networkName renders the network a result's label pair records: the
+// EDN configuration, or the dilated one when the EDN side is zero.
+func networkName(cfg topology.Config, dcfg dilated.Config) string {
+	if cfg == (topology.Config{}) {
+		return dcfg.String()
+	}
+	return cfg.String()
+}
+
+// churnedFabric is one fabric of a lifetime shard: the running engine
+// and the epoch step that advances its failure/repair process, compiles
+// the resulting fault set and swaps it into the engine in place. step
+// reports the dead fraction of the churned population and, when live is
+// non-nil, fills it with the per-output reachability verdict and
+// returns the reachable count.
+type churnedFabric struct {
+	eng  *queuesim.Network
+	step func(live []bool) (reachable int, deadFrac float64, err error)
+}
+
+// faultPlan is one shard's nested fault plan: at fraction f it returns
+// the network with the plan's fault set compiled into its queue options,
+// plus the sample's census (the analytic throughput prediction at load
+// only when withExpected).
+type faultPlan func(f, load float64, withExpected bool) (Net, faultCensus, error)
+
+// faultCensus is one shard's sampled fault state. deadWires counts the
+// dilated delta's dead sub-wires; deadSwitches and liveInputs are zero
+// there (its switches and single-wire inputs never fail).
+type faultCensus struct {
+	deadSwitches, deadWires float64
+	reachable, liveInputs   float64 // fractions of outputs and inputs
+	expected                float64
+}
+
+func (c *faultCensus) add(o faultCensus) {
+	c.deadSwitches += o.deadSwitches
+	c.deadWires += o.deadWires
+	c.reachable += o.reachable
+	c.liveInputs += o.liveInputs
+	c.expected += o.expected
+}
+
+func (c *faultCensus) scale(n float64) {
+	c.deadSwitches /= n
+	c.deadWires /= n
+	c.reachable /= n
+	c.liveInputs /= n
+	c.expected /= n
+}
+
+// EDN is an EDN(a,b,c,l) measured on the packet engine under Queue.
+type EDN struct {
+	Config topology.Config
+	Queue  queuesim.Options
+}
+
+func (n EDN) String() string                           { return n.Config.String() }
+func (n EDN) validate() error                          { return n.Config.Validate() }
+func (n EDN) ports() (int, int)                        { return n.Config.Inputs(), n.Config.Outputs() }
+func (n EDN) label() (topology.Config, dilated.Config) { return n.Config, dilated.Config{} }
+func (n EDN) regime() (int, queuesim.Policy)           { return n.Queue.Depth, n.Queue.Policy }
+func (n EDN) threshold(load float64) float64 {
+	return 0.5 * analytic.Bandwidth(n.Config, load) / float64(n.Config.Inputs())
+}
+func (n EDN) engine(f core.ArbiterFactory) (*queuesim.Network, error) {
+	return queuesim.New(n.Config, n.withFactory(f))
+}
+
+func (n EDN) withFactory(f core.ArbiterFactory) queuesim.Options {
+	q := n.Queue
+	if q.Factory == nil {
+		q.Factory = f
+	}
+	return q
+}
+
+func (n EDN) churned(spec lifecycle.Spec, rng *xrand.Rand, f core.ArbiterFactory) (churnedFabric, error) {
+	proc, err := lifecycle.New(n.Config, spec, rng)
+	if err != nil {
+		return churnedFabric{}, err
+	}
+	q := n.withFactory(f)
+	q.Faults = nil // the lifetime starts healthy; epochs swap masks in
+	eng, err := queuesim.New(n.Config, q)
+	if err != nil {
+		return churnedFabric{}, err
+	}
+	return churnedFabric{eng: eng, step: func(live []bool) (int, float64, error) {
+		m, err := faults.Compile(n.Config, proc.Step())
+		if err != nil {
+			return 0, 0, err
+		}
+		if err := eng.UpdateFaults(m); err != nil {
+			return 0, 0, err
+		}
+		reach := 0
+		if live != nil {
+			reach = m.ReachableOutputsInto(live)
+		}
+		return reach, proc.DeadFraction(), nil
+	}}, nil
+}
+
+func (n EDN) faultPlan(mode faults.Mode, rng *xrand.Rand) faultPlan {
+	plan := faults.NewPlan(n.Config, mode, rng)
+	return func(f, load float64, withExpected bool) (Net, faultCensus, error) {
+		m, err := faults.Compile(n.Config, plan.At(f))
+		if err != nil {
+			return nil, faultCensus{}, err
+		}
+		c := faultCensus{
+			deadSwitches: float64(m.DeadSwitches()),
+			deadWires:    float64(m.DeadWires()),
+			reachable:    float64(m.ReachableOutputs()) / float64(n.Config.Outputs()),
+			liveInputs:   float64(m.LiveInputCount()) / float64(n.Config.Inputs()),
+		}
+		if withExpected {
+			c.expected = faults.ExpectedUniformBandwidth(m, load)
+		}
+		faulted := n
+		faulted.Queue.Faults = m
+		return faulted, c, nil
+	}
+}
+
+// Dilated is a d-dilated radix-b delta measured on the packet engine
+// under Queue. Its fault population is always the sub-wires, the
+// network's entire redundancy budget.
+type Dilated struct {
+	Config dilated.Config
+	Queue  dilatedsim.Options
+}
+
+func (n Dilated) String() string                           { return n.Config.String() }
+func (n Dilated) validate() error                          { return n.Config.Validate() }
+func (n Dilated) ports() (int, int)                        { return n.Config.Ports(), n.Config.Ports() }
+func (n Dilated) label() (topology.Config, dilated.Config) { return topology.Config{}, n.Config }
+func (n Dilated) regime() (int, queuesim.Policy)           { return n.Queue.Depth, n.Queue.Policy }
+func (n Dilated) threshold(load float64) float64           { return 0.5 * n.Config.PA(load) * load }
+
+func (n Dilated) engine(f core.ArbiterFactory) (*queuesim.Network, error) {
+	eng, err := dilatedsim.New(n.Config, n.withFactory(f))
+	if err != nil {
+		return nil, err
+	}
+	return eng.Network, nil
+}
+
+func (n Dilated) withFactory(f core.ArbiterFactory) dilatedsim.Options {
+	q := n.Queue
+	if q.Factory == nil {
+		q.Factory = f
+	}
+	return q
+}
+
+func (n Dilated) churned(spec lifecycle.Spec, rng *xrand.Rand, f core.ArbiterFactory) (churnedFabric, error) {
+	churn, err := dilatedsim.NewChurn(n.Config, spec.MTBF, spec.MTTR, spec.Timing, rng)
+	if err != nil {
+		return churnedFabric{}, err
+	}
+	q := n.withFactory(f)
+	q.Faults = nil // the lifetime starts healthy; epochs swap masks in
+	eng, err := dilatedsim.New(n.Config, q)
+	if err != nil {
+		return churnedFabric{}, err
+	}
+	return churnedFabric{eng: eng.Network, step: func(live []bool) (int, float64, error) {
+		m, err := dilatedsim.Compile(n.Config, churn.Step())
+		if err != nil {
+			return 0, 0, err
+		}
+		if err := eng.UpdateFaults(m); err != nil {
+			return 0, 0, err
+		}
+		reach := 0
+		if live != nil {
+			reach = m.ReachableOutputsInto(live)
+		}
+		return reach, churn.DeadFraction(), nil
+	}}, nil
+}
+
+func (n Dilated) faultPlan(_ faults.Mode, rng *xrand.Rand) faultPlan {
+	plan := dilatedsim.NewPlan(n.Config, rng)
+	return func(f, load float64, withExpected bool) (Net, faultCensus, error) {
+		set := plan.At(f)
+		m, err := dilatedsim.Compile(n.Config, set)
+		if err != nil {
+			return nil, faultCensus{}, err
+		}
+		c := faultCensus{
+			deadWires: float64(m.DeadSubWires()),
+			reachable: float64(m.ReachableOutputs()) / float64(n.Config.Ports()),
+		}
+		if withExpected {
+			deg, err := n.Config.CompileFaults(set)
+			if err != nil {
+				return nil, faultCensus{}, err
+			}
+			c.expected = deg.Bandwidth(load)
+		}
+		faulted := n
+		faulted.Queue.Faults = m
+		return faulted, c, nil
+	}
+}

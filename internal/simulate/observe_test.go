@@ -49,7 +49,7 @@ func TestObservedSweepShardInvariant(t *testing.T) {
 	qopts := queuesim.Options{Depth: 4}
 	run := func(shards int, po *probe.Options) LatencyResult {
 		opts := Options{Cycles: 1200, Warmup: 100, Seed: 9, Probe: po}
-		res, err := SaturationSweep(cfg, loads, nil, qopts, opts, shards)
+		res, err := SaturationSweep(EDN{Config: cfg, Queue: qopts}, loads, nil, opts, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestObservedDilatedSweepShardInvariant(t *testing.T) {
 	dopts := dilatedsim.Options{Depth: 4}
 	run := func(shards int, po *probe.Options) LatencyResult {
 		opts := Options{Cycles: 1200, Warmup: 100, Seed: 9, Probe: po}
-		res, err := DilatedSaturationSweep(dcfg, loads, nil, dopts, opts, shards)
+		res, err := SaturationSweep(Dilated{Config: dcfg, Queue: dopts}, loads, nil, opts, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestObservedClosedLoopShardInvariant(t *testing.T) {
 	qopts := queuesim.Options{Depth: 1, Policy: queuesim.Drop}
 	run := func(shards int, po *probe.Options) ClosedLoopResult {
 		opts := Options{Cycles: 1000, Warmup: 100, Seed: 9, Probe: po}
-		res, err := MeasureClosedLoop(cfg, []float64{0.4}, lo, qopts, opts, shards)
+		res, err := MeasureClosedLoop(EDN{Config: cfg, Queue: qopts}, []float64{0.4}, lo, opts, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestObservedLifetimeShardInvariant(t *testing.T) {
 	qopts := queuesim.Options{Depth: 4, Policy: queuesim.Drop}
 	run := func(shards int, po *probe.Options) LifetimeResult {
 		opts := Options{Warmup: 100, Seed: 9, Probe: po}
-		res, err := LifetimeSweep(cfg, lopts, nil, qopts, opts, shards)
+		res, err := LifetimeSweep(EDN{Config: cfg, Queue: qopts}, lopts, nil, opts, shards)
 		if err != nil {
 			t.Fatal(err)
 		}

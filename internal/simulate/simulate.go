@@ -1,8 +1,15 @@
-// Package simulate drives Monte-Carlo experiments over the cycle-level
-// network of internal/core. The paper evaluates EDNs purely with closed
-// forms; this package provides the independent measurement side, so every
-// analytical figure in EXPERIMENTS.md can be cross-checked against a
-// discrete-event run with the identical switch semantics.
+// Package simulate is the measurement side of the repository. The paper
+// evaluates EDNs purely with closed forms; this package cross-checks
+// them with discrete-event runs under the identical switch semantics:
+//
+//   - Monte-Carlo acceptance (MeasurePA and friends) over the
+//     cycle-level network of internal/core.
+//   - Queueing, degradation, lifetime and closed-loop harnesses over the
+//     one buffered packet engine of internal/queuesim. Each takes a Net
+//     — an EDN or the d-dilated delta that spends the same wire budget
+//     on link replication — so one harness measures both sides of the
+//     paper's equal-redundancy comparison, and the same Options drive
+//     both networks with identical per-input traffic replays.
 package simulate
 
 import (
@@ -30,8 +37,9 @@ type Options struct {
 	// traces plus per-stage heat series over the measurement window.
 	// Sharded sweeps keep their shard runs unprobed and gather the
 	// report from a dedicated deterministic observation pass (see
-	// sweepLoads) or from per-shard heat probes (lifetime sweeps), so
-	// the measured results are bit-identical with and without a probe.
+	// saturationPoint) or from per-shard heat probes (lifetime sweeps),
+	// so the measured results are bit-identical with and without a
+	// probe.
 	Probe *probe.Options
 
 	// Anatomy, when non-nil, attaches a latency-anatomy collector to the
@@ -118,10 +126,6 @@ type Result struct {
 	// was set: sampled request traces and per-stage heat series over
 	// the measurement window.
 	Observed *probe.Report
-
-	// paAcc retains the per-cycle PA accumulator so parallel runs can
-	// merge confidence intervals exactly.
-	paAcc *stats.Accumulator
 }
 
 // String renders the headline numbers.
@@ -134,24 +138,17 @@ func (r Result) String() string {
 // cycles and reports acceptance statistics. Fresh requests are drawn each
 // cycle; rejected requests are discarded, matching the Section 3.2
 // assumption that blocked requests do not influence later cycles.
-func MeasurePA(cfg topology.Config, pattern traffic.Pattern, opts Options) (Result, error) {
-	res, _, err := measurePA(cfg, pattern, opts)
-	return res, err
-}
-
-// measurePA is MeasurePA plus the raw per-cycle accumulator, which the
-// parallel harness merges across workers.
 //
 // The steady-state loop is allocation-free: the request and outcome
 // vectors are reused every cycle, patterns implementing
 // traffic.IntoGenerator fill the request vector in place (all the
 // built-in patterns do), and RouteCycleInto reuses the network's own
 // scratch.
-func measurePA(cfg topology.Config, pattern traffic.Pattern, opts Options) (Result, *stats.Accumulator, error) {
+func MeasurePA(cfg topology.Config, pattern traffic.Pattern, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	net, err := core.NewNetwork(cfg, opts.Factory)
 	if err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	res := Result{
 		Config:          cfg,
@@ -177,7 +174,7 @@ func measurePA(cfg topology.Config, pattern traffic.Pattern, opts Options) (Resu
 		}
 		cs, err := net.RouteCycleInto(dest, outcomes)
 		if err != nil {
-			return Result{}, nil, err
+			return Result{}, err
 		}
 		if cycle < opts.Warmup {
 			continue
@@ -202,7 +199,7 @@ func measurePA(cfg topology.Config, pattern traffic.Pattern, opts Options) (Resu
 	if pr != nil {
 		res.Observed = pr.Report()
 	}
-	return res, &paAcc, nil
+	return res, nil
 }
 
 // MeasureUniformPA is the common case: Section 3.2 uniform traffic at

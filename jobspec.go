@@ -515,11 +515,9 @@ func (s JobSpec) Validate() error {
 type compiledJob struct {
 	spec   JobSpec
 	engine string
-	cfg    Config       // valid unless engine == dilated
-	dcfg   DilatedDelta // valid for dilated/pair engines
+	edn    EDNNet     // geometry valid unless engine == dilated
+	dil    DilatedNet // geometry valid for the dilated/pair engines
 	src    LoadPattern
-	qopts  QueueOptions
-	dopts  DilatedQueueOptions
 	lo     ClosedLoopOptions
 	opts   SimOptions
 	shards int
@@ -530,6 +528,15 @@ type compiledJob struct {
 	fmode  FaultMode           // its population (EDN engine)
 	ffrac  float64             // its death probability
 	fseed  uint64              // its sample seed
+}
+
+// net is the network the job measures: the dilated delta for the
+// dilated engine, the EDN otherwise (the pair's EDN side).
+func (j *compiledJob) net() Net {
+	if j.engine == EngineDilated {
+		return j.dil
+	}
+	return j.edn
 }
 
 func compileJob(s JobSpec) (*compiledJob, error) {
@@ -553,7 +560,7 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 		if err != nil {
 			return nil, err
 		}
-		j.cfg = cfg
+		j.edn.Config = cfg
 	}
 	needEDN := j.engine == EngineEDN || j.engine == EnginePair
 	if needEDN && s.Geometry == nil {
@@ -566,13 +573,13 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 			if err != nil {
 				return nil, err
 			}
-			j.dcfg = dcfg
+			j.dil.Config = dcfg
 		case s.Geometry != nil:
-			dcfg, err := DilatedCounterpart(j.cfg)
+			dcfg, err := DilatedCounterpart(j.edn.Config)
 			if err != nil {
 				return nil, err
 			}
-			j.dcfg = dcfg
+			j.dil.Config = dcfg
 		default:
 			return nil, fmt.Errorf("edn: dilated job needs a dilated or geometry section")
 		}
@@ -586,7 +593,7 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	if j.qopts, j.dopts, err = s.Queue.compile(seed); err != nil {
+	if j.edn.Queue, j.dil.Queue, err = s.Queue.compile(seed); err != nil {
 		return nil, err
 	}
 	j.opts = s.Sim.compile(s.Probe.compile())
@@ -615,11 +622,11 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 			if j.engine != EngineEDN {
 				return nil, fmt.Errorf("edn: estimate mode supports the edn engine only")
 			}
-			if s.Estimate.Src < 0 || s.Estimate.Src >= j.cfg.Inputs() {
-				return nil, fmt.Errorf("edn: estimate src %d out of [0,%d)", s.Estimate.Src, j.cfg.Inputs())
+			if s.Estimate.Src < 0 || s.Estimate.Src >= j.edn.Config.Inputs() {
+				return nil, fmt.Errorf("edn: estimate src %d out of [0,%d)", s.Estimate.Src, j.edn.Config.Inputs())
 			}
-			if s.Estimate.Dst < 0 || s.Estimate.Dst >= j.cfg.Outputs() {
-				return nil, fmt.Errorf("edn: estimate dst %d out of [0,%d)", s.Estimate.Dst, j.cfg.Outputs())
+			if s.Estimate.Dst < 0 || s.Estimate.Dst >= j.edn.Config.Outputs() {
+				return nil, fmt.Errorf("edn: estimate dst %d out of [0,%d)", s.Estimate.Dst, j.edn.Config.Outputs())
 			}
 		}
 		if s.Faults != nil {

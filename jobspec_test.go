@@ -251,78 +251,57 @@ func facadeRun(t *testing.T, spec JobSpec) *JobResult {
 	}
 	switch spec.Mode {
 	case JobLatency:
-		var pts []LatencyResult
-		if j.engine == EngineDilated {
-			pts, err = DilatedSaturationSweep(j.dcfg, []float64{load}, j.src, j.dopts, j.opts, j.shards)
-		} else {
-			pts, err = SaturationSweep(j.cfg, []float64{load}, j.src, j.qopts, j.opts, j.shards)
-		}
-		res.Points = pts
+		res.Points, err = SaturationSweep(j.net(), []float64{load}, j.src, j.opts, j.shards)
 	case JobSaturation:
-		if j.engine == EngineDilated {
-			res.Points, err = DilatedSaturationSweep(j.dcfg, spec.Loads, j.src, j.dopts, j.opts, j.shards)
-		} else {
-			res.Points, err = SaturationSweep(j.cfg, spec.Loads, j.src, j.qopts, j.opts, j.shards)
-		}
+		res.Points, err = SaturationSweep(j.net(), spec.Loads, j.src, j.opts, j.shards)
 	case JobDrain:
 		var r DrainResult
-		if j.engine == EngineDilated {
-			r, err = DilatedDrainPermutations(j.dcfg, spec.DrainQ, j.dopts, j.opts)
-		} else {
-			r, err = DrainPermutations(j.cfg, spec.DrainQ, j.qopts, j.opts)
-		}
+		r, err = DrainPermutations(j.net(), spec.DrainQ, j.opts)
 		res.Drain = &r
 	case JobAvailability:
 		if j.engine == EngineDilated {
-			res.DilatedAvailability, err = DilatedAvailabilitySweep(j.dcfg, j.aopts, j.src, j.dopts, j.opts, j.shards)
+			res.DilatedAvailability, err = DilatedAvailabilitySweep(j.dil, j.aopts, j.src, j.opts, j.shards)
 		} else {
-			res.Availability, err = AvailabilitySweep(j.cfg, j.aopts, j.src, j.qopts, j.opts, j.shards)
+			res.Availability, err = AvailabilitySweep(j.edn, j.aopts, j.src, j.opts, j.shards)
 		}
 	case JobLifetime:
 		if j.engine == EngineDilated {
 			var r DilatedLifetimeResult
-			r, err = DilatedLifetimeSweep(j.dcfg, j.lopts, j.src, j.dopts, j.opts, j.shards)
+			r, err = DilatedLifetimeSweep(j.dil, j.lopts, j.src, j.opts, j.shards)
 			res.DilatedLifetime = &r
 		} else {
 			var r LifetimeResult
-			r, err = LifetimeSweep(j.cfg, j.lopts, j.src, j.qopts, j.opts, j.shards)
+			r, err = LifetimeSweep(j.edn, j.lopts, j.src, j.opts, j.shards)
 			res.Lifetime = &r
 		}
 	case JobClosedLoop:
-		switch j.engine {
-		case EnginePair:
-			res.ClosedLoop, res.DilatedClosedLoop, err = MeasureClosedLoopPair(j.cfg, j.dcfg, spec.Rates, j.lo, j.qopts, j.dopts, j.opts, j.shards)
-		case EngineDilated:
-			res.ClosedLoop, err = MeasureDilatedClosedLoop(j.dcfg, spec.Rates, j.lo, j.dopts, j.opts, j.shards)
-		default:
-			res.ClosedLoop, err = MeasureClosedLoop(j.cfg, spec.Rates, j.lo, j.qopts, j.opts, j.shards)
+		if j.engine == EnginePair {
+			res.ClosedLoop, res.DilatedClosedLoop, err = MeasureClosedLoopPair(j.edn, j.dil, spec.Rates, j.lo, j.opts, j.shards)
+		} else {
+			res.ClosedLoop, err = MeasureClosedLoop(j.net(), spec.Rates, j.lo, j.opts, j.shards)
 		}
 	case JobClosedLoopLifetime:
 		var r ClosedLoopLifetimeResult
-		if j.engine == EngineDilated {
-			r, err = DilatedClosedLoopLifetimeSweep(j.dcfg, j.lopts, j.lo, j.dopts, j.opts, j.shards)
-		} else {
-			r, err = ClosedLoopLifetimeSweep(j.cfg, j.lopts, j.lo, j.qopts, j.opts, j.shards)
-		}
+		r, err = ClosedLoopLifetimeSweep(j.net(), j.lopts, j.lo, j.opts, j.shards)
 		res.ClosedLoopLifetime = &r
 	case JobEstimate:
 		// The estimate's measured half is pinned to the saturation
 		// facade; the analytic half is deterministic arithmetic. Just
 		// reproduce runEstimate's measurement through the facade.
-		pts, serr := SaturationSweep(j.cfg, []float64{load}, j.src, j.qopts, j.opts, j.shards)
+		pts, serr := SaturationSweep(j.edn, []float64{load}, j.src, j.opts, j.shards)
 		if serr != nil {
 			t.Fatal(serr)
 		}
 		r := pts[0]
 		out := &EstimateResult{
-			Config: j.cfg, Src: spec.Estimate.Src, Dst: spec.Estimate.Dst, Load: load,
-			SrcLive: true, DstReachable: true, Hops: j.cfg.Stages(), AnalyticPA: PA(j.cfg, load),
+			Config: j.edn.Config, Src: spec.Estimate.Src, Dst: spec.Estimate.Dst, Load: load,
+			SrcLive: true, DstReachable: true, Hops: j.edn.Config.Stages(), AnalyticPA: PA(j.edn.Config, load),
 		}
-		if m := j.qopts.Faults; m != nil && !m.Empty() {
+		if m := j.edn.Queue.Faults; m != nil && !m.Empty() {
 			if li := m.LiveInputs(); li != nil {
 				out.SrcLive = li[spec.Estimate.Src]
 			}
-			live := make([]bool, j.cfg.Outputs())
+			live := make([]bool, j.edn.Config.Outputs())
 			m.ReachableOutputsInto(live)
 			out.DstReachable = live[spec.Estimate.Dst]
 		}
@@ -468,35 +447,36 @@ func TestNegativeShardsUniform(t *testing.T) {
 	}
 	opts := SimOptions{Cycles: 100}
 	lopts := LifetimeOptions{Epochs: 2, Spec: LifecycleSpec{MTBF: 10, MTTR: 2}}
-	if _, err := SaturationSweep(cfg, []float64{1}, nil, QueueOptions{}, opts, -1); err == nil {
+	ednNet, dilNet := EDNNet{Config: cfg}, DilatedNet{Config: dcfg}
+	if _, err := SaturationSweep(ednNet, []float64{1}, nil, opts, -1); err == nil {
 		t.Error("SaturationSweep accepted negative shards")
 	}
-	if _, err := DilatedSaturationSweep(dcfg, []float64{1}, nil, DilatedQueueOptions{}, opts, -2); err == nil {
-		t.Error("DilatedSaturationSweep accepted negative shards")
+	if _, err := SaturationSweep(dilNet, []float64{1}, nil, opts, -2); err == nil {
+		t.Error("dilated SaturationSweep accepted negative shards")
 	}
-	if _, err := AvailabilitySweep(cfg, AvailabilityOptions{Fractions: []float64{0.1}}, nil, QueueOptions{}, opts, -1); err == nil {
+	if _, err := AvailabilitySweep(ednNet, AvailabilityOptions{Fractions: []float64{0.1}}, nil, opts, -1); err == nil {
 		t.Error("AvailabilitySweep accepted negative shards")
 	}
-	if _, err := DilatedAvailabilitySweep(dcfg, AvailabilityOptions{Fractions: []float64{0.1}}, nil, DilatedQueueOptions{}, opts, -1); err == nil {
+	if _, err := DilatedAvailabilitySweep(dilNet, AvailabilityOptions{Fractions: []float64{0.1}}, nil, opts, -1); err == nil {
 		t.Error("DilatedAvailabilitySweep accepted negative shards")
 	}
-	if _, err := LifetimeSweep(cfg, lopts, nil, QueueOptions{}, opts, -1); err == nil {
+	if _, err := LifetimeSweep(ednNet, lopts, nil, opts, -1); err == nil {
 		t.Error("LifetimeSweep accepted negative shards")
 	}
-	if _, err := DilatedLifetimeSweep(dcfg, lopts, nil, DilatedQueueOptions{}, opts, -1); err == nil {
+	if _, err := DilatedLifetimeSweep(dilNet, lopts, nil, opts, -1); err == nil {
 		t.Error("DilatedLifetimeSweep accepted negative shards")
 	}
-	if _, err := MeasureClosedLoop(cfg, []float64{0.5}, ClosedLoopOptions{}, QueueOptions{}, opts, -1); err == nil {
+	if _, err := MeasureClosedLoop(ednNet, []float64{0.5}, ClosedLoopOptions{}, opts, -1); err == nil {
 		t.Error("MeasureClosedLoop accepted negative shards")
 	}
-	if _, err := MeasureDilatedClosedLoop(dcfg, []float64{0.5}, ClosedLoopOptions{}, DilatedQueueOptions{}, opts, -1); err == nil {
-		t.Error("MeasureDilatedClosedLoop accepted negative shards")
+	if _, err := MeasureClosedLoop(dilNet, []float64{0.5}, ClosedLoopOptions{}, opts, -1); err == nil {
+		t.Error("dilated MeasureClosedLoop accepted negative shards")
 	}
-	if _, err := ClosedLoopLifetimeSweep(cfg, lopts, ClosedLoopOptions{}, QueueOptions{}, opts, -1); err == nil {
+	if _, err := ClosedLoopLifetimeSweep(ednNet, lopts, ClosedLoopOptions{}, opts, -1); err == nil {
 		t.Error("ClosedLoopLifetimeSweep accepted negative shards")
 	}
-	if _, err := DilatedClosedLoopLifetimeSweep(dcfg, lopts, ClosedLoopOptions{}, DilatedQueueOptions{}, opts, -1); err == nil {
-		t.Error("DilatedClosedLoopLifetimeSweep accepted negative shards")
+	if _, err := ClosedLoopLifetimeSweep(dilNet, lopts, ClosedLoopOptions{}, opts, -1); err == nil {
+		t.Error("dilated ClosedLoopLifetimeSweep accepted negative shards")
 	}
 }
 

@@ -209,60 +209,51 @@ func (j *compiledJob) wireCache(c *GeometryCache, tr *SpanCollector) error {
 		// identity is the (mode, fraction, seed) triple, so a cache hit
 		// replays the identical draw.
 		s := tr.Start("fault_masks")
+		var hit bool
+		var err error
 		if j.engine == EngineEDN {
-			var m *FaultMasks
-			var hit bool
-			var err error
+			cfg := j.edn.Config
 			if c != nil {
-				m, hit, err = c.Masks(j.cfg, j.fmode, j.ffrac, j.fseed)
+				j.edn.Queue.Faults, hit, err = c.Masks(cfg, j.fmode, j.ffrac, j.fseed)
 			} else {
-				m, err = CompileFaults(j.cfg, BernoulliFaults(j.cfg, j.fmode, j.ffrac, NewRand(j.fseed)))
+				j.edn.Queue.Faults, err = CompileFaults(cfg, BernoulliFaults(cfg, j.fmode, j.ffrac, NewRand(j.fseed)))
 			}
-			tr.SetAttr(s, "cache", cacheVerdict(c, hit))
-			tr.End(s)
-			if err != nil {
-				return err
-			}
-			j.qopts.Faults = m
 		} else {
-			var m *DilatedMasks
-			var hit bool
-			var err error
+			dcfg := j.dil.Config
 			if c != nil {
-				m, hit, err = c.DilatedMasks(j.dcfg, j.ffrac, j.fseed)
+				j.dil.Queue.Faults, hit, err = c.DilatedMasks(dcfg, j.ffrac, j.fseed)
 			} else {
-				m, err = CompileDilatedMasks(j.dcfg, BernoulliDilatedSubWires(j.dcfg, j.ffrac, NewRand(j.fseed)))
+				j.dil.Queue.Faults, err = CompileDilatedMasks(dcfg, BernoulliDilatedSubWires(dcfg, j.ffrac, NewRand(j.fseed)))
 			}
-			tr.SetAttr(s, "cache", cacheVerdict(c, hit))
-			tr.End(s)
-			if err != nil {
-				return err
-			}
-			j.dopts.Faults = m
+		}
+		tr.SetAttr(s, "cache", cacheVerdict(c, hit))
+		tr.End(s)
+		if err != nil {
+			return err
 		}
 	}
 	if c == nil {
 		return nil
 	}
-	if j.engine == EngineEDN || j.engine == EnginePair {
+	if j.engine != EngineDilated {
 		s := tr.Start("edn_tables")
-		t, hit, err := c.Tables(j.cfg)
+		t, hit, err := c.Tables(j.edn.Config)
 		tr.SetAttr(s, "cache", cacheVerdict(c, hit))
 		tr.End(s)
 		if err != nil {
 			return err
 		}
-		j.qopts.Tables = t
+		j.edn.Queue.Tables = t
 	}
-	if j.engine == EngineDilated || j.engine == EnginePair {
+	if j.engine != EngineEDN {
 		s := tr.Start("dilated_tables")
-		t, hit, err := c.DilatedTables(j.dcfg)
+		t, hit, err := c.DilatedTables(j.dil.Config)
 		tr.SetAttr(s, "cache", cacheVerdict(c, hit))
 		tr.End(s)
 		if err != nil {
 			return err
 		}
-		j.dopts.Tables = t
+		j.dil.Queue.Tables = t
 	}
 	return nil
 }
@@ -290,15 +281,9 @@ func (j *compiledJob) load() float64 {
 func (j *compiledJob) runLatency(ro RunOptions, res *JobResult) error {
 	// One sharded measurement, seeded as point 0 of a one-load
 	// saturation sweep — so latency at Load is bit-for-bit
-	// SaturationSweep(cfg, []float64{Load}, ...)[0].
-	var r LatencyResult
-	var err error
+	// SaturationSweep(net, []float64{Load}, ...)[0].
 	ps := ro.Trace.Start("point", "index", "0", "load", formatAxis(j.load()))
-	if j.engine == EngineDilated {
-		r, err = simulate.DilatedSaturationPoint(j.dcfg, j.load(), 0, j.src, j.dopts, j.opts, j.shards)
-	} else {
-		r, err = simulate.SaturationPoint(j.cfg, j.load(), 0, j.src, j.qopts, j.opts, j.shards)
-	}
+	r, err := simulate.SaturationPoint(j.net(), j.load(), 0, j.src, j.opts, j.shards)
 	ro.Trace.End(ps)
 	if err != nil {
 		return err
@@ -315,14 +300,8 @@ func (j *compiledJob) runSaturation(ctx context.Context, ro RunOptions, res *Job
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var r LatencyResult
-		var err error
 		ps := ro.Trace.Start("point", "index", strconv.Itoa(i), "load", formatAxis(load))
-		if j.engine == EngineDilated {
-			r, err = simulate.DilatedSaturationPoint(j.dcfg, load, i, j.src, j.dopts, j.opts, j.shards)
-		} else {
-			r, err = simulate.SaturationPoint(j.cfg, load, i, j.src, j.qopts, j.opts, j.shards)
-		}
+		r, err := simulate.SaturationPoint(j.net(), load, i, j.src, j.opts, j.shards)
 		ro.Trace.End(ps)
 		if err != nil {
 			return err
@@ -334,14 +313,8 @@ func (j *compiledJob) runSaturation(ctx context.Context, ro RunOptions, res *Job
 }
 
 func (j *compiledJob) runDrain(ro RunOptions, res *JobResult) error {
-	var r DrainResult
-	var err error
 	ps := ro.Trace.Start("point", "index", "0")
-	if j.engine == EngineDilated {
-		r, err = DilatedDrainPermutations(j.dcfg, j.spec.DrainQ, j.dopts, j.opts)
-	} else {
-		r, err = DrainPermutations(j.cfg, j.spec.DrainQ, j.qopts, j.opts)
-	}
+	r, err := DrainPermutations(j.net(), j.spec.DrainQ, j.opts)
 	ro.Trace.End(ps)
 	if err != nil {
 		return err
@@ -353,56 +326,51 @@ func (j *compiledJob) runDrain(ro RunOptions, res *JobResult) error {
 
 func (j *compiledJob) runAvailability(ctx context.Context, ro RunOptions, res *JobResult) error {
 	fractions := j.aopts.Fractions
-	if j.engine == EngineDilated {
-		res.DilatedAvailability = make([]DilatedAvailabilityResult, 0, len(fractions))
-	} else {
-		res.Availability = make([]AvailabilityResult, 0, len(fractions))
-	}
 	for i, f := range fractions {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		// The two networks' degradation points carry different fault
+		// censuses, so each lands in its own typed result section.
+		var point any
+		var err error
 		ps := ro.Trace.Start("point", "index", strconv.Itoa(i), "fraction", formatAxis(f))
 		if j.engine == EngineDilated {
-			r, err := simulate.DilatedAvailabilityPoint(j.dcfg, j.aopts, f, j.src, j.dopts, j.opts, j.shards)
-			ro.Trace.End(ps)
-			if err != nil {
-				return err
-			}
-			res.DilatedAvailability = append(res.DilatedAvailability, r)
-			emit(ro, i, len(fractions), r)
+			var r DilatedAvailabilityResult
+			r, err = simulate.DilatedAvailabilityPoint(j.dil, j.aopts, f, j.src, j.opts, j.shards)
+			res.DilatedAvailability, point = append(res.DilatedAvailability, r), r
 		} else {
-			r, err := simulate.AvailabilityPoint(j.cfg, j.aopts, f, j.src, j.qopts, j.opts, j.shards)
-			ro.Trace.End(ps)
-			if err != nil {
-				return err
-			}
-			res.Availability = append(res.Availability, r)
-			emit(ro, i, len(fractions), r)
+			var r AvailabilityResult
+			r, err = simulate.AvailabilityPoint(j.edn, j.aopts, f, j.src, j.opts, j.shards)
+			res.Availability, point = append(res.Availability, r), r
 		}
+		ro.Trace.End(ps)
+		if err != nil {
+			return err
+		}
+		emit(ro, i, len(fractions), point)
 	}
 	return nil
 }
 
 func (j *compiledJob) runLifetime(ro RunOptions, res *JobResult) error {
+	var point any
+	var err error
 	ps := ro.Trace.Start("point", "index", "0")
 	if j.engine == EngineDilated {
-		r, err := DilatedLifetimeSweep(j.dcfg, j.lopts, j.src, j.dopts, j.opts, j.shards)
-		ro.Trace.End(ps)
-		if err != nil {
-			return err
-		}
-		res.DilatedLifetime = &r
-		emit(ro, 0, 1, r)
-		return nil
+		var r DilatedLifetimeResult
+		r, err = DilatedLifetimeSweep(j.dil, j.lopts, j.src, j.opts, j.shards)
+		res.DilatedLifetime, point = &r, r
+	} else {
+		var r LifetimeResult
+		r, err = LifetimeSweep(j.edn, j.lopts, j.src, j.opts, j.shards)
+		res.Lifetime, point = &r, r
 	}
-	r, err := LifetimeSweep(j.cfg, j.lopts, j.src, j.qopts, j.opts, j.shards)
 	ro.Trace.End(ps)
 	if err != nil {
 		return err
 	}
-	res.Lifetime = &r
-	emit(ro, 0, 1, r)
+	emit(ro, 0, 1, point)
 	return nil
 }
 
@@ -410,10 +378,10 @@ func (j *compiledJob) runClosedLoop(ctx context.Context, ro RunOptions, res *Job
 	rates := j.spec.Rates
 	if j.engine == EnginePair {
 		// The paired comparison asserts bit-equal offered demand across
-		// both engines at every rate, so it runs as one barriered call
+		// both networks at every rate, so it runs as one barriered call
 		// (its per-rate shard stages all land under one point span).
 		ps := ro.Trace.Start("point", "index", "0")
-		ednRes, dilRes, err := MeasureClosedLoopPair(j.cfg, j.dcfg, rates, j.lo, j.qopts, j.dopts, j.opts, j.shards)
+		ednRes, dilRes, err := MeasureClosedLoopPair(j.edn, j.dil, rates, j.lo, j.opts, j.shards)
 		ro.Trace.End(ps)
 		if err != nil {
 			return err
@@ -427,14 +395,8 @@ func (j *compiledJob) runClosedLoop(ctx context.Context, ro RunOptions, res *Job
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var r ClosedLoopResult
-		var err error
 		ps := ro.Trace.Start("point", "index", strconv.Itoa(i), "rate", formatAxis(rate))
-		if j.engine == EngineDilated {
-			r, err = simulate.DilatedClosedLoopPoint(j.dcfg, rate, i, j.lo, j.dopts, j.opts, j.shards)
-		} else {
-			r, err = simulate.ClosedLoopPoint(j.cfg, rate, i, j.lo, j.qopts, j.opts, j.shards)
-		}
+		r, err := simulate.ClosedLoopPoint(j.net(), rate, i, j.lo, j.opts, j.shards)
 		ro.Trace.End(ps)
 		if err != nil {
 			return err
@@ -446,14 +408,8 @@ func (j *compiledJob) runClosedLoop(ctx context.Context, ro RunOptions, res *Job
 }
 
 func (j *compiledJob) runClosedLoopLifetime(ro RunOptions, res *JobResult) error {
-	var r ClosedLoopLifetimeResult
-	var err error
 	ps := ro.Trace.Start("point", "index", "0")
-	if j.engine == EngineDilated {
-		r, err = DilatedClosedLoopLifetimeSweep(j.dcfg, j.lopts, j.lo, j.dopts, j.opts, j.shards)
-	} else {
-		r, err = ClosedLoopLifetimeSweep(j.cfg, j.lopts, j.lo, j.qopts, j.opts, j.shards)
-	}
+	r, err := ClosedLoopLifetimeSweep(j.net(), j.lopts, j.lo, j.opts, j.shards)
 	ro.Trace.End(ps)
 	if err != nil {
 		return err
@@ -466,27 +422,28 @@ func (j *compiledJob) runClosedLoopLifetime(ro RunOptions, res *JobResult) error
 func (j *compiledJob) runEstimate(ro RunOptions, res *JobResult) error {
 	est := j.spec.Estimate
 	load := j.load()
+	cfg := j.edn.Config
 	out := &EstimateResult{
-		Config:       j.cfg,
+		Config:       cfg,
 		Src:          est.Src,
 		Dst:          est.Dst,
 		Load:         load,
 		SrcLive:      true,
 		DstReachable: true,
-		Hops:         j.cfg.Stages(),
-		AnalyticPA:   PA(j.cfg, load),
+		Hops:         cfg.Stages(),
+		AnalyticPA:   PA(cfg, load),
 	}
-	if m := j.qopts.Faults; m != nil && !m.Empty() {
+	if m := j.edn.Queue.Faults; m != nil && !m.Empty() {
 		if li := m.LiveInputs(); li != nil {
 			out.SrcLive = li[est.Src]
 		}
-		live := make([]bool, j.cfg.Outputs())
+		live := make([]bool, cfg.Outputs())
 		m.ReachableOutputsInto(live)
 		out.DstReachable = live[est.Dst]
 	}
 	if out.SrcLive && out.DstReachable {
 		ps := ro.Trace.Start("point", "index", "0", "load", formatAxis(load))
-		r, err := simulate.SaturationPoint(j.cfg, load, 0, j.src, j.qopts, j.opts, j.shards)
+		r, err := simulate.SaturationPoint(j.edn, load, 0, j.src, j.opts, j.shards)
 		ro.Trace.End(ps)
 		if err != nil {
 			return err

@@ -1,6 +1,8 @@
 package edn
 
 import (
+	"context"
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -74,5 +76,56 @@ func TestSpanCollectorFinishIdempotent(t *testing.T) {
 	}
 	if s.Attrs["mode"] != "estimate" {
 		t.Errorf("start attrs lost: %+v", s.Attrs)
+	}
+}
+
+// TestLifetimeJobsReportShardStages pins that both lifetime families,
+// open- and closed-loop, on both networks report one "shard" span per
+// shard and one "merge" span under their point span, and that tracing
+// leaves the JobResult byte-identical.
+func TestLifetimeJobsReportShardStages(t *testing.T) {
+	geo := &GeometrySpec{A: 4, B: 2, C: 2, L: 2}
+	sim := SimSpec{Warmup: 20, Seed: 3, Shards: 2}
+	life := &LifetimeSpec{Epochs: 3, EpochCycles: 30, MTBF: 12, MTTR: 3, Load: 0.4}
+	for _, spec := range []JobSpec{
+		{Mode: JobLifetime, Geometry: geo, Lifetime: life, Sim: sim},
+		{Mode: JobLifetime, Engine: EngineDilated, Geometry: geo, Lifetime: life, Sim: sim},
+		{Mode: JobClosedLoopLifetime, Geometry: geo, Lifetime: life, Loop: &ClosedLoopSpec{Window: 2}, Sim: sim},
+		{Mode: JobClosedLoopLifetime, Engine: EngineDilated, Geometry: geo, Lifetime: life, Loop: &ClosedLoopSpec{Window: 2}, Sim: sim},
+	} {
+		engine := spec.Engine
+		if engine == "" {
+			engine = EngineEDN
+		}
+		t.Run(spec.Mode+"/"+engine, func(t *testing.T) {
+			tr := NewSpanCollector("job")
+			traced, err := RunJob(context.Background(), spec, RunOptions{Trace: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := map[string]int{}
+			var points int
+			tr.Finish().Walk(func(_ int, s *Span) {
+				if s.Name != "point" {
+					return
+				}
+				points++
+				for _, c := range s.Children {
+					counts[c.Name]++
+				}
+			})
+			if points != 1 || counts["shard"] != 2 || counts["merge"] != 1 {
+				t.Fatalf("got %d point spans with children %v, want 1 point with 2 shard and 1 merge", points, counts)
+			}
+			plain, err := Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, _ := json.Marshal(traced)
+			b, _ := json.Marshal(plain)
+			if string(a) != string(b) {
+				t.Fatal("tracing changed the JobResult")
+			}
+		})
 	}
 }
