@@ -84,7 +84,7 @@ func BenchmarkFigure11(b *testing.B) {
 }
 
 // BenchmarkCostModel evaluates the Equation 2/3 closed forms and exact
-// sums for the Figure 8 families (the cost table of cmd/edn-cost).
+// sums for the Figure 8 families (the cost table of edn cost).
 func BenchmarkCostModel(b *testing.B) {
 	cfgs := make([]Config, 0, 8)
 	for _, fam := range []Family{{A: 16, B: 16, C: 1}, {A: 16, B: 8, C: 2}, {A: 16, B: 4, C: 4}, {A: 16, B: 2, C: 8}} {

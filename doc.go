@@ -47,7 +47,7 @@
 //     correlated load that makes queues interesting. The depth-1 Drop
 //     configuration is pinned bit-for-bit to the unbuffered Network;
 //     the advance loop is allocation-free for bounded depths
-//     (BenchmarkQueueCycle). See cmd/edn-latency for the CLI.
+//     (BenchmarkQueueCycle). See edn latency (cmd/edn) for the CLI.
 //   - Fault tolerance and lifecycle: FaultSet/CompileFaults turn dead
 //     switches, wires and ports into per-stage availability masks both
 //     engines route around (NewNetworkWithFaults, QueueOptions.Faults);
@@ -56,7 +56,7 @@
 //     LifecycleSpec's failure/repair process drives running engines
 //     through UpdateFaults (in-place, allocation-free mask swaps) and
 //     LifetimeSweep records bandwidth/reachability/latency per epoch
-//     with lifetime aggregates. See cmd/edn-faults and cmd/edn-lifetime.
+//     with lifetime aggregates. See edn faults and edn lifetime.
 //   - Measured dilated counterpart: DilatedQueueNetwork runs the
 //     d-dilated delta networks the introduction compares EDNs against
 //     on the same queueing engine, built from the dilated fabric's
@@ -67,7 +67,7 @@
 //     DilatedNet through the same harness the EDN runs on, so the same
 //     Options drive both networks under identical replayed traffic —
 //     latency tails and lifetime churn included, where previously only
-//     the mean-field DilatedDegraded model spoke (edn-faults -dilated
+//     the mean-field DilatedDegraded model spoke (edn faults -dilated
 //     keeps that model as its cheap analytic overlay). Only the
 //     degradation and lifetime sweeps keep a typed entry point
 //     (DilatedAvailabilitySweep, DilatedLifetimeSweep), because their
@@ -87,7 +87,7 @@
 //     degradation as a cost of downtime; the steady-state advance is
 //     allocation-free (BenchmarkClosedLoopCycle). Batch-repair
 //     maintenance windows (LifecycleSpec.RepairWindow) model repairs
-//     that only land on epoch boundaries. See cmd/edn-loop.
+//     that only land on epoch boundaries. See edn loop.
 //   - Observability: a flight-recorder Probe attaches to any of the
 //     four engines (SetProbe) and records three things without moving
 //     a single measured number — sampled packet traces (every ~Nth
@@ -103,8 +103,8 @@
 //     are bit-identical to an unprobed run, and sweeps collect their
 //     observation from a dedicated pass whose seed ignores the shard
 //     split, so the same Options yield the same trace set at any shard
-//     count. See cmd/edn-trace and the -trace/-heatmap flags on
-//     edn-latency, edn-lifetime and edn-loop.
+//     count. See edn trace and the -trace/-heatmap flags on edn
+//     latency, lifetime and loop.
 //   - Jobs and service: JobSpec is the single serializable description
 //     of any experiment the facade can run — every mode (latency,
 //     saturation, drain, availability, lifetime, closed-loop,
@@ -117,7 +117,7 @@
 //     experiment. NewGeometryCache is a byte-budgeted LRU over routing
 //     tables and compiled fault masks (hits return the identical
 //     immutable artifacts, so cached results are bit-equal to
-//     uncached); internal/serve and cmd/edn-serve wrap both in a
+//     uncached); internal/serve and edn serve wrap both in a
 //     long-lived daemon — a JSON-line protocol over stdio and an HTTP
 //     API that schedule jobs across a bounded worker pool, stream
 //     per-point events as sweeps progress, and answer one-shot
@@ -131,14 +131,14 @@
 //     execution, merge, serialization — delivered beside (never
 //     inside) the result event, aggregated per stage on /v1/stats, and
 //     summarized as a structured JSON completion log on stderr
-//     (edn-serve -log). The tree's shape is a pure function of the
+//     (edn serve -log). The tree's shape is a pure function of the
 //     JobSpec; like the Probe, tracing is observation-only and a
 //     traced run's result is byte-identical to an untraced one
 //     (property-tested). /metrics adds live worker-pool gauges, a job
 //     duration histogram, jobs-by-mode/engine/outcome counters,
 //     geometry-cache hit/miss/eviction/byte counters and Go runtime
-//     stats, and edn-serve -pprof mounts net/http/pprof on the same
-//     mux. Off the daemon path, internal/benchwatch and cmd/edn-bench
+//     stats, and edn serve -pprof mounts net/http/pprof on the same
+//     mux. Off the daemon path, internal/benchwatch and edn bench
 //     form the ns/op regression harness: they parse go test -bench
 //     output into the BENCH_N.json trajectory schema, diff runs
 //     against committed snapshots, and enforce BENCH_BUDGETS.json
@@ -170,12 +170,12 @@
 //     (BenchmarkAnatomyOff, 0 allocs/op, CI-gated). The surface is a
 //     JobSpec explain section, the daemon's /v1/explain endpoint and
 //     stdio explain verb (the report arrives beside the result event,
-//     never inside it), cmd/edn-explain for the human-facing table,
-//     and edn-trace -explain to annotate sampled per-hop traces with
+//     never inside it), edn explain for the human-facing table,
+//     and edn trace -explain to annotate sampled per-hop traces with
 //     their per-stage split (SplitTraceHops).
 //   - Reproduction: Figure7, Figure8, Figure11, CostTable and
 //     MasParCaseStudy regenerate the paper's evaluation artifacts (see
-//     cmd/edn-figures and EXPERIMENTS.md).
+//     edn figures in cmd/edn and EXPERIMENTS.md).
 //
 // All randomness is drawn from a deterministic SplitMix64 stream (Rand),
 // so every number in EXPERIMENTS.md reproduces bit-for-bit.

@@ -788,7 +788,7 @@ func ClosedLoopLifetimeSweep(net Net, lopts LifetimeOptions, lo ClosedLoopOption
 // parked and dropped counts). A nil probe keeps every hot path
 // bit-for-bit identical and allocation-free. The simulate sweeps
 // accept SimOptions.Probe and surface the merged ProbeReport on their
-// results; cmd/edn-trace turns reports into hop-by-hop breakdowns.
+// results; edn trace (cmd/edn) turns reports into hop-by-hop breakdowns.
 
 // Probe is a flight recorder for one engine instance.
 type Probe = probe.Probe
@@ -868,7 +868,7 @@ func NewLiveMetrics() *LiveMetrics { return probe.NewMetrics() }
 // site, BenchmarkAnatomyOff pins 0 allocs/op; attached anatomy never
 // moves a measured number). Job-level access: the JobSpec "explain"
 // section plus RunOptions.OnExplain, the serve layer's /v1/explain,
-// or cmd/edn-explain.
+// or edn explain (cmd/edn).
 
 // AnatomyCollector accumulates latency anatomy for one engine run.
 type AnatomyCollector = anatomy.Collector
@@ -909,7 +909,7 @@ type TraceSplit = anatomy.TraceSplit
 
 // SplitTraceHops decomposes a sampled packet trace's hops into
 // per-stage wait/block/service segments — the per-packet view of the
-// anatomy ledgers, used by edn-trace -explain.
+// anatomy ledgers, used by edn trace -explain.
 func SplitTraceHops(hops []PacketHop) []TraceSplit { return anatomy.SplitHops(hops) }
 
 // ---------------------------------------------------------------------------

@@ -272,7 +272,7 @@ func TestFigureChartsRenderAndExport(t *testing.T) {
 }
 
 // TestDegradationCurveShape pins the PR 3 headline experiment (the
-// shipped examples/degraded run, same parameters): under rising
+// Example_degraded run, same parameters): under rising
 // interstage-wire fault fractions the delivered bandwidth of both
 // networks decays monotonically, and the expanded EDN(4,4,2,3) —
 // two wires per bucket, 8 paths per pair — strictly dominates its

@@ -5,7 +5,7 @@ import (
 )
 
 // facade_queue_test.go exercises the queueing layer through the public
-// facade, the way cmd/edn-latency and the examples consume it.
+// facade, the way edn latency and the Example functions consume it.
 
 func TestFacadeQueueNetwork(t *testing.T) {
 	cfg, err := New(16, 4, 4, 2)

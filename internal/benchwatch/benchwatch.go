@@ -3,7 +3,7 @@
 // schema, diffs runs against a committed snapshot, and enforces
 // per-benchmark ns/op budgets with a two-level verdict — WARN inside
 // the shared-runner noise band above a budget, FAIL beyond the hard
-// factor (or when a budgeted benchmark disappears). cmd/edn-bench is
+// factor (or when a budgeted benchmark disappears). edn bench (cmd/edn) is
 // the CLI face; CI runs it as the bench-regression gate.
 package benchwatch
 

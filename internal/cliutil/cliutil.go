@@ -1,10 +1,11 @@
 // Package cliutil holds the flag-parsing and report-writing helpers the
-// cmd/ sweep tools share: geometry flags, comma-separated float axes,
-// policy/arbitration selection, and the aligned-table / CSV / JSON
-// writers. Each command keeps its own column list (a table is a
-// statement about what matters for that sweep) but renders it through
-// one implementation, so output conventions — header alignment, CSV
-// field naming, JSON indentation — stay identical across tools.
+// edn command's subcommands share: geometry flags, comma-separated
+// float axes, policy/arbitration selection, the flight-recorder and
+// profiling flags, and the aligned-table / CSV / JSON writers. Each
+// subcommand keeps its own column list (a table is a statement about
+// what matters for that sweep) but renders it through one
+// implementation, so output conventions — header alignment, CSV field
+// naming, JSON indentation — stay identical across subcommands.
 package cliutil
 
 import (
@@ -336,8 +337,8 @@ func WriteProbeReport(w io.Writer, rep *probe.Report, showHeat bool) error {
 	return nil
 }
 
-// ProfileFlagSet holds the optional pprof flags every sweep command
-// shares.
+// ProfileFlagSet holds the optional pprof flags the measuring
+// subcommands share.
 type ProfileFlagSet struct {
 	cpu *string
 	mem *string
@@ -351,10 +352,26 @@ func ProfileFlags(fs *flag.FlagSet) *ProfileFlagSet {
 	}
 }
 
-// Start begins CPU profiling when requested and returns a stop
-// function that finalizes both requested profiles; call the stop
-// exactly once (deferred) after the measured work.
-func (p *ProfileFlagSet) Start() (stop func() error, err error) {
+// Run profiles fn as requested: the CPU profile spans fn and the heap
+// profile is written after it. Both are finalized on every return path
+// once profiling started, so a failing run still leaves a readable CPU
+// profile, and a profile that cannot be written is an error.
+func (p *ProfileFlagSet) Run(fn func() error) (err error) {
+	stop, err := p.start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}()
+	return fn()
+}
+
+// start begins CPU profiling when requested and returns the function
+// that finalizes both requested profiles.
+func (p *ProfileFlagSet) start() (stop func() error, err error) {
 	var cpuFile *os.File
 	if *p.cpu != "" {
 		cpuFile, err = os.Create(*p.cpu)

@@ -10,10 +10,10 @@ import (
 )
 
 // DilatedFlag registers the shared -dilated comparison flag with the
-// wording the sweep commands (edn-latency, edn-faults, edn-lifetime)
+// wording the sweep subcommands (edn latency, faults, lifetime, loop)
 // present identically: run the EDN's equal-redundancy dilated delta
 // counterpart next to the EDN measurement. what names the comparison
-// each command adds ("measured saturation curve", "analytic sub-wire
+// each subcommand adds ("measured saturation curve", "analytic sub-wire
 // model", ...).
 func DilatedFlag(fs *flag.FlagSet, what string) *bool {
 	return fs.Bool("dilated", false,
@@ -22,7 +22,7 @@ func DilatedFlag(fs *flag.FlagSet, what string) *bool {
 
 // DilatedCounterpart resolves the dilated delta comparable to cfg —
 // same port count, dilation equal to the bucket capacity — wrapping the
-// failure in flag-level context so the three CLIs report it uniformly.
+// failure in flag-level context so every subcommand reports it uniformly.
 func DilatedCounterpart(cfg topology.Config) (dilated.Config, error) {
 	dcfg, err := dilated.Counterpart(cfg)
 	if err != nil {

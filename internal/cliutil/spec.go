@@ -3,29 +3,9 @@ package cliutil
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 )
-
-// SpecFlagSet holds the job-spec replay flags every sweep CLI shares:
-// -spec runs a saved JobSpec file through the unified dispatcher and
-// emits the JobResult as JSON (the daemon-equivalent replay of a
-// measurement, whatever its mode), -dump-spec prints the spec the
-// other flags would have run — one JSON document per job — and exits
-// without measuring anything.
-type SpecFlagSet struct {
-	Path *string
-	Dump *bool
-}
-
-// SpecFlags registers the replay flags on fs.
-func SpecFlags(fs *flag.FlagSet) *SpecFlagSet {
-	return &SpecFlagSet{
-		Path: fs.String("spec", "", "run this JobSpec JSON file and emit the JobResult as JSON (ignores the measurement flags)"),
-		Dump: fs.Bool("dump-spec", false, "print the JobSpec the flags describe as JSON and exit without running"),
-	}
-}
 
 // LoadSpec reads the JSON job spec at path into spec (a *edn.JobSpec;
 // typed any because cliutil sits under the root package and cannot

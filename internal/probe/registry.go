@@ -27,7 +27,7 @@ type Metric struct {
 // Registry is a static metrics registry: sweeps and CLIs register
 // final counter/gauge values and export them deterministically (sorted
 // by name, then label set). It is the export substrate a future
-// edn-serve daemon can re-register into per request; it deliberately
+// edn serve daemon can re-register into per request; it deliberately
 // has no locking or liveness — callers own the collection moment.
 type Registry struct {
 	metrics []Metric

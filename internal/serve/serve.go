@@ -1,5 +1,5 @@
 // Package serve is the long-lived simulation service behind the
-// edn-serve daemon: a scheduler that runs edn.JobSpec jobs on a
+// edn serve daemon: a scheduler that runs edn.JobSpec jobs on a
 // bounded worker pool, streams incremental per-point results as they
 // complete, and keeps one shared edn.GeometryCache across requests so
 // repeated jobs on the same geometry skip table and mask construction.
