@@ -282,13 +282,15 @@
 // the tail-vs-median cohort breakdown: for every stage, how many stall
 // events (block, park, timeout, retry) the median-latency cohort
 // accumulated there versus the P99 cohort — the hop-by-hop location of
-// the tail. -engine selects which of the four engines runs: the
-// circuit-switched core, the buffered EDN packet engine, the dilated
-// counterpart, or the closed-loop request/response workload (where a
-// trace's "stage" is the attempt number). The recorder attaches after
-// -warmup. -dump prints raw traces, -explain annotates them with each
-// hop's wait/block/service split, and -export emits the registry
-// metrics as Prometheus text or JSON lines.
+// the tail. -engine selects what runs: core, the Monte-Carlo PA
+// harness on the engine's depth-0 Drop sweep (the circuit-switched
+// cycle; its output equals -engine edn -depth 0 -policy drop but for
+// the engine label, heat rows included); the buffered EDN packet
+// engine; the dilated counterpart; or the closed-loop request/response
+// workload (where a trace's "stage" is the attempt number). The
+// recorder attaches after -warmup. -dump prints raw traces, -explain
+// annotates them with each hop's wait/block/service split, and -export
+// emits the registry metrics as Prometheus text or JSON lines.
 //
 // # serve
 //

@@ -123,3 +123,38 @@ func TestTraceRunRejectsBadFlags(t *testing.T) {
 		t.Error("unknown export should error")
 	}
 }
+
+// TestTraceCoreIsDepth0Drop: the Monte-Carlo PA harness behind
+// `-engine core` runs on the engine's depth-0 Drop sweep, so in every
+// output form its trace is that engine's trace with the engine label
+// swapped — the same sampled requests, closed at the same stages and
+// cycles, in the same heat vocabulary.
+func TestTraceCoreIsDepth0Drop(t *testing.T) {
+	relabel := strings.NewReplacer(
+		"engine=edn", "engine=core",
+		`engine="edn"`, `engine="core"`,
+		`"engine": "edn"`, `"engine": "core"`,
+		`"engine":"edn"`, `"engine":"core"`,
+	)
+	for _, extra := range [][]string{
+		nil,
+		{"-heatmap"},
+		{"-dump"},
+		{"-explain"},
+		{"-format", "csv"},
+		{"-format", "json"},
+		{"-export", "prom"},
+		{"-export", "jsonl"},
+		{"-arb", "roundrobin"},
+		{"-arb", "random"},
+		{"-arb", "random", "-dump"},
+	} {
+		t.Run(strings.Join(append([]string{"default"}, extra...), " "), func(t *testing.T) {
+			got := runTrace(t, append([]string{"-engine", "core"}, extra...)...)
+			want := runTrace(t, append([]string{"-engine", "edn", "-depth", "0", "-policy", "drop"}, extra...)...)
+			if want = relabel.Replace(want); got != want {
+				t.Fatalf("core trace differs from the depth-0 drop engine's:\n--- core\n%s\n--- engine\n%s", got, want)
+			}
+		})
+	}
+}

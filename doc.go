@@ -22,12 +22,12 @@
 //     Section 5.1 model.
 //   - Simulation: Network routes cycle-level request batches; the
 //     Measure* helpers, SimulateMIMD and RoutePermutation drive
-//     Monte-Carlo experiments that cross-check every closed form. The
-//     cycle engine is table driven: interstage gamma permutations are
-//     precomputed as flat lookup tables, destination tags are decomposed
-//     into per-stage digits once per cycle, and RouteCycleInto plus the
-//     traffic IntoGenerator fast path let steady-state measurement loops
-//     run with zero allocations per cycle (see BenchmarkRouteCycleInto).
+//     Monte-Carlo experiments that cross-check every closed form.
+//     Network is a per-request face over the queueing engine's depth-0
+//     Drop sweep (below): interstage gamma permutations are precomputed
+//     as flat lookup tables, and RouteCycleInto plus the traffic
+//     IntoGenerator fast path let steady-state measurement loops run
+//     with zero allocations per cycle (see BenchmarkRouteCycleInto).
 //   - Queueing: QueueNetwork is the buffered packet-level simulator the
 //     paper's memoryless model cannot express — per-wire FIFOs of
 //     configurable depth at every stage input, head-of-line arbitration,
@@ -36,9 +36,9 @@
 //     per-stage fabric descriptor (switches, buckets of interchangeable
 //     wires, interstage tables, a retire stage onto the terminals) runs
 //     the EDN and its dilated counterpart alike, and depth 0 is a
-//     within-cycle wave sweep that arbitrates exactly as the unbuffered
-//     Network does. MeasureLatency and SaturationSweep produce
-//     throughput and P50/P95/P99 latency-vs-load curves (with run-level
+//     within-cycle wave sweep, the one router behind Network.
+//     MeasureLatency and SaturationSweep produce throughput and
+//     P50/P95/P99 latency-vs-load curves (with run-level
 //     parallel sharding) for any Net — an EDNNet or a DilatedNet, each
 //     a geometry plus its queue options — DrainPermutations measures
 //     the Section 5.1 permutation time against
@@ -49,8 +49,8 @@
 //     the advance loop is allocation-free for bounded depths
 //     (BenchmarkQueueCycle). See edn latency (cmd/edn) for the CLI.
 //   - Fault tolerance and lifecycle: FaultSet/CompileFaults turn dead
-//     switches, wires and ports into per-stage availability masks both
-//     engines route around (NewNetworkWithFaults, QueueOptions.Faults);
+//     switches, wires and ports into per-stage availability masks the
+//     engine routes around (NewNetworkWithFaults, QueueOptions.Faults);
 //     AvailabilitySweep measures frozen degradation curves, and the
 //     lifecycle layer makes the masks a function of time — a
 //     LifecycleSpec's failure/repair process drives running engines

@@ -142,14 +142,16 @@ func ExpectedPermutationTime(cfg Config, q int) (PermutationTimeModel, error) {
 // Cycle-level simulation
 
 // Network is an instantiated EDN that routes request batches with the
-// exact hyperbar semantics (one call = one circuit-switched cycle).
+// exact hyperbar semantics (one call = one circuit-switched cycle): a
+// per-request face over the packet engine's depth-0 Drop sweep, so its
+// outcomes are those of QueueOptions{Depth: 0, Policy: Drop}.
 type Network = core.Network
 
 // NoRequest marks an idle input in request vectors and outcomes.
 const NoRequest = core.NoRequest
 
 // ArbiterFactory builds one arbiter per physical switch.
-type ArbiterFactory = core.ArbiterFactory
+type ArbiterFactory = switchfab.ArbiterFactory
 
 // Outcome is the per-input result of a routed cycle.
 type Outcome = core.Outcome

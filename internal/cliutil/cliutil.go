@@ -20,7 +20,6 @@ import (
 	"strings"
 	"sync"
 
-	"edn/internal/core"
 	"edn/internal/probe"
 	"edn/internal/queuesim"
 	"edn/internal/switchfab"
@@ -80,7 +79,7 @@ func ParsePolicy(name string) (queuesim.Policy, error) {
 // to call lazily from shard goroutines; with more than one shard the
 // stream-to-switch assignment depends on scheduling, making random
 // arbitration statistically but not bit-for-bit reproducible.
-func ArbiterFactory(name string, seed uint64) (core.ArbiterFactory, error) {
+func ArbiterFactory(name string, seed uint64) (switchfab.ArbiterFactory, error) {
 	switch name {
 	case "priority":
 		return nil, nil

@@ -20,13 +20,13 @@ import (
 
 type referenceEngine struct {
 	cfg     topology.Config
-	factory ArbiterFactory
+	factory switchfab.ArbiterFactory
 	arbs    [][]switchfab.Arbiter
 }
 
-func newReferenceEngine(cfg topology.Config, factory ArbiterFactory) *referenceEngine {
+func newReferenceEngine(cfg topology.Config, factory switchfab.ArbiterFactory) *referenceEngine {
 	if factory == nil {
-		factory = PriorityArbiters
+		factory = switchfab.PriorityArbiters
 	}
 	arbs := make([][]switchfab.Arbiter, cfg.Stages())
 	for s := 1; s <= cfg.Stages(); s++ {
@@ -181,17 +181,17 @@ func (e *referenceEngine) routeCycle(dest []int) ([]Outcome, CycleStats, error) 
 // stateful arbiters advance through identical streams in every engine.
 type factoryCase struct {
 	name string
-	make func(seed uint64) ArbiterFactory
+	make func(seed uint64) switchfab.ArbiterFactory
 }
 
 func equivalenceFactories() []factoryCase {
 	return []factoryCase{
-		{name: "default-priority", make: func(uint64) ArbiterFactory { return nil }},
-		{name: "explicit-priority", make: func(uint64) ArbiterFactory { return PriorityArbiters }},
-		{name: "round-robin", make: func(uint64) ArbiterFactory {
+		{name: "default-priority", make: func(uint64) switchfab.ArbiterFactory { return nil }},
+		{name: "explicit-priority", make: func(uint64) switchfab.ArbiterFactory { return switchfab.PriorityArbiters }},
+		{name: "round-robin", make: func(uint64) switchfab.ArbiterFactory {
 			return func() switchfab.Arbiter { return &switchfab.RoundRobinArbiter{} }
 		}},
-		{name: "random", make: func(seed uint64) ArbiterFactory {
+		{name: "random", make: func(seed uint64) switchfab.ArbiterFactory {
 			rng := xrand.New(seed)
 			return func() switchfab.Arbiter { return switchfab.RandomArbiter{Perm: rng.Perm} }
 		}},
@@ -299,7 +299,7 @@ func TestRouteCycleIntoZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factories := map[string]ArbiterFactory{
+	factories := map[string]switchfab.ArbiterFactory{
 		"default-priority": nil,
 		"round-robin":      func() switchfab.Arbiter { return &switchfab.RoundRobinArbiter{} },
 	}

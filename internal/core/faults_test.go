@@ -31,10 +31,10 @@ func TestEmptyMaskBitForBit(t *testing.T) {
 	}
 	factories := []struct {
 		name    string
-		factory ArbiterFactory
+		factory switchfab.ArbiterFactory
 	}{
 		{"priority", nil},
-		{"explicit-priority", PriorityArbiters},
+		{"explicit-priority", switchfab.PriorityArbiters},
 		{"roundrobin", func() switchfab.Arbiter { return &switchfab.RoundRobinArbiter{} }},
 	}
 	for _, g := range geometries {
@@ -104,7 +104,7 @@ func compareNetworksBitForBit(t *testing.T, cfg topology.Config, ref, got *Netwo
 
 // TestMaskedFastPathMatchesMaskedArbiterPath cross-validates the two
 // masked kernels: the nil-factory fused priority path and the explicit
-// PriorityArbiters factory path must make identical grant decisions on
+// switchfab.PriorityArbiters factory path must make identical grant decisions on
 // a faulted network.
 func TestMaskedFastPathMatchesMaskedArbiterPath(t *testing.T) {
 	for _, g := range []struct{ a, b, c, l int }{{4, 4, 2, 2}, {16, 4, 4, 2}, {4, 4, 1, 2}} {
@@ -118,7 +118,7 @@ func TestMaskedFastPathMatchesMaskedArbiterPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := NewNetworkWithFaults(cfg, PriorityArbiters, m)
+		slow, err := NewNetworkWithFaults(cfg, switchfab.PriorityArbiters, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestFullyDeadStage(t *testing.T) {
 	}
 	for _, fac := range []struct {
 		name    string
-		factory ArbiterFactory
+		factory switchfab.ArbiterFactory
 	}{{"priority", nil}, {"roundrobin", func() switchfab.Arbiter { return &switchfab.RoundRobinArbiter{} }}} {
 		t.Run(fac.name, func(t *testing.T) {
 			net, err := NewNetworkWithFaults(cfg, fac.factory, m)

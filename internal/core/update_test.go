@@ -59,10 +59,10 @@ func TestUpdateFaultsMatchesRebuildPerEpoch(t *testing.T) {
 	}
 	factories := []struct {
 		name    string
-		factory ArbiterFactory
+		factory switchfab.ArbiterFactory
 	}{
 		{"priority", nil},
-		{"explicit-priority", PriorityArbiters},
+		{"explicit-priority", switchfab.PriorityArbiters},
 	}
 	const epochs, cyclesPerEpoch = 9, 12
 	for _, g := range geometries {
@@ -137,12 +137,12 @@ func TestUpdateFaultsMatchesConstructionPerMask(t *testing.T) {
 	cfg := faultCfg(t, 8, 4, 2, 2)
 	factories := []struct {
 		name    string
-		factory func(seed uint64) ArbiterFactory
+		factory func(seed uint64) switchfab.ArbiterFactory
 	}{
-		{"roundrobin", func(uint64) ArbiterFactory {
+		{"roundrobin", func(uint64) switchfab.ArbiterFactory {
 			return func() switchfab.Arbiter { return &switchfab.RoundRobinArbiter{} }
 		}},
-		{"random", func(seed uint64) ArbiterFactory {
+		{"random", func(seed uint64) switchfab.ArbiterFactory {
 			rng := xrand.New(seed)
 			return func() switchfab.Arbiter { return switchfab.RandomArbiter{Perm: rng.Split().Perm} }
 		}},

@@ -36,9 +36,9 @@ package dilatedsim
 import (
 	"fmt"
 
-	"edn/internal/core"
 	"edn/internal/dilated"
 	"edn/internal/queuesim"
+	"edn/internal/switchfab"
 	"edn/internal/topology"
 )
 
@@ -77,7 +77,7 @@ type Options struct {
 	// Factory builds one arbiter per physical switch (stages 1..L) and
 	// one per output port; nil selects input-label priority via the
 	// fused fast path.
-	Factory core.ArbiterFactory
+	Factory switchfab.ArbiterFactory
 	// LatencyBuckets and LatencyBucketWidth shape the latency histogram
 	// (defaults: 1024 buckets of 1 cycle).
 	LatencyBuckets     int

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"edn/internal/anatomy"
-	"edn/internal/core"
 	"edn/internal/dilated"
 	"edn/internal/faults"
 	"edn/internal/probe"
@@ -93,7 +92,7 @@ func (b *fuzzBytes) next() int {
 	return int(v)
 }
 
-func fuzzFactory(kind int) core.ArbiterFactory {
+func fuzzFactory(kind int) switchfab.ArbiterFactory {
 	switch kind % 3 {
 	case 1:
 		return func() switchfab.Arbiter { return &switchfab.RoundRobinArbiter{} }

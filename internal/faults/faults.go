@@ -1,8 +1,9 @@
 // Package faults models component failures in an Expanded Delta Network
 // and compiles them into the per-stage availability masks the routing
 // engines consume. The paper's Theorem 2 gives an EDN(a,b,c,l) exactly
-// c^l equivalent paths per source/destination pair; internal/core and
-// internal/queuesim exploit that freedom for bandwidth. This package
+// c^l equivalent paths per source/destination pair; the packet engine
+// (internal/queuesim, and core's face over it) exploits that freedom
+// for bandwidth. This package
 // turns the same freedom into survival: when a wire, a switch output
 // port or a whole switch dies, every request whose bucket still owns a
 // live wire routes around the fault, and only a fully dead bucket

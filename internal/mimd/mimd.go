@@ -13,6 +13,7 @@ import (
 
 	"edn/internal/core"
 	"edn/internal/stats"
+	"edn/internal/switchfab"
 	"edn/internal/topology"
 	"edn/internal/xrand"
 )
@@ -22,7 +23,7 @@ type Options struct {
 	Cycles  int    // measured cycles (default 2000)
 	Warmup  int    // cycles to reach steady state before measuring (default 200)
 	Seed    uint64 // RNG seed (default 1)
-	Factory core.ArbiterFactory
+	Factory switchfab.ArbiterFactory
 	// PersistentDestinations controls what a waiting processor resubmits.
 	// The paper's analysis assumes resubmitted requests re-address the
 	// memory modules uniformly (Section 4), which is the default here

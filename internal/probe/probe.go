@@ -1,5 +1,6 @@
 // Package probe is the flight-recorder instrumentation layer shared by
-// all four engines (core, queuesim, dilatedsim, closedloop). It has two
+// the packet engine (queuesim, running both fabrics, and through it
+// core's per-request face) and the closed-loop layer. It has two
 // surfaces:
 //
 //   - Sampled packet tracing: every ~Nth accepted injection (jittered,
@@ -9,7 +10,7 @@
 //     Buffered engines identify sampled packets by setting
 //     ringbuf.TraceBit in the packed packet word and calling the
 //     pkt-keyed TagInject/Hop/Close; engines that track in-flight work
-//     by slot (core, closed-loop requests, depth-0 paths) hold the
+//     by slot (closed-loop requests, depth-0 paths) hold the
 //     record handle directly and call SampleInject/HopRec/CloseRec.
 //   - Per-stage, per-cycle heat metrics: engines accumulate counters
 //     into a per-cycle scratch row via AddStage and fold it into

@@ -24,8 +24,8 @@ const (
 	// EvPark: the packet is held because its required wire or terminal
 	// is masked dead (only ever emitted under an active fault mask).
 	EvPark
-	// EvDrop: the packet was discarded (Drop policy loss, or a core
-	// circuit-switched request that lost arbitration).
+	// EvDrop: the packet was discarded (Drop policy loss, which at
+	// depth 0 is a circuit-switched request that lost arbitration).
 	EvDrop
 	// EvStrand: the packet was discarded because churn killed the wire
 	// it was queued on (Drop policy only).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"edn/internal/core"
 	"edn/internal/faults"
 	"edn/internal/topology"
 	"edn/internal/traffic"
@@ -78,98 +77,6 @@ func TestEmptyMaskQueueEquivalence(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestDepth1DropWithFaultsMatchesFaultyCore extends the PR 2 bridge to
-// degraded mode: with depth-1 FIFOs and Drop, the faulted queueing
-// pipeline must reproduce the faulted circuit-switched engine's grant
-// decisions batch for batch (time-shifted by the pipeline fill).
-func TestDepth1DropWithFaultsMatchesFaultyCore(t *testing.T) {
-	const batches = 50
-	cfg := mustCfg(t, 16, 4, 4, 2)
-	// Faults everywhere except the inputs (core counts dead-input
-	// requests as blocked at stage 1; queuesim refuses them at the
-	// source, so input faults are exactly the accounting the two engines
-	// legitimately disagree on — covered by TestDeadInputsRefused).
-	set := faults.Bernoulli(cfg, faults.WireFaults, 0.1, xrand.New(4))
-	set.Switches = append(set.Switches,
-		faults.SwitchID{Stage: 2, Switch: 3},
-		faults.SwitchID{Stage: cfg.L + 1, Switch: 7},
-	)
-	m, err := faults.Compile(cfg, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := xrand.New(99)
-	gen := traffic.Uniform{Rate: 1, Rng: rng}
-	stream := make([][]int, batches)
-	for k := range stream {
-		stream[k] = make([]int, cfg.Inputs())
-		gen.GenerateInto(stream[k], cfg.Outputs())
-	}
-
-	ref, err := core.NewNetworkWithFaults(cfg, nil, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomes := make([]core.Outcome, cfg.Inputs())
-	refDelivered := make([]int, batches)
-	refBlocked := make([]int64, cfg.Stages())
-	var refTotal int64
-	for k, dest := range stream {
-		cs, err := ref.RouteCycleInto(dest, outcomes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refDelivered[k] = cs.Delivered
-		refTotal += int64(cs.Delivered)
-		for s, b := range cs.Blocked {
-			refBlocked[s] += int64(b)
-		}
-	}
-
-	q, err := New(cfg, Options{Depth: 1, Policy: Drop, Faults: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotDelivered := make([]int, batches+cfg.Stages())
-	for k, dest := range stream {
-		cs, err := q.Cycle(dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotDelivered[k] = cs.Delivered
-	}
-	idle := make([]int, cfg.Inputs())
-	for i := range idle {
-		idle[i] = NoRequest
-	}
-	for k := 0; k < cfg.Stages(); k++ {
-		cs, err := q.Cycle(idle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotDelivered[batches+k] = cs.Delivered
-	}
-	shift := cfg.Stages()
-	for k := 0; k < batches; k++ {
-		if gotDelivered[k+shift] != refDelivered[k] {
-			t.Fatalf("batch %d: faulted queuesim delivered %d, faulted core %d",
-				k, gotDelivered[k+shift], refDelivered[k])
-		}
-	}
-	if tot := q.Totals(); tot.Delivered != refTotal {
-		t.Fatalf("total bandwidth: queuesim %d, core %d", tot.Delivered, refTotal)
-	}
-	for s, b := range q.DroppedPerStage() {
-		if b != refBlocked[s] {
-			t.Fatalf("stage %d: queuesim dropped %d, core blocked %d", s+1, b, refBlocked[s])
-		}
-	}
-	if q.Queued() != 0 {
-		t.Fatalf("%d packets left after drain", q.Queued())
 	}
 }
 

@@ -1,14 +1,11 @@
-// Package queuesim is the buffered, packet-level counterpart of the
-// circuit-switched cycle engine in internal/core, and the one packet
-// engine of the repository: the EDN and its equal-redundancy
-// comparator, the d-dilated delta, are two fabrics it runs. Where
-// core's RouteCycle resolves a whole request batch in one memoryless
-// network cycle (losers vanish, matching the paper's Section 3.2
-// model), this package gives every stage-input wire a FIFO: packets
-// advance one stage per cycle, losers wait (or drop), and each packet
-// carries its injection timestamp so the simulator measures what the
-// closed forms cannot — queueing delay, tail latency and saturation
-// throughput under temporally correlated load.
+// Package queuesim is the one packet engine of the repository: the EDN
+// and its equal-redundancy comparator, the d-dilated delta, are two
+// fabrics it runs, and its unbuffered corner is the paper's
+// circuit-switched network cycle. Every stage-input wire carries a
+// FIFO: packets advance one stage per cycle, losers wait (or drop), and
+// each packet carries its injection timestamp so the simulator measures
+// what the closed forms cannot — queueing delay, tail latency and
+// saturation throughput under temporally correlated load.
 //
 // A network is built from a Fabric: a per-stage descriptor of switches
 // whose output buckets hold interchangeable wires, joined by flat int32
@@ -17,13 +14,13 @@
 // c wires, then the c x c crossbars as the retire stage with c buckets
 // per switch); internal/dilatedsim builds the dilated delta's (buckets
 // of d sub-wires, then the output ports as a retire stage with one
-// bucket per switch). Per-stage routing digits come from the same
-// shift/mask decomposition as core, and head-of-line arbitration per
-// switch uses the switchfab arbiter orders (the nil-factory default
-// takes the fused priority fast path). All FIFO storage is ring buffers
-// sized at construction, so the per-cycle advance is allocation-free in
-// steady state for bounded depths (BenchmarkQueueCycle pins this at 0
-// allocs/op).
+// bucket per switch). Per-stage routing digits are shift/mask slices
+// of the destination (Section 2's digit retirement), and head-of-line
+// arbitration per switch uses the switchfab arbiter orders (the
+// nil-factory default takes the fused priority fast path). All FIFO
+// storage is ring buffers sized at construction, so the per-cycle
+// advance is allocation-free in steady state for bounded depths
+// (BenchmarkQueueCycle pins this at 0 allocs/op).
 //
 // Depth semantics tie the family together:
 //
@@ -34,18 +31,19 @@
 //   - Depth == Unbounded: FIFOs grow without limit — the infinite
 //     buffering idealization.
 //   - Depth == 0: no interstage buffering at all. Each offered packet
-//     traverses every stage within one cycle, a wave sweep that
-//     arbitrates exactly as core.RouteCycleInto does; Backpressure then
-//     means a blocked packet is resubmitted from its input next cycle —
-//     exactly the Section 4/5.1 closed-loop regime — and Drop reproduces
-//     the memoryless Section 3.2 model packet for packet.
+//     traverses every stage within one cycle, a wave sweep in which a
+//     bucket grants at most its wire count; Backpressure then means a
+//     blocked packet is resubmitted from its input next cycle — exactly
+//     the Section 4/5.1 closed-loop regime — and Drop is the memoryless
+//     Section 3.2 model behind Equation 4, losers vanishing. internal/core
+//     is the per-request face of this corner.
 //
 // The depth-1 Drop configuration is the bridge between the two worlds:
 // batches march through the pipeline in lockstep, one stage per cycle,
 // without ever interacting, so its per-batch grant decisions — and
 // therefore its bandwidth and per-stage blocking — are bit-identical to
-// core's, just time-shifted by the pipeline fill. The equivalence tests
-// pin this, and the depth-0 sweep against core directly.
+// the depth-0 sweep's, just time-shifted by the pipeline fill. The
+// equivalence tests pin this across geometries, arbiters and faults.
 package queuesim
 
 import (
@@ -53,7 +51,6 @@ import (
 	"math"
 
 	"edn/internal/anatomy"
-	"edn/internal/core"
 	"edn/internal/faults"
 	"edn/internal/probe"
 	"edn/internal/ringbuf"
@@ -63,7 +60,7 @@ import (
 )
 
 // NoRequest marks an idle input in an injection vector.
-const NoRequest = core.NoRequest
+const NoRequest = -1
 
 // Unbounded selects per-wire FIFOs that grow without limit.
 const Unbounded = ringbuf.Unbounded
@@ -103,7 +100,7 @@ type Options struct {
 	Policy Policy
 	// Factory builds one arbiter per physical switch; nil selects the
 	// paper's input-label priority rule via the fused fast path.
-	Factory core.ArbiterFactory
+	Factory switchfab.ArbiterFactory
 	// LatencyBuckets and LatencyBucketWidth shape the latency histogram
 	// (defaults: 1024 buckets of 1 cycle). Latencies beyond the last
 	// bucket are still counted exactly in mean and max but degrade the
@@ -204,12 +201,12 @@ type Stage struct {
 type Settlement int
 
 const (
-	// SettleByInput settles outcomes after the sweep in input order, the
-	// order of core's outcome vector. A blocked packet is parked when a
-	// component fixed by its (input, destination) pair is dead — its
-	// input wire, its stage-1 bucket (the switch is pinned by the input),
-	// or its destination terminal — and is charged to that component's
-	// stage. Beyond stage 1 an expanded network's c-way wire freedom
+	// SettleByInput settles outcomes after the sweep in input order and
+	// keeps each input's verdict readable (see Verdict). A blocked
+	// packet is parked when a component fixed by its (input,
+	// destination) pair is dead — its input wire, its stage-1 bucket
+	// (the switch is pinned by the input), or its destination terminal
+	// — and is charged to that component's stage. Beyond stage 1 an expanded network's c-way wire freedom
 	// redraws paths every cycle, so mid-network dead buckets count as
 	// contention (the c=1 corner's longer pinned paths are not
 	// classified). The EDN's rule.
@@ -269,11 +266,12 @@ type Network struct {
 	liveCap        [][]int32
 	strandedQueued int64 // packets parked in dead rings (Backpressure)
 
-	factory      core.ArbiterFactory
+	factory      switchfab.ArbiterFactory
 	fastPriority bool
 	arbiters     [][]switchfab.Arbiter // [stage-1][switch], lazily built
 	used         []int32               // per-bucket wires consumed this cycle
 	order        []int                 // arbiter-path arbitration order
+	seen         []bool                // switchOrder's permutation check
 
 	// Unbuffered state (Depth == 0): one in-flight slot per input. The
 	// wave buffers carry each boundary's per-wire occupancy (origin
@@ -386,7 +384,7 @@ func NewFabric(f Fabric, opts Options) (*Network, error) {
 		arbiters:     make([][]switchfab.Arbiter, stages),
 	}
 	if n.factory == nil {
-		n.factory = core.PriorityArbiters
+		n.factory = switchfab.PriorityArbiters
 	}
 	width, buckets := 0, 0
 	for s, st := range f.Stages {
@@ -399,6 +397,7 @@ func NewFabric(f Fabric, opts Options) (*Network, error) {
 	}
 	n.used = make([]int32, buckets)
 	n.order = make([]int, width)
+	n.seen = make([]bool, width)
 
 	if opts.Depth == 0 {
 		n.pending = make([]int, n.inputs)
@@ -780,54 +779,67 @@ func (n *Network) Cycle(dest []int) (CycleStats, error) {
 	}
 	n.now++
 	var cs CycleStats
+	var err error
 	if n.opts.Depth == 0 {
-		n.cycleUnbuffered(dest, &cs)
+		err = n.cycleUnbuffered(dest, &cs)
 	} else {
-		for s := n.stages; s >= 1; s-- {
-			n.advanceStage(s, &cs)
-		}
-		if n.strandedQueued != 0 {
-			// Packets parked in dead rings never reach arbitration; they
-			// still count as parked-on-dead every cycle they wait.
-			cs.ParkedOnDead += int(n.strandedQueued)
-		}
-		depth := n.opts.Depth
-		for i, d := range dest {
-			if d == NoRequest {
-				continue
-			}
-			cs.Injected++
-			if n.liveIn != nil && !n.liveIn[i] {
-				cs.Refused++ // severed input wire: refused at the source
-				continue
-			}
-			r := &n.rings[i]
-			if !r.HasSpace(depth) {
-				cs.Refused++
-				continue
-			}
-			pkt := ringbuf.Pack(d, n.now)
-			if n.probe != nil {
-				pkt = n.probe.TagInject(i, pkt, n.now)
-			}
-			r.Push(pkt)
-			n.queued++
-			if n.anat != nil {
-				n.anat.Inject(i, i, d, n.now)
-			}
-		}
-		if n.anat != nil {
-			n.anat.EndCycle(n.now)
-		}
+		err = n.cyclePipelined(dest, &cs)
 	}
 	if n.probe != nil {
 		n.recordHeat()
 	}
+	// Fold the deltas even when an arbiter aborted the cycle: every
+	// packet moved so far is counted, the rest stay queued, so the
+	// conservation invariant still holds.
 	n.totals.Injected += int64(cs.Injected)
 	n.totals.Refused += int64(cs.Refused)
 	n.totals.Delivered += int64(cs.Delivered)
 	n.totals.Dropped += int64(cs.Dropped)
-	return cs, nil
+	return cs, err
+}
+
+// cyclePipelined is the Depth != 0 cycle: every stage advances,
+// downstream first, then dest is injected into the stage-1 FIFOs.
+func (n *Network) cyclePipelined(dest []int, cs *CycleStats) error {
+	for s := n.stages; s >= 1; s-- {
+		if err := n.advanceStage(s, cs); err != nil {
+			return err
+		}
+	}
+	if n.strandedQueued != 0 {
+		// Packets parked in dead rings never reach arbitration; they
+		// still count as parked-on-dead every cycle they wait.
+		cs.ParkedOnDead += int(n.strandedQueued)
+	}
+	depth := n.opts.Depth
+	for i, d := range dest {
+		if d == NoRequest {
+			continue
+		}
+		cs.Injected++
+		if n.liveIn != nil && !n.liveIn[i] {
+			cs.Refused++ // severed input wire: refused at the source
+			continue
+		}
+		r := &n.rings[i]
+		if !r.HasSpace(depth) {
+			cs.Refused++
+			continue
+		}
+		pkt := ringbuf.Pack(d, n.now)
+		if n.probe != nil {
+			pkt = n.probe.TagInject(i, pkt, n.now)
+		}
+		r.Push(pkt)
+		n.queued++
+		if n.anat != nil {
+			n.anat.Inject(i, i, d, n.now)
+		}
+	}
+	if n.anat != nil {
+		n.anat.EndCycle(n.now)
+	}
+	return nil
 }
 
 // Drain runs idle cycles (no injections) until the network empties,
@@ -872,33 +884,45 @@ func (n *Network) retire(pkt uint64, cs *CycleStats) {
 // switchOrder returns the arbitration order of switch sw of stage s
 // for one cycle (nil = natural order). The fused priority default
 // never calls it, and the other paths call it only for busy switches,
-// so stateful arbiters advance exactly as they do in core.
-func (n *Network) switchOrder(s, sw, width int) []int {
+// so a stateful arbiter advances once per cycle its switch is busy, at
+// every depth. An order that is not a permutation of [0, width) is an
+// error: arbitrating by it would skip or double-grant inputs.
+func (n *Network) switchOrder(s, sw, width int) ([]int, error) {
 	a := n.arbiters[s-1][sw]
 	if a == nil {
 		a = n.factory()
 		n.arbiters[s-1][sw] = a
 	}
+	var order []int
 	switch a := a.(type) {
 	case switchfab.PriorityArbiter:
-		return nil
+		return nil, nil
 	case switchfab.InPlaceArbiter:
-		order := n.order[:width]
+		order = n.order[:width]
 		a.OrderInto(order)
-		return order
 	default:
-		return a.Order(width)
+		order = a.Order(width)
 	}
+	if len(order) != width {
+		return nil, fmt.Errorf("%s: %v stage %d switch %d: arbiter returned order of length %d, want %d", n.name, n.label, s, sw, len(order), width)
+	}
+	seen := n.seen[:width]
+	defer clear(seen)
+	for _, p := range order {
+		if p < 0 || p >= width || seen[p] {
+			return nil, fmt.Errorf("%s: %v stage %d switch %d: arbiter order %v is not a permutation of [0,%d)", n.name, n.label, s, sw, order, width)
+		}
+		seen[p] = true
+	}
+	return order, nil
 }
 
 // advanceStage runs one cycle of stage s (1-based): head-of-line
 // arbitration per switch over the boundary s-1 FIFOs, winners crossing
 // the interstage table into the boundary s FIFOs (or retiring at the
-// last stage), losers retained or dropped per policy. It mirrors
-// core.routeStage's structure — natural order for the fused priority
-// default, arbiter orders otherwise — with the FIFO heads standing in
-// for the wire ownership vector.
-func (n *Network) advanceStage(s int, cs *CycleStats) {
+// last stage), losers retained or dropped per policy: natural order
+// for the fused priority default, arbiter orders otherwise.
+func (n *Network) advanceStage(s int, cs *CycleStats) error {
 	st := &n.st[s-1]
 	retire := s == n.stages
 	width, buckets, capacity := st.Width, st.Buckets, st.Wires
@@ -948,7 +972,10 @@ func (n *Network) advanceStage(s int, cs *CycleStats) {
 			if !busy {
 				continue
 			}
-			order = n.switchOrder(s, sw, width)
+			var err error
+			if order, err = n.switchOrder(s, sw, width); err != nil {
+				return err
+			}
 		}
 		for i := range used {
 			used[i] = 0
@@ -1031,6 +1058,7 @@ func (n *Network) advanceStage(s int, cs *CycleStats) {
 			}
 		}
 	}
+	return nil
 }
 
 // stall settles a stage-s head packet that could not move this cycle:
@@ -1075,12 +1103,13 @@ func (n *Network) stall(s, ring int, pkt uint64, parked bool, blocker int, cs *C
 // packet (retained from a blocked attempt, or freshly injected) sweeps
 // through all stages within the cycle — per-switch arbitration at each
 // stage over the wave of surviving packets, at most one packet per
-// wire, then at most one retirement per terminal — which is core's
-// circuit-switched pass. Backpressure resubmits blocked packets from
-// the input next cycle — the Section 4 / Section 5.1 closed-loop
-// regime; Drop discards them, reproducing the memoryless engine.
-// Destinations were validated by Cycle before any state changed.
-func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) {
+// wire, then at most one retirement per terminal — the paper's
+// circuit-switched network cycle. Backpressure resubmits blocked
+// packets from the input next cycle — the Section 4 / Section 5.1
+// closed-loop regime; Drop discards them, the memoryless Section 3.2
+// model. Destinations were validated by Cycle before any state changed;
+// an arbiter error aborts the sweep with its packets still pending.
+func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) error {
 	for i := range n.pending {
 		if n.pending[i] != NoRequest {
 			// Input busy: a retained packet resubmits; any new offer is
@@ -1159,7 +1188,11 @@ func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) {
 				if !busy {
 					continue
 				}
-				if order := n.switchOrder(s, sw, width); order != nil {
+				order, err := n.switchOrder(s, sw, width)
+				if err != nil {
+					return err
+				}
+				if order != nil {
 					// Arbitrate in the arbiter's order: permute the
 					// switch's slice of the wave into scratch.
 					ordered := n.waveOrder[:width]
@@ -1214,7 +1247,14 @@ func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) {
 	if n.anat != nil {
 		n.anat.EndCycle0()
 	}
+	return nil
 }
+
+// Verdict reports the last depth-0 sweep's verdict on input i's packet
+// under SettleByInput: 0 delivered, s blocked at stage s. It is defined
+// only for inputs whose packet entered that sweep; a packet refused at
+// a dead input never does.
+func (n *Network) Verdict(i int) int { return int(n.outcome[i]) }
 
 // resolve records the sweep's verdict on input i's packet: delivered
 // (s == 0) or blocked at stage s, settled now or after the sweep per

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"edn/internal/core"
 	"edn/internal/switchfab"
 	"edn/internal/topology"
 	"edn/internal/traffic"
@@ -30,157 +29,6 @@ var testGeometries = []struct{ a, b, c, l int }{
 
 func roundRobinFactory() switchfab.Arbiter { return &switchfab.RoundRobinArbiter{} }
 
-// TestDepth1DropMatchesUnbufferedEngine pins the bridge between the two
-// engines: with depth-1 FIFOs and the Drop policy, batches march
-// through the pipeline in lockstep without interacting, so every grant
-// decision — bandwidth, per-cycle delivered counts, per-stage blocking —
-// must be bit-identical to core.RouteCycleInto on the same traffic
-// stream, time-shifted by exactly the pipeline fill of Stages() cycles.
-func TestDepth1DropMatchesUnbufferedEngine(t *testing.T) {
-	const batches = 60
-	for _, g := range testGeometries {
-		cfg := mustCfg(t, g.a, g.b, g.c, g.l)
-		for _, fac := range []struct {
-			name    string
-			factory core.ArbiterFactory
-		}{
-			{"priority", nil},
-			{"roundrobin", roundRobinFactory},
-		} {
-			for _, pat := range []string{"uniform", "permutation"} {
-				t.Run(fmt.Sprintf("%v/%s/%s", cfg, fac.name, pat), func(t *testing.T) {
-					// Pre-generate the shared traffic stream.
-					rng := xrand.New(99)
-					var gen traffic.IntoGenerator
-					if pat == "uniform" {
-						gen = traffic.Uniform{Rate: 1, Rng: rng}
-					} else {
-						gen = &traffic.RandomPermutation{Rng: rng}
-					}
-					stream := make([][]int, batches)
-					for k := range stream {
-						stream[k] = make([]int, cfg.Inputs())
-						gen.GenerateInto(stream[k], cfg.Outputs())
-					}
-
-					// Reference: the unbuffered engine, batch by batch.
-					ref, err := core.NewNetwork(cfg, fac.factory)
-					if err != nil {
-						t.Fatal(err)
-					}
-					outcomes := make([]core.Outcome, cfg.Inputs())
-					refDelivered := make([]int, batches)
-					refBlocked := make([]int64, cfg.Stages())
-					var refTotal int64
-					for k, dest := range stream {
-						cs, err := ref.RouteCycleInto(dest, outcomes)
-						if err != nil {
-							t.Fatal(err)
-						}
-						refDelivered[k] = cs.Delivered
-						refTotal += int64(cs.Delivered)
-						for s, b := range cs.Blocked {
-							refBlocked[s] += int64(b)
-						}
-					}
-
-					// Queueing engine: depth-1 Drop, same stream, plus the
-					// pipeline-fill drain.
-					q, err := New(cfg, Options{Depth: 1, Policy: Drop, Factory: fac.factory})
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotDelivered := make([]int, batches+cfg.Stages())
-					for k, dest := range stream {
-						cs, err := q.Cycle(dest)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if cs.Refused != 0 {
-							t.Fatalf("cycle %d: depth-1 drop refused %d injections; stage-1 FIFOs should always clear", k, cs.Refused)
-						}
-						gotDelivered[k] = cs.Delivered
-					}
-					idle := make([]int, cfg.Inputs())
-					for i := range idle {
-						idle[i] = NoRequest
-					}
-					for k := 0; k < cfg.Stages(); k++ {
-						cs, err := q.Cycle(idle)
-						if err != nil {
-							t.Fatal(err)
-						}
-						gotDelivered[batches+k] = cs.Delivered
-					}
-
-					// Batch k retires exactly Stages() calls after injection.
-					shift := cfg.Stages()
-					for k := 0; k < batches; k++ {
-						if gotDelivered[k+shift] != refDelivered[k] {
-							t.Fatalf("batch %d: queuesim delivered %d at call %d, core delivered %d",
-								k, gotDelivered[k+shift], k+shift, refDelivered[k])
-						}
-					}
-					for k := 0; k < shift; k++ {
-						if gotDelivered[k] != 0 {
-							t.Fatalf("call %d: delivered %d before the pipeline could fill", k, gotDelivered[k])
-						}
-					}
-					tot := q.Totals()
-					if tot.Delivered != refTotal {
-						t.Fatalf("total bandwidth: queuesim %d, core %d", tot.Delivered, refTotal)
-					}
-					for s, b := range q.DroppedPerStage() {
-						if b != refBlocked[s] {
-							t.Fatalf("stage %d: queuesim dropped %d, core blocked %d", s+1, b, refBlocked[s])
-						}
-					}
-					if q.Queued() != 0 {
-						t.Fatalf("%d packets left after drain", q.Queued())
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestDepth0DropMatchesUnbufferedEngine checks the other degenerate
-// corner: depth 0 with Drop is the memoryless engine itself, packet for
-// packet within the same cycle.
-func TestDepth0DropMatchesUnbufferedEngine(t *testing.T) {
-	cfg := mustCfg(t, 16, 4, 4, 2)
-	rng := xrand.New(5)
-	gen := traffic.Uniform{Rate: 0.9, Rng: rng}
-	ref, err := core.NewNetwork(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := New(cfg, Options{Depth: 0, Policy: Drop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dest := make([]int, cfg.Inputs())
-	outcomes := make([]core.Outcome, cfg.Inputs())
-	for cycle := 0; cycle < 50; cycle++ {
-		gen.GenerateInto(dest, cfg.Outputs())
-		cs, err := ref.RouteCycleInto(dest, outcomes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs, err := q.Cycle(dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if qs.Delivered != cs.Delivered || qs.Injected != cs.Offered || qs.Dropped != cs.BlockedTotal() {
-			t.Fatalf("cycle %d: queuesim %+v vs core offered=%d delivered=%d blocked=%d",
-				cycle, qs, cs.Offered, cs.Delivered, cs.BlockedTotal())
-		}
-		if q.Queued() != 0 {
-			t.Fatalf("cycle %d: depth-0 drop retained %d packets", cycle, q.Queued())
-		}
-	}
-}
-
 // TestConservationInvariant is the property test of the issue: after
 // every cycle, injected = refused + delivered + dropped + still-queued,
 // across geometries, depths, policies and arbiter factories.
@@ -189,7 +37,7 @@ func TestConservationInvariant(t *testing.T) {
 	policies := []Policy{Backpressure, Drop}
 	factories := []struct {
 		name    string
-		factory core.ArbiterFactory
+		factory switchfab.ArbiterFactory
 	}{
 		{"priority", nil},
 		{"roundrobin", roundRobinFactory},

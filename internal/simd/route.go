@@ -5,6 +5,7 @@ import (
 
 	"edn/internal/core"
 	"edn/internal/stats"
+	"edn/internal/switchfab"
 	"edn/internal/xrand"
 )
 
@@ -12,7 +13,7 @@ import (
 type RouteOptions struct {
 	Seed      uint64 // RNG seed (default 1)
 	Scheduler Scheduler
-	Factory   core.ArbiterFactory
+	Factory   switchfab.ArbiterFactory
 	// MaxCycles aborts a run that fails to drain (default 100 * q *
 	// clusters — far beyond any sane completion time).
 	MaxCycles int

@@ -6,12 +6,12 @@ import (
 
 	"edn/internal/anatomy"
 	"edn/internal/closedloop"
-	"edn/internal/core"
 	"edn/internal/dilated"
 	"edn/internal/lifecycle"
 	"edn/internal/probe"
 	"edn/internal/queuesim"
 	"edn/internal/stats"
+	"edn/internal/switchfab"
 	"edn/internal/topology"
 	"edn/internal/xrand"
 )
@@ -121,7 +121,7 @@ func ledgerAdd(into *closedloop.Ledger, d closedloop.Ledger) {
 // (requests forward, replies back), runs
 // warmup + cycles, asserts conservation, and returns the
 // measurement-window deltas.
-func runClosedLoopShard(net Net, factory core.ArbiterFactory, lo closedloop.Options, warmup, cycles int, po *probe.Options, ao *anatomy.Options, onAnat func(*anatomy.Report)) closedLoopPartial {
+func runClosedLoopShard(net Net, factory switchfab.ArbiterFactory, lo closedloop.Options, warmup, cycles int, po *probe.Options, ao *anatomy.Options, onAnat func(*anatomy.Report)) closedLoopPartial {
 	fwd, err := net.engine(factory)
 	if err != nil {
 		return closedLoopPartial{err: err}

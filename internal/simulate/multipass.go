@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"edn/internal/core"
+	"edn/internal/switchfab"
 	"edn/internal/topology"
 )
 
@@ -21,7 +22,7 @@ type MultipassResult struct {
 // RouteMultipass delivers the request vector dest (destination per input,
 // core.NoRequest for idle) over repeated passes. maxPasses guards
 // pathological inputs (0 means a generous default).
-func RouteMultipass(cfg topology.Config, dest []int, factory core.ArbiterFactory, maxPasses int) (MultipassResult, error) {
+func RouteMultipass(cfg topology.Config, dest []int, factory switchfab.ArbiterFactory, maxPasses int) (MultipassResult, error) {
 	net, err := core.NewNetwork(cfg, factory)
 	if err != nil {
 		return MultipassResult{}, err

@@ -2,12 +2,12 @@ package simulate
 
 import (
 	"edn/internal/analytic"
-	"edn/internal/core"
 	"edn/internal/dilated"
 	"edn/internal/dilatedsim"
 	"edn/internal/faults"
 	"edn/internal/lifecycle"
 	"edn/internal/queuesim"
+	"edn/internal/switchfab"
 	"edn/internal/topology"
 	"edn/internal/xrand"
 )
@@ -34,10 +34,10 @@ type Net interface {
 	regime() (depth int, policy queuesim.Policy)
 	// engine builds a packet engine, defaulting the arbiter factory to
 	// factory when the queue options leave it nil.
-	engine(factory core.ArbiterFactory) (*queuesim.Network, error)
+	engine(factory switchfab.ArbiterFactory) (*queuesim.Network, error)
 	// churned builds a healthy engine plus a failure/repair process
 	// drawn from rng (see churnedFabric).
-	churned(spec lifecycle.Spec, rng *xrand.Rand, factory core.ArbiterFactory) (churnedFabric, error)
+	churned(spec lifecycle.Spec, rng *xrand.Rand, factory switchfab.ArbiterFactory) (churnedFabric, error)
 	// faultPlan draws one shard's nested fault plan for a degradation
 	// sweep (see faultPlan).
 	faultPlan(mode faults.Mode, rng *xrand.Rand) faultPlan
@@ -111,11 +111,11 @@ func (n EDN) regime() (int, queuesim.Policy)           { return n.Queue.Depth, n
 func (n EDN) threshold(load float64) float64 {
 	return 0.5 * analytic.Bandwidth(n.Config, load) / float64(n.Config.Inputs())
 }
-func (n EDN) engine(f core.ArbiterFactory) (*queuesim.Network, error) {
+func (n EDN) engine(f switchfab.ArbiterFactory) (*queuesim.Network, error) {
 	return queuesim.New(n.Config, n.withFactory(f))
 }
 
-func (n EDN) withFactory(f core.ArbiterFactory) queuesim.Options {
+func (n EDN) withFactory(f switchfab.ArbiterFactory) queuesim.Options {
 	q := n.Queue
 	if q.Factory == nil {
 		q.Factory = f
@@ -123,7 +123,7 @@ func (n EDN) withFactory(f core.ArbiterFactory) queuesim.Options {
 	return q
 }
 
-func (n EDN) churned(spec lifecycle.Spec, rng *xrand.Rand, f core.ArbiterFactory) (churnedFabric, error) {
+func (n EDN) churned(spec lifecycle.Spec, rng *xrand.Rand, f switchfab.ArbiterFactory) (churnedFabric, error) {
 	proc, err := lifecycle.New(n.Config, spec, rng)
 	if err != nil {
 		return churnedFabric{}, err
@@ -187,7 +187,7 @@ func (n Dilated) label() (topology.Config, dilated.Config) { return topology.Con
 func (n Dilated) regime() (int, queuesim.Policy)           { return n.Queue.Depth, n.Queue.Policy }
 func (n Dilated) threshold(load float64) float64           { return 0.5 * n.Config.PA(load) * load }
 
-func (n Dilated) engine(f core.ArbiterFactory) (*queuesim.Network, error) {
+func (n Dilated) engine(f switchfab.ArbiterFactory) (*queuesim.Network, error) {
 	eng, err := dilatedsim.New(n.Config, n.withFactory(f))
 	if err != nil {
 		return nil, err
@@ -195,7 +195,7 @@ func (n Dilated) engine(f core.ArbiterFactory) (*queuesim.Network, error) {
 	return eng.Network, nil
 }
 
-func (n Dilated) withFactory(f core.ArbiterFactory) dilatedsim.Options {
+func (n Dilated) withFactory(f switchfab.ArbiterFactory) dilatedsim.Options {
 	q := n.Queue
 	if q.Factory == nil {
 		q.Factory = f
@@ -203,7 +203,7 @@ func (n Dilated) withFactory(f core.ArbiterFactory) dilatedsim.Options {
 	return q
 }
 
-func (n Dilated) churned(spec lifecycle.Spec, rng *xrand.Rand, f core.ArbiterFactory) (churnedFabric, error) {
+func (n Dilated) churned(spec lifecycle.Spec, rng *xrand.Rand, f switchfab.ArbiterFactory) (churnedFabric, error) {
 	churn, err := dilatedsim.NewChurn(n.Config, spec.MTBF, spec.MTTR, spec.Timing, rng)
 	if err != nil {
 		return churnedFabric{}, err

@@ -3,7 +3,9 @@
 // them with discrete-event runs under the identical switch semantics:
 //
 //   - Monte-Carlo acceptance (MeasurePA and friends) over the
-//     cycle-level network of internal/core.
+//     cycle-level network of internal/core, the per-request face of the
+//     packet engine's depth-0 Drop sweep, so PA runs on the same router
+//     as every other harness.
 //   - Queueing, degradation, lifetime and closed-loop harnesses over the
 //     one buffered packet engine of internal/queuesim. Each takes a Net
 //     — an EDN or the d-dilated delta that spends the same wire budget
@@ -20,6 +22,7 @@ import (
 	"edn/internal/core"
 	"edn/internal/probe"
 	"edn/internal/stats"
+	"edn/internal/switchfab"
 	"edn/internal/topology"
 	"edn/internal/traffic"
 	"edn/internal/xrand"
@@ -27,10 +30,10 @@ import (
 
 // Options configures a measurement run.
 type Options struct {
-	Cycles  int                 // number of network cycles to simulate (default 1000)
-	Warmup  int                 // cycles discarded before measuring (default 0)
-	Seed    uint64              // RNG seed for the traffic source (default 1)
-	Factory core.ArbiterFactory // switch arbitration (default: paper's priority rule)
+	Cycles  int                      // number of network cycles to simulate (default 1000)
+	Warmup  int                      // cycles discarded before measuring (default 0)
+	Seed    uint64                   // RNG seed for the traffic source (default 1)
+	Factory switchfab.ArbiterFactory // switch arbitration (default: paper's priority rule)
 
 	// Probe, when non-nil, attaches a flight-recorder probe to the
 	// measurement and fills the result's Observed report: sampled packet

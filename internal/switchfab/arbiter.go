@@ -17,7 +17,7 @@ type Arbiter interface {
 
 // InPlaceArbiter is an optional extension implemented by arbiters that
 // can write their arbitration order into a caller-provided buffer, which
-// lets the routing hot path (Hyperbar.RouteInto) run allocation-free.
+// lets the packet engine's arbitration run allocation-free.
 type InPlaceArbiter interface {
 	Arbiter
 	// OrderInto fills order (whose length is the switch's input count)
@@ -26,6 +26,15 @@ type InPlaceArbiter interface {
 	// are interchangeable cycle for cycle.
 	OrderInto(order []int)
 }
+
+// ArbiterFactory builds one arbiter per physical switch. Stateful
+// arbiters (round robin, random) need per-switch instances; stateless
+// ones may return a shared value.
+type ArbiterFactory func() Arbiter
+
+// PriorityArbiters is the default factory: the paper's input-label
+// priority rule.
+func PriorityArbiters() Arbiter { return PriorityArbiter{} }
 
 // PriorityArbiter grants competing inputs in increasing input-label order,
 // matching the paper's Figure 2 worked example.

@@ -64,25 +64,6 @@ func (h Hyperbar) String() string {
 	return fmt.Sprintf("H(%d -> %dx%d)", h.A, h.B, h.C)
 }
 
-// RouteScratch holds the reusable buffers RouteInto needs. One scratch
-// value serves switches of any width up to the capacity it was built
-// with, so a network keeps a single scratch per routing goroutine.
-type RouteScratch struct {
-	Out   []int // grant per input; len >= switch inputs
-	Used  []int // wires already granted per bucket; len >= switch buckets
-	Order []int // arbitration order; len >= switch inputs
-}
-
-// NewRouteScratch returns scratch sized for switches with at most the
-// given input and bucket counts.
-func NewRouteScratch(inputs, buckets int) *RouteScratch {
-	return &RouteScratch{
-		Out:   make([]int, inputs),
-		Used:  make([]int, buckets),
-		Order: make([]int, inputs),
-	}
-}
-
 // Route arbitrates one cycle of the switch. digits[i] is the base-b
 // control digit presented by input i, or Idle. The returned slice out has
 // out[i] = output wire index in [0, b*c) granted to input i, or Idle if
@@ -90,22 +71,9 @@ func NewRouteScratch(inputs, buckets int) *RouteScratch {
 // lost arbitration.
 //
 // The arbiter decides the order in which competing inputs are considered;
-// PriorityArbiter reproduces the paper's "prioritized according to their
-// input label" rule from the Figure 2 example.
+// PriorityArbiter (or a nil arbiter) reproduces the paper's "prioritized
+// according to their input label" rule from the Figure 2 example.
 func (h Hyperbar) Route(digits []int, arb Arbiter) (out []int, rejected int, err error) {
-	if err := h.Validate(); err != nil {
-		return nil, 0, err // invalid dimensions must error before scratch sizing
-	}
-	return h.RouteInto(digits, arb, NewRouteScratch(h.A, h.B))
-}
-
-// RouteInto is Route with caller-owned buffers: grants are written into
-// sc.Out (the returned out slice aliases it) and no memory is allocated
-// on the success path. A nil arbiter and PriorityArbiter short-circuit to
-// the natural input order; InPlaceArbiter implementations fill sc.Order;
-// any other arbiter falls back to the allocating Order call. The grant
-// semantics are bit-identical to Route for every arbiter.
-func (h Hyperbar) RouteInto(digits []int, arb Arbiter, sc *RouteScratch) (out []int, rejected int, err error) {
 	if err := h.Validate(); err != nil {
 		return nil, 0, err
 	}
@@ -118,42 +86,24 @@ func (h Hyperbar) RouteInto(digits []int, arb Arbiter, sc *RouteScratch) (out []
 		}
 	}
 	var order []int // nil means the natural order 0..a-1
-	switch a := arb.(type) {
-	case nil:
-	case PriorityArbiter:
-	case InPlaceArbiter:
-		order = sc.Order[:h.A]
-		a.OrderInto(order)
+	switch arb.(type) {
+	case nil, PriorityArbiter:
 	default:
 		order = arb.Order(h.A)
 		if len(order) != h.A {
 			return nil, 0, fmt.Errorf("switchfab: arbiter returned order of length %d, want %d", len(order), h.A)
 		}
 	}
-
-	out = sc.Out[:h.A]
+	out = make([]int, h.A)
 	for i := range out {
 		out[i] = Idle
 	}
-	used := sc.Used[:h.B]
-	for i := range used {
-		used[i] = 0
-	}
-	if order == nil {
-		for i, d := range digits {
-			if d == Idle {
-				continue
-			}
-			if used[d] < h.C {
-				out[i] = d*h.C + used[d]
-				used[d]++
-			} else {
-				rejected++
-			}
+	used := make([]int, h.B)
+	for k := range digits {
+		i := k
+		if order != nil {
+			i = order[k]
 		}
-		return out, rejected, nil
-	}
-	for _, i := range order {
 		d := digits[i]
 		if d == Idle {
 			continue
@@ -208,20 +158,12 @@ func (x Crossbar) String() string { return fmt.Sprintf("%dx%d crossbar", x.N, x.
 // (or Idle); out[i] is the granted output or Idle; rejected counts losers.
 func (x Crossbar) Route(wants []int, arb Arbiter) (out []int, rejected int, err error) {
 	if err := x.Validate(); err != nil {
-		return nil, 0, err // invalid dimensions must error before scratch sizing
-	}
-	return x.RouteInto(wants, arb, NewRouteScratch(x.N, x.M))
-}
-
-// RouteInto is Route with caller-owned buffers; see Hyperbar.RouteInto.
-func (x Crossbar) RouteInto(wants []int, arb Arbiter, sc *RouteScratch) (out []int, rejected int, err error) {
-	if err := x.Validate(); err != nil {
 		return nil, 0, err
 	}
 	if len(wants) != x.N {
 		return nil, 0, fmt.Errorf("switchfab: %v got %d requests, want %d", x, len(wants), x.N)
 	}
-	out, rejected, err = x.Hyperbar().RouteInto(wants, arb, sc)
+	out, rejected, err = x.Hyperbar().Route(wants, arb)
 	if err != nil {
 		return nil, 0, fmt.Errorf("switchfab: %v: %w", x, err)
 	}

@@ -141,7 +141,7 @@ func (cfg Config) InterstageGamma(i int) gamma.Gamma {
 // are int32 to halve the table's cache footprint in routing hot loops;
 // Validate's 40-bit size cap is far beyond what a table (or a simulator)
 // can hold in memory, so construction-time callers must bound the wire
-// count themselves (core.NewNetwork does). The identity interstage
+// count themselves (queuesim.New does). The identity interstage
 // (i == l, and any gamma that degenerates to the identity) returns nil,
 // which callers treat as the identity map without a table lookup.
 func (cfg Config) InterstageTable(i int) []int32 {
