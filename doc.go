@@ -48,21 +48,25 @@
 //     configuration is pinned bit-for-bit to the unbuffered Network;
 //     the advance loop is allocation-free for bounded depths
 //     (BenchmarkQueueCycle). See edn latency (cmd/edn) for the CLI.
-//   - Fault tolerance and lifecycle: FaultSet/CompileFaults turn dead
+//   - Fault tolerance and lifecycle: one fault model over the engine's
+//     per-stage fabric descriptor. FaultSet/CompileFaults turn dead
 //     switches, wires and ports into per-stage availability masks the
-//     engine routes around (NewNetworkWithFaults, QueueOptions.Faults);
-//     AvailabilitySweep measures frozen degradation curves, and the
-//     lifecycle layer makes the masks a function of time — a
-//     LifecycleSpec's failure/repair process drives running engines
-//     through UpdateFaults (in-place, allocation-free mask swaps) and
+//     engine routes around (NewNetworkWithFaults, QueueOptions.Faults),
+//     on the EDN and the dilated delta alike; AvailabilitySweep
+//     measures frozen degradation curves, and the lifecycle layer makes
+//     the masks a function of time — a LifecycleSpec's renewal process
+//     over a component population drives running engines through
+//     UpdateFaults (in-place, allocation-free mask swaps) and
 //     LifetimeSweep records bandwidth/reachability/latency per epoch
 //     with lifetime aggregates. See edn faults and edn lifetime.
 //   - Measured dilated counterpart: DilatedQueueNetwork runs the
 //     d-dilated delta networks the introduction compares EDNs against
 //     on the same queueing engine, built from the dilated fabric's
 //     descriptor (buckets of d sub-wires, the output ports as the retire
-//     stage) with its own sub-wire fault model (in-place DilatedMasks
-//     swaps); at d=1 it is bit-for-bit the plain-delta QueueNetwork.
+//     stage); its sub-wires are output ports of that descriptor, so the
+//     one fault model, flood and renewal churn serve it (DilatedMasks
+//     are FaultMasks); at d=1 it is bit-for-bit the plain-delta
+//     QueueNetwork.
 //     Every packet-level measurement takes the counterpart as a
 //     DilatedNet through the same harness the EDN runs on, so the same
 //     Options drive both networks under identical replayed traffic —

@@ -330,8 +330,9 @@ func NewHistogram(buckets int, width float64) *Histogram { return stats.NewHisto
 // Fault injection and degraded-mode operation
 
 // FaultSet is a declarative fault specification: dead switches, dead
-// interstage wires and dead switch output ports. The zero value is the
-// fault-free network.
+// stage-input wires and dead switch output ports. The zero value is the
+// fault-free network. It names components of any fabric descriptor; a
+// dilated delta's sub-wires are its output ports.
 type FaultSet = faults.Set
 
 // FaultSwitchID names one switch (1-based stage; stage l+1 is the
@@ -343,11 +344,12 @@ type FaultSwitchID = faults.SwitchID
 type FaultWireID = faults.WireID
 
 // FaultPortID names one switch output port; on the crossbar stage it is
-// a network output terminal.
+// a network output terminal, and on a dilated delta it is a sub-wire.
 type FaultPortID = faults.PortID
 
 // FaultMasks is a compiled fault set: the per-stage availability rows
-// the engines route around. Compile once, share freely.
+// the engine routes around, on either fabric. Compile once, share
+// freely.
 type FaultMasks = faults.Masks
 
 // FaultMode selects the failing component population of a sampler.
@@ -610,8 +612,9 @@ func ExpectedDilatedDegraded(cfg DilatedDelta, f float64) (*DilatedDegraded, err
 // ---------------------------------------------------------------------------
 // Measured dilated counterpart (the dilated fabric of the packet engine)
 //
-// The dilated delta's engine, fault model and churn process, plus the
-// two sweeps whose results carry its sub-wire census. Every other
+// The dilated delta's engine, its sub-wire translators over the one
+// fault model and churn process, plus the two sweeps whose results
+// carry its sub-wire census. Every other
 // measurement takes the counterpart as a DilatedNet.
 
 // DilatedQueueNetwork is an instantiated buffered d-dilated delta: the
@@ -632,19 +635,22 @@ func NewDilatedQueueNetwork(cfg DilatedDelta, opts DilatedQueueOptions) (*Dilate
 	return dilatedsim.New(cfg, opts)
 }
 
-// DilatedMasks is a compiled dilated fault set in the engine's
-// per-sub-wire label space — the simulator-facing sibling of
-// DilatedDegraded's capacity histograms.
+// DilatedMasks is a compiled dilated fault set: FaultMasks over the
+// dilated fabric's descriptor, whose dead sub-wires are its dead output
+// ports (DeadPorts) — the simulator-facing sibling of DilatedDegraded's
+// capacity histograms.
 type DilatedMasks = dilatedsim.Masks
 
-// CompileDilatedMasks folds dead sub-wires into engine availability
-// rows; DilatedQueueNetwork.UpdateFaults swaps them in place.
+// CompileDilatedMasks translates dead sub-wires into the fault model's
+// port vocabulary and compiles them into engine availability rows;
+// DilatedQueueNetwork.UpdateFaults swaps them in place.
 func CompileDilatedMasks(cfg DilatedDelta, set DilatedFaultSet) (*DilatedMasks, error) {
 	return dilatedsim.Compile(cfg, set)
 }
 
-// DilatedFaultPlan is a nested family of dilated fault sets: At(f1) is
-// a subset of At(f2) whenever f1 <= f2, the dilated twin of FaultPlan.
+// DilatedFaultPlan is a nested family of dilated fault sets: FaultPlan
+// over the sub-wire population, with At(f) translated to sub-wires, so
+// At(f1) is a subset of At(f2) whenever f1 <= f2.
 type DilatedFaultPlan = dilatedsim.Plan
 
 // NewDilatedFaultPlan draws the per-sub-wire severities for cfg.
@@ -652,10 +658,10 @@ func NewDilatedFaultPlan(cfg DilatedDelta, rng *Rand) *DilatedFaultPlan {
 	return dilatedsim.NewPlan(cfg, rng)
 }
 
-// DilatedChurn is a failure/repair process over a dilated network's
-// sub-wires, drawing holding times from the same renewal primitives as
-// LifecycleProcess so matched lifetime comparisons churn both networks
-// identically.
+// DilatedChurn is a LifecycleProcess over a dilated network's
+// sub-wires whose Step speaks sub-wires: the same renewal process as
+// the EDN's, so matched lifetime comparisons churn both networks with
+// identically distributed outages.
 type DilatedChurn = dilatedsim.Churn
 
 // NewDilatedChurn instantiates sub-wire churn with the given MTBF/MTTR

@@ -21,16 +21,19 @@
 // exactly that.
 //
 // This package holds what is specific to the dilated fabric: the
-// sub-wire fault model (Masks, Compile, Plan, Churn), the routing
-// Tables, and a thin typed face over the shared engine (Config returns
-// a dilated.Config, UpdateFaults takes dilatedsim Masks). Everything
-// else — depths, policies, arbitration, stranding and parking, probes
-// and anatomy — is queuesim's, with one fabric-specific rule: a delta's
-// switch path is unique (only the sub-wire within each link group is
-// free), so under faults a packet whose path crosses a bucket with no
-// live sub-wire is parked for as long as the mask stands — dilation is
-// redundancy without path diversity, which is precisely the paper's
-// point against it.
+// routing Tables and their descriptor, a thin typed face over the
+// shared engine (Config returns a dilated.Config), and the sub-wire
+// translators of the one fault model — a sub-wire is a stage-output
+// wire (faults.PortID) of the descriptor, so Masks are faults.Masks,
+// SubWires is the churned and sampled population, and Compile, Plan and
+// Churn only translate between dilated.SubWireID and faults.PortID.
+// Everything else — depths, policies, arbitration, stranding and
+// parking, fault swaps, probes and anatomy — is queuesim's, with one
+// fabric-specific rule: a delta's switch path is unique (only the
+// sub-wire within each link group is free), so under faults a packet
+// whose path crosses a bucket with no live sub-wire is parked for as
+// long as the mask stands — dilation is redundancy without path
+// diversity, which is precisely the paper's point against it.
 package dilatedsim
 
 import (
@@ -39,7 +42,6 @@ import (
 	"edn/internal/dilated"
 	"edn/internal/queuesim"
 	"edn/internal/switchfab"
-	"edn/internal/topology"
 )
 
 // NoRequest marks an idle input in an injection vector.
@@ -84,8 +86,8 @@ type Options struct {
 	LatencyBucketWidth float64
 	// Faults disables sub-wires (see Compile): packets only advance onto
 	// live sub-wires and packets queued on dead ones are stranded per
-	// policy. Nil or empty means fully live. UpdateFaults swaps the
-	// masks of a running network in place.
+	// policy. Nil or empty means fully live. The engine's UpdateFaults
+	// swaps the masks of a running network in place.
 	Faults *Masks
 	// Tables, when non-nil, supplies prebuilt routing tables for the
 	// same dilated Config: the network shares the read-only slices
@@ -97,8 +99,8 @@ type Options struct {
 
 // Network is a queueing dilated delta: the shared engine behind the
 // dilated fabric's typed face. Every engine method — Cycle, Drain,
-// InputFree, Totals, Latency, SetProbe, SetAnatomy, SetDeliveryHook and
-// the rest — is queuesim's. It is not safe for concurrent use; the
+// UpdateFaults, InputFree, Totals, Latency, SetProbe, SetAnatomy,
+// SetDeliveryHook and the rest — is queuesim's. It is not safe for concurrent use; the
 // sweep harness builds one per shard.
 type Network struct {
 	*queuesim.Network
@@ -121,62 +123,15 @@ func New(dcfg dilated.Config, opts Options) (*Network, error) {
 			return nil, err
 		}
 	}
-	b, d, l := dcfg.B, dcfg.D, dcfg.L
-	ports := dcfg.Ports()
-	logB := topology.Log2(b)
-	st := make([]queuesim.Stage, l+1)
-	for s := 1; s <= l; s++ {
-		width := b * d
-		if s == 1 {
-			width = b // single-wire input ports
-		}
-		st[s-1] = queuesim.Stage{
-			Switches: ports / b, Width: width, Buckets: b, Wires: d,
-			Shift: uint((l - s) * logB), Mask: uint32(b - 1), Table: t.subTab[s-1],
-		}
-	}
-	// The output ports: each retires at most one packet per cycle from
-	// the d sub-wires of its final link group.
-	st[l] = queuesim.Stage{Switches: ports, Width: d, Buckets: 1, Wires: 1}
-	net, err := queuesim.NewFabric(queuesim.Fabric{Name: "dilatedsim", Label: dcfg, Stages: st, Settle: queuesim.SettleBySweep}, queuesim.Options{
+	net, err := queuesim.NewFabric(queuesim.Fabric{Name: "dilatedsim", Label: dcfg, Stages: t.fabric(), Settle: queuesim.SettleBySweep}, queuesim.Options{
 		Depth: opts.Depth, Policy: opts.Policy, Factory: opts.Factory,
 		LatencyBuckets: opts.LatencyBuckets, LatencyBucketWidth: opts.LatencyBucketWidth,
+		Faults: opts.Faults,
 	})
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{Network: net, dcfg: dcfg}
-	if err := n.UpdateFaults(opts.Faults); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// UpdateFaults swaps the network's sub-wire availability masks in
-// place: packets keep flowing through the same rings, tables and
-// arbiter state while the set of live sub-wires changes under them —
-// the epoch primitive of a lifetime simulation. A nil or empty mask
-// restores the unmasked fast paths bit-for-bit; the swap allocates
-// nothing.
-//
-// Packets already queued on a sub-wire the new mask disables are
-// stranded per policy: under Drop they are discarded immediately and
-// counted in Totals.Stranded; under Backpressure they stay parked in
-// place — skipped by arbitration, reported each cycle via
-// CycleStats.ParkedOnDead — and resume unharmed if a later update
-// repairs the sub-wire. Inputs are single wires and cannot die in the
-// sub-wire fault model. Masks must have been compiled for this
-// network's configuration. Not safe to call concurrently with Cycle.
-func (n *Network) UpdateFaults(m *Masks) error {
-	if m.Empty() {
-		n.UpdateLive(nil, nil)
-		return nil
-	}
-	if got := m.Config(); got != n.dcfg {
-		return fmt.Errorf("dilatedsim: masks compiled for %v, network is %v", got, n.dcfg)
-	}
-	n.UpdateLive(nil, m.rows)
-	return nil
+	return &Network{Network: net, dcfg: dcfg}, nil
 }
 
 // Config returns the network's dilated configuration.

@@ -2,6 +2,7 @@ package dilatedsim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"edn/internal/dilated"
@@ -447,8 +448,8 @@ func TestMaskValidation(t *testing.T) {
 	m := MustCompile(cfg, dilated.FaultSet{SubWires: []dilated.SubWireID{
 		{Boundary: 1, Group: 0, Wire: 1}, {Boundary: 1, Group: 0, Wire: 1},
 	}})
-	if m.DeadSubWires() != 1 {
-		t.Errorf("duplicate sub-wire counted twice: %d", m.DeadSubWires())
+	if m.DeadPorts() != 1 {
+		t.Errorf("duplicate sub-wire counted twice: %d", m.DeadPorts())
 	}
 	other := dilatedCfg(t, 2, 2, 3)
 	net, err := New(other, Options{Depth: 1})
@@ -524,6 +525,31 @@ func TestChurn(t *testing.T) {
 	}
 	if _, err := NewChurn(cfg, 4, 0.5, lifecycle.Exponential, xrand.New(1)); err == nil {
 		t.Error("MTTR < 1 accepted")
+	}
+}
+
+// TestChurnClockLimits: the sub-wire churn is lifecycle's renewal
+// process, so a huge MTBF means "never" here too, and non-finite clocks
+// and unknown timings are rejected.
+func TestChurnClockLimits(t *testing.T) {
+	cfg := dilatedCfg(t, 2, 2, 3)
+	c, err := NewChurn(cfg, 1e17, 5, lifecycle.Exponential, xrand.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < 100; e++ {
+		if set := c.Step(); len(set.SubWires) != 0 || c.DeadFraction() != 0 {
+			t.Fatalf("epoch %d: MTBF 1e17 killed %d sub-wires", e, len(set.SubWires))
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, clocks := range [][2]float64{{nan, 5}, {5, nan}, {inf, 5}, {5, inf}} {
+		if _, err := NewChurn(cfg, clocks[0], clocks[1], lifecycle.Exponential, xrand.New(1)); err == nil {
+			t.Errorf("MTBF %g, MTTR %g accepted", clocks[0], clocks[1])
+		}
+	}
+	if _, err := NewChurn(cfg, 10, 5, lifecycle.Timing(7), xrand.New(1)); err == nil {
+		t.Error("unknown timing accepted")
 	}
 }
 

@@ -14,12 +14,13 @@ import (
 )
 
 // fuzzFabric is one geometry FuzzEngineOps can build, on either fabric
-// of the shared engine: build returns an engine and its fault swap
-// (nil repairs), masks compiles a Bernoulli fault sample for it.
+// of the shared engine: build returns an engine, pop the population a
+// fault sample draws from (given the sample's rng, which an EDN spends
+// on its mode first).
 type fuzzFabric struct {
 	inputs, outputs int
-	build           func(t *testing.T, o queuesim.Options) (*queuesim.Network, func(m any) error)
-	masks           func(frac float64, seed uint64) (any, error)
+	build           func(t *testing.T, o queuesim.Options) *queuesim.Network
+	pop             func(rng *xrand.Rand) faults.Population
 }
 
 func ednFabric(a, b, c, l int) fuzzFabric {
@@ -29,20 +30,14 @@ func ednFabric(a, b, c, l int) fuzzFabric {
 	}
 	return fuzzFabric{
 		inputs: cfg.Inputs(), outputs: cfg.Outputs(),
-		build: func(t *testing.T, o queuesim.Options) (*queuesim.Network, func(m any) error) {
+		build: func(t *testing.T, o queuesim.Options) *queuesim.Network {
 			n, err := queuesim.New(cfg, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return n, func(m any) error {
-				fm, _ := m.(*faults.Masks)
-				return n.UpdateFaults(fm)
-			}
+			return n
 		},
-		masks: func(frac float64, seed uint64) (any, error) {
-			rng := xrand.New(seed)
-			return faults.Compile(cfg, faults.Bernoulli(cfg, faults.Mode(rng.Intn(3)), frac, rng))
-		},
+		pop: func(rng *xrand.Rand) faults.Population { return faults.ModePopulation(cfg, faults.Mode(rng.Intn(3))) },
 	}
 }
 
@@ -53,19 +48,14 @@ func dilatedFabric(b, d, l int) fuzzFabric {
 	}
 	return fuzzFabric{
 		inputs: cfg.Ports(), outputs: cfg.Ports(),
-		build: func(t *testing.T, o queuesim.Options) (*queuesim.Network, func(m any) error) {
+		build: func(t *testing.T, o queuesim.Options) *queuesim.Network {
 			n, err := New(cfg, Options{Depth: o.Depth, Policy: o.Policy, Factory: o.Factory})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return n.Network, func(m any) error {
-				dm, _ := m.(*Masks)
-				return n.UpdateFaults(dm)
-			}
+			return n.Network
 		},
-		masks: func(frac float64, seed uint64) (any, error) {
-			return Compile(cfg, dilated.BernoulliSubWires(cfg, frac, xrand.New(seed)))
-		},
+		pop: func(*xrand.Rand) faults.Population { return SubWires(cfg) },
 	}
 }
 
@@ -125,9 +115,9 @@ func FuzzEngineOps(f *testing.F) {
 		}
 		arb := in.next()
 		opts.Factory = fuzzFactory(arb)
-		obs, obsSwap := fab.build(t, opts)
+		obs := fab.build(t, opts)
 		opts.Factory = fuzzFactory(arb)
-		twin, twinSwap := fab.build(t, opts)
+		twin := fab.build(t, opts)
 		if in.next()%2 == 1 {
 			obs.SetAnatomy(anatomy.New(anatomy.Options{TopK: 4}))
 		}
@@ -166,14 +156,15 @@ func FuzzEngineOps(f *testing.F) {
 				}
 				check("Cycle")
 			case op == 4:
-				var m any
+				var m *faults.Masks
 				if sel := in.next(); sel%4 != 0 {
+					rng := xrand.New(uint64(in.next()))
 					var err error
-					if m, err = fab.masks(float64(sel%64)/128, uint64(in.next())); err != nil {
+					if m, err = obs.CompileFaults(fab.pop(rng).Bernoulli(float64(sel%64)/128, rng)); err != nil {
 						t.Fatal(err)
 					}
 				}
-				errA, errB := obsSwap(m), twinSwap(m)
+				errA, errB := obs.UpdateFaults(m), twin.UpdateFaults(m)
 				if errA != nil || errB != nil {
 					t.Fatalf("UpdateFaults: %v / %v", errA, errB)
 				}

@@ -4,59 +4,53 @@ import (
 	"fmt"
 
 	"edn/internal/dilated"
+	"edn/internal/faults"
 	"edn/internal/lifecycle"
-	"edn/internal/topology"
 	"edn/internal/xrand"
 )
 
-// Masks is a compiled dilated fault set: per-boundary sub-wire
-// availability rows in exactly the label space the engine's grant loop
-// indexes (sub-wire group*d + wire). It is the simulator-facing sibling
-// of dilated.Degraded, which folds the same faults into capacity
-// histograms for the mean-field recursion — Compile keeps the
-// per-sub-wire identity the histograms discard, because a packet
-// simulator must know *which* sub-wire is dead, not just how many.
-// Unfaulted boundaries compile to nil rows so the empty mask keeps the
-// engine on its unmasked fast path. Compile once, share freely: the
-// engine never mutates a mask.
-type Masks struct {
-	cfg  dilated.Config
-	rows [][]bool // [boundary-1][group*d + wire]; nil = fully live
-	dead int
+// Masks is a compiled dilated fault set: faults.Masks over the dilated
+// descriptor, whose dead stage-output wires (DeadPorts) are the dead
+// sub-wires. It is the simulator-facing sibling of dilated.Degraded,
+// which folds the same faults into capacity histograms for the
+// mean-field recursion — a packet simulator must know *which* sub-wire
+// is dead, not just how many.
+type Masks = faults.Masks
+
+// SubWires returns the dilated delta's fault population: every
+// sub-wire, as the output wires of switch stages 1..l, in
+// dilated.BernoulliSubWires order (boundaries, groups, wires
+// ascending).
+func SubWires(cfg dilated.Config) faults.Population {
+	p := make(faults.Population, cfg.L)
+	for bd := range p {
+		p[bd] = faults.Run{Kind: faults.PortRun, At: bd + 1, N: cfg.Ports() * cfg.D, Buckets: cfg.B, Wires: cfg.D}
+	}
+	return p
 }
 
-// Compile validates set against cfg and folds it into per-boundary
-// availability rows. A zero set compiles to the empty mask. Duplicate
-// sub-wires are allowed and idempotent, mirroring dilated.CompileFaults.
+// Compile validates set against cfg and folds it into availability
+// masks over the dilated descriptor, whose tables the masks retain. A
+// zero set compiles to the empty mask; duplicate sub-wires are
+// idempotent, mirroring dilated.CompileFaults.
 func Compile(cfg dilated.Config, set dilated.FaultSet) (*Masks, error) {
-	if err := cfg.Validate(); err != nil {
+	t, err := NewTables(cfg)
+	if err != nil {
 		return nil, err
 	}
-	m := &Masks{cfg: cfg, rows: make([][]bool, cfg.L)}
-	ports := cfg.Ports()
-	for _, id := range set.SubWires {
+	ports := make([]faults.PortID, len(set.SubWires))
+	for i, id := range set.SubWires {
 		switch {
 		case id.Boundary < 1 || id.Boundary > cfg.L:
 			return nil, fmt.Errorf("dilatedsim: boundary %d out of range [1,%d]", id.Boundary, cfg.L)
-		case id.Group < 0 || id.Group >= ports:
-			return nil, fmt.Errorf("dilatedsim: group %d out of range [0,%d)", id.Group, ports)
+		case id.Group < 0 || id.Group >= cfg.Ports():
+			return nil, fmt.Errorf("dilatedsim: group %d out of range [0,%d)", id.Group, cfg.Ports())
 		case id.Wire < 0 || id.Wire >= cfg.D:
 			return nil, fmt.Errorf("dilatedsim: sub-wire %d out of range [0,%d)", id.Wire, cfg.D)
 		}
-		row := m.rows[id.Boundary-1]
-		if row == nil {
-			row = make([]bool, ports*cfg.D)
-			for i := range row {
-				row[i] = true
-			}
-			m.rows[id.Boundary-1] = row
-		}
-		if row[id.Group*cfg.D+id.Wire] {
-			row[id.Group*cfg.D+id.Wire] = false
-			m.dead++
-		}
+		ports[i] = faults.PortID{Stage: id.Boundary, Switch: id.Group / cfg.B, Bucket: id.Group % cfg.B, Wire: id.Wire}
 	}
-	return m, nil
+	return faults.CompileFabric(cfg, t.fabric(), faults.Set{Ports: ports})
 }
 
 // MustCompile is Compile for tests and examples with known-good sets.
@@ -68,258 +62,59 @@ func MustCompile(cfg dilated.Config, set dilated.FaultSet) *Masks {
 	return m
 }
 
-// Config returns the configuration the masks were compiled for.
-func (m *Masks) Config() dilated.Config { return m.cfg }
-
-// Empty reports whether the masks (or a nil receiver) disable nothing.
-func (m *Masks) Empty() bool { return m == nil || m.dead == 0 }
-
-// DeadSubWires returns the number of distinct dead sub-wires.
-func (m *Masks) DeadSubWires() int {
-	if m == nil {
-		return 0
+// subWires appends the sub-wires named by set's ports to dst.
+func subWires(cfg dilated.Config, set faults.Set, dst []dilated.SubWireID) dilated.FaultSet {
+	for _, id := range set.Ports {
+		dst = append(dst, dilated.SubWireID{Boundary: id.Stage, Group: id.Switch*cfg.B + id.Bucket, Wire: id.Wire})
 	}
-	return m.dead
+	return dilated.FaultSet{SubWires: dst}
 }
 
-// ReachableOutputs returns the number of output ports still connected
-// to at least one input: a group-level forward flood over the delta
-// skeleton, where a link group conducts while any of its d sub-wires
-// lives. It is the dilated counterpart of faults.Masks.ReachableOutputs
-// and feeds the same reachability column of the sweep reports.
-func (m *Masks) ReachableOutputs() int {
-	return m.ReachableOutputsInto(make([]bool, m.cfg.Ports()))
-}
-
-// ReachableOutputsInto is ReachableOutputs exposing the per-port
-// verdict: dst[p] is set to whether output port p is reachable, and the
-// count is returned. dst must have length Ports(). Closed-loop drivers
-// use the vector as an avoidance list. The flood is an epoch-boundary
-// operation (it allocates scratch), not a per-cycle one.
-func (m *Masks) ReachableOutputsInto(dst []bool) int {
-	ports := m.cfg.Ports()
-	if len(dst) != ports {
-		panic(fmt.Sprintf("dilatedsim: ReachableOutputsInto got %d slots, want %d ports", len(dst), ports))
-	}
-	if m.Empty() {
-		for i := range dst {
-			dst[i] = true
-		}
-		return ports
-	}
-	b, d, l := m.cfg.B, m.cfg.D, m.cfg.L
-	delta, err := topology.New(b, b, 1, l)
-	if err != nil {
-		panic(fmt.Sprintf("dilatedsim: %v lost its delta skeleton: %v", m.cfg, err))
-	}
-	cur := make([]bool, ports)
-	next := make([]bool, ports)
-	for i := range cur {
-		cur[i] = true // every input port is live in the sub-wire model
-	}
-	nsw := ports / b
-	for s := 1; s <= l; s++ {
-		row := m.rows[s-1]
-		tab := delta.InterstageTable(s) // nil at s == l: groups feed ports
-		for i := range next {
-			next[i] = false
-		}
-		for sw := 0; sw < nsw; sw++ {
-			any := false
-			for g := 0; g < b; g++ {
-				if cur[sw*b+g] {
-					any = true
-					break
-				}
-			}
-			if !any {
-				continue
-			}
-			for bucket := 0; bucket < b; bucket++ {
-				o := sw*b + bucket
-				liveGroup := row == nil
-				if !liveGroup {
-					for w := 0; w < d; w++ {
-						if row[o*d+w] {
-							liveGroup = true
-							break
-						}
-					}
-				}
-				if !liveGroup {
-					continue
-				}
-				down := o
-				if tab != nil {
-					down = int(tab[o])
-				}
-				next[down] = true
-			}
-		}
-		cur, next = next, cur
-	}
-	n := 0
-	for p, ok := range cur {
-		dst[p] = ok
-		if ok {
-			n++
-		}
-	}
-	return n
-}
-
-// String renders a census.
-func (m *Masks) String() string {
-	return fmt.Sprintf("dilatedsim.Masks{%v: %d dead sub-wires}", m.cfg, m.DeadSubWires())
-}
-
-// Plan is a nested family of dilated fault sets: At(f1) is a subset of
-// At(f2) whenever f1 <= f2, so a sweep's rising fractions grow one
-// fixed failure story instead of resampling the world — the same paired
-// comparison faults.Plan gives the EDN side of a sweep. Severities are
-// drawn in BernoulliSubWires order (boundaries, groups, wires
-// ascending), so a given (cfg, rng state) is reproducible.
+// Plan is a nested family of dilated fault sets: faults.Plan over the
+// SubWires population, so At(f1) is a subset of At(f2) whenever
+// f1 <= f2 — the same paired comparison the EDN side of a sweep gets.
 type Plan struct {
-	cfg dilated.Config
-	sev [][]float64 // [boundary-1][group*d + wire]
+	cfg  dilated.Config
+	plan *faults.Plan
 }
 
 // NewPlan draws the per-sub-wire severities for cfg from rng.
 func NewPlan(cfg dilated.Config, rng *xrand.Rand) *Plan {
-	p := &Plan{cfg: cfg, sev: make([][]float64, cfg.L)}
-	for bd := 1; bd <= cfg.L; bd++ {
-		row := make([]float64, cfg.Ports()*cfg.D)
-		for i := range row {
-			row[i] = rng.Float64()
-		}
-		p.sev[bd-1] = row
-	}
-	return p
+	return &Plan{cfg: cfg, plan: SubWires(cfg).Plan(rng)}
 }
-
-// Config returns the plan's network configuration.
-func (p *Plan) Config() dilated.Config { return p.cfg }
 
 // At returns the fault set of fraction f: every sub-wire whose severity
-// is below f. f <= 0 is the empty set; f >= 1 kills every sub-wire.
-func (p *Plan) At(f float64) dilated.FaultSet {
-	var set dilated.FaultSet
-	d := p.cfg.D
-	for bd, row := range p.sev {
-		for i, u := range row {
-			if u < f {
-				set.SubWires = append(set.SubWires, dilated.SubWireID{
-					Boundary: bd + 1, Group: i / d, Wire: i % d,
-				})
-			}
-		}
-	}
-	return set
-}
+// is below f.
+func (p *Plan) At(f float64) dilated.FaultSet { return subWires(p.cfg, p.plan.At(f), nil) }
 
-// churnComponent is one alternating-renewal state machine, the same
-// shape as lifecycle's.
-type churnComponent struct {
-	dead  bool
-	timer int32
-}
-
-// Churn is a failure/repair process over a dilated network's sub-wires:
+// Churn is lifecycle's renewal process over the SubWires population:
 // every sub-wire runs an independent alternating-renewal clock with the
-// given MTBF/MTTR and timing, drawing holding times from the same
-// lifecycle primitives as the EDN-side Process — so a lifetime
-// comparison churns both networks' redundancy with identically
-// distributed outages. Step advances one epoch and returns the fault
-// set now in effect, in the vocabulary Compile consumes. It is not safe
-// for concurrent use; sweeps build one per shard.
+// given MTBF/MTTR and timing, so a lifetime comparison churns both
+// networks' redundancy with identically distributed outages. It is not
+// safe for concurrent use.
 type Churn struct {
-	cfg    dilated.Config
-	mtbf   float64
-	mttr   float64
-	timing lifecycle.Timing
-	rng    *xrand.Rand
-
-	epoch int
-	total int
-	dead  int
-	comps [][]churnComponent // [boundary-1][group*d + wire]
-	set   dilated.FaultSet   // reused backing, valid until the next Step
+	*lifecycle.Process
+	cfg dilated.Config
+	set dilated.FaultSet // reused backing, valid until the next Step
 }
 
 // NewChurn validates the renewal parameters and draws the initial
-// sub-wire phases from rng. All sub-wires start alive; the population
-// drifts toward MTTR/(MTBF+MTTR) dead over the first few MTTRs.
+// sub-wire phases from rng. All sub-wires start alive.
 func NewChurn(cfg dilated.Config, mtbf, mttr float64, timing lifecycle.Timing, rng *xrand.Rand) (*Churn, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if mtbf < 1 {
-		return nil, fmt.Errorf("dilatedsim: MTBF %g must be at least 1 epoch", mtbf)
+	p, err := lifecycle.NewProcess(SubWires(cfg), lifecycle.Spec{MTBF: mtbf, MTTR: mttr, Timing: timing}, rng)
+	if err != nil {
+		return nil, err
 	}
-	if mttr < 1 {
-		return nil, fmt.Errorf("dilatedsim: MTTR %g must be at least 1 epoch", mttr)
-	}
-	switch timing {
-	case lifecycle.Exponential, lifecycle.Deterministic:
-	default:
-		return nil, fmt.Errorf("dilatedsim: unknown timing %v", timing)
-	}
-	c := &Churn{cfg: cfg, mtbf: mtbf, mttr: mttr, timing: timing, rng: rng}
-	c.comps = make([][]churnComponent, cfg.L)
-	for bd := 1; bd <= cfg.L; bd++ {
-		row := make([]churnComponent, cfg.Ports()*cfg.D)
-		for i := range row {
-			row[i] = churnComponent{timer: lifecycle.InitialTTF(timing, mtbf, rng)}
-		}
-		c.comps[bd-1] = row
-		c.total += len(row)
-	}
-	return c, nil
+	return &Churn{Process: p, cfg: cfg}, nil
 }
 
-// Config returns the process's network configuration.
-func (c *Churn) Config() dilated.Config { return c.cfg }
-
-// Epoch returns the number of Step calls so far.
-func (c *Churn) Epoch() int { return c.epoch }
-
-// DeadFraction returns the currently-dead fraction of the sub-wires.
-func (c *Churn) DeadFraction() float64 {
-	if c.total == 0 {
-		return 0
-	}
-	return float64(c.dead) / float64(c.total)
-}
-
-// Step advances one epoch and returns the fault set now in effect. The
-// returned set reuses the process's backing slice: it is valid until
-// the next Step call, which is exactly the lifetime of the
-// Compile-and-apply it feeds.
+// Step advances one epoch and returns the dead sub-wires, in the
+// vocabulary Compile consumes. The set reuses the churn's backing
+// slice: it is valid until the next Step call.
 func (c *Churn) Step() dilated.FaultSet {
-	c.epoch++
-	c.set.SubWires = c.set.SubWires[:0]
-	d := c.cfg.D
-	for bd, row := range c.comps {
-		for i := range row {
-			comp := &row[i]
-			comp.timer--
-			if comp.timer <= 0 {
-				if comp.dead {
-					comp.dead = false
-					c.dead--
-					comp.timer = lifecycle.HoldingTime(c.timing, c.mtbf, c.rng)
-				} else {
-					comp.dead = true
-					c.dead++
-					comp.timer = lifecycle.HoldingTime(c.timing, c.mttr, c.rng)
-				}
-			}
-			if comp.dead {
-				c.set.SubWires = append(c.set.SubWires, dilated.SubWireID{
-					Boundary: bd + 1, Group: i / d, Wire: i % d,
-				})
-			}
-		}
-	}
+	c.set = subWires(c.cfg, c.Process.Step(), c.set.SubWires[:0])
 	return c.set
 }

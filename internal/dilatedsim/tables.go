@@ -68,3 +68,27 @@ func (t *Tables) Config() dilated.Config { return t.dcfg }
 // Bytes returns the memory footprint of the table payload, the unit of
 // the serve-layer cache's byte budget.
 func (t *Tables) Bytes() int64 { return t.bytes }
+
+// fabric returns the dilated delta's descriptor over t: l switch stages
+// whose buckets hold d sub-wires (stage 1's switches take single-wire
+// input ports), then the output ports as a retire stage with one bucket
+// per switch — each port retires at most one packet per cycle from the
+// d sub-wires of its final link group.
+func (t *Tables) fabric() []topology.Stage {
+	b, d, l := t.dcfg.B, t.dcfg.D, t.dcfg.L
+	ports := t.dcfg.Ports()
+	logB := topology.Log2(b)
+	st := make([]topology.Stage, l+1)
+	for s := 1; s <= l; s++ {
+		width := b * d
+		if s == 1 {
+			width = b
+		}
+		st[s-1] = topology.Stage{
+			Switches: ports / b, Width: width, Buckets: b, Wires: d,
+			Shift: uint((l - s) * logB), Mask: uint32(b - 1), Table: t.subTab[s-1],
+		}
+	}
+	st[l] = topology.Stage{Switches: ports, Width: d, Buckets: 1, Wires: 1}
+	return st
+}

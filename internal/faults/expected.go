@@ -24,7 +24,10 @@ func ExpectedUniformBandwidth(m *Masks, r float64) float64 {
 	if m == nil {
 		panic("faults: ExpectedUniformBandwidth needs a compiled mask; Compile(cfg, Set{}) is the fault-free one")
 	}
-	cfg := m.cfg
+	cfg := m.Config()
+	if cfg.L == 0 {
+		panic("faults: ExpectedUniformBandwidth needs an EDN mask")
+	}
 	rates := make([]float64, cfg.Inputs())
 	liveIn := m.LiveInputs()
 	for i := range rates {
@@ -40,7 +43,7 @@ func ExpectedUniformBandwidth(m *Masks, r float64) float64 {
 		row := m.LiveStageOutputs(s)
 		wires := cfg.WiresAfterStage(s)
 		next := make([]float64, wires)
-		tab := cfg.InterstageTable(s)
+		tab := m.st[s-1].Table
 		nsw := cfg.SwitchesInStage(s)
 		for sw := 0; sw < nsw; sw++ {
 			in := rates[sw*cfg.A : (sw+1)*cfg.A]
@@ -103,7 +106,7 @@ func ExpectedUniformPA(m *Masks, r float64) float64 {
 	if r == 0 {
 		return 1
 	}
-	return ExpectedUniformBandwidth(m, r) / (r * float64(m.cfg.Inputs()))
+	return ExpectedUniformBandwidth(m, r) / (r * float64(m.Config().Inputs()))
 }
 
 // expectedMin returns E[min(X, k)] where X counts the inputs requesting

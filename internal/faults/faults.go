@@ -1,28 +1,38 @@
-// Package faults models component failures in an Expanded Delta Network
-// and compiles them into the per-stage availability masks the routing
-// engines consume. The paper's Theorem 2 gives an EDN(a,b,c,l) exactly
-// c^l equivalent paths per source/destination pair; the packet engine
-// (internal/queuesim, and core's face over it) exploits that freedom
-// for bandwidth. This package
-// turns the same freedom into survival: when a wire, a switch output
-// port or a whole switch dies, every request whose bucket still owns a
-// live wire routes around the fault, and only a fully dead bucket
-// blocks.
+// Package faults is the one fault model of the repository's fabrics. A
+// fabric is a per-stage descriptor ([]topology.Stage: switches whose
+// output buckets hold interchangeable wires, joined by interstage
+// tables); topology.Config.Fabric builds the EDN's and
+// internal/dilatedsim the d-dilated delta's, and this package compiles
+// the dead components of any descriptor into the liveness rows the
+// packet engine (internal/queuesim) runs under. The paper's Theorem 2
+// gives an EDN(a,b,c,l) exactly c^l equivalent paths per
+// source/destination pair; the engine exploits that freedom for
+// bandwidth, and this package turns it into survival: when a wire, a
+// switch output port or a whole switch dies, every request whose bucket
+// still owns a live wire routes around the fault, and only a fully dead
+// bucket blocks. A dilated delta's sub-wires are stage-output wires of
+// its descriptor, so the comparison network's link replication is
+// measured by the same compiler, flood and samplers — and a new
+// topology needs only a descriptor builder.
 //
-// Three layers:
+// Four layers:
 //
 //   - A Set is a declarative fault specification: dead switches, dead
-//     interstage wires and dead switch output ports, as explicit ID
-//     lists. Sets come from deterministic construction (test vectors,
-//     known-bad boards), from Bernoulli sampling, from a nested Plan
-//     (monotone sweeps) or from Blast (correlated blast-radius
-//     failures).
-//   - Compile folds a Set into Masks: one availability row per stage in
-//     the stage-local output-wire label space — exactly the labels the
-//     fused grant kernels already index — plus an input-side row for
-//     faults that sever network inputs. Unfaulted stages compile to nil
-//     rows, so the engines keep their bit-for-bit unfaulted fast paths.
-//   - ExpectedUniformBandwidth (expected.go) is the analytic
+//     stage-input wires and dead stage-output wires (ports), as explicit
+//     ID lists. Sets come from deterministic construction (test vectors,
+//     known-bad boards), from Blast (correlated blast-radius failures),
+//     or from a Population — an ordered list of a fabric's components —
+//     by Bernoulli sampling, a nested Plan (monotone sweeps) or
+//     internal/lifecycle's renewal churn.
+//   - Compile (the EDN) and CompileFabric (any descriptor) fold a Set
+//     into Masks: one availability row per stage in the stage-local
+//     output-wire label space — exactly the labels the grant loops
+//     index — plus an input-side row for faults that sever network
+//     inputs. Unfaulted stages compile to nil rows, so the engine keeps
+//     its bit-for-bit unfaulted fast paths.
+//   - Masks.ReachableOutputsInto is the one forward flood: which output
+//     terminals some live input still reaches.
+//   - ExpectedUniformBandwidth (expected.go) is the EDN's analytic
 //     counterpart: the paper's Theorem 3 rate recursion generalized to
 //     per-wire rates over the masked topology, used to cross-check the
 //     measured degradation for small fault counts.
@@ -45,21 +55,24 @@ type SwitchID struct {
 	Switch int
 }
 
-// WireID names one wire at a stage boundary by its downstream (input
-// side) label: Boundary 0 is the network input wires, boundary i
-// (1 <= i <= l) the wires between stage i and stage i+1 after the gamma
-// shuffle. A dead wire removes one of the c parallel wires of its
-// bucket; the bucket survives while any sibling lives.
+// WireID names one stage-input wire: boundary b carries the input
+// wires of stage b+1, by their downstream label. Boundary 0 is the
+// network input wires; an EDN's boundary i (1 <= i <= l) the wires
+// between stage i and stage i+1 after the gamma shuffle. A dead wire
+// removes one of the c parallel wires of its bucket; the bucket
+// survives while any sibling lives.
 type WireID struct {
 	Boundary int
 	Wire     int
 }
 
-// PortID names one switch output port in pre-shuffle coordinates:
-// output wire `Wire` of bucket `Bucket` of switch `Switch` in `Stage`.
-// For the crossbar stage (Stage == l+1) Bucket is the output port and
-// Wire must be 0, so a dead crossbar port is a dead network output
-// terminal.
+// PortID names one stage-output wire (a switch output port) in
+// pre-shuffle coordinates: output wire `Wire` of bucket `Bucket` of
+// switch `Switch` in `Stage`, label (Switch*Buckets+Bucket)*Wires+Wire
+// of the stage's descriptor. For an EDN's crossbar stage (Stage == l+1)
+// Bucket is the output port and Wire must be 0, so a dead crossbar port
+// is a dead network output terminal. A d-dilated delta's sub-wire
+// (boundary i, group g, wire w) is PortID{i, g/b, g%b, w}.
 type PortID struct {
 	Stage  int
 	Switch int
@@ -83,8 +96,8 @@ func (s Set) IsZero() bool {
 // Len returns the number of fault entries (duplicates included).
 func (s Set) Len() int { return len(s.Switches) + len(s.Wires) + len(s.Ports) }
 
-// Mode selects which component population a sampled fault fraction
-// applies to.
+// Mode selects which EDN component population (ModePopulation) a
+// sampled fault fraction applies to.
 type Mode int
 
 const (
@@ -126,35 +139,18 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // Bernoulli samples a fault set over cfg: each component of the mode's
-// population dies independently with probability p. Wire faults draw
-// over the interstage boundaries 1..l; switch faults over every stage
-// including the output crossbars. The draw order is fixed (boundaries
-// then stages, ascending labels), so a given (cfg, mode, rng state) is
-// reproducible.
+// population (ModePopulation) dies independently with probability p.
 func Bernoulli(cfg topology.Config, mode Mode, p float64, rng *xrand.Rand) Set {
-	var set Set
-	if p <= 0 {
-		return set
+	return ModePopulation(cfg, mode).Bernoulli(p, rng)
+}
+
+// CheckFraction rejects a fault fraction outside [0,1], NaN included:
+// the one check every fraction a caller supplies goes through.
+func CheckFraction(f float64) error {
+	if !(f >= 0 && f <= 1) {
+		return fmt.Errorf("faults: fault fraction %g out of [0,1]", f)
 	}
-	if mode == WireFaults || mode == MixedFaults {
-		for i := 1; i <= cfg.L; i++ {
-			for w := 0; w < cfg.WiresAfterStage(i); w++ {
-				if rng.Bool(p) {
-					set.Wires = append(set.Wires, WireID{Boundary: i, Wire: w})
-				}
-			}
-		}
-	}
-	if mode == SwitchFaults || mode == MixedFaults {
-		for s := 1; s <= cfg.L+1; s++ {
-			for sw := 0; sw < cfg.SwitchesInStage(s); sw++ {
-				if rng.Bool(p) {
-					set.Switches = append(set.Switches, SwitchID{Stage: s, Switch: sw})
-				}
-			}
-		}
-	}
-	return set
+	return nil
 }
 
 // Blast returns the correlated "blast radius" pattern: switches
@@ -186,70 +182,133 @@ func Blast(cfg topology.Config, stage, center, radius int) (Set, error) {
 	return set, nil
 }
 
-// Plan is a nested family of fault sets: every component of the mode's
-// population draws one uniform severity at construction, and At(f)
-// returns exactly the components whose severity falls below f. Each
-// At(f) is marginally a Bernoulli(f) sample, and the sets are nested —
-// At(f1) is a subset of At(f2) whenever f1 <= f2 — so a sweep over
-// rising fractions degrades one fixed failure story instead of
-// resampling the world at every point. simulate.AvailabilitySweep
-// builds one Plan per shard for exactly this reason.
-type Plan struct {
-	cfg      topology.Config
-	mode     Mode
-	wires    [][]float64 // [boundary-1][wire] severity, WireFaults/MixedFaults
-	switches [][]float64 // [stage-1][switch] severity, SwitchFaults/MixedFaults
+// RunKind is the component kind of a population Run.
+type RunKind uint8
+
+const (
+	// SwitchRun components are SwitchIDs of one stage.
+	SwitchRun RunKind = iota
+	// WireRun components are WireIDs of one boundary.
+	WireRun
+	// PortRun components are PortIDs of one stage: its output wires in
+	// label order.
+	PortRun
+)
+
+// Run is N components of one kind, at stage At (switches, ports) or
+// boundary At (wires), in ascending label order. Buckets and Wires give
+// a port run's label layout, the stage descriptor's own.
+type Run struct {
+	Kind           RunKind
+	At, N          int
+	Buckets, Wires int
 }
 
-// NewPlan draws the per-component severities for cfg from rng.
-func NewPlan(cfg topology.Config, mode Mode, rng *xrand.Rand) *Plan {
-	p := &Plan{cfg: cfg, mode: mode}
+// Append appends the run's component i to set.
+func (r Run) Append(set *Set, i int) {
+	switch r.Kind {
+	case SwitchRun:
+		set.Switches = append(set.Switches, SwitchID{Stage: r.At, Switch: i})
+	case WireRun:
+		set.Wires = append(set.Wires, WireID{Boundary: r.At, Wire: i})
+	default:
+		per := r.Buckets * r.Wires
+		set.Ports = append(set.Ports, PortID{Stage: r.At, Switch: i / per, Bucket: i % per / r.Wires, Wire: i % r.Wires})
+	}
+}
+
+// Population is an ordered list of a fabric's failure-prone components.
+// Its order is the draw order of every sampler and renewal process over
+// it (Bernoulli, Plan, lifecycle.Process), so a given (population, rng
+// state) replays bit-for-bit. ModePopulation builds the EDN's; a fabric
+// of another shape lists its own runs (internal/dilatedsim's sub-wires
+// are the port runs of its switch stages).
+type Population []Run
+
+// ModePopulation returns mode's population over an EDN: interstage
+// wires (boundaries 1..l, where bucket multipath pays off directly),
+// switches of every stage including the output crossbars, or both —
+// wires first.
+func ModePopulation(cfg topology.Config, mode Mode) Population {
+	var p Population
 	if mode == WireFaults || mode == MixedFaults {
-		p.wires = make([][]float64, cfg.L)
 		for i := 1; i <= cfg.L; i++ {
-			row := make([]float64, cfg.WiresAfterStage(i))
-			for w := range row {
-				row[w] = rng.Float64()
-			}
-			p.wires[i-1] = row
+			p = append(p, Run{Kind: WireRun, At: i, N: cfg.WiresAfterStage(i)})
 		}
 	}
 	if mode == SwitchFaults || mode == MixedFaults {
-		p.switches = make([][]float64, cfg.L+1)
 		for s := 1; s <= cfg.L+1; s++ {
-			row := make([]float64, cfg.SwitchesInStage(s))
-			for sw := range row {
-				row[sw] = rng.Float64()
-			}
-			p.switches[s-1] = row
+			p = append(p, Run{Kind: SwitchRun, At: s, N: cfg.SwitchesInStage(s)})
 		}
 	}
 	return p
 }
 
-// Config returns the plan's network configuration.
-func (p *Plan) Config() topology.Config { return p.cfg }
+// Len returns the number of components.
+func (p Population) Len() int {
+	n := 0
+	for _, r := range p {
+		n += r.N
+	}
+	return n
+}
 
-// Mode returns the plan's fault population.
-func (p *Plan) Mode() Mode { return p.mode }
+// Bernoulli samples a fault set: each component dies independently with
+// probability prob, drawn in population order.
+func (p Population) Bernoulli(prob float64, rng *xrand.Rand) Set {
+	var set Set
+	if prob <= 0 {
+		return set
+	}
+	for _, r := range p {
+		for i := 0; i < r.N; i++ {
+			if rng.Bool(prob) {
+				r.Append(&set, i)
+			}
+		}
+	}
+	return set
+}
+
+// Plan is a nested family of fault sets: every component of a
+// population draws one uniform severity at construction, and At(f)
+// returns exactly the components whose severity falls below f. Each
+// At(f) is marginally a Bernoulli(f) sample, and the sets are nested —
+// At(f1) is a subset of At(f2) whenever f1 <= f2 — so a sweep over
+// rising fractions degrades one fixed failure story instead of
+// resampling the world at every point. simulate's degradation sweeps
+// build one Plan per shard for exactly this reason.
+type Plan struct {
+	pop Population
+	sev []float64 // one severity per component, population order
+}
+
+// NewPlan draws the severities of mode's population over cfg from rng.
+func NewPlan(cfg topology.Config, mode Mode, rng *xrand.Rand) *Plan {
+	return ModePopulation(cfg, mode).Plan(rng)
+}
+
+// Plan draws one severity per component from rng, in population order.
+func (p Population) Plan(rng *xrand.Rand) *Plan {
+	sev := make([]float64, p.Len())
+	for i := range sev {
+		sev[i] = rng.Float64()
+	}
+	return &Plan{pop: p, sev: sev}
+}
 
 // At returns the fault set of fraction f: every component whose
 // severity is below f. f <= 0 is the empty set; f >= 1 kills the whole
 // population.
 func (p *Plan) At(f float64) Set {
 	var set Set
-	for i, row := range p.wires {
-		for w, u := range row {
-			if u < f {
-				set.Wires = append(set.Wires, WireID{Boundary: i + 1, Wire: w})
+	i := 0
+	for _, r := range p.pop {
+		for k := 0; k < r.N; k++ {
+			if p.sev[i] < f {
+				r.Append(&set, k)
 			}
-		}
-	}
-	for s, row := range p.switches {
-		for sw, u := range row {
-			if u < f {
-				set.Switches = append(set.Switches, SwitchID{Stage: s + 1, Switch: sw})
-			}
+			i++
 		}
 	}
 	return set

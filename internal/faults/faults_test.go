@@ -323,3 +323,18 @@ func TestDeadOutputPortExpectedLoss(t *testing.T) {
 		t.Errorf("reachable = %d, want %d", got, cfg.Outputs()-1)
 	}
 }
+
+// TestCheckFraction: the one fault-fraction check rejects anything
+// outside [0,1], NaN included.
+func TestCheckFraction(t *testing.T) {
+	for _, f := range []float64{0, 0.25, 1} {
+		if err := CheckFraction(f); err != nil {
+			t.Errorf("fraction %g rejected: %v", f, err)
+		}
+	}
+	for _, f := range []float64{math.NaN(), -0.1, 1.5, math.Inf(1)} {
+		if CheckFraction(f) == nil {
+			t.Errorf("fraction %g accepted", f)
+		}
+	}
+}

@@ -2,202 +2,175 @@ package faults
 
 import (
 	"fmt"
-	"math"
 
 	"edn/internal/topology"
 )
 
 // Masks is a compiled fault set: per-stage availability over the
-// stage-local output-wire labels the routing kernels index, plus an
-// input-side availability row. Masks are immutable after Compile and
+// stage-local output-wire labels the engine's grant loops index, plus
+// an input-side availability row, together with the fabric descriptor
+// they were compiled against. Masks are immutable after compilation and
 // safe to share across goroutines and engines.
 //
 // Label spaces:
 //
-//   - LiveStageOutputs(s) for a hyperbar stage s (1 <= s <= l) covers the
-//     W_s pre-shuffle output labels o = switch*(b*c) + bucket*c + wire;
-//     a grant may take output o only if the entry is true. The row
-//     already folds in everything downstream of the grant: the port
-//     itself, the post-gamma interstage wire, and the liveness of the
-//     stage s+1 switch that wire feeds.
-//   - LiveStageOutputs(l+1) covers the network output terminals; a
-//     crossbar delivery to terminal t requires entry t.
-//   - LiveInputs covers the network input wires; a request entering on a
-//     dead input (severed wire, or dead stage-1 switch) is blocked at
-//     stage 1 before any arbitration.
+//   - LiveStageOutputs(s) for a switch stage s covers its output labels
+//     o = switch*(Buckets*Wires) + bucket*Wires + wire; a grant may take
+//     output o only if the entry is true. The row already folds in
+//     everything downstream of the grant: the port itself, the
+//     post-table wire, and the liveness of the next stage's switch that
+//     wire feeds.
+//   - LiveStageOutputs of the last (retire) stage covers the network
+//     output terminals; a delivery to terminal t requires entry t.
+//   - LiveInputs covers the network input wires; a request entering on
+//     a dead input (severed wire, or dead first-stage switch) is blocked
+//     at stage 1 before any arbitration.
 //
-// A nil row means "stage fully live"; engines keep their unfaulted
+// A nil row means "stage fully live"; the engine keeps its unfaulted
 // kernels for nil rows, which is what makes the empty mask bit-for-bit
 // free.
 //
 // A nil *Masks is accepted wherever a mask is optional (Empty, the
 // engine constructors, the count accessors). Methods that need the
-// topology itself — EngineRows, ReachableOutputs, LiveInputCount,
+// topology itself — ReachableOutputs, LiveInputCount,
 // ExpectedUniformBandwidth — require a compiled mask; Compile(cfg,
-// Set{}) yields the fault-free one.
+// Set{}) yields the EDN's fault-free one.
 type Masks struct {
-	cfg    topology.Config
-	liveIn []bool   // nil = all inputs live
-	live   [][]bool // [stage-1]; nil row = stage fully live
+	label  fmt.Stringer     // the geometry the descriptor belongs to
+	st     []topology.Stage // the descriptor (its tables shared, never written)
+	liveIn []bool           // nil = all inputs live
+	live   [][]bool         // [stage-1]; nil row = stage fully live
 
 	deadSwitches int // distinct dead switches
-	deadWires    int // distinct dead interstage/input wires
-	deadPorts    int // distinct dead output ports
+	deadWires    int // distinct dead stage-input wires
+	deadPorts    int // distinct dead stage-output wires
 }
 
-// Compile validates set against cfg and folds it into availability
-// masks. A nil or zero set compiles to the empty mask.
+// Compile validates set against the EDN cfg and folds it into
+// availability masks over cfg.Fabric(nil), whose interstage tables the
+// masks retain. A nil or zero set compiles to the empty mask.
 func Compile(cfg topology.Config, set Set) (*Masks, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	for i := 0; i <= cfg.L+1; i++ {
-		if w := cfg.WiresAfterStage(i); w > math.MaxInt32 {
-			return nil, fmt.Errorf("faults: %v has %d wires in one stage, beyond the simulable limit", cfg, w)
-		}
+	st, err := cfg.Fabric(nil)
+	if err != nil {
+		return nil, err
 	}
-	m := &Masks{cfg: cfg}
+	return CompileFabric(cfg, st, set)
+}
+
+// CompileFabric validates set against the descriptor st of the fabric
+// label names and folds it into availability masks. The masks keep st
+// (sharing its tables) for the flood, and label for the engine's
+// geometry check: a running engine compiles over its own descriptor
+// (queuesim's CompileFaults) without rebuilding anything. Work and
+// allocation are dense rows per faulted stage, never per dead
+// component.
+func CompileFabric(label fmt.Stringer, st []topology.Stage, set Set) (*Masks, error) {
+	m := &Masks{label: label, st: st}
 	if set.IsZero() {
 		return m, nil
 	}
-
-	// Distinct dead switches per stage (1-based stage at index stage-1).
-	deadSw := make([]map[int]bool, cfg.L+2)
+	n := len(st)
+	deadSw := make([][]bool, n) // [stage-1][switch]
 	for _, id := range set.Switches {
-		if id.Stage < 1 || id.Stage > cfg.L+1 {
-			return nil, fmt.Errorf("faults: switch stage %d out of range [1,%d]", id.Stage, cfg.L+1)
+		if id.Stage < 1 || id.Stage > n {
+			return nil, fmt.Errorf("faults: switch stage %d out of range [1,%d]", id.Stage, n)
 		}
-		if n := cfg.SwitchesInStage(id.Stage); id.Switch < 0 || id.Switch >= n {
-			return nil, fmt.Errorf("faults: switch %d out of range [0,%d) in stage %d", id.Switch, n, id.Stage)
+		g := st[id.Stage-1]
+		if id.Switch < 0 || id.Switch >= g.Switches {
+			return nil, fmt.Errorf("faults: switch %d out of range [0,%d) in stage %d", id.Switch, g.Switches, id.Stage)
 		}
-		if deadSw[id.Stage] == nil {
-			deadSw[id.Stage] = make(map[int]bool)
+		row := deadSw[id.Stage-1]
+		if row == nil {
+			row = make([]bool, g.Switches)
+			deadSw[id.Stage-1] = row
 		}
-		if !deadSw[id.Stage][id.Switch] {
-			deadSw[id.Stage][id.Switch] = true
+		if !row[id.Switch] {
+			row[id.Switch] = true
 			m.deadSwitches++
 		}
 	}
-
-	// Distinct dead wires per boundary (post-shuffle labels).
-	deadWire := make([]map[int]bool, cfg.L+1)
+	// wire[b] is the availability of boundary b's wires, the inputs of
+	// stage b+1: severed wires now, the inputs of dead switches below.
+	wire := make([][]bool, n)
 	for _, id := range set.Wires {
-		if id.Boundary < 0 || id.Boundary > cfg.L {
-			return nil, fmt.Errorf("faults: wire boundary %d out of range [0,%d]", id.Boundary, cfg.L)
+		if id.Boundary < 0 || id.Boundary >= n {
+			return nil, fmt.Errorf("faults: wire boundary %d out of range [0,%d]", id.Boundary, n-1)
 		}
-		if w := cfg.WiresAfterStage(id.Boundary); id.Wire < 0 || id.Wire >= w {
+		g := st[id.Boundary]
+		if w := g.Switches * g.Width; id.Wire < 0 || id.Wire >= w {
 			return nil, fmt.Errorf("faults: wire %d out of range [0,%d) at boundary %d", id.Wire, w, id.Boundary)
 		}
-		if deadWire[id.Boundary] == nil {
-			deadWire[id.Boundary] = make(map[int]bool)
-		}
-		if !deadWire[id.Boundary][id.Wire] {
-			deadWire[id.Boundary][id.Wire] = true
+		if kill(&wire[id.Boundary], g.Switches*g.Width, id.Wire) {
 			m.deadWires++
 		}
 	}
-
-	// Distinct dead output ports per stage (pre-shuffle labels).
-	deadPort := make([]map[int]bool, cfg.L+2)
+	rows := make([][]bool, n)
 	for _, id := range set.Ports {
-		if id.Stage < 1 || id.Stage > cfg.L+1 {
-			return nil, fmt.Errorf("faults: port stage %d out of range [1,%d]", id.Stage, cfg.L+1)
+		if id.Stage < 1 || id.Stage > n {
+			return nil, fmt.Errorf("faults: port stage %d out of range [1,%d]", id.Stage, n)
 		}
-		if n := cfg.SwitchesInStage(id.Stage); id.Switch < 0 || id.Switch >= n {
-			return nil, fmt.Errorf("faults: port switch %d out of range [0,%d) in stage %d", id.Switch, n, id.Stage)
+		g := st[id.Stage-1]
+		if id.Switch < 0 || id.Switch >= g.Switches {
+			return nil, fmt.Errorf("faults: port switch %d out of range [0,%d) in stage %d", id.Switch, g.Switches, id.Stage)
 		}
-		var label int
-		if id.Stage == cfg.L+1 {
-			if id.Bucket < 0 || id.Bucket >= cfg.C || id.Wire != 0 {
-				return nil, fmt.Errorf("faults: crossbar port (%d,%d) invalid (want bucket in [0,%d), wire 0)", id.Bucket, id.Wire, cfg.C)
-			}
-			label = id.Switch*cfg.C + id.Bucket
-		} else {
-			if id.Bucket < 0 || id.Bucket >= cfg.B {
-				return nil, fmt.Errorf("faults: bucket %d out of range [0,%d)", id.Bucket, cfg.B)
-			}
-			if id.Wire < 0 || id.Wire >= cfg.C {
-				return nil, fmt.Errorf("faults: bucket wire %d out of range [0,%d)", id.Wire, cfg.C)
-			}
-			label = id.Switch*cfg.B*cfg.C + id.Bucket*cfg.C + id.Wire
+		if id.Bucket < 0 || id.Bucket >= g.Buckets || id.Wire < 0 || id.Wire >= g.Wires {
+			return nil, fmt.Errorf("faults: port (bucket %d, wire %d) of stage %d out of range (want bucket in [0,%d), wire in [0,%d))",
+				id.Bucket, id.Wire, id.Stage, g.Buckets, g.Wires)
 		}
-		if deadPort[id.Stage] == nil {
-			deadPort[id.Stage] = make(map[int]bool)
-		}
-		if !deadPort[id.Stage][label] {
-			deadPort[id.Stage][label] = true
+		if kill(&rows[id.Stage-1], g.Switches*g.Buckets*g.Wires, (id.Switch*g.Buckets+id.Bucket)*g.Wires+id.Wire) {
 			m.deadPorts++
 		}
 	}
-
-	// Input row: severed boundary-0 wires plus the a inputs of every dead
-	// stage-1 switch.
-	inputs := cfg.Inputs()
-	if len(deadWire[0]) > 0 || len(deadSw[1]) > 0 {
-		liveIn := allTrue(inputs)
-		for w := range deadWire[0] {
-			liveIn[w] = false
-		}
-		for sw := range deadSw[1] {
-			for p := 0; p < cfg.A; p++ {
-				liveIn[sw*cfg.A+p] = false
+	for b, dead := range deadSw {
+		g := st[b]
+		for sw, d := range dead {
+			for w := sw * g.Width; d && w < (sw+1)*g.Width; w++ {
+				kill(&wire[b], g.Switches*g.Width, w)
 			}
 		}
-		m.liveIn = normalize(liveIn)
 	}
 
-	// Hyperbar stage rows: output o of stage s is dead if its own switch
-	// or port is dead, its post-shuffle wire is severed, or the stage s+1
-	// switch that wire feeds is dead.
-	m.live = make([][]bool, cfg.L+1)
-	bc := cfg.B * cfg.C
-	for s := 1; s <= cfg.L; s++ {
-		downWidth := cfg.A
-		if s == cfg.L {
-			downWidth = cfg.C // boundary l feeds the c x c crossbars
+	// Output row of stage s: label o is dead if its own port or switch
+	// is, or the boundary wire it crosses onto is.
+	m.liveIn = wire[0]
+	for s, g := range st {
+		var down []bool
+		if s+1 < n {
+			down = wire[s+1]
 		}
-		needed := len(deadSw[s]) > 0 || len(deadPort[s]) > 0 || len(deadWire[s]) > 0 || len(deadSw[s+1]) > 0
-		if !needed {
-			continue
-		}
-		wires := cfg.WiresAfterStage(s)
-		row := allTrue(wires)
-		tab := cfg.InterstageTable(s) // nil = identity
-		for o := 0; o < wires; o++ {
-			down := o
-			if tab != nil {
-				down = int(tab[o])
+		per := g.Buckets * g.Wires
+		for o := 0; (deadSw[s] != nil || down != nil) && o < g.Switches*per; o++ {
+			d := o
+			if g.Table != nil {
+				d = int(g.Table[o])
 			}
-			switch {
-			case deadSw[s][o/bc]:
-				row[o] = false
-			case deadPort[s][o]:
-				row[o] = false
-			case deadWire[s][down]:
-				row[o] = false
-			case deadSw[s+1][down/downWidth]:
-				row[o] = false
+			if (deadSw[s] != nil && deadSw[s][o/per]) || (down != nil && !down[d]) {
+				kill(&rows[s], g.Switches*per, o)
 			}
 		}
-		m.live[s-1] = normalize(row)
-	}
-
-	// Crossbar row over the output terminals.
-	if len(deadSw[cfg.L+1]) > 0 || len(deadPort[cfg.L+1]) > 0 {
-		outputs := cfg.Outputs()
-		row := allTrue(outputs)
-		for t := 0; t < outputs; t++ {
-			if deadSw[cfg.L+1][t/cfg.C] || deadPort[cfg.L+1][t] {
-				row[t] = false
-			}
+		if rows[s] != nil {
+			m.live = rows
 		}
-		m.live[cfg.L] = normalize(row)
-	}
-
-	if m.Empty() {
-		m.live = nil
 	}
 	return m, nil
+}
+
+// kill marks entry i of the lazily allocated availability row *row (n
+// entries, all live when first allocated) dead, reporting whether it
+// was live.
+func kill(row *[]bool, n, i int) bool {
+	if *row == nil {
+		*row = make([]bool, n)
+		for k := range *row {
+			(*row)[k] = true
+		}
+	}
+	was := (*row)[i]
+	(*row)[i] = false
+	return was
 }
 
 // MustCompile is Compile for sets known valid by construction (sampler
@@ -210,24 +183,26 @@ func MustCompile(cfg topology.Config, set Set) *Masks {
 	return m
 }
 
-// Config returns the configuration the masks were compiled for.
-func (m *Masks) Config() topology.Config { return m.cfg }
+// Label returns the geometry the masks were compiled for: a
+// topology.Config for EDN masks, the descriptor builder's own
+// configuration otherwise.
+func (m *Masks) Label() fmt.Stringer { return m.label }
 
-// Empty reports whether the masks disable nothing — the engines treat
+// Config returns the EDN configuration the masks were compiled for
+// (the zero Config for other fabrics; see Label).
+func (m *Masks) Config() topology.Config {
+	cfg, _ := m.label.(topology.Config)
+	return cfg
+}
+
+// Fabric returns the descriptor the masks were compiled against. The
+// slice and its tables are shared; callers must not modify them.
+func (m *Masks) Fabric() []topology.Stage { return m.st }
+
+// Empty reports whether the masks disable nothing — the engine treats
 // an empty mask exactly like no mask at all.
 func (m *Masks) Empty() bool {
-	if m == nil {
-		return true
-	}
-	if m.liveIn != nil {
-		return false
-	}
-	for _, row := range m.live {
-		if row != nil {
-			return false
-		}
-	}
-	return true
+	return m == nil || (m.liveIn == nil && m.live == nil)
 }
 
 // LiveInputs returns the network-input availability row, or nil if all
@@ -240,14 +215,14 @@ func (m *Masks) LiveInputs() []bool {
 }
 
 // LiveStageOutputs returns stage s's output availability row (1-based;
-// stage l+1 covers the output terminals), or nil if the stage is fully
-// live. The slice is shared; callers must not modify it.
+// the last stage covers the output terminals), or nil if the stage is
+// fully live. The slice is shared; callers must not modify it.
 func (m *Masks) LiveStageOutputs(s int) []bool {
 	if m == nil || m.live == nil {
 		return nil
 	}
-	if s < 1 || s > m.cfg.L+1 {
-		panic(fmt.Sprintf("faults: stage %d out of range [1,%d]", s, m.cfg.L+1))
+	if s < 1 || s > len(m.st) {
+		panic(fmt.Sprintf("faults: stage %d out of range [1,%d]", s, len(m.st)))
 	}
 	return m.live[s-1]
 }
@@ -260,8 +235,8 @@ func (m *Masks) DeadSwitches() int {
 	return m.deadSwitches
 }
 
-// DeadWires returns the number of distinct severed wires (including
-// input wires at boundary 0).
+// DeadWires returns the number of distinct severed stage-input wires
+// (including network input wires at boundary 0).
 func (m *Masks) DeadWires() int {
 	if m == nil {
 		return 0
@@ -269,7 +244,8 @@ func (m *Masks) DeadWires() int {
 	return m.deadWires
 }
 
-// DeadPorts returns the number of distinct dead switch output ports.
+// DeadPorts returns the number of distinct dead stage-output wires —
+// switch output ports, or a dilated delta's sub-wires.
 func (m *Masks) DeadPorts() int {
 	if m == nil {
 		return 0
@@ -277,102 +253,72 @@ func (m *Masks) DeadPorts() int {
 	return m.deadPorts
 }
 
-// EngineRows returns the input availability row and the per-stage
-// output rows (index stage-1, stages 1..l+1) for an engine built over
-// cfg, validating that the masks were compiled for that configuration.
-// Empty masks — nil included — return all-nil rows, which engines
-// treat as fully live.
-func (m *Masks) EngineRows(cfg topology.Config) (liveIn []bool, live [][]bool, err error) {
-	if m.Empty() {
-		return nil, nil, nil
-	}
-	if got := m.Config(); got != cfg {
-		return nil, nil, fmt.Errorf("faults: masks compiled for %v, network is %v", got, cfg)
-	}
-	live = make([][]bool, cfg.Stages())
-	for s := 1; s <= cfg.Stages(); s++ {
-		live[s-1] = m.LiveStageOutputs(s)
-	}
-	return m.liveIn, live, nil
-}
-
 // ReachableOutputs returns how many output terminals remain connected
 // to at least one live network input through live components, by
-// forward flood over the masked topology. A fault-free network reaches
-// all Outputs(). m must be a compiled mask (nil has no topology).
+// forward flood over the masked descriptor. A fault-free network
+// reaches every output. m must be a compiled mask (nil has no
+// topology).
 func (m *Masks) ReachableOutputs() int {
 	if m == nil {
-		panic("faults: ReachableOutputs needs a compiled mask; Compile(cfg, Set{}) is the fault-free one")
+		panic("faults: ReachableOutputs needs a compiled mask")
 	}
-	return m.ReachableOutputsInto(make([]bool, m.cfg.Outputs()))
+	last := m.st[len(m.st)-1]
+	return m.ReachableOutputsInto(make([]bool, last.Switches*last.Buckets))
 }
 
 // ReachableOutputsInto is ReachableOutputs exposing the per-terminal
 // verdict: dst[t] is set to whether output terminal t is reachable from
-// some live input, and the count is returned. dst must have length
-// Outputs(). Closed-loop drivers use the vector as an avoidance list —
+// some live input, and the count is returned. dst must have one slot
+// per output. Closed-loop drivers use the vector as an avoidance list —
 // a source should not address an output the fault state has cut off.
 // The flood is an epoch-boundary operation (it allocates scratch), not
 // a per-cycle one.
 func (m *Masks) ReachableOutputsInto(dst []bool) int {
 	if m == nil {
-		panic("faults: ReachableOutputsInto needs a compiled mask; Compile(cfg, Set{}) is the fault-free one")
+		panic("faults: ReachableOutputsInto needs a compiled mask")
 	}
-	cfg := m.cfg
-	if len(dst) != cfg.Outputs() {
-		panic(fmt.Sprintf("faults: ReachableOutputsInto got %d slots, want %d outputs", len(dst), cfg.Outputs()))
+	last := m.st[len(m.st)-1]
+	if outputs := last.Switches * last.Buckets; len(dst) != outputs {
+		panic(fmt.Sprintf("faults: ReachableOutputsInto got %d slots, want %d outputs", len(dst), outputs))
 	}
-	// fed[w] = boundary wire w carries traffic from some live input.
-	fed := make([]bool, cfg.Inputs())
+	// fed[w] = stage-input wire w carries traffic from some live input.
+	fed := make([]bool, m.st[0].Switches*m.st[0].Width)
 	for i := range fed {
 		fed[i] = m.liveIn == nil || m.liveIn[i]
 	}
-	bc := cfg.B * cfg.C
-	for s := 1; s <= cfg.L; s++ {
-		row := m.LiveStageOutputs(s)
-		wires := cfg.WiresAfterStage(s)
-		next := make([]bool, wires)
-		tab := cfg.InterstageTable(s)
-		nsw := cfg.SwitchesInStage(s)
-		for sw := 0; sw < nsw; sw++ {
+	for i := range dst {
+		dst[i] = false
+	}
+	reach := 0
+	for s, g := range m.st {
+		row := m.LiveStageOutputs(s + 1)
+		per := g.Buckets * g.Wires
+		var next []bool
+		if s+1 < len(m.st) {
+			next = make([]bool, m.st[s+1].Switches*m.st[s+1].Width)
+		}
+		for sw := 0; sw < g.Switches; sw++ {
 			swFed := false
-			for p := 0; p < cfg.A; p++ {
-				if fed[sw*cfg.A+p] {
-					swFed = true
-					break
-				}
+			for _, ok := range fed[sw*g.Width : (sw+1)*g.Width] {
+				swFed = swFed || ok
 			}
 			if !swFed {
 				continue
 			}
-			for o := sw * bc; o < (sw+1)*bc; o++ {
-				if row != nil && !row[o] {
-					continue
+			for o := sw * per; o < (sw+1)*per; o++ {
+				switch {
+				case row != nil && !row[o]:
+				case next == nil:
+					dst[o] = true
+					reach++
+				case g.Table != nil:
+					next[g.Table[o]] = true
+				default:
+					next[o] = true
 				}
-				down := o
-				if tab != nil {
-					down = int(tab[o])
-				}
-				next[down] = true
 			}
 		}
 		fed = next
-	}
-	row := m.LiveStageOutputs(cfg.L + 1)
-	reach := 0
-	for t := 0; t < cfg.Outputs(); t++ {
-		dst[t] = false
-		if row != nil && !row[t] {
-			continue
-		}
-		sw := t / cfg.C
-		for p := 0; p < cfg.C; p++ {
-			if fed[sw*cfg.C+p] {
-				dst[t] = true
-				reach++
-				break
-			}
-		}
 	}
 	return reach
 }
@@ -381,14 +327,11 @@ func (m *Masks) ReachableOutputsInto(dst []bool) int {
 // m must be a compiled mask (nil has no topology).
 func (m *Masks) LiveInputCount() int {
 	if m == nil {
-		panic("faults: LiveInputCount needs a compiled mask; Compile(cfg, Set{}) is the fault-free one")
-	}
-	if m.liveIn == nil {
-		return m.cfg.Inputs()
+		panic("faults: LiveInputCount needs a compiled mask")
 	}
 	n := 0
-	for _, ok := range m.liveIn {
-		if ok {
+	for i := 0; i < m.st[0].Switches*m.st[0].Width; i++ {
+		if m.liveIn == nil || m.liveIn[i] {
 			n++
 		}
 	}
@@ -397,25 +340,6 @@ func (m *Masks) LiveInputCount() int {
 
 // String summarizes the compiled fault state.
 func (m *Masks) String() string {
-	return fmt.Sprintf("masks(%v: %d dead switches, %d dead wires, %d dead ports, %d/%d outputs reachable)",
-		m.cfg, m.deadSwitches, m.deadWires, m.deadPorts, m.ReachableOutputs(), m.cfg.Outputs())
-}
-
-func allTrue(n int) []bool {
-	row := make([]bool, n)
-	for i := range row {
-		row[i] = true
-	}
-	return row
-}
-
-// normalize returns nil for an all-true row so engines keep their
-// unfaulted fast paths.
-func normalize(row []bool) []bool {
-	for _, ok := range row {
-		if !ok {
-			return row
-		}
-	}
-	return nil
+	return fmt.Sprintf("masks(%v: %d dead switches, %d dead wires, %d dead ports, %d outputs reachable)",
+		m.label, m.deadSwitches, m.deadWires, m.deadPorts, m.ReachableOutputs())
 }

@@ -1,30 +1,31 @@
-// Package lifecycle evolves an Expanded Delta Network's component
-// availability over discrete simulated time. Where internal/faults
-// answers "how degraded is this frozen snapshot", this package answers
-// the question a machine operator asks of a deployed interconnect: how
-// much bandwidth does the network deliver over its lifetime as
-// components fail stochastically and get repaired?
+// Package lifecycle evolves a fabric's component availability over
+// discrete simulated time: one alternating-renewal churn over a
+// faults.Population, for every fabric. Where internal/faults answers
+// "how degraded is this frozen snapshot", this package answers the
+// question a machine operator asks of a deployed interconnect: how much
+// bandwidth does the network deliver over its lifetime as components
+// fail stochastically and get repaired?
 //
-// Time is divided into epochs. Every component of the chosen population
-// (interstage wires, switches, or both — the same populations as
-// faults.Bernoulli) runs an independent alternating-renewal process:
-// alive for a random time-to-failure drawn around MTBF, dead for a
-// random time-to-repair drawn around MTTR. Holding times are geometric
-// (the discrete-time exponential: every live component fails each epoch
-// with probability 1/MTBF, the memoryless Bernoulli-churn regime) or
-// deterministic (fixed maintenance periods, staggered by a random
-// initial phase so the fleet does not fail in lockstep). On top of the
-// independent churn, correlated Blast arrivals model a board or cabinet
-// failure: occasionally a contiguous block of switches in one stage
-// dies together and is repaired as a unit.
+// Time is divided into epochs. Every component of the population (an
+// EDN's interstage wires, switches or both — faults.ModePopulation — or
+// a d-dilated delta's sub-wires) runs an independent alternating-renewal
+// process: alive for a random time-to-failure drawn around MTBF, dead
+// for a random time-to-repair drawn around MTTR. Holding times are
+// geometric (the discrete-time exponential: every live component fails
+// each epoch with probability 1/MTBF, the memoryless Bernoulli-churn
+// regime) or deterministic (fixed maintenance periods, staggered by a
+// random initial phase so the fleet does not fail in lockstep). On an
+// EDN (New), correlated Blast arrivals overlay the independent churn:
+// occasionally a contiguous block of switches in one stage dies
+// together and is repaired as a unit.
 //
 // Step advances one epoch and reports the currently-dead components as
-// a faults.Set — exactly the vocabulary faults.Compile consumes — so a
-// lifetime loop is: Step, Compile, UpdateFaults on a running engine,
-// simulate the epoch's cycles, repeat. The process never rebuilds
-// anything and a given (config, spec, seed) replays bit-for-bit, which
-// is what lets simulate.LifetimeSweep shard whole lifetimes and merge
-// them deterministically.
+// a faults.Set — exactly the vocabulary the fault compiler consumes —
+// so a lifetime loop is: Step, compile over the running engine's
+// descriptor, UpdateFaults, simulate the epoch's cycles, repeat. The
+// process never rebuilds anything and a given (population, spec, seed)
+// replays bit-for-bit, which is what lets simulate's lifetime sweeps
+// shard whole lifetimes and merge them deterministically.
 package lifecycle
 
 import (
@@ -79,12 +80,14 @@ func ParseTiming(s string) (Timing, error) {
 // Spec describes a failure/repair process. The zero Mode value churns
 // interstage wires, the population where bucket multipath pays off.
 type Spec struct {
-	// Mode selects the churning population (wires, switches, mixed),
-	// with the faults package's meaning.
+	// Mode selects an EDN's churning population (wires, switches,
+	// mixed; faults.ModePopulation). NewProcess takes its population
+	// explicitly instead.
 	Mode faults.Mode
 	// MTBF is the mean number of epochs a component stays alive; MTTR
-	// the mean number of epochs a repair takes. Both must be >= 1.
-	// The long-run dead fraction of the population is MTTR/(MTBF+MTTR).
+	// the mean number of epochs a repair takes. Both must be finite and
+	// >= 1; a mean beyond ~9e15 epochs never elapses within a run. The
+	// long-run dead fraction of the population is MTTR/(MTBF+MTTR).
 	MTBF float64
 	MTTR float64
 	// Timing selects geometric or deterministic holding times.
@@ -113,26 +116,35 @@ func (s Spec) validate() error {
 	default:
 		return fmt.Errorf("lifecycle: unknown mode %v", s.Mode)
 	}
-	if s.MTBF < 1 {
-		return fmt.Errorf("lifecycle: MTBF %g must be at least 1 epoch", s.MTBF)
+	switch s.Timing {
+	case Exponential, Deterministic:
+	default:
+		return fmt.Errorf("lifecycle: unknown timing %v", s.Timing)
 	}
-	if s.MTTR < 1 {
-		return fmt.Errorf("lifecycle: MTTR %g must be at least 1 epoch", s.MTTR)
+	if !epochs(s.MTBF) {
+		return fmt.Errorf("lifecycle: MTBF %g must be a finite count of at least 1 epoch", s.MTBF)
 	}
-	if s.BlastRate < 0 || s.BlastRate > 1 {
+	if !epochs(s.MTTR) {
+		return fmt.Errorf("lifecycle: MTTR %g must be a finite count of at least 1 epoch", s.MTTR)
+	}
+	if !(s.BlastRate >= 0 && s.BlastRate <= 1) {
 		return fmt.Errorf("lifecycle: blast rate %g out of [0,1]", s.BlastRate)
 	}
 	if s.BlastRadius < 0 {
 		return fmt.Errorf("lifecycle: blast radius %d must be non-negative", s.BlastRadius)
 	}
-	if s.BlastRate > 0 && s.BlastMTTR != 0 && s.BlastMTTR < 1 {
-		return fmt.Errorf("lifecycle: blast MTTR %g must be at least 1 epoch", s.BlastMTTR)
+	if math.IsNaN(s.BlastMTTR) || math.IsInf(s.BlastMTTR, 0) || (s.BlastRate > 0 && s.BlastMTTR != 0 && s.BlastMTTR < 1) {
+		return fmt.Errorf("lifecycle: blast MTTR %g must be zero or a finite count of at least 1 epoch", s.BlastMTTR)
 	}
 	if s.RepairWindow < 0 {
 		return fmt.Errorf("lifecycle: repair window %d must be non-negative", s.RepairWindow)
 	}
 	return nil
 }
+
+// epochs reports whether a mean holding time is a finite count of at
+// least one epoch (NaN is not).
+func epochs(mean float64) bool { return mean >= 1 && !math.IsInf(mean, 1) }
 
 // DeadFractionSteadyState returns the long-run marginal dead fraction
 // of the churned population, MTTR/(MTBF+MTTR) — the lifetime analog of
@@ -148,34 +160,33 @@ type component struct {
 	timer int32 // epochs until the next state flip, always >= 1
 }
 
-// Process is an instantiated failure/repair process over one network
-// configuration. It is not safe for concurrent use; sweeps build one
-// per shard.
+// Process is an instantiated failure/repair process over one
+// population. It is not safe for concurrent use; sweeps build one per
+// shard.
 type Process struct {
-	cfg  topology.Config
+	pop  faults.Population
 	spec Spec
 	rng  *xrand.Rand
 
 	epoch int
-	total int // churned components (blast overlay excluded)
-	dead  int // currently dead churned components
-
-	wires    [][]component // [boundary-1][wire], WireFaults/MixedFaults
-	switches [][]component // [stage-1][switch], SwitchFaults/MixedFaults
+	dead  int         // currently dead churned components
+	comps []component // population order
 
 	// blastUntil[stage-1][switch] is the first epoch at which a blasted
-	// switch is live again (0 = not blasted). The overlay is kept apart
-	// from the churn state machines so a blast neither resets nor
-	// consumes a switch's own renewal clock.
+	// switch is live again (0 = not blasted); nil without blasts. The
+	// overlay is kept apart from the churn state machines so a blast
+	// neither resets nor consumes a switch's own renewal clock.
 	blastUntil [][]int64
 
 	// Reused Set backing storage; see Step.
 	set faults.Set
 }
 
-// New validates spec and draws the initial component phases from rng.
-// All components start alive; the population drifts toward the
-// steady-state dead fraction over the first few MTTRs.
+// New validates spec and starts the EDN process: spec.Mode's population
+// over cfg (faults.ModePopulation) plus the blast overlay, with the
+// initial component phases drawn from rng. All components start alive;
+// the population drifts toward the steady-state dead fraction over the
+// first few MTTRs.
 func New(cfg topology.Config, spec Spec, rng *xrand.Rand) (*Process, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -183,29 +194,7 @@ func New(cfg topology.Config, spec Spec, rng *xrand.Rand) (*Process, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	p := &Process{cfg: cfg, spec: spec, rng: rng}
-	if spec.Mode == faults.WireFaults || spec.Mode == faults.MixedFaults {
-		p.wires = make([][]component, cfg.L)
-		for i := 1; i <= cfg.L; i++ {
-			row := make([]component, cfg.WiresAfterStage(i))
-			for w := range row {
-				row[w] = component{timer: p.initialTTF()}
-			}
-			p.wires[i-1] = row
-			p.total += len(row)
-		}
-	}
-	if spec.Mode == faults.SwitchFaults || spec.Mode == faults.MixedFaults {
-		p.switches = make([][]component, cfg.L+1)
-		for s := 1; s <= cfg.L+1; s++ {
-			row := make([]component, cfg.SwitchesInStage(s))
-			for sw := range row {
-				row[sw] = component{timer: p.initialTTF()}
-			}
-			p.switches[s-1] = row
-			p.total += len(row)
-		}
-	}
+	p := start(faults.ModePopulation(cfg, spec.Mode), spec, rng)
 	if spec.BlastRate > 0 {
 		p.blastUntil = make([][]int64, cfg.L+1)
 		for s := 1; s <= cfg.L+1; s++ {
@@ -215,8 +204,28 @@ func New(cfg topology.Config, spec Spec, rng *xrand.Rand) (*Process, error) {
 	return p, nil
 }
 
-// Config returns the process's network configuration.
-func (p *Process) Config() topology.Config { return p.cfg }
+// NewProcess validates spec and starts its renewal clocks over an
+// arbitrary population, drawing the initial phases from rng in
+// population order. spec.Mode names EDN populations and is not
+// consulted; blasts are EDN structure (see New), so BlastRate must be
+// zero.
+func NewProcess(pop faults.Population, spec Spec, rng *xrand.Rand) (*Process, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	if spec.BlastRate != 0 {
+		return nil, fmt.Errorf("lifecycle: blasts need an EDN process (see New)")
+	}
+	return start(pop, spec, rng), nil
+}
+
+func start(pop faults.Population, spec Spec, rng *xrand.Rand) *Process {
+	p := &Process{pop: pop, spec: spec, rng: rng, comps: make([]component, pop.Len())}
+	for i := range p.comps {
+		p.comps[i].timer = InitialTTF(spec.Timing, spec.MTBF, rng)
+	}
+	return p
+}
 
 // Spec returns the process's failure/repair specification.
 func (p *Process) Spec() Spec { return p.spec }
@@ -227,47 +236,43 @@ func (p *Process) Epoch() int { return p.epoch }
 // DeadFraction returns the currently-dead fraction of the churned
 // population (the blast overlay is not part of the churn census).
 func (p *Process) DeadFraction() float64 {
-	if p.total == 0 {
+	if len(p.comps) == 0 {
 		return 0
 	}
-	return float64(p.dead) / float64(p.total)
+	return float64(p.dead) / float64(len(p.comps))
 }
 
-// Step advances one epoch — every component's renewal clock ticks, and
-// a blast may arrive — and returns the fault set now in effect. The
-// returned Set reuses the process's backing slices: it is valid until
-// the next Step call, which is exactly the lifetime of the
-// Compile-and-apply it feeds.
+// Step advances one epoch — every component's renewal clock ticks in
+// population order, and on an EDN a blast may arrive once the wire runs
+// have ticked — and returns the fault set now in effect. The returned
+// Set reuses the process's backing slices: it is valid until the next
+// Step call, which is exactly the lifetime of the compile-and-apply it
+// feeds.
 func (p *Process) Step() faults.Set {
 	p.epoch++
-	p.set.Wires = p.set.Wires[:0]
-	p.set.Switches = p.set.Switches[:0]
-	for b, row := range p.wires {
-		for w := range row {
-			if p.tick(&row[w]) {
-				p.set.Wires = append(p.set.Wires, faults.WireID{Boundary: b + 1, Wire: w})
+	p.set.Wires, p.set.Switches, p.set.Ports = p.set.Wires[:0], p.set.Switches[:0], p.set.Ports[:0]
+	blast := p.blastUntil != nil
+	i := 0
+	for _, r := range p.pop {
+		if blast && r.Kind == faults.SwitchRun {
+			p.maybeBlast()
+			blast = false
+		}
+		for k := 0; k < r.N; k++ {
+			if p.tick(&p.comps[i]) || (r.Kind == faults.SwitchRun && p.blasted(r.At, k)) {
+				r.Append(&p.set, k)
 			}
+			i++
 		}
 	}
-	if p.spec.BlastRate > 0 && p.rng.Bool(p.spec.BlastRate) {
-		p.blast()
-	}
-	for s, row := range p.switches {
-		for sw := range row {
-			if p.tick(&row[sw]) {
-				p.set.Switches = append(p.set.Switches, faults.SwitchID{Stage: s + 1, Switch: sw})
-			} else if p.blasted(s+1, sw) {
-				p.set.Switches = append(p.set.Switches, faults.SwitchID{Stage: s + 1, Switch: sw})
-			}
-		}
-	}
-	if p.switches == nil && p.blastUntil != nil {
-		// Wire-churn spec with blasts: the blast overlay is the only
-		// switch killer.
-		for s := 1; s <= p.cfg.L+1; s++ {
-			for sw := range p.blastUntil[s-1] {
-				if p.blasted(s, sw) {
-					p.set.Switches = append(p.set.Switches, faults.SwitchID{Stage: s, Switch: sw})
+	if blast {
+		// No churned switches: the blast overlay is the only switch
+		// killer.
+		p.maybeBlast()
+		for s, row := range p.blastUntil {
+			for sw := range row {
+				if p.blasted(s+1, sw) {
+					p.set.Switches = append(p.set.Switches, faults.SwitchID{Stage: s + 1, Switch: sw})
 				}
 			}
 		}
@@ -307,11 +312,14 @@ func (p *Process) tick(c *component) bool {
 	return c.dead
 }
 
-// blast kills a contiguous switch block: uniform stage, uniform center,
-// the spec's radius, repaired as a unit after a BlastMTTR-mean holding
-// time.
-func (p *Process) blast() {
-	stage := 1 + p.rng.Intn(p.cfg.L+1)
+// maybeBlast draws the epoch's blast arrival and, on a hit, kills a
+// contiguous switch block: uniform stage, uniform center, the spec's
+// radius, repaired as a unit after a BlastMTTR-mean holding time.
+func (p *Process) maybeBlast() {
+	if !p.rng.Bool(p.spec.BlastRate) {
+		return
+	}
+	stage := 1 + p.rng.Intn(len(p.blastUntil))
 	row := p.blastUntil[stage-1]
 	center := p.rng.Intn(len(row))
 	mttr := p.spec.BlastMTTR
@@ -359,10 +367,9 @@ func (p *Process) draw(mean float64) int32 {
 }
 
 // HoldingTime draws one holding time around mean epochs under the given
-// timing; always at least 1. It is the renewal-clock primitive shared
-// by every churn process in the repository (this package's Process over
-// EDN components, dilatedsim's sub-wire churn), so matched lifetime
-// comparisons sample their outage lengths from identical distributions.
+// timing; always at least 1. It is the renewal-clock primitive of every
+// Process, so matched lifetime comparisons of two fabrics sample their
+// outage lengths from identical distributions.
 func HoldingTime(t Timing, mean float64, rng *xrand.Rand) int32 {
 	if t == Deterministic {
 		k := math.Round(mean)
@@ -382,7 +389,13 @@ func HoldingTime(t Timing, mean float64, rng *xrand.Rand) int32 {
 		return 1
 	}
 	u := rng.Float64()
-	k := 1 + math.Floor(math.Log(1-u)/math.Log(1-1/mean))
+	q := math.Log(1 - 1/mean)
+	if q == 0 {
+		// 1-1/mean rounds to 1 (means beyond ~9e15 epochs): the clock
+		// never fires within a run.
+		return math.MaxInt32
+	}
+	k := 1 + math.Floor(math.Log(1-u)/q)
 	if k < 1 {
 		return 1
 	}
@@ -390,11 +403,6 @@ func HoldingTime(t Timing, mean float64, rng *xrand.Rand) int32 {
 		return math.MaxInt32
 	}
 	return int32(k)
-}
-
-// initialTTF draws a component's first time-to-failure.
-func (p *Process) initialTTF() int32 {
-	return InitialTTF(p.spec.Timing, p.spec.MTBF, p.rng)
 }
 
 // InitialTTF draws a component's first time-to-failure. Exponential

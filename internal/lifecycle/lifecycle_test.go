@@ -164,3 +164,50 @@ func TestBlastKillsContiguousBlock(t *testing.T) {
 		t.Error("20 guaranteed blasts never produced a contiguous block of >= 2 switches")
 	}
 }
+
+// TestChurnClockLimits: a mean so large that 1-1/mean rounds to 1 means
+// "never" — the component keeps its state for the whole run instead of
+// flipping every epoch — and non-finite clocks, blast parameters and
+// unknown timings are rejected by the one Spec validator.
+func TestChurnClockLimits(t *testing.T) {
+	cfg := mustCfg(t, 4, 2, 2, 2)
+	never, err := New(cfg, Spec{Mode: faults.MixedFaults, MTBF: 1e17, MTTR: 5}, xrand.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck, err := New(cfg, Spec{Mode: faults.WireFaults, MTBF: 2, MTTR: 1e300}, xrand.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := 0.0
+	for e := 0; e < 100; e++ {
+		if set := never.Step(); !set.IsZero() || never.DeadFraction() != 0 {
+			t.Fatalf("epoch %d: MTBF 1e17 killed %v", e, set)
+		}
+		stuck.Step()
+		if f := stuck.DeadFraction(); f < prev {
+			t.Fatalf("epoch %d: MTTR 1e300 repaired a component (dead fraction %g after %g)", e, f, prev)
+		}
+		prev = stuck.DeadFraction()
+	}
+	if prev != 1 {
+		t.Errorf("MTBF 2 left %g of the wires alive after 100 epochs", 1-prev)
+	}
+
+	nan, inf := math.NaN(), math.Inf(1)
+	for i, spec := range []Spec{
+		{MTBF: nan, MTTR: 5},
+		{MTBF: 10, MTTR: nan},
+		{MTBF: inf, MTTR: 5},
+		{MTBF: 10, MTTR: inf},
+		{MTBF: -inf, MTTR: 5},
+		{MTBF: 10, MTTR: 5, BlastRate: nan},
+		{MTBF: 10, MTTR: 5, BlastRate: 0.1, BlastMTTR: nan},
+		{MTBF: 10, MTTR: 5, BlastMTTR: inf},
+		{MTBF: 10, MTTR: 5, Timing: Timing(7)},
+	} {
+		if _, err := New(cfg, spec, xrand.New(1)); err == nil {
+			t.Errorf("spec %d (%+v) should not validate", i, spec)
+		}
+	}
+}

@@ -2,7 +2,7 @@
 // byte-budgeted LRU keyed by strings, with typed helpers for the three
 // immutable artifacts every job construction pays for — EDN interstage
 // tables (topology.Tables), dilated routing tables (dilatedsim.Tables)
-// and compiled fault masks (faults.Masks / dilatedsim.Masks).
+// and compiled fault masks (faults.Masks, for either fabric).
 //
 // All cached artifacts are immutable after construction and safe to
 // share across concurrently running engines:
@@ -18,7 +18,8 @@
 // pins that on both fabrics through a mid-run UpdateFaults, and the
 // root package's TestRunCacheTransparent across whole jobs. The tests
 // also pin LRU eviction order, the byte ledger (an artifact over the
-// whole budget is served but never retained), that failed builds are
+// whole budget is served but never retained; a mask counts the tables
+// it retains unless they are the cache's own), that failed builds are
 // not cached, and single-flight builds under the race detector.
 //
 // Builds are single-flight: concurrent requests for one key block on a
@@ -218,16 +219,25 @@ func (c *Cache) DilatedTables(dcfg dilated.Config) (*dilatedsim.Tables, bool, er
 // Masks returns the compiled availability masks for a Bernoulli fault
 // sample over cfg — mode's population dying with probability fraction
 // under the given sample seed. The key pins the full sampling identity
-// (cfg, mode, fraction, seed), so a hit replays the identical draw.
+// (cfg, mode, fraction, seed), so a hit replays the identical draw. The
+// masks are compiled over the cache's own Tables for cfg, so they
+// retain no tables of their own.
 func (c *Cache) Masks(cfg topology.Config, mode faults.Mode, fraction float64, seed uint64) (*faults.Masks, bool, error) {
 	key := fmt.Sprintf("mask:%d/%d/%d/%d:%d:%g:%d", cfg.A, cfg.B, cfg.C, cfg.L, int(mode), fraction, seed)
 	v, hit, err := c.getOrBuildHit(key, func() (any, int64, error) {
-		set := faults.Bernoulli(cfg, mode, fraction, xrand.New(seed))
-		m, err := faults.Compile(cfg, set)
+		t, _, err := c.Tables(cfg)
 		if err != nil {
 			return nil, 0, err
 		}
-		return m, maskBytes(cfg, m), nil
+		st, err := cfg.Fabric(t)
+		if err != nil {
+			return nil, 0, err
+		}
+		m, err := faults.CompileFabric(cfg, st, faults.Bernoulli(cfg, mode, fraction, xrand.New(seed)))
+		if err != nil {
+			return nil, 0, err
+		}
+		return m, maskBytes(m, false), nil
 	})
 	if err != nil {
 		return nil, hit, err
@@ -236,34 +246,34 @@ func (c *Cache) Masks(cfg topology.Config, mode faults.Mode, fraction float64, s
 }
 
 // DilatedMasks is Masks for the dilated engine: a Bernoulli sub-wire
-// sample at the given fraction and seed, compiled to engine rows.
-func (c *Cache) DilatedMasks(dcfg dilated.Config, fraction float64, seed uint64) (*dilatedsim.Masks, bool, error) {
+// sample at the given fraction and seed, compiled to engine rows over
+// the masks' own copy of the routing tables.
+func (c *Cache) DilatedMasks(dcfg dilated.Config, fraction float64, seed uint64) (*faults.Masks, bool, error) {
 	key := fmt.Sprintf("dmask:%d/%d/%d:%g:%d", dcfg.B, dcfg.D, dcfg.L, fraction, seed)
 	v, hit, err := c.getOrBuildHit(key, func() (any, int64, error) {
-		set := dilated.BernoulliSubWires(dcfg, fraction, xrand.New(seed))
-		m, err := dilatedsim.Compile(dcfg, set)
+		m, err := dilatedsim.Compile(dcfg, dilated.BernoulliSubWires(dcfg, fraction, xrand.New(seed)))
 		if err != nil {
 			return nil, 0, err
 		}
-		// Engine rows are one bool per sub-wire per boundary.
-		bytes := int64(dcfg.L) * int64(dcfg.Ports()) * int64(dcfg.D)
-		return m, bytes, nil
+		return m, maskBytes(m, true), nil
 	})
 	if err != nil {
 		return nil, hit, err
 	}
-	return v.(*dilatedsim.Masks), hit, nil
+	return v.(*faults.Masks), hit, nil
 }
 
-// maskBytes estimates a compiled mask's payload: one bool per wire per
-// compiled row (unfaulted stages compile to nil rows and cost nothing).
-func maskBytes(cfg topology.Config, m *faults.Masks) int64 {
-	var b int64
-	if m.LiveInputs() != nil {
-		b += int64(cfg.Inputs())
-	}
-	for s := 1; s <= cfg.Stages(); s++ {
-		b += int64(len(m.LiveStageOutputs(s)))
+// maskBytes is what a compiled mask keeps alive: one bool per entry of
+// its liveness rows (unfaulted stages compile to nil rows and cost
+// nothing), plus, when private, the interstage tables of the
+// descriptor it was compiled over.
+func maskBytes(m *faults.Masks, private bool) int64 {
+	b := int64(len(m.LiveInputs()))
+	for s, st := range m.Fabric() {
+		b += int64(len(m.LiveStageOutputs(s + 1)))
+		if private {
+			b += 4 * int64(len(st.Table))
+		}
 	}
 	return b
 }

@@ -335,3 +335,57 @@ func TestCachedArtifactsMatchFreshBuilds(t *testing.T) {
 		}
 	}
 }
+
+// TestMaskBytesCountRetainedTables pins the ledger's mask entries: a
+// mask compiled over the cache's own Tables counts only its liveness
+// rows (the tables are counted under their own key), while a mask
+// compiled over a private copy of the routing tables — the dilated
+// masks — counts those tables too, since the cached mask keeps them
+// alive.
+func TestMaskBytesCountRetainedTables(t *testing.T) {
+	rowBytes := func(m *faults.Masks) (rows, tables int64) {
+		rows = int64(len(m.LiveInputs()))
+		for s, st := range m.Fabric() {
+			rows += int64(len(m.LiveStageOutputs(s + 1)))
+			tables += 4 * int64(len(st.Table))
+		}
+		return rows, tables
+	}
+	c := New(0)
+	cfg, err := topology.New(8, 4, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := c.Masks(cfg, faults.WireFaults, 0.2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tabs, hit, err := c.Tables(cfg)
+	if err != nil || !hit {
+		t.Fatalf("Masks did not compile over the cache's own Tables (hit=%v, err=%v)", hit, err)
+	}
+	rows, shared := rowBytes(m)
+	if rows == 0 || shared == 0 {
+		t.Fatalf("degenerate sample: %d row bytes, %d table bytes", rows, shared)
+	}
+	if got, want := c.Stats().Bytes, tabs.Bytes()+rows; got != want {
+		t.Fatalf("ledger %d bytes after an EDN mask, want tables %d + rows %d", got, tabs.Bytes(), rows)
+	}
+
+	dcfg, err := dilated.New(2, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats().Bytes
+	dm, _, err := c.DilatedMasks(dcfg, 0.2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, private := rowBytes(dm)
+	if rows == 0 || private == 0 {
+		t.Fatalf("degenerate dilated sample: %d row bytes, %d table bytes", rows, private)
+	}
+	if got := c.Stats().Bytes - before; got != rows+private {
+		t.Fatalf("dilated mask counted %d bytes, want rows %d + its private tables %d", got, rows, private)
+	}
+}

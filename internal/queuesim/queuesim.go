@@ -7,15 +7,18 @@
 // what the closed forms cannot — queueing delay, tail latency and
 // saturation throughput under temporally correlated load.
 //
-// A network is built from a Fabric: a per-stage descriptor of switches
-// whose output buckets hold interchangeable wires, joined by flat int32
-// interstage tables, the last stage retiring onto the terminals. New
-// builds the EDN's descriptor from topology.Tables (hyperbar buckets of
-// c wires, then the c x c crossbars as the retire stage with c buckets
-// per switch); internal/dilatedsim builds the dilated delta's (buckets
-// of d sub-wires, then the output ports as a retire stage with one
-// bucket per switch). Per-stage routing digits are shift/mask slices
-// of the destination (Section 2's digit retirement), and head-of-line
+// A network is built from a Fabric: a per-stage descriptor
+// (topology.Stage) of switches whose output buckets hold
+// interchangeable wires, joined by flat int32 interstage tables, the
+// last stage retiring onto the terminals. New runs the EDN's
+// descriptor, topology.Config.Fabric (hyperbar buckets of c wires, then
+// the c x c crossbars as the retire stage with c buckets per switch);
+// internal/dilatedsim builds the dilated delta's (buckets of d
+// sub-wires, then the output ports as a retire stage with one bucket
+// per switch). Faults are one model for both: internal/faults compiles
+// the dead components of any descriptor into the masks UpdateFaults
+// installs. Per-stage routing digits are shift/mask slices of the
+// destination (Section 2's digit retirement), and head-of-line
 // arbitration per switch uses the switchfab arbiter orders (the
 // nil-factory default takes the fused priority fast path). All FIFO
 // storage is ring buffers sized at construction, so the per-cycle
@@ -48,7 +51,6 @@ package queuesim
 
 import (
 	"fmt"
-	"math"
 
 	"edn/internal/anatomy"
 	"edn/internal/faults"
@@ -107,18 +109,19 @@ type Options struct {
 	// top quantiles toward the maximum.
 	LatencyBuckets     int
 	LatencyBucketWidth float64
-	// Faults disables network components (see internal/faults): packets
-	// only advance onto live wires, injections at dead inputs are
-	// refused at the source, and a head-of-line packet whose bucket has
-	// no live wire left waits (Backpressure) or dies (Drop). A packet
-	// addressed to a dead output terminal can never retire while the
-	// fault stands — under Backpressure it parks at the crossbar head,
-	// counted every cycle in CycleStats.ParkedOnDead, so degraded-mode
-	// measurements normally pair immutable faults with Drop. Nil or
-	// empty means fully live and changes nothing. UpdateFaults swaps the
-	// masks of a running network in place, which is how time-varying
-	// fault processes (internal/lifecycle) drive this engine. EDN only:
-	// NewFabric ignores it.
+	// Faults disables network components (see internal/faults), on
+	// either fabric: packets only advance onto live wires, injections at
+	// dead inputs are refused at the source, and a head-of-line packet
+	// whose bucket has no live wire left waits (Backpressure) or dies
+	// (Drop). A packet addressed to a dead output terminal can never
+	// retire while the fault stands — under Backpressure it parks at the
+	// retire stage's head, counted every cycle in
+	// CycleStats.ParkedOnDead, so degraded-mode measurements normally
+	// pair immutable faults with Drop. Nil or empty means fully live and
+	// changes nothing. The masks must have been compiled over a
+	// descriptor of the network's geometry; UpdateFaults swaps them on a
+	// running network in place, which is how time-varying fault
+	// processes (internal/lifecycle) drive this engine.
 	Faults *faults.Masks
 	// Tables, when non-nil, supplies prebuilt interstage routing tables
 	// for the same Config: the network shares the read-only slices
@@ -181,20 +184,6 @@ type CycleStats struct {
 	ParkedOnDead int
 }
 
-// Stage describes one switch stage of a fabric: Switches switches of
-// Width input wires each, whose outputs form Buckets buckets of Wires
-// interchangeable wires. A packet's routing digit at the stage is
-// (dest >> Shift) & Mask. Output label sw*Buckets*Wires + bucket*Wires
-// + k crosses Table (nil = identity) onto the next stage's input wire.
-// The last stage of a fabric retires onto terminal sw*Buckets + bucket
-// instead: it has one wire per bucket and no table.
-type Stage struct {
-	Switches, Width, Buckets, Wires int
-	Shift                           uint
-	Mask                            uint32
-	Table                           []int32
-}
-
 // Settlement is how the unbuffered (Depth 0) corner settles the
 // packets its wave sweep blocks or delivers. Fabric constructors pick
 // it; it is part of a fabric's definition, not a user option.
@@ -220,22 +209,25 @@ const (
 	SettleBySweep
 )
 
-// Fabric is the per-stage descriptor a Network runs. Name prefixes the
-// engine's error messages and Label names the geometry in them.
+// Fabric is a fabric as the engine runs it: the per-stage descriptor
+// (topology.Stage) plus its settlement rule. Name prefixes the engine's
+// error messages and Label, a comparable value, names the geometry in
+// them; compiled fault masks carry the label of the descriptor they
+// were compiled over, and UpdateFaults accepts only masks of the
+// network's own.
 type Fabric struct {
 	Name   string
 	Label  fmt.Stringer
-	Stages []Stage
+	Stages []topology.Stage
 	Settle Settlement
 }
 
 // Network is an instantiated queueing network. It is not safe for
 // concurrent use; the sweep harness builds one per shard.
 type Network struct {
-	cfg     topology.Config // EDN fabrics only (see UpdateFaults)
 	name    string
 	label   fmt.Stringer
-	st      []Stage
+	st      []topology.Stage
 	settle  Settlement
 	opts    Options
 	stages  int
@@ -249,7 +241,7 @@ type Network struct {
 	base  []int // base[i] = first ring of boundary i, i in [0, stages-1]
 
 	// Fault availability (nil = fully live), swapped between cycles by
-	// UpdateLive. live points at liveRows when any stage row is masked.
+	// UpdateFaults. live points at liveRows when any stage row is masked.
 	// deadRing (nil when every wire is live) marks rings whose feeding
 	// wire the current mask disables: their queued packets are stranded
 	// and their heads are skipped by arbitration.
@@ -260,7 +252,6 @@ type Network struct {
 	liveIn         []bool
 	live           [][]bool // [stage-1] stage-local output label availability
 	liveRows       [][]bool
-	faultRows      [][]bool // UpdateFaults' gather buffer
 	deadRing       []bool
 	deadRingBuf    []bool
 	liveCap        [][]int32
@@ -307,57 +298,24 @@ type Network struct {
 	anat *anatomy.Collector
 }
 
-// New builds a queueing EDN over cfg. See Options for the depth and
-// policy semantics.
+// New builds a queueing EDN over cfg, running cfg.Fabric(opts.Tables).
+// See Options for the depth and policy semantics.
 func New(cfg topology.Config, opts Options) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkOptions("queuesim", opts); err != nil {
-		return nil, err
-	}
-	if opts.Tables != nil && opts.Tables.Config() != cfg {
-		return nil, fmt.Errorf("queuesim: tables built for %v, network is %v", opts.Tables.Config(), cfg)
-	}
-	for i := 0; i <= cfg.L; i++ {
-		if w := cfg.WiresAfterStage(i); w > math.MaxInt32 {
-			return nil, fmt.Errorf("queuesim: %v has %d wires in one stage, beyond the simulable limit", cfg, w)
-		}
-	}
-	logB, logC := topology.Log2(cfg.B), topology.Log2(cfg.C)
-	st := make([]Stage, cfg.L+1)
-	for s := 1; s <= cfg.L; s++ {
-		var tab []int32
-		if opts.Tables != nil {
-			tab = opts.Tables.Interstage(s)
-		} else {
-			tab = cfg.InterstageTable(s)
-		}
-		st[s-1] = Stage{
-			Switches: cfg.SwitchesInStage(s), Width: cfg.A, Buckets: cfg.B, Wires: cfg.C,
-			Shift: uint(logC + (cfg.L-s)*logB), Mask: uint32(cfg.B - 1), Table: tab,
-		}
-	}
-	st[cfg.L] = Stage{
-		Switches: cfg.SwitchesInStage(cfg.L + 1), Width: cfg.C, Buckets: cfg.C, Wires: 1,
-		Mask: uint32(cfg.C - 1),
-	}
-	n, err := NewFabric(Fabric{Name: "queuesim", Label: cfg, Stages: st, Settle: SettleByInput}, opts)
+	st, err := cfg.Fabric(opts.Tables)
 	if err != nil {
 		return nil, err
 	}
-	n.cfg = cfg
-	if err := n.UpdateFaults(opts.Faults); err != nil {
-		return nil, err
-	}
-	return n, nil
+	return NewFabric(Fabric{Name: "queuesim", Label: cfg, Stages: st, Settle: SettleByInput}, opts)
 }
 
 // NewFabric builds a queueing network over an arbitrary fabric
-// descriptor, fully live; the fabric's constructor installs masks
-// through UpdateLive. opts.Faults and opts.Tables are EDN-typed and
-// ignored here. The descriptor's tables are shared, never copied or
-// written.
+// descriptor and installs opts.Faults, which must have been compiled
+// over a descriptor of the same label. opts.Tables is EDN-typed and
+// ignored here (New reads it). The descriptor's tables are shared,
+// never copied or written.
 func NewFabric(f Fabric, opts Options) (*Network, error) {
 	if err := checkOptions(f.Name, opts); err != nil {
 		return nil, err
@@ -379,7 +337,6 @@ func NewFabric(f Fabric, opts Options) (*Network, error) {
 		perStage:     make([]int64, stages),
 		lat:          stats.NewHistogram(opts.LatencyBuckets, opts.LatencyBucketWidth),
 		liveRows:     make([][]bool, stages),
-		faultRows:    make([][]bool, stages),
 		liveCap:      make([][]int32, stages-1),
 		arbiters:     make([][]switchfab.Arbiter, stages),
 	}
@@ -435,7 +392,9 @@ func NewFabric(f Fabric, opts Options) (*Network, error) {
 		}
 		n.deadRingBuf = make([]bool, total)
 	}
-	n.UpdateLive(nil, nil)
+	if err := n.UpdateFaults(opts.Faults); err != nil {
+		return nil, err
+	}
 	return n, nil
 }
 
@@ -451,54 +410,45 @@ func checkOptions(name string, opts Options) error {
 	return nil
 }
 
-// UpdateFaults swaps the EDN's availability masks in place: packets
-// keep flowing through the same rings, tables and arbiter state while
-// the set of live components changes under them — the epoch primitive
-// of an availability-over-time simulation. A nil or empty mask restores
-// the unmasked fast paths bit-for-bit. The swap allocates nothing.
+// UpdateFaults swaps the network's availability masks in place, on
+// either fabric: packets keep flowing through the same rings, tables
+// and arbiter state while the set of live components changes under
+// them — the epoch primitive of an availability-over-time simulation.
+// A nil or empty mask restores the unmasked fast paths bit-for-bit. The
+// swap allocates nothing.
 //
 // Packets already queued on a wire the new mask disables are stranded
 // and handled by policy: under Drop they are discarded immediately and
 // counted in Totals.Stranded; under Backpressure they stay parked in
 // place — skipped by arbitration, reported each cycle via
 // CycleStats.ParkedOnDead — and resume unharmed if a later update
-// repairs the wire. Masks must have been compiled for this network's
-// configuration; on error the previous masks remain in effect. Not
-// safe to call concurrently with Cycle.
+// repairs the wire. Masks must have been compiled over a descriptor of
+// this network's geometry (their Label; CompileFaults compiles over the
+// network's own); on error the previous masks remain in effect. The
+// engine reads the mask rows, never writes them. Not safe to call
+// concurrently with Cycle.
 func (n *Network) UpdateFaults(m *faults.Masks) error {
 	if m.Empty() {
-		n.UpdateLive(nil, nil)
-		return nil
+		m = nil
+	} else if m.Label() != n.label {
+		return fmt.Errorf("%s: masks compiled for %v, network is %v", n.name, m.Label(), n.label)
 	}
-	if got := m.Config(); got != n.cfg {
-		return fmt.Errorf("queuesim: masks compiled for %v, network is %v", got, n.cfg)
-	}
-	for s := range n.faultRows {
-		n.faultRows[s] = m.LiveStageOutputs(s + 1)
-	}
-	n.UpdateLive(m.LiveInputs(), n.faultRows)
-	return nil
-}
-
-// UpdateLive is the fabric-neutral form of UpdateFaults, with the same
-// stranding and parking semantics: in[i] is the availability of input
-// wire i and rows[s-1] that of stage s's output labels (nil, or rows
-// shorter than the stage count, mean fully live). The engine reads the
-// slices, never writes them; they must stay unchanged while installed.
-// Fabric constructors translate their own fault masks into this form.
-func (n *Network) UpdateLive(in []bool, rows [][]bool) {
-	n.liveIn, n.live = in, nil
+	n.liveIn, n.live = m.LiveInputs(), nil
 	for s := range n.liveRows {
-		var row []bool
-		if s < len(rows) {
-			row = rows[s]
-		}
-		n.liveRows[s] = row
-		if row != nil {
+		n.liveRows[s] = m.LiveStageOutputs(s + 1)
+		if n.liveRows[s] != nil {
 			n.live = n.liveRows
 		}
 	}
 	n.refreshLive()
+	return nil
+}
+
+// CompileFaults compiles set over the network's own descriptor, sharing
+// its tables: the per-epoch compile of a lifetime, which rebuilds
+// nothing.
+func (n *Network) CompileFaults(set faults.Set) (*faults.Masks, error) {
+	return faults.CompileFabric(n.label, n.st, set)
 }
 
 // refreshLive recomputes the engine's view of the current masks:
@@ -596,7 +546,10 @@ func (n *Network) refreshLive() {
 
 // Config returns the EDN's configuration (the zero Config for other
 // fabrics, whose constructors expose their own).
-func (n *Network) Config() topology.Config { return n.cfg }
+func (n *Network) Config() topology.Config {
+	cfg, _ := n.label.(topology.Config)
+	return cfg
+}
 
 // Stages returns the stage count, the retire stage included.
 func (n *Network) Stages() int { return n.stages }

@@ -40,8 +40,8 @@ func (o AvailabilityOptions) withDefaults() (AvailabilityOptions, error) {
 		return o, fmt.Errorf("simulate: availability sweep needs at least one fault fraction")
 	}
 	for _, f := range o.Fractions {
-		if f < 0 || f > 1 {
-			return o, fmt.Errorf("simulate: fault fraction %g out of [0,1]", f)
+		if err := faults.CheckFraction(f); err != nil {
+			return o, err
 		}
 	}
 	if o.Load <= 0 {

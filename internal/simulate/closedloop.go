@@ -420,12 +420,12 @@ func runClosedLoopLifetimeShard(net Net, lopts LifetimeOptions, lo closedloop.Op
 		deadFrac:  stats.NewTimeSeries(lopts.Epochs),
 	}
 	procRoot := xrand.New(procSeed)
-	fwd, err := net.churned(lopts.Spec, procRoot.Split(), opts.Factory)
+	fwd, err := churned(net, lopts.Spec, procRoot.Split(), opts.Factory)
 	if err != nil {
 		p.err = err
 		return p
 	}
-	rev, err := net.churned(lopts.Spec, procRoot.Split(), opts.Factory)
+	rev, err := churned(net, lopts.Spec, procRoot.Split(), opts.Factory)
 	if err != nil {
 		p.err = err
 		return p

@@ -331,7 +331,7 @@ func mergeLifetimes(parts []partialLifetime, lopts LifetimeOptions, opts Options
 // compile, swap the masks into the running engine in place, run
 // EpochCycles cycles, record the epoch's series).
 func runLifetimeShard(net Net, lopts LifetimeOptions, src LoadPattern, opts Options, w int, procSeed, trafficSeed uint64) partialLifetime {
-	fab, err := net.churned(lopts.Spec, xrand.New(procSeed), opts.Factory)
+	fab, err := churned(net, lopts.Spec, xrand.New(procSeed), opts.Factory)
 	if err != nil {
 		return partialLifetime{err: err}
 	}
@@ -487,11 +487,12 @@ func (r DilatedLifetimeResult) MarshalJSON() ([]byte, error) {
 // an alternating-renewal clock of lopts.Spec's MTBF/MTTR/Timing (the
 // population is always the sub-wires — the network's entire redundancy
 // budget — so Spec.Mode and the blast overlay, which name EDN
-// structures, are ignored). Under the same Options the two sweeps churn
-// an EDN and its counterpart through identically distributed outages
-// under identical per-input traffic replays — the measured lifetime
-// half of the equal-redundancy comparison. lopts.Threshold <= 0 selects
-// half the counterpart's own fault-free mean-field bandwidth per input.
+// structures, and repair windows are not applied). Under the same
+// Options the two sweeps churn an EDN and its counterpart through
+// identically distributed outages under identical per-input traffic
+// replays — the measured lifetime half of the equal-redundancy
+// comparison. lopts.Threshold <= 0 selects half the counterpart's own
+// fault-free mean-field bandwidth per input.
 func DilatedLifetimeSweep(n Dilated, lopts LifetimeOptions, src LoadPattern, opts Options, shards int) (DilatedLifetimeResult, error) {
 	m, err := lifetimeSweep(n, lopts, src, opts, shards)
 	if err != nil {

@@ -18,9 +18,10 @@ import (
 // measures both sides of the paper's equal-redundancy comparison; the
 // interface is sealed, and everything the two networks do differently
 // — validation, port counts, result labels, engine construction, the
-// fault plan and census of a degradation sweep, the failure/repair
-// process of a lifetime, and the default lifetime threshold — lives in
-// its two implementations.
+// fault plan of a degradation sweep, the churned population of a
+// lifetime, and the default lifetime threshold — lives in its two
+// implementations. Faults themselves are one model (internal/faults):
+// both engines install the same masks and flood the same way.
 type Net interface {
 	String() string
 
@@ -35,9 +36,12 @@ type Net interface {
 	// engine builds a packet engine, defaulting the arbiter factory to
 	// factory when the queue options leave it nil.
 	engine(factory switchfab.ArbiterFactory) (*queuesim.Network, error)
-	// churned builds a healthy engine plus a failure/repair process
-	// drawn from rng (see churnedFabric).
-	churned(spec lifecycle.Spec, rng *xrand.Rand, factory switchfab.ArbiterFactory) (churnedFabric, error)
+	// withFaults returns the network with its queue options' fault
+	// masks replaced by m (nil: healthy).
+	withFaults(m *faults.Masks) Net
+	// process draws a lifetime's failure/repair process over the
+	// network's churned population from rng (see churned).
+	process(spec lifecycle.Spec, rng *xrand.Rand) (*lifecycle.Process, error)
 	// faultPlan draws one shard's nested fault plan for a degradation
 	// sweep (see faultPlan).
 	faultPlan(mode faults.Mode, rng *xrand.Rand) faultPlan
@@ -57,13 +61,41 @@ func networkName(cfg topology.Config, dcfg dilated.Config) string {
 
 // churnedFabric is one fabric of a lifetime shard: the running engine
 // and the epoch step that advances its failure/repair process, compiles
-// the resulting fault set and swaps it into the engine in place. step
-// reports the dead fraction of the churned population and, when live is
-// non-nil, fills it with the per-output reachability verdict and
-// returns the reachable count.
+// the resulting fault set over the engine's own descriptor and swaps it
+// into the engine in place. step reports the dead fraction of the
+// churned population and, when live is non-nil, fills it with the
+// per-output reachability verdict and returns the reachable count.
 type churnedFabric struct {
 	eng  *queuesim.Network
 	step func(live []bool) (reachable int, deadFrac float64, err error)
+}
+
+// churned builds net's lifetime fabric: a healthy engine (the lifetime
+// starts healthy; epochs swap masks in) plus a failure/repair process
+// drawn from rng.
+func churned(net Net, spec lifecycle.Spec, rng *xrand.Rand, f switchfab.ArbiterFactory) (churnedFabric, error) {
+	proc, err := net.process(spec, rng)
+	if err != nil {
+		return churnedFabric{}, err
+	}
+	eng, err := net.withFaults(nil).engine(f)
+	if err != nil {
+		return churnedFabric{}, err
+	}
+	return churnedFabric{eng: eng, step: func(live []bool) (int, float64, error) {
+		m, err := eng.CompileFaults(proc.Step())
+		if err != nil {
+			return 0, 0, err
+		}
+		if err := eng.UpdateFaults(m); err != nil {
+			return 0, 0, err
+		}
+		reach := 0
+		if live != nil {
+			reach = m.ReachableOutputsInto(live)
+		}
+		return reach, proc.DeadFraction(), nil
+	}}, nil
 }
 
 // faultPlan is one shard's nested fault plan: at fraction f it returns
@@ -72,13 +104,24 @@ type churnedFabric struct {
 // only when withExpected).
 type faultPlan func(f, load float64, withExpected bool) (Net, faultCensus, error)
 
-// faultCensus is one shard's sampled fault state. deadWires counts the
-// dilated delta's dead sub-wires; deadSwitches and liveInputs are zero
-// there (its switches and single-wire inputs never fail).
+// faultCensus is one shard's sampled fault state. deadWires counts dead
+// stage-input and stage-output wires — a dilated delta's dead sub-wires
+// are the latter, and its switches and single-wire inputs never fail.
 type faultCensus struct {
 	deadSwitches, deadWires float64
 	reachable, liveInputs   float64 // fractions of outputs and inputs
 	expected                float64
+}
+
+// census reads the fault census of masks m compiled for net.
+func census(net Net, m *faults.Masks) faultCensus {
+	inputs, outputs := net.ports()
+	return faultCensus{
+		deadSwitches: float64(m.DeadSwitches()),
+		deadWires:    float64(m.DeadWires() + m.DeadPorts()),
+		reachable:    float64(m.ReachableOutputs()) / float64(outputs),
+		liveInputs:   float64(m.LiveInputCount()) / float64(inputs),
+	}
 }
 
 func (c *faultCensus) add(o faultCensus) {
@@ -123,31 +166,13 @@ func (n EDN) withFactory(f switchfab.ArbiterFactory) queuesim.Options {
 	return q
 }
 
-func (n EDN) churned(spec lifecycle.Spec, rng *xrand.Rand, f switchfab.ArbiterFactory) (churnedFabric, error) {
-	proc, err := lifecycle.New(n.Config, spec, rng)
-	if err != nil {
-		return churnedFabric{}, err
-	}
-	q := n.withFactory(f)
-	q.Faults = nil // the lifetime starts healthy; epochs swap masks in
-	eng, err := queuesim.New(n.Config, q)
-	if err != nil {
-		return churnedFabric{}, err
-	}
-	return churnedFabric{eng: eng, step: func(live []bool) (int, float64, error) {
-		m, err := faults.Compile(n.Config, proc.Step())
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := eng.UpdateFaults(m); err != nil {
-			return 0, 0, err
-		}
-		reach := 0
-		if live != nil {
-			reach = m.ReachableOutputsInto(live)
-		}
-		return reach, proc.DeadFraction(), nil
-	}}, nil
+func (n EDN) withFaults(m *faults.Masks) Net {
+	n.Queue.Faults = m
+	return n
+}
+
+func (n EDN) process(spec lifecycle.Spec, rng *xrand.Rand) (*lifecycle.Process, error) {
+	return lifecycle.New(n.Config, spec, rng)
 }
 
 func (n EDN) faultPlan(mode faults.Mode, rng *xrand.Rand) faultPlan {
@@ -157,18 +182,11 @@ func (n EDN) faultPlan(mode faults.Mode, rng *xrand.Rand) faultPlan {
 		if err != nil {
 			return nil, faultCensus{}, err
 		}
-		c := faultCensus{
-			deadSwitches: float64(m.DeadSwitches()),
-			deadWires:    float64(m.DeadWires()),
-			reachable:    float64(m.ReachableOutputs()) / float64(n.Config.Outputs()),
-			liveInputs:   float64(m.LiveInputCount()) / float64(n.Config.Inputs()),
-		}
+		c := census(n, m)
 		if withExpected {
 			c.expected = faults.ExpectedUniformBandwidth(m, load)
 		}
-		faulted := n
-		faulted.Queue.Faults = m
-		return faulted, c, nil
+		return n.withFaults(m), c, nil
 	}
 }
 
@@ -203,31 +221,16 @@ func (n Dilated) withFactory(f switchfab.ArbiterFactory) dilatedsim.Options {
 	return q
 }
 
-func (n Dilated) churned(spec lifecycle.Spec, rng *xrand.Rand, f switchfab.ArbiterFactory) (churnedFabric, error) {
-	churn, err := dilatedsim.NewChurn(n.Config, spec.MTBF, spec.MTTR, spec.Timing, rng)
-	if err != nil {
-		return churnedFabric{}, err
-	}
-	q := n.withFactory(f)
-	q.Faults = nil // the lifetime starts healthy; epochs swap masks in
-	eng, err := dilatedsim.New(n.Config, q)
-	if err != nil {
-		return churnedFabric{}, err
-	}
-	return churnedFabric{eng: eng.Network, step: func(live []bool) (int, float64, error) {
-		m, err := dilatedsim.Compile(n.Config, churn.Step())
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := eng.UpdateFaults(m); err != nil {
-			return 0, 0, err
-		}
-		reach := 0
-		if live != nil {
-			reach = m.ReachableOutputsInto(live)
-		}
-		return reach, churn.DeadFraction(), nil
-	}}, nil
+func (n Dilated) withFaults(m *faults.Masks) Net {
+	n.Queue.Faults = m
+	return n
+}
+
+// process churns the sub-wires on spec's clocks. Spec.Mode, the blast
+// overlay and repair windows name EDN structures and are not applied.
+func (n Dilated) process(spec lifecycle.Spec, rng *xrand.Rand) (*lifecycle.Process, error) {
+	clocks := lifecycle.Spec{MTBF: spec.MTBF, MTTR: spec.MTTR, Timing: spec.Timing}
+	return lifecycle.NewProcess(dilatedsim.SubWires(n.Config), clocks, rng)
 }
 
 func (n Dilated) faultPlan(_ faults.Mode, rng *xrand.Rand) faultPlan {
@@ -238,10 +241,7 @@ func (n Dilated) faultPlan(_ faults.Mode, rng *xrand.Rand) faultPlan {
 		if err != nil {
 			return nil, faultCensus{}, err
 		}
-		c := faultCensus{
-			deadWires: float64(m.DeadSubWires()),
-			reachable: float64(m.ReachableOutputs()) / float64(n.Config.Ports()),
-		}
+		c := census(n, m)
 		if withExpected {
 			deg, err := n.Config.CompileFaults(set)
 			if err != nil {
@@ -249,8 +249,6 @@ func (n Dilated) faultPlan(_ faults.Mode, rng *xrand.Rand) faultPlan {
 			}
 			c.expected = deg.Bandwidth(load)
 		}
-		faulted := n
-		faulted.Queue.Faults = m
-		return faulted, c, nil
+		return n.withFaults(m), c, nil
 	}
 }

@@ -21,6 +21,7 @@ import (
 
 	"edn/internal/cliutil"
 	"edn/internal/closedloop"
+	"edn/internal/faults"
 	"edn/internal/lifecycle"
 	"edn/internal/probe"
 	"edn/internal/simulate"
@@ -246,7 +247,7 @@ type LifetimeSpec struct {
 	// "mixed". The dilated engine always churns sub-wires.
 	Mode string `json:"mode,omitempty"`
 	// MTBF and MTTR are the per-component mean epochs alive and mean
-	// repair epochs. Both must be >= 1.
+	// repair epochs. Both must be finite and >= 1.
 	MTBF float64 `json:"mtbf"`
 	MTTR float64 `json:"mttr"`
 	// Timing is "exponential" (default) or "deterministic".
@@ -630,8 +631,8 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 			}
 		}
 		if s.Faults != nil {
-			if s.Faults.Fraction < 0 || s.Faults.Fraction > 1 {
-				return nil, fmt.Errorf("edn: fault fraction %g out of [0,1]", s.Faults.Fraction)
+			if err := faults.CheckFraction(s.Faults.Fraction); err != nil {
+				return nil, fmt.Errorf("edn: %w", err)
 			}
 			mode, err := s.Faults.mode()
 			if err != nil {

@@ -3,6 +3,7 @@ package edn
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -520,5 +521,50 @@ func TestJobResultMarshals(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunRejectsNonFiniteInputs pins the one fault-fraction check and
+// the one churn-clock validator at the job level: NaN fault fractions
+// (the static sample and the swept axis) and non-finite MTBF/MTTR fail
+// on both engines instead of running, and a finite but huge MTBF runs
+// as "never fails".
+func TestRunRejectsNonFiniteInputs(t *testing.T) {
+	geo := &GeometrySpec{A: 4, B: 2, C: 2, L: 2}
+	sim := SimSpec{Cycles: 50, Warmup: 10, Seed: 1, Shards: 1}
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := map[string]JobSpec{
+		"static-nan": {Mode: JobLatency, Geometry: geo, Faults: &FaultsSpec{Fraction: nan}, Sim: sim},
+	}
+	for _, engine := range []string{EngineEDN, EngineDilated} {
+		bad[engine+"/sweep-nan"] = JobSpec{Mode: JobAvailability, Engine: engine, Geometry: geo,
+			Avail: &AvailabilitySpec{Fractions: []float64{0, nan}}, Sim: sim}
+		for i, clocks := range [][2]float64{{nan, 5}, {10, nan}, {inf, 5}, {10, inf}} {
+			bad[fmt.Sprintf("%s/clocks%d", engine, i)] = JobSpec{Mode: JobLifetime, Engine: engine, Geometry: geo,
+				Lifetime: &LifetimeSpec{Epochs: 3, EpochCycles: 20, MTBF: clocks[0], MTTR: clocks[1]}, Sim: sim}
+		}
+	}
+	for name, spec := range bad {
+		if _, err := Run(context.Background(), spec); err == nil {
+			t.Errorf("%s: ran without error", name)
+		}
+	}
+	for _, engine := range []string{EngineEDN, EngineDilated} {
+		res, err := Run(context.Background(), JobSpec{Mode: JobLifetime, Engine: engine, Geometry: geo,
+			Lifetime: &LifetimeSpec{Epochs: 6, EpochCycles: 20, MTBF: 1e17, MTTR: 5}, Sim: sim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead := func() *TimeSeries {
+			if res.Lifetime != nil {
+				return res.Lifetime.DeadFraction
+			}
+			return res.DilatedLifetime.DeadFraction
+		}()
+		for e := 0; e < 6; e++ {
+			if f := dead.Mean(e); f != 0 {
+				t.Errorf("%s epoch %d: MTBF 1e17 dead fraction %g", engine, e, f)
+			}
+		}
 	}
 }
