@@ -196,3 +196,19 @@ func TestRunDilatedRejectsDrain(t *testing.T) {
 		t.Error("-dilated with -drain accepted")
 	}
 }
+
+// TestLatencyRunRejectsHostileInputs pins two inputs that would
+// otherwise run and print wrong numbers: a negative warmup (the window
+// shrinks but throughput still divides by -cycles) and a NaN load.
+func TestLatencyRunRejectsHostileInputs(t *testing.T) {
+	base := []string{"-a", "4", "-b", "2", "-c", "2", "-l", "2", "-cycles", "50", "-shards", "1", "-format", "csv"}
+	for _, extra := range [][]string{
+		{"-warmup", "-10", "-loads", "0.5"},
+		{"-loads", "0.5,NaN"},
+	} {
+		var sb strings.Builder
+		if err := runCmd("latency", append(append([]string{}, base...), extra...), &sb); err == nil {
+			t.Errorf("latency %v ran and printed:\n%s", extra, sb.String())
+		}
+	}
+}

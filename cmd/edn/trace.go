@@ -28,6 +28,9 @@ func cmdTrace(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 		if err != nil {
 			return err
 		}
+		if *jf.warmup < 0 || *traceCap < 0 || *bins < 0 {
+			return fmt.Errorf("-warmup, -trace-cap and -heat-bins must not be negative")
+		}
 		po := &edn.ProbeOptions{SampleEvery: *sample, TraceCap: *traceCap, Bins: *bins}
 		opts := edn.SimOptions{Cycles: *jf.cycles, Warmup: *jf.warmup, Seed: *jf.seed, Probe: po}
 		if opts.Factory, err = cliutil.ArbiterFactory(*jf.arb, *jf.seed); err != nil {

@@ -158,3 +158,21 @@ func TestTraceCoreIsDepth0Drop(t *testing.T) {
 		})
 	}
 }
+
+// TestTraceRunRejectsNegativeSizes pins that negative probe sizes and a
+// negative warmup are flag errors, not silent substitutions: the probe
+// would quietly take its default sizes, and a negative warmup never
+// reaches the cycle the probe attaches at, so nothing would be sampled.
+func TestTraceRunRejectsNegativeSizes(t *testing.T) {
+	base := []string{"-a", "4", "-b", "2", "-c", "2", "-l", "2", "-cycles", "100"}
+	for _, extra := range [][]string{
+		{"-warmup", "10", "-trace-cap", "-1"},
+		{"-warmup", "10", "-heat-bins", "-2"},
+		{"-warmup", "-10"},
+	} {
+		var sb strings.Builder
+		if err := runCmd("trace", append(append([]string{}, base...), extra...), &sb); err == nil {
+			t.Errorf("trace %v should fail", extra)
+		}
+	}
+}

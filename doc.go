@@ -26,8 +26,10 @@
 //     Network is a per-request face over the queueing engine's depth-0
 //     Drop sweep (below): interstage gamma permutations are precomputed
 //     as flat lookup tables, and RouteCycleInto plus the traffic
-//     IntoGenerator fast path let steady-state measurement loops run
-//     with zero allocations per cycle (see BenchmarkRouteCycleInto).
+//     IntoGenerator fast path (one traffic step, shared by every
+//     measurement loop, refills the request vector in place) let
+//     steady-state measurement loops run with zero allocations per
+//     cycle (see BenchmarkRouteCycleInto).
 //   - Queueing: QueueNetwork is the buffered packet-level simulator the
 //     paper's memoryless model cannot express — per-wire FIFOs of
 //     configurable depth at every stage input, head-of-line arbitration,
@@ -104,11 +106,14 @@
 //     text and JSON-lines). With no probe attached every hook is one
 //     nil check and the hot loops stay at 0 allocs/op
 //     (BenchmarkProbeOff, CI-gated); with a probe attached the results
-//     are bit-identical to an unprobed run, and sweeps collect their
-//     observation from a dedicated pass whose seed ignores the shard
-//     split, so the same Options yield the same trace set at any shard
-//     count. See edn trace and the -trace/-heatmap flags on edn
-//     latency, lifetime and loop.
+//     are bit-identical to an unprobed run. Sharded saturation and
+//     closed-loop points run their shards bare and collect the
+//     observation from one sequential observation pass under the
+//     point's first shard seed, which ignores the shard split, so the
+//     same Options yield the same trace set at any shard count;
+//     lifetime sweeps instead keep a heat probe on every shard, one bin
+//     per epoch, and sample traces on shard 0 only. See edn trace and
+//     the -trace/-heatmap flags on edn latency, lifetime and loop.
 //   - Jobs and service: JobSpec is the single serializable description
 //     of any experiment the facade can run — every mode (latency,
 //     saturation, drain, availability, lifetime, closed-loop,

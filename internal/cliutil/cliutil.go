@@ -50,7 +50,7 @@ func ParseFloatList(s string, lo, hi float64, noun string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad %s %q: %w", noun, part, err)
 		}
-		if v < lo || v > hi {
+		if !(v >= lo && v <= hi) { // NaN fails both comparisons
 			return nil, fmt.Errorf("%s %g out of [%g,%g]", noun, v, lo, hi)
 		}
 		vals = append(vals, v)

@@ -34,7 +34,8 @@ import (
 )
 
 // Options configures a Probe. The zero value of SampleEvery disables
-// tracing (a heat-only probe); the remaining zeros take defaults.
+// tracing (a heat-only probe); the remaining zeros take defaults, and
+// so do negative sizes, so no Options value makes a Probe panic.
 type Options struct {
 	// SampleEvery samples on average one accepted injection in this
 	// many (jittered uniformly over [1, 2*SampleEvery-1] so sampling
@@ -60,16 +61,16 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.TraceCap == 0 {
+	if o.TraceCap <= 0 {
 		o.TraceCap = 1024
 	}
-	if o.MaxHops == 0 {
+	if o.MaxHops <= 0 {
 		o.MaxHops = 32
 	}
-	if o.Bins == 0 {
+	if o.Bins <= 0 {
 		o.Bins = 64
 	}
-	if o.BinCycles == 0 {
+	if o.BinCycles <= 0 {
 		o.BinCycles = 1
 	}
 	if o.Seed == 0 {

@@ -88,6 +88,25 @@ func TestSampleEveryZeroDisablesTracing(t *testing.T) {
 	}
 }
 
+// TestNegativeSizesTakeDefaults pins that negative sizes behave like
+// zero ones instead of panicking: taken as given, they would reach
+// make() in New (TraceCap, MaxHops) or index a negative heat bin (Bins,
+// BinCycles).
+func TestNegativeSizesTakeDefaults(t *testing.T) {
+	p := New(Options{SampleEvery: 1, TraceCap: -1, MaxHops: -3, Bins: -2, BinCycles: -5})
+	if rec := p.SampleInject(0, 0, 0); rec < 0 {
+		t.Fatalf("default-sized ring refused the first sample")
+	}
+	p.Bind(1, []string{"m"})
+	for c := 0; c < 3; c++ {
+		p.AddStage(0, 0, 1)
+		p.EndCycle()
+	}
+	if got := p.Report().Heat.Series[0][0].Len(); got != 64 {
+		t.Fatalf("heat has %d bins, want the default 64", got)
+	}
+}
+
 func TestRingNeverEvictsOpenRecords(t *testing.T) {
 	p := New(Options{SampleEvery: 1, TraceCap: 2})
 	r0 := p.SampleInject(0, 0, 0)

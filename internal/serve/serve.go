@@ -253,7 +253,9 @@ func (s *Server) CancelAll() {
 // "error") through emit, which is called sequentially from this
 // goroutine. Execute blocks while the worker pool is full — the
 // transports call it from a per-job goroutine — and returns the job's
-// terminal error, nil on success.
+// terminal error, nil on success. A panic while the job runs — in the
+// measurement or in emitting a point — ends that job alone with an
+// "internal error" error event; the server and its other jobs carry on.
 //
 // Unless the server was built with DisableSpans, the job records a
 // span tree — queue wait, validation, table builds with their cache
@@ -307,14 +309,23 @@ func (s *Server) Execute(ctx context.Context, id string, spec edn.JobSpec, emit 
 	defer func() { s.gBusy.Add(-1); <-s.sem }()
 
 	var explain *edn.AnatomyReport
-	res, err := edn.RunJob(jctx, spec, edn.RunOptions{
-		Cache: s.cache,
-		Trace: tr,
-		OnPoint: func(index, total int, point any) {
-			next(Event{Event: "point", Index: index, Total: total, Point: point})
-		},
-		OnExplain: func(r *edn.AnatomyReport) { explain = r },
-	})
+	res, err := func() (res *edn.JobResult, err error) {
+		// A panicking job fails alone: it becomes this job's error
+		// event, and the deferred slot release still runs.
+		defer func() {
+			if r := recover(); r != nil {
+				res, err = nil, fmt.Errorf("internal error: %v", r)
+			}
+		}()
+		return edn.RunJob(jctx, spec, edn.RunOptions{
+			Cache: s.cache,
+			Trace: tr,
+			OnPoint: func(index, total int, point any) {
+				next(Event{Event: "point", Index: index, Total: total, Point: point})
+			},
+			OnExplain: func(r *edn.AnatomyReport) { explain = r },
+		})
+	}()
 	s.unregister(id, err)
 	if err != nil {
 		s.finishJob(id, spec.Mode, engine, outcome(err), time.Since(started), tr.Finish())

@@ -548,3 +548,48 @@ func TestDuplicateJobID(t *testing.T) {
 		t.Fatal("cancelled job never returned")
 	}
 }
+
+// TestExecuteRecoversPanic pins panic isolation: a job that panics
+// mid-run (here in its point callback) returns an error and ends with
+// exactly one "error" event, and its worker slot and id are released,
+// so the next job on the one-worker server completes.
+func TestExecuteRecoversPanic(t *testing.T) {
+	s := serve.New(serve.Options{Workers: 1})
+	var terminal []serve.Event
+	err := s.Execute(context.Background(), "boom", sweepSpec(), func(ev serve.Event) {
+		switch ev.Event {
+		case "point":
+			panic("emit exploded")
+		case "result", "error":
+			terminal = append(terminal, ev)
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "internal error: emit exploded") {
+		t.Fatalf("want an internal error, got %v", err)
+	}
+	if len(terminal) != 1 || terminal[0].Event != "error" || terminal[0].Error != err.Error() {
+		t.Fatalf("want one error event carrying the error, got %+v", terminal)
+	}
+
+	done := make(chan serve.Event, 1)
+	go func() {
+		var term serve.Event
+		s.Execute(context.Background(), "boom", estimateSpec(), func(ev serve.Event) { //nolint:errcheck // checked via the event
+			if ev.Event == "result" || ev.Event == "error" {
+				term = ev
+			}
+		})
+		done <- term
+	}()
+	select {
+	case ev := <-done:
+		if ev.Event != "result" {
+			t.Fatalf("job after the panic: want a result, got %+v", ev)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("job after the panic never ran: the worker slot leaked")
+	}
+	if st := s.Stats(); st.Failed != 1 || st.Completed != 1 || st.Running != 0 {
+		t.Fatalf("want 1 failed, 1 completed, 0 running, got %+v", st)
+	}
+}

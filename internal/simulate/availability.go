@@ -2,7 +2,6 @@ package simulate
 
 import (
 	"fmt"
-	"time"
 
 	"edn/internal/dilated"
 	"edn/internal/faults"
@@ -177,178 +176,109 @@ func availabilitySweep(net Net, aopts AvailabilityOptions, src LoadPattern, opts
 }
 
 // availabilityMerge is one merged point of a degradation curve before
-// it takes its network's typed result shape: the packet accumulation
-// and the mean fault census over the shards that ran.
+// it takes its network's typed result shape: the merged shard
+// measurement and the mean fault census over the shards that ran.
 type availabilityMerge struct {
 	f      float64
 	mode   faults.Mode
-	inputs int
-	acc    sweepPointAccum
+	res    LatencyResult
 	census faultCensus
 }
 
 // availabilityPoint measures one fault fraction over pre-drawn shard
-// plans and merges exactly.
+// plans: bare shards through runShards, merged by mergeLatency, with
+// the census averaged over the shards that ran (runShards skips the
+// rest, whose census stays zero).
 func availabilityPoint(net Net, aopts AvailabilityOptions, f float64, src LoadPattern, opts Options, shards int, plans []faultPlan, trafficSeeds []uint64) (availabilityMerge, error) {
-	type partial struct {
-		res    LatencyResult
-		census faultCensus
-		err    error
-	}
-	parts := make([]partial, shards)
-	runShards(opts.Cycles, shards, func(w, cycles int) {
-		start := time.Now()
-		p := &parts[w]
-		var faulted Net
-		faulted, p.census, p.err = plans[w](f, aopts.Load, aopts.WithExpected)
-		if p.err != nil {
-			return
-		}
-		sub := opts
-		sub.Cycles = cycles
-		pattern := src(aopts.Load, xrand.New(trafficSeeds[w]))
-		p.res, p.err = MeasureLatency(faulted, pattern, sub)
-		if opts.OnStage != nil {
-			opts.OnStage("shard", w, cycles, start, time.Since(start))
-		}
-	})
-
-	mergeStart := time.Now()
-	inputs, _ := net.ports()
-	merged := availabilityMerge{f: f, mode: aopts.Mode, inputs: inputs}
-	for w := range parts {
-		p := &parts[w]
-		if p.err != nil {
-			return availabilityMerge{}, p.err
-		}
-		ran, err := merged.acc.add(&p.res)
+	parts := make([]LatencyResult, shards)
+	censuses := make([]faultCensus, shards)
+	err := runShards(opts, shards, func(w, cycles int) error {
+		faulted, c, err := plans[w](f, aopts.Load, aopts.WithExpected)
 		if err != nil {
-			return availabilityMerge{}, err
+			return err
 		}
-		if ran {
-			merged.census.add(p.census)
-		}
+		censuses[w] = c
+		parts[w], err = MeasureLatency(faulted, src(aopts.Load, xrand.New(trafficSeeds[w])), opts.bare(cycles))
+		return err
+	})
+	if err != nil {
+		return availabilityMerge{}, err
 	}
-	if merged.acc.shards > 0 {
-		merged.census.scale(float64(merged.acc.shards))
+	inputs, _ := net.ports()
+	m := availabilityMerge{f: f, mode: aopts.Mode}
+	if m.res, err = mergeLatency(parts, inputs, opts); err != nil {
+		return availabilityMerge{}, err
 	}
-	if opts.OnStage != nil {
-		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
+	for _, c := range censuses {
+		m.census.add(c)
 	}
-	return merged, nil
+	if m.res.Shards > 0 {
+		m.census.scale(float64(m.res.Shards))
+	}
+	return m, nil
 }
 
 // edn labels the point as an EDN degradation-curve point.
 func (m *availabilityMerge) edn(cfg topology.Config) AvailabilityResult {
-	r := AvailabilityResult{
+	r, c := &m.res, &m.census
+	return AvailabilityResult{
 		Config:             cfg,
 		FaultFraction:      m.f,
 		Mode:               m.mode,
-		DeadSwitches:       m.census.deadSwitches,
-		DeadWires:          m.census.deadWires,
-		ReachableFraction:  m.census.reachable,
-		LiveInputFraction:  m.census.liveInputs,
-		ExpectedThroughput: m.census.expected,
-		Depth:              m.acc.depth,
-		Policy:             m.acc.policy,
-		Cycles:             m.acc.cycles,
-		Shards:             m.acc.shards,
-		Injected:           m.acc.injected,
-		Refused:            m.acc.refused,
-		Delivered:          m.acc.delivered,
-		Dropped:            m.acc.dropped,
-		Histogram:          m.acc.histogram,
+		Depth:              r.Depth,
+		Policy:             r.Policy,
+		Cycles:             r.Cycles,
+		Shards:             r.Shards,
+		DeadSwitches:       c.deadSwitches,
+		DeadWires:          c.deadWires,
+		ReachableFraction:  c.reachable,
+		LiveInputFraction:  c.liveInputs,
+		Injected:           r.Injected,
+		Refused:            r.Refused,
+		Delivered:          r.Delivered,
+		Dropped:            r.Dropped,
+		OfferedRate:        r.OfferedRate,
+		Throughput:         r.Throughput,
+		ThroughputPerInput: r.Throughput / float64(cfg.Inputs()),
+		AcceptedFraction:   r.AcceptedFraction,
+		LatencyMean:        r.LatencyMean,
+		LatencyP50:         r.LatencyP50,
+		LatencyP95:         r.LatencyP95,
+		LatencyP99:         r.LatencyP99,
+		LatencyMax:         r.LatencyMax,
+		ExpectedThroughput: c.expected,
+		Histogram:          r.Histogram,
 	}
-	r.OfferedRate, r.Throughput, r.ThroughputPerInput, r.AcceptedFraction = m.acc.rates(m.inputs)
-	r.LatencyMean, r.LatencyP50, r.LatencyP95, r.LatencyP99, r.LatencyMax = m.acc.quantiles()
-	return r
 }
 
 // dilated labels the point as a dilated degradation-curve point.
 func (m *availabilityMerge) dilated(dcfg dilated.Config) DilatedAvailabilityResult {
-	r := DilatedAvailabilityResult{
+	r, c := &m.res, &m.census
+	return DilatedAvailabilityResult{
 		Dilated:            dcfg,
 		FaultFraction:      m.f,
-		DeadSubWires:       m.census.deadWires,
-		ReachableFraction:  m.census.reachable,
-		ExpectedThroughput: m.census.expected,
-		Depth:              m.acc.depth,
-		Policy:             m.acc.policy,
-		Cycles:             m.acc.cycles,
-		Shards:             m.acc.shards,
-		Injected:           m.acc.injected,
-		Refused:            m.acc.refused,
-		Delivered:          m.acc.delivered,
-		Dropped:            m.acc.dropped,
-		Histogram:          m.acc.histogram,
+		Depth:              r.Depth,
+		Policy:             r.Policy,
+		Cycles:             r.Cycles,
+		Shards:             r.Shards,
+		DeadSubWires:       c.deadWires,
+		ReachableFraction:  c.reachable,
+		Injected:           r.Injected,
+		Refused:            r.Refused,
+		Delivered:          r.Delivered,
+		Dropped:            r.Dropped,
+		OfferedRate:        r.OfferedRate,
+		Throughput:         r.Throughput,
+		ThroughputPerInput: r.Throughput / float64(dcfg.Ports()),
+		AcceptedFraction:   r.AcceptedFraction,
+		LatencyMean:        r.LatencyMean,
+		LatencyP50:         r.LatencyP50,
+		LatencyP95:         r.LatencyP95,
+		LatencyP99:         r.LatencyP99,
+		LatencyMax:         r.LatencyMax,
+		ExpectedThroughput: c.expected,
+		Histogram:          r.Histogram,
 	}
-	r.OfferedRate, r.Throughput, r.ThroughputPerInput, r.AcceptedFraction = m.acc.rates(m.inputs)
-	r.LatencyMean, r.LatencyP50, r.LatencyP95, r.LatencyP99, r.LatencyMax = m.acc.quantiles()
-	return r
-}
-
-// sweepPointAccum folds per-shard measurements into the packet half of
-// one degradation-sweep point: the shard-skip rule, metadata adoption,
-// counter summation, exact histogram merge and the derived
-// rates/quantiles.
-type sweepPointAccum struct {
-	depth  int
-	policy queuesim.Policy
-	cycles int
-	shards int
-
-	injected  int64
-	refused   int64
-	delivered int64
-	dropped   int64
-	histogram *stats.Histogram
-}
-
-// add folds one shard's measurement and reports whether the shard ran
-// at all — callers accumulate their census fields only for shards that
-// did, keeping census means consistent with the packet counters.
-func (a *sweepPointAccum) add(res *LatencyResult) (ran bool, err error) {
-	if res.Cycles == 0 && res.Histogram == nil {
-		return false, nil
-	}
-	a.shards++
-	a.depth = res.Depth
-	a.policy = res.Policy
-	a.cycles += res.Cycles
-	a.injected += res.Injected
-	a.refused += res.Refused
-	a.delivered += res.Delivered
-	a.dropped += res.Dropped
-	if a.histogram == nil {
-		a.histogram = res.Histogram.Clone()
-	} else if err := a.histogram.Merge(res.Histogram); err != nil {
-		return true, err
-	}
-	return true, nil
-}
-
-// rates derives the per-cycle and per-input rate summary.
-func (a *sweepPointAccum) rates(inputs int) (offered, throughput, perInput, accepted float64) {
-	if a.cycles > 0 {
-		throughput = float64(a.delivered) / float64(a.cycles)
-		perInput = throughput / float64(inputs)
-		offered = float64(a.injected) / float64(a.cycles*inputs)
-	}
-	if a.injected > 0 {
-		accepted = float64(a.delivered) / float64(a.injected)
-	} else {
-		accepted = 1
-	}
-	return offered, throughput, perInput, accepted
-}
-
-// quantiles derives the latency summary from the merged histogram.
-func (a *sweepPointAccum) quantiles() (mean, p50, p95, p99, maxL float64) {
-	if a.histogram == nil {
-		return 0, 0, 0, 0, 0
-	}
-	return a.histogram.Mean(), a.histogram.Quantile(0.50), a.histogram.Quantile(0.95),
-		a.histogram.Quantile(0.99), a.histogram.Max()
 }
 
 // DilatedAvailabilityResult is one point of a dilated degradation

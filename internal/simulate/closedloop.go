@@ -11,7 +11,6 @@ import (
 	"edn/internal/probe"
 	"edn/internal/queuesim"
 	"edn/internal/stats"
-	"edn/internal/switchfab"
 	"edn/internal/topology"
 	"edn/internal/xrand"
 )
@@ -56,8 +55,8 @@ type ClosedLoopResult struct {
 	// Observed carries the flight-recorder report when Options.Probe
 	// was set: sampled request traces (attempt-numbered issue, timeout,
 	// retry and completion events) plus per-cycle ledger-gauge heat,
-	// from a dedicated sequential observation pass (see saturationPoint
-	// for the determinism argument).
+	// from the one sequential observation pass (see Options.observe for
+	// the determinism argument).
 	Observed *probe.Report
 }
 
@@ -78,7 +77,6 @@ type closedLoopPartial struct {
 	hist   *stats.Histogram
 	cycles int
 	rep    *probe.Report
-	err    error
 }
 
 // ledgerDelta subtracts the cumulative counters (the gauges are
@@ -118,89 +116,83 @@ func ledgerAdd(into *closedloop.Ledger, d closedloop.Ledger) {
 }
 
 // runClosedLoopShard builds a fresh loop over two fresh fabrics of net
-// (requests forward, replies back), runs
-// warmup + cycles, asserts conservation, and returns the
-// measurement-window deltas.
-func runClosedLoopShard(net Net, factory switchfab.ArbiterFactory, lo closedloop.Options, warmup, cycles int, po *probe.Options, ao *anatomy.Options, onAnat func(*anatomy.Report)) closedLoopPartial {
-	fwd, err := net.engine(factory)
+// (requests forward, replies back) with demand drawn from seed, runs
+// o.Warmup + o.Cycles cycles with o's probe and anatomy collector
+// attached at the measurement boundary, asserts conservation, and
+// returns the measurement-window deltas.
+func runClosedLoopShard(net Net, lo closedloop.Options, seed uint64, o Options) (closedLoopPartial, error) {
+	fwd, err := net.engine(o.Factory)
 	if err != nil {
-		return closedLoopPartial{err: err}
+		return closedLoopPartial{}, err
 	}
-	rev, err := net.engine(factory)
+	rev, err := net.engine(o.Factory)
 	if err != nil {
-		return closedLoopPartial{err: err}
+		return closedLoopPartial{}, err
 	}
 	inputs, outputs := net.ports()
+	lo.Seed = seed
 	loop, err := closedloop.New(fwd, rev, inputs, outputs, lo)
 	if err != nil {
-		return closedLoopPartial{err: err}
+		return closedLoopPartial{}, err
 	}
-	for c := 0; c < warmup; c++ {
+	for c := 0; c < o.Warmup; c++ {
 		if _, err := loop.Cycle(); err != nil {
-			return closedLoopPartial{err: err}
+			return closedLoopPartial{}, err
 		}
 	}
 	warmLed, warmSLA := loop.Ledger(), loop.SLACredit()
 	loop.ResetLatency()
-	pr := newProbe(po, cycles)
+	pr := newProbe(o.Probe, o.Cycles)
 	if pr != nil {
 		loop.SetProbe(pr)
 	}
 	var an *anatomy.Collector
-	if ao != nil {
+	if o.Anatomy != nil {
 		// Attached at the measurement boundary, like the probe: the
 		// five-way request split covers completions inside the window.
-		an = anatomy.New(*ao)
+		an = anatomy.New(*o.Anatomy)
 		loop.SetAnatomy(an)
 	}
-	for c := 0; c < cycles; c++ {
+	for c := 0; c < o.Cycles; c++ {
 		if _, err := loop.Cycle(); err != nil {
-			return closedLoopPartial{err: err}
+			return closedLoopPartial{}, err
 		}
 	}
 	if err := loop.CheckConservation(); err != nil {
-		return closedLoopPartial{err: err}
+		return closedLoopPartial{}, err
 	}
-	if an != nil && onAnat != nil {
-		onAnat(an.Report())
+	if an != nil && o.OnAnatomy != nil {
+		o.OnAnatomy(an.Report())
 	}
 	part := closedLoopPartial{
 		led:    ledgerDelta(loop.Ledger(), warmLed),
 		sla:    loop.SLACredit() - warmSLA,
 		hist:   loop.Latency().Clone(),
-		cycles: cycles,
+		cycles: o.Cycles,
 	}
 	if pr != nil {
 		part.rep = pr.Report()
 	}
-	return part
+	return part, nil
 }
 
 // closedLoopPoint measures one demand-rate point — point `index` on
-// the sweep's rate axis — splitting its cycle budget across shards with
-// seeds derived exactly as saturationPoint derives them: same Options
-// mean same shard seeds, which is what keeps an EDN sweep and its
-// dilated counterpart replay-matched at the request level. Callers must
-// have run prepare.
+// the sweep's rate axis — as bare shards under pointSeeds, the seeds a
+// saturation point derives: same Options mean same shard seeds, which
+// is what keeps an EDN sweep and its dilated counterpart replay-matched
+// at the request level. The exact merge is followed by the observation
+// pass. Callers must have run prepare.
 func closedLoopPoint(net Net, rate float64, index int, lo closedloop.Options, opts Options, shards int) (ClosedLoopResult, error) {
-	// Derive shard seeds up front so the assignment does not depend
-	// on scheduling.
-	root := xrand.New(opts.Seed ^ uint64(index+1)*0x9e3779b97f4a7c15)
-	seeds := make([]uint64, shards)
-	for i := range seeds {
-		seeds[i] = root.Uint64() | 1
-	}
+	lo.Rate = rate
+	seeds := pointSeeds(opts.Seed, index, shards)
 	parts := make([]closedLoopPartial, shards)
-	runShards(opts.Cycles, shards, func(w, cycles int) {
-		start := time.Now()
-		slo := lo
-		slo.Rate = rate
-		slo.Seed = seeds[w]
-		parts[w] = runClosedLoopShard(net, opts.Factory, slo, opts.Warmup, cycles, nil, nil, nil)
-		if opts.OnStage != nil {
-			opts.OnStage("shard", w, cycles, start, time.Since(start))
-		}
+	err := runShards(opts, shards, func(w, cycles int) (err error) {
+		parts[w], err = runClosedLoopShard(net, lo, seeds[w], opts.bare(cycles))
+		return err
 	})
+	if err != nil {
+		return ClosedLoopResult{}, err
+	}
 
 	mergeStart := time.Now()
 	res := ClosedLoopResult{Rate: rate, Window: lo.Window, Retry: lo.Retry, Shards: shards}
@@ -208,9 +200,6 @@ func closedLoopPoint(net Net, rate float64, index int, lo closedloop.Options, op
 	res.Depth, res.Policy = net.regime()
 	for w := range parts {
 		p := &parts[w]
-		if p.err != nil {
-			return ClosedLoopResult{}, p.err
-		}
 		if p.cycles == 0 && p.hist == nil {
 			continue
 		}
@@ -225,27 +214,12 @@ func closedLoopPoint(net Net, rate float64, index int, lo closedloop.Options, op
 	}
 	inputs, _ := net.ports()
 	res.fill(inputs)
-	if opts.OnStage != nil {
-		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
-	}
-	if opts.Probe != nil || opts.Anatomy != nil {
-		// Dedicated sequential observation pass under seeds[0] (the
-		// first root draw, shard-count independent) at the full cycle
-		// budget: the trace set and the anatomy report are pure
-		// functions of Options, and the measured merge above stays
-		// bit-identical to an unobserved sweep.
-		obsStart := time.Now()
-		slo := lo
-		slo.Rate = rate
-		slo.Seed = seeds[0]
-		obs := runClosedLoopShard(net, opts.Factory, slo, opts.Warmup, opts.Cycles, opts.Probe, opts.Anatomy, opts.OnAnatomy)
-		if obs.err != nil {
-			return ClosedLoopResult{}, obs.err
-		}
-		res.Observed = obs.rep
-		if opts.OnStage != nil {
-			opts.OnStage("observe", -1, opts.Cycles, obsStart, time.Since(obsStart))
-		}
+	opts.stage("merge", -1, 0, mergeStart)
+	if res.Observed, err = opts.observe(func() (*probe.Report, error) {
+		obs, err := runClosedLoopShard(net, lo, seeds[0], opts)
+		return obs.rep, err
+	}); err != nil {
+		return ClosedLoopResult{}, err
 	}
 	return res, nil
 }
@@ -392,15 +366,23 @@ func (r ClosedLoopLifetimeResult) String() string {
 		r.GoodputOverall, r.SLAAttainmentOverall, 100*r.CostOfDowntime)
 }
 
+// The closed-loop lifetime's per-epoch series, in epochSeries order.
+const (
+	loopGoodput   = iota // completed round trips per source per cycle
+	loopSLA              // deadline-curve credit per offered demand
+	loopP95              // P95 end-to-end latency within the epoch
+	loopRetries          // retries per source per cycle
+	loopTimeouts         // attempt timeouts per source per cycle
+	loopReachable        // fraction of memory ports still reachable
+	loopDeadFrac         // dead fraction of the forward fabric's population
+	loopSeries
+)
+
 // closedLoopLifetimePartial is one shard's lifetime accumulation.
 type closedLoopLifetimePartial struct {
-	goodput, sla, p95, retries, timeouts, reachable, deadFrac *stats.TimeSeries
-
-	led     closedloop.Ledger
-	credit  float64
-	offered int64
-	rep     *probe.Report
-	err     error
+	epochSeries
+	led    closedloop.Ledger
+	credit float64
 }
 
 // runClosedLoopLifetimeShard is one shard's closed-loop lifetime: both
@@ -409,26 +391,16 @@ type closedLoopLifetimePartial struct {
 // fabrics, refresh the sources' avoidance list from the forward
 // fabric's reachability, run EpochCycles cycles, record), with the full
 // conservation invariant asserted at every epoch boundary.
-func runClosedLoopLifetimeShard(net Net, lopts LifetimeOptions, lo closedloop.Options, opts Options, w int, procSeed, trafficSeed uint64) closedLoopLifetimePartial {
-	p := closedLoopLifetimePartial{
-		goodput:   stats.NewTimeSeries(lopts.Epochs),
-		sla:       stats.NewTimeSeries(lopts.Epochs),
-		p95:       stats.NewTimeSeries(lopts.Epochs),
-		retries:   stats.NewTimeSeries(lopts.Epochs),
-		timeouts:  stats.NewTimeSeries(lopts.Epochs),
-		reachable: stats.NewTimeSeries(lopts.Epochs),
-		deadFrac:  stats.NewTimeSeries(lopts.Epochs),
-	}
+func runClosedLoopLifetimeShard(net Net, lopts LifetimeOptions, lo closedloop.Options, opts Options, w int, procSeed, trafficSeed uint64) (closedLoopLifetimePartial, error) {
+	p := closedLoopLifetimePartial{epochSeries: newEpochSeries(loopSeries, lopts.Epochs)}
 	procRoot := xrand.New(procSeed)
 	fwd, err := churned(net, lopts.Spec, procRoot.Split(), opts.Factory)
 	if err != nil {
-		p.err = err
-		return p
+		return p, err
 	}
 	rev, err := churned(net, lopts.Spec, procRoot.Split(), opts.Factory)
 	if err != nil {
-		p.err = err
-		return p
+		return p, err
 	}
 	inputs, outputs := net.ports()
 	slo := lo
@@ -436,12 +408,11 @@ func runClosedLoopLifetimeShard(net Net, lopts LifetimeOptions, lo closedloop.Op
 	slo.Seed = trafficSeed
 	loop, err := closedloop.New(fwd.eng, rev.eng, inputs, outputs, slo)
 	if err != nil {
-		p.err = err
-		return p
+		return p, err
 	}
 	for c := 0; c < opts.Warmup; c++ {
-		if _, p.err = loop.Cycle(); p.err != nil {
-			return p
+		if _, err := loop.Cycle(); err != nil {
+			return p, err
 		}
 	}
 	warmLed, warmSLA := loop.Ledger(), loop.SLACredit()
@@ -462,112 +433,91 @@ func runClosedLoopLifetimeShard(net Net, lopts LifetimeOptions, lo closedloop.Op
 			err = loop.SetLiveOutputs(live)
 		}
 		if err != nil {
-			p.err = err
-			return p
+			return p, err
 		}
 		reachable := float64(reach) / float64(outputs)
 		before, slaBefore := loop.Ledger(), loop.SLACredit()
 		loop.ResetLatency()
 		for c := 0; c < lopts.EpochCycles; c++ {
-			if _, p.err = loop.Cycle(); p.err != nil {
-				return p
+			if _, err := loop.Cycle(); err != nil {
+				return p, err
 			}
 		}
-		if p.err = loop.CheckConservation(); p.err != nil {
-			p.err = fmt.Errorf("epoch %d: %w", e, p.err)
-			return p
+		if err := loop.CheckConservation(); err != nil {
+			return p, fmt.Errorf("epoch %d: %w", e, err)
 		}
 		after := loop.Ledger()
-		p.goodput.Add(e, float64(after.Completed-before.Completed)/perEpoch)
+		p.series[loopGoodput].Add(e, float64(after.Completed-before.Completed)/perEpoch)
 		if offered := after.Offered - before.Offered; offered > 0 {
-			p.sla.Add(e, (loop.SLACredit()-slaBefore)/float64(offered))
+			p.series[loopSLA].Add(e, (loop.SLACredit()-slaBefore)/float64(offered))
 		}
 		if loop.Latency().N() > 0 {
 			// A blackout epoch completing nothing has no latency
 			// observation; an empty-histogram quantile would read as a
 			// perfect tail.
-			p.p95.Add(e, loop.Latency().Quantile(0.95))
+			p.series[loopP95].Add(e, loop.Latency().Quantile(0.95))
 		}
-		p.retries.Add(e, float64(after.Retries-before.Retries)/perEpoch)
-		p.timeouts.Add(e, float64(after.Timeouts-before.Timeouts)/perEpoch)
-		p.reachable.Add(e, reachable)
-		p.deadFrac.Add(e, deadFrac)
+		p.series[loopRetries].Add(e, float64(after.Retries-before.Retries)/perEpoch)
+		p.series[loopTimeouts].Add(e, float64(after.Timeouts-before.Timeouts)/perEpoch)
+		p.series[loopReachable].Add(e, reachable)
+		p.series[loopDeadFrac].Add(e, deadFrac)
 	}
 	p.led = ledgerDelta(loop.Ledger(), warmLed)
 	p.credit = loop.SLACredit() - warmSLA
-	p.offered = p.led.Offered
 	if pr != nil {
 		p.rep = pr.Report()
 	}
-	return p
+	return p, nil
 }
 
 // runClosedLoopLifetime fans a closed-loop lifetime across shards —
-// through runLifetimeFanout, so the EDN and dilated sweeps stay
-// replay-matched and every shard reports its stage — and merges series,
-// ledger and aggregates.
+// through runLifetimeShards, so the EDN and dilated sweeps stay
+// replay-matched — and merges series, probe reports, ledger and
+// aggregates.
 func runClosedLoopLifetime(net Net, lopts LifetimeOptions, lo closedloop.Options, opts Options, shards int) (ClosedLoopLifetimeResult, error) {
 	parts := make([]closedLoopLifetimePartial, shards)
-	runLifetimeFanout(lopts, opts, shards, func(w int, procSeed, trafficSeed uint64) {
-		parts[w] = runClosedLoopLifetimeShard(net, lopts, lo, opts, w, procSeed, trafficSeed)
+	err := runLifetimeShards(opts, lopts, shards, func(w int, procSeed, trafficSeed uint64) (err error) {
+		parts[w], err = runClosedLoopLifetimeShard(net, lopts, lo, opts, w, procSeed, trafficSeed)
+		return err
 	})
-
+	if err != nil {
+		return ClosedLoopLifetimeResult{}, err
+	}
 	mergeStart := time.Now()
+	m := newEpochSeries(loopSeries, lopts.Epochs)
+	var led closedloop.Ledger
+	var credit float64
+	for w := range parts {
+		if err := m.merge(&parts[w].epochSeries); err != nil {
+			return ClosedLoopLifetimeResult{}, err
+		}
+		ledgerAdd(&led, parts[w].led)
+		credit += parts[w].credit
+	}
 	res := ClosedLoopLifetimeResult{
 		Rate:          lopts.Load,
 		Epochs:        lopts.Epochs,
 		EpochCycles:   lopts.EpochCycles,
 		Shards:        shards,
-		Goodput:       stats.NewTimeSeries(lopts.Epochs),
-		SLAAttainment: stats.NewTimeSeries(lopts.Epochs),
-		LatencyP95:    stats.NewTimeSeries(lopts.Epochs),
-		Retries:       stats.NewTimeSeries(lopts.Epochs),
-		Timeouts:      stats.NewTimeSeries(lopts.Epochs),
-		Reachable:     stats.NewTimeSeries(lopts.Epochs),
-		DeadFraction:  stats.NewTimeSeries(lopts.Epochs),
-	}
-	var credit float64
-	var offered int64
-	for w := range parts {
-		p := &parts[w]
-		if p.err != nil {
-			return ClosedLoopLifetimeResult{}, p.err
-		}
-		for _, s := range []struct{ into, from *stats.TimeSeries }{
-			{res.Goodput, p.goodput},
-			{res.SLAAttainment, p.sla},
-			{res.LatencyP95, p.p95},
-			{res.Retries, p.retries},
-			{res.Timeouts, p.timeouts},
-			{res.Reachable, p.reachable},
-			{res.DeadFraction, p.deadFrac},
-		} {
-			if err := s.into.Merge(s.from); err != nil {
-				return ClosedLoopLifetimeResult{}, err
-			}
-		}
-		ledgerAdd(&res.Ledger, p.led)
-		credit += p.credit
-		offered += p.offered
-		if p.rep != nil {
-			if res.Observed == nil {
-				res.Observed = p.rep
-			} else if err := res.Observed.Merge(p.rep); err != nil {
-				return ClosedLoopLifetimeResult{}, err
-			}
-		}
+		Goodput:       m.series[loopGoodput],
+		SLAAttainment: m.series[loopSLA],
+		LatencyP95:    m.series[loopP95],
+		Retries:       m.series[loopRetries],
+		Timeouts:      m.series[loopTimeouts],
+		Reachable:     m.series[loopReachable],
+		DeadFraction:  m.series[loopDeadFrac],
+		Ledger:        led,
+		Observed:      m.rep,
 	}
 	res.GoodputOverall = res.Goodput.MeanOverall()
-	if offered > 0 {
+	if offered := res.Ledger.Offered; offered > 0 {
 		// Clamp the same warmup boundary effect as the rate sweep.
 		res.SLAAttainmentOverall = min(1, credit/float64(offered))
 	} else {
 		res.SLAAttainmentOverall = 1
 	}
 	res.CostOfDowntime = 1 - res.SLAAttainmentOverall
-	if opts.OnStage != nil {
-		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
-	}
+	opts.stage("merge", -1, 0, mergeStart)
 	return res, nil
 }
 

@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -102,8 +103,7 @@ func (r *LatencyResult) fillQuantiles(inputs int) {
 // window's still-queued survivors not at all — the standard open-loop
 // truncation.
 func measurePacketEngine(net *queuesim.Network, inputs, outputs int, pattern traffic.Pattern, opts Options, res *LatencyResult) error {
-	dest := make([]int, inputs)
-	gen, inPlace := pattern.(traffic.IntoGenerator)
+	next := trafficStep(pattern, inputs, outputs)
 	var queuedSum int64
 	var before queuesim.Totals
 	pr := newProbe(opts.Probe, opts.Cycles)
@@ -127,12 +127,7 @@ func measurePacketEngine(net *queuesim.Network, inputs, outputs int, pattern tra
 				net.SetProbe(pr)
 			}
 		}
-		if inPlace {
-			gen.GenerateInto(dest, outputs)
-		} else {
-			dest = pattern.Generate(inputs, outputs)
-		}
-		if _, err := net.Cycle(dest); err != nil {
+		if _, err := net.Cycle(next()); err != nil {
 			return err
 		}
 		if cycle >= opts.Warmup {
@@ -255,17 +250,19 @@ func SaturationSweep(net Net, loads []float64, src LoadPattern, opts Options, sh
 	return results, nil
 }
 
-// runShards splits a cycle budget across parallel shards — shard w
-// gets cycles/shards cycles plus one of the remainder — and runs
-// fn(w, cycles) concurrently for every shard with a non-zero share,
-// returning after all complete. It is the fan-out skeleton every
-// sharded sweep in this package uses; keeping it in one place keeps
-// the budget split (and therefore the shard seeding pairing between
-// EDN and dilated sweeps) identical everywhere.
-func runShards(totalCycles, shards int, fn func(w, cycles int)) {
+// runShards is the one fan-out of every sharded measurement. It splits
+// opts.Cycles across shards — shard w gets Cycles/shards cycles plus
+// one of the remainder — runs fn(w, cycles) concurrently for every
+// shard with a non-zero share, reports each as a "shard" stage, and
+// returns the first error in shard order; a shard's panic becomes its
+// error, with the panic value and stack. Keeping the split in one place
+// keeps the shard seeding pairing between EDN and dilated sweeps
+// identical everywhere. The lifetime families pass a budget of shards
+// x Epochs x EpochCycles, so every shard runs the whole schedule.
+func runShards(opts Options, shards int, fn func(w, cycles int) error) error {
+	errs := make([]error, shards)
 	var wg sync.WaitGroup
-	per := totalCycles / shards
-	extra := totalCycles % shards
+	per, extra := opts.Cycles/shards, opts.Cycles%shards
 	for w := 0; w < shards; w++ {
 		cycles := per
 		if w < extra {
@@ -275,114 +272,112 @@ func runShards(totalCycles, shards int, fn func(w, cycles int)) {
 			continue
 		}
 		wg.Add(1)
-		go func(w, cycles int) {
+		go func() {
 			defer wg.Done()
-			fn(w, cycles)
-		}(w, cycles)
+			defer func() {
+				if r := recover(); r != nil {
+					errs[w] = fmt.Errorf("simulate: shard %d panicked: %v\n%s", w, r, debug.Stack())
+				}
+			}()
+			start := time.Now()
+			errs[w] = fn(w, cycles)
+			opts.stage("shard", w, cycles, start)
+		}()
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// saturationPoint measures point `index` of a saturation sweep,
-// splitting the cycle budget across parallel shards with seeds derived
-// from (opts.Seed, index), independent of scheduling, and merging
-// counters and histograms exactly. SaturationSweep and SaturationPoint
-// share it, so a streamed point is the batch sweep's point by
-// construction. Callers must have run prepare.
-//
-// When opts.Probe is set, every shard still runs unprobed — the merged
-// counters and histograms are bit-identical either way — and the
-// point's Observed report comes from one extra sequential observation
-// pass at the full cycle budget under seeds[0]. The first root draw
-// does not depend on the shard count, so the sampled trace set is a
-// pure function of Options, regardless of how the measured budget was
-// sharded.
-func saturationPoint(net Net, load float64, index int, src LoadPattern, opts Options, shards int) (LatencyResult, error) {
-	if src == nil {
-		src = UniformLoad
-	}
-	// measure runs one shard (probed when po is set, anatomy-attributed
-	// when ao is set — shard runs pass nil for both).
-	measure := func(seed uint64, cycles int, po *probe.Options, ao *anatomy.Options) (LatencyResult, error) {
-		sub := opts
-		sub.Cycles = cycles
-		sub.Probe = po
-		sub.Anatomy = ao
-		return MeasureLatency(net, src(load, xrand.New(seed)), sub)
-	}
-	// Derive shard seeds up front so the assignment does not depend
-	// on scheduling.
-	root := xrand.New(opts.Seed ^ uint64(index+1)*0x9e3779b97f4a7c15)
+// pointSeeds derives the shard seeds of point index from (seed, index)
+// up front, so the assignment does not depend on scheduling. Saturation
+// and closed-loop points share it: the same Options give an EDN and its
+// dilated counterpart the same seeds, hence identical per-input
+// injection replays, and seeds[0], the observation pass's seed, does
+// not depend on the shard count.
+func pointSeeds(seed uint64, index, shards int) []uint64 {
+	root := xrand.New(seed ^ uint64(index+1)*0x9e3779b97f4a7c15)
 	seeds := make([]uint64, shards)
 	for i := range seeds {
 		seeds[i] = root.Uint64() | 1
 	}
-	type partial struct {
-		res LatencyResult
-		err error
-	}
-	parts := make([]partial, shards)
-	runShards(opts.Cycles, shards, func(w, cycles int) {
-		start := time.Now()
-		parts[w].res, parts[w].err = measure(seeds[w], cycles, nil, nil)
-		if opts.OnStage != nil {
-			opts.OnStage("shard", w, cycles, start, time.Since(start))
-		}
-	})
+	return seeds
+}
 
-	mergeStart := time.Now()
+// saturationPoint measures point `index` of a saturation sweep: bare
+// shards under pointSeeds, merged by mergeLatency, then the observation
+// pass. SaturationSweep and SaturationPoint share it, so a streamed
+// point is the batch sweep's point by construction. Callers must have
+// run prepare.
+func saturationPoint(net Net, load float64, index int, src LoadPattern, opts Options, shards int) (LatencyResult, error) {
+	if src == nil {
+		src = UniformLoad
+	}
+	measure := func(seed uint64, o Options) (LatencyResult, error) {
+		return MeasureLatency(net, src(load, xrand.New(seed)), o)
+	}
+	seeds := pointSeeds(opts.Seed, index, shards)
+	parts := make([]LatencyResult, shards)
+	err := runShards(opts, shards, func(w, cycles int) (err error) {
+		parts[w], err = measure(seeds[w], opts.bare(cycles))
+		return err
+	})
+	if err != nil {
+		return LatencyResult{}, err
+	}
+	inputs, _ := net.ports()
+	merged, err := mergeLatency(parts, inputs, opts)
+	if err != nil {
+		return LatencyResult{}, err
+	}
+	if merged.Observed, err = opts.observe(func() (*probe.Report, error) {
+		obs, err := measure(seeds[0], opts)
+		return obs.Observed, err
+	}); err != nil {
+		return LatencyResult{}, err
+	}
+	return merged, nil
+}
+
+// mergeLatency is the one shard merge of saturation and availability
+// points: it skips shards that did not run, adopts the first run's
+// labels, sums the counters, weights the mean occupancy by cycles,
+// merges the histograms exactly, derives the summary fields and
+// reports the "merge" stage.
+func mergeLatency(parts []LatencyResult, inputs int, opts Options) (LatencyResult, error) {
+	start := time.Now()
 	var merged LatencyResult
 	var queuedWeighted float64
-	first := true
-	for w := range parts {
-		p := &parts[w]
-		if p.err != nil {
-			return LatencyResult{}, p.err
-		}
-		if p.res.Cycles == 0 && p.res.Histogram == nil {
+	for i := range parts {
+		p := &parts[i]
+		if p.Cycles == 0 && p.Histogram == nil {
 			continue
 		}
-		if first {
-			merged = p.res
-			merged.Histogram = p.res.Histogram.Clone()
-			queuedWeighted = p.res.AvgQueued * float64(p.res.Cycles)
-			first = false
+		queuedWeighted += p.AvgQueued * float64(p.Cycles)
+		if merged.Histogram == nil {
+			merged = *p
+			merged.Histogram = p.Histogram.Clone()
 			continue
 		}
-		merged.Cycles += p.res.Cycles
+		merged.Cycles += p.Cycles
 		merged.Shards++
-		merged.Injected += p.res.Injected
-		merged.Refused += p.res.Refused
-		merged.Delivered += p.res.Delivered
-		merged.Dropped += p.res.Dropped
-		queuedWeighted += p.res.AvgQueued * float64(p.res.Cycles)
-		if err := merged.Histogram.Merge(p.res.Histogram); err != nil {
+		merged.Injected += p.Injected
+		merged.Refused += p.Refused
+		merged.Delivered += p.Delivered
+		merged.Dropped += p.Dropped
+		if err := merged.Histogram.Merge(p.Histogram); err != nil {
 			return LatencyResult{}, err
 		}
 	}
 	if merged.Cycles > 0 {
 		merged.AvgQueued = queuedWeighted / float64(merged.Cycles)
 	}
-	inputs, _ := net.ports()
 	merged.fillQuantiles(inputs)
-	if opts.OnStage != nil {
-		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
-	}
-	if opts.Probe != nil || opts.Anatomy != nil {
-		// The observation pass also carries the anatomy collector: same
-		// seeds[0] sequential run, so the attribution report is a pure
-		// function of Options regardless of shard count, and the merged
-		// measured numbers above never see the collector at all.
-		obsStart := time.Now()
-		obs, err := measure(seeds[0], opts.Cycles, opts.Probe, opts.Anatomy)
-		if err != nil {
-			return LatencyResult{}, err
-		}
-		merged.Observed = obs.Observed
-		if opts.OnStage != nil {
-			opts.OnStage("observe", -1, opts.Cycles, obsStart, time.Since(obsStart))
-		}
-	}
+	opts.stage("merge", -1, 0, start)
 	return merged, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"edn/internal/dilated"
@@ -13,7 +12,6 @@ import (
 	"edn/internal/queuesim"
 	"edn/internal/stats"
 	"edn/internal/topology"
-	"edn/internal/traffic"
 	"edn/internal/xrand"
 )
 
@@ -163,11 +161,11 @@ func LifetimeSweep(n EDN, lopts LifetimeOptions, src LoadPattern, opts Options, 
 		Threshold:          m.lopts.Threshold,
 		Depth:              n.Queue.Depth,
 		Policy:             n.Queue.Policy,
-		Bandwidth:          m.bandwidth,
-		Reachable:          m.reachable,
-		DeadFraction:       m.deadFrac,
-		LatencyP99:         m.p99,
-		Parked:             m.parked,
+		Bandwidth:          m.series[lifeBandwidth],
+		Reachable:          m.series[lifeReachable],
+		DeadFraction:       m.series[lifeDeadFrac],
+		LatencyP99:         m.series[lifeP99],
+		Parked:             m.series[lifeParked],
 		Injected:           m.totals.Injected,
 		Refused:            m.totals.Refused,
 		Delivered:          m.totals.Delivered,
@@ -182,10 +180,10 @@ func LifetimeSweep(n EDN, lopts LifetimeOptions, src LoadPattern, opts Options, 
 }
 
 // lifetimeSweep is the one lifetime harness behind both networks'
-// typed entry points: defaults, shard fan-out (runLifetimeFanout, so
-// the same Options churn an EDN and its counterpart through identically
-// distributed outages under identical per-input traffic replays), the
-// per-shard epoch loop and the exact merge.
+// typed entry points: defaults, the shard fan-out (runLifetimeShards,
+// so the same Options churn an EDN and its counterpart through
+// identically distributed outages under identical per-input traffic
+// replays), the per-shard epoch loop and the exact merge.
 func lifetimeSweep(net Net, lopts LifetimeOptions, src LoadPattern, opts Options, shards int) (lifetimeMerge, error) {
 	opts, shards, err := prepare(net, opts, shards, false)
 	if err != nil {
@@ -198,29 +196,87 @@ func lifetimeSweep(net Net, lopts LifetimeOptions, src LoadPattern, opts Options
 		src = UniformLoad
 	}
 	parts := make([]partialLifetime, shards)
-	runLifetimeFanout(lopts, opts, shards, func(w int, procSeed, trafficSeed uint64) {
-		parts[w] = runLifetimeShard(net, lopts, src, opts, w, procSeed, trafficSeed)
+	err = runLifetimeShards(opts, lopts, shards, func(w int, procSeed, trafficSeed uint64) (err error) {
+		parts[w], err = runLifetimeShard(net, lopts, src, opts, w, procSeed, trafficSeed)
+		return err
 	})
-	m, err := mergeLifetimes(parts, lopts, opts)
-	m.lopts, m.shards = lopts, shards
-	return m, err
+	if err != nil {
+		return lifetimeMerge{}, err
+	}
+	mergeStart := time.Now()
+	m := lifetimeMerge{lopts: lopts, shards: shards, epochSeries: newEpochSeries(lifeSeries, lopts.Epochs)}
+	for w := range parts {
+		p := &parts[w]
+		if err := m.merge(&p.epochSeries); err != nil {
+			return lifetimeMerge{}, err
+		}
+		m.totals.Injected += p.totals.Injected
+		m.totals.Refused += p.totals.Refused
+		m.totals.Delivered += p.totals.Delivered
+		m.totals.Dropped += p.totals.Dropped
+		m.totals.Stranded += p.totals.Stranded
+	}
+	bandwidth := m.series[lifeBandwidth]
+	m.lifetimeBandwidth = bandwidth.MeanOverall()
+	if m.totals.Injected > 0 {
+		m.deliveredFraction = float64(m.totals.Delivered) / float64(m.totals.Injected)
+	} else {
+		m.deliveredFraction = 1
+	}
+	m.timeBelowThreshold = bandwidth.FractionBelow(lopts.Threshold)
+	m.recoveryHalfLife = stats.RecoveryHalfLife(bandwidth.Means(), 0.1)
+	opts.stage("merge", -1, 0, mergeStart)
+	return m, nil
 }
 
 // lifetimeMerge is a lifetime result before it takes its network's
 // typed shape: the defaulted options and shard count, the
-// exactly-merged per-epoch series, the summed lifetime counters and the
-// derived aggregates.
+// exactly-merged per-epoch series and probe report, the summed lifetime
+// counters and the derived aggregates.
 type lifetimeMerge struct {
-	lopts                                       LifetimeOptions
-	shards                                      int
-	bandwidth, reachable, deadFrac, p99, parked *stats.TimeSeries
-	totals                                      queuesim.Totals
-	rep                                         *probe.Report
+	lopts  LifetimeOptions
+	shards int
+	epochSeries
+	totals queuesim.Totals
 
 	lifetimeBandwidth  float64
 	deliveredFraction  float64
 	timeBelowThreshold float64
 	recoveryHalfLife   float64
+}
+
+// epochSeries is a lifetime's per-epoch series, indexed by its family's
+// series constants, and its probe report: one shard's, or every shard's
+// merged exactly.
+type epochSeries struct {
+	series []*stats.TimeSeries
+	rep    *probe.Report
+}
+
+func newEpochSeries(n, epochs int) epochSeries {
+	s := epochSeries{series: make([]*stats.TimeSeries, n)}
+	for i := range s.series {
+		s.series[i] = stats.NewTimeSeries(epochs)
+	}
+	return s
+}
+
+// merge folds one shard's series and probe report into s exactly: the
+// one series-and-report merge of both lifetime families.
+func (s *epochSeries) merge(shard *epochSeries) error {
+	for i, ts := range s.series {
+		if err := ts.Merge(shard.series[i]); err != nil {
+			return err
+		}
+	}
+	switch {
+	case shard.rep == nil:
+	case s.rep == nil:
+		s.rep = shard.rep
+	default:
+		return s.rep.Merge(shard.rep)
+	}
+	return nil
 }
 
 // lifetimeProbe builds shard w's probe for a lifetime sweep: heat bins
@@ -242,120 +298,59 @@ func lifetimeProbe(po *probe.Options, lopts LifetimeOptions, w int) *probe.Probe
 	return probe.New(p)
 }
 
-// runLifetimeFanout derives one (process, traffic) seed pair per shard
-// from opts.Seed — shared by every lifetime sweep, open- and
-// closed-loop, which is what makes "same Options" mean "same replays"
-// across the two networks — runs shard for every shard in parallel and
-// reports each shard's stage. Every lifetime shard runs the full epoch
-// schedule.
-func runLifetimeFanout(lopts LifetimeOptions, opts Options, shards int, shard func(w int, procSeed, trafficSeed uint64)) {
-	// Derive per-shard seeds up front so the assignment does not depend
-	// on scheduling.
+// runLifetimeShards is the fan-out of both lifetime families, open-
+// and closed-loop: it derives one (process, traffic) seed pair per
+// shard from opts.Seed — shared by both, which is what makes "same
+// Options" mean "same replays" across the two networks — and runs
+// shard for every shard through runShards, under a budget of shards x
+// Epochs x EpochCycles so each shard runs the full epoch schedule.
+func runLifetimeShards(opts Options, lopts LifetimeOptions, shards int, shard func(w int, procSeed, trafficSeed uint64) error) error {
 	root := xrand.New(opts.Seed ^ 0x5bf0_3635_d1c2_a94f)
 	type shardSeed struct{ proc, traffic uint64 }
 	seeds := make([]shardSeed, shards)
 	for w := range seeds {
 		seeds[w] = shardSeed{proc: root.Uint64() | 1, traffic: root.Uint64() | 1}
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			start := time.Now()
-			shard(w, seeds[w].proc, seeds[w].traffic)
-			if opts.OnStage != nil {
-				opts.OnStage("shard", w, lopts.Epochs*lopts.EpochCycles, start, time.Since(start))
-			}
-		}(w)
-	}
-	wg.Wait()
+	budget := opts
+	budget.Cycles = shards * lopts.Epochs * lopts.EpochCycles
+	return runShards(budget, shards, func(w, _ int) error {
+		return shard(w, seeds[w].proc, seeds[w].traffic)
+	})
 }
 
-// mergeLifetimes merges the shard lifetimes' series, counters and
-// probe reports exactly and derives the aggregates.
-func mergeLifetimes(parts []partialLifetime, lopts LifetimeOptions, opts Options) (lifetimeMerge, error) {
-	mergeStart := time.Now()
-	m := lifetimeMerge{
-		bandwidth: stats.NewTimeSeries(lopts.Epochs),
-		reachable: stats.NewTimeSeries(lopts.Epochs),
-		deadFrac:  stats.NewTimeSeries(lopts.Epochs),
-		p99:       stats.NewTimeSeries(lopts.Epochs),
-		parked:    stats.NewTimeSeries(lopts.Epochs),
-	}
-	for w := range parts {
-		p := &parts[w]
-		if p.err != nil {
-			return lifetimeMerge{}, p.err
-		}
-		for _, s := range []struct{ into, from *stats.TimeSeries }{
-			{m.bandwidth, p.bandwidth},
-			{m.reachable, p.reachable},
-			{m.deadFrac, p.deadFrac},
-			{m.p99, p.p99},
-			{m.parked, p.parked},
-		} {
-			if err := s.into.Merge(s.from); err != nil {
-				return lifetimeMerge{}, err
-			}
-		}
-		m.totals.Injected += p.totals.Injected
-		m.totals.Refused += p.totals.Refused
-		m.totals.Delivered += p.totals.Delivered
-		m.totals.Dropped += p.totals.Dropped
-		m.totals.Stranded += p.totals.Stranded
-		if p.rep != nil {
-			if m.rep == nil {
-				m.rep = p.rep
-			} else if err := m.rep.Merge(p.rep); err != nil {
-				return lifetimeMerge{}, err
-			}
-		}
-	}
-	m.lifetimeBandwidth = m.bandwidth.MeanOverall()
-	if m.totals.Injected > 0 {
-		m.deliveredFraction = float64(m.totals.Delivered) / float64(m.totals.Injected)
-	} else {
-		m.deliveredFraction = 1
-	}
-	m.timeBelowThreshold = m.bandwidth.FractionBelow(lopts.Threshold)
-	m.recoveryHalfLife = stats.RecoveryHalfLife(m.bandwidth.Means(), 0.1)
-	if opts.OnStage != nil {
-		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
-	}
-	return m, nil
+// The open-loop lifetime's per-epoch series, in epochSeries order.
+const (
+	lifeBandwidth = iota // delivered packets per input per cycle
+	lifeReachable        // fraction of outputs still reachable
+	lifeDeadFrac         // dead fraction of the churned population
+	lifeP99              // P99 delivery latency within the epoch
+	lifeParked           // mean packets parked on dead components per cycle
+	lifeSeries
+)
+
+// partialLifetime is one shard's private accumulation.
+type partialLifetime struct {
+	epochSeries
+	totals queuesim.Totals
 }
 
 // runLifetimeShard simulates one independent lifetime: warmup
 // fault-free, then Epochs iterations of (advance the failure process,
 // compile, swap the masks into the running engine in place, run
 // EpochCycles cycles, record the epoch's series).
-func runLifetimeShard(net Net, lopts LifetimeOptions, src LoadPattern, opts Options, w int, procSeed, trafficSeed uint64) partialLifetime {
+func runLifetimeShard(net Net, lopts LifetimeOptions, src LoadPattern, opts Options, w int, procSeed, trafficSeed uint64) (partialLifetime, error) {
+	p := partialLifetime{epochSeries: newEpochSeries(lifeSeries, lopts.Epochs)}
 	fab, err := churned(net, lopts.Spec, xrand.New(procSeed), opts.Factory)
 	if err != nil {
-		return partialLifetime{err: err}
+		return p, err
 	}
 	eng, pr := fab.eng, lifetimeProbe(opts.Probe, lopts, w)
-	pattern := src(lopts.Load, xrand.New(trafficSeed))
 	inputs, outputs := net.ports()
+	next := trafficStep(src(lopts.Load, xrand.New(trafficSeed)), inputs, outputs)
 	live := make([]bool, outputs)
-	p := partialLifetime{
-		bandwidth: stats.NewTimeSeries(lopts.Epochs),
-		reachable: stats.NewTimeSeries(lopts.Epochs),
-		deadFrac:  stats.NewTimeSeries(lopts.Epochs),
-		p99:       stats.NewTimeSeries(lopts.Epochs),
-		parked:    stats.NewTimeSeries(lopts.Epochs),
-	}
-	gen, inPlace := pattern.(traffic.IntoGenerator)
-	dest := make([]int, inputs)
 	for c := 0; c < opts.Warmup; c++ {
-		if inPlace {
-			gen.GenerateInto(dest, outputs)
-		} else {
-			dest = pattern.Generate(inputs, outputs)
-		}
-		if _, p.err = eng.Cycle(dest); p.err != nil {
-			return p
+		if _, err := eng.Cycle(next()); err != nil {
+			return p, err
 		}
 	}
 	// Lifetime counters exclude the fault-free warmup (the same
@@ -371,37 +366,30 @@ func runLifetimeShard(net Net, lopts LifetimeOptions, src LoadPattern, opts Opti
 	for e := 0; e < lopts.Epochs; e++ {
 		reach, deadFrac, err := fab.step(live)
 		if err != nil {
-			p.err = err
-			return p
+			return p, err
 		}
 		eng.ResetLatency()
 		before := eng.Totals()
 		parked := 0
 		for c := 0; c < lopts.EpochCycles; c++ {
-			if inPlace {
-				gen.GenerateInto(dest, outputs)
-			} else {
-				dest = pattern.Generate(inputs, outputs)
-			}
-			cs, err := eng.Cycle(dest)
+			cs, err := eng.Cycle(next())
 			if err != nil {
-				p.err = err
-				return p
+				return p, err
 			}
 			parked += cs.ParkedOnDead
 		}
 		after := eng.Totals()
 		delivered := after.Delivered - before.Delivered
-		p.bandwidth.Add(e, float64(delivered)/float64(lopts.EpochCycles*inputs))
-		p.reachable.Add(e, float64(reach)/float64(outputs))
-		p.deadFrac.Add(e, deadFrac)
+		p.series[lifeBandwidth].Add(e, float64(delivered)/float64(lopts.EpochCycles*inputs))
+		p.series[lifeReachable].Add(e, float64(reach)/float64(outputs))
+		p.series[lifeDeadFrac].Add(e, deadFrac)
 		if eng.Latency().N() > 0 {
 			// A blackout epoch that retires nothing has no latency
 			// observation; recording its empty-histogram quantile (0)
 			// would make a total outage look like a perfect tail.
-			p.p99.Add(e, eng.Latency().Quantile(0.99))
+			p.series[lifeP99].Add(e, eng.Latency().Quantile(0.99))
 		}
-		p.parked.Add(e, float64(parked)/float64(lopts.EpochCycles))
+		p.series[lifeParked].Add(e, float64(parked)/float64(lopts.EpochCycles))
 	}
 	tot := eng.Totals()
 	p.totals = queuesim.Totals{
@@ -414,15 +402,7 @@ func runLifetimeShard(net Net, lopts LifetimeOptions, src LoadPattern, opts Opti
 	if pr != nil {
 		p.rep = pr.Report()
 	}
-	return p
-}
-
-// partialLifetime is one shard's private accumulation.
-type partialLifetime struct {
-	bandwidth, reachable, deadFrac, p99, parked *stats.TimeSeries
-	totals                                      queuesim.Totals
-	rep                                         *probe.Report
-	err                                         error
+	return p, nil
 }
 
 // DilatedLifetimeResult is the availability-over-time view of a dilated
@@ -509,11 +489,11 @@ func DilatedLifetimeSweep(n Dilated, lopts LifetimeOptions, src LoadPattern, opt
 		Threshold:          m.lopts.Threshold,
 		Depth:              n.Queue.Depth,
 		Policy:             n.Queue.Policy,
-		Bandwidth:          m.bandwidth,
-		Reachable:          m.reachable,
-		DeadFraction:       m.deadFrac,
-		LatencyP99:         m.p99,
-		Parked:             m.parked,
+		Bandwidth:          m.series[lifeBandwidth],
+		Reachable:          m.series[lifeReachable],
+		DeadFraction:       m.series[lifeDeadFrac],
+		LatencyP99:         m.series[lifeP99],
+		Parked:             m.series[lifeParked],
 		Injected:           m.totals.Injected,
 		Refused:            m.totals.Refused,
 		Delivered:          m.totals.Delivered,

@@ -12,6 +12,14 @@
 //     on link replication — so one harness measures both sides of the
 //     paper's equal-redundancy comparison, and the same Options drive
 //     both networks with identical per-input traffic replays.
+//
+// Every sharded measurement runs through one skeleton: runShards is the
+// only fan-out (it splits the cycle budget, runs the shards in parallel
+// and reports each as a "shard" stage), a point's shard seeds derive
+// from (Options.Seed, point index) in one place, its shards merge
+// exactly, and Options.observe is the one sequential observation pass
+// that carries a probe or an anatomy collector, so the shards run bare.
+// Lifetimes keep per-shard heat probes instead, one heat bin per epoch.
 package simulate
 
 import (
@@ -38,21 +46,20 @@ type Options struct {
 	// Probe, when non-nil, attaches a flight-recorder probe to the
 	// measurement and fills the result's Observed report: sampled packet
 	// traces plus per-stage heat series over the measurement window.
-	// Sharded sweeps keep their shard runs unprobed and gather the
-	// report from a dedicated deterministic observation pass (see
-	// saturationPoint) or from per-shard heat probes (lifetime sweeps),
-	// so the measured results are bit-identical with and without a
-	// probe.
+	// Sharded points keep their shard runs unprobed and gather the
+	// report from the one observation pass (Options.observe) or, in
+	// lifetime sweeps, from per-shard heat probes, so the measured
+	// results are bit-identical with and without a probe.
 	Probe *probe.Options
 
 	// Anatomy, when non-nil, attaches a latency-anatomy collector to the
 	// measurement: per-stage wait/block/service attribution, switch
 	// blame, congestion trees and flow breakdowns (plus the five-way
 	// request split for closed loops), delivered through OnAnatomy.
-	// Like Probe, sharded sweeps keep their shard runs bare and collect
-	// the anatomy on the dedicated sequential observation pass under
-	// seeds[0], so the measured results are bit-identical with and
-	// without it and the report is invariant to the shard count.
+	// Like Probe, sharded points keep their shard runs bare and collect
+	// the anatomy on the observation pass under the point's first shard
+	// seed, so the measured results are bit-identical with and without
+	// it and the report is invariant to the shard count.
 	Anatomy *anatomy.Options
 
 	// OnAnatomy receives each measured point's anatomy report when
@@ -62,13 +69,61 @@ type Options struct {
 
 	// OnStage, when non-nil, observes the coarse execution stages of a
 	// sharded measurement as they complete: one "shard" event per shard
-	// run (shard index, cycle share), one "merge" for the exact-merge
-	// step, one "observe" for the dedicated probe pass when Probe is
-	// set. Shard events fire concurrently from shard goroutines.
-	// Observation-only, like Probe: set or nil, the measured results
-	// are bit-identical — the serve layer feeds it into a job's span
-	// tree.
+	// run from runShards (shard index, cycle share), one "merge" for
+	// the exact-merge step, one "observe" for the observation pass when
+	// Probe or Anatomy is set. Shard events fire concurrently from shard
+	// goroutines. Observation-only, like Probe: set or nil, the measured
+	// results are bit-identical — the serve layer feeds it into a job's
+	// span tree.
 	OnStage StageTimer
+}
+
+// stage reports one completed execution stage that began at start.
+func (o Options) stage(name string, shard, cycles int, start time.Time) {
+	if o.OnStage != nil {
+		o.OnStage(name, shard, cycles, start, time.Since(start))
+	}
+}
+
+// bare returns the options of one shard run: cycles long, with neither
+// a probe nor an anatomy collector attached.
+func (o Options) bare(cycles int) Options {
+	o.Cycles, o.Probe, o.Anatomy = cycles, nil, nil
+	return o
+}
+
+// observe is the one observation pass of a sharded point. When o asks
+// for a probe or an anatomy report, run measures the point once more,
+// sequentially, at the full cycle budget under the point's first shard
+// seed — which does not depend on the shard count — so traces and the
+// anatomy report are pure functions of Options and the merged shard
+// results never see an instrument. It returns run's probe report.
+func (o Options) observe(run func() (*probe.Report, error)) (*probe.Report, error) {
+	if o.Probe == nil && o.Anatomy == nil {
+		return nil, nil
+	}
+	start := time.Now()
+	rep, err := run()
+	if err != nil {
+		return nil, err
+	}
+	o.stage("observe", -1, o.Cycles, start)
+	return rep, nil
+}
+
+// trafficStep returns pattern's per-cycle request source: patterns
+// implementing traffic.IntoGenerator (every built-in one) refill one
+// reused vector in place, so steady-state loops stay allocation-free;
+// others return a fresh Generate vector each cycle.
+func trafficStep(pattern traffic.Pattern, inputs, outputs int) func() []int {
+	if gen, ok := pattern.(traffic.IntoGenerator); ok {
+		dest := make([]int, inputs)
+		return func() []int {
+			gen.GenerateInto(dest, outputs)
+			return dest
+		}
+	}
+	return func() []int { return pattern.Generate(inputs, outputs) }
 }
 
 // StageTimer receives one completed execution stage: its name, the
@@ -161,21 +216,14 @@ func MeasurePA(cfg topology.Config, pattern traffic.Pattern, opts Options) (Resu
 	}
 	var paAcc stats.Accumulator
 	offered, delivered := 0, 0
-	inputs, outputs := cfg.Inputs(), cfg.Outputs()
-	dest := make([]int, inputs)
-	outcomes := make([]core.Outcome, inputs)
-	gen, inPlace := pattern.(traffic.IntoGenerator)
+	outcomes := make([]core.Outcome, cfg.Inputs())
+	next := trafficStep(pattern, cfg.Inputs(), cfg.Outputs())
 	pr := newProbe(opts.Probe, opts.Cycles)
 	for cycle := 0; cycle < opts.Warmup+opts.Cycles; cycle++ {
 		if cycle == opts.Warmup && pr != nil {
 			net.SetProbe(pr)
 		}
-		if inPlace {
-			gen.GenerateInto(dest, outputs)
-		} else {
-			dest = pattern.Generate(inputs, outputs)
-		}
-		cs, err := net.RouteCycleInto(dest, outcomes)
+		cs, err := net.RouteCycleInto(next(), outcomes)
 		if err != nil {
 			return Result{}, err
 		}

@@ -17,6 +17,7 @@ package edn
 // load, a nil Probe attaches no flight recorder.
 
 import (
+	"errors"
 	"fmt"
 
 	"edn/internal/cliutil"
@@ -357,7 +358,7 @@ func (c *ClosedLoopSpec) compile() (ClosedLoopOptions, error) {
 }
 
 // ProbeSpec is the serializable face of ProbeOptions; a nil spec
-// attaches no flight recorder.
+// attaches no flight recorder. Negative fields are an error.
 type ProbeSpec struct {
 	// SampleEvery samples on average one accepted injection in this
 	// many; 0 disables tracing (heat only).
@@ -436,7 +437,8 @@ func (e *ExplainSpec) compile() *AnatomyOptions {
 type SimSpec struct {
 	// Cycles is the measured cycle budget (default 1000).
 	Cycles int `json:"cycles,omitempty"`
-	// Warmup cycles run before measurement (default 0).
+	// Warmup cycles run before measurement (default 0; negative is an
+	// error).
 	Warmup int `json:"warmup,omitempty"`
 	// Seed derives every per-point, per-shard stream (default 1).
 	Seed uint64 `json:"seed,omitempty"`
@@ -483,7 +485,7 @@ type JobSpec struct {
 
 	// Load is the single offered load of the latency and estimate
 	// modes (default 1). Loads is the saturation axis; Rates the
-	// closed-loop demand axis.
+	// closed-loop demand axis. Every value must lie in [0,1].
 	Load  float64   `json:"load,omitempty"`
 	Loads []float64 `json:"loads,omitempty"`
 	Rates []float64 `json:"rates,omitempty"`
@@ -510,6 +512,16 @@ type JobSpec struct {
 func (s JobSpec) Validate() error {
 	_, err := compileJob(s)
 	return err
+}
+
+// checkUnit rejects a load or rate outside [0,1], NaN included.
+func checkUnit(field string, vals ...float64) error {
+	for _, v := range vals {
+		if !(v >= 0 && v <= 1) {
+			return fmt.Errorf("edn: %s value %g out of [0,1]", field, v)
+		}
+	}
+	return nil
 }
 
 // compiledJob is a JobSpec lowered to the facade's Go values.
@@ -601,6 +613,15 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 	j.shards = s.Sim.Shards
 	if j.shards < 0 {
 		return nil, fmt.Errorf("edn: shards %d is negative (0 selects GOMAXPROCS)", j.shards)
+	}
+	if s.Sim.Warmup < 0 {
+		return nil, fmt.Errorf("edn: warmup %d is negative", s.Sim.Warmup)
+	}
+	if p := s.Probe; p != nil && min(p.SampleEvery, p.TraceCap, p.MaxHops, p.Bins) < 0 {
+		return nil, fmt.Errorf("edn: probe sample_every, trace_cap, max_hops and bins must not be negative")
+	}
+	if err := errors.Join(checkUnit("load", s.Load), checkUnit("loads", s.Loads...), checkUnit("rates", s.Rates...)); err != nil {
+		return nil, err
 	}
 	if s.Explain != nil {
 		switch s.Mode {

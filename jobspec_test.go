@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -566,5 +567,53 @@ func TestRunRejectsNonFiniteInputs(t *testing.T) {
 				t.Errorf("%s epoch %d: MTBF 1e17 dead fraction %g", engine, e, f)
 			}
 		}
+	}
+}
+
+// TestHostileSpecsAreErrors pins that job inputs which would crash a
+// run (negative probe sizes reach probe.New's allocations) or silently
+// mis-measure it (a negative warmup shortens the window but not the
+// divisor; a load or rate outside [0,1], NaN among them, runs as given)
+// are edn: errors from Validate, and errors — never panics — from Run.
+func TestHostileSpecsAreErrors(t *testing.T) {
+	geo := &GeometrySpec{A: 4, B: 2, C: 2, L: 2}
+	sim := SimSpec{Cycles: 50, Warmup: 10, Seed: 1, Shards: 1}
+	latency := func(mut func(*JobSpec)) JobSpec {
+		s := JobSpec{Mode: JobLatency, Geometry: geo, Load: 0.5, Sim: sim}
+		mut(&s)
+		return s
+	}
+	loop := &ClosedLoopSpec{Window: 2}
+	nan := math.NaN()
+	bad := map[string]JobSpec{
+		"trace-cap":    latency(func(s *JobSpec) { s.Probe = &ProbeSpec{SampleEvery: 1, TraceCap: -1} }),
+		"max-hops":     latency(func(s *JobSpec) { s.Probe = &ProbeSpec{SampleEvery: 1, MaxHops: -3} }),
+		"bins":         latency(func(s *JobSpec) { s.Probe = &ProbeSpec{Bins: -2} }),
+		"sample-every": latency(func(s *JobSpec) { s.Probe = &ProbeSpec{SampleEvery: -1} }),
+		"warmup":       latency(func(s *JobSpec) { s.Sim.Warmup = -10 }),
+		"load-high":    latency(func(s *JobSpec) { s.Load = 7 }),
+		"load-nan":     latency(func(s *JobSpec) { s.Load = nan }),
+		"loads-low":    {Mode: JobSaturation, Geometry: geo, Loads: []float64{-1}, Sim: sim},
+		"loads-nan":    {Mode: JobSaturation, Geometry: geo, Loads: []float64{0.5, nan}, Sim: sim},
+		"rates-high":   {Mode: JobClosedLoop, Geometry: geo, Rates: []float64{3}, Loop: loop, Sim: sim},
+		"rates-nan":    {Mode: JobClosedLoop, Geometry: geo, Rates: []float64{nan}, Loop: loop, Sim: sim},
+		"lifetime-probe": {Mode: JobLifetime, Geometry: geo, Sim: sim,
+			Lifetime: &LifetimeSpec{Epochs: 2, EpochCycles: 20, MTBF: 8, MTTR: 3},
+			Probe:    &ProbeSpec{SampleEvery: 1, TraceCap: -1}},
+	}
+	for name, spec := range bad {
+		t.Run(name, func(t *testing.T) {
+			if err := spec.Validate(); err == nil || !strings.HasPrefix(err.Error(), "edn: ") {
+				t.Errorf("Validate: want an edn: error, got %v", err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Run panicked: %v", r)
+				}
+			}()
+			if _, err := Run(context.Background(), spec); err == nil {
+				t.Error("Run accepted the spec")
+			}
+		})
 	}
 }

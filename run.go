@@ -168,9 +168,12 @@ func RunJob(ctx context.Context, spec JobSpec, ro RunOptions) (*JobResult, error
 	defer tr.End(es)
 	switch spec.Mode {
 	case JobLatency:
-		err = j.runLatency(ro, res)
+		// One sharded measurement, seeded as point 0 of a one-load
+		// saturation sweep — so latency at Load is bit-for-bit
+		// SaturationSweep(net, []float64{Load}, ...)[0].
+		err = j.runSaturation(ctx, ro, res, []float64{j.load()})
 	case JobSaturation:
-		err = j.runSaturation(ctx, ro, res)
+		err = j.runSaturation(ctx, ro, res, spec.Loads)
 	case JobDrain:
 		err = j.runDrain(ro, res)
 	case JobAvailability:
@@ -278,38 +281,32 @@ func (j *compiledJob) load() float64 {
 	return 1
 }
 
-func (j *compiledJob) runLatency(ro RunOptions, res *JobResult) error {
-	// One sharded measurement, seeded as point 0 of a one-load
-	// saturation sweep — so latency at Load is bit-for-bit
-	// SaturationSweep(net, []float64{Load}, ...)[0].
-	ps := ro.Trace.Start("point", "index", "0", "load", formatAxis(j.load()))
-	r, err := simulate.SaturationPoint(j.net(), j.load(), 0, j.src, j.opts, j.shards)
-	ro.Trace.End(ps)
-	if err != nil {
-		return err
-	}
-	res.Points = []LatencyResult{r}
-	emit(ro, 0, 1, r)
-	return nil
-}
-
-func (j *compiledJob) runSaturation(ctx context.Context, ro RunOptions, res *JobResult) error {
-	loads := j.spec.Loads
-	res.Points = make([]LatencyResult, 0, len(loads))
-	for i, load := range loads {
+// sweep is the one per-point loop of the axis modes (latency,
+// saturation, availability and the closed-loop rate axis): for each
+// coordinate it checks for cancellation, opens the point span with its
+// index and axis attribute, measures the point and streams it.
+func sweep(ctx context.Context, ro RunOptions, axis string, values []float64, measure func(i int, v float64) (any, error)) error {
+	for i, v := range values {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ps := ro.Trace.Start("point", "index", strconv.Itoa(i), "load", formatAxis(load))
-		r, err := simulate.SaturationPoint(j.net(), load, i, j.src, j.opts, j.shards)
+		ps := ro.Trace.Start("point", "index", strconv.Itoa(i), axis, formatAxis(v))
+		point, err := measure(i, v)
 		ro.Trace.End(ps)
 		if err != nil {
 			return err
 		}
-		res.Points = append(res.Points, r)
-		emit(ro, i, len(loads), r)
+		emit(ro, i, len(values), point)
 	}
 	return nil
+}
+
+func (j *compiledJob) runSaturation(ctx context.Context, ro RunOptions, res *JobResult, loads []float64) error {
+	return sweep(ctx, ro, "load", loads, func(i int, load float64) (any, error) {
+		r, err := simulate.SaturationPoint(j.net(), load, i, j.src, j.opts, j.shards)
+		res.Points = append(res.Points, r)
+		return r, err
+	})
 }
 
 func (j *compiledJob) runDrain(ro RunOptions, res *JobResult) error {
@@ -325,32 +322,18 @@ func (j *compiledJob) runDrain(ro RunOptions, res *JobResult) error {
 }
 
 func (j *compiledJob) runAvailability(ctx context.Context, ro RunOptions, res *JobResult) error {
-	fractions := j.aopts.Fractions
-	for i, f := range fractions {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// The two networks' degradation points carry different fault
-		// censuses, so each lands in its own typed result section.
-		var point any
-		var err error
-		ps := ro.Trace.Start("point", "index", strconv.Itoa(i), "fraction", formatAxis(f))
+	// The two networks' degradation points carry different fault
+	// censuses, so each lands in its own typed result section.
+	return sweep(ctx, ro, "fraction", j.aopts.Fractions, func(_ int, f float64) (any, error) {
 		if j.engine == EngineDilated {
-			var r DilatedAvailabilityResult
-			r, err = simulate.DilatedAvailabilityPoint(j.dil, j.aopts, f, j.src, j.opts, j.shards)
-			res.DilatedAvailability, point = append(res.DilatedAvailability, r), r
-		} else {
-			var r AvailabilityResult
-			r, err = simulate.AvailabilityPoint(j.edn, j.aopts, f, j.src, j.opts, j.shards)
-			res.Availability, point = append(res.Availability, r), r
+			r, err := simulate.DilatedAvailabilityPoint(j.dil, j.aopts, f, j.src, j.opts, j.shards)
+			res.DilatedAvailability = append(res.DilatedAvailability, r)
+			return r, err
 		}
-		ro.Trace.End(ps)
-		if err != nil {
-			return err
-		}
-		emit(ro, i, len(fractions), point)
-	}
-	return nil
+		r, err := simulate.AvailabilityPoint(j.edn, j.aopts, f, j.src, j.opts, j.shards)
+		res.Availability = append(res.Availability, r)
+		return r, err
+	})
 }
 
 func (j *compiledJob) runLifetime(ro RunOptions, res *JobResult) error {
@@ -390,21 +373,11 @@ func (j *compiledJob) runClosedLoop(ctx context.Context, ro RunOptions, res *Job
 		emit(ro, 0, 1, res)
 		return nil
 	}
-	res.ClosedLoop = make([]ClosedLoopResult, 0, len(rates))
-	for i, rate := range rates {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ps := ro.Trace.Start("point", "index", strconv.Itoa(i), "rate", formatAxis(rate))
+	return sweep(ctx, ro, "rate", rates, func(i int, rate float64) (any, error) {
 		r, err := simulate.ClosedLoopPoint(j.net(), rate, i, j.lo, j.opts, j.shards)
-		ro.Trace.End(ps)
-		if err != nil {
-			return err
-		}
 		res.ClosedLoop = append(res.ClosedLoop, r)
-		emit(ro, i, len(rates), r)
-	}
-	return nil
+		return r, err
+	})
 }
 
 func (j *compiledJob) runClosedLoopLifetime(ro RunOptions, res *JobResult) error {
