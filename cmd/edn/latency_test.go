@@ -212,3 +212,17 @@ func TestLatencyRunRejectsHostileInputs(t *testing.T) {
 		}
 	}
 }
+
+// TestLatencyDrainRejectsTrace pins that a drain cannot take probe
+// flags: its result carries no observed report, so a -trace or
+// -heatmap would print nothing.
+func TestLatencyDrainRejectsTrace(t *testing.T) {
+	for _, probe := range [][]string{{"-trace", "2"}, {"-heatmap"}} {
+		var sb strings.Builder
+		args := append([]string{"-a", "4", "-b", "2", "-c", "2", "-l", "2", "-drain", "2"}, probe...)
+		err := runCmd("latency", args, &sb)
+		if err == nil || !strings.Contains(err.Error(), "probe is not supported") {
+			t.Errorf("latency %v: want a probe error, got %v; printed:\n%s", args, err, sb.String())
+		}
+	}
+}

@@ -108,9 +108,11 @@
 //     (BenchmarkProbeOff, CI-gated); with a probe attached the results
 //     are bit-identical to an unprobed run. Sharded saturation and
 //     closed-loop points run their shards bare and collect the
-//     observation from one sequential observation pass under the
-//     point's first shard seed, which ignores the shard split, so the
-//     same Options yield the same trace set at any shard count;
+//     observation from one observation pass, a task of the point's
+//     worker pool run beside the shards under the point's first shard
+//     seed at the full cycle budget, which ignores the shard split, so
+//     the same Options yield the same trace set at any shard count and
+//     GOMAXPROCS;
 //     lifetime sweeps instead keep a heat probe on every shard, one bin
 //     per epoch, and sample traces on shard 0 only. See edn trace and
 //     the -trace/-heatmap flags on edn latency, lifetime and loop.
@@ -172,8 +174,9 @@
 //     like "which hot output is really responsible for this tail".
 //     Closed-loop requests get a five-way split instead: client-queue,
 //     retry-wait, forward-fabric, service, reply-fabric. Reports are
-//     shard-mergeable and ride the same dedicated observation pass as
-//     the probe, so explaining a run never moves a measured number
+//     shard-mergeable and ride the same observation pass as the probe,
+//     beside the shards, so explaining a run never moves a measured
+//     number or depends on the shard count or GOMAXPROCS
 //     (byte-identity property-tested, fault churn included) and a
 //     detached collector costs one nil check per hook
 //     (BenchmarkAnatomyOff, 0 allocs/op, CI-gated). The surface is a

@@ -96,7 +96,10 @@ func goldenSpecs() map[string]JobSpec {
 // anatomy report to digests recorded before the EDN/dilated harnesses
 // were folded onto one network value. TestRunMatchesFacade compares two
 // code paths of the same tree; only this test catches both drifting
-// together. On a mismatch it prints the complete new digest file.
+// together. A spec with a probe or an explain section runs its
+// observation pass beside its shards, so it must match its digests
+// under GOMAXPROCS 1, 2 and 4: the schedule never reaches the bytes.
+// On a mismatch it prints the complete new digest file.
 func TestGoldenJobDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests are recorded on amd64; other compilers may fuse multiply-adds")
@@ -108,34 +111,25 @@ func TestGoldenJobDigests(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	host := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(host)
 
 	var lines []string
 	var bad []string
 	for _, name := range names {
-		var report []byte
-		res, err := RunJob(context.Background(), specs[name], RunOptions{
-			OnExplain: func(r *AnatomyReport) {
-				var merr error
-				if report, merr = json.Marshal(r); merr != nil {
-					t.Errorf("%s: anatomy report does not marshal: %v", name, merr)
-				}
-			},
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		procs := []int{host}
+		if spec := specs[name]; spec.Probe != nil || spec.Explain != nil {
+			procs = []int{1, 2, 4}
 		}
-		blob, err := json.Marshal(res)
-		if err != nil {
-			t.Fatalf("%s: JobResult does not marshal: %v", name, err)
-		}
-		anat := "-"
-		if report != nil {
-			anat = digest(report)
-		}
-		line := fmt.Sprintf("%s %s %s", name, digest(blob), anat)
-		lines = append(lines, line)
-		if want[name] != line {
-			bad = append(bad, name)
+		for i, p := range procs {
+			runtime.GOMAXPROCS(p)
+			line := goldenLine(t, name, specs[name])
+			if i == 0 {
+				lines = append(lines, line)
+			}
+			if want[name] != line {
+				bad = append(bad, fmt.Sprintf("%s (GOMAXPROCS %d)", name, p))
+			}
 		}
 	}
 	if len(want) != len(lines) {
@@ -145,6 +139,32 @@ func TestGoldenJobDigests(t *testing.T) {
 		t.Errorf("%d golden digests differ: %s", len(bad), strings.Join(bad, ", "))
 		t.Logf("new digests:\n%s", strings.Join(lines, "\n"))
 	}
+}
+
+// goldenLine runs spec and returns its digest-file line.
+func goldenLine(t *testing.T, name string, spec JobSpec) string {
+	t.Helper()
+	var report []byte
+	res, err := RunJob(context.Background(), spec, RunOptions{
+		OnExplain: func(r *AnatomyReport) {
+			var merr error
+			if report, merr = json.Marshal(r); merr != nil {
+				t.Errorf("%s: anatomy report does not marshal: %v", name, merr)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	blob, err := json.Marshal(res)
+	if err != nil {
+		t.Fatalf("%s: JobResult does not marshal: %v", name, err)
+	}
+	anat := "-"
+	if report != nil {
+		anat = digest(report)
+	}
+	return fmt.Sprintf("%s %s %s", name, digest(blob), anat)
 }
 
 func digest(b []byte) string {

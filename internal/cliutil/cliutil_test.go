@@ -3,6 +3,8 @@ package cliutil
 import (
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -154,6 +156,39 @@ func TestDilatedHelpers(t *testing.T) {
 	for _, want := range []string{"dilated counterpart", "ports", "wires vs EDN"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("header missing %q: %s", want, out)
+		}
+	}
+}
+
+// TestLoadSpecIsStrict pins the spec-file decoder: one JSON document
+// with known fields loads; a second document after it, trailing
+// garbage or an unknown field is an error naming the file.
+func TestLoadSpecIsStrict(t *testing.T) {
+	type spec struct {
+		Mode   string `json:"mode"`
+		Cycles int    `json:"cycles"`
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"one", `{"mode":"latency","cycles":5}` + "\n\t ", true},
+		{"two", `{"mode":"latency"} {"mode":"saturation"}`, false},
+		{"garbage", `{"mode":"latency"} trailing`, false},
+		{"unknown", `{"mode":"latency","cylces":5}`, false},
+	} {
+		path := filepath.Join(dir, tc.name+".json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got spec
+		err := LoadSpec(path, &got)
+		switch {
+		case tc.ok && (err != nil || got != spec{Mode: "latency", Cycles: 5}):
+			t.Errorf("%s: got %+v, %v", tc.name, got, err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), path)):
+			t.Errorf("%s: want an error naming %s, got %v", tc.name, path, err)
 		}
 	}
 }

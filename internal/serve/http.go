@@ -2,17 +2,21 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 
 	"edn"
+	"edn/internal/cliutil"
 )
 
 // Handler returns the HTTP face of the server:
 //
-//	POST /v1/jobs        body = one JobSpec JSON document; the response
+//	POST /v1/jobs        body = exactly one JobSpec JSON document, at
+//	                     most 16 MiB (413 beyond), no unknown fields
+//	                     and nothing after it (400); the response
 //	                     streams the job's event lines as NDJSON
 //	                     (accepted, point..., result|error), flushed per
 //	                     event so a client sees sweep points live. The
@@ -69,10 +73,14 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, explain bool) {
 	var spec edn.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		http.Error(w, fmt.Sprintf("bad spec: %v", err), http.StatusBadRequest)
+	// One body limit for both transports: the stdio line bound.
+	if err := cliutil.DecodeStrict(http.MaxBytesReader(w, r.Body, maxLine), &spec); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad spec: %v", err), code)
 		return
 	}
 	if explain && spec.Explain == nil {

@@ -7,7 +7,9 @@ import "edn"
 // (the uPIMulator/BookSim2 co-simulation arrangement) or a sweep
 // harness scripts against without linking Go.
 //
-// Client → server, one Request per line:
+// Client → server, exactly one Request per line (an unknown field, in
+// the request or its spec, or anything after the Request is a "bad
+// request" error event, under the request's id when it can be read):
 //
 //	{"id":"j1","op":"run","spec":{...}}   run a JobSpec; events follow
 //	{"id":"j1","op":"explain","spec":{...}} run with a latency-anatomy

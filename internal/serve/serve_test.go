@@ -593,3 +593,95 @@ func TestExecuteRecoversPanic(t *testing.T) {
 		t.Fatalf("want 1 failed, 1 completed, 0 running, got %+v", st)
 	}
 }
+
+// spaces is an endless stream of JSON white space.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestHTTPStrictBody pins the HTTP request decoder: a body past the
+// 16 MiB line bound is cut off with 413 instead of being read to its
+// end, and the server keeps answering; a spec followed by anything but
+// white space is a 400, never a job.
+func TestHTTPStrictBody(t *testing.T) {
+	s := serve.New(serve.Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(body io.Reader) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()              //nolint:errcheck
+		return resp.StatusCode
+	}
+
+	if code := post(io.LimitReader(spaces{}, 16<<20+1)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: want 413, got %d", code)
+	}
+	resp, err := http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatalf("healthz after an oversized body: %v", err)
+	}
+	resp.Body.Close() //nolint:errcheck
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after an oversized body: %d", resp.StatusCode)
+	}
+
+	blob, err := json.Marshal(estimateSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post(bytes.NewReader(append(blob, " trailing garbage {\"x\":"...))); code != http.StatusBadRequest {
+		t.Errorf("trailing data: want 400, got %d", code)
+	}
+	if code := post(bytes.NewReader(append(blob, "\n\t "...))); code != http.StatusOK {
+		t.Errorf("trailing white space: want 200, got %d", code)
+	}
+	if st := s.Stats(); st.Accepted != 1 {
+		t.Errorf("want only the well-formed body accepted, stats %+v", st)
+	}
+}
+
+// TestStdioStrictRequest pins the stdio request decoder: a misspelled
+// spec field is an error event under the request's id, not a job run
+// with the field's default, and the session keeps answering.
+func TestStdioStrictRequest(t *testing.T) {
+	s := serve.New(serve.Options{})
+	c := dial(t, s)
+	blob, err := json.Marshal(estimateSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	typo := strings.Replace(string(blob), `"cycles"`, `"cylces"`, 1)
+	if typo == string(blob) {
+		t.Fatal("spec JSON has no cycles field to misspell")
+	}
+	if _, err := fmt.Fprintf(c.raw, `{"id":"typo","op":"run","spec":%s}`+"\n", typo); err != nil {
+		t.Fatal(err)
+	}
+	if ev := c.recv(); ev.Event != "error" || ev.ID != "typo" || !strings.Contains(ev.Error, "cylces") {
+		t.Fatalf("want an error for job typo naming the misspelled field, got %+v", ev)
+	}
+	if _, err := io.WriteString(c.raw, `{"id":"p","op":"ping"} {"op":"shutdown"}`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	if ev := c.recv(); ev.Event != "error" || ev.ID != "p" || !strings.Contains(ev.Error, "bad request") {
+		t.Fatalf("want a bad-request error for p, first of two requests on one line, got %+v", ev)
+	}
+	c.send(serve.Request{ID: "p", Op: "ping"})
+	if ev := c.recv(); ev.Event != "pong" || ev.ID != "p" {
+		t.Fatalf("want pong, got %+v", ev)
+	}
+	if st := s.Stats(); st.Accepted != 0 {
+		t.Errorf("a rejected line ran a job: %+v", st)
+	}
+	c.shutdown()
+}

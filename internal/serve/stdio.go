@@ -10,10 +10,12 @@ import (
 	"sync"
 
 	"edn"
+	"edn/internal/cliutil"
 )
 
-// maxLine bounds one request line; a JobSpec is a few hundred bytes,
-// so 16 MiB is generous headroom for long fraction/load axes.
+// maxLine bounds one request line, and one HTTP request body; a
+// JobSpec is a few hundred bytes, so 16 MiB is generous headroom for
+// long fraction/load axes.
 const maxLine = 16 << 20
 
 // ServeStdio runs the JSON-line conversation: one Request per line on
@@ -49,8 +51,15 @@ func (s *Server) ServeStdio(ctx context.Context, r io.Reader, w io.Writer) error
 			continue
 		}
 		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			write(Event{Event: "error", Error: fmt.Sprintf("bad request: %v", err)})
+		if err := cliutil.DecodeStrict(bytes.NewReader(line), &req); err != nil {
+			// Answer under the request's id when its first value has
+			// one, so a client waiting on that id gets its terminal
+			// event.
+			var head struct {
+				ID string `json:"id"`
+			}
+			json.NewDecoder(bytes.NewReader(line)).Decode(&head) //nolint:errcheck // best effort
+			write(Event{ID: head.ID, Event: "error", Error: fmt.Sprintf("bad request: %v", err)})
 			continue
 		}
 		switch req.Op {

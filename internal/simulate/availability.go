@@ -192,7 +192,7 @@ type availabilityMerge struct {
 func availabilityPoint(net Net, aopts AvailabilityOptions, f float64, src LoadPattern, opts Options, shards int, plans []faultPlan, trafficSeeds []uint64) (availabilityMerge, error) {
 	parts := make([]LatencyResult, shards)
 	censuses := make([]faultCensus, shards)
-	err := runShards(opts, shards, func(w, cycles int) error {
+	err := runShards(opts, shards, nil, func(w, cycles int) error {
 		faulted, c, err := plans[w](f, aopts.Load, aopts.WithExpected)
 		if err != nil {
 			return err

@@ -55,8 +55,9 @@ type ClosedLoopResult struct {
 	// Observed carries the flight-recorder report when Options.Probe
 	// was set: sampled request traces (attempt-numbered issue, timeout,
 	// retry and completion events) plus per-cycle ledger-gauge heat,
-	// from the one sequential observation pass (see Options.observe for
-	// the determinism argument).
+	// from the one observation pass, run beside the shards on the
+	// point's worker pool (see Options.observation for the determinism
+	// argument).
 	Observed *probe.Report
 }
 
@@ -180,13 +181,17 @@ func runClosedLoopShard(net Net, lo closedloop.Options, seed uint64, o Options) 
 // the sweep's rate axis — as bare shards under pointSeeds, the seeds a
 // saturation point derives: same Options mean same shard seeds, which
 // is what keeps an EDN sweep and its dilated counterpart replay-matched
-// at the request level. The exact merge is followed by the observation
-// pass. Callers must have run prepare.
+// at the request level. The observation pass runs beside the shards on
+// the point's worker pool. Callers must have run prepare.
 func closedLoopPoint(net Net, rate float64, index int, lo closedloop.Options, opts Options, shards int) (ClosedLoopResult, error) {
 	lo.Rate = rate
 	seeds := pointSeeds(opts.Seed, index, shards)
+	observe, observed := opts.observation(func(o Options) (*probe.Report, error) {
+		obs, err := runClosedLoopShard(net, lo, seeds[0], o)
+		return obs.rep, err
+	})
 	parts := make([]closedLoopPartial, shards)
-	err := runShards(opts, shards, func(w, cycles int) (err error) {
+	err := runShards(opts, shards, observe, func(w, cycles int) (err error) {
 		parts[w], err = runClosedLoopShard(net, lo, seeds[w], opts.bare(cycles))
 		return err
 	})
@@ -215,12 +220,7 @@ func closedLoopPoint(net Net, rate float64, index int, lo closedloop.Options, op
 	inputs, _ := net.ports()
 	res.fill(inputs)
 	opts.stage("merge", -1, 0, mergeStart)
-	if res.Observed, err = opts.observe(func() (*probe.Report, error) {
-		obs, err := runClosedLoopShard(net, lo, seeds[0], opts)
-		return obs.rep, err
-	}); err != nil {
-		return ClosedLoopResult{}, err
-	}
+	res.Observed = observed()
 	return res, nil
 }
 

@@ -58,10 +58,12 @@ type LatencyResult struct {
 	Histogram *stats.Histogram
 
 	// Observed carries the flight-recorder report when Options.Probe
-	// was set. Sharded sweeps fill it from a dedicated sequential
-	// observation pass (deterministic for a given Options regardless of
-	// shard count); the probed pass never feeds the measured counters
-	// above.
+	// was set. Sharded sweeps fill it from the dedicated observation
+	// pass, one task of the point's worker pool run beside the shards
+	// under the point's first shard seed at the full cycle budget
+	// (deterministic for a given Options regardless of the shard count
+	// and GOMAXPROCS); the probed pass never feeds the measured
+	// counters above.
 	Observed *probe.Report
 }
 
@@ -250,38 +252,65 @@ func SaturationSweep(net Net, loads []float64, src LoadPattern, opts Options, sh
 	return results, nil
 }
 
-// runShards is the one fan-out of every sharded measurement. It splits
-// opts.Cycles across shards — shard w gets Cycles/shards cycles plus
-// one of the remainder — runs fn(w, cycles) concurrently for every
-// shard with a non-zero share, reports each as a "shard" stage, and
-// returns the first error in shard order; a shard's panic becomes its
-// error, with the panic value and stack. Keeping the split in one place
-// keeps the shard seeding pairing between EDN and dilated sweeps
-// identical everywhere. The lifetime families pass a budget of shards
-// x Epochs x EpochCycles, so every shard runs the whole schedule.
-func runShards(opts Options, shards int, fn func(w, cycles int) error) error {
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
+// runShards is the one scheduler of every sharded measurement. It
+// splits opts.Cycles across shards — shard w gets Cycles/shards cycles
+// plus one of the remainder — and runs fn(w, cycles) for every shard
+// with a non-zero share, and observe when it is non-nil, on one worker
+// per shard that pull one fixed task list: the shards in shard order
+// with observe right after shard 0. So at one shard the observation
+// runs after shard 0, and at two or more it runs beside the shards, the
+// last shard starting when a worker frees up. Each shard is reported
+// as a "shard" stage. It returns the first shard error in shard order,
+// else observe's; a task's panic becomes its error, with the panic
+// value and stack. Keeping the split in one place keeps the shard
+// seeding pairing between EDN and dilated sweeps identical everywhere.
+// The lifetime families pass a budget of shards x Epochs x EpochCycles,
+// so every shard runs the whole schedule.
+func runShards(opts Options, shards int, observe func() error, fn func(w, cycles int) error) error {
 	per, extra := opts.Cycles/shards, opts.Cycles%shards
+	// Task w < shards is shard w, task shards the observation; errs is
+	// indexed the same way, so shard errors outrank the observation's.
+	tasks := make(chan int, shards+1) // sized to the number of sends
 	for w := 0; w < shards; w++ {
+		if w < extra || per > 0 {
+			tasks <- w
+		}
+		if w == 0 && observe != nil {
+			tasks <- shards
+		}
+	}
+	close(tasks)
+	errs := make([]error, shards+1)
+	run := func(w int) {
+		defer func() {
+			if r := recover(); r != nil {
+				task := fmt.Sprintf("shard %d", w)
+				if w == shards {
+					task = "observation"
+				}
+				errs[w] = fmt.Errorf("simulate: %s panicked: %v\n%s", task, r, debug.Stack())
+			}
+		}()
+		if w == shards {
+			errs[w] = observe()
+			return
+		}
 		cycles := per
 		if w < extra {
 			cycles++
 		}
-		if cycles == 0 {
-			continue
-		}
+		start := time.Now()
+		errs[w] = fn(w, cycles)
+		opts.stage("shard", w, cycles, start)
+	}
+	var wg sync.WaitGroup
+	for range shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[w] = fmt.Errorf("simulate: shard %d panicked: %v\n%s", w, r, debug.Stack())
-				}
-			}()
-			start := time.Now()
-			errs[w] = fn(w, cycles)
-			opts.stage("shard", w, cycles, start)
+			for w := range tasks {
+				run(w)
+			}
 		}()
 	}
 	wg.Wait()
@@ -309,10 +338,10 @@ func pointSeeds(seed uint64, index, shards int) []uint64 {
 }
 
 // saturationPoint measures point `index` of a saturation sweep: bare
-// shards under pointSeeds, merged by mergeLatency, then the observation
-// pass. SaturationSweep and SaturationPoint share it, so a streamed
-// point is the batch sweep's point by construction. Callers must have
-// run prepare.
+// shards under pointSeeds and the observation pass on one worker pool,
+// the shards merged by mergeLatency. SaturationSweep and
+// SaturationPoint share it, so a streamed point is the batch sweep's
+// point by construction. Callers must have run prepare.
 func saturationPoint(net Net, load float64, index int, src LoadPattern, opts Options, shards int) (LatencyResult, error) {
 	if src == nil {
 		src = UniformLoad
@@ -321,8 +350,12 @@ func saturationPoint(net Net, load float64, index int, src LoadPattern, opts Opt
 		return MeasureLatency(net, src(load, xrand.New(seed)), o)
 	}
 	seeds := pointSeeds(opts.Seed, index, shards)
+	observe, observed := opts.observation(func(o Options) (*probe.Report, error) {
+		obs, err := measure(seeds[0], o)
+		return obs.Observed, err
+	})
 	parts := make([]LatencyResult, shards)
-	err := runShards(opts, shards, func(w, cycles int) (err error) {
+	err := runShards(opts, shards, observe, func(w, cycles int) (err error) {
 		parts[w], err = measure(seeds[w], opts.bare(cycles))
 		return err
 	})
@@ -334,12 +367,7 @@ func saturationPoint(net Net, load float64, index int, src LoadPattern, opts Opt
 	if err != nil {
 		return LatencyResult{}, err
 	}
-	if merged.Observed, err = opts.observe(func() (*probe.Report, error) {
-		obs, err := measure(seeds[0], opts)
-		return obs.Observed, err
-	}); err != nil {
-		return LatencyResult{}, err
-	}
+	merged.Observed = observed()
 	return merged, nil
 }
 

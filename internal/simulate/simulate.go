@@ -14,12 +14,16 @@
 //     both networks with identical per-input traffic replays.
 //
 // Every sharded measurement runs through one skeleton: runShards is the
-// only fan-out (it splits the cycle budget, runs the shards in parallel
-// and reports each as a "shard" stage), a point's shard seeds derive
-// from (Options.Seed, point index) in one place, its shards merge
-// exactly, and Options.observe is the one sequential observation pass
-// that carries a probe or an anatomy collector, so the shards run bare.
-// Lifetimes keep per-shard heat probes instead, one heat bin per epoch.
+// only scheduler (it splits the cycle budget, runs the shards on one
+// worker each and reports each as a "shard" stage), a
+// point's shard seeds derive from (Options.Seed, point index) in one
+// place, its shards merge exactly, and Options.observation is the one
+// observation pass that carries a probe or an anatomy collector, so the
+// shards run bare. The pass is one task of the point's worker pool, run
+// beside the shards under the point's first shard seed at the full
+// cycle budget, so traces and reports do not depend on the shard count
+// or GOMAXPROCS. Lifetimes keep per-shard heat probes instead,
+// one heat bin per epoch.
 package simulate
 
 import (
@@ -47,7 +51,8 @@ type Options struct {
 	// measurement and fills the result's Observed report: sampled packet
 	// traces plus per-stage heat series over the measurement window.
 	// Sharded points keep their shard runs unprobed and gather the
-	// report from the one observation pass (Options.observe) or, in
+	// report from the one observation pass (Options.observation), a
+	// task of the point's worker pool run beside the shards, or, in
 	// lifetime sweeps, from per-shard heat probes, so the measured
 	// results are bit-identical with and without a probe.
 	Probe *probe.Options
@@ -57,24 +62,28 @@ type Options struct {
 	// blame, congestion trees and flow breakdowns (plus the five-way
 	// request split for closed loops), delivered through OnAnatomy.
 	// Like Probe, sharded points keep their shard runs bare and collect
-	// the anatomy on the observation pass under the point's first shard
-	// seed, so the measured results are bit-identical with and without
-	// it and the report is invariant to the shard count.
+	// the anatomy on the observation pass, beside the shards, under the
+	// point's first shard seed at the full cycle budget, so the measured
+	// results are bit-identical with and without it and the report is
+	// invariant to the shard count and GOMAXPROCS.
 	Anatomy *anatomy.Options
 
 	// OnAnatomy receives each measured point's anatomy report when
-	// Anatomy is set: once per point, from the measuring goroutine,
-	// after the point's observation run completes.
+	// Anatomy is set: once per point. Sharded points call it on the
+	// caller's goroutine after the merge; MeasureLatency calls it when
+	// its run completes.
 	OnAnatomy func(*anatomy.Report)
 
 	// OnStage, when non-nil, observes the coarse execution stages of a
-	// sharded measurement as they complete: one "shard" event per shard
-	// run from runShards (shard index, cycle share), one "merge" for
-	// the exact-merge step, one "observe" for the observation pass when
-	// Probe or Anatomy is set. Shard events fire concurrently from shard
-	// goroutines. Observation-only, like Probe: set or nil, the measured
-	// results are bit-identical — the serve layer feeds it into a job's
-	// span tree.
+	// sharded measurement: one "shard" event per shard run from
+	// runShards (shard index, cycle share) as it completes, one "merge"
+	// for the exact-merge step, then one "observe" for the observation
+	// pass when Probe or Anatomy is set, filed after the merge with the
+	// pass's own start and duration although it ran beside the shards.
+	// Shard events fire concurrently from pool workers; merge and
+	// observe fire on the caller's goroutine. Observation-only, like
+	// Probe: set or nil, the measured results are bit-identical — the
+	// serve layer feeds it into a job's span tree.
 	OnStage StageTimer
 }
 
@@ -92,23 +101,44 @@ func (o Options) bare(cycles int) Options {
 	return o
 }
 
-// observe is the one observation pass of a sharded point. When o asks
-// for a probe or an anatomy report, run measures the point once more,
-// sequentially, at the full cycle budget under the point's first shard
-// seed — which does not depend on the shard count — so traces and the
-// anatomy report are pure functions of Options and the merged shard
-// results never see an instrument. It returns run's probe report.
-func (o Options) observe(run func() (*probe.Report, error)) (*probe.Report, error) {
+// observation is the one observation pass of a sharded point. When o
+// asks for a probe or an anatomy report, task runs run(o) — which
+// measures the point once more at the full cycle budget under the
+// point's first shard seed, independent of the shard count — so traces
+// and the anatomy report are pure functions of Options and the merged
+// shard results never see an instrument. runShards runs task beside the
+// shards; finish, called on the caller's goroutine after the merge,
+// delivers the pass's anatomy report to OnAnatomy, files its "observe"
+// stage with its own start and duration, and returns its probe report.
+// task is nil when o asks for neither instrument.
+func (o Options) observation(run func(Options) (*probe.Report, error)) (task func() error, finish func() *probe.Report) {
 	if o.Probe == nil && o.Anatomy == nil {
-		return nil, nil
+		return nil, func() *probe.Report { return nil }
 	}
-	start := time.Now()
-	rep, err := run()
-	if err != nil {
-		return nil, err
+	var rep *probe.Report
+	var anat *anatomy.Report
+	var start time.Time
+	var took time.Duration
+	pass := o
+	if o.OnAnatomy != nil {
+		pass.OnAnatomy = func(r *anatomy.Report) { anat = r }
 	}
-	o.stage("observe", -1, o.Cycles, start)
-	return rep, nil
+	task = func() (err error) {
+		start = time.Now()
+		rep, err = run(pass)
+		took = time.Since(start)
+		return err
+	}
+	finish = func() *probe.Report {
+		if anat != nil {
+			o.OnAnatomy(anat)
+		}
+		if o.OnStage != nil {
+			o.OnStage("observe", -1, o.Cycles, start, took)
+		}
+		return rep
+	}
+	return task, finish
 }
 
 // trafficStep returns pattern's per-cycle request source: patterns

@@ -358,7 +358,9 @@ func (c *ClosedLoopSpec) compile() (ClosedLoopOptions, error) {
 }
 
 // ProbeSpec is the serializable face of ProbeOptions; a nil spec
-// attaches no flight recorder. Negative fields are an error.
+// attaches no flight recorder. Negative fields are an error, and so is
+// a probe on the estimate, availability and drain modes, whose results
+// carry no observed report.
 type ProbeSpec struct {
 	// SampleEvery samples on average one accepted injection in this
 	// many; 0 disables tracing (heat only).
@@ -409,9 +411,11 @@ func (p *ProbeSpec) compile() *ProbeOptions {
 // saturation, estimate and closedloop modes over the edn or dilated
 // engine. Observation-only: the measured results are byte-identical
 // with and without an explain section, and the report is invariant to
-// the shard count (it comes from the dedicated sequential observation
-// pass). The report is delivered through RunOptions.OnExplain — it
-// rides beside the JobResult, never inside it.
+// the shard count and GOMAXPROCS (it comes from the dedicated
+// observation pass, run beside the shards under the first shard seed
+// at the full cycle budget). The report is delivered through
+// RunOptions.OnExplain — it rides beside the JobResult, never inside
+// it.
 type ExplainSpec struct {
 	// TopK bounds the reported switch-blame and congestion-tree lists
 	// (default 8).
@@ -619,6 +623,12 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 	}
 	if p := s.Probe; p != nil && min(p.SampleEvery, p.TraceCap, p.MaxHops, p.Bins) < 0 {
 		return nil, fmt.Errorf("edn: probe sample_every, trace_cap, max_hops and bins must not be negative")
+	}
+	if s.Probe != nil {
+		switch s.Mode {
+		case JobEstimate, JobAvailability, JobDrain:
+			return nil, fmt.Errorf("edn: probe is not supported for mode %q (its result carries no observed report)", s.Mode)
+		}
 	}
 	if err := errors.Join(checkUnit("load", s.Load), checkUnit("loads", s.Loads...), checkUnit("rates", s.Rates...)); err != nil {
 		return nil, err

@@ -617,3 +617,50 @@ func TestHostileSpecsAreErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestProbeNeedsAnObservedReport pins that a probe section is an edn:
+// error on the modes whose results have no observed report to carry it
+// (estimate, availability, drain), while the modes that carry one, and
+// explain on estimate, stay valid.
+func TestProbeNeedsAnObservedReport(t *testing.T) {
+	geo := &GeometrySpec{A: 4, B: 2, C: 2, L: 2}
+	sim := SimSpec{Cycles: 50, Warmup: 10, Seed: 1, Shards: 1}
+	probe := &ProbeSpec{SampleEvery: 2, TraceCap: 16, Bins: 4}
+	life := &LifetimeSpec{Epochs: 2, EpochCycles: 20, MTBF: 8, MTTR: 3}
+	loop := &ClosedLoopSpec{Window: 2}
+	for _, tc := range []struct {
+		name  string
+		spec  JobSpec
+		valid bool
+	}{
+		{"estimate", JobSpec{Mode: JobEstimate, Geometry: geo, Load: 0.5,
+			Estimate: &EstimateSpec{Src: 1, Dst: 2}, Probe: probe, Sim: sim}, false},
+		{"availability", JobSpec{Mode: JobAvailability, Geometry: geo,
+			Avail: &AvailabilitySpec{Fractions: []float64{0.1}}, Probe: probe, Sim: sim}, false},
+		{"availability-dilated", JobSpec{Mode: JobAvailability, Engine: EngineDilated, Geometry: geo,
+			Avail: &AvailabilitySpec{Fractions: []float64{0.1}}, Probe: probe, Sim: sim}, false},
+		{"drain", JobSpec{Mode: JobDrain, Geometry: geo, DrainQ: 2, Probe: probe, Sim: sim}, false},
+		{"estimate-explain", JobSpec{Mode: JobEstimate, Geometry: geo, Load: 0.5,
+			Estimate: &EstimateSpec{Src: 1, Dst: 2}, Explain: &ExplainSpec{}, Sim: sim}, true},
+		{"latency", JobSpec{Mode: JobLatency, Geometry: geo, Load: 0.5, Probe: probe, Sim: sim}, true},
+		{"saturation", JobSpec{Mode: JobSaturation, Geometry: geo, Loads: []float64{0.5}, Probe: probe, Sim: sim}, true},
+		{"lifetime", JobSpec{Mode: JobLifetime, Geometry: geo, Lifetime: life, Probe: probe, Sim: sim}, true},
+		{"closedloop", JobSpec{Mode: JobClosedLoop, Geometry: geo, Rates: []float64{0.3}, Loop: loop,
+			Probe: probe, Sim: sim}, true},
+		{"closedloop-lifetime", JobSpec{Mode: JobClosedLoopLifetime, Geometry: geo, Lifetime: life,
+			Loop: loop, Probe: probe, Sim: sim}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.spec.Validate()
+			switch {
+			case tc.valid && err != nil:
+				t.Fatalf("Validate: %v", err)
+			case !tc.valid && (err == nil || !strings.HasPrefix(err.Error(), "edn: probe is not supported")):
+				t.Fatalf("Validate: want an edn: probe error, got %v", err)
+			}
+			if _, err := Run(context.Background(), tc.spec); (err == nil) != tc.valid {
+				t.Fatalf("Run: valid=%v, got error %v", tc.valid, err)
+			}
+		})
+	}
+}

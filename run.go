@@ -148,9 +148,11 @@ func RunJob(ctx context.Context, spec JobSpec, ro RunOptions) (*JobResult, error
 	if tr != nil {
 		j.opts.OnStage = tr.ObserveStage
 	}
-	// The explain section rides on the sharded harnesses' sequential
-	// observation pass: each point's anatomy report merges into one
-	// job-level report, delivered through ro.OnExplain after the run.
+	// The explain section rides on the sharded harnesses' observation
+	// pass, which runs beside each point's shards; simulate hands each
+	// point's anatomy report to OnAnatomy on this goroutine after the
+	// point's merge, and the reports merge into one job-level report,
+	// delivered through ro.OnExplain after the run.
 	var explain *AnatomyReport
 	var explainErr error
 	if j.anat != nil {
