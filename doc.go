@@ -145,14 +145,16 @@
 //     (edn serve -log). The tree's shape is a pure function of the
 //     JobSpec; like the Probe, tracing is observation-only and a
 //     traced run's result is byte-identical to an untraced one
-//     (property-tested). /metrics adds live worker-pool gauges, a job
-//     duration histogram, jobs-by-mode/engine/outcome counters,
-//     geometry-cache hit/miss/eviction/byte counters and Go runtime
-//     stats, and edn serve -pprof mounts net/http/pprof on the same
-//     mux. Off the daemon path, internal/benchwatch and edn bench
-//     form the ns/op regression harness: they parse go test -bench
-//     output into the BENCH_N.json trajectory schema, diff runs
-//     against committed snapshots, and enforce BENCH_BUDGETS.json
+//     (property-tested). /metrics renders the job ledger behind
+//     /v1/stats — queue depth, busy workers, jobs by
+//     mode/engine/outcome and a job-duration histogram, one count that
+//     balances at every scrape — beside geometry-cache
+//     hit/miss/eviction/byte counters and Go runtime stats, and
+//     edn serve -pprof mounts net/http/pprof on the same mux. Off the
+//     daemon path, internal/benchwatch and edn bench form the ns/op
+//     regression harness: they parse go test -bench output into the
+//     BENCH_N.json trajectory schema, diff runs against committed
+//     snapshots, and enforce BENCH_BUDGETS.json
 //     per-benchmark ceilings in CI — over budget is a warning inside
 //     the shared-runner noise band, past 2x the budget (or a budgeted
 //     benchmark disappearing) fails the build.

@@ -844,8 +844,10 @@ const (
 // cycle's occupancy and blocking scratch into.
 type Heatmap = probe.Heat
 
-// MetricsRegistry collects final counter/gauge samples and exports
-// them deterministically as JSON lines or Prometheus text.
+// MetricsRegistry is the one metrics surface of the CLI exporters and
+// the daemon: callers register counter, gauge and histogram samples at
+// one moment, and it exports them deterministically as JSON lines or
+// Prometheus text.
 type MetricsRegistry = probe.Registry
 
 // MetricLabel is one metric dimension (key="value").
@@ -853,14 +855,6 @@ type MetricLabel = probe.Label
 
 // NewMetricsRegistry returns an empty registry.
 func NewMetricsRegistry() *MetricsRegistry { return probe.NewRegistry() }
-
-// LiveMetrics is the concurrent instrument surface behind long-lived
-// processes: counters, gauges and histograms updated lock-free from
-// worker goroutines, gathered into a MetricsRegistry for export.
-type LiveMetrics = probe.Metrics
-
-// NewLiveMetrics returns an empty live-instrument surface.
-func NewLiveMetrics() *LiveMetrics { return probe.NewMetrics() }
 
 // ---------------------------------------------------------------------------
 // Latency anatomy: causal time attribution and congestion-tree tomography

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -15,8 +16,9 @@ type Label struct {
 	Value string
 }
 
-// Metric is one registered sample. Kind is "counter" or "gauge"
-// (Prometheus TYPE line); the JSON-lines exporter carries it verbatim.
+// Metric is one registered sample. Kind is "counter", "gauge" or
+// "histogram" (Prometheus TYPE line); the JSON-lines exporter carries
+// it verbatim.
 type Metric struct {
 	Name   string
 	Kind   string
@@ -25,9 +27,9 @@ type Metric struct {
 }
 
 // Registry is a static metrics registry: sweeps and CLIs register
-// final counter/gauge values and export them deterministically (sorted
-// by name, then label set). It is the export substrate a future
-// edn serve daemon can re-register into per request; it deliberately
+// final counter/gauge/histogram values and export them
+// deterministically (sorted by name, then label set). edn serve
+// registers its job ledger into a fresh one per scrape; it deliberately
 // has no locking or liveness — callers own the collection moment.
 type Registry struct {
 	metrics []Metric
@@ -54,6 +56,36 @@ func (r *Registry) Add(name, kind string, labels []Label, value float64) {
 		}
 	}
 	r.metrics = append(r.metrics, Metric{Name: name, Kind: kind, Labels: labels, Value: value})
+}
+
+// AddHistogram registers one histogram family as its Prometheus
+// exposition series: cumulative name_bucket samples with le labels
+// (including the +Inf bucket), name_sum and name_count. counts has one
+// entry per bound plus the overflow bucket. The family is typed
+// histogram in WritePrometheus.
+func (r *Registry) AddHistogram(name string, labels []Label, bounds []float64, counts []uint64, sum float64) {
+	if len(counts) != len(bounds)+1 {
+		panic(fmt.Sprintf("probe: histogram %q wants %d counts, got %d", name, len(bounds)+1, len(counts)))
+	}
+	if !validMetricName(name) {
+		panic(fmt.Sprintf("probe: invalid metric name %q", name))
+	}
+	if r.histFamilies == nil {
+		r.histFamilies = make(map[string]bool)
+	}
+	r.histFamilies[name] = true
+	var cum uint64
+	for i, c := range counts {
+		cum += c
+		le := "+Inf"
+		if i < len(bounds) {
+			le = strconv.FormatFloat(bounds[i], 'g', -1, 64)
+		}
+		ls := append(append([]Label(nil), labels...), Label{"le", le})
+		r.Add(name+"_bucket", "histogram", ls, float64(cum))
+	}
+	r.Add(name+"_sum", "histogram", labels, sum)
+	r.Add(name+"_count", "histogram", labels, float64(cum))
 }
 
 func validMetricName(s string) bool {

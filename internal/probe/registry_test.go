@@ -79,6 +79,39 @@ func TestRegistryPrometheusOutput(t *testing.T) {
 	}
 }
 
+// TestRegistryHistogram pins AddHistogram's exposition: per-bucket
+// counts become cumulative le-labelled _bucket samples up to +Inf,
+// beside _sum and _count, all under one `# TYPE <family> histogram`
+// line and in the registry's sorted order.
+func TestRegistryHistogram(t *testing.T) {
+	r := NewRegistry()
+	// Observations 0.5, 3 and 30 against the bounds 1 and 10.
+	r.AddHistogram("dur_seconds", []Label{{"mode", "a"}}, []float64{1, 10}, []uint64{1, 1, 1}, 33.5)
+	r.Add("busy", "gauge", nil, 2)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE busy gauge\n" +
+		"busy 2\n" +
+		"# TYPE dur_seconds histogram\n" +
+		`dur_seconds_bucket{mode="a",le="+Inf"} 3` + "\n" +
+		`dur_seconds_bucket{mode="a",le="1"} 1` + "\n" +
+		`dur_seconds_bucket{mode="a",le="10"} 2` + "\n" +
+		`dur_seconds_count{mode="a"} 3` + "\n" +
+		`dur_seconds_sum{mode="a"} 33.5` + "\n"
+	if got := sb.String(); got != want {
+		t.Fatalf("output:\n%s\nwant:\n%s", got, want)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a count per bound, without the +Inf bucket, did not panic")
+		}
+	}()
+	r.AddHistogram("short", nil, []float64{1, 10}, []uint64{1, 1}, 0)
+}
+
 func TestRegistryJSONLines(t *testing.T) {
 	r := NewRegistry()
 	r.Add("edn_b", "gauge", []Label{{"k", "v"}}, 2)

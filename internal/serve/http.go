@@ -107,19 +107,29 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, explain bool)
 	s.Execute(r.Context(), id, spec, emit) //nolint:errcheck // reported in the stream
 }
 
-// writeMetrics exports the full runtime surface as Prometheus text
-// through the deterministic probe registry: scheduler and cache
-// counters, the live pool instruments (queue depth, busy workers,
-// jobs by mode x engine x outcome, job-duration histogram), span-stage
-// aggregates, and Go runtime stats.
+// writeMetrics exports the daemon's one metrics surface as Prometheus
+// text through the probe registry: the job ledger, read in one
+// critical section (job totals, running jobs, queue depth, busy
+// workers, jobs by mode x engine x outcome, the job-duration histogram
+// and span-stage aggregates), the cache counters, and Go runtime
+// stats.
 func (s *Server) writeMetrics(w http.ResponseWriter) error {
-	st := s.Stats()
 	reg := edn.NewMetricsRegistry()
+	s.mu.Lock()
+	st := s.statsLocked()
+	for k, n := range s.jobsTotal {
+		labels := []edn.MetricLabel{{Key: "mode", Value: k.mode}, {Key: "engine", Value: k.engine}, {Key: "outcome", Value: k.outcome}}
+		reg.Add("edn_serve_jobs_total", "counter", labels, float64(n))
+	}
+	reg.AddHistogram("edn_serve_job_duration_seconds", nil, jobDurationBounds, s.durCounts, s.durSum)
+	s.mu.Unlock()
 	reg.Add("edn_serve_jobs_accepted_total", "counter", nil, float64(st.Accepted))
 	reg.Add("edn_serve_jobs_completed_total", "counter", nil, float64(st.Completed))
 	reg.Add("edn_serve_jobs_failed_total", "counter", nil, float64(st.Failed))
 	reg.Add("edn_serve_jobs_cancelled_total", "counter", nil, float64(st.Cancelled))
 	reg.Add("edn_serve_jobs_running", "gauge", nil, float64(st.Running))
+	reg.Add("edn_serve_queue_depth", "gauge", nil, float64(st.QueueDepth))
+	reg.Add("edn_serve_busy_workers", "gauge", nil, float64(st.BusyWorkers))
 	reg.Add("edn_serve_workers", "gauge", nil, float64(st.Workers))
 	reg.Add("edn_serve_uptime_seconds", "gauge", nil, st.UptimeSeconds)
 	reg.Add("edn_serve_cache_entries", "gauge", nil, float64(st.Cache.Entries))
@@ -144,13 +154,5 @@ func (s *Server) writeMetrics(w http.ResponseWriter) error {
 	reg.Add("edn_go_alloc_bytes_total", "counter", nil, float64(ms.TotalAlloc))
 	reg.Add("edn_go_gc_cycles_total", "counter", nil, float64(ms.NumGC))
 	reg.Add("edn_go_gc_pause_seconds_total", "counter", nil, float64(ms.PauseTotalNs)/1e9)
-
-	// Live instruments last: queue depth, busy workers, jobs_total by
-	// mode x engine x outcome, and the job-duration histogram.
-	s.liveMetrics().Gather(reg)
 	return reg.WritePrometheus(w)
 }
-
-// liveMetrics exposes the live instrument surface (tests gather it
-// directly).
-func (s *Server) liveMetrics() *edn.LiveMetrics { return s.live }

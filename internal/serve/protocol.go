@@ -72,14 +72,26 @@ type Event struct {
 	Stats *Stats `json:"stats,omitempty"`
 }
 
-// Stats is a point-in-time scheduler and cache snapshot.
+// Stats is a point-in-time snapshot of the job ledger and the cache.
+// Every snapshot balances: Accepted = Completed + Failed + Cancelled +
+// QueueDepth + BusyWorkers.
 type Stats struct {
-	Accepted      int64                  `json:"accepted"`
-	Running       int                    `json:"running"`
-	Completed     int64                  `json:"completed"`
-	Failed        int64                  `json:"failed"`
-	Cancelled     int64                  `json:"cancelled"`
-	Workers       int                    `json:"workers"`
+	// Accepted counts every job the server registered.
+	Accepted int64 `json:"accepted"`
+	// Running is the number of live jobs, queued or executing:
+	// QueueDepth + BusyWorkers.
+	Running int `json:"running"`
+	// Completed, Failed and Cancelled count finished jobs by outcome
+	// (ok, failed, cancelled): the edn_serve_jobs_total samples summed
+	// by their outcome label. A finished job has freed its worker slot
+	// before its terminal event is emitted.
+	Completed int64 `json:"completed"`
+	Failed    int64 `json:"failed"`
+	Cancelled int64 `json:"cancelled"`
+	// Workers bounds the jobs executing at once.
+	Workers int `json:"workers"`
+	// QueueDepth counts live jobs waiting for a worker slot, and
+	// BusyWorkers live jobs holding one (at most Workers).
 	QueueDepth    int                    `json:"queue_depth"`
 	BusyWorkers   int                    `json:"busy_workers"`
 	UptimeSeconds float64                `json:"uptime_seconds"`

@@ -13,11 +13,13 @@
 // Observability follows the repo's observation-never-perturbs rule at
 // the service level: every job records a deterministic span tree
 // (queue wait, validation, builds with cache verdicts, shards, merge,
-// serialization) that rides beside the result, never inside it; live
-// counters/gauges/histograms cover the pool and the cache on /metrics;
+// serialization) that rides beside the result, never inside it; one
+// job ledger — jobs accepted, queued, busy and finished by mode,
+// engine and outcome, with their durations and span aggregates — is
+// the count that Stats, the stdio stats event and /metrics all render;
 // and an optional slog logger receives one structured completion
-// record per job. All three are additive — disable them all and the
-// event stream is unchanged byte for byte.
+// record per job. None of them reaches a result: disable spans and the
+// log and the event stream is unchanged byte for byte.
 package serve
 
 import (
@@ -33,7 +35,6 @@ import (
 	"time"
 
 	"edn"
-	"edn/internal/probe"
 )
 
 // Options configure a Server.
@@ -68,22 +69,27 @@ type Server struct {
 	pprof        bool
 	log          *slog.Logger
 
-	// Live pool instruments, exported on /metrics and snapshotted into
-	// Stats.
-	live   *probe.Metrics
-	gQueue *probe.Gauge
-	gBusy  *probe.Gauge
-	hDur   *probe.LiveHistogram
-
+	// mu guards the job ledger, the one count that Stats, the stdio
+	// stats event and /metrics all read. A job enters jobs as queued,
+	// turns busy when it takes a worker slot, and leaves in one
+	// critical section — before its terminal event is emitted — that
+	// frees its slot and files it under jobsTotal, the duration
+	// histogram and the span aggregates. So every snapshot balances:
+	// accepted = the jobsTotal sum + len(jobs), and len(jobs) = queued +
+	// busy.
 	mu        sync.Mutex
-	jobs      map[string]context.CancelFunc
+	jobs      map[string]context.CancelFunc // live jobs, queued or busy
+	busy      int
 	nextID    int64
 	accepted  int64
-	completed int64
-	failed    int64
-	cancelled int64
+	jobsTotal map[jobKey]int64
+	durCounts []uint64 // per jobDurationBounds bucket, then +Inf
+	durSum    float64
 	spanAgg   map[string]*SpanStat
 }
+
+// jobKey is one edn_serve_jobs_total series.
+type jobKey struct{ mode, engine, outcome string }
 
 // jobDurationBounds bucket the job-duration histogram: microjobs to
 // minute-long sweeps.
@@ -96,7 +102,6 @@ func New(o Options) *Server {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	live := probe.NewMetrics()
 	return &Server{
 		workers:      w,
 		cache:        edn.NewGeometryCache(o.CacheBytes),
@@ -105,11 +110,9 @@ func New(o Options) *Server {
 		disableSpans: o.DisableSpans,
 		pprof:        o.Pprof,
 		log:          o.Log,
-		live:         live,
-		gQueue:       live.Gauge("edn_serve_queue_depth"),
-		gBusy:        live.Gauge("edn_serve_busy_workers"),
-		hDur:         live.Histogram("edn_serve_job_duration_seconds", jobDurationBounds),
 		jobs:         make(map[string]context.CancelFunc),
+		jobsTotal:    make(map[jobKey]int64),
+		durCounts:    make([]uint64, len(jobDurationBounds)+1),
 		spanAgg:      make(map[string]*SpanStat),
 	}
 }
@@ -117,21 +120,33 @@ func New(o Options) *Server {
 // Cache exposes the shared geometry cache (for tests and stats).
 func (s *Server) Cache() *edn.GeometryCache { return s.cache }
 
-// Stats snapshots the scheduler and cache counters.
+// Stats snapshots the job ledger and the cache counters.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.statsLocked()
+}
+
+// statsLocked reads the ledger into a Stats; s.mu must be held.
+func (s *Server) statsLocked() Stats {
 	st := Stats{
 		Accepted:      s.accepted,
 		Running:       len(s.jobs),
-		Completed:     s.completed,
-		Failed:        s.failed,
-		Cancelled:     s.cancelled,
 		Workers:       s.workers,
-		QueueDepth:    int(s.gQueue.Value()),
-		BusyWorkers:   int(s.gBusy.Value()),
+		QueueDepth:    len(s.jobs) - s.busy,
+		BusyWorkers:   s.busy,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Cache:         s.cache.Stats(),
+	}
+	for k, n := range s.jobsTotal {
+		switch k.outcome {
+		case "ok":
+			st.Completed += n
+		case "failed":
+			st.Failed += n
+		default:
+			st.Cancelled += n
+		}
 	}
 	if len(s.spanAgg) > 0 {
 		st.Spans = make([]SpanStat, 0, len(s.spanAgg))
@@ -154,6 +169,8 @@ func (s *Server) assignID(id string) string {
 	return fmt.Sprintf("job-%d", s.nextID)
 }
 
+// register enters a job in the ledger as queued; false when id is
+// already live.
 func (s *Server) register(id string, cancel context.CancelFunc) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -165,21 +182,8 @@ func (s *Server) register(id string, cancel context.CancelFunc) bool {
 	return true
 }
 
-func (s *Server) unregister(id string, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, id)
-	switch {
-	case err == nil:
-		s.completed++
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		s.cancelled++
-	default:
-		s.failed++
-	}
-}
-
-// outcome names a job's terminal state for metric labels and logs.
+// outcome names a job's terminal state for metric labels and logs; it
+// is the ledger's only error classifier.
 func outcome(err error) string {
 	switch {
 	case err == nil:
@@ -191,31 +195,34 @@ func outcome(err error) string {
 	}
 }
 
-// finishJob records a job's terminal accounting: the jobs_total
-// counter (mode x engine x outcome), the duration histogram, the
-// span aggregates, and the structured completion log.
-func (s *Server) finishJob(id, mode, engine, out string, d time.Duration, span *edn.Span) {
-	s.live.Counter("edn_serve_jobs_total",
-		probe.Label{Key: "mode", Value: mode},
-		probe.Label{Key: "engine", Value: engine},
-		probe.Label{Key: "outcome", Value: out}).Inc()
-	s.hDur.Observe(d.Seconds())
-	if span != nil {
-		s.mu.Lock()
-		span.Walk(func(_ int, sp *edn.Span) {
-			agg := s.spanAgg[sp.Name]
-			if agg == nil {
-				agg = &SpanStat{Name: sp.Name}
-				s.spanAgg[sp.Name] = agg
-			}
-			agg.Count++
-			agg.TotalNS += sp.DurationNS
-			if sp.DurationNS > agg.MaxNS {
-				agg.MaxNS = sp.DurationNS
-			}
-		})
-		s.mu.Unlock()
+// leave takes a finished job off the ledger in one critical section:
+// it frees the job's worker slot when busy, and files the job under
+// jobs_total (mode x engine x outcome), the duration histogram and the
+// span aggregates. Then it writes the structured completion log.
+func (s *Server) leave(id, mode, engine string, busy bool, err error, d time.Duration, span *edn.Span) {
+	out := outcome(err)
+	s.mu.Lock()
+	delete(s.jobs, id)
+	if busy {
+		s.busy--
+		<-s.sem // never blocks: the job's own token is in the channel
 	}
+	s.jobsTotal[jobKey{mode, engine, out}]++
+	s.durCounts[sort.SearchFloat64s(jobDurationBounds, d.Seconds())]++
+	s.durSum += d.Seconds()
+	span.Walk(func(_ int, sp *edn.Span) {
+		agg := s.spanAgg[sp.Name]
+		if agg == nil {
+			agg = &SpanStat{Name: sp.Name}
+			s.spanAgg[sp.Name] = agg
+		}
+		agg.Count++
+		agg.TotalNS += sp.DurationNS
+		if sp.DurationNS > agg.MaxNS {
+			agg.MaxNS = sp.DurationNS
+		}
+	})
+	s.mu.Unlock()
 	if s.log != nil {
 		s.log.Info("job done",
 			"id", id, "mode", mode, "engine", engine, "outcome", out,
@@ -291,33 +298,31 @@ func (s *Server) Execute(ctx context.Context, id string, spec edn.JobSpec, emit 
 	// One worker slot per running job; queued jobs wait here and can
 	// still be cancelled while waiting.
 	qs := tr.Start("queue_wait")
-	s.gQueue.Add(1)
 	select {
 	case s.sem <- struct{}{}:
 	case <-jctx.Done():
-		s.gQueue.Add(-1)
 		err := jctx.Err()
-		s.unregister(id, err)
 		tr.End(qs)
-		s.finishJob(id, spec.Mode, engine, outcome(err), time.Since(started), tr.Finish())
+		s.leave(id, spec.Mode, engine, false, err, time.Since(started), tr.Finish())
 		next(Event{Event: "error", Error: err.Error()})
 		return err
 	}
-	s.gQueue.Add(-1)
 	tr.End(qs)
-	s.gBusy.Add(1)
-	defer func() { s.gBusy.Add(-1); <-s.sem }()
+	s.mu.Lock()
+	s.busy++
+	s.mu.Unlock()
 
 	var explain *edn.AnatomyReport
 	res, err := func() (res *edn.JobResult, err error) {
 		// A panicking job fails alone: it becomes this job's error
-		// event, and the deferred slot release still runs.
+		// event, and the job still leaves the ledger and frees its
+		// slot.
 		defer func() {
 			if r := recover(); r != nil {
 				res, err = nil, fmt.Errorf("internal error: %v", r)
 			}
 		}()
-		return edn.RunJob(jctx, spec, edn.RunOptions{
+		res, err = edn.RunJob(jctx, spec, edn.RunOptions{
 			Cache: s.cache,
 			Trace: tr,
 			OnPoint: func(index, total int, point any) {
@@ -325,25 +330,27 @@ func (s *Server) Execute(ctx context.Context, id string, spec edn.JobSpec, emit 
 			},
 			OnExplain: func(r *edn.AnatomyReport) { explain = r },
 		})
+		if err != nil {
+			return nil, err
+		}
+		// Price the result's serialization once, inside its own span;
+		// the transport still encodes the event itself, so the
+		// measured marshal changes nothing downstream.
+		if ss := tr.Start("serialize"); ss != nil {
+			b, merr := json.Marshal(res)
+			tr.End(ss)
+			if merr == nil {
+				tr.SetAttr(ss, "bytes", strconv.Itoa(len(b)))
+			}
+		}
+		return res, nil
 	}()
-	s.unregister(id, err)
+	span := tr.Finish()
+	s.leave(id, spec.Mode, engine, true, err, time.Since(started), span)
 	if err != nil {
-		s.finishJob(id, spec.Mode, engine, outcome(err), time.Since(started), tr.Finish())
 		next(Event{Event: "error", Error: err.Error()})
 		return err
 	}
-	// Price the result's serialization once, inside its own span; the
-	// transport still encodes the event itself, so the measured
-	// marshal changes nothing downstream.
-	if ss := tr.Start("serialize"); ss != nil {
-		b, merr := json.Marshal(res)
-		tr.End(ss)
-		if merr == nil {
-			tr.SetAttr(ss, "bytes", strconv.Itoa(len(b)))
-		}
-	}
-	span := tr.Finish()
-	s.finishJob(id, spec.Mode, engine, "ok", time.Since(started), span)
 	next(Event{Event: "result", Result: res, Spans: span, Explain: explain})
 	return nil
 }

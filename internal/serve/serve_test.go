@@ -457,6 +457,20 @@ func TestExecuteConcurrentStress(t *testing.T) {
 	}
 	const perSpec = 4
 	results := make([]outcome, len(specs)*perSpec)
+	// A poller reads the ledger until the fleet ends: every snapshot
+	// balances and never counts more busy workers than the pool has.
+	fleetDone, polled := make(chan struct{}), make(chan int)
+	go func() {
+		for n := 1; ; n++ {
+			checkBalance(t, "stress", s.Stats())
+			select {
+			case <-fleetDone:
+				polled <- n
+				return
+			default:
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for i := range results {
 		wg.Add(1)
@@ -473,6 +487,8 @@ func TestExecuteConcurrentStress(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	close(fleetDone)
+	t.Logf("%d ledger snapshots balanced", <-polled)
 
 	// Every job completed; per-job seq is gapless; identical specs →
 	// identical marshaled results.
@@ -591,6 +607,72 @@ func TestExecuteRecoversPanic(t *testing.T) {
 	}
 	if st := s.Stats(); st.Failed != 1 || st.Completed != 1 || st.Running != 0 {
 		t.Fatalf("want 1 failed, 1 completed, 0 running, got %+v", st)
+	}
+}
+
+// checkBalance reports a Stats snapshot whose ledger does not balance:
+// every accepted job is finished, queued or busy, the running jobs are
+// the queued and the busy ones, and no more workers are busy than the
+// pool has.
+func checkBalance(t *testing.T, name string, st serve.Stats) {
+	t.Helper()
+	live := int64(st.QueueDepth + st.BusyWorkers)
+	if st.Accepted != st.Completed+st.Failed+st.Cancelled+live || int64(st.Running) != live ||
+		st.QueueDepth < 0 || st.BusyWorkers < 0 || st.BusyWorkers > st.Workers {
+		t.Errorf("%s: unbalanced ledger %+v", name, st)
+	}
+}
+
+// TestLedgerBalancesAtTerminalEvent pins the ledger at the moment a job
+// ends, on a one-worker server: a Stats snapshot taken inside the
+// terminal event of an ok job, a job that fails at run time, a job
+// whose point emit panics and a job cancelled while queued behind the
+// ok job balances, and the ending job has already freed its worker
+// slot — only the holder of the one worker may count as busy.
+func TestLedgerBalancesAtTerminalEvent(t *testing.T) {
+	s := serve.New(serve.Options{Workers: 1})
+	ctx := context.Background()
+	atEnd := func(name string, busy int) func(serve.Event) {
+		return func(ev serve.Event) {
+			if ev.Event != "result" && ev.Event != "error" {
+				return
+			}
+			st := s.Stats()
+			checkBalance(t, name, st)
+			if st.BusyWorkers != busy {
+				t.Errorf("%s: %d busy workers inside its terminal event, want %d", name, st.BusyWorkers, busy)
+			}
+		}
+	}
+
+	held, okEnd, queuedEnd := false, atEnd("ok job", 0), atEnd("queued job", 1)
+	err := s.Execute(ctx, "ok", sweepSpec(), func(ev serve.Event) {
+		if ev.Event == "point" && !held {
+			held = true
+			cancelQueued(t, s, "queued", estimateSpec(), queuedEnd)
+		}
+		okEnd(ev)
+	})
+	if err != nil || !held {
+		t.Fatalf("ok job: err %v, held %v", err, held)
+	}
+	if err := s.Execute(ctx, "failing", edn.JobSpec{Mode: "nope"}, atEnd("failing job", 0)); err == nil {
+		t.Fatal("a job of an unknown mode succeeded")
+	}
+	panicEnd := atEnd("panicking job", 0)
+	err = s.Execute(ctx, "panicking", sweepSpec(), func(ev serve.Event) {
+		if ev.Event == "point" {
+			panic("emit exploded")
+		}
+		panicEnd(ev)
+	})
+	if err == nil {
+		t.Fatal("a panicking job succeeded")
+	}
+	st := s.Stats()
+	checkBalance(t, "idle", st)
+	if st.Completed != 1 || st.Failed != 2 || st.Cancelled != 1 || st.Running != 0 {
+		t.Fatalf("want 1 completed, 2 failed, 1 cancelled, 0 running, got %+v", st)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -253,6 +254,57 @@ func TestMetricsSurface(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+
+	// After a failure and a cancellation too, the totals are the
+	// jobs_total samples summed by outcome, and every finished job is
+	// one duration observation.
+	if err := s.Execute(context.Background(), "nope", edn.JobSpec{Mode: "nope"}, func(serve.Event) {}); err == nil {
+		t.Fatal("a job of an unknown mode succeeded")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Execute(ctx, "gone", estimateSpec(), func(serve.Event) {}) //nolint:errcheck // cancelled or run, both are counted
+	body = httpGet(t, srv.URL+"/metrics")
+	byOutcome := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, "edn_serve_jobs_total{"); ok {
+			labels, value, _ := strings.Cut(rest, "} ")
+			_, out, _ := strings.Cut(labels, `outcome="`)
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatalf("bad jobs_total sample %q", line)
+			}
+			byOutcome[strings.TrimSuffix(out, `"`)] += v
+		}
+	}
+	var finished float64
+	for out, total := range map[string]string{"ok": "completed", "failed": "failed", "cancelled": "cancelled"} {
+		got := metricValue(t, body, "edn_serve_jobs_"+total+"_total")
+		if got != byOutcome[out] {
+			t.Errorf("edn_serve_jobs_%s_total %v, jobs_total by outcome %q sums to %v", total, got, out, byOutcome[out])
+		}
+		finished += got
+	}
+	if got := metricValue(t, body, "edn_serve_job_duration_seconds_count"); got != finished || finished != 3 {
+		t.Errorf("duration count %v, finished jobs %v, want 3", got, finished)
+	}
+}
+
+// metricValue returns the value of the unlabelled sample name in a
+// Prometheus text body.
+func metricValue(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("bad sample %q", line)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s sample", name)
+	return 0
 }
 
 // TestPprofGate checks /debug/pprof/ is mounted only behind the
