@@ -71,3 +71,39 @@ func BenchmarkAnatomyOff(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkObserverOn pins the cost of attached observation: one cycle
+// of explain-hotspot's observation pass — EDN(64,16,4,2) at depth-4
+// backpressure under a moving hot spot at load 0.8, with a probe
+// sampling one injection in 16 and an anatomy collector keeping the top
+// 8 — once warm. Both instruments work per engine event, so the
+// steady-state cycle must report exactly 0 allocs/op; the CI zero-alloc
+// gate enforces this.
+func BenchmarkObserverOn(b *testing.B) {
+	cfg, err := New(64, 16, 4, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := NewQueueNetwork(cfg, QueueOptions{Depth: 4, Policy: QueueBackpressure})
+	if err != nil {
+		b.Fatal(err)
+	}
+	net.SetAnatomy(NewAnatomyCollector(AnatomyOptions{TopK: 8}))
+	net.SetProbe(NewProbe(ProbeOptions{SampleEvery: 16, Seed: 3, BinCycles: 16}))
+	gen := &MovingHotSpot{Rate: 0.8, Fraction: 0.2, Hot: 5, Period: 64, Stride: 3, Rng: NewRand(7)}
+	dest := make([]int, cfg.Inputs())
+	cycle := func() {
+		gen.GenerateInto(dest, cfg.Outputs())
+		if _, err := net.Cycle(dest); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		cycle()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}

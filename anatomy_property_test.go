@@ -2,6 +2,7 @@ package edn
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"edn/internal/anatomy"
@@ -50,7 +51,7 @@ func TestAnatomyConservation(t *testing.T) {
 					runConservation(t, net.SetAnatomy, func(dest []int) error {
 						_, err := net.Cycle(dest)
 						return err
-					}, cfg.Inputs(), cfg.Outputs(), depth == 0, churn)
+					}, net, cfg.Inputs(), cfg.Outputs(), depth == 0, churn)
 				})
 				t.Run("dilated/"+name, func(t *testing.T) {
 					net, err := NewDilatedQueueNetwork(dcfg, DilatedQueueOptions{Depth: depth, Policy: bp.policy})
@@ -70,18 +71,28 @@ func TestAnatomyConservation(t *testing.T) {
 					runConservation(t, net.SetAnatomy, func(dest []int) error {
 						_, err := net.Cycle(dest)
 						return err
-					}, dcfg.Ports(), dcfg.Ports(), depth == 0, churn)
+					}, net, dcfg.Ports(), dcfg.Ports(), depth == 0, churn)
 				})
 			}
 		}
 	}
 }
 
+// drainer repairs a packet engine's faults and runs it empty.
+type drainer interface {
+	UpdateFaults(*FaultMasks) error
+	Drain(maxCycles int) (int, error)
+}
+
 // runConservation drives 300 cycles of uniform 0.9 traffic with a
 // collector attached whose OnPacket asserts per-packet conservation,
 // then cross-checks the report's class totals against the accumulated
-// samples.
-func runConservation(t *testing.T, attach func(*AnatomyCollector), cycle func([]int) error, inputs, outputs int, depth0 bool, hook func(int) error) {
+// samples. It then repairs the faults and drains the engine, and
+// requires the per-stage ledger to balance against the per-class one:
+// every packet has closed, so each bin's stage sum is its class sum,
+// fault parks are a share of the blocked cycles, and Report is a
+// read-only snapshot throughout.
+func runConservation(t *testing.T, attach func(*AnatomyCollector), cycle func([]int) error, eng drainer, inputs, outputs int, depth0 bool, hook func(int) error) {
 	t.Helper()
 	var sums [3]AnatomyClassTotals
 	violations := 0
@@ -120,14 +131,46 @@ func runConservation(t *testing.T, attach func(*AnatomyCollector), cycle func([]
 			t.Fatal(err)
 		}
 	}
-	rep := col.Report()
-	if rep.Delivered.Count == 0 {
+	report := func() *AnatomyReport {
+		t.Helper()
+		rep := col.Report()
+		if again := col.Report(); !reflect.DeepEqual(rep, again) {
+			t.Fatalf("consecutive reports differ:\n%+v\n%+v", rep, again)
+		}
+		for class, got := range []AnatomyClassTotals{rep.Delivered, rep.Dropped, rep.Stranded} {
+			if got != sums[class] {
+				t.Fatalf("class %d totals %+v != sample sums %+v", class, got, sums[class])
+			}
+		}
+		return rep
+	}
+	if rep := report(); rep.Delivered.Count == 0 {
 		t.Fatalf("nothing delivered; the test saw no traffic")
 	}
-	for class, got := range []AnatomyClassTotals{rep.Delivered, rep.Dropped, rep.Stranded} {
-		if got != sums[class] {
-			t.Fatalf("class %d totals %+v != sample sums %+v", class, got, sums[class])
-		}
+
+	if err := eng.UpdateFaults(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Drain(10000); err != nil {
+		t.Fatal(err)
+	}
+	rep := report()
+	var stages, classes AnatomyClassTotals
+	for _, st := range rep.PerStage {
+		stages.Wait += st.Wait
+		stages.Block += st.Block
+		stages.Service += st.Service
+	}
+	for _, ct := range []AnatomyClassTotals{rep.Delivered, rep.Dropped, rep.Stranded} {
+		classes.Wait += ct.Wait
+		classes.Block += ct.Block
+		classes.Service += ct.Service
+	}
+	if stages != classes {
+		t.Fatalf("per-stage wait/block/service %+v != per-class %+v", stages, classes)
+	}
+	if stages.Block < rep.FaultParked {
+		t.Fatalf("fault parks %d exceed the %d blocked cycles", rep.FaultParked, stages.Block)
 	}
 }
 

@@ -179,9 +179,12 @@
 //     shard-mergeable and ride the same observation pass as the probe,
 //     beside the shards, so explaining a run never moves a measured
 //     number or depends on the shard count or GOMAXPROCS
-//     (byte-identity property-tested, fault churn included) and a
+//     (byte-identity property-tested, fault churn included). A
 //     detached collector costs one nil check per hook
-//     (BenchmarkAnatomyOff, 0 allocs/op, CI-gated). The surface is a
+//     (BenchmarkAnatomyOff, 0 allocs/op, CI-gated); an attached one
+//     costs a constant amount of work per engine event, never per
+//     queued packet, and allocates nothing once warm (BenchmarkObserverOn,
+//     probe attached too, 0 allocs/op, CI-gated). The surface is a
 //     JobSpec explain section, the daemon's /v1/explain endpoint and
 //     stdio explain verb (the report arrives beside the result event,
 //     never inside it), edn explain for the human-facing table,

@@ -6,16 +6,25 @@
 // exposes probe hooks that record what happened; anatomy answers why it
 // took that long. An attached Collector mirrors every FIFO in the
 // network as a queue of record handles, kept in lockstep with the real
-// rings by the engine hooks (Inject/Advance/Deliver/Block/Drop/Strand
-// plus an EndCycle sweep). Each cycle of each in-flight packet's life
-// is attributed to exactly one of three bins at the stage the packet
-// currently occupies:
+// rings by the engine hooks (Inject/Advance/Deliver/Block/Drop/Strand).
+// Each cycle of each in-flight packet's life is attributed to exactly
+// one of three bins at the stage the packet currently occupies:
 //
 //   - service: the packet won arbitration and traversed a stage (or
 //     was delivered) this cycle;
 //   - block:   the packet was at the head of its queue and could not
 //     advance — head-of-line blocking, loss, or a fault park;
 //   - wait:    the packet sat behind other packets in its queue.
+//
+// Nothing is charged per queued packet per cycle. A packet waits until
+// it reaches the head of its queue and is blocked every cycle it then
+// stays there, so both bins follow from three cycle stamps taken when
+// it leaves the stage: when it entered the queue, when it reached the
+// head, and when it left. The split settles at the departing hook, and
+// Report settles the still-queued packets on a copy of the ledgers. A
+// per-ring count of Block calls separates congestion from fault parks.
+// This relies on the engines' contract that a queue's head gets at most
+// one outcome hook (Advance, Deliver, Block, Park or Drop) per cycle.
 //
 // Because every live cycle lands in exactly one bin, the per-packet
 // sums obey a conservation law: wait + block + service equals the
@@ -34,10 +43,15 @@
 // engines one branch per hook site and zero allocations (the
 // AnatomyOff benchmark gates this), and an attached Collector only
 // observes — it never changes an arbitration decision, so every
-// measured number is byte-identical with anatomy on or off.
+// measured number is byte-identical with anatomy on or off. Attached,
+// it costs a constant amount of work per engine event and allocates
+// nothing in steady state (BenchmarkObserverOn).
 package anatomy
 
-import "edn/internal/stats"
+import (
+	"edn/internal/ringbuf"
+	"edn/internal/stats"
+)
 
 // Options configures a Collector.
 type Options struct {
@@ -153,35 +167,20 @@ type RequestSample struct {
 
 // rec is one in-flight packet's attribution state.
 type rec struct {
-	src, dest int32
-	stage     int32 // current 1-based stage
-	inject    int64
-	entered   int64 // cycle the packet entered its current stage's queue
-	touched   int64 // last cycle attributed by an event hook
-	wait      int32
-	block     int32
-	service   int32
+	inject  int64
+	entered int64 // cycle the packet entered its current stage's queue
+	src     int32
+	dest    int32
+	wait    int32
+	block   int32
+	service int32
 }
 
-// fifo mirrors one ring as a queue of record handles.
-type fifo struct {
-	buf  []int32
-	head int
+// head is one ring's head-of-queue state.
+type head struct {
+	since   int64 // cycle the current head reached the head
+	blocked int64 // Block calls against the current head
 }
-
-func (f *fifo) push(i int32) { f.buf = append(f.buf, i) }
-
-func (f *fifo) pop() int32 {
-	i := f.buf[f.head]
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	}
-	return i
-}
-
-func (f *fifo) empty() bool { return f.head == len(f.buf) }
 
 type stageAgg struct {
 	wait, block, service int64
@@ -208,11 +207,12 @@ type reqAgg struct {
 	giveUpTime  int64
 }
 
-const (
-	// blockedBy sentinel values (per ring, per cycle).
-	bbNone   = -2 // ring head not blocked this cycle
-	bbParked = -1 // ring head parked by a fault (no congestion edge)
-)
+// bbNone marks a ring whose head no congestion edge leaves this cycle.
+const bbNone = -1
+
+// mirrorSlots is each ring mirror's preallocated capacity, the size
+// ringbuf grows an empty ring to; deeper FIFOs grow on first fill.
+const mirrorSlots = 4
 
 // Collector accumulates latency anatomy for one engine run. Create
 // with New, hand to the engine's SetAnatomy, read with Report after
@@ -224,13 +224,13 @@ type Collector struct {
 	recs []rec
 	free []int32 // freelist of rec indices
 
-	mirror []fifo  // per ring, depth>0 engines
-	slot0  []int32 // per input, depth-0 engines (-1 = idle)
+	mirror []ringbuf.Ring // per ring, record handles, depth>0 engines
+	heads  []head         // per ring
+	slot0  []int32        // per input, depth-0 engines (-1 = idle)
+	now    int64          // cycle of the last EndCycle
 
-	ringAdvanced []int64 // per ring: last cycle a packet advanced OUT of it
-	blockedBy    []int32 // per ring, this cycle (bbNone/bbParked/node)
-	blockedList  []int32 // rings blocked this cycle (excl. parked)
-	parkedList   []int32 // rings fault-parked this cycle
+	blockedBy   []int32 // per ring, this cycle (bbNone or node)
+	blockedList []int32 // rings with a congestion edge this cycle
 
 	stages      []stageAgg
 	blame       []int64 // per node (Rings+Outputs)
@@ -256,7 +256,12 @@ func (c *Collector) Bind(lay Layout) {
 	c.lay = lay
 	c.recs = c.recs[:0]
 	c.free = c.free[:0]
-	c.mirror = make([]fifo, lay.Rings)
+	c.mirror = make([]ringbuf.Ring, lay.Rings)
+	backing := make([]uint64, lay.Rings*mirrorSlots)
+	for i := range c.mirror {
+		c.mirror[i].Buf = backing[i*mirrorSlots : (i+1)*mirrorSlots]
+	}
+	c.heads = make([]head, lay.Rings)
 	c.slot0 = nil
 	if lay.Rings == 0 && lay.Inputs > 0 {
 		c.slot0 = make([]int32, lay.Inputs)
@@ -264,16 +269,12 @@ func (c *Collector) Bind(lay Layout) {
 			c.slot0[i] = -1
 		}
 	}
-	c.ringAdvanced = make([]int64, lay.Rings)
-	for i := range c.ringAdvanced {
-		c.ringAdvanced[i] = -1
-	}
+	c.now = 0
 	c.blockedBy = make([]int32, lay.Rings)
 	for i := range c.blockedBy {
 		c.blockedBy[i] = bbNone
 	}
-	c.blockedList = c.blockedList[:0]
-	c.parkedList = c.parkedList[:0]
+	c.blockedList = make([]int32, 0, lay.Rings)
 	c.hasReqs = false
 	c.stages = make([]stageAgg, lay.Stages)
 	for i := range c.stages {
@@ -285,7 +286,7 @@ func (c *Collector) Bind(lay Layout) {
 	c.classes = [numClasses]classAgg{}
 	c.faultParked = 0
 	c.reqs = reqAgg{}
-	c.trees.reset(c.opt.topK())
+	c.trees.reset(c.opt.topK(), lay.Rings+lay.Outputs)
 	c.cycles = 0
 }
 
@@ -307,7 +308,7 @@ func (c *Collector) alloc(src, dest int, now int64) int32 {
 		c.recs = append(c.recs, rec{})
 		i = int32(len(c.recs) - 1)
 	}
-	c.recs[i] = rec{src: int32(src), dest: int32(dest), inject: now, entered: now, touched: now}
+	c.recs[i] = rec{src: int32(src), dest: int32(dest), inject: now, entered: now}
 	return i
 }
 
@@ -343,11 +344,41 @@ func (c *Collector) close(i int32, class Class, now int64) {
 	c.free = append(c.free, i)
 }
 
-// dwell records a stage-departure into the per-stage dwell histogram:
-// the number of cycles the packet spent queued at the stage it is
-// leaving, inclusive of the departing (or dropping) cycle.
-func (c *Collector) dwell(r *rec, now int64) {
-	c.stages[r.stage-1].hist.Add(float64(now - r.entered + 1))
+// dwell records a stage-departure into the stage's dwell histogram:
+// the number of cycles the packet spent queued there, inclusive of the
+// departing (or dropping) cycle.
+func (sa *stageAgg) dwell(r *rec, now int64) {
+	sa.hist.Add(float64(now - r.entered + 1))
+}
+
+// push appends record i to ring's mirror; into an empty ring it is the
+// head at once.
+func (c *Collector) push(ring int, i int32, now int64) {
+	m := &c.mirror[ring]
+	if m.N == 0 {
+		c.heads[ring].since = now
+	}
+	m.Push(uint64(i))
+}
+
+// leave pops ring's head at cycle now and settles its visit to the
+// ring's stage up to, but excluding, cycle end: it waited from entering
+// the queue until it reached the head, then was blocked every cycle it
+// stayed there. The blocked cycles that were not Block calls are fault
+// parks. The packet behind it reaches the head at now.
+func (c *Collector) leave(ring int, now, end int64) (int32, *rec, *stageAgg) {
+	i := int32(c.mirror[ring].Pop())
+	r := &c.recs[i]
+	h := &c.heads[ring]
+	w, b := h.since-r.entered, end-h.since-1
+	sa := &c.stages[c.lay.RingStage[ring]-1]
+	r.wait += int32(w)
+	r.block += int32(b)
+	sa.wait += w
+	sa.block += b
+	c.faultParked += b - h.blocked
+	*h = head{since: now}
+	return i, r, sa
 }
 
 // Inject mirrors a packet entering ring (the stage-1 queue it was
@@ -355,133 +386,85 @@ func (c *Collector) dwell(r *rec, now int64) {
 // for buffered engines is Closed-Inject, counting cycles *after*
 // injection.
 func (c *Collector) Inject(ring, src, dest int, now int64) {
-	i := c.alloc(src, dest, now)
-	c.recs[i].stage = c.lay.RingStage[ring]
-	c.mirror[ring].push(i)
+	c.push(ring, c.alloc(src, dest, now), now)
 }
 
 // Advance mirrors the head of ring `from` traversing a stage into ring
-// `to`: one service cycle at the stage it left.
+// `to`: one service cycle at the stage it left, which settles the
+// packet's wait and block there.
 func (c *Collector) Advance(from, to int, now int64) {
-	i := c.mirror[from].pop()
-	c.mirror[to].push(i)
-	r := &c.recs[i]
+	i, r, sa := c.leave(from, now, now)
 	r.service++
-	c.stages[r.stage-1].service++
-	c.dwell(r, now)
-	r.stage = c.lay.RingStage[to]
+	sa.service++
+	sa.dwell(r, now)
 	r.entered = now
-	r.touched = now
-	c.ringAdvanced[from] = now
+	c.push(to, i, now)
 }
 
 // Deliver mirrors the head of ring `from` being retired at its
 // destination terminal: one service cycle at the final stage, then the
 // record closes as delivered.
 func (c *Collector) Deliver(from int, now int64) {
-	i := c.mirror[from].pop()
-	r := &c.recs[i]
+	i, r, sa := c.leave(from, now, now)
 	r.service++
-	c.stages[r.stage-1].service++
-	c.dwell(r, now)
-	r.touched = now
-	c.ringAdvanced[from] = now
+	sa.service++
+	sa.dwell(r, now)
 	c.close(i, ClassDelivered, now)
 }
 
 // Block mirrors the head of ring being refused this cycle. blocker is
 // the node that refused it — a full ring (node ID = ring index) or a
 // contended terminal (node ID = Rings+terminal) — or -1 when the loss
-// was pure arbitration (no full FIFO downstream to blame).
+// was pure arbitration (no full FIFO downstream to blame). It touches
+// no packet record: the blocked cycle is settled when the head leaves,
+// and the per-ring count tells it apart from a fault park.
 func (c *Collector) Block(ring, blocker int, now int64) {
-	i := c.mirror[ring].buf[c.mirror[ring].head]
-	r := &c.recs[i]
-	r.block++
-	c.stages[r.stage-1].block++
-	r.touched = now
+	c.heads[ring].blocked++
 	if blocker >= 0 {
 		c.blame[blocker]++
-		if c.blockedBy[ring] == bbNone {
-			c.blockedList = append(c.blockedList, int32(ring))
-		}
 		c.blockedBy[ring] = int32(blocker)
+		c.blockedList = append(c.blockedList, int32(ring))
 	}
 }
 
 // Park mirrors the head of ring being held by a fault (its target wire
 // or terminal is masked dead): a blocked cycle with no congestion edge.
-func (c *Collector) Park(ring int, now int64) {
-	i := c.mirror[ring].buf[c.mirror[ring].head]
-	r := &c.recs[i]
-	r.block++
-	c.stages[r.stage-1].block++
-	r.touched = now
-	c.faultParked++
-	if c.blockedBy[ring] == bbNone {
-		c.parkedList = append(c.parkedList, int32(ring))
-	}
-	c.blockedBy[ring] = bbParked
-}
+// It records nothing: every cycle a head stays put without a Block call
+// is a fault park, whether the engine parked it or never offered it.
+func (c *Collector) Park(ring int, now int64) {}
 
 // Drop mirrors the head of ring being discarded (Drop policy): the
 // dropping cycle is a blocked cycle, then the record closes as dropped.
 func (c *Collector) Drop(ring, blocker int, now int64) {
-	i := c.mirror[ring].pop()
-	r := &c.recs[i]
+	i, r, sa := c.leave(ring, now, now)
 	r.block++
-	c.stages[r.stage-1].block++
+	sa.block++
 	if blocker >= 0 {
 		c.blame[blocker]++
 	}
-	c.dwell(r, now)
-	r.touched = now
+	sa.dwell(r, now)
 	c.close(i, ClassDropped, now)
 }
 
 // Strand mirrors a queued packet being discarded by fault churn (its
-// ring died between cycles). All attribution through the last EndCycle
-// stands; the stranding itself costs nothing.
+// ring died between cycles): its visit settles through the last
+// EndCycle, and the stranding itself costs nothing.
 func (c *Collector) Strand(ring int, now int64) {
-	i := c.mirror[ring].pop()
+	i, _, _ := c.leave(ring, now, now+1)
 	c.close(i, ClassStranded, now)
 }
 
-// EndCycle sweeps every mirrored packet the event hooks did not touch
-// this cycle and charges it one cycle: heads of rings nothing advanced
-// out of are parked (dead ring under Backpressure) and charged a
-// blocked cycle; everything else sat behind a neighbor and is charged
-// a waiting cycle. It then folds this cycle's blocked-by edges into
-// the congestion-tree detector and resets them.
+// EndCycle closes cycle now: it folds this cycle's blocked-by edges
+// into the congestion-tree detector and resets them. It charges no
+// packet: heads the engine never offered (dead rings under
+// Backpressure) settle as fault parks when they leave, or in Report.
 func (c *Collector) EndCycle(now int64) {
-	for ringI := range c.mirror {
-		f := &c.mirror[ringI]
-		for k := f.head; k < len(f.buf); k++ {
-			r := &c.recs[f.buf[k]]
-			if r.touched == now {
-				continue
-			}
-			r.touched = now
-			if k == f.head && c.ringAdvanced[ringI] != now {
-				// Untouched head of a ring no packet left this cycle:
-				// the engine never offered it (dead/parked ring).
-				r.block++
-				c.stages[r.stage-1].block++
-				c.faultParked++
-			} else {
-				r.wait++
-				c.stages[r.stage-1].wait++
-			}
-		}
-	}
+	c.now = now
 	c.trees.observe(now, c.blockedList, c.blockedBy, c.lay)
 	for _, ring := range c.blockedList {
 		c.blockedBy[ring] = bbNone
 	}
-	for _, ring := range c.parkedList {
-		c.blockedBy[ring] = bbNone
-	}
 	c.blockedList = c.blockedList[:0]
-	c.parkedList = c.parkedList[:0]
 	c.cycles++
 }
 
@@ -500,11 +483,8 @@ func (c *Collector) Block0(input, stage int, parked bool, now int64) {
 	if i < 0 {
 		return
 	}
-	r := &c.recs[i]
-	r.block++
-	r.stage = int32(stage)
+	c.recs[i].block++
 	c.stages[stage-1].block++
-	r.touched = now
 	if parked {
 		c.faultParked++
 	}
@@ -518,12 +498,10 @@ func (c *Collector) Deliver0(input int, now int64) {
 		return
 	}
 	c.slot0[input] = -1
-	r := &c.recs[i]
+	r, sa := &c.recs[i], &c.stages[c.lay.Stages-1]
 	r.service++
-	r.stage = int32(c.lay.Stages)
-	c.stages[c.lay.Stages-1].service++
-	c.dwell(r, now)
-	r.touched = now
+	sa.service++
+	sa.dwell(r, now)
 	c.close(i, ClassDelivered, now)
 }
 
@@ -535,18 +513,15 @@ func (c *Collector) Drop0(input, stage int, now int64) {
 		return
 	}
 	c.slot0[input] = -1
-	r := &c.recs[i]
+	r, sa := &c.recs[i], &c.stages[stage-1]
 	r.block++
-	r.stage = int32(stage)
-	c.stages[stage-1].block++
-	c.dwell(r, now)
-	r.touched = now
+	sa.block++
+	sa.dwell(r, now)
 	c.close(i, ClassDropped, now)
 }
 
 // EndCycle0 advances the cycle count for depth-0 engines (they have no
-// mirrored queues to sweep — every pending input got exactly one
-// outcome hook).
+// mirrored queues — every pending input got exactly one outcome hook).
 func (c *Collector) EndCycle0() { c.cycles++ }
 
 // ReqComplete records a completed closed-loop request's five-way time

@@ -82,14 +82,15 @@ func TestCollectorWaitBehindHead(t *testing.T) {
 	c.EndCycle(0)
 	c.Block(0, 2, 1) // head blocked; follower waits
 	c.EndCycle(1)
-	c.Advance(0, 2, 2) // head advances
-	c.Block(0, 2, 2)   // follower is now the blocked head
+	c.Advance(0, 2, 2) // head advances; follower reaches the head
 	c.EndCycle(2)
-	c.Deliver(2, 3)    // head delivered
-	c.Advance(0, 3, 3) // follower advances
+	c.Deliver(2, 3)  // head delivered
+	c.Block(0, 2, 3) // follower is now the blocked head
 	c.EndCycle(3)
-	c.Deliver(3, 4) // follower delivered
+	c.Advance(0, 3, 4) // follower advances
 	c.EndCycle(4)
+	c.Deliver(3, 5) // follower delivered
+	c.EndCycle(5)
 
 	if len(samples) != 2 {
 		t.Fatalf("want 2 closed packets, got %d", len(samples))
@@ -98,9 +99,10 @@ func TestCollectorWaitBehindHead(t *testing.T) {
 	if head.Wait != 0 || head.Block != 1 || head.Service != 2 {
 		t.Fatalf("head %+v", head)
 	}
-	// Follower: cycle 1 waiting behind the head, cycle 2 blocked as the
-	// new head, cycles 3 and 4 service.
-	if follower.Wait != 1 || follower.Block != 1 || follower.Service != 2 {
+	// Follower: cycle 1 waiting behind the head and cycle 2 reaching
+	// the head as it leaves, cycle 3 blocked as the new head, cycles 4
+	// and 5 service.
+	if follower.Wait != 2 || follower.Block != 1 || follower.Service != 2 {
 		t.Fatalf("follower %+v", follower)
 	}
 	if got, want := follower.Wait+follower.Block+follower.Service, follower.Closed-follower.Inject; got != want {
@@ -164,7 +166,7 @@ func TestTreeDetectorChain(t *testing.T) {
 		TermSwitch: []int32{0, 0},
 	}
 	var td treeDetector
-	td.reset(4)
+	td.reset(4, lay.Rings+lay.Outputs)
 	// Ring 0 blocked by ring 2, ring 2 blocked by ring 4, ring 4 blocked
 	// by terminal 0 (node Rings+0 = 6): one tree rooted at the terminal,
 	// chain depth 3, spread 3.
@@ -182,6 +184,49 @@ func TestTreeDetectorChain(t *testing.T) {
 	}
 	if tr.FirstCycle != 0 || tr.LastCycle != 4 || tr.BlockedCycles != 15 {
 		t.Fatalf("tree lifetime %+v", tr)
+	}
+}
+
+// TestTreeOrderIsDeterministic pins the tree order as a function of the
+// set of trees alone: two trees rooted in one switch that tie on cost,
+// first cycle and root come out in the same order on every run, in
+// whichever order their edges arrived.
+func TestTreeOrderIsDeterministic(t *testing.T) {
+	lay := Layout{
+		Stages: 3, Inputs: 2, Outputs: 2, Rings: 6,
+		RingStage:  []int32{1, 1, 2, 2, 3, 3},
+		RingSwitch: []int32{0, 0, 0, 0, 0, 0},
+		TermSwitch: []int32{0, 0},
+	}
+	// Rings 0→2→4 (depth 2) and rings 1, 3→5 (depth 1): both trees are
+	// rooted at stage 3 switch 0 and cost 2 ring-cycles.
+	edges := [][2]int{{0, 2}, {2, 4}, {1, 5}, {3, 5}}
+	run := func(k int) []Tree {
+		c := New(Options{})
+		c.Bind(lay)
+		for ring := 0; ring < 4; ring++ {
+			c.Inject(ring, ring%2, 0, 0)
+		}
+		c.EndCycle(0)
+		for j := range edges {
+			e := edges[j]
+			if k%2 == 1 {
+				e = edges[len(edges)-1-j]
+			}
+			c.Block(e[0], e[1], 1)
+		}
+		c.EndCycle(1)
+		c.EndCycle(2)
+		return c.Report().Trees
+	}
+	want := []Tree{
+		{RootStage: 3, RootTerminal: -1, Depth: 2, Spread: 2, FirstCycle: 1, LastCycle: 1, BlockedCycles: 2},
+		{RootStage: 3, RootTerminal: -1, Depth: 1, Spread: 2, FirstCycle: 1, LastCycle: 1, BlockedCycles: 2},
+	}
+	for k := 0; k < 200; k++ {
+		if got := run(k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: trees %+v, want %+v", k, got, want)
+		}
 	}
 }
 

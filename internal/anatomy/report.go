@@ -133,9 +133,11 @@ type Report struct {
 	topK int
 }
 
-// Report snapshots the collector into a mergeable Report. It drains
-// the tree detector (trees still live are closed), so it is meant to
-// be called once, at end of run.
+// Report snapshots the collector into a mergeable Report. It is a
+// read-only snapshot: packets still queued count toward the per-stage
+// ledgers and FaultParked up to the last EndCycle, on a copy, and trees
+// still live are reported as they stand, so it may be called at any
+// point between cycles and as often as needed.
 func (c *Collector) Report() *Report {
 	rep := &Report{
 		Stages:      c.lay.Stages,
@@ -168,6 +170,7 @@ func (c *Collector) Report() *Report {
 				DwellSummary: summarizeDwell(sa.hist),
 			}
 		}
+		c.settleQueued(rep)
 		// Fold the per-node blame ledger into per-stage totals and a
 		// per-switch top-K list.
 		type key struct{ stage, sw int }
@@ -202,6 +205,28 @@ func (c *Collector) Report() *Report {
 		}
 	}
 	return rep
+}
+
+// settleQueued adds the still-queued packets' cycles through the last
+// EndCycle to rep's stage ledgers and FaultParked, by the rule leave
+// applies when a packet departs: each head has waited until it reached
+// the head and been blocked since; the packets behind it have waited.
+func (c *Collector) settleQueued(rep *Report) {
+	for ring := range c.mirror {
+		m := &c.mirror[ring]
+		if m.N == 0 {
+			continue
+		}
+		st := &rep.PerStage[c.lay.RingStage[ring]-1]
+		h := c.heads[ring]
+		st.Wait += h.since - c.recs[m.Peek()].entered
+		st.Block += c.now - h.since
+		rep.FaultParked += c.now - h.since - h.blocked
+		for k := int32(1); k < m.N; k++ {
+			i := m.Buf[(m.Head+k)&int32(len(m.Buf)-1)]
+			st.Wait += c.now - c.recs[i].entered
+		}
+	}
 }
 
 func (ca classAgg) totals() ClassTotals {

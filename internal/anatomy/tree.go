@@ -1,6 +1,9 @@
 package anatomy
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // A congestion tree is the signature failure mode of a hot spot in a
 // multistage network: the queues in front of the hot output fill, the
@@ -29,43 +32,45 @@ type Tree struct {
 	BlockedCycles int64 `json:"blocked_ring_cycles"` // sum of spread over its lifetime
 }
 
-// treeState tracks one live tree keyed by its root node.
+// treeState tracks the live tree rooted at one node.
 type treeState struct {
-	root      int32
-	first     int64
+	first     int64 // -1: no live tree at this node
 	last      int64
 	cycles    int64
 	maxDepth  int32
 	maxSpread int32
 }
 
-type cycleRoot struct {
-	spread int32
-	depth  int32
-}
-
+// treeDetector keeps its per-cycle and per-tree state in dense per-node
+// arrays, indexed like the blame ledger, so observing a cycle allocates
+// nothing and every list keeps the order nodes first appeared in.
 type treeDetector struct {
 	topK     int
-	active   map[int32]*treeState
+	spread   []int32     // per node: rings it roots this cycle
+	depth    []int32     // per node: deepest chain into it this cycle
+	roots    []int32     // nodes with spread > 0 this cycle
+	live     []treeState // per node
+	active   []int32     // nodes with a live tree
 	finished []Tree
-	agg      map[int32]*cycleRoot // reused per cycle
 }
 
-func (td *treeDetector) reset(topK int) {
+func (td *treeDetector) reset(topK, nodes int) {
 	td.topK = topK
-	td.active = make(map[int32]*treeState)
-	td.finished = td.finished[:0]
-	td.agg = make(map[int32]*cycleRoot)
+	td.spread = make([]int32, nodes)
+	td.depth = make([]int32, nodes)
+	td.live = make([]treeState, nodes)
+	for i := range td.live {
+		td.live[i].first = -1
+	}
+	td.roots = make([]int32, 0, nodes)
+	td.active = make([]int32, 0, nodes)
+	td.finished = make([]Tree, 0, 8*topK+64)
 }
 
 // observe folds one cycle's blocked-by edges in. blockedBy[r] is the
-// node blocking ring r (bbNone when r's head is not blocked, bbParked
-// for fault parks, which never join a tree).
+// node blocking ring r (bbNone when no congestion edge leaves r's head;
+// fault parks never join a tree).
 func (td *treeDetector) observe(now int64, blocked []int32, blockedBy []int32, lay Layout) {
-	if len(blocked) == 0 {
-		td.closeStale(now, lay)
-		return
-	}
 	for _, b := range blocked {
 		// Walk downstream to the root: the first node that is not
 		// itself a blocked ring. Edges point strictly downstream (a
@@ -89,74 +94,74 @@ func (td *treeDetector) observe(now int64, blocked []int32, blockedBy []int32, l
 			}
 			cur = next
 		}
-		ca := td.agg[cur]
-		if ca == nil {
-			ca = &cycleRoot{}
-			td.agg[cur] = ca
+		if td.spread[cur] == 0 {
+			td.roots = append(td.roots, cur)
 		}
-		ca.spread++
-		if depth > ca.depth {
-			ca.depth = depth
-		}
+		td.spread[cur]++
+		td.depth[cur] = max(td.depth[cur], depth)
 	}
-	for root, ca := range td.agg {
-		ts := td.active[root]
-		if ts == nil {
-			ts = &treeState{root: root, first: now}
-			td.active[root] = ts
+	for _, root := range td.roots {
+		ts := &td.live[root]
+		if ts.first < 0 {
+			*ts = treeState{first: now}
+			td.active = append(td.active, root)
 		}
+		spread := td.spread[root]
 		ts.last = now
-		ts.cycles += int64(ca.spread)
-		if ca.depth > ts.maxDepth {
-			ts.maxDepth = ca.depth
-		}
-		if ca.spread > ts.maxSpread {
-			ts.maxSpread = ca.spread
-		}
-		delete(td.agg, root)
+		ts.cycles += int64(spread)
+		ts.maxDepth = max(ts.maxDepth, td.depth[root])
+		ts.maxSpread = max(ts.maxSpread, spread)
+		td.spread[root], td.depth[root] = 0, 0
 	}
+	td.roots = td.roots[:0]
 	td.closeStale(now, lay)
 }
 
 // closeStale retires trees that were not observed this cycle.
 func (td *treeDetector) closeStale(now int64, lay Layout) {
-	for root, ts := range td.active {
+	kept := td.active[:0]
+	for _, root := range td.active {
+		ts := &td.live[root]
 		if ts.last == now {
+			kept = append(kept, root)
 			continue
 		}
-		td.finished = append(td.finished, ts.tree(lay))
-		delete(td.active, root)
+		if len(td.finished) == cap(td.finished) {
+			// Only the top K can reach a report: the order is total,
+			// so trimming early never drops one of them.
+			sortTrees(td.finished)
+			td.finished = td.finished[:td.topK]
+		}
+		td.finished = append(td.finished, ts.tree(root, lay))
+		ts.first = -1
 	}
-	if len(td.finished) > 8*td.topK+64 {
-		sortTrees(td.finished)
-		td.finished = td.finished[:td.topK]
-	}
+	td.active = kept
 }
 
-func (ts *treeState) tree(lay Layout) Tree {
+func (ts *treeState) tree(root int32, lay Layout) Tree {
 	t := Tree{
 		Depth: int(ts.maxDepth), Spread: int(ts.maxSpread),
 		FirstCycle: ts.first, LastCycle: ts.last, BlockedCycles: ts.cycles,
 		RootTerminal: -1,
 	}
-	if int(ts.root) >= lay.Rings {
-		term := int(ts.root) - lay.Rings
+	if int(root) >= lay.Rings {
+		term := int(root) - lay.Rings
 		t.RootStage = lay.Stages
 		t.RootSwitch = int(lay.TermSwitch[term])
 		t.RootTerminal = term
 	} else {
-		t.RootStage = int(lay.RingStage[ts.root])
-		t.RootSwitch = int(lay.RingSwitch[ts.root])
+		t.RootStage = int(lay.RingStage[root])
+		t.RootSwitch = int(lay.RingSwitch[root])
 	}
 	return t
 }
 
-// report drains the detector into a final top-K tree list, closing the
-// trees still live at end of run.
+// report returns the top-K trees, the finished ones and those still
+// live as they stand, leaving the detector unchanged.
 func (td *treeDetector) report(lay Layout) []Tree {
 	out := append([]Tree(nil), td.finished...)
-	for _, ts := range td.active {
-		out = append(out, ts.tree(lay))
+	for _, root := range td.active {
+		out = append(out, td.live[root].tree(root, lay))
 	}
 	sortTrees(out)
 	if len(out) > td.topK {
@@ -165,23 +170,20 @@ func (td *treeDetector) report(lay Layout) []Tree {
 	return out
 }
 
-// sortTrees orders by blocked ring-cycles (the tree's total cost),
-// breaking ties deterministically so reports are reproducible.
+// sortTrees orders by blocked ring-cycles (the tree's total cost), then
+// by every other field, so the order is a function of the set of trees
+// alone and reports are reproducible.
 func sortTrees(trees []Tree) {
-	sort.Slice(trees, func(i, j int) bool {
-		a, b := trees[i], trees[j]
-		if a.BlockedCycles != b.BlockedCycles {
-			return a.BlockedCycles > b.BlockedCycles
-		}
-		if a.FirstCycle != b.FirstCycle {
-			return a.FirstCycle < b.FirstCycle
-		}
-		if a.RootStage != b.RootStage {
-			return a.RootStage < b.RootStage
-		}
-		if a.RootSwitch != b.RootSwitch {
-			return a.RootSwitch < b.RootSwitch
-		}
-		return a.RootTerminal < b.RootTerminal
+	slices.SortFunc(trees, func(a, b Tree) int {
+		return cmp.Or(
+			cmp.Compare(b.BlockedCycles, a.BlockedCycles),
+			cmp.Compare(a.FirstCycle, b.FirstCycle),
+			cmp.Compare(a.RootStage, b.RootStage),
+			cmp.Compare(a.RootSwitch, b.RootSwitch),
+			cmp.Compare(a.RootTerminal, b.RootTerminal),
+			cmp.Compare(a.LastCycle, b.LastCycle),
+			cmp.Compare(b.Depth, a.Depth),
+			cmp.Compare(b.Spread, a.Spread),
+		)
 	})
 }

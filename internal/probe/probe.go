@@ -223,22 +223,29 @@ func (p *Probe) TagInject(input int, pkt uint64, now int64) uint64 {
 }
 
 // Hop records a non-terminal event against a tagged packet. Untagged
-// packets return immediately.
+// packets return at the TraceBit guard, which is small enough to
+// inline at every engine site.
 func (p *Probe) Hop(pkt uint64, stage int, ev Event, now int64) {
-	if pkt&ringbuf.TraceBit == 0 {
-		return
+	if pkt&ringbuf.TraceBit != 0 {
+		p.hop(pkt, stage, ev, now)
 	}
+}
+
+func (p *Probe) hop(pkt uint64, stage int, ev Event, now int64) {
 	if rec, ok := p.keys[pkt]; ok {
 		p.HopRec(rec, stage, ev, now)
 	}
 }
 
 // Close records a terminal event against a tagged packet and releases
-// its key.
+// its key. Like Hop, it inlines to its TraceBit guard.
 func (p *Probe) Close(pkt uint64, stage int, ev Event, now int64) {
-	if pkt&ringbuf.TraceBit == 0 {
-		return
+	if pkt&ringbuf.TraceBit != 0 {
+		p.close(pkt, stage, ev, now)
 	}
+}
+
+func (p *Probe) close(pkt uint64, stage int, ev Event, now int64) {
 	if rec, ok := p.keys[pkt]; ok {
 		delete(p.keys, pkt)
 		p.CloseRec(rec, stage, ev, now)
