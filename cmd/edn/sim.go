@@ -23,6 +23,12 @@ func cmdSim(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 		if err != nil {
 			return err
 		}
+		if !(*r >= 0 && *r <= 1) {
+			return fmt.Errorf("-r %g is not a rate in [0,1]", *r)
+		}
+		if (*pattern == "identity" || *pattern == "bitreversal") && cfg.Inputs() != cfg.Outputs() {
+			return fmt.Errorf("-traffic %s needs as many outputs as inputs; %v has %d inputs and %d outputs", *pattern, cfg, cfg.Inputs(), cfg.Outputs())
+		}
 		opts := edn.SimOptions{Cycles: *cycles, Seed: *seed}
 		if opts.Factory, err = cliutil.ArbiterFactory(*arb, *seed); err != nil {
 			return err

@@ -148,3 +148,28 @@ func TestRunSeedDeterminism(t *testing.T) {
 		t.Errorf("same seed, different output:\n%s\nvs\n%s", a.String(), b.String())
 	}
 }
+
+// TestSimRejectsHostileInputs: a rate that is NaN or outside [0,1], and
+// identity or bit-reversal traffic on a network with fewer outputs than
+// inputs, are errors — never a panic or a measurement of nonsense.
+func TestSimRejectsHostileInputs(t *testing.T) {
+	for _, args := range [][]string{
+		{"-r", "1.5"},
+		{"-r", "-1"},
+		{"-r", "NaN"},
+		{"-a", "16", "-b", "4", "-c", "2", "-l", "3", "-traffic", "identity"},
+		{"-a", "16", "-b", "4", "-c", "2", "-l", "3", "-traffic", "bitreversal"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			var sb strings.Builder
+			if err := runCmd("sim", append([]string{"-cycles", "10"}, args...), &sb); err == nil {
+				t.Fatalf("accepted; printed:\n%s", sb.String())
+			}
+		})
+	}
+}

@@ -51,13 +51,14 @@ func cmdTrace(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 			if err != nil {
 				return err
 			}
-			var net edn.Net = edn.EDNNet{Config: cfg, Queue: edn.QueueOptions{Depth: *jf.depth, Policy: pol, Factory: opts.Factory}}
+			q := edn.QueueOptions{Depth: *jf.depth, Policy: pol, Factory: opts.Factory}
+			var net edn.Net = edn.EDNNet{Config: cfg, Queue: q}
 			if *engine == "dilated" {
 				dcfg, err := edn.DilatedCounterpart(cfg)
 				if err != nil {
 					return err
 				}
-				net = edn.DilatedNet{Config: dcfg, Queue: edn.DilatedQueueOptions{Depth: *jf.depth, Policy: pol, Factory: opts.Factory}}
+				net = edn.DilatedNet{Config: dcfg, Queue: q}
 			}
 			res, err := edn.MeasureLatency(net, edn.Uniform{Rate: *load, Rng: edn.NewRand(*jf.seed)}, opts)
 			if err != nil {

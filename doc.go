@@ -21,10 +21,13 @@
 //     ExpectedPermutationTime evaluate the paper's Equations 4-11 and the
 //     Section 5.1 model.
 //   - Simulation: Network routes cycle-level request batches; the
-//     Measure* helpers, SimulateMIMD and RoutePermutation drive
-//     Monte-Carlo experiments that cross-check every closed form.
-//     Network is a per-request face over the queueing engine's depth-0
-//     Drop sweep (below): interstage gamma permutations are precomputed
+//     Measure* helpers, RouteMultipass, SimulateMIMD and
+//     RoutePermutation drive Monte-Carlo experiments that cross-check
+//     every closed form. All of them run the queueing engine's depth-0
+//     corner (below) directly: Network is a view of its Drop sweep that
+//     reads each input's verdict, the PA harnesses read its per-cycle
+//     counters, and RouteMultipass resubmits retained requests on its
+//     Backpressure sweep. Interstage gamma permutations are precomputed
 //     as flat lookup tables, and RouteCycleInto plus the traffic
 //     IntoGenerator fast path (one traffic step, shared by every
 //     measurement loop, refills the request vector in place) let
@@ -38,7 +41,7 @@
 //     per-stage fabric descriptor (switches, buckets of interchangeable
 //     wires, interstage tables, a retire stage onto the terminals) runs
 //     the EDN and its dilated counterpart alike, and depth 0 is a
-//     within-cycle wave sweep, the one router behind Network.
+//     within-cycle wave sweep, the one router of every harness.
 //     MeasureLatency and SaturationSweep produce throughput and
 //     P50/P95/P99 latency-vs-load curves (with run-level
 //     parallel sharding) for any Net — an EDNNet or a DilatedNet, each

@@ -4,7 +4,6 @@ import (
 	"edn/internal/analytic"
 	"edn/internal/anatomy"
 	"edn/internal/closedloop"
-	"edn/internal/core"
 	"edn/internal/design"
 	"edn/internal/dilated"
 	"edn/internal/dilatedsim"
@@ -141,28 +140,11 @@ func ExpectedPermutationTime(cfg Config, q int) (PermutationTimeModel, error) {
 // ---------------------------------------------------------------------------
 // Cycle-level simulation
 
-// Network is an instantiated EDN that routes request batches with the
-// exact hyperbar semantics (one call = one circuit-switched cycle): a
-// per-request face over the packet engine's depth-0 Drop sweep, so its
-// outcomes are those of QueueOptions{Depth: 0, Policy: Drop}.
-type Network = core.Network
-
-// NoRequest marks an idle input in request vectors and outcomes.
-const NoRequest = core.NoRequest
+// Network, the cycle-level view of the packet engine's depth-0 Drop
+// corner, lives in network.go.
 
 // ArbiterFactory builds one arbiter per physical switch.
 type ArbiterFactory = switchfab.ArbiterFactory
-
-// Outcome is the per-input result of a routed cycle.
-type Outcome = core.Outcome
-
-// CycleStats aggregates one routed cycle.
-type CycleStats = core.CycleStats
-
-// NewNetwork builds a cycle-level network (nil factory = priority rule).
-func NewNetwork(cfg Config, factory ArbiterFactory) (*Network, error) {
-	return core.NewNetwork(cfg, factory)
-}
 
 // SimOptions configures a Monte-Carlo measurement run.
 type SimOptions = simulate.Options
@@ -237,11 +219,15 @@ func SimulateMIMD(cfg Config, r float64, opts MIMDOptions) (MIMDMeasured, error)
 // stage input, head-of-line arbitration per switch, one hop per cycle,
 // and per-packet latency measurement. See internal/queuesim for the
 // depth and policy semantics (depth-1 Drop reproduces Network exactly;
-// depth 0 is the unbuffered closed-loop resubmission corner).
+// depth-0 Drop is Network's corner, and depth-0 Backpressure the
+// unbuffered closed-loop resubmission corner).
 type QueueNetwork = queuesim.Network
 
-// QueueOptions configures a queueing network (FIFO depth, blocked-packet
-// policy, arbitration, latency histogram shape).
+// QueueOptions configures a queueing network on either fabric (FIFO
+// depth, blocked-packet policy, arbitration, latency histogram shape,
+// faults). Its Tables field takes a prebuilt fabric, as a
+// GeometryCache hands them out, so a network shares the cached
+// interstage tables instead of building its own.
 type QueueOptions = queuesim.Options
 
 // QueuePolicy selects the blocked-packet discipline.
@@ -399,15 +385,6 @@ func NewFaultPlan(cfg Config, mode FaultMode, rng *Rand) *FaultPlan {
 // must come from CompileFaults (a nil mask has no topology to walk).
 func ExpectedDegradedBandwidth(m *FaultMasks, r float64) float64 {
 	return faults.ExpectedUniformBandwidth(m, r)
-}
-
-// NewNetworkWithFaults builds a cycle-level network that grants only
-// live wires: requests route around dead components while any sibling
-// bucket wire survives, and are blocked where none does. A nil or
-// empty mask is exactly NewNetwork. The queueing engine takes the same
-// masks via QueueOptions.Faults.
-func NewNetworkWithFaults(cfg Config, factory ArbiterFactory, m *FaultMasks) (*Network, error) {
-	return core.NewNetworkWithFaults(cfg, factory, m)
 }
 
 // AvailabilityOptions configures a degraded-mode sweep (fault-fraction
@@ -625,8 +602,9 @@ func ExpectedDilatedDegraded(cfg DilatedDelta, f float64) (*DilatedDegraded, err
 // for bit. See internal/dilatedsim.
 type DilatedQueueNetwork = dilatedsim.Network
 
-// DilatedQueueOptions configures a dilated queueing network (FIFO
-// depth, policy, arbitration, latency histogram shape, faults).
+// DilatedQueueOptions is QueueOptions under the dilated name: one
+// configuration serves both fabrics, its Faults taking DilatedMasks
+// and its Tables the dilated fabric.
 type DilatedQueueOptions = dilatedsim.Options
 
 // NewDilatedQueueNetwork builds a buffered packet-level network over a

@@ -11,18 +11,18 @@
 // every interstage link replicated d times: stage 1 switches are
 // H(b -> b x d), interior stages H(bd -> b x d), and each single-wire
 // output port accepts one of the up-to-d arrivals on its final link
-// group. The package makes that structural statement literal. Tables
-// takes the group-level interstage wiring from topology.Config{b,b,1,l}
-// (the EDN family's c=1 corner) and expands it sub-wire-wise, and New
-// hands queuesim a per-stage descriptor: l switch stages whose buckets
-// hold d sub-wires, then the output ports as a retire stage with one
-// bucket per switch. At d=1 the network is bit-for-bit the plain delta
-// queuesim builds from topology tables, and the equivalence test pins
-// exactly that.
+// group. The package makes that structural statement literal.
+// Fabric takes the group-level interstage wiring from
+// topology.Config{b,b,1,l} (the EDN family's c=1 corner) and expands it
+// sub-wire-wise into the queuesim.Fabric New runs: l switch stages
+// whose buckets hold d sub-wires, then the output ports as a retire
+// stage with one bucket per switch. At d=1 the network is bit-for-bit
+// the plain delta queuesim builds from the EDN fabric, and the
+// equivalence test pins exactly that.
 //
-// This package holds what is specific to the dilated fabric: the
-// routing Tables and their descriptor, a thin typed face over the
-// shared engine (Config returns a dilated.Config), and the sub-wire
+// This package holds what is specific to the dilated fabric: its
+// fabric builder, a thin typed face over the shared engine (Config
+// returns a dilated.Config), and the sub-wire
 // translators of the one fault model — a sub-wire is a stage-output
 // wire (faults.PortID) of the descriptor, so Masks are faults.Masks,
 // SubWires is the churned and sampled population, and Compile, Plan and
@@ -41,7 +41,6 @@ import (
 
 	"edn/internal/dilated"
 	"edn/internal/queuesim"
-	"edn/internal/switchfab"
 )
 
 // NoRequest marks an idle input in an injection vector.
@@ -69,33 +68,11 @@ type Totals = queuesim.Totals
 // parked-on-dead census, with queuesim's meaning throughout.
 type CycleStats = queuesim.CycleStats
 
-// Options configures a dilated queueing network.
-type Options struct {
-	// Depth is the per-sub-wire FIFO depth: >= 1 bounded, Unbounded (-1)
-	// for infinite buffers, 0 for the unbuffered single-cycle corner.
-	Depth int
-	// Policy is the blocked-packet discipline (default Backpressure).
-	Policy Policy
-	// Factory builds one arbiter per physical switch (stages 1..L) and
-	// one per output port; nil selects input-label priority via the
-	// fused fast path.
-	Factory switchfab.ArbiterFactory
-	// LatencyBuckets and LatencyBucketWidth shape the latency histogram
-	// (defaults: 1024 buckets of 1 cycle).
-	LatencyBuckets     int
-	LatencyBucketWidth float64
-	// Faults disables sub-wires (see Compile): packets only advance onto
-	// live sub-wires and packets queued on dead ones are stranded per
-	// policy. Nil or empty means fully live. The engine's UpdateFaults
-	// swaps the masks of a running network in place.
-	Faults *Masks
-	// Tables, when non-nil, supplies prebuilt routing tables for the
-	// same dilated Config: the network shares the read-only slices
-	// instead of materializing its own, skipping the dominant
-	// O(ports*d) build cost. Must have been built for the identical
-	// Config; results are bit-for-bit those of a fresh build.
-	Tables *Tables
-}
+// Options configures a dilated queueing network: the engine's own
+// options, so one value configures either fabric. Faults are sub-wire
+// masks (see Compile), and Tables, when set, is the prebuilt fabric of
+// the same dilated Config (see Fabric).
+type Options = queuesim.Options
 
 // Network is a queueing dilated delta: the shared engine behind the
 // dilated fabric's typed face. Every engine method — Cycle, Drain,
@@ -107,27 +84,20 @@ type Network struct {
 	dcfg dilated.Config
 }
 
-// New builds a queueing network over dcfg. See Options for the depth
-// and policy semantics.
+// New builds a queueing network over dcfg: over opts.Tables when set,
+// which must be dcfg's fabric, and over Fabric(dcfg) otherwise. See
+// Options for the depth and policy semantics.
 func New(dcfg dilated.Config, opts Options) (*Network, error) {
-	if err := dcfg.Validate(); err != nil {
-		return nil, err
-	}
-	t := opts.Tables
-	if t != nil && t.Config() != dcfg {
-		return nil, fmt.Errorf("dilatedsim: tables built for %v, network is %v", t.Config(), dcfg)
-	}
-	if t == nil {
+	f := opts.Tables
+	if f == nil {
 		var err error
-		if t, err = NewTables(dcfg); err != nil {
+		if f, err = Fabric(dcfg); err != nil {
 			return nil, err
 		}
+	} else if f.Label != dcfg {
+		return nil, fmt.Errorf("dilatedsim: tables built for %v, network is %v", f.Label, dcfg)
 	}
-	net, err := queuesim.NewFabric(queuesim.Fabric{Name: "dilatedsim", Label: dcfg, Stages: t.fabric(), Settle: queuesim.SettleBySweep}, queuesim.Options{
-		Depth: opts.Depth, Policy: opts.Policy, Factory: opts.Factory,
-		LatencyBuckets: opts.LatencyBuckets, LatencyBucketWidth: opts.LatencyBucketWidth,
-		Faults: opts.Faults,
-	})
+	net, err := queuesim.NewFabric(f, opts)
 	if err != nil {
 		return nil, err
 	}

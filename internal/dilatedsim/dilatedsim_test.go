@@ -578,18 +578,27 @@ func TestOptionValidation(t *testing.T) {
 
 // TestTablesBytesAreTheFabricTables pins the cache ledger's unit for a
 // dilated entry: Bytes counts exactly the sub-wire tables the fabric
-// descriptor routes by, 4 bytes per entry, and nothing it never reads.
+// descriptor routes by, 4 bytes per entry — one ports*d table per
+// boundary whose delta skeleton wiring is not the identity — and
+// nothing it never reads.
 func TestTablesBytesAreTheFabricTables(t *testing.T) {
 	for _, g := range []struct{ b, d, l int }{{2, 1, 3}, {2, 2, 2}, {2, 2, 3}, {4, 2, 2}, {2, 4, 10}} {
-		tabs, err := NewTables(dilatedCfg(t, g.b, g.d, g.l))
+		dcfg := dilatedCfg(t, g.b, g.d, g.l)
+		f, err := Fabric(dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, err := topology.New(g.b, g.b, 1, g.l)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var want int64
-		for _, st := range tabs.fabric() {
-			want += 4 * int64(len(st.Table))
+		for s := 1; s <= g.l; s++ {
+			if delta.InterstageTable(s) != nil {
+				want += 4 * int64(dcfg.Ports()*g.d)
+			}
 		}
-		if got := tabs.Bytes(); got != want || want == 0 {
+		if got := f.Bytes(); got != want || want == 0 {
 			t.Errorf("b=%d d=%d l=%d: Bytes() = %d, the fabric's tables hold %d", g.b, g.d, g.l, got, want)
 		}
 	}

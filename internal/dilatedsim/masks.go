@@ -34,7 +34,7 @@ func SubWires(cfg dilated.Config) faults.Population {
 // zero set compiles to the empty mask; duplicate sub-wires are
 // idempotent, mirroring dilated.CompileFaults.
 func Compile(cfg dilated.Config, set dilated.FaultSet) (*Masks, error) {
-	t, err := NewTables(cfg)
+	f, err := Fabric(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +50,7 @@ func Compile(cfg dilated.Config, set dilated.FaultSet) (*Masks, error) {
 		}
 		ports[i] = faults.PortID{Stage: id.Boundary, Switch: id.Group / cfg.B, Bucket: id.Group % cfg.B, Wire: id.Wire}
 	}
-	return faults.CompileFabric(cfg, t.fabric(), faults.Set{Ports: ports})
+	return faults.CompileFabric(cfg, f.Stages, faults.Set{Ports: ports})
 }
 
 // MustCompile is Compile for tests and examples with known-good sets.

@@ -47,13 +47,11 @@ type Masks struct {
 }
 
 // Compile validates set against the EDN cfg and folds it into
-// availability masks over cfg.Fabric(nil), whose interstage tables the
-// masks retain. A nil or zero set compiles to the empty mask.
+// availability masks over the EDN's descriptor, cfg.Fabric(), whose
+// freshly built interstage tables the masks retain. A nil or zero set
+// compiles to the empty mask.
 func Compile(cfg topology.Config, set Set) (*Masks, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	st, err := cfg.Fabric(nil)
+	st, err := cfg.Fabric()
 	if err != nil {
 		return nil, err
 	}

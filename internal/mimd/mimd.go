@@ -11,7 +11,7 @@ package mimd
 import (
 	"fmt"
 
-	"edn/internal/core"
+	"edn/internal/queuesim"
 	"edn/internal/stats"
 	"edn/internal/switchfab"
 	"edn/internal/topology"
@@ -82,7 +82,7 @@ func Simulate(cfg topology.Config, r float64, opts Options) (Result, error) {
 		return Result{}, fmt.Errorf("mimd: request rate %g out of [0,1]", r)
 	}
 	opts = opts.withDefaults()
-	net, err := core.NewNetwork(cfg, opts.Factory)
+	net, err := queuesim.New(cfg, queuesim.Options{Policy: queuesim.Drop, Factory: opts.Factory})
 	if err != nil {
 		return Result{}, err
 	}
@@ -91,14 +91,13 @@ func Simulate(cfg topology.Config, r float64, opts Options) (Result, error) {
 	inputs := cfg.Inputs()
 	outputs := cfg.Outputs()
 	// waitingDest[i] >= 0 means processor i is waiting to deliver that
-	// destination; core.NoRequest means active.
+	// destination; queuesim.NoRequest means active.
 	waitingDest := make([]int, inputs)
 	waitStart := make([]int, inputs)
 	for i := range waitingDest {
-		waitingDest[i] = core.NoRequest
+		waitingDest[i] = queuesim.NoRequest
 	}
 	dest := make([]int, inputs)
-	out := make([]core.Outcome, inputs)
 
 	var offered, accepted, activeCount int
 	var waitAcc stats.Accumulator
@@ -107,7 +106,7 @@ func Simulate(cfg topology.Config, r float64, opts Options) (Result, error) {
 	for cycle := 0; cycle < opts.Warmup+opts.Cycles; cycle++ {
 		measuring := cycle >= opts.Warmup
 		for i := range dest {
-			if waitingDest[i] != core.NoRequest {
+			if waitingDest[i] != queuesim.NoRequest {
 				if opts.PersistentDestinations {
 					dest[i] = waitingDest[i] // retry the same module
 				} else {
@@ -123,31 +122,31 @@ func Simulate(cfg topology.Config, r float64, opts Options) (Result, error) {
 			if rng.Bool(r) {
 				dest[i] = rng.Intn(outputs)
 			} else {
-				dest[i] = core.NoRequest
+				dest[i] = queuesim.NoRequest
 			}
 		}
-		cs, err := net.RouteCycleInto(dest, out)
+		cs, err := net.Cycle(dest)
 		if err != nil {
 			return Result{}, err
 		}
 		if measuring {
-			offered += cs.Offered
+			offered += cs.Injected
 			accepted += cs.Delivered
 		}
-		for i, o := range out {
+		for i, d := range dest {
 			switch {
-			case dest[i] == core.NoRequest:
+			case d == queuesim.NoRequest:
 				// stayed idle
-			case o.Delivered():
-				if waitingDest[i] != core.NoRequest && measuring {
+			case net.Verdict(i) == 0:
+				if waitingDest[i] != queuesim.NoRequest && measuring {
 					waitAcc.Add(float64(cycle - waitStart[i]))
 				} else if measuring {
 					waitAcc.Add(0)
 				}
-				waitingDest[i] = core.NoRequest
+				waitingDest[i] = queuesim.NoRequest
 			default:
-				if waitingDest[i] == core.NoRequest {
-					waitingDest[i] = dest[i]
+				if waitingDest[i] == queuesim.NoRequest {
+					waitingDest[i] = d
 					waitStart[i] = cycle
 				}
 			}

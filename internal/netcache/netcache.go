@@ -1,14 +1,15 @@
 // Package netcache is the geometry cache behind the serve layer: a
-// byte-budgeted LRU keyed by strings, with typed helpers for the three
-// immutable artifacts every job construction pays for — EDN interstage
-// tables (topology.Tables), dilated routing tables (dilatedsim.Tables)
-// and compiled fault masks (faults.Masks, for either fabric).
+// byte-budgeted LRU keyed by strings, with typed helpers for the two
+// immutable artifacts every job construction pays for — a fabric's
+// routing tables (one queuesim.Fabric, the EDN's or the dilated
+// delta's, ready for queuesim.Options.Tables) and compiled fault masks
+// (faults.Masks, for either fabric).
 //
 // All cached artifacts are immutable after construction and safe to
 // share across concurrently running engines:
 //
-//   - Tables are read-only by contract (the engines index, never
-//     write).
+//   - Fabrics are read-only by contract (the engines index their
+//     tables, never write them).
 //   - Compiled masks are "compile once, share freely" (see
 //     internal/faults): UpdateFaults stores references to mask rows but
 //     never writes through them.
@@ -34,6 +35,7 @@ import (
 	"edn/internal/dilated"
 	"edn/internal/dilatedsim"
 	"edn/internal/faults"
+	"edn/internal/queuesim"
 	"edn/internal/topology"
 	"edn/internal/xrand"
 )
@@ -181,59 +183,53 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Tables returns the cached interstage tables for cfg, building them
-// on first use. The second result reports whether the tables came from
-// the cache (true) or this call built them (false).
-func (c *Cache) Tables(cfg topology.Config) (*topology.Tables, bool, error) {
-	key := fmt.Sprintf("edn:%d/%d/%d/%d", cfg.A, cfg.B, cfg.C, cfg.L)
-	v, hit, err := c.getOrBuildHit(key, func() (any, int64, error) {
-		t, err := topology.NewTables(cfg)
-		if err != nil {
-			return nil, 0, err
-		}
-		return t, t.Bytes(), nil
+// Tables returns the cached EDN fabric for cfg, building it on first
+// use. The second result reports whether the fabric came from the
+// cache (true) or this call built it (false).
+func (c *Cache) Tables(cfg topology.Config) (*queuesim.Fabric, bool, error) {
+	return c.fabric(fmt.Sprintf("edn:%d/%d/%d/%d", cfg.A, cfg.B, cfg.C, cfg.L), func() (*queuesim.Fabric, error) {
+		return queuesim.EDNFabric(cfg)
 	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*topology.Tables), hit, nil
 }
 
-// DilatedTables returns the cached routing tables for dcfg, building
-// them on first use, plus the hit verdict.
-func (c *Cache) DilatedTables(dcfg dilated.Config) (*dilatedsim.Tables, bool, error) {
-	key := fmt.Sprintf("dil:%d/%d/%d", dcfg.B, dcfg.D, dcfg.L)
+// DilatedTables returns the cached dilated fabric for dcfg, building
+// it on first use, plus the hit verdict.
+func (c *Cache) DilatedTables(dcfg dilated.Config) (*queuesim.Fabric, bool, error) {
+	return c.fabric(fmt.Sprintf("dil:%d/%d/%d", dcfg.B, dcfg.D, dcfg.L), func() (*queuesim.Fabric, error) {
+		return dilatedsim.Fabric(dcfg)
+	})
+}
+
+// fabric is the one fabric lookup: the entry under key, built by build
+// on a miss and charged its tables' bytes.
+func (c *Cache) fabric(key string, build func() (*queuesim.Fabric, error)) (*queuesim.Fabric, bool, error) {
 	v, hit, err := c.getOrBuildHit(key, func() (any, int64, error) {
-		t, err := dilatedsim.NewTables(dcfg)
+		f, err := build()
 		if err != nil {
 			return nil, 0, err
 		}
-		return t, t.Bytes(), nil
+		return f, f.Bytes(), nil
 	})
 	if err != nil {
 		return nil, hit, err
 	}
-	return v.(*dilatedsim.Tables), hit, nil
+	return v.(*queuesim.Fabric), hit, nil
 }
 
 // Masks returns the compiled availability masks for a Bernoulli fault
 // sample over cfg — mode's population dying with probability fraction
 // under the given sample seed. The key pins the full sampling identity
 // (cfg, mode, fraction, seed), so a hit replays the identical draw. The
-// masks are compiled over the cache's own Tables for cfg, so they
+// masks are compiled over the cache's own fabric for cfg, so they
 // retain no tables of their own.
 func (c *Cache) Masks(cfg topology.Config, mode faults.Mode, fraction float64, seed uint64) (*faults.Masks, bool, error) {
 	key := fmt.Sprintf("mask:%d/%d/%d/%d:%d:%g:%d", cfg.A, cfg.B, cfg.C, cfg.L, int(mode), fraction, seed)
 	v, hit, err := c.getOrBuildHit(key, func() (any, int64, error) {
-		t, _, err := c.Tables(cfg)
+		f, _, err := c.Tables(cfg)
 		if err != nil {
 			return nil, 0, err
 		}
-		st, err := cfg.Fabric(t)
-		if err != nil {
-			return nil, 0, err
-		}
-		m, err := faults.CompileFabric(cfg, st, faults.Bernoulli(cfg, mode, fraction, xrand.New(seed)))
+		m, err := faults.CompileFabric(cfg, f.Stages, faults.Bernoulli(cfg, mode, fraction, xrand.New(seed)))
 		if err != nil {
 			return nil, 0, err
 		}

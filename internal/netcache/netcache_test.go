@@ -283,7 +283,7 @@ func TestCachedArtifactsMatchFreshBuilds(t *testing.T) {
 					t.Fatal("second Masks lookup missed")
 				}
 				fm := faults.MustCompile(cfg, faults.Bernoulli(cfg, faults.MixedFaults, fraction, xrand.New(seed)))
-				ednEngine := func(tables *topology.Tables, m *faults.Masks) engine {
+				ednEngine := func(tables *queuesim.Fabric, m *faults.Masks) engine {
 					n, err := queuesim.New(cfg, queuesim.Options{Depth: depth, Policy: policy, Tables: tables})
 					if err != nil {
 						t.Fatal(err)
@@ -318,7 +318,7 @@ func TestCachedArtifactsMatchFreshBuilds(t *testing.T) {
 					t.Fatal("second DilatedMasks lookup missed")
 				}
 				fm := dilatedsim.MustCompile(dcfg, dilated.BernoulliSubWires(dcfg, fraction, xrand.New(seed)))
-				dilEngine := func(tables *dilatedsim.Tables, m *dilatedsim.Masks) engine {
+				dilEngine := func(tables *queuesim.Fabric, m *dilatedsim.Masks) engine {
 					n, err := dilatedsim.New(dcfg, dilatedsim.Options{Depth: depth, Policy: policy, Tables: tables})
 					if err != nil {
 						t.Fatal(err)

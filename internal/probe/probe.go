@@ -1,6 +1,7 @@
 // Package probe is the flight-recorder instrumentation layer shared by
 // the packet engine (queuesim, running both fabrics, and through it
-// core's per-request face) and the closed-loop layer. It has two
+// the cycle-level Network of the root package) and the closed-loop
+// layer. It has two
 // surfaces:
 //
 //   - Sampled packet tracing: every ~Nth accepted injection (jittered,

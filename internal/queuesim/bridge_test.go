@@ -1,15 +1,13 @@
 package queuesim_test
 
-// The bridge pins live in an external test package: the depth-0 sweep
-// is read here through internal/core's per-request face, which itself
-// imports queuesim.
+// The bridge pins live in an external test package: they read both
+// engines through their exported counters only.
 
 import (
 	"fmt"
 	"strings"
 	"testing"
 
-	"edn/internal/core"
 	"edn/internal/faults"
 	"edn/internal/queuesim"
 	"edn/internal/switchfab"
@@ -124,16 +122,17 @@ func bridgeFaultCases(t testing.TB, cfg topology.Config, seed uint64) []faultCas
 	}
 }
 
-// pinDepth1 drives the same batches through the depth-0 sweep (read
-// per request through core's face) and a depth-1 Drop pipeline, one
-// mask segment at a time with the pipeline drained between segments,
-// and requires every batch's delivered count and per-stage blocking to
-// agree. Batch k's stage-s drops happen in pipeline call k+s and its
-// deliveries in call k+Stages(); a request refused at a dead input is
-// the face's stage-1 block.
+// pinDepth1 drives the same batches through the depth-0 Drop sweep and
+// a depth-1 Drop pipeline, one mask segment at a time with the pipeline
+// drained between segments, and requires every batch's delivered count
+// and per-stage blocking to agree. Both sides are read from the
+// engine's own per-cycle deltas — Delivered, Refused (a request refused
+// at a dead input is a stage-1 block) and DroppedPerStage. Batch k's
+// stage-s drops happen in pipeline call k+s and its deliveries in call
+// k+Stages().
 func pinDepth1(t *testing.T, cfg topology.Config, fac bridgeFactory, masks []*faults.Masks, batches int, gen traffic.IntoGenerator) {
 	t.Helper()
-	face, err := core.NewNetwork(cfg, fac.make())
+	sweep, err := queuesim.New(cfg, queuesim.Options{Policy: queuesim.Drop, Factory: fac.make()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +146,8 @@ func pinDepth1(t *testing.T, cfg topology.Config, fac bridgeFactory, masks []*fa
 	for i := range idle {
 		idle[i] = queuesim.NoRequest
 	}
-	out := make([]core.Outcome, cfg.Inputs())
 	for seg, m := range masks {
-		if err := face.UpdateFaults(m); err != nil {
+		if err := sweep.UpdateFaults(m); err != nil {
 			t.Fatal(err)
 		}
 		if err := q.UpdateFaults(m); err != nil {
@@ -160,17 +158,23 @@ func pinDepth1(t *testing.T, cfg topology.Config, fac bridgeFactory, masks []*fa
 		for k := range got {
 			got[k] = make([]int, 1+stages)
 		}
-		prev := q.DroppedPerStage()
+		prev, sprev := q.DroppedPerStage(), sweep.DroppedPerStage()
 		for call := 0; call < batches+stages; call++ {
 			in := idle
 			if call < batches {
 				gen.GenerateInto(dest, cfg.Outputs())
 				in = dest
-				cs, err := face.RouteCycleInto(dest, out)
+				cs, err := sweep.Cycle(dest)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[call] = append([]int{cs.Delivered}, cs.Blocked...)
+				cur := sweep.DroppedPerStage()
+				want[call] = make([]int, 1+stages)
+				want[call][0], want[call][1] = cs.Delivered, cs.Refused
+				for s := range cur {
+					want[call][1+s] += int(cur[s] - sprev[s])
+				}
+				sprev = cur
 			}
 			qs, err := q.Cycle(in)
 			if err != nil {
@@ -236,8 +240,8 @@ func TestDepth1DropMatchesUnbufferedEngine(t *testing.T) {
 // degraded mode: under every fault kind, and across a mask churn that
 // ends in full repair, the faulted depth-1 pipeline reproduces the
 // faulted depth-0 sweep batch for batch. Dead inputs refuse at the
-// source in the pipeline and block at stage 1 in the face, so the
-// pipeline's stage-1 count adds its refusals.
+// source in both engines, so each side's stage-1 count adds its
+// refusals.
 func TestDepth1DropWithFaultsMatchesFaultyCore(t *testing.T) {
 	for _, g := range bridgeGeometries {
 		cfg := bridgeCfg(t, g)
@@ -275,9 +279,9 @@ func (outOfRangeArbiter) OrderInto(order []int) {
 // TestMalformedArbiterOrderIsAnError: an arbiter whose order is not a
 // permutation of its switch's inputs must make the cycle fail with an
 // error naming the stage and switch — at depth 0 and 4, under both
-// policies, through the engine and through core's face — never panic or
-// arbitrate by the bad order, and the engine's ledger must still
-// conserve.
+// policies — never panic or arbitrate by the bad order, and the
+// engine's ledger must still conserve. The root package's
+// TestMalformedArbiterOrderIsAnError covers the cycle-level Network.
 func TestMalformedArbiterOrderIsAnError(t *testing.T) {
 	cfg := bridgeCfg(t, [4]int{16, 4, 4, 2})
 	full := make([]int, cfg.Inputs())
@@ -323,13 +327,5 @@ func TestMalformedArbiterOrderIsAnError(t *testing.T) {
 				})
 			}
 		}
-		t.Run(name+"/core", func(t *testing.T) {
-			face, err := core.NewNetwork(cfg, factory)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = face.RouteCycleInto(full, make([]core.Outcome, cfg.Inputs()))
-			checkErr(t, err)
-		})
 	}
 }

@@ -209,3 +209,44 @@ func TestDeadInputsRefused(t *testing.T) {
 		})
 	}
 }
+
+// TestVerdictCoversDeadInputRefusals: on a depth-0 Drop network every
+// input that offered has a verdict, including one refused at the source
+// because its input wire is dead — it reads 1, the stage-1 block, never
+// the verdict of that input's previous packet.
+func TestVerdictCoversDeadInputRefusals(t *testing.T) {
+	cfg := mustCfg(t, 4, 4, 2, 2)
+	n, err := New(cfg, Options{Policy: Drop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const in = 1
+	dest := make([]int, cfg.Inputs())
+	for i := range dest {
+		dest[i] = NoRequest
+	}
+	dest[in] = 0
+	if _, err := n.Cycle(dest); err != nil {
+		t.Fatal(err)
+	}
+	if v := n.Verdict(in); v != 0 {
+		t.Fatalf("lone request: verdict %d, want 0 (delivered)", v)
+	}
+	m, err := faults.Compile(cfg, faults.Set{Wires: []faults.WireID{{Boundary: 0, Wire: in}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.UpdateFaults(m); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := n.Cycle(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Refused != 1 {
+		t.Fatalf("refused %d, want the dead input's request", cs.Refused)
+	}
+	if v := n.Verdict(in); v != 1 {
+		t.Fatalf("dead input: verdict %d, want 1 (blocked at stage 1)", v)
+	}
+}

@@ -38,8 +38,10 @@
 //     bucket grants at most its wire count; Backpressure then means a
 //     blocked packet is resubmitted from its input next cycle — exactly
 //     the Section 4/5.1 closed-loop regime — and Drop is the memoryless
-//     Section 3.2 model behind Equation 4, losers vanishing. internal/core
-//     is the per-request face of this corner.
+//     Section 3.2 model behind Equation 4, losers vanishing. Verdict
+//     reads this corner per request: the cycle-level Network of the
+//     root package, the Monte-Carlo PA harnesses and the Section 4/5
+//     resubmission models all run on it.
 //
 // The depth-1 Drop configuration is the bridge between the two worlds:
 // batches march through the pipeline in lockstep, one stage per cycle,
@@ -123,14 +125,14 @@ type Options struct {
 	// running network in place, which is how time-varying fault
 	// processes (internal/lifecycle) drive this engine.
 	Faults *faults.Masks
-	// Tables, when non-nil, supplies prebuilt interstage routing tables
-	// for the same Config: the network shares the read-only slices
-	// instead of materializing its own, skipping the dominant O(wires)
-	// build cost. Must have been built for the identical Config;
-	// results are bit-for-bit those of a fresh build. The serve-layer
-	// geometry cache is the intended supplier. EDN only: NewFabric
-	// ignores it.
-	Tables *topology.Tables
+	// Tables, when non-nil, supplies the prebuilt fabric of the network
+	// being built (EDNFabric, internal/dilatedsim's builder, or the
+	// serve-layer geometry cache, which hands out either): the network
+	// shares its read-only tables instead of materializing its own,
+	// skipping the dominant O(wires) build cost. Its label must be the
+	// network's geometry; results are bit-for-bit those of a fresh
+	// build. NewFabric, which is handed its fabric, ignores it.
+	Tables *Fabric
 }
 
 func (o Options) withDefaults() Options {
@@ -214,12 +216,32 @@ const (
 // error messages and Label, a comparable value, names the geometry in
 // them; compiled fault masks carry the label of the descriptor they
 // were compiled over, and UpdateFaults accepts only masks of the
-// network's own.
+// network's own. A Fabric is immutable once built, so one value can
+// back any number of concurrently running networks.
 type Fabric struct {
 	Name   string
 	Label  fmt.Stringer
 	Stages []topology.Stage
 	Settle Settlement
+}
+
+// EDNFabric validates cfg and builds the EDN's fabric: its descriptor
+// (topology.Config.Fabric), labelled by cfg and settled by input.
+func EDNFabric(cfg topology.Config) (*Fabric, error) {
+	st, err := cfg.Fabric()
+	if err != nil {
+		return nil, err
+	}
+	return &Fabric{Name: "queuesim", Label: cfg, Stages: st, Settle: SettleByInput}, nil
+}
+
+// Bytes returns the footprint of the fabric's interstage tables, the
+// unit of the geometry cache's byte budget.
+func (f *Fabric) Bytes() (b int64) {
+	for _, st := range f.Stages {
+		b += 4 * int64(len(st.Table))
+	}
+	return b
 }
 
 // Network is an instantiated queueing network. It is not safe for
@@ -298,25 +320,27 @@ type Network struct {
 	anat *anatomy.Collector
 }
 
-// New builds a queueing EDN over cfg, running cfg.Fabric(opts.Tables).
-// See Options for the depth and policy semantics.
+// New builds a queueing EDN over cfg: over opts.Tables when set, which
+// must be cfg's fabric, and over EDNFabric(cfg) otherwise. See Options
+// for the depth and policy semantics.
 func New(cfg topology.Config, opts Options) (*Network, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	f := opts.Tables
+	if f == nil {
+		var err error
+		if f, err = EDNFabric(cfg); err != nil {
+			return nil, err
+		}
+	} else if f.Label != cfg {
+		return nil, fmt.Errorf("queuesim: tables built for %v, network is %v", f.Label, cfg)
 	}
-	st, err := cfg.Fabric(opts.Tables)
-	if err != nil {
-		return nil, err
-	}
-	return NewFabric(Fabric{Name: "queuesim", Label: cfg, Stages: st, Settle: SettleByInput}, opts)
+	return NewFabric(f, opts)
 }
 
-// NewFabric builds a queueing network over an arbitrary fabric
-// descriptor and installs opts.Faults, which must have been compiled
-// over a descriptor of the same label. opts.Tables is EDN-typed and
-// ignored here (New reads it). The descriptor's tables are shared,
-// never copied or written.
-func NewFabric(f Fabric, opts Options) (*Network, error) {
+// NewFabric builds a queueing network over an arbitrary fabric and
+// installs opts.Faults, which must have been compiled over a descriptor
+// of the same label. The descriptor's tables are shared, never copied
+// or written.
+func NewFabric(f *Fabric, opts Options) (*Network, error) {
 	if err := checkOptions(f.Name, opts); err != nil {
 		return nil, err
 	}
@@ -1080,6 +1104,7 @@ func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) error {
 		cs.Injected++
 		if n.liveIn != nil && !n.liveIn[i] {
 			cs.Refused++ // severed input wire: refused at the source
+			n.outcome[i] = 1
 			continue
 		}
 		n.pending[i] = d
@@ -1203,10 +1228,11 @@ func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) error {
 	return nil
 }
 
-// Verdict reports the last depth-0 sweep's verdict on input i's packet
-// under SettleByInput: 0 delivered, s blocked at stage s. It is defined
-// only for inputs whose packet entered that sweep; a packet refused at
-// a dead input never does.
+// Verdict reports the last depth-0 cycle's verdict on input i's packet
+// under SettleByInput: 0 delivered, s blocked at stage s. It covers
+// every input that offered to a Drop network: a packet that entered the
+// sweep reads its outcome, and one refused at a dead input reads 1, the
+// stage-1 block.
 func (n *Network) Verdict(i int) int { return int(n.outcome[i]) }
 
 // resolve records the sweep's verdict on input i's packet: delivered

@@ -3,7 +3,7 @@ package simd
 import (
 	"fmt"
 
-	"edn/internal/core"
+	"edn/internal/queuesim"
 	"edn/internal/stats"
 	"edn/internal/switchfab"
 	"edn/internal/xrand"
@@ -61,7 +61,7 @@ func RoutePermutation(sys System, perm []int, opts RouteOptions) (RouteResult, e
 	}
 	opts = opts.withDefaults(sys)
 
-	net, err := core.NewNetwork(sys.Network, opts.Factory)
+	net, err := queuesim.New(sys.Network, queuesim.Options{Policy: queuesim.Drop, Factory: opts.Factory})
 	if err != nil {
 		return RouteResult{}, err
 	}
@@ -81,7 +81,6 @@ func RoutePermutation(sys System, perm []int, opts RouteOptions) (RouteResult, e
 	res := RouteResult{System: sys, Scheduler: opts.Scheduler.Name()}
 	remaining := sys.N()
 	dest := make([]int, p)
-	out := make([]core.Outcome, p)
 	for cycle := 0; remaining > 0; cycle++ {
 		if cycle >= opts.MaxCycles {
 			return RouteResult{}, fmt.Errorf("simd: %v did not drain after %d cycles (%d messages left)", sys, cycle, remaining)
@@ -92,7 +91,7 @@ func RoutePermutation(sys System, perm []int, opts RouteOptions) (RouteResult, e
 		}
 		for x := 0; x < p; x++ {
 			if choice[x] < 0 {
-				dest[x] = core.NoRequest
+				dest[x] = queuesim.NoRequest
 				continue
 			}
 			if choice[x] >= len(pending[x]) {
@@ -100,12 +99,12 @@ func RoutePermutation(sys System, perm []int, opts RouteOptions) (RouteResult, e
 			}
 			dest[x] = pending[x][choice[x]]
 		}
-		cs, err := net.RouteCycleInto(dest, out)
+		cs, err := net.Cycle(dest)
 		if err != nil {
 			return RouteResult{}, err
 		}
 		for x := 0; x < p; x++ {
-			if choice[x] < 0 || !out[x].Delivered() {
+			if choice[x] < 0 || net.Verdict(x) != 0 {
 				continue
 			}
 			// Remove the delivered message (order within a cluster does not

@@ -474,9 +474,9 @@ func DrainPermutations(net Net, q int, opts Options) (DrainResult, error) {
 	return res, nil
 }
 
-// drainPermutations is the engine-agnostic drain loop: preload q
-// permutations, offer each input's next packet whenever the input can
-// take it, and run until everything is delivered.
+// drainPermutations is the engine-agnostic permutation drain: preload
+// q permutations and run the resubmission loop until everything is
+// delivered.
 func drainPermutations(net *queuesim.Network, inputs, q int, seed uint64) (DrainResult, error) {
 	rng := xrand.New(seed)
 	// queue[i] holds input i's packets in offer order: one entry from
@@ -489,29 +489,17 @@ func drainPermutations(net *queuesim.Network, inputs, q int, seed uint64) (Drain
 			queue[i] = append(queue[i], d)
 		}
 	}
-	next := make([]int, inputs) // next packet index to offer per input
-	dest := make([]int, inputs)
 	total := int64(q) * int64(inputs)
 	// The closed loop cannot take longer than every packet being
 	// serialized through one output, with generous headroom for the
 	// pipeline; use it as the runaway guard.
 	maxCycles := int64(q*inputs)*int64(net.Stages()+1) + 1000
-	var cycles int64
-	for net.Totals().Delivered < total {
-		if cycles++; cycles > maxCycles {
-			return DrainResult{}, fmt.Errorf("simulate: drain of %d packets not finished after %d cycles", total, maxCycles)
-		}
-		for i := range dest {
-			if next[i] < len(queue[i]) && net.InputFree(i) {
-				dest[i] = queue[i][next[i]]
-				next[i]++
-			} else {
-				dest[i] = queuesim.NoRequest
-			}
-		}
-		if _, err := net.Cycle(dest); err != nil {
-			return DrainResult{}, err
-		}
+	cycles, err := drain(net, queue, total, maxCycles, nil)
+	if err != nil {
+		return DrainResult{}, err
+	}
+	if net.Totals().Delivered < total {
+		return DrainResult{}, fmt.Errorf("simulate: drain of %d packets not finished after %d cycles", total, maxCycles)
 	}
 	h := net.Latency().Clone()
 	return DrainResult{
@@ -521,4 +509,36 @@ func drainPermutations(net *queuesim.Network, inputs, q int, seed uint64) (Drain
 		LatencyP95:  h.Quantile(0.95),
 		Histogram:   h,
 	}, nil
+}
+
+// drain is the one resubmission loop: it offers each input's queued
+// packets in order, the next one whenever the input can take it (a
+// Backpressure engine retains a blocked packet at its input and
+// resubmits it every cycle), and cycles net until left packets have
+// been delivered or maxCycles cycles have run. each, when non-nil, sees
+// every cycle's stats; its error ends the loop. It returns the cycles
+// run.
+func drain(net *queuesim.Network, queue [][]int, left, maxCycles int64, each func(queuesim.CycleStats) error) (int64, error) {
+	next := make([]int, len(queue)) // next packet index to offer per input
+	dest := make([]int, len(queue))
+	var cycles int64
+	for ; left > 0 && cycles < maxCycles; cycles++ {
+		for i := range dest {
+			if next[i] < len(queue[i]) && net.InputFree(i) {
+				dest[i] = queue[i][next[i]]
+				next[i]++
+			} else {
+				dest[i] = queuesim.NoRequest
+			}
+		}
+		cs, err := net.Cycle(dest)
+		if err == nil && each != nil {
+			err = each(cs)
+		}
+		if err != nil {
+			return cycles, err
+		}
+		left -= int64(cs.Delivered)
+	}
+	return cycles, nil
 }

@@ -3,7 +3,7 @@ package simulate
 import (
 	"fmt"
 
-	"edn/internal/core"
+	"edn/internal/queuesim"
 	"edn/internal/switchfab"
 	"edn/internal/topology"
 )
@@ -20,10 +20,13 @@ type MultipassResult struct {
 }
 
 // RouteMultipass delivers the request vector dest (destination per input,
-// core.NoRequest for idle) over repeated passes. maxPasses guards
-// pathological inputs (0 means a generous default).
+// queuesim.NoRequest for idle) over repeated passes: the drain loop over
+// one packet per requesting input on the depth-0 Backpressure engine,
+// which retains a blocked request at its input and re-offers it the
+// next pass. maxPasses guards pathological inputs (0 means a generous
+// default).
 func RouteMultipass(cfg topology.Config, dest []int, factory switchfab.ArbiterFactory, maxPasses int) (MultipassResult, error) {
-	net, err := core.NewNetwork(cfg, factory)
+	net, err := queuesim.New(cfg, queuesim.Options{Factory: factory})
 	if err != nil {
 		return MultipassResult{}, err
 	}
@@ -34,37 +37,29 @@ func RouteMultipass(cfg topology.Config, dest []int, factory switchfab.ArbiterFa
 		maxPasses = 16 * cfg.Inputs()
 	}
 
-	pending := append([]int(nil), dest...)
+	queue := make([][]int, len(dest))
 	remaining := 0
-	for _, d := range pending {
-		if d != core.NoRequest {
+	for i, d := range dest {
+		if d != queuesim.NoRequest {
+			queue[i] = dest[i : i+1]
 			remaining++
 		}
 	}
 	res := MultipassResult{Config: cfg}
-	out := make([]core.Outcome, cfg.Inputs())
-	for remaining > 0 {
-		if res.Passes >= maxPasses {
-			return res, fmt.Errorf("simulate: %v did not drain after %d passes (%d left)", cfg, res.Passes, remaining)
-		}
-		cs, err := net.RouteCycleInto(pending, out)
-		if err != nil {
-			return res, err
-		}
-		if cs.Delivered == 0 && cs.Offered > 0 {
-			// A non-empty offered set always delivers at least one message
-			// (the highest-priority request wins everywhere); this is a
-			// logic guard, not a reachable state.
-			return res, fmt.Errorf("simulate: pass %d delivered nothing with %d offered", res.Passes, cs.Offered)
-		}
-		for i, o := range out {
-			if o.Delivered() {
-				pending[i] = core.NoRequest
-			}
+	_, err = drain(net, queue, int64(remaining), int64(maxPasses), func(cs queuesim.CycleStats) error {
+		if cs.Delivered == 0 {
+			// A non-empty offered set always delivers at least one
+			// message (the highest-priority request wins everywhere);
+			// this is a logic guard, not a reachable state.
+			return fmt.Errorf("simulate: pass %d delivered nothing with %d offered", res.Passes, remaining)
 		}
 		remaining -= cs.Delivered
 		res.Delivered = append(res.Delivered, cs.Delivered)
 		res.Passes++
+		return nil
+	})
+	if err == nil && remaining > 0 {
+		err = fmt.Errorf("simulate: %v did not drain after %d passes (%d left)", cfg, res.Passes, remaining)
 	}
-	return res, nil
+	return res, err
 }

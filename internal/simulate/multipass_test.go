@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"edn/internal/analytic"
-	"edn/internal/core"
+	"edn/internal/queuesim"
 	"edn/internal/traffic"
 	"edn/internal/xrand"
 )
@@ -134,7 +134,7 @@ func TestMultipassValidation(t *testing.T) {
 	// All idle completes in zero passes.
 	idle := make([]int, cfg.Inputs())
 	for i := range idle {
-		idle[i] = core.NoRequest
+		idle[i] = queuesim.NoRequest
 	}
 	res, err := RouteMultipass(cfg, idle, nil, 0)
 	if err != nil {

@@ -155,11 +155,11 @@ func (n EDN) threshold(load float64) float64 {
 	return 0.5 * analytic.Bandwidth(n.Config, load) / float64(n.Config.Inputs())
 }
 func (n EDN) engine(f switchfab.ArbiterFactory) (*queuesim.Network, error) {
-	return queuesim.New(n.Config, n.withFactory(f))
+	return queuesim.New(n.Config, withFactory(n.Queue, f))
 }
 
-func (n EDN) withFactory(f switchfab.ArbiterFactory) queuesim.Options {
-	q := n.Queue
+// withFactory returns q with its arbiter factory defaulted to f.
+func withFactory(q queuesim.Options, f switchfab.ArbiterFactory) queuesim.Options {
 	if q.Factory == nil {
 		q.Factory = f
 	}
@@ -195,7 +195,7 @@ func (n EDN) faultPlan(mode faults.Mode, rng *xrand.Rand) faultPlan {
 // network's entire redundancy budget.
 type Dilated struct {
 	Config dilated.Config
-	Queue  dilatedsim.Options
+	Queue  queuesim.Options
 }
 
 func (n Dilated) String() string                           { return n.Config.String() }
@@ -206,19 +206,11 @@ func (n Dilated) regime() (int, queuesim.Policy)           { return n.Queue.Dept
 func (n Dilated) threshold(load float64) float64           { return 0.5 * n.Config.PA(load) * load }
 
 func (n Dilated) engine(f switchfab.ArbiterFactory) (*queuesim.Network, error) {
-	eng, err := dilatedsim.New(n.Config, n.withFactory(f))
+	eng, err := dilatedsim.New(n.Config, withFactory(n.Queue, f))
 	if err != nil {
 		return nil, err
 	}
 	return eng.Network, nil
-}
-
-func (n Dilated) withFactory(f switchfab.ArbiterFactory) dilatedsim.Options {
-	q := n.Queue
-	if q.Factory == nil {
-		q.Factory = f
-	}
-	return q
 }
 
 func (n Dilated) withFaults(m *faults.Masks) Net {

@@ -2,10 +2,11 @@
 // evaluates EDNs purely with closed forms; this package cross-checks
 // them with discrete-event runs under the identical switch semantics:
 //
-//   - Monte-Carlo acceptance (MeasurePA and friends) over the
-//     cycle-level network of internal/core, the per-request face of the
-//     packet engine's depth-0 Drop sweep, so PA runs on the same router
-//     as every other harness.
+//   - Monte-Carlo acceptance (MeasurePA and friends) and the
+//     multipass resubmission loop, over the packet engine's depth-0
+//     sweep (Drop for the memoryless Section 3.2 cycle, Backpressure
+//     for retained requests), so PA runs on the same router as every
+//     other harness.
 //   - Queueing, degradation, lifetime and closed-loop harnesses over the
 //     one buffered packet engine of internal/queuesim. Each takes a Net
 //     — an EDN or the d-dilated delta that spends the same wire budget
@@ -31,8 +32,8 @@ import (
 	"time"
 
 	"edn/internal/anatomy"
-	"edn/internal/core"
 	"edn/internal/probe"
+	"edn/internal/queuesim"
 	"edn/internal/stats"
 	"edn/internal/switchfab"
 	"edn/internal/topology"
@@ -225,16 +226,17 @@ func (r Result) String() string {
 // MeasurePA runs pattern through the network for the configured number of
 // cycles and reports acceptance statistics. Fresh requests are drawn each
 // cycle; rejected requests are discarded, matching the Section 3.2
-// assumption that blocked requests do not influence later cycles.
+// assumption that blocked requests do not influence later cycles — the
+// packet engine's depth-0 Drop corner.
 //
-// The steady-state loop is allocation-free: the request and outcome
-// vectors are reused every cycle, patterns implementing
-// traffic.IntoGenerator fill the request vector in place (all the
-// built-in patterns do), and RouteCycleInto reuses the network's own
-// scratch.
+// The steady-state loop is allocation-free: the request vector is
+// reused every cycle, patterns implementing traffic.IntoGenerator fill
+// it in place (all the built-in patterns do), and the engine reuses its
+// own scratch. Per-stage blocking is the engine's per-stage drop count
+// over the measurement window.
 func MeasurePA(cfg topology.Config, pattern traffic.Pattern, opts Options) (Result, error) {
 	opts = opts.withDefaults()
-	net, err := core.NewNetwork(cfg, opts.Factory)
+	net, err := queuesim.New(cfg, queuesim.Options{Policy: queuesim.Drop, Factory: opts.Factory})
 	if err != nil {
 		return Result{}, err
 	}
@@ -246,28 +248,31 @@ func MeasurePA(cfg topology.Config, pattern traffic.Pattern, opts Options) (Resu
 	}
 	var paAcc stats.Accumulator
 	offered, delivered := 0, 0
-	outcomes := make([]core.Outcome, cfg.Inputs())
+	warm := make([]int64, cfg.Stages()) // per-stage drops before the window
 	next := trafficStep(pattern, cfg.Inputs(), cfg.Outputs())
 	pr := newProbe(opts.Probe, opts.Cycles)
 	for cycle := 0; cycle < opts.Warmup+opts.Cycles; cycle++ {
-		if cycle == opts.Warmup && pr != nil {
-			net.SetProbe(pr)
+		if cycle == opts.Warmup {
+			warm = net.DroppedPerStage()
+			if pr != nil {
+				net.SetProbe(pr)
+			}
 		}
-		cs, err := net.RouteCycleInto(next(), outcomes)
+		cs, err := net.Cycle(next())
 		if err != nil {
 			return Result{}, err
 		}
 		if cycle < opts.Warmup {
 			continue
 		}
-		offered += cs.Offered
+		offered += cs.Injected
 		delivered += cs.Delivered
-		if cs.Offered > 0 {
-			paAcc.Add(cs.PA())
+		if cs.Injected > 0 {
+			paAcc.Add(float64(cs.Delivered) / float64(cs.Injected))
 		}
-		for s, b := range cs.Blocked {
-			res.BlockedPerStage[s] += b
-		}
+	}
+	for s, d := range net.DroppedPerStage() {
+		res.BlockedPerStage[s] = int(d - warm[s])
 	}
 	if offered > 0 {
 		res.PA = float64(delivered) / float64(offered)

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"edn/internal/analytic"
-	"edn/internal/core"
+	"edn/internal/queuesim"
 	"edn/internal/switchfab"
 	"edn/internal/topology"
 	"edn/internal/traffic"
@@ -218,9 +218,10 @@ func TestIdentityPermutationBlocksOnMasParGeometry(t *testing.T) {
 }
 
 // TestCoreNoRequestSentinelsAgree keeps the two packages' idle sentinels
-// in sync (core.NoRequest is fed traffic.None vectors directly).
+// in sync (the engine's NoRequest is fed traffic.None vectors
+// directly).
 func TestCoreNoRequestSentinelsAgree(t *testing.T) {
-	if core.NoRequest != traffic.None {
-		t.Fatalf("sentinel mismatch: core %d, traffic %d", core.NoRequest, traffic.None)
+	if queuesim.NoRequest != traffic.None {
+		t.Fatalf("sentinel mismatch: queuesim %d, traffic %d", queuesim.NoRequest, traffic.None)
 	}
 }

@@ -1,7 +1,7 @@
 package simulate
 
 import (
-	"edn/internal/core"
+	"edn/internal/queuesim"
 	"edn/internal/topology"
 	"edn/internal/traffic"
 	"edn/internal/xrand"
@@ -21,40 +21,35 @@ type StageRateResult struct {
 // MeasureStageRates runs uniform traffic at rate r and reports the mean
 // per-wire survivor rate at every stage boundary. This validates the
 // stage recursion r_{i+1} = E(r_i)/c at every stage, not just its end
-// product PA.
+// product PA. The requests alive after stage i are those offered less
+// the engine's drops at stages 1..i, summed over the run.
 func MeasureStageRates(cfg topology.Config, r float64, opts Options) (StageRateResult, error) {
 	opts = opts.withDefaults()
-	net, err := core.NewNetwork(cfg, opts.Factory)
+	net, err := queuesim.New(cfg, queuesim.Options{Policy: queuesim.Drop, Factory: opts.Factory})
 	if err != nil {
 		return StageRateResult{}, err
 	}
 	rng := xrand.New(opts.Seed)
 	pattern := traffic.Uniform{Rate: r, Rng: rng}
 
-	// survivors[i] accumulates messages alive after stage i (stage 0 =
-	// offered).
-	survivors := make([]int64, cfg.Stages()+1)
+	var offered int64
 	dest := make([]int, cfg.Inputs())
-	outcomes := make([]core.Outcome, cfg.Inputs())
 	for cycle := 0; cycle < opts.Cycles; cycle++ {
 		pattern.GenerateInto(dest, cfg.Outputs())
-		cs, err := net.RouteCycleInto(dest, outcomes)
+		cs, err := net.Cycle(dest)
 		if err != nil {
 			return StageRateResult{}, err
 		}
-		alive := int64(cs.Offered)
-		survivors[0] += alive
-		for s := 1; s <= cfg.Stages(); s++ {
-			alive -= int64(cs.Blocked[s-1])
-			survivors[s] += alive
-		}
+		offered += int64(cs.Injected)
 	}
 
 	res := StageRateResult{Config: cfg, Cycles: opts.Cycles}
 	cycles := float64(opts.Cycles)
-	for i := 0; i <= cfg.Stages(); i++ {
+	alive := offered
+	for i, dropped := range append([]int64{0}, net.DroppedPerStage()...) {
+		alive -= dropped
 		wires := float64(cfg.WiresAfterStage(i))
-		res.Measured = append(res.Measured, float64(survivors[i])/(wires*cycles))
+		res.Measured = append(res.Measured, float64(alive)/(wires*cycles))
 	}
 	return res, nil
 }

@@ -19,6 +19,7 @@ package edn
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"edn/internal/cliutil"
 	"edn/internal/closedloop"
@@ -78,10 +79,11 @@ type TrafficSpec struct {
 	// "moving-hotspot" (a hotspot whose hot output advances over time).
 	Kind string `json:"kind,omitempty"`
 	// MeanBurst is the bursty sources' mean ON-burst length in cycles
-	// (values below 1 behave as 1, as in BurstyLoad).
+	// (values below 1 behave as 1, as in BurstyLoad; a non-finite value
+	// is an error).
 	MeanBurst float64 `json:"mean_burst,omitempty"`
 	// HotFraction is the hotspot kinds' fraction of requests aimed at
-	// the hot output.
+	// the hot output, in [0,1].
 	HotFraction float64 `json:"hot_fraction,omitempty"`
 	// Hot is the moving-hotspot kind's initial hot output; Period is its
 	// dwell time in cycles before the hot output advances by Stride
@@ -94,6 +96,12 @@ type TrafficSpec struct {
 func (t *TrafficSpec) pattern() (LoadPattern, error) {
 	if t == nil {
 		return nil, nil
+	}
+	if err := checkUnit("hot_fraction", t.HotFraction); err != nil {
+		return nil, err
+	}
+	if math.IsNaN(t.MeanBurst) || math.IsInf(t.MeanBurst, 0) {
+		return nil, fmt.Errorf("edn: mean_burst %g is not finite", t.MeanBurst)
 	}
 	switch t.Kind {
 	case "", "uniform":
@@ -116,9 +124,8 @@ func (t *TrafficSpec) pattern() (LoadPattern, error) {
 	}
 }
 
-// QueueSpec is the serializable face of QueueOptions /
-// DilatedQueueOptions: the fields shared by both engines, with the
-// function-typed arbitration named by string.
+// QueueSpec is the serializable face of QueueOptions, which configures
+// either fabric, with the function-typed arbitration named by string.
 type QueueSpec struct {
 	// Depth is the per-wire FIFO depth: >= 1 bounded, -1 unbounded, 0
 	// the unbuffered single-cycle corner.
@@ -137,30 +144,28 @@ type QueueSpec struct {
 	LatencyBucketWidth float64 `json:"latency_bucket_width,omitempty"`
 }
 
-func (q *QueueSpec) compile(seed uint64) (QueueOptions, DilatedQueueOptions, error) {
+func (q *QueueSpec) compile(seed uint64) (QueueOptions, error) {
 	var qo QueueOptions
-	var do DilatedQueueOptions
 	if q == nil {
-		return qo, do, nil
+		return qo, nil
 	}
-	qo.Depth, do.Depth = q.Depth, q.Depth
-	qo.LatencyBuckets, do.LatencyBuckets = q.LatencyBuckets, q.LatencyBuckets
-	qo.LatencyBucketWidth, do.LatencyBucketWidth = q.LatencyBucketWidth, q.LatencyBucketWidth
+	qo.Depth = q.Depth
+	qo.LatencyBuckets, qo.LatencyBucketWidth = q.LatencyBuckets, q.LatencyBucketWidth
 	if q.Policy != "" {
 		p, err := cliutil.ParsePolicy(q.Policy)
 		if err != nil {
-			return qo, do, fmt.Errorf("edn: %w", err)
+			return qo, fmt.Errorf("edn: %w", err)
 		}
-		qo.Policy, do.Policy = p, QueuePolicy(p)
+		qo.Policy = p
 	}
 	if q.Arbiter != "" {
 		f, err := cliutil.ArbiterFactory(q.Arbiter, seed)
 		if err != nil {
-			return qo, do, fmt.Errorf("edn: %w", err)
+			return qo, fmt.Errorf("edn: %w", err)
 		}
-		qo.Factory, do.Factory = f, f
+		qo.Factory = f
 	}
-	return qo, do, nil
+	return qo, nil
 }
 
 // FaultsSpec samples one static Bernoulli fault set for the latency
@@ -610,9 +615,10 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	if j.edn.Queue, j.dil.Queue, err = s.Queue.compile(seed); err != nil {
+	if j.edn.Queue, err = s.Queue.compile(seed); err != nil {
 		return nil, err
 	}
+	j.dil.Queue = j.edn.Queue
 	j.opts = s.Sim.compile(s.Probe.compile())
 	j.shards = s.Sim.Shards
 	if j.shards < 0 {

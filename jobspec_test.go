@@ -618,6 +618,45 @@ func TestHostileSpecsAreErrors(t *testing.T) {
 	}
 }
 
+// TestTrafficSpecIsBounded: a hot_fraction that is NaN or outside
+// [0,1] and a non-finite mean_burst are edn: errors, not a clamped
+// fraction or sources that never turn on; a burst below 1 still
+// behaves as 1.
+func TestTrafficSpecIsBounded(t *testing.T) {
+	spec := func(tr TrafficSpec) JobSpec {
+		return JobSpec{Mode: JobLatency, Geometry: &GeometrySpec{A: 4, B: 2, C: 2, L: 2}, Load: 0.5,
+			Traffic: &tr, Sim: SimSpec{Cycles: 50, Warmup: 10, Seed: 1, Shards: 1}}
+	}
+	nan := math.NaN()
+	bad := map[string]TrafficSpec{
+		"hot-fraction-nan":  {Kind: "hotspot", HotFraction: nan},
+		"hot-fraction-low":  {Kind: "hotspot", HotFraction: -0.5},
+		"hot-fraction-high": {Kind: "moving-hotspot", HotFraction: 2},
+		"mean-burst-nan":    {Kind: "bursty", MeanBurst: nan},
+		"mean-burst-inf":    {Kind: "bursty", MeanBurst: math.Inf(1)},
+	}
+	for name, tr := range bad {
+		t.Run(name, func(t *testing.T) {
+			if err := spec(tr).Validate(); err == nil || !strings.HasPrefix(err.Error(), "edn: ") {
+				t.Errorf("Validate: want an edn: error, got %v", err)
+			}
+		})
+	}
+	short, err := Run(context.Background(), spec(TrafficSpec{Kind: "bursty", MeanBurst: 0.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := Run(context.Background(), spec(TrafficSpec{Kind: "bursty", MeanBurst: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(short.Points)
+	b, _ := json.Marshal(one.Points)
+	if len(short.Points) != 1 || string(a) != string(b) {
+		t.Errorf("mean_burst 0.5 ran unlike mean_burst 1:\n%s\n%s", a, b)
+	}
+}
+
 // TestProbeNeedsAnObservedReport pins that a probe section is an edn:
 // error on the modes whose results have no observed report to carry it
 // (estimate, availability, drain), while the modes that carry one, and

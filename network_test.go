@@ -1,6 +1,7 @@
-package core
+package edn
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -66,6 +67,61 @@ func TestRouteCycleValidation(t *testing.T) {
 	bad[0] = n.Config().Outputs()
 	if _, _, err := n.RouteCycle(bad); err == nil {
 		t.Error("expected destination range error")
+	}
+}
+
+// shortArbiter returns an order shorter than its switch.
+type shortArbiter struct{}
+
+func (shortArbiter) Order(int) []int { return []int{0} }
+
+// repeatArbiter returns a full-length order that repeats input 0.
+type repeatArbiter struct{}
+
+func (repeatArbiter) Order(n int) []int { return make([]int, n) }
+
+// outOfRangeArbiter fills its in-place order with an index past the
+// switch width.
+type outOfRangeArbiter struct{ repeatArbiter }
+
+func (outOfRangeArbiter) OrderInto(order []int) {
+	for i := range order {
+		order[i] = len(order)
+	}
+}
+
+// TestMalformedArbiterOrderIsAnError: an arbiter whose order is not a
+// permutation of its switch's inputs makes RouteCycleInto fail with an
+// error naming the stage and switch, never panic or arbitrate by the
+// bad order.
+func TestMalformedArbiterOrderIsAnError(t *testing.T) {
+	cfg, err := topology.New(16, 4, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := make([]int, cfg.Inputs())
+	for i := range full {
+		full[i] = i % cfg.Outputs()
+	}
+	arbiters := map[string]switchfab.Arbiter{
+		"short":        shortArbiter{},
+		"repeat":       repeatArbiter{},
+		"out-of-range": outOfRangeArbiter{},
+	}
+	for name, a := range arbiters {
+		t.Run(name, func(t *testing.T) {
+			n, err := NewNetwork(cfg, func() switchfab.Arbiter { return a })
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = n.RouteCycleInto(full, make([]Outcome, cfg.Inputs()))
+			if err == nil {
+				t.Fatal("malformed arbitration order accepted")
+			}
+			if !strings.Contains(err.Error(), "stage ") || !strings.Contains(err.Error(), "switch ") {
+				t.Fatalf("error does not name the stage and switch: %v", err)
+			}
+		})
 	}
 }
 
@@ -350,7 +406,7 @@ func TestAgainstTraceRoute(t *testing.T) {
 				t.Fatal(err)
 			}
 			if out[src].Output != d {
-				t.Fatalf("core delivered %d->%d to %d", src, d, out[src].Output)
+				t.Fatalf("RouteCycle delivered %d->%d to %d", src, d, out[src].Output)
 			}
 		}
 	}

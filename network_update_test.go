@@ -1,4 +1,4 @@
-package core
+package edn
 
 import (
 	"fmt"
@@ -86,9 +86,6 @@ func TestUpdateFaultsMatchesRebuildPerEpoch(t *testing.T) {
 						ref, err := NewNetworkWithFaults(cfg, fac.factory, m)
 						if err != nil {
 							t.Fatal(err)
-						}
-						if inc.Faulted() != ref.Faulted() {
-							t.Fatalf("epoch %d: Faulted() %v vs rebuilt %v", e, inc.Faulted(), ref.Faulted())
 						}
 						for c := 0; c < cyclesPerEpoch; c++ {
 							for i := range dest {
@@ -196,7 +193,8 @@ func TestUpdateFaultsMatchesConstructionPerMask(t *testing.T) {
 }
 
 // TestUpdateFaultsConfigMismatch pins the error path: masks for another
-// geometry are refused and the previous masks stay in effect.
+// geometry are refused and the previous masks stay in effect — a
+// request on the input they sever still blocks at stage 1.
 func TestUpdateFaultsConfigMismatch(t *testing.T) {
 	cfg := faultCfg(t, 4, 4, 2, 2)
 	other := faultCfg(t, 8, 2, 4, 2)
@@ -204,7 +202,8 @@ func TestUpdateFaultsConfigMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := faults.MustCompile(cfg, faults.Bernoulli(cfg, faults.WireFaults, 0.2, xrand.New(1)))
+	const dead = 1
+	m := faults.MustCompile(cfg, faults.Set{Wires: []faults.WireID{{Boundary: 0, Wire: dead}}})
 	if err := net.UpdateFaults(m); err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +211,17 @@ func TestUpdateFaultsConfigMismatch(t *testing.T) {
 	if err := net.UpdateFaults(wrong); err == nil {
 		t.Fatal("masks for another config should be refused")
 	}
-	if !net.Faulted() {
-		t.Error("failed update cleared the previous masks")
+	dest := make([]int, cfg.Inputs())
+	for i := range dest {
+		dest[i] = NoRequest
+	}
+	dest[dead] = 0
+	out, _, err := net.RouteCycle(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[dead].BlockedStage != 1 {
+		t.Errorf("failed update cleared the previous masks: request on the dead input got %+v, want blocked at stage 1", out[dead])
 	}
 }
 

@@ -84,3 +84,27 @@ func benchmarkRouteCycleInto(b *testing.B, cfg Config, pattern string) {
 	b.ReportMetric(float64(delivered), "delivered")
 	b.ReportMetric(float64(cfg.Inputs())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mports/s")
 }
+
+// BenchmarkRouteCycleBigNetwork times one cycle of a 16K-port
+// EDN(64,16,4,3) under a full random request batch.
+func BenchmarkRouteCycleBigNetwork(b *testing.B) {
+	cfg, err := New(64, 16, 4, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := NewRand(7)
+	dest := make([]int, cfg.Inputs())
+	for i := range dest {
+		dest[i] = rng.Intn(cfg.Outputs())
+	}
+	n, err := NewNetwork(cfg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := n.RouteCycle(dest); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
