@@ -197,6 +197,7 @@ func TestFaultsRunRejectsBadFlags(t *testing.T) {
 		{"-arb", "coinflip"},
 		{"-load", "0"},
 		{"-load", "2"},
+		{"-load", "NaN"},
 		{"-a", "3"},
 	}
 	for _, args := range cases {

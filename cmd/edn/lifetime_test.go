@@ -94,6 +94,8 @@ func TestLifetimeRunRejectsBadFlags(t *testing.T) {
 		{"-epochs", "0"},
 		{"-mtbf", "0.5"},
 		{"-load", "2"},
+		{"-load", "NaN"},
+		{"-threshold", "NaN"},
 		{"-timing", "sometimes"},
 		{"-mode", "gremlins"},
 		{"-policy", "hope"},

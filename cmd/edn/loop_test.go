@@ -118,6 +118,7 @@ func TestLoopRunRejectsBadFlags(t *testing.T) {
 		{"-lifetime", "-epochs", "0"},                         // zero epochs
 		{"-lifetime", "-repair-window", "-2", "-epochs", "3"}, // negative window
 		{"-lifetime", "-rate", "1.5", "-epochs", "3"},         // demand above 1
+		{"-lifetime", "-rate", "NaN", "-epochs", "3"},         // NaN demand
 	} {
 		var sb strings.Builder
 		if err := runCmd("loop", args, &sb); err == nil {

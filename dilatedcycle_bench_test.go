@@ -37,7 +37,7 @@ func BenchmarkDilatedQueueCycle(b *testing.B) {
 		masks := []*DilatedMasks{
 			mustDilatedMasks(b, dcfg, BernoulliDilatedSubWires(dcfg, 0.05, NewRand(13))),
 			mustDilatedMasks(b, dcfg, BernoulliDilatedSubWires(dcfg, 0.05, NewRand(29))),
-			mustDilatedMasks(b, dcfg, DilatedFaultSet{}),
+			mustDilatedMasks(b, dcfg, FaultSet{}),
 		}
 		for _, qc := range []struct {
 			name   string
@@ -58,7 +58,7 @@ func BenchmarkDilatedQueueCycle(b *testing.B) {
 	}
 }
 
-func mustDilatedMasks(b *testing.B, cfg DilatedDelta, set DilatedFaultSet) *DilatedMasks {
+func mustDilatedMasks(b *testing.B, cfg DilatedDelta, set FaultSet) *DilatedMasks {
 	b.Helper()
 	m, err := CompileDilatedMasks(cfg, set)
 	if err != nil {

@@ -68,10 +68,11 @@
 //     d-dilated delta networks the introduction compares EDNs against
 //     on the same queueing engine, built from the dilated fabric's
 //     descriptor (buckets of d sub-wires, the output ports as the retire
-//     stage); its sub-wires are output ports of that descriptor, so the
-//     one fault model, flood and renewal churn serve it (DilatedMasks
-//     are FaultMasks); at d=1 it is bit-for-bit the plain-delta
-//     QueueNetwork.
+//     stage); a sub-wire is an output port of that descriptor (a
+//     FaultPortID in a FaultSet), so the one fault vocabulary, sampler,
+//     flood and renewal churn serve it, DilatedMasks are FaultMasks,
+//     and the mean-field DilatedDegraded model reads the same masks; at
+//     d=1 it is bit-for-bit the plain-delta QueueNetwork.
 //     Every packet-level measurement takes the counterpart as a
 //     DilatedNet through the same harness the EDN runs on, so the same
 //     Options drive both networks under identical replayed traffic —

@@ -556,27 +556,21 @@ func NewDilatedDelta(b, d, l int) (DilatedDelta, error) { return dilated.New(b, 
 // same input port count, dilation equal to the EDN's bucket capacity.
 func DilatedCounterpart(cfg Config) (DilatedDelta, error) { return dilated.Counterpart(cfg) }
 
-// DilatedFaultSet names dead dilated sub-wires; the zero value is the
-// fault-free network.
-type DilatedFaultSet = dilated.FaultSet
-
-// DilatedSubWireID names one sub-wire of a dilated link group.
-type DilatedSubWireID = dilated.SubWireID
-
 // DilatedDegraded is a compiled dilated fault state: per-stage group
 // capacity histograms feeding the degraded acceptance recursion.
 type DilatedDegraded = dilated.Degraded
 
-// CompileDilatedFaults folds dead sub-wires into per-stage capacity
-// reductions.
-func CompileDilatedFaults(cfg DilatedDelta, set DilatedFaultSet) (*DilatedDegraded, error) {
-	return cfg.CompileFaults(set)
+// CompileDilatedFaults folds compiled sub-wire masks into per-stage
+// capacity reductions.
+func CompileDilatedFaults(cfg DilatedDelta, m *DilatedMasks) (*DilatedDegraded, error) {
+	return cfg.CompileFaults(m)
 }
 
 // BernoulliDilatedSubWires kills each dilated sub-wire independently
-// with probability p.
-func BernoulliDilatedSubWires(cfg DilatedDelta, p float64, rng *Rand) DilatedFaultSet {
-	return dilated.BernoulliSubWires(cfg, p, rng)
+// with probability p; sub-wire (boundary i, group g, wire w) is the
+// FaultPortID{i, g/b, g%b, w}.
+func BernoulliDilatedSubWires(cfg DilatedDelta, p float64, rng *Rand) FaultSet {
+	return dilatedsim.SubWires(cfg).Bernoulli(p, rng)
 }
 
 // ExpectedDilatedDegraded returns the Binomial-expectation fault state
@@ -589,10 +583,9 @@ func ExpectedDilatedDegraded(cfg DilatedDelta, f float64) (*DilatedDegraded, err
 // ---------------------------------------------------------------------------
 // Measured dilated counterpart (the dilated fabric of the packet engine)
 //
-// The dilated delta's engine, its sub-wire translators over the one
-// fault model and churn process, plus the two sweeps whose results
-// carry its sub-wire census. Every other
-// measurement takes the counterpart as a DilatedNet.
+// The dilated delta's engine, its sub-wire masks over the one fault
+// model, plus the two sweeps whose results carry its sub-wire census.
+// Every other measurement takes the counterpart as a DilatedNet.
 
 // DilatedQueueNetwork is an instantiated buffered d-dilated delta: the
 // measured side of every -dilated comparison. It is the QueueNetwork
@@ -615,37 +608,14 @@ func NewDilatedQueueNetwork(cfg DilatedDelta, opts DilatedQueueOptions) (*Dilate
 
 // DilatedMasks is a compiled dilated fault set: FaultMasks over the
 // dilated fabric's descriptor, whose dead sub-wires are its dead output
-// ports (DeadPorts) — the simulator-facing sibling of DilatedDegraded's
-// capacity histograms.
+// ports (DeadPorts).
 type DilatedMasks = dilatedsim.Masks
 
-// CompileDilatedMasks translates dead sub-wires into the fault model's
-// port vocabulary and compiles them into engine availability rows;
-// DilatedQueueNetwork.UpdateFaults swaps them in place.
-func CompileDilatedMasks(cfg DilatedDelta, set DilatedFaultSet) (*DilatedMasks, error) {
+// CompileDilatedMasks compiles dead sub-wires into engine availability
+// rows; any other component is an error. DilatedQueueNetwork.UpdateFaults
+// swaps them in place, and CompileDilatedFaults reads them.
+func CompileDilatedMasks(cfg DilatedDelta, set FaultSet) (*DilatedMasks, error) {
 	return dilatedsim.Compile(cfg, set)
-}
-
-// DilatedFaultPlan is a nested family of dilated fault sets: FaultPlan
-// over the sub-wire population, with At(f) translated to sub-wires, so
-// At(f1) is a subset of At(f2) whenever f1 <= f2.
-type DilatedFaultPlan = dilatedsim.Plan
-
-// NewDilatedFaultPlan draws the per-sub-wire severities for cfg.
-func NewDilatedFaultPlan(cfg DilatedDelta, rng *Rand) *DilatedFaultPlan {
-	return dilatedsim.NewPlan(cfg, rng)
-}
-
-// DilatedChurn is a LifecycleProcess over a dilated network's
-// sub-wires whose Step speaks sub-wires: the same renewal process as
-// the EDN's, so matched lifetime comparisons churn both networks with
-// identically distributed outages.
-type DilatedChurn = dilatedsim.Churn
-
-// NewDilatedChurn instantiates sub-wire churn with the given MTBF/MTTR
-// epochs and timing.
-func NewDilatedChurn(cfg DilatedDelta, mtbf, mttr float64, timing LifecycleTiming, rng *Rand) (*DilatedChurn, error) {
-	return dilatedsim.NewChurn(cfg, mtbf, mttr, timing, rng)
 }
 
 // DilatedAvailabilityResult is one measured point of the counterpart's

@@ -36,7 +36,7 @@
 // The steady-state advance is allocation-free: slots are a fixed pool
 // linked through intrusive lists, backlogs are preallocated rings, and
 // the engine delivery hooks are installed once at construction.
-// BenchmarkClosedLoopCycle pins 0 allocs/op over both engines.
+// BenchmarkClosedLoopCycle pins 0 allocs/op over both fabrics.
 package closedloop
 
 import (

@@ -110,7 +110,7 @@ func conservationDilated(t *testing.T, depth int, policy queuesim.Policy, retry 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var churnProc *dilatedsim.Churn
+	var churnProc *lifecycle.Process
 	if churn {
 		churnProc, err = dilatedsim.NewChurn(dcfg, 40, 10, lifecycle.Exponential, xrand.New(43))
 		if err != nil {

@@ -7,6 +7,9 @@
 // d-dilated network carries d times the wires of the equivalent-stage EDN
 // with the same number of inputs. This package provides the cost and
 // acceptance models that quantify that claim for the ablation benchmarks.
+// Its degraded model (CompileFaults) reads the sub-wire masks of the one
+// fault model (internal/faults, compiled by internal/dilatedsim) and has
+// no fault vocabulary of its own.
 package dilated
 
 import (

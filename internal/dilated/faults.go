@@ -5,51 +5,8 @@ import (
 	"math"
 
 	"edn/internal/analytic"
-	"edn/internal/xrand"
+	"edn/internal/faults"
 )
-
-// SubWireID names one sub-wire of a dilated link group: Boundary in
-// [1, L] (the D-wide groups after stage Boundary; boundary L's groups
-// feed the single-wire output ports), Group in [0, Ports()) and Wire in
-// [0, D). Killing sub-wires is the dilated network's counterpart of an
-// EDN's dead interstage wires: the group survives while any sibling
-// lives, with its capacity reduced.
-type SubWireID struct {
-	Boundary int
-	Group    int
-	Wire     int
-}
-
-// FaultSet is a declarative dilated fault specification: dead
-// sub-wires. The zero value is the fault-free network. Duplicates are
-// allowed and idempotent.
-type FaultSet struct {
-	SubWires []SubWireID
-}
-
-// IsZero reports whether the set names no faults.
-func (s FaultSet) IsZero() bool { return len(s.SubWires) == 0 }
-
-// BernoulliSubWires samples a fault set over cfg: each sub-wire of
-// every dilated link group dies independently with probability p. The
-// draw order is fixed (boundaries, then groups, then wires ascending),
-// so a given (cfg, rng state) is reproducible.
-func BernoulliSubWires(cfg Config, p float64, rng *xrand.Rand) FaultSet {
-	var set FaultSet
-	if p <= 0 {
-		return set
-	}
-	for bd := 1; bd <= cfg.L; bd++ {
-		for g := 0; g < cfg.Ports(); g++ {
-			for w := 0; w < cfg.D; w++ {
-				if rng.Bool(p) {
-					set.SubWires = append(set.SubWires, SubWireID{Boundary: bd, Group: g, Wire: w})
-				}
-			}
-		}
-	}
-	return set
-}
 
 // Degraded is a compiled dilated fault state: per-boundary group
 // capacity histograms — weight[k] groups retain exactly k live
@@ -63,40 +20,32 @@ type Degraded struct {
 	dead float64     // dead sub-wires (expected, for ExpectedDegraded)
 }
 
-// CompileFaults validates set against cfg and folds it into per-stage
-// capacity histograms. A zero set compiles to the fault-free state.
-func (cfg Config) CompileFaults(set FaultSet) (*Degraded, error) {
+// CompileFaults folds masks compiled over cfg's fabric (internal/
+// dilatedsim's Compile) into per-stage capacity histograms: a group
+// keeps as many live sub-wires as its stage-output row marks live. A
+// nil mask is the fault-free state; masks compiled for another geometry
+// are an error.
+func (cfg Config) CompileFaults(m *faults.Masks) (*Degraded, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if m != nil && m.Label() != cfg {
+		return nil, fmt.Errorf("dilated: masks compiled for %v, network is %v", m.Label(), cfg)
+	}
 	d := newDegraded(cfg)
-	if set.IsZero() {
-		return d, nil
-	}
-	// Distinct dead wires per group.
-	deadIn := make(map[SubWireID]bool, len(set.SubWires))
-	deadPerGroup := make(map[[2]int]int)
-	for _, id := range set.SubWires {
-		if id.Boundary < 1 || id.Boundary > cfg.L {
-			return nil, fmt.Errorf("dilated: boundary %d out of range [1,%d]", id.Boundary, cfg.L)
+	for bd := 1; bd <= cfg.L; bd++ {
+		row := m.LiveStageOutputs(bd)
+		for g := 0; row != nil && g < cfg.Ports(); g++ {
+			k := 0
+			for _, live := range row[g*cfg.D : (g+1)*cfg.D] {
+				if live {
+					k++
+				}
+			}
+			d.hist[bd-1][cfg.D]-- // the group leaves the fully-live bin ...
+			d.hist[bd-1][k]++     // ... for its live-capacity bin
+			d.dead += float64(cfg.D - k)
 		}
-		if id.Group < 0 || id.Group >= cfg.Ports() {
-			return nil, fmt.Errorf("dilated: group %d out of range [0,%d)", id.Group, cfg.Ports())
-		}
-		if id.Wire < 0 || id.Wire >= cfg.D {
-			return nil, fmt.Errorf("dilated: sub-wire %d out of range [0,%d)", id.Wire, cfg.D)
-		}
-		if deadIn[id] {
-			continue
-		}
-		deadIn[id] = true
-		deadPerGroup[[2]int{id.Boundary, id.Group}]++
-		d.dead++
-	}
-	for key, k := range deadPerGroup {
-		row := d.hist[key[0]-1]
-		row[cfg.D]--   // the group leaves the fully-live bin ...
-		row[cfg.D-k]++ // ... for its reduced-capacity bin
 	}
 	return d, nil
 }
@@ -104,15 +53,15 @@ func (cfg Config) CompileFaults(set FaultSet) (*Degraded, error) {
 // ExpectedDegraded returns the Binomial-expectation fault state at
 // sub-wire death fraction f: every boundary's histogram is the exact
 // distribution of Binomial(D, 1-f) live wires per group. It is the
-// smooth analytic counterpart of compiling a BernoulliSubWires sample —
+// smooth analytic counterpart of compiling a Bernoulli sub-wire sample —
 // the natural curve to plot against an EDN availability sweep at the
 // same per-wire fault fraction.
 func (cfg Config) ExpectedDegraded(f float64) (*Degraded, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if f < 0 || f > 1 {
-		return nil, fmt.Errorf("dilated: fault fraction %g out of [0,1]", f)
+	if err := faults.CheckFraction(f); err != nil {
+		return nil, err
 	}
 	d := newDegraded(cfg)
 	if f == 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edn/internal/dilated"
+	"edn/internal/faults"
 	"edn/internal/traffic"
 	"edn/internal/xrand"
 )
@@ -59,16 +60,17 @@ func TestMeasuredAcceptanceMatchesDegradedPA(t *testing.T) {
 		cfg := dilatedCfg(t, g.b, g.d, g.l)
 		singles := []struct {
 			name string
-			set  dilated.FaultSet
+			set  faults.Set
 		}{
-			{"none", dilated.FaultSet{}},
-			{"boundary1", dilated.FaultSet{SubWires: []dilated.SubWireID{{Boundary: 1, Group: 1, Wire: 0}}}},
-			{"interior", dilated.FaultSet{SubWires: []dilated.SubWireID{{Boundary: 2, Group: 3, Wire: 1}}}},
-			{"final-group", dilated.FaultSet{SubWires: []dilated.SubWireID{{Boundary: g.l, Group: 0, Wire: g.d - 1}}}},
+			{"none", faults.Set{}},
+			{"boundary1", faults.Set{Ports: []faults.PortID{subWire(cfg, 1, 1, 0)}}},
+			{"interior", faults.Set{Ports: []faults.PortID{subWire(cfg, 2, 3, 1)}}},
+			{"final-group", faults.Set{Ports: []faults.PortID{subWire(cfg, g.l, 0, g.d-1)}}},
 		}
 		for _, tc := range singles {
 			t.Run(fmt.Sprintf("%v/%s", cfg, tc.name), func(t *testing.T) {
-				deg, err := cfg.CompileFaults(tc.set)
+				masks := mustCompile(t, cfg, tc.set)
+				deg, err := cfg.CompileFaults(masks)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +79,6 @@ func TestMeasuredAcceptanceMatchesDegradedPA(t *testing.T) {
 						t.Fatalf("empty fault state PA %.12f != Config.PA %.12f", got, want)
 					}
 				}
-				masks := MustCompile(cfg, tc.set)
 				measured := measureAcceptance(t, cfg, masks, load, cycles)
 				expected := deg.PA(load)
 				if rel := math.Abs(measured-expected) / expected; rel > tol {
@@ -101,8 +102,7 @@ func TestMeasuredTracksExpectedDilatedDegraded(t *testing.T) {
 		f      = 0.1
 		cycles = 6000
 	)
-	set := dilated.BernoulliSubWires(cfg, f, xrand.New(77))
-	masks := MustCompile(cfg, set)
+	masks := mustCompile(t, cfg, SubWires(cfg).Bernoulli(f, xrand.New(77)))
 	measured := measureAcceptance(t, cfg, masks, load, cycles)
 	deg, err := cfg.ExpectedDegraded(f)
 	if err != nil {

@@ -22,11 +22,12 @@
 //
 // This package holds what is specific to the dilated fabric: its
 // fabric builder, a thin typed face over the shared engine (Config
-// returns a dilated.Config), and the sub-wire
-// translators of the one fault model — a sub-wire is a stage-output
-// wire (faults.PortID) of the descriptor, so Masks are faults.Masks,
-// SubWires is the churned and sampled population, and Compile, Plan and
-// Churn only translate between dilated.SubWireID and faults.PortID.
+// returns a dilated.Config), and its sub-wires in the one fault model.
+// A sub-wire is a stage-output wire (faults.PortID) of the descriptor,
+// so a dilated fault set is a faults.Set, Masks are faults.Masks,
+// SubWires is the population every sampler, plan and renewal process
+// draws from (NewChurn is its lifecycle.Process), and Compile only adds
+// the check that a set names nothing but sub-wires.
 // Everything else — depths, policies, arbitration, stranding and
 // parking, fault swaps, probes and anatomy — is queuesim's, with one
 // fabric-specific rule: a delta's switch path is unique (only the

@@ -25,6 +25,21 @@ func dilatedCfg(t testing.TB, b, d, l int) dilated.Config {
 	return cfg
 }
 
+// subWire is sub-wire (boundary bd, group g, wire w) of cfg.
+func subWire(cfg dilated.Config, bd, g, w int) faults.PortID {
+	return faults.PortID{Stage: bd, Switch: g / cfg.B, Bucket: g % cfg.B, Wire: w}
+}
+
+// mustCompile is Compile for sets valid by construction.
+func mustCompile(t testing.TB, cfg dilated.Config, set faults.Set) *Masks {
+	t.Helper()
+	m, err := Compile(cfg, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func histogramsEqual(t *testing.T, got, want *stats.Histogram) {
 	t.Helper()
 	if got.N() != want.N() || got.Sum() != want.Sum() || got.Max() != want.Max() ||
@@ -135,13 +150,12 @@ func TestDilationOneFaultedMatchesQueuesim(t *testing.T) {
 	// faults.WireID names the post-shuffle boundary wire, so the EDN
 	// twin of group g is its image under the interstage gamma.
 	rng := xrand.New(7)
-	var dset dilated.FaultSet
-	var eset faults.Set
+	var dset, eset faults.Set
 	for bd := 1; bd <= l; bd++ {
 		tab := ecfg.InterstageTable(bd)
 		for g := 0; g < dcfg.Ports(); g++ {
 			if rng.Bool(0.15) {
-				dset.SubWires = append(dset.SubWires, dilated.SubWireID{Boundary: bd, Group: g, Wire: 0})
+				dset.Ports = append(dset.Ports, subWire(dcfg, bd, g, 0))
 				w := g
 				if tab != nil {
 					w = int(tab[g])
@@ -150,7 +164,7 @@ func TestDilationOneFaultedMatchesQueuesim(t *testing.T) {
 			}
 		}
 	}
-	dm := MustCompile(dcfg, dset)
+	dm := mustCompile(t, dcfg, dset)
 	em := faults.MustCompile(ecfg, eset)
 	empty := faults.MustCompile(ecfg, faults.Set{})
 
@@ -226,8 +240,8 @@ func TestConservation(t *testing.T) {
 	policies := []Policy{Drop, Backpressure}
 	for _, g := range geometries {
 		cfg := dilatedCfg(t, g.b, g.d, g.l)
-		plan := NewPlan(cfg, xrand.New(11))
-		masks := MustCompile(cfg, plan.At(0.2))
+		plan := SubWires(cfg).Plan(xrand.New(11))
+		masks := mustCompile(t, cfg, plan.At(0.2))
 		for _, depth := range depths {
 			for _, policy := range policies {
 				t.Run(fmt.Sprintf("%v/depth%d/%v", cfg, depth, policy), func(t *testing.T) {
@@ -273,8 +287,8 @@ func TestConservation(t *testing.T) {
 // subsequent behavior, cycle for cycle.
 func TestUpdateFaultsMatchesConstruction(t *testing.T) {
 	cfg := dilatedCfg(t, 2, 2, 3)
-	plan := NewPlan(cfg, xrand.New(23))
-	masks := MustCompile(cfg, plan.At(0.25))
+	plan := SubWires(cfg).Plan(xrand.New(23))
+	masks := mustCompile(t, cfg, plan.At(0.25))
 	for _, depth := range []int{0, 3} {
 		for _, policy := range []Policy{Drop, Backpressure} {
 			t.Run(fmt.Sprintf("depth%d/%v", depth, policy), func(t *testing.T) {
@@ -319,13 +333,13 @@ func TestStrandingAndRepair(t *testing.T) {
 	cfg := dilatedCfg(t, 2, 2, 2)
 	// Kill every sub-wire of boundary 1: all queued boundary-1 packets
 	// strand and stage 1 heads park (every bucket has capacity 0).
-	var all dilated.FaultSet
+	var all faults.Set
 	for g := 0; g < cfg.Ports(); g++ {
 		for w := 0; w < cfg.D; w++ {
-			all.SubWires = append(all.SubWires, dilated.SubWireID{Boundary: 1, Group: g, Wire: w})
+			all.Ports = append(all.Ports, subWire(cfg, 1, g, w))
 		}
 	}
-	masks := MustCompile(cfg, all)
+	masks := mustCompile(t, cfg, all)
 
 	t.Run("drop-strands", func(t *testing.T) {
 		net, err := New(cfg, Options{Depth: 4, Policy: Drop})
@@ -403,11 +417,11 @@ func TestStrandingAndRepair(t *testing.T) {
 // drops and packets addressed there can never retire.
 func TestSeveredPortUnreachable(t *testing.T) {
 	cfg := dilatedCfg(t, 2, 2, 2)
-	var set dilated.FaultSet
+	var set faults.Set
 	for w := 0; w < cfg.D; w++ {
-		set.SubWires = append(set.SubWires, dilated.SubWireID{Boundary: cfg.L, Group: 1, Wire: w})
+		set.Ports = append(set.Ports, subWire(cfg, cfg.L, 1, w))
 	}
-	masks := MustCompile(cfg, set)
+	masks := mustCompile(t, cfg, set)
 	if got, want := masks.ReachableOutputs(), cfg.Ports()-1; got != want {
 		t.Fatalf("ReachableOutputs = %d, want %d", got, want)
 	}
@@ -429,15 +443,17 @@ func TestSeveredPortUnreachable(t *testing.T) {
 	}
 }
 
-// TestMaskValidation covers Compile's range checks and the engine's
-// config-mismatch rejection.
+// TestMaskValidation covers Compile's range and sub-wire checks and the
+// engine's config-mismatch rejection.
 func TestMaskValidation(t *testing.T) {
 	cfg := dilatedCfg(t, 2, 2, 2)
-	bad := []dilated.FaultSet{
-		{SubWires: []dilated.SubWireID{{Boundary: 0, Group: 0, Wire: 0}}},
-		{SubWires: []dilated.SubWireID{{Boundary: cfg.L + 1, Group: 0, Wire: 0}}},
-		{SubWires: []dilated.SubWireID{{Boundary: 1, Group: cfg.Ports(), Wire: 0}}},
-		{SubWires: []dilated.SubWireID{{Boundary: 1, Group: 0, Wire: cfg.D}}},
+	bad := []faults.Set{
+		{Ports: []faults.PortID{subWire(cfg, 0, 0, 0)}},
+		{Ports: []faults.PortID{subWire(cfg, cfg.L+1, 0, 0)}},
+		{Ports: []faults.PortID{subWire(cfg, 1, cfg.Ports(), 0)}},
+		{Ports: []faults.PortID{subWire(cfg, 1, 0, cfg.D)}},
+		{Switches: []faults.SwitchID{{Stage: 1, Switch: 0}}},
+		{Wires: []faults.WireID{{Boundary: 1, Wire: 0}}},
 	}
 	for i, set := range bad {
 		if _, err := Compile(cfg, set); err == nil {
@@ -445,8 +461,8 @@ func TestMaskValidation(t *testing.T) {
 		}
 	}
 	// Duplicates are idempotent.
-	m := MustCompile(cfg, dilated.FaultSet{SubWires: []dilated.SubWireID{
-		{Boundary: 1, Group: 0, Wire: 1}, {Boundary: 1, Group: 0, Wire: 1},
+	m := mustCompile(t, cfg, faults.Set{Ports: []faults.PortID{
+		subWire(cfg, 1, 0, 1), subWire(cfg, 1, 0, 1),
 	}})
 	if m.DeadPorts() != 1 {
 		t.Errorf("duplicate sub-wire counted twice: %d", m.DeadPorts())
@@ -464,13 +480,13 @@ func TestMaskValidation(t *testing.T) {
 // TestPlanNests: rising fractions grow one fixed failure story.
 func TestPlanNests(t *testing.T) {
 	cfg := dilatedCfg(t, 2, 2, 3)
-	plan := NewPlan(cfg, xrand.New(31))
-	prev := map[dilated.SubWireID]bool{}
+	plan := SubWires(cfg).Plan(xrand.New(31))
+	prev := map[faults.PortID]bool{}
 	prevLen := 0
 	for _, f := range []float64{0, 0.1, 0.3, 0.7, 1} {
 		set := plan.At(f)
-		cur := map[dilated.SubWireID]bool{}
-		for _, id := range set.SubWires {
+		cur := map[faults.PortID]bool{}
+		for _, id := range set.Ports {
 			cur[id] = true
 		}
 		for id := range prev {
@@ -483,7 +499,7 @@ func TestPlanNests(t *testing.T) {
 		}
 		prev, prevLen = cur, len(cur)
 	}
-	if got := len(plan.At(1).SubWires); got != cfg.L*cfg.Ports()*cfg.D {
+	if got := len(plan.At(1).Ports); got != cfg.L*cfg.Ports()*cfg.D {
 		t.Fatalf("At(1) kills %d sub-wires, want the whole population %d", got, cfg.L*cfg.Ports()*cfg.D)
 	}
 }
@@ -505,8 +521,8 @@ func TestChurn(t *testing.T) {
 	const epochs = 400
 	for e := 0; e < epochs; e++ {
 		sa, sb := a.Step(), b.Step()
-		if len(sa.SubWires) != len(sb.SubWires) {
-			t.Fatalf("epoch %d: same seed diverged (%d vs %d dead)", e, len(sa.SubWires), len(sb.SubWires))
+		if len(sa.Ports) != len(sb.Ports) {
+			t.Fatalf("epoch %d: same seed diverged (%d vs %d dead)", e, len(sa.Ports), len(sb.Ports))
 		}
 		if _, err := Compile(cfg, sa); err != nil {
 			t.Fatalf("epoch %d: churn emitted an invalid set: %v", e, err)
@@ -538,8 +554,8 @@ func TestChurnClockLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e := 0; e < 100; e++ {
-		if set := c.Step(); len(set.SubWires) != 0 || c.DeadFraction() != 0 {
-			t.Fatalf("epoch %d: MTBF 1e17 killed %d sub-wires", e, len(set.SubWires))
+		if set := c.Step(); len(set.Ports) != 0 || c.DeadFraction() != 0 {
+			t.Fatalf("epoch %d: MTBF 1e17 killed %d sub-wires", e, len(set.Ports))
 		}
 	}
 	nan, inf := math.NaN(), math.Inf(1)

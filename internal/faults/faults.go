@@ -11,9 +11,10 @@
 // switch output port or a whole switch dies, every request whose bucket
 // still owns a live wire routes around the fault, and only a fully dead
 // bucket blocks. A dilated delta's sub-wires are stage-output wires of
-// its descriptor, so the comparison network's link replication is
-// measured by the same compiler, flood and samplers — and a new
-// topology needs only a descriptor builder.
+// its descriptor, so a dilated fault is a PortID in a Set like any
+// other, and the comparison network's link replication is sampled,
+// compiled and flooded by the same code — a new topology needs only a
+// descriptor builder, its population and its analytic model.
 //
 // Four layers:
 //
@@ -35,7 +36,9 @@
 //   - ExpectedUniformBandwidth (expected.go) is the EDN's analytic
 //     counterpart: the paper's Theorem 3 rate recursion generalized to
 //     per-wire rates over the masked topology, used to cross-check the
-//     measured degradation for small fault counts.
+//     measured degradation for small fault counts. The dilated delta's
+//     mean-field model (internal/dilated's CompileFaults) reads the
+//     same Masks.
 package faults
 
 import (

@@ -158,7 +158,7 @@ func TestReachabilityMatchesPathEnumeration(t *testing.T) {
 		}
 		for seed := uint64(1); seed <= 40; seed++ {
 			for _, f := range []float64{0.1, 0.3, 0.6} {
-				m, err := dilatedsim.Compile(cfg, dilated.BernoulliSubWires(cfg, f, xrand.New(seed)))
+				m, err := dilatedsim.Compile(cfg, dilatedsim.SubWires(cfg).Bernoulli(f, xrand.New(seed)))
 				if err != nil {
 					t.Fatal(err)
 				}

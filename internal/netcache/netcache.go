@@ -19,9 +19,10 @@
 // pins that on both fabrics through a mid-run UpdateFaults, and the
 // root package's TestRunCacheTransparent across whole jobs. The tests
 // also pin LRU eviction order, the byte ledger (an artifact over the
-// whole budget is served but never retained; a mask counts the tables
-// it retains unless they are the cache's own), that failed builds are
-// not cached, and single-flight builds under the race detector.
+// whole budget is served but never retained; a mask on either fabric
+// counts only its liveness rows, since it shares the cache's own
+// tables), that failed builds are not cached, and single-flight builds
+// under the race detector.
 //
 // Builds are single-flight: concurrent requests for one key block on a
 // single construction instead of duplicating it.
@@ -219,57 +220,49 @@ func (c *Cache) fabric(key string, build func() (*queuesim.Fabric, error)) (*que
 // Masks returns the compiled availability masks for a Bernoulli fault
 // sample over cfg — mode's population dying with probability fraction
 // under the given sample seed. The key pins the full sampling identity
-// (cfg, mode, fraction, seed), so a hit replays the identical draw. The
-// masks are compiled over the cache's own fabric for cfg, so they
-// retain no tables of their own.
+// (cfg, mode, fraction, seed), so a hit replays the identical draw.
 func (c *Cache) Masks(cfg topology.Config, mode faults.Mode, fraction float64, seed uint64) (*faults.Masks, bool, error) {
 	key := fmt.Sprintf("mask:%d/%d/%d/%d:%d:%g:%d", cfg.A, cfg.B, cfg.C, cfg.L, int(mode), fraction, seed)
-	v, hit, err := c.getOrBuildHit(key, func() (any, int64, error) {
+	return c.masks(key, fraction, seed, func() (*queuesim.Fabric, faults.Population, error) {
 		f, _, err := c.Tables(cfg)
-		if err != nil {
-			return nil, 0, err
-		}
-		m, err := faults.CompileFabric(cfg, f.Stages, faults.Bernoulli(cfg, mode, fraction, xrand.New(seed)))
-		if err != nil {
-			return nil, 0, err
-		}
-		return m, maskBytes(m, false), nil
+		return f, faults.ModePopulation(cfg, mode), err
 	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*faults.Masks), hit, nil
 }
 
-// DilatedMasks is Masks for the dilated engine: a Bernoulli sub-wire
-// sample at the given fraction and seed, compiled to engine rows over
-// the masks' own copy of the routing tables.
+// DilatedMasks is Masks for the dilated delta: a Bernoulli sample of
+// its sub-wires (dilatedsim.SubWires) at the given fraction and seed.
 func (c *Cache) DilatedMasks(dcfg dilated.Config, fraction float64, seed uint64) (*faults.Masks, bool, error) {
 	key := fmt.Sprintf("dmask:%d/%d/%d:%g:%d", dcfg.B, dcfg.D, dcfg.L, fraction, seed)
+	return c.masks(key, fraction, seed, func() (*queuesim.Fabric, faults.Population, error) {
+		f, _, err := c.DilatedTables(dcfg)
+		return f, dilatedsim.SubWires(dcfg), err
+	})
+}
+
+// masks is the one mask lookup: the entry under key, built on a miss by
+// drawing a Bernoulli sample of the population at fraction under seed
+// and compiling it over the cache's own fabric, both from lookup. The
+// masks share that fabric's tables, so they are charged only their
+// liveness rows: one bool per entry (unfaulted stages compile to nil
+// rows and cost nothing).
+func (c *Cache) masks(key string, fraction float64, seed uint64, lookup func() (*queuesim.Fabric, faults.Population, error)) (*faults.Masks, bool, error) {
 	v, hit, err := c.getOrBuildHit(key, func() (any, int64, error) {
-		m, err := dilatedsim.Compile(dcfg, dilated.BernoulliSubWires(dcfg, fraction, xrand.New(seed)))
+		f, pop, err := lookup()
 		if err != nil {
 			return nil, 0, err
 		}
-		return m, maskBytes(m, true), nil
+		m, err := faults.CompileFabric(f.Label, f.Stages, pop.Bernoulli(fraction, xrand.New(seed)))
+		if err != nil {
+			return nil, 0, err
+		}
+		b := int64(len(m.LiveInputs()))
+		for s := range f.Stages {
+			b += int64(len(m.LiveStageOutputs(s + 1)))
+		}
+		return m, b, nil
 	})
 	if err != nil {
 		return nil, hit, err
 	}
 	return v.(*faults.Masks), hit, nil
-}
-
-// maskBytes is what a compiled mask keeps alive: one bool per entry of
-// its liveness rows (unfaulted stages compile to nil rows and cost
-// nothing), plus, when private, the interstage tables of the
-// descriptor it was compiled over.
-func maskBytes(m *faults.Masks, private bool) int64 {
-	b := int64(len(m.LiveInputs()))
-	for s, st := range m.Fabric() {
-		b += int64(len(m.LiveStageOutputs(s + 1)))
-		if private {
-			b += 4 * int64(len(st.Table))
-		}
-	}
-	return b
 }

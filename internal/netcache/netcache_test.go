@@ -317,7 +317,10 @@ func TestCachedArtifactsMatchFreshBuilds(t *testing.T) {
 				if cm2, hit, _ := c.DilatedMasks(dcfg, fraction, seed); !hit || cm2 != cm {
 					t.Fatal("second DilatedMasks lookup missed")
 				}
-				fm := dilatedsim.MustCompile(dcfg, dilated.BernoulliSubWires(dcfg, fraction, xrand.New(seed)))
+				fm, err := dilatedsim.Compile(dcfg, dilatedsim.SubWires(dcfg).Bernoulli(fraction, xrand.New(seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
 				dilEngine := func(tables *queuesim.Fabric, m *dilatedsim.Masks) engine {
 					n, err := dilatedsim.New(dcfg, dilatedsim.Options{Depth: depth, Policy: policy, Tables: tables})
 					if err != nil {
@@ -337,11 +340,9 @@ func TestCachedArtifactsMatchFreshBuilds(t *testing.T) {
 }
 
 // TestMaskBytesCountRetainedTables pins the ledger's mask entries: a
-// mask compiled over the cache's own Tables counts only its liveness
-// rows (the tables are counted under their own key), while a mask
-// compiled over a private copy of the routing tables — the dilated
-// masks — counts those tables too, since the cached mask keeps them
-// alive.
+// mask on either fabric is compiled over the cache's own fabric and
+// counts only its liveness rows (the tables are counted under their own
+// key).
 func TestMaskBytesCountRetainedTables(t *testing.T) {
 	rowBytes := func(m *faults.Masks) (rows, tables int64) {
 		rows = int64(len(m.LiveInputs()))
@@ -381,11 +382,15 @@ func TestMaskBytesCountRetainedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, private := rowBytes(dm)
-	if rows == 0 || private == 0 {
-		t.Fatalf("degenerate dilated sample: %d row bytes, %d table bytes", rows, private)
+	dtabs, hit, err := c.DilatedTables(dcfg)
+	if err != nil || !hit {
+		t.Fatalf("DilatedMasks did not compile over the cache's own DilatedTables (hit=%v, err=%v)", hit, err)
 	}
-	if got := c.Stats().Bytes - before; got != rows+private {
-		t.Fatalf("dilated mask counted %d bytes, want rows %d + its private tables %d", got, rows, private)
+	rows, shared = rowBytes(dm)
+	if rows == 0 || shared == 0 {
+		t.Fatalf("degenerate dilated sample: %d row bytes, %d table bytes", rows, shared)
+	}
+	if got, want := c.Stats().Bytes-before, dtabs.Bytes()+rows; got != want {
+		t.Fatalf("ledger grew %d bytes after a dilated mask, want tables %d + rows %d", got, dtabs.Bytes(), rows)
 	}
 }

@@ -1,10 +1,10 @@
 // Package ringbuf holds the per-wire FIFO primitive and the packed
-// packet representation shared by the buffered packet-level engines
-// (internal/queuesim for EDNs, internal/dilatedsim for dilated deltas).
-// Both engines attach one Ring to every stage-input wire and advance
-// packets one hop per cycle; keeping the storage layout and the packing
-// in one place means "same measured packet" is true by construction
-// when the two simulators are compared under identical traffic.
+// packet representation of the packet engine (internal/queuesim, which
+// runs the EDN and dilated-delta fabrics alike). The engine attaches one
+// Ring to every stage-input wire and advances packets one hop per
+// cycle; keeping the storage layout and the packing in one place means
+// "same measured packet" is true by construction when the two fabrics
+// are compared under identical traffic.
 package ringbuf
 
 // Unbounded selects rings that grow without limit when passed as the

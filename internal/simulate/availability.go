@@ -332,9 +332,9 @@ func (r DilatedAvailabilityResult) String() string {
 
 // DilatedAvailabilitySweep measures the graceful-degradation curve of a
 // dilated delta as its sub-wires die: AvailabilitySweep's harness over
-// nested per-shard dilatedsim.Plan failure stories. Under the same
-// Options and shard count the two sweeps drive an EDN and its
-// counterpart with identical per-input injection realizations.
+// nested per-shard plans of the sub-wire population (dilatedsim.SubWires).
+// Under the same Options and shard count the two sweeps drive an EDN and
+// its counterpart with identical per-input injection realizations.
 // aopts.Mode is ignored: the dilated fault population is always the
 // sub-wires, the network's entire redundancy budget.
 func DilatedAvailabilitySweep(n Dilated, aopts AvailabilityOptions, src LoadPattern, opts Options, shards int) ([]DilatedAvailabilityResult, error) {

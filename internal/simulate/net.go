@@ -21,7 +21,7 @@ import (
 // fault plan of a degradation sweep, the churned population of a
 // lifetime, and the default lifetime threshold — lives in its two
 // implementations. Faults themselves are one model (internal/faults):
-// both engines install the same masks and flood the same way.
+// both fabrics install the same masks and flood the same way.
 type Net interface {
 	String() string
 
@@ -221,21 +221,19 @@ func (n Dilated) withFaults(m *faults.Masks) Net {
 // process churns the sub-wires on spec's clocks. Spec.Mode, the blast
 // overlay and repair windows name EDN structures and are not applied.
 func (n Dilated) process(spec lifecycle.Spec, rng *xrand.Rand) (*lifecycle.Process, error) {
-	clocks := lifecycle.Spec{MTBF: spec.MTBF, MTTR: spec.MTTR, Timing: spec.Timing}
-	return lifecycle.NewProcess(dilatedsim.SubWires(n.Config), clocks, rng)
+	return dilatedsim.NewChurn(n.Config, spec.MTBF, spec.MTTR, spec.Timing, rng)
 }
 
 func (n Dilated) faultPlan(_ faults.Mode, rng *xrand.Rand) faultPlan {
-	plan := dilatedsim.NewPlan(n.Config, rng)
+	plan := dilatedsim.SubWires(n.Config).Plan(rng)
 	return func(f, load float64, withExpected bool) (Net, faultCensus, error) {
-		set := plan.At(f)
-		m, err := dilatedsim.Compile(n.Config, set)
+		m, err := dilatedsim.Compile(n.Config, plan.At(f))
 		if err != nil {
 			return nil, faultCensus{}, err
 		}
 		c := census(n, m)
 		if withExpected {
-			deg, err := n.Config.CompileFaults(set)
+			deg, err := n.Config.CompileFaults(m)
 			if err != nil {
 				return nil, faultCensus{}, err
 			}

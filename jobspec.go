@@ -219,6 +219,9 @@ func (a *AvailabilitySpec) compile() (AvailabilityOptions, error) {
 	if a == nil {
 		return AvailabilityOptions{}, fmt.Errorf("edn: availability job needs an avail section")
 	}
+	if err := checkUnit("avail.load", a.Load); err != nil {
+		return AvailabilityOptions{}, err
+	}
 	m, err := FaultWires, error(nil)
 	if a.Mode != "" {
 		m, err = ParseFaultMode(a.Mode)
@@ -270,6 +273,12 @@ type LifetimeSpec struct {
 func (l *LifetimeSpec) compile() (LifetimeOptions, error) {
 	if l == nil {
 		return LifetimeOptions{}, fmt.Errorf("edn: lifetime job needs a lifetime section")
+	}
+	if err := checkUnit("lifetime.load", l.Load); err != nil {
+		return LifetimeOptions{}, err
+	}
+	if math.IsNaN(l.Threshold) || math.IsInf(l.Threshold, 0) {
+		return LifetimeOptions{}, fmt.Errorf("edn: lifetime.threshold %g is not finite", l.Threshold)
 	}
 	mode := FaultWires
 	if l.Mode != "" {

@@ -571,10 +571,12 @@ func TestRunRejectsNonFiniteInputs(t *testing.T) {
 }
 
 // TestHostileSpecsAreErrors pins that job inputs which would crash a
-// run (negative probe sizes reach probe.New's allocations) or silently
+// run (negative probe sizes reach probe.New's allocations; a lifetime
+// load outside [0,1] reaches the analytic threshold) or silently
 // mis-measure it (a negative warmup shortens the window but not the
-// divisor; a load or rate outside [0,1], NaN among them, runs as given)
-// are edn: errors from Validate, and errors — never panics — from Run.
+// divisor; a load or rate outside [0,1], NaN among them, runs as given
+// or as the default; a NaN threshold is never crossed) are edn: errors
+// from Validate, and errors — never panics — from Run.
 func TestHostileSpecsAreErrors(t *testing.T) {
 	geo := &GeometrySpec{A: 4, B: 2, C: 2, L: 2}
 	sim := SimSpec{Cycles: 50, Warmup: 10, Seed: 1, Shards: 1}
@@ -585,18 +587,36 @@ func TestHostileSpecsAreErrors(t *testing.T) {
 	}
 	loop := &ClosedLoopSpec{Window: 2}
 	nan := math.NaN()
+	avail := func(load float64) JobSpec {
+		return JobSpec{Mode: JobAvailability, Geometry: geo, Sim: sim,
+			Avail: &AvailabilitySpec{Fractions: []float64{0.1}, Load: load}}
+	}
+	lifetime := func(mode, engine string, mut func(*LifetimeSpec)) JobSpec {
+		l := &LifetimeSpec{Epochs: 2, EpochCycles: 20, MTBF: 8, MTTR: 3}
+		mut(l)
+		return JobSpec{Mode: mode, Engine: engine, Geometry: geo, Sim: sim, Lifetime: l, Loop: loop}
+	}
 	bad := map[string]JobSpec{
-		"trace-cap":    latency(func(s *JobSpec) { s.Probe = &ProbeSpec{SampleEvery: 1, TraceCap: -1} }),
-		"max-hops":     latency(func(s *JobSpec) { s.Probe = &ProbeSpec{SampleEvery: 1, MaxHops: -3} }),
-		"bins":         latency(func(s *JobSpec) { s.Probe = &ProbeSpec{Bins: -2} }),
-		"sample-every": latency(func(s *JobSpec) { s.Probe = &ProbeSpec{SampleEvery: -1} }),
-		"warmup":       latency(func(s *JobSpec) { s.Sim.Warmup = -10 }),
-		"load-high":    latency(func(s *JobSpec) { s.Load = 7 }),
-		"load-nan":     latency(func(s *JobSpec) { s.Load = nan }),
-		"loads-low":    {Mode: JobSaturation, Geometry: geo, Loads: []float64{-1}, Sim: sim},
-		"loads-nan":    {Mode: JobSaturation, Geometry: geo, Loads: []float64{0.5, nan}, Sim: sim},
-		"rates-high":   {Mode: JobClosedLoop, Geometry: geo, Rates: []float64{3}, Loop: loop, Sim: sim},
-		"rates-nan":    {Mode: JobClosedLoop, Geometry: geo, Rates: []float64{nan}, Loop: loop, Sim: sim},
+		"trace-cap":                     latency(func(s *JobSpec) { s.Probe = &ProbeSpec{SampleEvery: 1, TraceCap: -1} }),
+		"max-hops":                      latency(func(s *JobSpec) { s.Probe = &ProbeSpec{SampleEvery: 1, MaxHops: -3} }),
+		"bins":                          latency(func(s *JobSpec) { s.Probe = &ProbeSpec{Bins: -2} }),
+		"sample-every":                  latency(func(s *JobSpec) { s.Probe = &ProbeSpec{SampleEvery: -1} }),
+		"warmup":                        latency(func(s *JobSpec) { s.Sim.Warmup = -10 }),
+		"load-high":                     latency(func(s *JobSpec) { s.Load = 7 }),
+		"load-nan":                      latency(func(s *JobSpec) { s.Load = nan }),
+		"loads-low":                     {Mode: JobSaturation, Geometry: geo, Loads: []float64{-1}, Sim: sim},
+		"loads-nan":                     {Mode: JobSaturation, Geometry: geo, Loads: []float64{0.5, nan}, Sim: sim},
+		"rates-high":                    {Mode: JobClosedLoop, Geometry: geo, Rates: []float64{3}, Loop: loop, Sim: sim},
+		"rates-nan":                     {Mode: JobClosedLoop, Geometry: geo, Rates: []float64{nan}, Loop: loop, Sim: sim},
+		"avail-load-nan":                avail(nan),
+		"avail-load-low":                avail(-3),
+		"avail-load-high":               avail(7),
+		"lifetime-load-nan":             lifetime(JobLifetime, EngineEDN, func(l *LifetimeSpec) { l.Load = nan }),
+		"lifetime-load-high":            lifetime(JobLifetime, EngineEDN, func(l *LifetimeSpec) { l.Load = 7 }),
+		"lifetime-dilated-load-nan":     lifetime(JobLifetime, EngineDilated, func(l *LifetimeSpec) { l.Load = nan }),
+		"lifetime-dilated-load-high":    lifetime(JobLifetime, EngineDilated, func(l *LifetimeSpec) { l.Load = 7 }),
+		"closedloop-lifetime-load-high": lifetime(JobClosedLoopLifetime, EngineEDN, func(l *LifetimeSpec) { l.Load = 1.5 }),
+		"lifetime-threshold-nan":        lifetime(JobLifetime, EngineEDN, func(l *LifetimeSpec) { l.Threshold = nan }),
 		"lifetime-probe": {Mode: JobLifetime, Geometry: geo, Sim: sim,
 			Lifetime: &LifetimeSpec{Epochs: 2, EpochCycles: 20, MTBF: 8, MTTR: 3},
 			Probe:    &ProbeSpec{SampleEvery: 1, TraceCap: -1}},
