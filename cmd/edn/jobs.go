@@ -192,7 +192,7 @@ func addTrafficFlags(fs *flag.FlagSet, hotFraction float64, moving bool) *traffi
 	}
 	if moving {
 		t.hot = fs.Int("hot", 0, "initial hot output (hotspot, moving-hotspot)")
-		t.period = fs.Int("period", 0, "cycles between hot-spot moves (moving-hotspot; 0 = never)")
+		t.period = fs.Int("period", 0, "cycles between hot-spot moves (moving-hotspot; below 1 moves every cycle)")
 		t.stride = fs.Int("stride", 1, "hot-output step per move (moving-hotspot)")
 	}
 	return t

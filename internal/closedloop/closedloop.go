@@ -288,6 +288,8 @@ type Loop struct {
 	demandRng  *xrand.Rand
 	destRng    *xrand.Rand
 	backoffRng *xrand.Rand
+	demand     xrand.Coin // each source's per-cycle demand coin, Bool(Rate)
+	arrived    []int32    // this cycle's arriving sources (Arrivals)
 
 	liveOut   []bool
 	liveList  []int32
@@ -351,6 +353,8 @@ func New(fwd, rev Engine, inputs, outputs int, opts Options) (*Loop, error) {
 		destRev:  make([]int, inputs),
 		liveOut:  make([]bool, outputs),
 		liveList: make([]int32, outputs),
+		demand:   xrand.NewCoin(opts.Rate),
+		arrived:  make([]int32, inputs),
 		lat:      stats.NewHistogram(opts.LatencyBuckets, opts.LatencyBucketWidth),
 	}
 	root := xrand.New(opts.Seed)
@@ -484,6 +488,30 @@ func (l *Loop) SetLiveOutputs(live []bool) error {
 	return nil
 }
 
+// Arrivals returns into[:k], the k sources among 0..len(into)-1 whose
+// demand coin comes up this cycle, in source order. A coin that draws
+// takes one draw per source, so source i's draw lies at offset i+1 of
+// rng: Arrivals takes each at its offset, appends the source without a
+// branch, and advances rng past them all, exactly as one Bool(rate) per
+// source in source order would. At rate 0 or 1 the coin takes no draw,
+// and no source or every source arrives.
+func Arrivals(into []int32, coin xrand.Coin, rng *xrand.Rand) []int32 {
+	if coin.Draws == 0 {
+		k := coin.Hit(0) * uint64(len(into))
+		for i := range into[:k] {
+			into[i] = int32(i)
+		}
+		return into[:k]
+	}
+	k := uint64(0)
+	for i := range into {
+		into[k] = int32(i)
+		k += coin.Hit(rng.Peek(uint64(i) + 1))
+	}
+	rng.Skip(uint64(len(into)))
+	return into[:k]
+}
+
 // drawDest draws a destination memory port for a new demand.
 func (l *Loop) drawDest() int {
 	if l.liveCount == l.outputs || l.liveCount == 0 {
@@ -596,11 +624,11 @@ func (l *Loop) Cycle() (CycleStats, error) {
 
 	// Demand arrivals. One coin per source per cycle from the demand
 	// stream, drawn in source order regardless of fabric, keeps two
-	// same-seed loops bit-identical in what they offer.
-	for i := 0; i < l.inputs; i++ {
-		if !l.demandRng.Bool(l.opts.Rate) {
-			continue
-		}
+	// same-seed loops bit-identical in what they offer. The coins share
+	// no draw with the destinations (destRng), so Arrivals takes them all
+	// first, and the arriving sources then draw their destinations in
+	// source order, as a coin-then-destination loop per source would.
+	for _, i := range Arrivals(l.arrived, l.demand, l.demandRng) {
 		l.led.Offered++
 		r := &l.backlog[i]
 		if !r.HasSpace(l.opts.MaxBacklog) {

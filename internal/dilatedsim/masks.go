@@ -6,6 +6,7 @@ import (
 	"edn/internal/dilated"
 	"edn/internal/faults"
 	"edn/internal/lifecycle"
+	"edn/internal/queuesim"
 	"edn/internal/xrand"
 )
 
@@ -39,6 +40,17 @@ func Compile(cfg dilated.Config, set faults.Set) (*Masks, error) {
 	f, err := Fabric(cfg)
 	if err != nil {
 		return nil, err
+	}
+	return CompileFabric(f, set)
+}
+
+// CompileFabric is Compile over f, a dilated delta's prebuilt fabric
+// (Fabric, or the geometry cache's), so a sweep that compiles many
+// fault sets builds the descriptor once.
+func CompileFabric(f *queuesim.Fabric, set faults.Set) (*Masks, error) {
+	cfg, ok := f.Label.(dilated.Config)
+	if !ok {
+		return nil, fmt.Errorf("dilatedsim: fabric %v is not a dilated delta", f.Label)
 	}
 	if len(set.Switches) > 0 || len(set.Wires) > 0 {
 		return nil, fmt.Errorf("dilatedsim: %v fails only by sub-wires, not switches or stage-input wires", cfg)

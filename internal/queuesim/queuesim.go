@@ -749,8 +749,11 @@ func (n *Network) Cycle(dest []int) (CycleStats, error) {
 	// Validate the whole injection vector before touching any state: a
 	// mid-cycle abort would leave the lifetime Totals out of step with
 	// the queue contents and break the conservation invariant forever.
+	// One unsigned compare per input: d+1 maps NoRequest to 0 and the
+	// outputs to 1..outputs, and wraps every other negative d (and
+	// MaxInt) beyond them.
 	for i, d := range dest {
-		if d != NoRequest && (d < 0 || d >= n.outputs) {
+		if uint(d+1) > uint(n.outputs) {
 			return CycleStats{}, fmt.Errorf("%s: input %d requests output %d out of range [0,%d)", n.name, i, d, n.outputs)
 		}
 	}

@@ -157,6 +157,11 @@ func availabilitySweep(net Net, aopts AvailabilityOptions, src LoadPattern, opts
 	if src == nil {
 		src = UniformLoad
 	}
+	// One fabric for the whole sweep: every shard's masks compile over
+	// it and every faulted engine shares it.
+	if net, err = net.withTables(); err != nil {
+		return nil, err
+	}
 	root := xrand.New(opts.Seed ^ 0xaf63bd4c8601b7df)
 	plans := make([]faultPlan, shards)
 	trafficSeeds := make([]uint64, shards)

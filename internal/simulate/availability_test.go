@@ -26,6 +26,16 @@ func TestAvailabilitySweepValidation(t *testing.T) {
 	if _, err := AvailabilitySweep(EDN{Config: cfg, Queue: qopts}, AvailabilityOptions{Fractions: []float64{-0.1}}, nil, Options{Cycles: 10}, 1); err == nil {
 		t.Error("negative fraction accepted")
 	}
+	// The sweep compiles every mask over Queue.Tables, so a fabric of
+	// another geometry must be refused before anything compiles over it.
+	other, err := queuesim.EDNFabric(availCfg(t, 4, 2, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qopts.Tables = other
+	if _, err := AvailabilitySweep(EDN{Config: cfg, Queue: qopts}, AvailabilityOptions{Fractions: []float64{0.1}}, nil, Options{Cycles: 10}, 1); err == nil {
+		t.Error("tables of another geometry accepted")
+	}
 }
 
 func TestAvailabilitySweepZeroFractionMatchesFaultFree(t *testing.T) {

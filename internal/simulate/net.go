@@ -1,6 +1,8 @@
 package simulate
 
 import (
+	"fmt"
+
 	"edn/internal/analytic"
 	"edn/internal/dilated"
 	"edn/internal/dilatedsim"
@@ -39,11 +41,16 @@ type Net interface {
 	// withFaults returns the network with its queue options' fault
 	// masks replaced by m (nil: healthy).
 	withFaults(m *faults.Masks) Net
+	// withTables returns the network with its queue options' Tables
+	// set to its fabric: the prebuilt one already there, else a fresh
+	// build, so every engine and fault mask of a sweep shares one.
+	withTables() (Net, error)
 	// process draws a lifetime's failure/repair process over the
 	// network's churned population from rng (see churned).
 	process(spec lifecycle.Spec, rng *xrand.Rand) (*lifecycle.Process, error)
 	// faultPlan draws one shard's nested fault plan for a degradation
-	// sweep (see faultPlan).
+	// sweep (see faultPlan), compiled over the fabric in the queue
+	// options' Tables, which must be set (withTables).
 	faultPlan(mode faults.Mode, rng *xrand.Rand) faultPlan
 	// threshold is the default lifetime bandwidth floor per input at
 	// the given load: half the fault-free analytic bandwidth.
@@ -171,6 +178,29 @@ func (n EDN) withFaults(m *faults.Masks) Net {
 	return n
 }
 
+func (n EDN) withTables() (Net, error) {
+	f := n.Queue.Tables
+	if f == nil {
+		var err error
+		if f, err = queuesim.EDNFabric(n.Config); err != nil {
+			return nil, err
+		}
+	} else if err := checkTables(f, n.Config); err != nil {
+		return nil, err
+	}
+	n.Queue.Tables = f
+	return n, nil
+}
+
+// checkTables rejects a prebuilt fabric of another geometry, as the
+// engine build would.
+func checkTables(f *queuesim.Fabric, label fmt.Stringer) error {
+	if f.Label != label {
+		return fmt.Errorf("simulate: tables built for %v, network is %v", f.Label, label)
+	}
+	return nil
+}
+
 func (n EDN) process(spec lifecycle.Spec, rng *xrand.Rand) (*lifecycle.Process, error) {
 	return lifecycle.New(n.Config, spec, rng)
 }
@@ -178,7 +208,7 @@ func (n EDN) process(spec lifecycle.Spec, rng *xrand.Rand) (*lifecycle.Process, 
 func (n EDN) faultPlan(mode faults.Mode, rng *xrand.Rand) faultPlan {
 	plan := faults.NewPlan(n.Config, mode, rng)
 	return func(f, load float64, withExpected bool) (Net, faultCensus, error) {
-		m, err := faults.Compile(n.Config, plan.At(f))
+		m, err := faults.CompileFabric(n.Config, n.Queue.Tables.Stages, plan.At(f))
 		if err != nil {
 			return nil, faultCensus{}, err
 		}
@@ -218,6 +248,20 @@ func (n Dilated) withFaults(m *faults.Masks) Net {
 	return n
 }
 
+func (n Dilated) withTables() (Net, error) {
+	f := n.Queue.Tables
+	if f == nil {
+		var err error
+		if f, err = dilatedsim.Fabric(n.Config); err != nil {
+			return nil, err
+		}
+	} else if err := checkTables(f, n.Config); err != nil {
+		return nil, err
+	}
+	n.Queue.Tables = f
+	return n, nil
+}
+
 // process churns the sub-wires on spec's clocks. Spec.Mode, the blast
 // overlay and repair windows name EDN structures and are not applied.
 func (n Dilated) process(spec lifecycle.Spec, rng *xrand.Rand) (*lifecycle.Process, error) {
@@ -227,7 +271,7 @@ func (n Dilated) process(spec lifecycle.Spec, rng *xrand.Rand) (*lifecycle.Proce
 func (n Dilated) faultPlan(_ faults.Mode, rng *xrand.Rand) faultPlan {
 	plan := dilatedsim.SubWires(n.Config).Plan(rng)
 	return func(f, load float64, withExpected bool) (Net, faultCensus, error) {
-		m, err := dilatedsim.Compile(n.Config, plan.At(f))
+		m, err := dilatedsim.CompileFabric(n.Queue.Tables, plan.At(f))
 		if err != nil {
 			return nil, faultCensus{}, err
 		}

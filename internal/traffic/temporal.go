@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math/bits"
 
 	"edn/internal/xrand"
 )
@@ -28,7 +29,7 @@ type MarkovOnOff struct {
 	POff float64 // ON -> OFF transition probability per cycle
 	Rng  *xrand.Rand
 
-	on []bool // per-input state, sized lazily from the request vector
+	on []uint8 // per-input state (1 = ON), sized lazily from the request vector
 }
 
 // Name implements Pattern.
@@ -64,28 +65,52 @@ func (m *MarkovOnOff) Generate(inputs, outputs int) []int {
 
 // GenerateInto implements IntoGenerator. Per input: advance the Markov
 // state, then emit. The draw order (state transition, then emission) is
-// fixed so Generate and GenerateInto are bit-identical.
+// fixed so Generate and GenerateInto are bit-identical. Like requests,
+// it takes each draw at its offset and selects instead of branching,
+// advancing the stream past exactly the draws of the reference loop
+//
+//	if on { on = !Bool(POff) } else { on = Bool(POn) }
+//	if on && Bool(Rate) { Intn(outputs) } else { None }
+//
+// after the initial states, one Bool(duty) per input.
 func (m *MarkovOnOff) GenerateInto(dest []int, outputs int) {
+	rng := m.Rng
 	if len(m.on) != len(dest) {
-		m.on = make([]bool, len(dest))
-		duty := m.duty()
+		m.on = make([]uint8, len(dest))
+		duty := xrand.NewCoin(m.duty())
 		for i := range m.on {
-			m.on[i] = m.Rng.Bool(duty)
+			m.on[i] = uint8(duty.Hit(rng.Peek(1 + uint64(i)*duty.Draws)))
 		}
+		rng.Skip(uint64(len(m.on)) * duty.Draws)
 	}
+	toOff, toOn, req := xrand.NewCoin(m.POff), xrand.NewCoin(m.POn), xrand.NewCoin(m.Rate)
+	fixed := req.Hit(0) // the Rate coin's outcome when it takes no draw
+	n := uint64(outputs)
+	reject := -n % n // Intn redraws when the product's low word is below this
 	for i := range dest {
-		if m.on[i] {
-			if m.Rng.Bool(m.POff) {
-				m.on[i] = false
-			}
-		} else if m.Rng.Bool(m.POn) {
-			m.on[i] = true
+		on := uint64(m.on[i])
+		// An ON input flips the POff coin, an OFF one the POn coin; the
+		// state changes when it comes up.
+		flip := xrand.Coin{Threshold: toOn.Threshold ^ (toOn.Threshold^toOff.Threshold)&-on}
+		d1 := toOn.Draws ^ (toOn.Draws^toOff.Draws)&-on
+		on ^= flip.Hit(rng.Peek(1))
+		// Only an ON input flips the Rate coin; at Rate 1 (BurstyLoad's)
+		// it takes no draw, and the branch that skips it is fixed for
+		// the call.
+		d2 := req.Draws & -on
+		r := on & fixed
+		if req.Draws != 0 {
+			r = on & req.Hit(rng.Peek(1+d1))
 		}
-		if m.on[i] && m.Rng.Bool(m.Rate) {
-			dest[i] = m.Rng.Intn(outputs)
-		} else {
-			dest[i] = None
+		d, lo := bits.Mul64(rng.Peek(1+d1+d2), n)
+		m.on[i] = uint8(on)
+		if lo < reject && r == 1 {
+			rng.Skip(d1 + d2)
+			dest[i] = rng.Intn(outputs)
+			continue
 		}
+		dest[i] = int(d) | (int(r) - 1) // None when no request
+		rng.Skip(d1 + d2 + r)
 	}
 }
 
@@ -116,13 +141,7 @@ func (m *MovingHotSpot) Name() string {
 // CurrentHot returns the hot output the next generated cycle will aim
 // at, for a network with the given output count.
 func (m *MovingHotSpot) CurrentHot(outputs int) int {
-	period, stride := m.period(), m.stride()
-	moves := m.cycle / period
-	hot := (m.Hot + moves*stride) % outputs
-	if hot < 0 {
-		hot += outputs
-	}
-	return hot
+	return wrap(m.Hot+m.cycle/m.period()*m.stride(), outputs)
 }
 
 func (m *MovingHotSpot) period() int {
@@ -147,18 +166,9 @@ func (m *MovingHotSpot) Generate(inputs, outputs int) []int {
 	return dest
 }
 
-// GenerateInto implements IntoGenerator.
+// GenerateInto implements IntoGenerator: HotSpot's kernel aimed at
+// CurrentHot.
 func (m *MovingHotSpot) GenerateInto(dest []int, outputs int) {
-	hot := m.CurrentHot(outputs)
-	for i := range dest {
-		switch {
-		case !m.Rng.Bool(m.Rate):
-			dest[i] = None
-		case m.Rng.Bool(m.Fraction):
-			dest[i] = hot
-		default:
-			dest[i] = m.Rng.Intn(outputs)
-		}
-	}
+	requests(dest, outputs, m.Rng, m.Rate, m.Fraction, m.CurrentHot(outputs))
 	m.cycle++
 }

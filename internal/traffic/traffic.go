@@ -6,10 +6,24 @@
 //
 // A pattern is a slice dest with dest[i] = destination label requested by
 // input i, or None when input i is idle this cycle.
+//
+// The request model of Section 3.2 draws per input: a coin for a
+// request, then (for the hot-spot family) a coin for the hot output,
+// then a uniform output. Uniform, HotSpot and MovingHotSpot share one
+// kernel, requests, and MarkovOnOff adds its state coin in front; none
+// branches on a draw. Each takes an input's draws at computed offsets
+// of the SplitMix64 stream (xrand's Peek), decides with integer coins
+// (xrand.Coin) and selects, then advances the stream by exactly the
+// number of draws the one-at-a-time loop (Bool, Bool, Intn) would have
+// taken, so the stream position is the only state carried from input
+// to input and every request vector is bit-identical to that loop's.
+// Intn's rare rejection (probability below outputs/2⁶⁴) is left to
+// Intn itself.
 package traffic
 
 import (
 	"fmt"
+	"math/bits"
 
 	"edn/internal/xrand"
 )
@@ -34,7 +48,9 @@ type Pattern interface {
 // GenerateInto must draw exactly the same randomness as Generate would
 // for the same geometry, so the two entry points produce bit-identical
 // traffic streams and measured results never depend on which one the
-// harness picked.
+// harness picked. Every built-in Generate is GenerateInto into a fresh
+// slice, and GenerateInto writes every entry of dest, so dest need not
+// be cleared between cycles.
 type IntoGenerator interface {
 	Pattern
 	// GenerateInto fills dest (len = network inputs) with one cycle's
@@ -62,12 +78,63 @@ func (u Uniform) Generate(inputs, outputs int) []int {
 
 // GenerateInto implements IntoGenerator.
 func (u Uniform) GenerateInto(dest []int, outputs int) {
-	for i := range dest {
-		if u.Rng.Bool(u.Rate) {
-			dest[i] = u.Rng.Intn(outputs)
-		} else {
-			dest[i] = None
+	requests(dest, outputs, u.Rng, u.Rate, 0, 0)
+}
+
+// requests is the one kernel of Uniform, HotSpot and MovingHotSpot: each
+// input requests with probability rate; a request goes to hot (already
+// reduced into [0, outputs)) with probability fraction and otherwise to
+// a uniform output. It takes, per input, the request coin's draw, the
+// hot coin's draw and the uniform draw at their offsets without
+// branching on any of them, and advances rng past the draws the
+// reference loop
+//
+//	if !Bool(rate) { None } else if Bool(fraction) { hot } else { Intn(outputs) }
+//
+// would have taken. Coins of probability 0 or 1 take no draw. A
+// branch-free input pays for every draw it might take, so when no
+// request can be hot (fraction <= 0, as in Uniform) a second loop takes
+// only the request coin's draw and the uniform one, and skips the
+// request coin's when it takes none: at rate 1 an input costs one draw,
+// as in the reference loop. The branches that choose are fixed for the
+// call, never taken on a draw.
+func requests(dest []int, outputs int, rng *xrand.Rand, rate, fraction float64, hot int) {
+	req, toHot := xrand.NewCoin(rate), xrand.NewCoin(fraction)
+	n := uint64(outputs)
+	reject := -n % n // Intn redraws when the product's low word is below this
+	if toHot == (xrand.Coin{}) {
+		fixed := req.Hit(0)     // the request coin's outcome when it takes no draw
+		atDest := 1 + req.Draws // offset of the uniform draw
+		for i := range dest {
+			r := fixed
+			if req.Draws != 0 {
+				r = req.Hit(rng.Peek(1))
+			}
+			d, lo := bits.Mul64(rng.Peek(atDest), n)
+			if lo < reject && r == 1 {
+				rng.Skip(atDest - 1)
+				dest[i] = rng.Intn(outputs)
+				continue
+			}
+			dest[i] = int(d) | (int(r) - 1) // None when no request
+			rng.Skip(req.Draws + r)
 		}
+		return
+	}
+	atHot := 1 + req.Draws        // offset of the hot coin's draw
+	atDest := atHot + toHot.Draws // offset of the uniform draw
+	for i := range dest {
+		r := req.Hit(rng.Peek(1))
+		h := toHot.Hit(rng.Peek(atHot))
+		d, lo := bits.Mul64(rng.Peek(atDest), n)
+		if lo < reject && r&^h == 1 {
+			rng.Skip(atDest - 1)
+			dest[i] = rng.Intn(outputs)
+			continue
+		}
+		d ^= (d ^ uint64(hot)) & -h
+		dest[i] = int(d) | (int(r) - 1) // None when no request
+		rng.Skip(req.Draws + r*(toHot.Draws+1-h))
 	}
 }
 
@@ -148,7 +215,9 @@ func (p *PartialPermutation) GenerateInto(dest []int, outputs int) {
 
 // HotSpot models a Non-Uniform Traffic Spot: with probability Fraction a
 // request targets the single hot output; otherwise it is uniform. Rate
-// controls the per-input offered load.
+// controls the per-input offered load. Hot is reduced into
+// [0, outputs) as MovingHotSpot's is, so a negative Hot counts back
+// from the last output.
 type HotSpot struct {
 	Rate     float64
 	Fraction float64
@@ -170,14 +239,14 @@ func (h HotSpot) Generate(inputs, outputs int) []int {
 
 // GenerateInto implements IntoGenerator.
 func (h HotSpot) GenerateInto(dest []int, outputs int) {
-	for i := range dest {
-		switch {
-		case !h.Rng.Bool(h.Rate):
-			dest[i] = None
-		case h.Rng.Bool(h.Fraction):
-			dest[i] = h.Hot % outputs
-		default:
-			dest[i] = h.Rng.Intn(outputs)
-		}
+	requests(dest, outputs, h.Rng, h.Rate, h.Fraction, wrap(h.Hot, outputs))
+}
+
+// wrap reduces an output label into [0, outputs).
+func wrap(hot, outputs int) int {
+	hot %= outputs
+	if hot < 0 {
+		hot += outputs
 	}
+	return hot
 }

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -136,18 +137,145 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestMul64AgainstBig checks the 128-bit product Intn draws with,
+// bits.Mul64, and the hand-rolled mul64 it replaced against an
+// independent long multiplication.
 func TestMul64AgainstBig(t *testing.T) {
 	cases := [][2]uint64{
 		{0, 0}, {1, 1}, {math.MaxUint64, math.MaxUint64},
 		{0xdeadbeefcafebabe, 0x123456789abcdef0},
 		{1 << 63, 2}, {math.MaxUint64, 1},
 	}
+	r := New(77)
+	for i := 0; i < 1000; i++ {
+		cases = append(cases, [2]uint64{r.Uint64(), r.Uint64() >> (i % 64)})
+	}
 	for _, c := range cases {
-		hi, lo := mul64(c[0], c[1])
-		// Verify via 32-bit long multiplication done independently.
 		wantHi, wantLo := refMul(c[0], c[1])
-		if hi != wantHi || lo != wantLo {
+		if hi, lo := bits.Mul64(c[0], c[1]); hi != wantHi || lo != wantLo {
+			t.Errorf("bits.Mul64(%#x, %#x) = (%#x,%#x), want (%#x,%#x)", c[0], c[1], hi, lo, wantHi, wantLo)
+		}
+		if hi, lo := mul64(c[0], c[1]); hi != wantHi || lo != wantLo {
 			t.Errorf("mul64(%#x, %#x) = (%#x,%#x), want (%#x,%#x)", c[0], c[1], hi, lo, wantHi, wantLo)
+		}
+	}
+}
+
+// mul64 is the hand-rolled 128-bit product Intn used before bits.Mul64,
+// kept as an oracle.
+func mul64(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	a0, a1 := a&mask32, a>>32
+	b0, b1 := b&mask32, b>>32
+	t := a1*b0 + (a0*b0)>>32
+	w1 := t&mask32 + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return hi, lo
+}
+
+// intnMul64 is Intn as it was before bits.Mul64.
+func intnMul64(r *Rand, n int) int {
+	bound := uint64(n)
+	for {
+		v := r.Uint64()
+		hi, lo := mul64(v, bound)
+		if lo >= bound || lo >= (-bound)%bound {
+			return int(hi)
+		}
+	}
+}
+
+// TestIntnMatchesMul64 pins Intn, value and stream position, to the
+// mul64 draw it replaced, on random bounds up to 2⁶³-1; bounds near 2⁶²
+// and above make the rejection loop run often.
+func TestIntnMatchesMul64(t *testing.T) {
+	bounds := New(5)
+	for i := 0; i < 2000; i++ {
+		n := int(bounds.Uint64() >> (1 + i%63))
+		if n == 0 {
+			n = 1
+		}
+		if i%4 == 0 {
+			n = 1<<62 + 12345 + i
+		}
+		seed := bounds.Uint64()
+		a, b := New(seed), New(seed)
+		for k := 0; k < 8; k++ {
+			if got, want := a.Intn(n), intnMul64(b, n); got != want {
+				t.Fatalf("Intn(%d) seed %d draw %d = %d, want %d", n, seed, k, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("Intn(%d) seed %d: stream positions differ", n, seed)
+		}
+	}
+}
+
+// TestPeekSkip pins the offset draw and the advance to the sequential
+// stream: Peek(k) is the k-th next Uint64 and leaves the stream where
+// it was, Skip(k) leaves it where k Uint64 calls would.
+func TestPeekSkip(t *testing.T) {
+	for seed := uint64(0); seed < 5; seed++ {
+		r := New(seed * 0x1234567)
+		for k := uint64(0); k < 40; k++ {
+			seq := *r
+			for j := uint64(1); j <= k; j++ {
+				if got, want := r.Peek(j), seq.Uint64(); got != want {
+					t.Fatalf("seed %d: Peek(%d) = %#x, want %#x", seed, j, got, want)
+				}
+			}
+			r.Skip(k)
+			if got, want := r.Uint64(), seq.Uint64(); got != want {
+				t.Fatalf("seed %d: after Skip(%d) drew %#x, want %#x", seed, k, got, want)
+			}
+		}
+	}
+}
+
+// TestCoinMatchesBool pins Coin to Bool, outcome and draws taken, on
+// the edge probabilities, random ones, and probabilities next to the
+// 2⁻⁵³ grid Float64 compares on.
+func TestCoinMatchesBool(t *testing.T) {
+	ps := []float64{math.Inf(-1), -1, 0, 1e-300, 0x1p-53, 0.3, 0.5, 1 - 0x1p-53, 1, 2, math.Inf(1), math.NaN()}
+	g := New(13)
+	for i := 0; i < 300; i++ {
+		p := g.Float64()
+		ps = append(ps, p, math.Nextafter(p, 0), math.Nextafter(p, 1))
+		grid := float64(g.Uint64()>>11) / (1 << 53)
+		ps = append(ps, grid, math.Nextafter(grid, 0), math.Nextafter(grid, 1))
+	}
+	for _, p := range ps {
+		c := NewCoin(p)
+		for seed := uint64(1); seed <= 3; seed++ {
+			a, b := New(seed), New(seed)
+			for k := 0; k < 200; k++ {
+				got := c.Hit(b.Peek(1)) == 1
+				b.Skip(c.Draws)
+				if want := a.Bool(p); got != want {
+					t.Fatalf("p=%g seed %d flip %d: coin %v, Bool %v", p, seed, k, got, want)
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("p=%g seed %d: coin and Bool left the stream at different draws", p, seed)
+			}
+		}
+	}
+	// Draws straddling the threshold: u>>11 = t-1 comes up, t does not.
+	for _, p := range ps {
+		c := NewCoin(p)
+		if c.Draws == 0 || c.Threshold == 0 {
+			continue
+		}
+		for _, x := range []uint64{c.Threshold - 1, c.Threshold} {
+			u := x<<11 | 0x7ff
+			if x >= 1<<53 {
+				continue
+			}
+			want := float64(x)/(1<<53) < p
+			if got := c.Hit(u) == 1; got != want {
+				t.Fatalf("p=%g: draw with u>>11 = %d comes up %v, Float64 comparison %v", p, x, got, want)
+			}
 		}
 	}
 }

@@ -85,9 +85,11 @@ type TrafficSpec struct {
 	// HotFraction is the hotspot kinds' fraction of requests aimed at
 	// the hot output, in [0,1].
 	HotFraction float64 `json:"hot_fraction,omitempty"`
-	// Hot is the moving-hotspot kind's initial hot output; Period is its
-	// dwell time in cycles before the hot output advances by Stride
-	// (Period < 1 behaves as 1, Stride 0 as 1, as in MovingHotSpot).
+	// Hot is the hot output, reduced into [0, outputs) (-1 is the last
+	// output), and the moving-hotspot kind's initial one; Period is that
+	// kind's dwell time in cycles before the hot output advances by
+	// Stride (Period < 1 behaves as 1, Stride 0 as 1, as in
+	// MovingHotSpot).
 	Hot    int `json:"hot,omitempty"`
 	Period int `json:"period,omitempty"`
 	Stride int `json:"stride,omitempty"`

@@ -677,6 +677,33 @@ func TestTrafficSpecIsBounded(t *testing.T) {
 	}
 }
 
+// TestHotSpotHotWraps pins one rule for both hot-spot kinds: a hot
+// output is reduced into [0, outputs), so on EDN(4,2,2,2)'s 8 outputs a
+// hotspot spec aimed at -3 or 13 measures what one aimed at 5 does.
+// Only the pattern label, which names the spec's own hot value,
+// differs.
+func TestHotSpotHotWraps(t *testing.T) {
+	run := func(hot int) []LatencyResult {
+		t.Helper()
+		res, err := Run(context.Background(), JobSpec{Mode: JobSaturation, Geometry: &GeometrySpec{A: 4, B: 2, C: 2, L: 2},
+			Loads: []float64{0.4, 0.7}, Traffic: &TrafficSpec{Kind: "hotspot", HotFraction: 0.5, Hot: hot},
+			Queue: &QueueSpec{Depth: 2}, Sim: SimSpec{Cycles: 200, Warmup: 20, Seed: 3, Shards: 1}})
+		if err != nil {
+			t.Fatalf("hot %d: %v", hot, err)
+		}
+		for i := range res.Points {
+			res.Points[i].Pattern = ""
+		}
+		return res.Points
+	}
+	want := run(5)
+	for _, hot := range []int{-3, 13} {
+		if got := run(hot); !equalResults(got, want) {
+			t.Errorf("hot %d measured unlike hot 5:\n%+v\n%+v", hot, got, want)
+		}
+	}
+}
+
 // TestProbeNeedsAnObservedReport pins that a probe section is an edn:
 // error on the modes whose results have no observed report to carry it
 // (estimate, availability, drain), while the modes that carry one, and
