@@ -10,7 +10,7 @@ import (
 // forward issue, both fabric cycles and reply matching — over each
 // packet engine. In-flight request records live in a fixed pooled slot
 // array threaded with intrusive lists and the per-source backlogs are
-// preallocated rings, so like every steady-state loop in the repository
+// one preallocated FIFO store, so like every steady-state loop in the repository
 // it must report exactly 0 allocs/op under -benchmem; the CI zero-alloc
 // gate enforces that.
 func BenchmarkClosedLoopCycle(b *testing.B) {
@@ -39,7 +39,7 @@ func BenchmarkClosedLoopCycle(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchmarkClosedLoopCycle(b, fwd, rev, cfg.Inputs(), cfg.Outputs(), lo)
+			benchmarkClosedLoopCycle(b, fwd, rev, cfg.Inputs(), cfg.Outputs(), 2*cfg.WireCount(), lo)
 		})
 		dcfg, err := DilatedCounterpart(cfg)
 		if err != nil {
@@ -54,12 +54,13 @@ func BenchmarkClosedLoopCycle(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchmarkClosedLoopCycle(b, fwd, rev, dcfg.Ports(), dcfg.Ports(), lo)
+			benchmarkClosedLoopCycle(b, fwd, rev, dcfg.Ports(), dcfg.Ports(), 2*dcfg.WireCount(), lo)
 		})
 	}
 }
 
-func benchmarkClosedLoopCycle(b *testing.B, fwd, rev ClosedLoopEngine, inputs, outputs int, lo ClosedLoopOptions) {
+// wires counts both fabrics' wires, the unit of the ns/wsc metric.
+func benchmarkClosedLoopCycle(b *testing.B, fwd, rev ClosedLoopEngine, inputs, outputs int, wires int64, lo ClosedLoopOptions) {
 	loop, err := NewClosedLoop(fwd, rev, inputs, outputs, lo)
 	if err != nil {
 		b.Fatal(err)
@@ -84,4 +85,5 @@ func benchmarkClosedLoopCycle(b *testing.B, fwd, rev ClosedLoopEngine, inputs, o
 	}
 	led := loop.Ledger()
 	b.ReportMetric(float64(led.Completed)/float64(loop.Now()), "completed/cycle")
+	reportPerWire(b, wires)
 }

@@ -103,4 +103,5 @@ func benchmarkDilatedCycle(b *testing.B, dcfg DilatedDelta, dopts DilatedQueueOp
 	b.ReportMetric(float64(tot.Delivered)/float64(net.Now()), "delivered/cycle")
 	b.ReportMetric(net.Latency().Quantile(0.99), "p99-cycles")
 	b.ReportMetric(float64(dcfg.Ports())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mports/s")
+	reportPerWire(b, dcfg.WireCount())
 }

@@ -51,8 +51,11 @@
 //     MarkovOnOff / MovingHotSpot sources supply the temporally
 //     correlated load that makes queues interesting. The depth-1 Drop
 //     configuration is pinned bit-for-bit to the unbuffered Network;
-//     the advance loop is allocation-free for bounded depths
-//     (BenchmarkQueueCycle). See edn latency (cmd/edn) for the CLI.
+//     every FIFO of a network lives in one store with an occupancy
+//     bitmap, each stage's advance visits only the FIFOs that hold a
+//     packet on a live wire, and the advance loop is allocation-free
+//     for bounded depths (BenchmarkQueueCycle). See edn latency
+//     (cmd/edn) for the CLI.
 //   - Fault tolerance and lifecycle: one fault model over the engine's
 //     per-stage fabric descriptor. FaultSet/CompileFaults turn dead
 //     switches, wires and ports into per-stage availability masks the

@@ -210,8 +210,8 @@ type reqAgg struct {
 // bbNone marks a ring whose head no congestion edge leaves this cycle.
 const bbNone = -1
 
-// mirrorSlots is each ring mirror's preallocated capacity, the size
-// ringbuf grows an empty ring to; deeper FIFOs grow on first fill.
+// mirrorSlots is each ring mirror's arena stride in the mirror store;
+// a mirror of a deeper FIFO grows alone on its first fill.
 const mirrorSlots = 4
 
 // Collector accumulates latency anatomy for one engine run. Create
@@ -224,10 +224,10 @@ type Collector struct {
 	recs []rec
 	free []int32 // freelist of rec indices
 
-	mirror []ringbuf.Ring // per ring, record handles, depth>0 engines
-	heads  []head         // per ring
-	slot0  []int32        // per input, depth-0 engines (-1 = idle)
-	now    int64          // cycle of the last EndCycle
+	mirror ringbuf.Rings // per ring, record handles, depth>0 engines
+	heads  []head        // per ring
+	slot0  []int32       // per input, depth-0 engines (-1 = idle)
+	now    int64         // cycle of the last EndCycle
 
 	blockedBy   []int32 // per ring, this cycle (bbNone or node)
 	blockedList []int32 // rings with a congestion edge this cycle
@@ -256,11 +256,7 @@ func (c *Collector) Bind(lay Layout) {
 	c.lay = lay
 	c.recs = c.recs[:0]
 	c.free = c.free[:0]
-	c.mirror = make([]ringbuf.Ring, lay.Rings)
-	backing := make([]uint64, lay.Rings*mirrorSlots)
-	for i := range c.mirror {
-		c.mirror[i].Buf = backing[i*mirrorSlots : (i+1)*mirrorSlots]
-	}
+	c.mirror = ringbuf.NewRings(lay.Rings, mirrorSlots)
 	c.heads = make([]head, lay.Rings)
 	c.slot0 = nil
 	if lay.Rings == 0 && lay.Inputs > 0 {
@@ -354,11 +350,10 @@ func (sa *stageAgg) dwell(r *rec, now int64) {
 // push appends record i to ring's mirror; into an empty ring it is the
 // head at once.
 func (c *Collector) push(ring int, i int32, now int64) {
-	m := &c.mirror[ring]
-	if m.N == 0 {
+	if c.mirror.Len(ring) == 0 {
 		c.heads[ring].since = now
 	}
-	m.Push(uint64(i))
+	c.mirror.Push(ring, uint64(i))
 }
 
 // leave pops ring's head at cycle now and settles its visit to the
@@ -367,7 +362,8 @@ func (c *Collector) push(ring int, i int32, now int64) {
 // stayed there. The blocked cycles that were not Block calls are fault
 // parks. The packet behind it reaches the head at now.
 func (c *Collector) leave(ring int, now, end int64) (int32, *rec, *stageAgg) {
-	i := int32(c.mirror[ring].Pop())
+	i := int32(c.mirror.Peek(ring))
+	c.mirror.Skip(ring)
 	r := &c.recs[i]
 	h := &c.heads[ring]
 	w, b := h.since-r.entered, end-h.since-1

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"edn/internal/ringbuf"
 	"edn/internal/stats"
 )
 
@@ -212,19 +213,16 @@ func (c *Collector) Report() *Report {
 // applies when a packet departs: each head has waited until it reached
 // the head and been blocked since; the packets behind it have waited.
 func (c *Collector) settleQueued(rep *Report) {
-	for ring := range c.mirror {
-		m := &c.mirror[ring]
-		if m.N == 0 {
-			continue
-		}
+	m := &c.mirror
+	full, rings := m.NonEmpty(), m.Count()
+	for ring := ringbuf.Next(full, nil, 0, rings); ring < rings; ring = ringbuf.Next(full, nil, ring+1, rings) {
 		st := &rep.PerStage[c.lay.RingStage[ring]-1]
 		h := c.heads[ring]
-		st.Wait += h.since - c.recs[m.Peek()].entered
+		st.Wait += h.since - c.recs[m.Peek(ring)].entered
 		st.Block += c.now - h.since
 		rep.FaultParked += c.now - h.since - h.blocked
-		for k := int32(1); k < m.N; k++ {
-			i := m.Buf[(m.Head+k)&int32(len(m.Buf)-1)]
-			st.Wait += c.now - c.recs[i].entered
+		for k := 1; k < m.Len(ring); k++ {
+			st.Wait += c.now - c.recs[m.At(ring, k)].entered
 		}
 	}
 }

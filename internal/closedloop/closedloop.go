@@ -34,7 +34,9 @@
 // after any cycle.
 //
 // The steady-state advance is allocation-free: slots are a fixed pool
-// linked through intrusive lists, backlogs are preallocated rings, and
+// linked through intrusive lists, the backlogs are one preallocated
+// FIFO store (a ringbuf.Rings of one FIFO per source, as deep as the
+// power of two at or above MaxBacklog, so it never grows), and
 // the engine delivery hooks are installed once at construction.
 // BenchmarkClosedLoopCycle pins 0 allocs/op over both fabrics.
 package closedloop
@@ -279,10 +281,10 @@ type Loop struct {
 	opts     Options
 
 	slots            []slot
-	fwdHead, fwdTail []int32 // [memory port] slotFwd requests keyed by destination
-	svcHead, svcTail []int32 // [return input] slotService requests keyed by port group
-	repHead, repTail []int32 // [source] slotReply requests keyed by owner
-	backlog          []ringbuf.Ring
+	fwdHead, fwdTail []int32       // [memory port] slotFwd requests keyed by destination
+	svcHead, svcTail []int32       // [return input] slotService requests keyed by port group
+	repHead, repTail []int32       // [source] slotReply requests keyed by owner
+	backlog          ringbuf.Rings // one FIFO of packed demands per source
 	destFwd, destRev []int
 
 	demandRng  *xrand.Rand
@@ -323,7 +325,7 @@ func New(fwd, rev Engine, inputs, outputs int, opts Options) (*Loop, error) {
 		return nil, fmt.Errorf("closedloop: %d sources invalid", inputs)
 	case outputs < inputs || outputs%inputs != 0:
 		return nil, fmt.Errorf("closedloop: %d memory ports not a multiple of %d sources", outputs, inputs)
-	case opts.Rate < 0 || opts.Rate > 1:
+	case !(opts.Rate >= 0 && opts.Rate <= 1): // NaN included
 		return nil, fmt.Errorf("closedloop: demand rate %g outside [0,1]", opts.Rate)
 	case opts.MaxAttempts < 0:
 		return nil, fmt.Errorf("closedloop: MaxAttempts %d negative", opts.MaxAttempts)
@@ -348,7 +350,7 @@ func New(fwd, rev Engine, inputs, outputs int, opts Options) (*Loop, error) {
 		fwdHead: newLinks(outputs), fwdTail: newLinks(outputs),
 		svcHead: newLinks(inputs), svcTail: newLinks(inputs),
 		repHead: newLinks(inputs), repTail: newLinks(inputs),
-		backlog:  make([]ringbuf.Ring, inputs),
+		backlog:  ringbuf.NewRings(inputs, opts.MaxBacklog),
 		destFwd:  make([]int, inputs),
 		destRev:  make([]int, inputs),
 		liveOut:  make([]bool, outputs),
@@ -363,16 +365,6 @@ func New(fwd, rev Engine, inputs, outputs int, opts Options) (*Loop, error) {
 	l.backoffRng = root.Split()
 	for i := range l.slots {
 		l.slots[i].prev, l.slots[i].next, l.slots[i].trace = -1, -1, -1
-	}
-	// Power-of-two backlog backing at least MaxBacklog deep, so the
-	// bounded Push never grows.
-	slotCap := 1
-	for slotCap < opts.MaxBacklog {
-		slotCap <<= 1
-	}
-	backing := make([]uint64, inputs*slotCap)
-	for i := range l.backlog {
-		l.backlog[i].Buf = backing[i*slotCap : (i+1)*slotCap]
 	}
 	if err := l.SetLiveOutputs(nil); err != nil {
 		return nil, err
@@ -630,13 +622,12 @@ func (l *Loop) Cycle() (CycleStats, error) {
 	// source order, as a coin-then-destination loop per source would.
 	for _, i := range Arrivals(l.arrived, l.demand, l.demandRng) {
 		l.led.Offered++
-		r := &l.backlog[i]
-		if !r.HasSpace(l.opts.MaxBacklog) {
+		if !l.backlog.HasSpace(int(i), l.opts.MaxBacklog) {
 			l.led.Shed++
 			l.cycle.Shed++
 			continue
 		}
-		r.Push(ringbuf.Pack(l.drawDest(), l.now))
+		l.backlog.Push(int(i), ringbuf.Pack(l.drawDest(), l.now))
 		l.led.Backlogged++
 		l.cycle.Arrived++
 	}
@@ -698,7 +689,7 @@ func (l *Loop) Cycle() (CycleStats, error) {
 				free = base + w
 			}
 		}
-		if pick < 0 && (free < 0 || l.backlog[i].N == 0) {
+		if pick < 0 && (free < 0 || l.backlog.Len(i) == 0) {
 			continue
 		}
 		if !l.fwd.InputFree(i) {
@@ -711,7 +702,7 @@ func (l *Loop) Cycle() (CycleStats, error) {
 			l.led.Retries++
 			l.cycle.Retried++
 		} else {
-			p := l.backlog[i].Pop()
+			p := l.backlog.Pop(i)
 			l.led.Backlogged--
 			s = int32(free)
 			sl := &l.slots[s]
@@ -793,8 +784,8 @@ func (l *Loop) CheckConservation() error {
 			led.Issued, led.Completed, led.GivenUp, led.InFlight, led.RetryWaiting)
 	}
 	var backlogged, inFlight, retryWaiting int64
-	for i := range l.backlog {
-		backlogged += int64(l.backlog[i].N)
+	for i := range l.backlog.Count() {
+		backlogged += int64(l.backlog.Len(i))
 	}
 	for s := range l.slots {
 		switch l.slots[s].state {

@@ -331,6 +331,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}{
 		{"indivisible", 3, 8, Options{Rate: 0.5}},
 		{"rate", cfg.Inputs(), cfg.Outputs(), Options{Rate: 1.5}},
+		{"nan-rate", cfg.Inputs(), cfg.Outputs(), Options{Window: 4, Rate: math.NaN()}},
 		{"retry", cfg.Inputs(), cfg.Outputs(), Options{Rate: 0.5, Retry: RetryPolicy(9)}},
 		{"cap", cfg.Inputs(), cfg.Outputs(), Options{Rate: 0.5, BackoffBase: 8, BackoffCap: 4}},
 	}

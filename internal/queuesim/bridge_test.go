@@ -17,10 +17,12 @@ import (
 )
 
 // bridgeGeometries spans rectangular, square, delta-corner (c=1),
-// single-hyperbar, deep and wide-bucket EDNs.
+// single-hyperbar, deep and wide-bucket EDNs, and one whose switches are
+// wider than a 64-bit occupancy word (EDN(128,16,8,1)).
 var bridgeGeometries = [][4]int{
 	{4, 4, 2, 2}, {8, 2, 4, 2}, {16, 4, 4, 2}, {4, 4, 1, 2}, {64, 16, 4, 2},
 	{4, 2, 2, 3}, {2, 2, 1, 4}, {8, 8, 1, 1}, {16, 4, 4, 5}, {4, 4, 4, 3}, {32, 4, 8, 2},
+	{128, 16, 8, 1},
 }
 
 // bridgeFactory makes one independent factory per engine. The random

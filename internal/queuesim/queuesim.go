@@ -20,10 +20,17 @@
 // installs. Per-stage routing digits are shift/mask slices of the
 // destination (Section 2's digit retirement), and head-of-line
 // arbitration per switch uses the switchfab arbiter orders (the
-// nil-factory default takes the fused priority fast path). All FIFO
-// storage is ring buffers sized at construction, so the per-cycle
-// advance is allocation-free in steady state for bounded depths
-// (BenchmarkQueueCycle pins this at 0 allocs/op).
+// nil-factory default takes the fused priority fast path). Every FIFO
+// of every stage boundary lives in one ringbuf.Rings store, sized at
+// construction, so the per-cycle advance is allocation-free in steady
+// state for bounded depths (BenchmarkQueueCycle pins this at 0
+// allocs/op). Each stage's advance visits only its candidate FIFOs —
+// those that hold a packet and sit on a live wire — by walking the
+// store's occupancy bitmap with the dead-wire bitmap masked out, a
+// whole 64-bit word at a time; a switch with no candidate is skipped,
+// and a candidate's switch is its index shifted by the stage's
+// power-of-two width. The fused priority path takes a switch's
+// candidates in ascending order, an arbiter in its own order.
 //
 // Depth semantics tie the family together:
 //
@@ -53,6 +60,7 @@ package queuesim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"edn/internal/anatomy"
 	"edn/internal/faults"
@@ -256,17 +264,20 @@ type Network struct {
 	inputs  int
 	outputs int
 
-	// Pipelined state (Depth != 0). rings holds one FIFO per stage-input
-	// wire across all boundaries: boundary s-1 (rings[base[s-1]:]) feeds
-	// stage s; boundary 0 is the injection row.
-	rings []ringbuf.Ring
-	base  []int // base[i] = first ring of boundary i, i in [0, stages-1]
+	// Pipelined state (Depth != 0). fifo holds one FIFO (ring) per
+	// stage-input wire across all boundaries: boundary s-1 (rings
+	// base[s-1] on) feeds stage s; boundary 0 is the injection row.
+	// occ[b] counts the packets boundary b holds.
+	fifo ringbuf.Rings
+	base []int // base[i] = first ring of boundary i, i in [0, stages-1]
+	occ  []int64
 
 	// Fault availability (nil = fully live), swapped between cycles by
 	// UpdateFaults. live points at liveRows when any stage row is masked.
-	// deadRing (nil when every wire is live) marks rings whose feeding
-	// wire the current mask disables: their queued packets are stranded
-	// and their heads are skipped by arbitration.
+	// dead, a bitmap over the rings (pipelined only, all clear when
+	// every wire is live), marks rings whose feeding wire the current
+	// mask disables: their queued packets are stranded and their heads
+	// are never candidates.
 	// liveCap[s-1][sw*Buckets+bucket] counts the bucket's live wires
 	// under the current mask, so the advance loop can tell "parked on a
 	// dead bucket" from "blocked by contention" without rescanning the
@@ -274,13 +285,13 @@ type Network struct {
 	liveIn         []bool
 	live           [][]bool // [stage-1] stage-local output label availability
 	liveRows       [][]bool
-	deadRing       []bool
-	deadRingBuf    []bool
+	dead           []uint64
 	liveCap        [][]int32
 	strandedQueued int64 // packets parked in dead rings (Backpressure)
 
 	factory      switchfab.ArbiterFactory
 	fastPriority bool
+	wshift       []uint                // [stage-1] log2 of the switch width
 	arbiters     [][]switchfab.Arbiter // [stage-1][switch], lazily built
 	used         []int32               // per-bucket wires consumed this cycle
 	order        []int                 // arbiter-path arbitration order
@@ -362,6 +373,7 @@ func NewFabric(f *Fabric, opts Options) (*Network, error) {
 		lat:          stats.NewHistogram(opts.LatencyBuckets, opts.LatencyBucketWidth),
 		liveRows:     make([][]bool, stages),
 		liveCap:      make([][]int32, stages-1),
+		wshift:       make([]uint, stages),
 		arbiters:     make([][]switchfab.Arbiter, stages),
 	}
 	if n.factory == nil {
@@ -369,6 +381,10 @@ func NewFabric(f *Fabric, opts Options) (*Network, error) {
 	}
 	width, buckets := 0, 0
 	for s, st := range f.Stages {
+		if st.Width < 1 || st.Width&(st.Width-1) != 0 {
+			return nil, fmt.Errorf("%s: %v stage %d width %d is not a power of two", f.Name, f.Label, s+1, st.Width)
+		}
+		n.wshift[s] = uint(bits.TrailingZeros(uint(st.Width)))
 		n.arbiters[s] = make([]switchfab.Arbiter, st.Switches)
 		if s < stages-1 {
 			n.liveCap[s] = make([]int32, st.Switches*st.Buckets)
@@ -401,20 +417,16 @@ func NewFabric(f *Fabric, opts Options) (*Network, error) {
 			n.base[s] = total
 			total += st.Switches * st.Width
 		}
-		n.rings = make([]ringbuf.Ring, total)
-		if opts.Depth >= 1 {
-			// One flat backing array, power-of-two slots per ring, so the
-			// steady state never allocates and neighbors share cache lines.
-			slot := 1
-			for slot < opts.Depth {
-				slot <<= 1
-			}
-			backing := make([]uint64, total*slot)
-			for i := range n.rings {
-				n.rings[i].Buf = backing[i*slot : (i+1)*slot]
-			}
+		// A bounded ring never outgrows its arena slots, so its pushes
+		// take the inlined Put; an unbounded one starts with 4 slots and
+		// grows alone through Push.
+		stride := opts.Depth
+		if stride == Unbounded {
+			stride = 4
 		}
-		n.deadRingBuf = make([]bool, total)
+		n.fifo = ringbuf.NewRings(total, stride)
+		n.occ = make([]int64, stages)
+		n.dead = make([]uint64, ringbuf.Words(total))
 	}
 	if err := n.UpdateFaults(opts.Faults); err != nil {
 		return nil, err
@@ -480,21 +492,16 @@ func (n *Network) CompileFaults(set faults.Set) (*faults.Masks, error) {
 // wires — the per-stage rows fold a wire's own death, its switch port
 // and its downstream switch into one bit, and the ring is the buffer
 // attached to that wire. Packets found queued in a dead ring are
-// stranded per policy. O(wires) per mask swap, no allocations.
+// stranded per policy; the strand pass walks only the bitmap words
+// that are both dead and occupied. O(wires) per mask swap, no
+// allocations.
 func (n *Network) refreshLive() {
-	var dead []bool
-	if n.rings != nil {
-		dead = n.deadRingBuf
-		for i := range dead {
-			dead[i] = false
-		}
-	}
-	any := false
+	dead := n.dead // nil at depth 0
+	clear(dead)
 	if dead != nil {
 		for w, ok := range n.liveIn {
 			if !ok {
-				dead[w] = true
-				any = true
+				dead[w>>6] |= 1 << (w & 63)
 			}
 		}
 	}
@@ -507,63 +514,52 @@ func (n *Network) refreshLive() {
 			continue
 		}
 		tab := n.st[s].Table
-		var deadDown []bool // the rings of boundary s+1
-		if dead != nil {
-			deadDown = dead[n.base[s+1]:]
-		}
 		for o, ok := range row {
 			if ok {
 				continue
 			}
 			caps[o/wires]--
-			if deadDown != nil {
+			if dead != nil {
 				down := o
 				if tab != nil {
 					down = int(tab[o])
 				}
-				deadDown[down] = true
-				any = true
+				down += n.base[s+1] // the rings of boundary s+1
+				dead[down>>6] |= 1 << (down & 63)
 			}
 		}
 	}
 	n.strandedQueued = 0
-	if !any {
-		n.deadRing = nil
-		return
-	}
-	n.deadRing = dead
 	drop := n.opts.Policy == Drop
-	for i := range n.rings {
-		if !n.deadRing[i] {
-			continue
-		}
-		r := &n.rings[i]
-		if r.N == 0 {
-			continue
-		}
-		stranded := int64(r.N)
-		if drop {
-			for r.N > 0 {
-				pkt := r.Pop()
+	full := n.fifo.NonEmpty()
+	for w, dw := range dead {
+		for m := dw & full[w]; m != 0; m &= m - 1 {
+			i := w<<6 | bits.TrailingZeros64(m)
+			s := n.ringStage(i)
+			stranded := int64(n.fifo.Len(i))
+			if !drop {
+				n.strandedQueued += stranded
+				if n.probe != nil {
+					for k := range int(stranded) {
+						if pkt := n.fifo.At(i, k); pkt&ringbuf.TraceBit != 0 {
+							n.probe.Hop(pkt, s, probe.EvPark, n.now)
+						}
+					}
+				}
+				continue
+			}
+			for n.fifo.Len(i) > 0 {
+				pkt := n.fifo.Pop(i)
 				if n.probe != nil && pkt&ringbuf.TraceBit != 0 {
-					n.probe.Close(pkt, n.ringStage(i), probe.EvStrand, n.now)
+					n.probe.Close(pkt, s, probe.EvStrand, n.now)
 				}
 				if n.anat != nil {
 					n.anat.Strand(i, n.now)
 				}
 			}
 			n.queued -= stranded
+			n.occ[s-1] -= stranded
 			n.totals.Stranded += stranded
-		} else {
-			n.strandedQueued += stranded
-			if n.probe != nil {
-				for k := int32(0); k < r.N; k++ {
-					pkt := r.Buf[(int(r.Head)+int(k))&(len(r.Buf)-1)]
-					if pkt&ringbuf.TraceBit != 0 {
-						n.probe.Hop(pkt, n.ringStage(i), probe.EvPark, n.now)
-					}
-				}
-			}
 		}
 	}
 }
@@ -669,17 +665,18 @@ func (n *Network) SetAnatomy(a *anatomy.Collector) {
 		a.Bind(anatomy.Layout{Stages: n.stages, Inputs: n.inputs, Outputs: n.outputs})
 		return
 	}
+	rings := n.fifo.Count()
 	lay := anatomy.Layout{
 		Stages: n.stages, Inputs: n.inputs, Outputs: n.outputs,
-		Rings:      len(n.rings),
-		RingStage:  make([]int32, len(n.rings)),
-		RingSwitch: make([]int32, len(n.rings)),
+		Rings:      rings,
+		RingStage:  make([]int32, rings),
+		RingSwitch: make([]int32, rings),
 		TermSwitch: make([]int32, n.outputs),
 	}
-	for i := range n.rings {
+	for i := range rings {
 		s := n.ringStage(i)
 		lay.RingStage[i] = int32(s)
-		lay.RingSwitch[i] = int32((i - n.base[s-1]) / n.st[s-1].Width)
+		lay.RingSwitch[i] = int32((i - n.base[s-1]) >> n.wshift[s-1])
 	}
 	for t := range lay.TermSwitch {
 		lay.TermSwitch[t] = int32(t / n.st[n.stages-1].Buckets)
@@ -696,25 +693,16 @@ func (n *Network) ringStage(i int) int {
 	return s
 }
 
-// recordHeat folds this cycle's occupancy census into the probe and
-// closes the heat cycle. Only called with a probe attached; the scan is
-// O(wires), a cost the attached probe accepts and the nil path never
-// pays.
+// recordHeat folds this cycle's occupancy census — the packets each
+// stage's input boundary holds, kept per boundary as packets move —
+// into the probe and closes the heat cycle. Only called with a probe
+// attached; O(stages).
 func (n *Network) recordHeat() {
 	if n.opts.Depth == 0 {
 		n.probe.AddStage(pmOccupancy, 0, float64(n.queued))
 	} else {
-		for s := 1; s <= n.stages; s++ {
-			lo := n.base[s-1]
-			hi := len(n.rings)
-			if s < len(n.base) {
-				hi = n.base[s]
-			}
-			occ := int64(0)
-			for i := lo; i < hi; i++ {
-				occ += int64(n.rings[i].N)
-			}
-			n.probe.AddStage(pmOccupancy, s-1, float64(occ))
+		for b, q := range n.occ {
+			n.probe.AddStage(pmOccupancy, b, float64(q))
 		}
 	}
 	n.probe.EndCycle()
@@ -731,7 +719,7 @@ func (n *Network) InputFree(i int) bool {
 	if n.opts.Depth == 0 {
 		return n.pending[i] == NoRequest
 	}
-	return n.rings[i].HasSpace(n.opts.Depth)
+	return n.fifo.HasSpace(i, n.opts.Depth)
 }
 
 // Cycle advances the network by one cycle and then injects dest:
@@ -792,6 +780,7 @@ func (n *Network) cyclePipelined(dest []int, cs *CycleStats) error {
 		cs.ParkedOnDead += int(n.strandedQueued)
 	}
 	depth := n.opts.Depth
+	entered := 0
 	for i, d := range dest {
 		if d == NoRequest {
 			continue
@@ -801,8 +790,7 @@ func (n *Network) cyclePipelined(dest []int, cs *CycleStats) error {
 			cs.Refused++ // severed input wire: refused at the source
 			continue
 		}
-		r := &n.rings[i]
-		if !r.HasSpace(depth) {
+		if !n.fifo.HasSpace(i, depth) {
 			cs.Refused++
 			continue
 		}
@@ -810,12 +798,18 @@ func (n *Network) cyclePipelined(dest []int, cs *CycleStats) error {
 		if n.probe != nil {
 			pkt = n.probe.TagInject(i, pkt, n.now)
 		}
-		r.Push(pkt)
-		n.queued++
+		if depth == Unbounded {
+			n.fifo.Push(i, pkt)
+		} else {
+			n.fifo.Put(i, pkt)
+		}
+		entered++
 		if n.anat != nil {
 			n.anat.Inject(i, i, d, n.now)
 		}
 	}
+	n.queued += int64(entered)
+	n.occ[0] += int64(entered)
 	if n.anat != nil {
 		n.anat.EndCycle(n.now)
 	}
@@ -900,8 +894,10 @@ func (n *Network) switchOrder(s, sw, width int) ([]int, error) {
 // advanceStage runs one cycle of stage s (1-based): head-of-line
 // arbitration per switch over the boundary s-1 FIFOs, winners crossing
 // the interstage table into the boundary s FIFOs (or retiring at the
-// last stage), losers retained or dropped per policy: natural order
-// for the fused priority default, arbiter orders otherwise.
+// last stage), losers retained or dropped per policy. It visits only
+// the switches that hold a candidate — a packet on a live wire — and
+// only their candidates: in ascending order on the fused priority
+// default, in the arbiter's order otherwise.
 func (n *Network) advanceStage(s int, cs *CycleStats) error {
 	st := &n.st[s-1]
 	retire := s == n.stages
@@ -918,61 +914,62 @@ func (n *Network) advanceStage(s int, cs *CycleStats) error {
 	if live != nil && !retire {
 		liveCap = n.liveCap[s-1]
 	}
-	inBase := n.base[s-1]
-	var dead []bool // rings on dead wires: heads skipped, packets parked
-	if n.deadRing != nil {
-		dead = n.deadRing[inBase:]
-	}
-	var outRings []ringbuf.Ring
-	outBaseRing := len(n.rings) // anatomy node of terminal 0
+	lo, wshift := n.base[s-1], n.wshift[s-1]
+	hi := lo + st.Switches<<wshift
+	outBaseRing := n.fifo.Count() // anatomy node of terminal 0
 	if !retire {
 		outBaseRing = n.base[s]
-		outRings = n.rings[outBaseRing:]
 	}
 	depth := n.opts.Depth
 	used := n.used[:buckets]
+	full, dead := n.fifo.NonEmpty(), n.dead
+	// Packets leaving the boundary are folded into occ once, at the end.
+	gone0, moved := cs.Delivered+cs.Dropped, 0
+	var err error
 
-	for sw := 0; sw < st.Switches; sw++ {
-		swIn := inBase + sw*width
-		in := n.rings[swIn : swIn+width]
-		var inDead []bool
-		if dead != nil {
-			inDead = dead[sw*width : (sw+1)*width]
-		}
-		outBase := sw * bc
+	for f := ringbuf.Next(full, dead, lo, hi); f < hi; f = ringbuf.Next(full, dead, f, hi) {
+		sw := (f - lo) >> wshift
+		swIn := lo + sw<<wshift
+		f = swIn + width // the walk resumes after this switch
 		var order []int
 		if !n.fastPriority {
-			busy := false
-			for p := range in {
-				if in[p].N != 0 && (inDead == nil || !inDead[p]) {
-					busy = true
-					break
-				}
-			}
-			if !busy {
-				continue
-			}
-			var err error
 			if order, err = n.switchOrder(s, sw, width); err != nil {
-				return err
+				break
 			}
 		}
 		for i := range used {
 			used[i] = 0
 		}
-		for idx := range in {
-			p := idx
-			if order != nil {
-				p = order[idx]
+		outBase := sw * bc
+		// The switch's candidates: ascending from the bitmap words (w, m),
+		// or in the arbiter's order (k).
+		w := swIn >> 6
+		m := full[w] &^ dead[w] & span(w, swIn, f)
+		for k := 0; ; {
+			var ring int
+			if order == nil {
+				for m == 0 {
+					if w++; w<<6 >= f {
+						break
+					}
+					m = full[w] &^ dead[w] & span(w, swIn, f)
+				}
+				if m == 0 {
+					break
+				}
+				ring = w<<6 | bits.TrailingZeros64(m)
+				m &= m - 1
+			} else {
+				if k == width {
+					break
+				}
+				ring = swIn + order[k]
+				k++
+				if (full[ring>>6]&^dead[ring>>6])>>(ring&63)&1 == 0 {
+					continue
+				}
 			}
-			r := &in[p]
-			if r.N == 0 {
-				continue
-			}
-			if inDead != nil && inDead[p] {
-				continue // parked on a dead wire (Drop strands at swap time)
-			}
-			pkt := r.Peek()
+			pkt := n.fifo.Peek(ring)
 			d := int((uint32(pkt) >> shift) & mask)
 			// Move the head: at the retire stage onto terminal outBase+d,
 			// elsewhere onto the first *live* bucket-d wire whose
@@ -990,7 +987,7 @@ func (n *Network) advanceStage(s int, cs *CycleStats) error {
 					blocker = outBaseRing + outBase + d
 				default:
 					used[d] = 1
-					r.Pop()
+					n.fifo.Skip(ring)
 					n.retire(pkt, cs)
 					to = outBaseRing + outBase + d
 				}
@@ -1001,20 +998,25 @@ func (n *Network) advanceStage(s int, cs *CycleStats) error {
 					if live != nil && !live[o] {
 						continue // dead wire: permanently unusable, skip it
 					}
-					down := o
+					down := outBaseRing + o
 					if tab != nil {
-						down = int(tab[o])
+						down = outBaseRing + int(tab[o])
 					}
-					if dr := &outRings[down]; dr.HasSpace(depth) {
-						r.Pop()
-						dr.Push(pkt)
-						to = outBaseRing + down
+					if n.fifo.HasSpace(down, depth) {
+						n.fifo.Skip(ring)
+						if depth == Unbounded {
+							n.fifo.Push(down, pkt)
+						} else {
+							n.fifo.Put(down, pkt)
+						}
+						moved++
+						to = down
 						break
 					}
 					// This wire leads to a full FIFO: it is consumed for
 					// the cycle; try the bucket's next wire.
 					if blocker < 0 {
-						blocker = outBaseRing + down
+						blocker = down
 					}
 				}
 			}
@@ -1023,7 +1025,7 @@ func (n *Network) advanceStage(s int, cs *CycleStats) error {
 				// the terminal itself, or a bucket with zero live wires —
 				// rather than merely oversubscribed or backed up.
 				parked := live != nil && (retire && !live[outBase+d] || !retire && liveCap[sw*buckets+d] == 0)
-				n.stall(s, swIn+p, pkt, parked, blocker, cs)
+				n.stall(s, ring, pkt, parked, blocker, cs)
 				continue
 			}
 			if n.probe != nil && !retire {
@@ -1031,14 +1033,23 @@ func (n *Network) advanceStage(s int, cs *CycleStats) error {
 			}
 			if n.anat != nil {
 				if retire {
-					n.anat.Deliver(swIn+p, n.now)
+					n.anat.Deliver(ring, n.now)
 				} else {
-					n.anat.Advance(swIn+p, to, n.now)
+					n.anat.Advance(ring, to, n.now)
 				}
 			}
 		}
 	}
-	return nil
+	n.occ[s-1] -= int64(moved + cs.Delivered + cs.Dropped - gone0)
+	if !retire {
+		n.occ[s] += int64(moved)
+	}
+	return err
+}
+
+// span returns the bits of bitmap word w that number rings in [lo, hi).
+func span(w, lo, hi int) uint64 {
+	return ^uint64(0) << uint(max(lo-w<<6, 0)) & (1<<uint(min(hi-w<<6, 64)) - 1)
 }
 
 // stall settles a stage-s head packet that could not move this cycle:
@@ -1048,7 +1059,7 @@ func (n *Network) advanceStage(s int, cs *CycleStats) error {
 func (n *Network) stall(s, ring int, pkt uint64, parked bool, blocker int, cs *CycleStats) {
 	switch {
 	case n.opts.Policy == Drop:
-		n.rings[ring].Pop()
+		n.fifo.Skip(ring)
 		n.queued--
 		cs.Dropped++
 		n.perStage[s-1]++

@@ -99,8 +99,8 @@ func (n *Network) countQueued() int64 {
 		}
 		return total
 	}
-	for i := range n.rings {
-		total += int64(n.rings[i].N)
+	for i := range n.fifo.Count() {
+		total += int64(n.fifo.Len(i))
 	}
 	return total
 }
@@ -224,6 +224,10 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := New(topology.Config{A: 3}, Options{}); err == nil {
 		t.Error("invalid topology should be rejected")
+	}
+	odd := &Fabric{Name: "odd", Label: cfg, Stages: []topology.Stage{{Switches: 2, Width: 3, Buckets: 3, Wires: 1}}}
+	if _, err := NewFabric(odd, Options{Depth: 1}); err == nil {
+		t.Error("a stage width that is not a power of two should be rejected")
 	}
 	q, err := New(cfg, Options{Depth: 2})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"edn/internal/faults"
+	"edn/internal/ringbuf"
 	"edn/internal/topology"
 	"edn/internal/xrand"
 )
@@ -48,6 +49,59 @@ func checkConservation(t testing.TB, net *Network, where string) {
 		t.Fatalf("%s: conservation violated: injected %d != refused+delivered+dropped+stranded+queued %d (%+v queued=%d)",
 			where, tot.Injected, got, tot, net.Queued())
 	}
+	checkCandidates(t, net, where)
+}
+
+// checkCandidates pins what the pipelined advance walks: per boundary,
+// the rings ringbuf.Next finds in the occupancy bitmap with the dead
+// bitmap masked out are exactly the rings that hold packets on wires the
+// current masks leave live (re-derived here from the mask rows), and the
+// per-boundary packet counts match the rings and sum to Queued().
+func checkCandidates(t testing.TB, net *Network, where string) {
+	t.Helper()
+	if net.opts.Depth == 0 {
+		return
+	}
+	dead := make([]bool, net.fifo.Count())
+	for w, ok := range net.liveIn {
+		dead[w] = !ok
+	}
+	for s, row := range net.liveRows[:net.stages-1] {
+		for o, ok := range row {
+			if down := o; !ok {
+				if tab := net.st[s].Table; tab != nil {
+					down = int(tab[o])
+				}
+				dead[net.base[s+1]+down] = true
+			}
+		}
+	}
+	var sum int64
+	for b, lo := range net.base {
+		hi := lo + net.st[b].Switches*net.st[b].Width
+		var want, got []int
+		var held int64
+		for i := lo; i < hi; i++ {
+			held += int64(net.fifo.Len(i))
+			if net.fifo.Len(i) > 0 && !dead[i] {
+				want = append(want, i)
+			}
+		}
+		full := net.fifo.NonEmpty()
+		for f := ringbuf.Next(full, net.dead, lo, hi); f < hi; f = ringbuf.Next(full, net.dead, f+1, hi) {
+			got = append(got, f)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: boundary %d candidates %v, want the live occupied rings %v", where, b, got, want)
+		}
+		if held != net.occ[b] {
+			t.Fatalf("%s: boundary %d counts %d packets, its rings hold %d", where, b, net.occ[b], held)
+		}
+		sum += net.occ[b]
+	}
+	if sum != net.Queued() {
+		t.Fatalf("%s: boundary counts sum to %d, Queued() = %d", where, sum, net.Queued())
+	}
 }
 
 // TestUpdateFaultsMatchesRebuildAtDrainedBoundaries is the queueing
@@ -78,9 +132,11 @@ func TestUpdateFaultsMatchesRebuildAtDrainedBoundaries(t *testing.T) {
 					if _, err := inc.Drain(1000); err != nil {
 						t.Fatalf("epoch %d: %v", e, err)
 					}
+					checkConservation(t, inc, fmt.Sprintf("epoch %d drained", e))
 					if err := inc.UpdateFaults(m); err != nil {
 						t.Fatal(err)
 					}
+					checkConservation(t, inc, fmt.Sprintf("epoch %d swapped", e))
 					inc.ResetLatency()
 					ref, err := New(cfg, Options{Depth: depth, Policy: Drop, Faults: m})
 					if err != nil {
@@ -149,6 +205,7 @@ func TestUpdateFaultsMatchesConstructionFromEmpty(t *testing.T) {
 				if err := inc.UpdateFaults(m); err != nil {
 					t.Fatal(err)
 				}
+				checkConservation(t, inc, fmt.Sprintf("mask %d swapped", e))
 				ref, err := New(cfg, Options{Depth: qc.depth, Policy: qc.policy, Faults: m})
 				if err != nil {
 					t.Fatal(err)
@@ -310,8 +367,9 @@ func TestStrandedRingParksAndRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Load the network, then sever every network input wire: boundary-0
-	// rings hold their packets through the outage.
+	// Load the network, then sever every other network input wire: the
+	// severed boundary-0 rings hold their packets through the outage,
+	// beside live rings of the same switches that keep draining.
 	rng := xrand.New(9)
 	dest := make([]int, cfg.Inputs())
 	for c := 0; c < 5; c++ {
@@ -323,7 +381,7 @@ func TestStrandedRingParksAndRepairs(t *testing.T) {
 		}
 	}
 	var set faults.Set
-	for w := 0; w < cfg.Inputs(); w++ {
+	for w := 0; w < cfg.Inputs(); w += 2 {
 		set.Wires = append(set.Wires, faults.WireID{Boundary: 0, Wire: w})
 	}
 	m, err := faults.Compile(cfg, set)
@@ -336,6 +394,10 @@ func TestStrandedRingParksAndRepairs(t *testing.T) {
 	if net.Totals().Stranded != 0 {
 		t.Fatalf("Backpressure stranded packets were dropped: %+v", net.Totals())
 	}
+	held := int64(0)
+	for _, w := range set.Wires {
+		held += int64(net.fifo.Len(w.Wire))
+	}
 	// Drain everything downstream of the severed inputs; the parked
 	// packets in the input rings remain.
 	for i := range dest {
@@ -347,8 +409,8 @@ func TestStrandedRingParksAndRepairs(t *testing.T) {
 		}
 	}
 	parked := net.Queued()
-	if parked == 0 {
-		t.Fatal("no packets parked in the severed input rings")
+	if parked == 0 || parked != held {
+		t.Fatalf("%d packets left after the drain, want the %d parked in the severed input rings", parked, held)
 	}
 	cs, err := net.Cycle(dest)
 	if err != nil {

@@ -90,4 +90,11 @@ func benchmarkQueueCycle(b *testing.B, cfg Config, qopts QueueOptions) {
 	b.ReportMetric(float64(tot.Delivered)/float64(net.Now()), "delivered/cycle")
 	b.ReportMetric(net.Latency().Quantile(0.99), "p99-cycles")
 	b.ReportMetric(float64(cfg.Inputs())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mports/s")
+	reportPerWire(b, cfg.WireCount())
+}
+
+// reportPerWire reports the cycle's cost per wire-stage-cycle, ns/op
+// over the wires the measured fabrics hold (perfbench's ns_per_wsc).
+func reportPerWire(b *testing.B, wires int64) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(wires), "ns/wsc")
 }
