@@ -153,13 +153,15 @@
 //
 // With -dilated the sweep also evaluates the EDN's dilated-delta
 // counterpart (same port count, dilation equal to the bucket capacity)
-// at each fraction: the counterpart's sub-wires die at the same rate
-// (the analytic Binomial capacity-reduction model of internal/dilated)
-// and its degraded throughput per input lands in the table's `dilated`
-// column and CSV's dilated_throughput_per_input — the degraded half of
-// the paper's Section 1 wire-cost comparison, with the wire counts of
-// both networks in the header. The model is analytic, not a second
-// job, so it is not in the JSON output.
+// at each fraction: each of the counterpart's sub-wires dies with the
+// fraction's probability, drawn once under -seed so the samples nest
+// as the fraction rises, and the per-wire model -expected evaluates
+// (the same function, on the counterpart's sampled masks) gives its
+// degraded throughput per input in the table's `dilated` column and
+// CSV's dilated_throughput_per_input — the degraded half of the
+// paper's Section 1 wire-cost comparison, with the wire counts of both
+// networks in the header. The model is analytic, not a second job, so
+// it is not in the JSON output.
 //
 // Each shard grows one nested fault plan (rising fractions add faults,
 // never retract them; one fault sample per shard) under an identical
@@ -167,8 +169,9 @@
 // deterministic for a fixed (seed, shards) pair. -policy drop (the
 // default) is the recommended policy with dead terminals. With
 // -expected the analytic per-wire recursion (the Theorem 3
-// generalization over the masked topology) is evaluated on every
-// sampled fault set and reported alongside the measurement.
+// generalization over the masked fabric descriptor, one model for the
+// EDN and the dilated delta) is evaluated on every sampled fault set
+// and reported alongside the measurement.
 //
 // The sweep is one JobSpec availability job.
 //

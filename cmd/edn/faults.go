@@ -15,7 +15,7 @@ func cmdFaults(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 	mode := fs.String("mode", "wires", "failing population: wires, switches, mixed")
 	load := fs.Float64("load", 1, "offered load per input during measurement")
 	expected := fs.Bool("expected", false, "also evaluate the analytic degradation recursion per fault sample")
-	dilatedCmp := cliutil.DilatedFlag(fs, "analytic sub-wire model at each fraction")
+	dilatedCmp := cliutil.DilatedFlag(fs, "analytic per-wire model on a sub-wire sample drawn under -seed at each fraction")
 	format := fs.String("format", "table", "output: table, csv, json")
 	return func() error {
 		if *jf.spec != "" {
@@ -47,7 +47,10 @@ func cmdFaults(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 		// The dilated comparison kills the counterpart's sub-wires at the
 		// same fraction the sweep applies to the EDN — the two networks
 		// lose the same share of their path redundancy — and reports the
-		// analytic degraded throughput per input beside the measurement.
+		// analytic degraded throughput per input beside the measurement:
+		// the model column's per-wire recursion, on one Bernoulli sample
+		// per fraction under the job's seed. Each sub-wire takes one
+		// draw, so the samples nest as the fraction rises.
 		dcfg, err := counterpart(*dilatedCmp, cfg)
 		if err != nil {
 			return err
@@ -55,11 +58,11 @@ func cmdFaults(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 		dilatedThr := make([]float64, len(points))
 		for i, r := range points {
 			if dcfg != nil {
-				deg, err := edn.ExpectedDilatedDegraded(*dcfg, r.FaultFraction)
+				m, err := edn.CompileDilatedMasks(*dcfg, edn.BernoulliDilatedSubWires(*dcfg, r.FaultFraction, edn.NewRand(*jf.seed)))
 				if err != nil {
 					return err
 				}
-				dilatedThr[i] = deg.PA(*load) * *load
+				dilatedThr[i] = edn.ExpectedDegradedBandwidth(m, *load) / float64(dcfg.Ports())
 			}
 		}
 

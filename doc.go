@@ -74,14 +74,15 @@
 //     stage); a sub-wire is an output port of that descriptor (a
 //     FaultPortID in a FaultSet), so the one fault vocabulary, sampler,
 //     flood and renewal churn serve it, DilatedMasks are FaultMasks,
-//     and the mean-field DilatedDegraded model reads the same masks; at
-//     d=1 it is bit-for-bit the plain-delta QueueNetwork.
+//     and ExpectedDegradedBandwidth, the per-wire analytic model, walks
+//     its descriptor as it walks the EDN's; at d=1 it is bit-for-bit
+//     the plain-delta QueueNetwork.
 //     Every packet-level measurement takes the counterpart as a
 //     DilatedNet through the same harness the EDN runs on, so the same
 //     Options drive both networks under identical replayed traffic —
-//     latency tails and lifetime churn included, where previously only
-//     the mean-field DilatedDegraded model spoke (edn faults -dilated
-//     keeps that model as its cheap analytic overlay). Only the
+//     latency tails and lifetime churn included (edn faults -dilated
+//     adds the per-wire model on a sampled sub-wire set as its cheap
+//     analytic overlay). Only the
 //     degradation and lifetime sweeps keep a typed entry point
 //     (DilatedAvailabilitySweep, DilatedLifetimeSweep), because their
 //     results carry the sub-wire fault census.

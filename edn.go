@@ -379,10 +379,13 @@ func NewFaultPlan(cfg Config, mode FaultMode, rng *Rand) *FaultPlan {
 }
 
 // ExpectedDegradedBandwidth evaluates the per-wire generalization of
-// the Theorem 3 recursion over the masked topology: the analytic
-// prediction of delivered requests per cycle under uniform traffic at
-// rate r. With an empty compiled mask it equals Bandwidth(cfg, r); m
-// must come from CompileFaults (a nil mask has no topology to walk).
+// the Theorem 3 recursion over the masked fabric descriptor: the
+// analytic prediction of delivered requests per cycle under uniform
+// traffic at rate r, for an EDN and a dilated delta alike. With an
+// empty compiled mask it equals Bandwidth(cfg, r) for an EDN and
+// DilatedDelta.PA(r) * r * Ports() for a dilated delta; m must come
+// from CompileFaults or CompileDilatedMasks (a nil mask has no
+// descriptor to walk).
 func ExpectedDegradedBandwidth(m *FaultMasks, r float64) float64 {
 	return faults.ExpectedUniformBandwidth(m, r)
 }
@@ -556,28 +559,11 @@ func NewDilatedDelta(b, d, l int) (DilatedDelta, error) { return dilated.New(b, 
 // same input port count, dilation equal to the EDN's bucket capacity.
 func DilatedCounterpart(cfg Config) (DilatedDelta, error) { return dilated.Counterpart(cfg) }
 
-// DilatedDegraded is a compiled dilated fault state: per-stage group
-// capacity histograms feeding the degraded acceptance recursion.
-type DilatedDegraded = dilated.Degraded
-
-// CompileDilatedFaults folds compiled sub-wire masks into per-stage
-// capacity reductions.
-func CompileDilatedFaults(cfg DilatedDelta, m *DilatedMasks) (*DilatedDegraded, error) {
-	return cfg.CompileFaults(m)
-}
-
 // BernoulliDilatedSubWires kills each dilated sub-wire independently
 // with probability p; sub-wire (boundary i, group g, wire w) is the
 // FaultPortID{i, g/b, g%b, w}.
 func BernoulliDilatedSubWires(cfg DilatedDelta, p float64, rng *Rand) FaultSet {
 	return dilatedsim.SubWires(cfg).Bernoulli(p, rng)
-}
-
-// ExpectedDilatedDegraded returns the Binomial-expectation fault state
-// at sub-wire death fraction f — the smooth analytic degradation curve
-// to plot against an EDN availability sweep at the same fraction.
-func ExpectedDilatedDegraded(cfg DilatedDelta, f float64) (*DilatedDegraded, error) {
-	return cfg.ExpectedDegraded(f)
 }
 
 // ---------------------------------------------------------------------------
@@ -613,7 +599,7 @@ type DilatedMasks = dilatedsim.Masks
 
 // CompileDilatedMasks compiles dead sub-wires into engine availability
 // rows; any other component is an error. DilatedQueueNetwork.UpdateFaults
-// swaps them in place, and CompileDilatedFaults reads them.
+// swaps them in place, and ExpectedDegradedBandwidth reads them.
 func CompileDilatedMasks(cfg DilatedDelta, set FaultSet) (*DilatedMasks, error) {
 	return dilatedsim.Compile(cfg, set)
 }

@@ -6,10 +6,11 @@
 // count instead of being absorbed into it, so — as Section 1 notes — a
 // d-dilated network carries d times the wires of the equivalent-stage EDN
 // with the same number of inputs. This package provides the cost and
-// acceptance models that quantify that claim for the ablation benchmarks.
-// Its degraded model (CompileFaults) reads the sub-wire masks of the one
-// fault model (internal/faults, compiled by internal/dilatedsim) and has
-// no fault vocabulary of its own.
+// healthy acceptance models that quantify that claim for the ablation
+// benchmarks. It has no fault model of its own: internal/dilatedsim
+// builds the network's fabric descriptor and sub-wire population, and
+// internal/faults compiles, floods and models its faults
+// (ExpectedUniformBandwidth, which reduces to PA on the empty mask).
 package dilated
 
 import (

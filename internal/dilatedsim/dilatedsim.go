@@ -1,6 +1,6 @@
 // Package dilatedsim is the d-dilated delta fabric of the shared packet
 // engine in internal/queuesim — the measured counterpart of the
-// mean-field acceptance model in internal/dilated. With it the paper's
+// acceptance model in internal/dilated. With it the paper's
 // equal-redundancy comparison (EDN versus the dilated delta spending
 // the same wire budget on link replication) runs as two measurements of
 // the same replayed packet streams instead of a measurement against a

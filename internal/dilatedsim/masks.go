@@ -12,9 +12,9 @@ import (
 
 // Masks is a compiled dilated fault set: faults.Masks over the dilated
 // descriptor, whose dead stage-output wires (DeadPorts) are the dead
-// sub-wires. dilated.Config.CompileFaults folds the same masks into
-// capacity histograms for the mean-field recursion; the packet engine
-// needs to know *which* sub-wire is dead, not just how many.
+// sub-wires. The packet engine runs under them, and
+// faults.ExpectedUniformBandwidth walks the same descriptor and rows for
+// the analytic prediction, as it does for an EDN's masks.
 type Masks = faults.Masks
 
 // SubWires returns the dilated delta's fault population: every

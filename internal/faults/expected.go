@@ -8,52 +8,63 @@ package faults
 // input wires, each bucket accepts up to its count of *live* wires, and
 // the accepted expectation spreads evenly over exactly those wires.
 // The number of requests aimed at one bucket is then Poisson-binomial
-// rather than binomial; everything else is Section 3.2 unchanged.
+// rather than binomial; everything else is Section 3.2 unchanged. The
+// step reads nothing but the fabric descriptor and its liveness rows,
+// so one recursion serves every fabric the masks compile over.
 
 // ExpectedUniformBandwidth returns the expected delivered requests per
-// cycle of the masked network under uniform iid traffic at offered rate
+// cycle of the masked fabric under uniform iid traffic at offered rate
 // r per input, by the per-wire generalization of the Theorem 3
-// recursion. With an empty mask it reduces exactly to
-// analytic.Bandwidth(cfg, r); with faults it is the independence-
-// approximation prediction the simulator cross-checks for small fault
-// counts (the approximation error grows with fault correlation, as it
-// does with load for the unfaulted closed form). m must be a compiled
-// mask (nil has no topology); Compile(cfg, Set{}) is the fault-free
-// one.
+// recursion over the descriptor m was compiled against. Every stage is
+// one step: for each switch and bucket it takes E[min(X, k)], X the
+// requests the switch's input wires aim at the bucket and k the
+// bucket's live wires, spreads it over those wires and carries it
+// through the stage's table. The retire stage is the same step with
+// one wire per bucket, summed over the live terminals.
+//
+// With an empty mask it reduces to the healthy closed forms: exactly
+// analytic.Bandwidth(cfg, r) for an EDN, and dilated.Config.PA(r) * r *
+// Ports() for a d-dilated delta (to rounding). With faults it is the
+// independence-approximation prediction the simulator cross-checks (the
+// approximation error grows with fault correlation, as it does with
+// load for the healthy closed form). Like Config.PA's 1 - (1 - r)^d, it
+// treats the live sub-wires of a dilated port's final group as
+// independent requesters, so killing one of them can raise the
+// prediction while the measured throughput stays put. m must be a
+// compiled mask (nil has no descriptor); Compile(cfg, Set{}) is an
+// EDN's fault-free one.
 func ExpectedUniformBandwidth(m *Masks, r float64) float64 {
 	if m == nil {
 		panic("faults: ExpectedUniformBandwidth needs a compiled mask; Compile(cfg, Set{}) is the fault-free one")
 	}
-	cfg := m.Config()
-	if cfg.L == 0 {
-		panic("faults: ExpectedUniformBandwidth needs an EDN mask")
-	}
-	rates := make([]float64, cfg.Inputs())
-	liveIn := m.LiveInputs()
+	rates := make([]float64, m.st[0].Switches*m.st[0].Width)
 	for i := range rates {
-		if liveIn == nil || liveIn[i] {
+		if m.liveIn == nil || m.liveIn[i] {
 			rates[i] = r
 		}
 	}
-
-	bc := cfg.B * cfg.C
-	invB := 1 / float64(cfg.B)
-	pmf := make([]float64, cfg.C)
-	for s := 1; s <= cfg.L; s++ {
-		row := m.LiveStageOutputs(s)
-		wires := cfg.WiresAfterStage(s)
-		next := make([]float64, wires)
-		tab := m.st[s-1].Table
-		nsw := cfg.SwitchesInStage(s)
-		for sw := 0; sw < nsw; sw++ {
-			in := rates[sw*cfg.A : (sw+1)*cfg.A]
-			for d := 0; d < cfg.B; d++ {
-				base := sw*bc + d*cfg.C
-				kLive := cfg.C
+	wires := 0
+	for _, g := range m.st {
+		wires = max(wires, g.Wires)
+	}
+	pmf := make([]float64, wires)
+	delivered := 0.0
+	for s, g := range m.st {
+		row := m.LiveStageOutputs(s + 1)
+		var next []float64 // nil at the retire stage
+		if s+1 < len(m.st) {
+			next = make([]float64, m.st[s+1].Switches*m.st[s+1].Width)
+		}
+		invB := 1 / float64(g.Buckets)
+		for sw := 0; sw < g.Switches; sw++ {
+			in := rates[sw*g.Width : (sw+1)*g.Width]
+			for d := 0; d < g.Buckets; d++ {
+				base := (sw*g.Buckets + d) * g.Wires
+				kLive := g.Wires
 				if row != nil {
 					kLive = 0
-					for k := 0; k < cfg.C; k++ {
-						if row[base+k] {
+					for _, live := range row[base : base+g.Wires] {
+						if live {
 							kLive++
 						}
 					}
@@ -61,15 +72,19 @@ func ExpectedUniformBandwidth(m *Masks, r float64) float64 {
 						continue
 					}
 				}
-				perWire := expectedMin(in, invB, kLive, pmf) / float64(kLive)
-				for k := 0; k < cfg.C; k++ {
-					o := base + k
+				e := expectedMin(in, invB, kLive, pmf)
+				if next == nil {
+					delivered += e
+					continue
+				}
+				perWire := e / float64(kLive)
+				for o := base; o < base+g.Wires; o++ {
 					if row != nil && !row[o] {
 						continue
 					}
 					down := o
-					if tab != nil {
-						down = int(tab[o])
+					if g.Table != nil {
+						down = int(g.Table[o])
 					}
 					next[down] = perWire
 				}
@@ -77,36 +92,7 @@ func ExpectedUniformBandwidth(m *Masks, r float64) float64 {
 		}
 		rates = next
 	}
-
-	// Crossbar stage: each live output port delivers iff at least one of
-	// its switch's c input wires requests it (uniform over the c ports).
-	row := m.LiveStageOutputs(cfg.L + 1)
-	invC := 1 / float64(cfg.C)
-	delivered := 0.0
-	for t := 0; t < cfg.Outputs(); t++ {
-		if row != nil && !row[t] {
-			continue
-		}
-		sw := t / cfg.C
-		pIdle := 1.0
-		for p := 0; p < cfg.C; p++ {
-			pIdle *= 1 - rates[sw*cfg.C+p]*invC
-		}
-		delivered += 1 - pIdle
-	}
 	return delivered
-}
-
-// ExpectedUniformPA returns the expected probability of acceptance of
-// the masked network at offered rate r: expected bandwidth over
-// expected offered requests. Requests arriving on dead inputs are
-// offered and blocked (the engines count them at stage 1), so the
-// denominator is the full input count.
-func ExpectedUniformPA(m *Masks, r float64) float64 {
-	if r == 0 {
-		return 1
-	}
-	return ExpectedUniformBandwidth(m, r) / (r * float64(m.Config().Inputs()))
 }
 
 // expectedMin returns E[min(X, k)] where X counts the inputs requesting

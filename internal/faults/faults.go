@@ -13,8 +13,8 @@
 // bucket blocks. A dilated delta's sub-wires are stage-output wires of
 // its descriptor, so a dilated fault is a PortID in a Set like any
 // other, and the comparison network's link replication is sampled,
-// compiled and flooded by the same code — a new topology needs only a
-// descriptor builder, its population and its analytic model.
+// compiled, flooded and modelled by the same code — a new topology
+// needs only a descriptor builder and its population.
 //
 // Four layers:
 //
@@ -33,12 +33,12 @@
 //     its bit-for-bit unfaulted fast paths.
 //   - Masks.ReachableOutputsInto is the one forward flood: which output
 //     terminals some live input still reaches.
-//   - ExpectedUniformBandwidth (expected.go) is the EDN's analytic
-//     counterpart: the paper's Theorem 3 rate recursion generalized to
-//     per-wire rates over the masked topology, used to cross-check the
-//     measured degradation for small fault counts. The dilated delta's
-//     mean-field model (internal/dilated's CompileFaults) reads the
-//     same Masks.
+//   - ExpectedUniformBandwidth (expected.go) is the one analytic
+//     counterpart, for any descriptor: the paper's Theorem 3 rate
+//     recursion generalized to per-wire rates over the masked fabric,
+//     used to cross-check the measured degradation. On empty masks it
+//     is each fabric's healthy closed form (analytic.Bandwidth for an
+//     EDN, dilated.Config.PA for a dilated delta).
 package faults
 
 import (

@@ -270,7 +270,7 @@ func TestExpectedBandwidthMatchesClosedFormUnfaulted(t *testing.T) {
 			if math.Abs(got-want) > 1e-9*math.Max(1, want) {
 				t.Errorf("%v r=%g: per-wire recursion %.12f != closed form %.12f", cfg, r, got, want)
 			}
-			gotPA, wantPA := ExpectedUniformPA(m, r), analytic.PA(cfg, r)
+			gotPA, wantPA := got/(r*float64(cfg.Inputs())), analytic.PA(cfg, r)
 			if math.Abs(gotPA-wantPA) > 1e-9 {
 				t.Errorf("%v r=%g: PA %.12f != %.12f", cfg, r, gotPA, wantPA)
 			}

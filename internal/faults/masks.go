@@ -31,10 +31,10 @@ import (
 // free.
 //
 // A nil *Masks is accepted wherever a mask is optional (Empty, the
-// engine constructors, the count accessors). Methods that need the
-// topology itself — ReachableOutputs, LiveInputCount,
-// ExpectedUniformBandwidth — require a compiled mask; Compile(cfg,
-// Set{}) yields the EDN's fault-free one.
+// engine constructors, the count accessors). Whatever walks the
+// descriptor itself — ReachableOutputs, LiveInputCount and the analytic
+// ExpectedUniformBandwidth, on any fabric — requires a compiled mask;
+// Compile(cfg, Set{}) yields an EDN's fault-free one.
 type Masks struct {
 	label  fmt.Stringer     // the geometry the descriptor belongs to
 	st     []topology.Stage // the descriptor (its tables shared, never written)
@@ -185,13 +185,6 @@ func MustCompile(cfg topology.Config, set Set) *Masks {
 // topology.Config for EDN masks, the descriptor builder's own
 // configuration otherwise.
 func (m *Masks) Label() fmt.Stringer { return m.label }
-
-// Config returns the EDN configuration the masks were compiled for
-// (the zero Config for other fabrics; see Label).
-func (m *Masks) Config() topology.Config {
-	cfg, _ := m.label.(topology.Config)
-	return cfg
-}
 
 // Fabric returns the descriptor the masks were compiled against. The
 // slice and its tables are shared; callers must not modify them.

@@ -26,11 +26,13 @@ type AvailabilityOptions struct {
 	Load float64
 	// WithExpected also evaluates the analytic per-wire degradation
 	// recursion (faults.ExpectedUniformBandwidth) on every sampled fault
-	// set. The recursion models the memoryless circuit-switched cycle,
-	// so it is exact-model for Depth 0/1 Drop and an optimistic bound
-	// for buffered configurations. It is O(switch width^2 * wires) per
-	// sample — cheap for the geometries this repository sweeps, but off
-	// by default.
+	// set, over the sampled masks of either fabric: one model, with the
+	// EDN's and the dilated delta's healthy closed forms as its
+	// empty-mask values. The recursion models the memoryless
+	// circuit-switched cycle, so it is exact-model for Depth 0/1 Drop
+	// and an optimistic bound for buffered configurations. It is
+	// O(switch width^2 * wires) per sample — cheap for the geometries
+	// this repository sweeps, but off by default.
 	WithExpected bool
 }
 
@@ -198,12 +200,15 @@ func availabilityPoint(net Net, aopts AvailabilityOptions, f float64, src LoadPa
 	parts := make([]LatencyResult, shards)
 	censuses := make([]faultCensus, shards)
 	err := runShards(opts, shards, nil, func(w, cycles int) error {
-		faulted, c, err := plans[w](f, aopts.Load, aopts.WithExpected)
+		m, err := plans[w](f)
 		if err != nil {
 			return err
 		}
-		censuses[w] = c
-		parts[w], err = MeasureLatency(faulted, src(aopts.Load, xrand.New(trafficSeeds[w])), opts.bare(cycles))
+		censuses[w] = census(net, m)
+		if aopts.WithExpected {
+			censuses[w].expected = faults.ExpectedUniformBandwidth(m, aopts.Load)
+		}
+		parts[w], err = MeasureLatency(net.withFaults(m), src(aopts.Load, xrand.New(trafficSeeds[w])), opts.bare(cycles))
 		return err
 	})
 	if err != nil {
@@ -320,9 +325,10 @@ type DilatedAvailabilityResult struct {
 	LatencyP95  float64
 	LatencyP99  float64
 	LatencyMax  float64
-	// ExpectedThroughput is the mean-field recursion's prediction
-	// (dilated.Degraded.PA on each shard's sampled fault set, averaged);
-	// zero unless AvailabilityOptions.WithExpected.
+	// ExpectedThroughput is the per-wire recursion's prediction
+	// (faults.ExpectedUniformBandwidth on each shard's sampled sub-wire
+	// masks, averaged), the same model AvailabilityResult's reads; zero
+	// unless AvailabilityOptions.WithExpected.
 	ExpectedThroughput float64
 	// Histogram is the full merged latency distribution.
 	Histogram *stats.Histogram

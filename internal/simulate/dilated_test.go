@@ -87,8 +87,8 @@ func TestDilatedSaturationSweepDeterministic(t *testing.T) {
 // TestDilatedAvailabilitySweep covers the degraded axis: fraction 0
 // equals the fault-free measurement, the delivered curve is monotone
 // non-increasing (nested plans under replayed traffic), reachability
-// falls with the fraction, and WithExpected populates the mean-field
-// overlay near the measurement at the healthy end.
+// falls with the fraction, and WithExpected populates the per-wire
+// model near the measurement at the healthy end.
 func TestDilatedAvailabilitySweep(t *testing.T) {
 	_, dcfg := headlinePair(t)
 	aopts := AvailabilityOptions{
@@ -120,10 +120,10 @@ func TestDilatedAvailabilitySweep(t *testing.T) {
 			t.Errorf("WithExpected left point %d empty", i)
 		}
 	}
-	// At the healthy end the mean-field overlay and the measurement
+	// At the healthy end the per-wire model and the measurement
 	// describe the same network.
 	if rel := math.Abs(res[0].Throughput-res[0].ExpectedThroughput) / res[0].ExpectedThroughput; rel > 0.15 {
-		t.Errorf("healthy measurement %.2f vs mean-field %.2f (%.0f%% apart)",
+		t.Errorf("healthy measurement %.2f vs per-wire model %.2f (%.0f%% apart)",
 			res[0].Throughput, res[0].ExpectedThroughput, 100*rel)
 	}
 }

@@ -31,7 +31,8 @@ type LifetimeOptions struct {
 	// Threshold is the delivered-bandwidth-per-input floor for the
 	// TimeBelowThreshold metric. <= 0 selects half the network's own
 	// fault-free analytic bandwidth per input — "degraded to less than
-	// half of healthy" (the mean-field recursion for a dilated delta).
+	// half of healthy" (dilated.Config.PA's closed form for a dilated
+	// delta).
 	Threshold float64
 }
 
@@ -467,12 +468,13 @@ func (r DilatedLifetimeResult) MarshalJSON() ([]byte, error) {
 // an alternating-renewal clock of lopts.Spec's MTBF/MTTR/Timing (the
 // population is always the sub-wires — the network's entire redundancy
 // budget — so Spec.Mode and the blast overlay, which name EDN
-// structures, and repair windows are not applied). Under the same
-// Options the two sweeps churn an EDN and its counterpart through
-// identically distributed outages under identical per-input traffic
-// replays — the measured lifetime half of the equal-redundancy
-// comparison. lopts.Threshold <= 0 selects half the counterpart's own
-// fault-free mean-field bandwidth per input.
+// structures, and repair windows are not applied; a JobSpec that sets
+// them on the dilated engine is an error). Under the same Options the
+// two sweeps churn an EDN and its counterpart through identically
+// distributed outages under identical per-input traffic replays — the
+// measured lifetime half of the equal-redundancy comparison.
+// lopts.Threshold <= 0 selects half the counterpart's own fault-free
+// closed-form bandwidth per input (dilated.Config.PA).
 func DilatedLifetimeSweep(n Dilated, lopts LifetimeOptions, src LoadPattern, opts Options, shards int) (DilatedLifetimeResult, error) {
 	m, err := lifetimeSweep(n, lopts, src, opts, shards)
 	if err != nil {

@@ -106,10 +106,8 @@ func churned(net Net, spec lifecycle.Spec, rng *xrand.Rand, f switchfab.ArbiterF
 }
 
 // faultPlan is one shard's nested fault plan: at fraction f it returns
-// the network with the plan's fault set compiled into its queue options,
-// plus the sample's census (the analytic throughput prediction at load
-// only when withExpected).
-type faultPlan func(f, load float64, withExpected bool) (Net, faultCensus, error)
+// the plan's fault set compiled into masks over the network's fabric.
+type faultPlan func(f float64) (*faults.Masks, error)
 
 // faultCensus is one shard's sampled fault state. deadWires counts dead
 // stage-input and stage-output wires — a dilated delta's dead sub-wires
@@ -207,16 +205,8 @@ func (n EDN) process(spec lifecycle.Spec, rng *xrand.Rand) (*lifecycle.Process, 
 
 func (n EDN) faultPlan(mode faults.Mode, rng *xrand.Rand) faultPlan {
 	plan := faults.NewPlan(n.Config, mode, rng)
-	return func(f, load float64, withExpected bool) (Net, faultCensus, error) {
-		m, err := faults.CompileFabric(n.Config, n.Queue.Tables.Stages, plan.At(f))
-		if err != nil {
-			return nil, faultCensus{}, err
-		}
-		c := census(n, m)
-		if withExpected {
-			c.expected = faults.ExpectedUniformBandwidth(m, load)
-		}
-		return n.withFaults(m), c, nil
+	return func(f float64) (*faults.Masks, error) {
+		return faults.CompileFabric(n.Config, n.Queue.Tables.Stages, plan.At(f))
 	}
 }
 
@@ -270,19 +260,7 @@ func (n Dilated) process(spec lifecycle.Spec, rng *xrand.Rand) (*lifecycle.Proce
 
 func (n Dilated) faultPlan(_ faults.Mode, rng *xrand.Rand) faultPlan {
 	plan := dilatedsim.SubWires(n.Config).Plan(rng)
-	return func(f, load float64, withExpected bool) (Net, faultCensus, error) {
-		m, err := dilatedsim.CompileFabric(n.Queue.Tables, plan.At(f))
-		if err != nil {
-			return nil, faultCensus{}, err
-		}
-		c := census(n, m)
-		if withExpected {
-			deg, err := n.Config.CompileFaults(m)
-			if err != nil {
-				return nil, faultCensus{}, err
-			}
-			c.expected = deg.Bandwidth(load)
-		}
-		return n.withFaults(m), c, nil
+	return func(f float64) (*faults.Masks, error) {
+		return dilatedsim.CompileFabric(n.Queue.Tables, plan.At(f))
 	}
 }

@@ -176,8 +176,9 @@ func (q *QueueSpec) compile(seed uint64) (QueueOptions, error) {
 // triple (Mode, Fraction, Seed) pins the draw, so the same spec always
 // degrades the same components.
 type FaultsSpec struct {
-	// Mode is "wires" (default), "switches" or "mixed". Ignored by the
-	// dilated engine, whose fault population is always the sub-wires.
+	// Mode is "wires" (default), "switches" or "mixed". The dilated
+	// engine's fault population is always the sub-wires, so on it any
+	// mode but "wires" is an error.
 	Mode string `json:"mode,omitempty"`
 	// Fraction is the marginal death probability in [0,1].
 	Fraction float64 `json:"fraction"`
@@ -208,7 +209,8 @@ type AvailabilitySpec struct {
 	// Fractions is the fault-fraction axis. Required.
 	Fractions []float64 `json:"fractions"`
 	// Mode is the failing population: "wires" (default), "switches" or
-	// "mixed".
+	// "mixed". The dilated engine fails only by its sub-wires, so on it
+	// any mode but "wires" is an error.
 	Mode string `json:"mode,omitempty"`
 	// Load is the offered load per input during measurement (default 1).
 	Load float64 `json:"load,omitempty"`
@@ -255,7 +257,8 @@ type LifetimeSpec struct {
 	Threshold float64 `json:"threshold,omitempty"`
 
 	// Mode is the churned population: "wires" (default), "switches" or
-	// "mixed". The dilated engine always churns sub-wires.
+	// "mixed". The dilated engine always churns sub-wires, so on it any
+	// mode but "wires" is an error.
 	Mode string `json:"mode,omitempty"`
 	// MTBF and MTTR are the per-component mean epochs alive and mean
 	// repair epochs. Both must be finite and >= 1.
@@ -265,7 +268,9 @@ type LifetimeSpec struct {
 	Timing string `json:"timing,omitempty"`
 	// Blast* configure correlated regional failures (zero BlastRate
 	// disables them); RepairWindow batches repairs into maintenance
-	// windows. See LifecycleSpec.
+	// windows. See LifecycleSpec. Both name EDN structure: on the
+	// dilated engine a positive BlastRate or a RepairWindow above 1 is
+	// an error.
 	BlastRate    float64 `json:"blast_rate,omitempty"`
 	BlastRadius  int     `json:"blast_radius,omitempty"`
 	BlastMTTR    float64 `json:"blast_mttr,omitempty"`
@@ -722,5 +727,33 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 	default:
 		return nil, fmt.Errorf("edn: unknown job mode %q", s.Mode)
 	}
+	if j.engine == EngineDilated {
+		if err := j.subWiresOnly(); err != nil {
+			return nil, err
+		}
+	}
 	return j, nil
+}
+
+// subWiresOnly rejects the fault settings a dilated job cannot apply:
+// its one failing population is the sub-wires (mode "wires"), and it
+// has no switch blocks to blast and no repair batching. Each names EDN
+// structure the dilated engine would otherwise drop without a word.
+func (j *compiledJob) subWiresOnly() error {
+	var errs []error
+	for _, m := range []struct {
+		field string
+		mode  FaultMode
+	}{{"faults.mode", j.fmode}, {"avail.mode", j.aopts.Mode}, {"lifetime.mode", j.lopts.Spec.Mode}} {
+		if m.mode != FaultWires {
+			errs = append(errs, fmt.Errorf("edn: %s %q is not a dilated population (the dilated engine fails only by sub-wires: want wires)", m.field, m.mode))
+		}
+	}
+	if r := j.lopts.Spec.BlastRate; r > 0 {
+		errs = append(errs, fmt.Errorf("edn: lifetime.blast_rate %g is not supported by the dilated engine (it has no switch blocks to blast)", r))
+	}
+	if w := j.lopts.Spec.RepairWindow; w > 1 {
+		errs = append(errs, fmt.Errorf("edn: lifetime.repair_window %d is not supported by the dilated engine (it repairs every epoch)", w))
+	}
+	return errors.Join(errs...)
 }

@@ -620,11 +620,32 @@ func TestHostileSpecsAreErrors(t *testing.T) {
 		"lifetime-probe": {Mode: JobLifetime, Geometry: geo, Sim: sim,
 			Lifetime: &LifetimeSpec{Epochs: 2, EpochCycles: 20, MTBF: 8, MTTR: 3},
 			Probe:    &ProbeSpec{SampleEvery: 1, TraceCap: -1}},
+		// The dilated engine fails only by sub-wires: EDN populations,
+		// blasts and repair windows are errors, not silently dropped.
+		"dilated-avail-mode": {Mode: JobAvailability, Engine: EngineDilated, Geometry: geo, Sim: sim,
+			Avail: &AvailabilitySpec{Fractions: []float64{0.1}, Mode: "switches"}},
+		"dilated-faults-mode": latency(func(s *JobSpec) {
+			s.Engine, s.Faults = EngineDilated, &FaultsSpec{Mode: "switches", Fraction: 0.1}
+		}),
+		"dilated-lifetime-mode":          lifetime(JobLifetime, EngineDilated, func(l *LifetimeSpec) { l.Mode = "switches" }),
+		"dilated-lifetime-blast-rate":    lifetime(JobLifetime, EngineDilated, func(l *LifetimeSpec) { l.BlastRate = 0.2 }),
+		"dilated-lifetime-repair-window": lifetime(JobClosedLoopLifetime, EngineDilated, func(l *LifetimeSpec) { l.RepairWindow = 2 }),
+	}
+	// The field each dilated rejection must name.
+	fields := map[string]string{
+		"dilated-avail-mode":             "avail.mode",
+		"dilated-faults-mode":            "faults.mode",
+		"dilated-lifetime-mode":          "lifetime.mode",
+		"dilated-lifetime-blast-rate":    "lifetime.blast_rate",
+		"dilated-lifetime-repair-window": "lifetime.repair_window",
 	}
 	for name, spec := range bad {
 		t.Run(name, func(t *testing.T) {
-			if err := spec.Validate(); err == nil || !strings.HasPrefix(err.Error(), "edn: ") {
+			err := spec.Validate()
+			if err == nil || !strings.HasPrefix(err.Error(), "edn: ") {
 				t.Errorf("Validate: want an edn: error, got %v", err)
+			} else if f := fields[name]; !strings.Contains(err.Error(), f) {
+				t.Errorf("Validate: %v does not name %s", err, f)
 			}
 			defer func() {
 				if r := recover(); r != nil {
@@ -635,6 +656,13 @@ func TestHostileSpecsAreErrors(t *testing.T) {
 				t.Error("Run accepted the spec")
 			}
 		})
+	}
+	// "wires" names the sub-wires on the dilated engine, as the
+	// closed-loop churn benchmark sends it, and so does a repair window
+	// of 1 (immediate repair).
+	wires := lifetime(JobClosedLoopLifetime, EngineDilated, func(l *LifetimeSpec) { l.Mode, l.RepairWindow = "wires", 1 })
+	if err := wires.Validate(); err != nil {
+		t.Errorf("dilated wire churn rejected: %v", err)
 	}
 }
 
