@@ -55,9 +55,9 @@ func cmdLifetime(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 			{Name: "latency_p99", Head: "p99", Format: "%8.0f"},
 			{Name: "parked_per_cycle", Head: "parked", Format: "%7.1f"},
 		}
-		var dres *edn.DilatedLifetimeResult
+		var dres *edn.LifetimeResult
 		if dcfg != nil {
-			dres = results[1].DilatedLifetime
+			dres = results[1].Lifetime
 			cols = append(cols,
 				cliutil.Column{Name: "dilated_dead_fraction", CSVOnly: true},
 				cliutil.Column{Name: "dilated_throughput_per_input", Head: "dil-thr/in", Format: "%11.3f"},
@@ -83,12 +83,10 @@ func cmdLifetime(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 			if err := cliutil.WriteTable(w, cols, rows); err != nil {
 				return err
 			}
-			lifetimeSummary(w, "", "wires", res.LifetimeBandwidth, res.DeliveredFraction, res.Threshold,
-				res.TimeBelowThreshold, res.RecoveryHalfLife, res.Stranded)
+			lifetimeSummary(w, "", "wires", res)
 			labels, probes := []string{""}, []*edn.ProbeReport{res.Observed}
 			if dres != nil {
-				lifetimeSummary(w, "dilated ", "sub-wires", dres.LifetimeBandwidth, dres.DeliveredFraction, dres.Threshold,
-					dres.TimeBelowThreshold, dres.RecoveryHalfLife, dres.Stranded)
+				lifetimeSummary(w, "dilated ", "sub-wires", dres)
 				labels, probes = append(labels, "dilated probe:"), append(probes, dres.Observed)
 			}
 			return writeProbes(w, pf, labels, probes)
@@ -98,14 +96,14 @@ func cmdLifetime(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 
 // lifetimeSummary writes one network's lifetime aggregates under the
 // epoch table, and its stranded-packet count when packets stranded.
-func lifetimeSummary(w io.Writer, prefix, wires string, bw, delivered, threshold, below, halfLife float64, stranded int64) {
+func lifetimeSummary(w io.Writer, prefix, wires string, r *edn.LifetimeResult) {
 	fmt.Fprintf(w, "%slifetime: thr=%.3f/input delivered=%.1f%% below-threshold(%.3f)=%.1f%% of epochs",
-		prefix, bw, 100*delivered, threshold, 100*below)
-	if !math.IsNaN(halfLife) {
-		fmt.Fprintf(w, " recovery-half-life=%.1f epochs", halfLife)
+		prefix, r.LifetimeBandwidth, 100*r.DeliveredFraction, r.Threshold, 100*r.TimeBelowThreshold)
+	if !math.IsNaN(r.RecoveryHalfLife) {
+		fmt.Fprintf(w, " recovery-half-life=%.1f epochs", r.RecoveryHalfLife)
 	}
 	fmt.Fprintln(w)
-	if stranded > 0 {
-		fmt.Fprintf(w, "%sstranded: %d packets died on %s that failed under them\n", prefix, stranded, wires)
+	if r.Stranded > 0 {
+		fmt.Fprintf(w, "%sstranded: %d packets died on %s that failed under them\n", prefix, r.Stranded, wires)
 	}
 }

@@ -136,21 +136,31 @@ func TestLifetimeRunDilatedJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := jobResults(t, sb.String())
-	if len(results) != 2 || results[1].DilatedLifetime == nil || results[1].DilatedLifetime.LifetimeBandwidth <= 0 {
+	if len(results) != 2 || results[1].Lifetime == nil || results[1].Lifetime.LifetimeBandwidth <= 0 {
 		t.Fatalf("dilated lifetime result missing or empty: %s", sb.String())
 	}
-	// Every epoch carries the counterpart's measurement.
+	if got, want := results[1].Lifetime.Network(), "2-dilated delta(b=4,l=2)"; got != want {
+		t.Fatalf("second document measures %q, want the counterpart %q", got, want)
+	}
+	// Every epoch carries the counterpart's measurement, under the one
+	// lifetime key and labelled by its dilated configuration.
 	var series struct {
-		DilatedLifetime struct {
+		Lifetime struct {
+			Dilated struct {
+				D int
+			}
 			Bandwidth struct {
 				Means []float64 `json:"means"`
 			}
-		} `json:"dilated_lifetime"`
+		} `json:"lifetime"`
 	}
 	if err := json.Unmarshal(jsonDocs(t, sb.String())[1], &series); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(series.DilatedLifetime.Bandwidth.Means); got != 4 {
+	if series.Lifetime.Dilated.D != 2 {
+		t.Fatalf("dilated lifetime JSON carries dilation %d, want 2", series.Lifetime.Dilated.D)
+	}
+	if got := len(series.Lifetime.Bandwidth.Means); got != 4 {
 		t.Fatalf("dilated series covers %d of 4 epochs", got)
 	}
 }

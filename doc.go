@@ -80,12 +80,14 @@
 //     Every packet-level measurement takes the counterpart as a
 //     DilatedNet through the same harness the EDN runs on, so the same
 //     Options drive both networks under identical replayed traffic —
-//     latency tails and lifetime churn included (edn faults -dilated
-//     adds the per-wire model on a sampled sub-wire set as its cheap
-//     analytic overlay). Only the
-//     degradation and lifetime sweeps keep a typed entry point
-//     (DilatedAvailabilitySweep, DilatedLifetimeSweep), because their
-//     results carry the sub-wire fault census.
+//     latency tails, degradation curves and lifetime churn included
+//     (edn faults -dilated adds the per-wire model on a sampled
+//     sub-wire set as its cheap analytic overlay) — and every result
+//     type labels either network: Config or Dilated, read through its
+//     Network method. A dilated delta's degradation and lifetime
+//     results carry the census of its one failing population, the
+//     sub-wires, and a sweep that asks it for another population, a
+//     blast or a repair window is an error.
 //   - Closed-loop workloads: NewClosedLoop layers a request/response
 //     memory workload over two instances of either packet engine —
 //     requests route forward, memory ports service them, replies route

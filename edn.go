@@ -209,11 +209,11 @@ func SimulateMIMD(cfg Config, r float64, opts MIMDOptions) (MIMDMeasured, error)
 // One packet engine measures both networks of the paper's comparison.
 // A Net names the network and its queue regime — an EDNNet or the
 // DilatedNet counterpart that spends the same wire budget on link
-// replication — and every measurement below takes one, so the two sides
-// of a comparison are the same harness under the same Options, with
-// identical per-input traffic replays. Only the degradation and
-// lifetime sweeps keep a typed entry point per network, because their
-// results carry network-specific fault censuses.
+// replication — and every measurement takes one, here and in the fault
+// and lifecycle sections below, so the two sides of a comparison are
+// the same harness under the same Options, with identical per-input
+// traffic replays, and each result type labels either network through
+// its Network method.
 
 // QueueNetwork is an instantiated buffered EDN: per-wire FIFOs at every
 // stage input, head-of-line arbitration per switch, one hop per cycle,
@@ -396,14 +396,18 @@ type AvailabilityOptions = simulate.AvailabilityOptions
 
 // AvailabilityResult is one point of the degradation curve: delivered
 // bandwidth, reachability and latency tail at one fault fraction.
+// Config or Dilated names the measured network.
 type AvailabilityResult = simulate.AvailabilityResult
 
-// AvailabilitySweep measures the graceful-degradation curve: one
-// AvailabilityResult per fault fraction, each averaged over parallel
-// shards that grow nested fault plans under identical traffic replays.
-// shards <= 0 selects GOMAXPROCS; src nil selects uniform traffic.
-func AvailabilitySweep(n EDNNet, aopts AvailabilityOptions, src LoadPattern, opts SimOptions, shards int) ([]AvailabilityResult, error) {
-	return simulate.AvailabilitySweep(n, aopts, src, opts, shards)
+// AvailabilitySweep measures the graceful-degradation curve of an
+// EDNNet or a DilatedNet: one AvailabilityResult per fault fraction,
+// each averaged over parallel shards that grow nested fault plans under
+// identical traffic replays. A dilated delta's failing population is
+// its sub-wires, so it takes FaultWires only. The same Options pair an
+// EDN's sweep with its counterpart's. shards <= 0 selects GOMAXPROCS;
+// src nil selects uniform traffic.
+func AvailabilitySweep(net Net, aopts AvailabilityOptions, src LoadPattern, opts SimOptions, shards int) ([]AvailabilityResult, error) {
+	return simulate.AvailabilitySweep(net, aopts, src, opts, shards)
 }
 
 // ---------------------------------------------------------------------------
@@ -449,16 +453,20 @@ type LifetimeOptions = simulate.LifetimeOptions
 // LifetimeResult is the availability-over-time view: per-epoch
 // bandwidth/reachability/latency series plus lifetime aggregates
 // (lifetime-average bandwidth, time below threshold, recovery
-// half-life).
+// half-life). Config or Dilated names the measured network.
 type LifetimeResult = simulate.LifetimeResult
 
 // LifetimeSweep simulates a network's whole service life under
 // failure/repair churn: running engines are re-masked in place between
 // epochs (no rebuilds; queue and arbiter state survive every swap) and
-// each epoch's metrics are recorded into exact-merge time series.
-// shards <= 0 selects GOMAXPROCS; src nil selects uniform traffic.
-func LifetimeSweep(n EDNNet, lopts LifetimeOptions, src LoadPattern, opts SimOptions, shards int) (LifetimeResult, error) {
-	return simulate.LifetimeSweep(n, lopts, src, opts, shards)
+// each epoch's metrics are recorded into exact-merge time series. A
+// DilatedNet churns its sub-wires on lopts.Spec's MTBF/MTTR/Timing; a
+// Spec.Mode other than FaultWires, a blast rate or a repair window
+// above 1 on it is an error. The same Options pair an EDN's lifetime
+// with its counterpart's. shards <= 0 selects GOMAXPROCS; src nil
+// selects uniform traffic.
+func LifetimeSweep(net Net, lopts LifetimeOptions, src LoadPattern, opts SimOptions, shards int) (LifetimeResult, error) {
+	return simulate.LifetimeSweep(net, lopts, src, opts, shards)
 }
 
 // ---------------------------------------------------------------------------
@@ -569,9 +577,8 @@ func BernoulliDilatedSubWires(cfg DilatedDelta, p float64, rng *Rand) FaultSet {
 // ---------------------------------------------------------------------------
 // Measured dilated counterpart (the dilated fabric of the packet engine)
 //
-// The dilated delta's engine, its sub-wire masks over the one fault
-// model, plus the two sweeps whose results carry its sub-wire census.
-// Every other measurement takes the counterpart as a DilatedNet.
+// The dilated delta's engine and its sub-wire masks over the one fault
+// model. Every measurement takes the counterpart as a DilatedNet.
 
 // DilatedQueueNetwork is an instantiated buffered d-dilated delta: the
 // measured side of every -dilated comparison. It is the QueueNetwork
@@ -602,30 +609,6 @@ type DilatedMasks = dilatedsim.Masks
 // swaps them in place, and ExpectedDegradedBandwidth reads them.
 func CompileDilatedMasks(cfg DilatedDelta, set FaultSet) (*DilatedMasks, error) {
 	return dilatedsim.Compile(cfg, set)
-}
-
-// DilatedAvailabilityResult is one measured point of the counterpart's
-// degradation curve.
-type DilatedAvailabilityResult = simulate.DilatedAvailabilityResult
-
-// DilatedAvailabilitySweep measures the counterpart's graceful-
-// degradation curve as sub-wires die (nested per-shard plans, replayed
-// traffic): AvailabilitySweep's harness, pairing with it under the
-// same Options.
-func DilatedAvailabilitySweep(n DilatedNet, aopts AvailabilityOptions, src LoadPattern, opts SimOptions, shards int) ([]DilatedAvailabilityResult, error) {
-	return simulate.DilatedAvailabilitySweep(n, aopts, src, opts, shards)
-}
-
-// DilatedLifetimeResult is the counterpart's availability-over-time
-// view under sub-wire churn.
-type DilatedLifetimeResult = simulate.DilatedLifetimeResult
-
-// DilatedLifetimeSweep simulates the counterpart's whole service life
-// under sub-wire churn (MTBF/MTTR/Timing from lopts.Spec; the dilated
-// population is always the sub-wires): LifetimeSweep's harness,
-// pairing with it under the same Options.
-func DilatedLifetimeSweep(n DilatedNet, lopts LifetimeOptions, src LoadPattern, opts SimOptions, shards int) (DilatedLifetimeResult, error) {
-	return simulate.DilatedLifetimeSweep(n, lopts, src, opts, shards)
 }
 
 // ---------------------------------------------------------------------------
@@ -711,7 +694,8 @@ type ClosedLoopLifetimeResult = simulate.ClosedLoopLifetimeResult
 
 // ClosedLoopLifetimeSweep runs the closed-loop workload over net's
 // whole service life under lopts.Spec churn on both fabrics (sub-wire
-// churn on a dilated delta), avoidance list refreshed from
+// churn on a dilated delta, which rejects the settings LifetimeSweep
+// rejects on it), avoidance list refreshed from
 // forward-fabric reachability every epoch, request conservation
 // asserted at every epoch boundary. Identical Options replay-match an
 // EDN and its counterpart.

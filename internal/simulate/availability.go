@@ -5,6 +5,7 @@ import (
 
 	"edn/internal/dilated"
 	"edn/internal/faults"
+	"edn/internal/lifecycle"
 	"edn/internal/queuesim"
 	"edn/internal/stats"
 	"edn/internal/topology"
@@ -19,7 +20,9 @@ type AvailabilityOptions struct {
 	// population dies with this marginal probability). Required.
 	Fractions []float64
 	// Mode selects the failing population (default WireFaults, the
-	// regime where Theorem 2's bucket multipath pays off directly).
+	// regime where Theorem 2's bucket multipath pays off directly). A
+	// dilated delta fails only by sub-wires, its entire redundancy
+	// budget, so it takes WireFaults alone; any other mode is an error.
 	Mode faults.Mode
 	// Load is the offered load per input during measurement (default 1:
 	// saturation, where degradation is starkest).
@@ -51,11 +54,13 @@ func (o AvailabilityOptions) withDefaults() (AvailabilityOptions, error) {
 	return o, nil
 }
 
-// AvailabilityResult is one point of the degradation curve: the faulted
-// network's delivered bandwidth, reachability and latency tail at one
-// fault fraction, averaged over the sweep's independent shard samples.
+// AvailabilityResult is one point of the degradation curve of either
+// network: its delivered bandwidth, reachability and latency tail at
+// one fault fraction, averaged over the sweep's independent shard
+// samples. Config or Dilated names the measured network.
 type AvailabilityResult struct {
-	Config        topology.Config
+	Config        topology.Config // zero for dilated runs
+	Dilated       dilated.Config  `json:",omitzero"` // zero, and left out of the JSON, for EDN runs
 	FaultFraction float64
 	Mode          faults.Mode
 	Depth         int
@@ -63,7 +68,9 @@ type AvailabilityResult struct {
 	Cycles        int // measured cycles summed across shards
 	Shards        int
 
-	// Mean fault census over the shard samples.
+	// Mean fault census over the shard samples. DeadWires counts dead
+	// stage-input and stage-output wires; a dilated delta's are its dead
+	// sub-wires, and its switches and inputs never fail.
 	DeadSwitches float64
 	DeadWires    float64
 	// ReachableFraction is the mean fraction of output terminals still
@@ -100,60 +107,55 @@ type AvailabilityResult struct {
 	Histogram *stats.Histogram
 }
 
+// Network names the measured network.
+func (r AvailabilityResult) Network() string { return networkName(r.Config, r.Dilated) }
+
 // String renders the headline numbers.
 func (r AvailabilityResult) String() string {
-	return fmt.Sprintf("%v %v f=%.3f: thr=%.2f/cycle (%.3f/input) reach=%.3f p99=%.0f",
-		r.Config, r.Mode, r.FaultFraction, r.Throughput, r.ThroughputPerInput,
+	return fmt.Sprintf("%s %v f=%.3f: thr=%.2f/cycle (%.3f/input) reach=%.3f p99=%.0f",
+		r.Network(), r.Mode, r.FaultFraction, r.Throughput, r.ThroughputPerInput,
 		r.ReachableFraction, r.LatencyP99)
 }
 
 // AvailabilitySweep measures one AvailabilityResult per fault fraction:
-// the graceful-degradation curve of an EDN as components die. Each
-// shard owns one nested fault Plan — rising fractions grow one fixed
-// failure story per shard instead of resampling the world, and the
-// traffic stream is replayed identically at every fraction — so the
-// sweep is a paired comparison and the delivered-bandwidth curve
-// degrades monotonically up to Monte-Carlo noise. Shards are fully
-// independent runs (own engine, own fault sample, own traffic source)
-// executed in parallel and merged exactly, the run-level pattern of
-// SaturationSweep; results are deterministic for a fixed (seed, shards)
-// pair. shards <= 0 selects GOMAXPROCS; src nil selects uniform iid
-// traffic at aopts.Load.
+// the graceful-degradation curve of an EDN or a dilated delta as its
+// components die (a dilated delta's sub-wires, drawn by
+// dilatedsim.SubWires). Each shard owns one nested fault plan — rising
+// fractions grow one fixed failure story per shard instead of
+// resampling the world, and the traffic stream is replayed identically
+// at every fraction — so the sweep is a paired comparison and the
+// delivered-bandwidth curve degrades monotonically up to Monte-Carlo
+// noise. Shards are fully independent runs (own engine, own fault
+// sample, own traffic source) executed in parallel and merged exactly,
+// the run-level pattern of SaturationSweep; results are deterministic
+// for a fixed (seed, shards) pair. shards <= 0 selects GOMAXPROCS; src
+// nil selects uniform iid traffic at aopts.Load.
 //
-// n.Queue picks the engine regime. Fault sets that kill output
-// terminals (SwitchFaults/MixedFaults reaching the crossbar stage) pair
-// naturally with the Drop policy: under Backpressure a packet addressed
-// to a dead terminal parks at the crossbar head forever and
-// head-of-line blocks everything behind it — a real failure mode worth
-// measuring, but a collapsed curve rather than a degradation curve.
-func AvailabilitySweep(n EDN, aopts AvailabilityOptions, src LoadPattern, opts Options, shards int) ([]AvailabilityResult, error) {
-	pts, err := availabilitySweep(n, aopts, src, opts, shards)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]AvailabilityResult, len(pts))
-	for i := range pts {
-		results[i] = pts[i].edn(n.Config)
-	}
-	return results, nil
-}
-
-// availabilitySweep is the one degradation-sweep harness behind both
-// networks' typed entry points. It draws the per-shard fault plans and
-// traffic seeds once, fixed across the whole fraction axis: fraction
-// f2 > f1 sees a superset of f1's faults under an identical traffic
-// replay. The draws depend only on (opts.Seed, shards) — never on the
-// fraction — which is what lets the Point entry points reconstruct a
-// batch sweep's failure stories one fraction at a time, and the
-// traffic seeds are drawn identically for both networks, so an EDN and
-// its counterpart swept under the same Options see identical
-// per-input injection realizations.
-func availabilitySweep(net Net, aopts AvailabilityOptions, src LoadPattern, opts Options, shards int) ([]availabilityMerge, error) {
+// The per-shard fault plans and traffic seeds are drawn once, fixed
+// across the whole fraction axis: fraction f2 > f1 sees a superset of
+// f1's faults under an identical traffic replay. The draws depend only
+// on (opts.Seed, shards) — never on the fraction — which is what lets
+// AvailabilityPoint reconstruct a batch sweep's failure stories one
+// fraction at a time, and the traffic seeds are drawn identically for
+// both networks, so an EDN and its counterpart swept under the same
+// Options see identical per-input injection realizations.
+//
+// The network's queue options pick the engine regime. Fault sets that
+// kill output terminals (SwitchFaults/MixedFaults reaching the crossbar
+// stage) pair naturally with the Drop policy: under Backpressure a
+// packet addressed to a dead terminal parks at the crossbar head
+// forever and head-of-line blocks everything behind it — a real failure
+// mode worth measuring, but a collapsed curve rather than a degradation
+// curve.
+func AvailabilitySweep(net Net, aopts AvailabilityOptions, src LoadPattern, opts Options, shards int) ([]AvailabilityResult, error) {
 	opts, shards, err := prepare(net, opts, shards, true)
 	if err != nil {
 		return nil, err
 	}
 	if aopts, err = aopts.withDefaults(); err != nil {
+		return nil, err
+	}
+	if err := net.checkFaults(lifecycle.Spec{Mode: aopts.Mode}); err != nil {
 		return nil, err
 	}
 	if src == nil {
@@ -171,32 +173,22 @@ func availabilitySweep(net Net, aopts AvailabilityOptions, src LoadPattern, opts
 		plans[w] = net.faultPlan(aopts.Mode, xrand.New(root.Uint64()|1))
 		trafficSeeds[w] = root.Uint64() | 1
 	}
-	results := make([]availabilityMerge, 0, len(aopts.Fractions))
+	results := make([]AvailabilityResult, 0, len(aopts.Fractions))
 	for _, f := range aopts.Fractions {
-		merged, err := availabilityPoint(net, aopts, f, src, opts, shards, plans, trafficSeeds)
+		r, err := availabilityPoint(net, aopts, f, src, opts, shards, plans, trafficSeeds)
 		if err != nil {
 			return nil, err
 		}
-		results = append(results, merged)
+		results = append(results, r)
 	}
 	return results, nil
-}
-
-// availabilityMerge is one merged point of a degradation curve before
-// it takes its network's typed result shape: the merged shard
-// measurement and the mean fault census over the shards that ran.
-type availabilityMerge struct {
-	f      float64
-	mode   faults.Mode
-	res    LatencyResult
-	census faultCensus
 }
 
 // availabilityPoint measures one fault fraction over pre-drawn shard
 // plans: bare shards through runShards, merged by mergeLatency, with
 // the census averaged over the shards that ran (runShards skips the
 // rest, whose census stays zero).
-func availabilityPoint(net Net, aopts AvailabilityOptions, f float64, src LoadPattern, opts Options, shards int, plans []faultPlan, trafficSeeds []uint64) (availabilityMerge, error) {
+func availabilityPoint(net Net, aopts AvailabilityOptions, f float64, src LoadPattern, opts Options, shards int, plans []faultPlan, trafficSeeds []uint64) (AvailabilityResult, error) {
 	parts := make([]LatencyResult, shards)
 	censuses := make([]faultCensus, shards)
 	err := runShards(opts, shards, nil, func(w, cycles int) error {
@@ -212,29 +204,23 @@ func availabilityPoint(net Net, aopts AvailabilityOptions, f float64, src LoadPa
 		return err
 	})
 	if err != nil {
-		return availabilityMerge{}, err
+		return AvailabilityResult{}, err
 	}
 	inputs, _ := net.ports()
-	m := availabilityMerge{f: f, mode: aopts.Mode}
-	if m.res, err = mergeLatency(parts, inputs, opts); err != nil {
-		return availabilityMerge{}, err
+	r, err := mergeLatency(parts, inputs, opts)
+	if err != nil {
+		return AvailabilityResult{}, err
 	}
-	for _, c := range censuses {
-		m.census.add(c)
+	var c faultCensus
+	for _, s := range censuses {
+		c.add(s)
 	}
-	if m.res.Shards > 0 {
-		m.census.scale(float64(m.res.Shards))
+	if r.Shards > 0 {
+		c.scale(float64(r.Shards))
 	}
-	return m, nil
-}
-
-// edn labels the point as an EDN degradation-curve point.
-func (m *availabilityMerge) edn(cfg topology.Config) AvailabilityResult {
-	r, c := &m.res, &m.census
-	return AvailabilityResult{
-		Config:             cfg,
-		FaultFraction:      m.f,
-		Mode:               m.mode,
+	res := AvailabilityResult{
+		FaultFraction:      f,
+		Mode:               aopts.Mode,
 		Depth:              r.Depth,
 		Policy:             r.Policy,
 		Cycles:             r.Cycles,
@@ -249,7 +235,7 @@ func (m *availabilityMerge) edn(cfg topology.Config) AvailabilityResult {
 		Dropped:            r.Dropped,
 		OfferedRate:        r.OfferedRate,
 		Throughput:         r.Throughput,
-		ThroughputPerInput: r.Throughput / float64(cfg.Inputs()),
+		ThroughputPerInput: r.Throughput / float64(inputs),
 		AcceptedFraction:   r.AcceptedFraction,
 		LatencyMean:        r.LatencyMean,
 		LatencyP50:         r.LatencyP50,
@@ -259,103 +245,6 @@ func (m *availabilityMerge) edn(cfg topology.Config) AvailabilityResult {
 		ExpectedThroughput: c.expected,
 		Histogram:          r.Histogram,
 	}
-}
-
-// dilated labels the point as a dilated degradation-curve point.
-func (m *availabilityMerge) dilated(dcfg dilated.Config) DilatedAvailabilityResult {
-	r, c := &m.res, &m.census
-	return DilatedAvailabilityResult{
-		Dilated:            dcfg,
-		FaultFraction:      m.f,
-		Depth:              r.Depth,
-		Policy:             r.Policy,
-		Cycles:             r.Cycles,
-		Shards:             r.Shards,
-		DeadSubWires:       c.deadWires,
-		ReachableFraction:  c.reachable,
-		Injected:           r.Injected,
-		Refused:            r.Refused,
-		Delivered:          r.Delivered,
-		Dropped:            r.Dropped,
-		OfferedRate:        r.OfferedRate,
-		Throughput:         r.Throughput,
-		ThroughputPerInput: r.Throughput / float64(dcfg.Ports()),
-		AcceptedFraction:   r.AcceptedFraction,
-		LatencyMean:        r.LatencyMean,
-		LatencyP50:         r.LatencyP50,
-		LatencyP95:         r.LatencyP95,
-		LatencyP99:         r.LatencyP99,
-		LatencyMax:         r.LatencyMax,
-		ExpectedThroughput: c.expected,
-		Histogram:          r.Histogram,
-	}
-}
-
-// DilatedAvailabilityResult is one point of a dilated degradation
-// curve: the counterpart's measured bandwidth, reachability and latency
-// tail at one sub-wire fault fraction, with the same stat semantics as
-// AvailabilityResult so the CLIs print the two curves side by side.
-type DilatedAvailabilityResult struct {
-	Dilated       dilated.Config
-	FaultFraction float64
-	Depth         int
-	Policy        queuesim.Policy
-	Cycles        int // measured cycles summed across shards
-	Shards        int
-
-	// DeadSubWires is the mean dead-sub-wire census over the shard
-	// samples; ReachableFraction the mean fraction of output ports
-	// still connected to at least one input.
-	DeadSubWires      float64
-	ReachableFraction float64
-
-	// Packet counters over the measurement window, summed across shards.
-	Injected  int64
-	Refused   int64
-	Delivered int64
-	Dropped   int64
-
-	OfferedRate        float64
-	Throughput         float64
-	ThroughputPerInput float64
-	AcceptedFraction   float64
-
-	LatencyMean float64
-	LatencyP50  float64
-	LatencyP95  float64
-	LatencyP99  float64
-	LatencyMax  float64
-	// ExpectedThroughput is the per-wire recursion's prediction
-	// (faults.ExpectedUniformBandwidth on each shard's sampled sub-wire
-	// masks, averaged), the same model AvailabilityResult's reads; zero
-	// unless AvailabilityOptions.WithExpected.
-	ExpectedThroughput float64
-	// Histogram is the full merged latency distribution.
-	Histogram *stats.Histogram
-}
-
-// String renders the headline numbers.
-func (r DilatedAvailabilityResult) String() string {
-	return fmt.Sprintf("%v f=%.3f: thr=%.2f/cycle (%.3f/input) reach=%.3f p99=%.0f",
-		r.Dilated, r.FaultFraction, r.Throughput, r.ThroughputPerInput,
-		r.ReachableFraction, r.LatencyP99)
-}
-
-// DilatedAvailabilitySweep measures the graceful-degradation curve of a
-// dilated delta as its sub-wires die: AvailabilitySweep's harness over
-// nested per-shard plans of the sub-wire population (dilatedsim.SubWires).
-// Under the same Options and shard count the two sweeps drive an EDN and
-// its counterpart with identical per-input injection realizations.
-// aopts.Mode is ignored: the dilated fault population is always the
-// sub-wires, the network's entire redundancy budget.
-func DilatedAvailabilitySweep(n Dilated, aopts AvailabilityOptions, src LoadPattern, opts Options, shards int) ([]DilatedAvailabilityResult, error) {
-	pts, err := availabilitySweep(n, aopts, src, opts, shards)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]DilatedAvailabilityResult, len(pts))
-	for i := range pts {
-		results[i] = pts[i].dilated(n.Config)
-	}
-	return results, nil
+	res.Config, res.Dilated = net.label()
+	return res, nil
 }

@@ -476,7 +476,7 @@ func runClosedLoopLifetimeShard(net Net, lopts LifetimeOptions, lo closedloop.Op
 // aggregates.
 func runClosedLoopLifetime(net Net, lopts LifetimeOptions, lo closedloop.Options, opts Options, shards int) (ClosedLoopLifetimeResult, error) {
 	parts := make([]closedLoopLifetimePartial, shards)
-	err := runLifetimeShards(opts, lopts, shards, func(w int, procSeed, trafficSeed uint64) (err error) {
+	err := runLifetimeShards(net, opts, lopts, shards, func(w int, procSeed, trafficSeed uint64) (err error) {
 		parts[w], err = runClosedLoopLifetimeShard(net, lopts, lo, opts, w, procSeed, trafficSeed)
 		return err
 	})
@@ -542,7 +542,8 @@ func closedLoopLifetimeDefaults(lopts LifetimeOptions) (LifetimeOptions, error) 
 // ClosedLoopLifetimeSweep runs the closed-loop workload over net's
 // whole service life: both fabrics (requests and replies) churn under
 // independent replicas of lopts.Spec — sub-wire churn with its
-// MTBF/MTTR/Timing on a dilated delta — the running engines are
+// MTBF/MTTR/Timing on a dilated delta, where another Spec.Mode, a blast
+// rate or a repair window above 1 is an error — the running engines are
 // re-masked in place at every epoch boundary, the sources' avoidance
 // list follows the forward fabric's reachable-output set, and every
 // epoch records goodput, SLA attainment, tail latency and retry

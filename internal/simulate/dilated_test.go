@@ -98,14 +98,14 @@ func TestDilatedAvailabilitySweep(t *testing.T) {
 	}
 	dopts := dilatedsim.Options{Depth: 4, Policy: dilatedsim.Drop}
 	opts := Options{Cycles: 600, Warmup: 150, Seed: 3}
-	res, err := DilatedAvailabilitySweep(Dilated{Config: dcfg, Queue: dopts}, aopts, nil, opts, 2)
+	res, err := AvailabilitySweep(Dilated{Config: dcfg, Queue: dopts}, aopts, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != len(aopts.Fractions) {
 		t.Fatalf("%d points for %d fractions", len(res), len(aopts.Fractions))
 	}
-	if res[0].DeadSubWires != 0 || res[0].ReachableFraction != 1 {
+	if res[0].DeadWires != 0 || res[0].ReachableFraction != 1 {
 		t.Fatalf("fraction 0 is not fault-free: %+v", res[0])
 	}
 	for i := 1; i < len(res); i++ {
@@ -141,11 +141,11 @@ func TestDilatedLifetimeSweep(t *testing.T) {
 	}
 	dopts := dilatedsim.Options{Depth: 4, Policy: dilatedsim.Drop}
 	opts := Options{Warmup: 80, Seed: 9}
-	a, err := DilatedLifetimeSweep(Dilated{Config: dcfg, Queue: dopts}, lopts, nil, opts, 2)
+	a, err := LifetimeSweep(Dilated{Config: dcfg, Queue: dopts}, lopts, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DilatedLifetimeSweep(Dilated{Config: dcfg, Queue: dopts}, lopts, nil, opts, 2)
+	b, err := LifetimeSweep(Dilated{Config: dcfg, Queue: dopts}, lopts, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestDilatedLifetimePairsWithEDN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := DilatedLifetimeSweep(Dilated{Config: dcfg, Queue: dopts}, lopts, nil, opts, 2)
+	dres, err := LifetimeSweep(Dilated{Config: dcfg, Queue: dopts}, lopts, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

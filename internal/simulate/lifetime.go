@@ -55,8 +55,10 @@ func (o LifetimeOptions) withDefaults(net Net) (LifetimeOptions, error) {
 // LifetimeResult is the availability-over-time view of one network: the
 // per-epoch time series of the quantities a static sweep reports once,
 // plus the aggregates that summarize a whole deployment's lifetime.
+// Config or Dilated names the measured network.
 type LifetimeResult struct {
-	Config      topology.Config
+	Config      topology.Config // zero for dilated runs
+	Dilated     dilated.Config  `json:",omitzero"` // zero, and left out of the JSON, for EDN runs
 	Spec        lifecycle.Spec
 	Depth       int
 	Policy      queuesim.Policy
@@ -104,10 +106,13 @@ type LifetimeResult struct {
 	Observed *probe.Report
 }
 
+// Network names the measured network.
+func (r LifetimeResult) Network() string { return networkName(r.Config, r.Dilated) }
+
 // String renders the headline numbers.
 func (r LifetimeResult) String() string {
-	return fmt.Sprintf("%v %v mtbf=%g mttr=%g: lifetime thr=%.3f/input below-threshold=%.1f%% half-life=%.1f epochs",
-		r.Config, r.Spec.Mode, r.Spec.MTBF, r.Spec.MTTR,
+	return fmt.Sprintf("%s %v mtbf=%g mttr=%g: lifetime thr=%.3f/input below-threshold=%.1f%% half-life=%.1f epochs",
+		r.Network(), r.Spec.Mode, r.Spec.MTBF, r.Spec.MTTR,
 		r.LifetimeBandwidth, 100*r.TimeBelowThreshold, r.RecoveryHalfLife)
 }
 
@@ -125,21 +130,27 @@ func (r LifetimeResult) MarshalJSON() ([]byte, error) {
 	return json.Marshal(aux)
 }
 
-// LifetimeSweep simulates an EDN's whole service life: components
+// LifetimeSweep simulates a network's whole service life: components
 // fail and get repaired epoch by epoch (one lifecycle.Process per
-// shard), the running engines are re-masked in place via UpdateFaults —
-// queue contents, arbiter state and all precomputed tables survive
-// every swap, so packets in flight experience the failure exactly as
-// deployed hardware would — and every epoch's delivered bandwidth,
-// reachability and latency tail are recorded into per-epoch time
-// series.
+// shard, over an EDN's lopts.Spec.Mode population or a dilated delta's
+// sub-wires), the running engines are re-masked in place via
+// UpdateFaults — queue contents, arbiter state and all precomputed
+// tables survive every swap, so packets in flight experience the
+// failure exactly as deployed hardware would — and every epoch's
+// delivered bandwidth, reachability and latency tail are recorded into
+// per-epoch time series. A dilated delta churns its sub-wires on
+// lopts.Spec's MTBF/MTTR/Timing clocks; a Spec.Mode other than
+// WireFaults, a blast overlay or repair windows on it are an error.
 //
 // Shards are fully independent lifetimes (own engine, own failure
 // story, own traffic stream, seeds derived from opts.Seed) executed in
 // parallel and merged exactly per epoch, the run-level pattern of
 // SaturationSweep; results are deterministic for a fixed (seed, shards)
-// pair. shards <= 0 selects GOMAXPROCS; src nil selects uniform iid
-// traffic at lopts.Load.
+// pair. The same Options churn an EDN and its counterpart through
+// identically distributed outages under identical per-input traffic
+// replays — the measured lifetime half of the equal-redundancy
+// comparison. shards <= 0 selects GOMAXPROCS; src nil selects uniform
+// iid traffic at lopts.Load.
 //
 // opts.Warmup cycles run fault-free before the first epoch so the
 // series starts from the healthy steady state. Fault processes that
@@ -148,102 +159,63 @@ func (r LifetimeResult) MarshalJSON() ([]byte, error) {
 // addressed to a dead terminal park until the repair arrives (counted
 // in the Parked series) — a real operational regime, but one that
 // conflates queueing with availability in the bandwidth series.
-func LifetimeSweep(n EDN, lopts LifetimeOptions, src LoadPattern, opts Options, shards int) (LifetimeResult, error) {
-	m, err := lifetimeSweep(n, lopts, src, opts, shards)
+func LifetimeSweep(net Net, lopts LifetimeOptions, src LoadPattern, opts Options, shards int) (LifetimeResult, error) {
+	opts, shards, err := prepare(net, opts, shards, false)
 	if err != nil {
 		return LifetimeResult{}, err
 	}
-	return LifetimeResult{
-		Config:             n.Config,
-		Spec:               m.lopts.Spec,
-		Epochs:             m.lopts.Epochs,
-		EpochCycles:        m.lopts.EpochCycles,
-		Shards:             m.shards,
-		Threshold:          m.lopts.Threshold,
-		Depth:              n.Queue.Depth,
-		Policy:             n.Queue.Policy,
-		Bandwidth:          m.series[lifeBandwidth],
-		Reachable:          m.series[lifeReachable],
-		DeadFraction:       m.series[lifeDeadFrac],
-		LatencyP99:         m.series[lifeP99],
-		Parked:             m.series[lifeParked],
-		Injected:           m.totals.Injected,
-		Refused:            m.totals.Refused,
-		Delivered:          m.totals.Delivered,
-		Dropped:            m.totals.Dropped,
-		Stranded:           m.totals.Stranded,
-		LifetimeBandwidth:  m.lifetimeBandwidth,
-		DeliveredFraction:  m.deliveredFraction,
-		TimeBelowThreshold: m.timeBelowThreshold,
-		RecoveryHalfLife:   m.recoveryHalfLife,
-		Observed:           m.rep,
-	}, nil
-}
-
-// lifetimeSweep is the one lifetime harness behind both networks'
-// typed entry points: defaults, the shard fan-out (runLifetimeShards,
-// so the same Options churn an EDN and its counterpart through
-// identically distributed outages under identical per-input traffic
-// replays), the per-shard epoch loop and the exact merge.
-func lifetimeSweep(net Net, lopts LifetimeOptions, src LoadPattern, opts Options, shards int) (lifetimeMerge, error) {
-	opts, shards, err := prepare(net, opts, shards, false)
-	if err != nil {
-		return lifetimeMerge{}, err
-	}
 	if lopts, err = lopts.withDefaults(net); err != nil {
-		return lifetimeMerge{}, err
+		return LifetimeResult{}, err
 	}
 	if src == nil {
 		src = UniformLoad
 	}
 	parts := make([]partialLifetime, shards)
-	err = runLifetimeShards(opts, lopts, shards, func(w int, procSeed, trafficSeed uint64) (err error) {
+	err = runLifetimeShards(net, opts, lopts, shards, func(w int, procSeed, trafficSeed uint64) (err error) {
 		parts[w], err = runLifetimeShard(net, lopts, src, opts, w, procSeed, trafficSeed)
 		return err
 	})
 	if err != nil {
-		return lifetimeMerge{}, err
+		return LifetimeResult{}, err
 	}
 	mergeStart := time.Now()
-	m := lifetimeMerge{lopts: lopts, shards: shards, epochSeries: newEpochSeries(lifeSeries, lopts.Epochs)}
+	m := newEpochSeries(lifeSeries, lopts.Epochs)
+	res := LifetimeResult{
+		Spec:         lopts.Spec,
+		Epochs:       lopts.Epochs,
+		EpochCycles:  lopts.EpochCycles,
+		Shards:       shards,
+		Threshold:    lopts.Threshold,
+		Bandwidth:    m.series[lifeBandwidth],
+		Reachable:    m.series[lifeReachable],
+		DeadFraction: m.series[lifeDeadFrac],
+		LatencyP99:   m.series[lifeP99],
+		Parked:       m.series[lifeParked],
+	}
+	res.Config, res.Dilated = net.label()
+	res.Depth, res.Policy = net.regime()
 	for w := range parts {
 		p := &parts[w]
 		if err := m.merge(&p.epochSeries); err != nil {
-			return lifetimeMerge{}, err
+			return LifetimeResult{}, err
 		}
-		m.totals.Injected += p.totals.Injected
-		m.totals.Refused += p.totals.Refused
-		m.totals.Delivered += p.totals.Delivered
-		m.totals.Dropped += p.totals.Dropped
-		m.totals.Stranded += p.totals.Stranded
+		res.Injected += p.totals.Injected
+		res.Refused += p.totals.Refused
+		res.Delivered += p.totals.Delivered
+		res.Dropped += p.totals.Dropped
+		res.Stranded += p.totals.Stranded
 	}
-	bandwidth := m.series[lifeBandwidth]
-	m.lifetimeBandwidth = bandwidth.MeanOverall()
-	if m.totals.Injected > 0 {
-		m.deliveredFraction = float64(m.totals.Delivered) / float64(m.totals.Injected)
+	res.Observed = m.rep
+	res.LifetimeBandwidth = res.Bandwidth.MeanOverall()
+	if res.Injected > 0 {
+		res.DeliveredFraction = float64(res.Delivered) / float64(res.Injected)
 	} else {
-		m.deliveredFraction = 1
+		res.DeliveredFraction = 1
 	}
-	m.timeBelowThreshold = bandwidth.FractionBelow(lopts.Threshold)
-	m.recoveryHalfLife = stats.RecoveryHalfLife(bandwidth.Means(), 0.1)
+	res.TimeBelowThreshold = res.Bandwidth.FractionBelow(lopts.Threshold)
+	res.RecoveryHalfLife = stats.RecoveryHalfLife(res.Bandwidth.Means(), 0.1)
 	opts.stage("merge", -1, 0, mergeStart)
-	return m, nil
-}
-
-// lifetimeMerge is a lifetime result before it takes its network's
-// typed shape: the defaulted options and shard count, the
-// exactly-merged per-epoch series and probe report, the summed lifetime
-// counters and the derived aggregates.
-type lifetimeMerge struct {
-	lopts  LifetimeOptions
-	shards int
-	epochSeries
-	totals queuesim.Totals
-
-	lifetimeBandwidth  float64
-	deliveredFraction  float64
-	timeBelowThreshold float64
-	recoveryHalfLife   float64
+	return res, nil
 }
 
 // epochSeries is a lifetime's per-epoch series, indexed by its family's
@@ -300,12 +272,16 @@ func lifetimeProbe(po *probe.Options, lopts LifetimeOptions, w int) *probe.Probe
 }
 
 // runLifetimeShards is the fan-out of both lifetime families, open-
-// and closed-loop: it derives one (process, traffic) seed pair per
-// shard from opts.Seed — shared by both, which is what makes "same
-// Options" mean "same replays" across the two networks — and runs
-// shard for every shard through runShards, under a budget of shards x
-// Epochs x EpochCycles so each shard runs the full epoch schedule.
-func runLifetimeShards(opts Options, lopts LifetimeOptions, shards int, shard func(w int, procSeed, trafficSeed uint64) error) error {
+// and closed-loop: it rejects churn settings net cannot apply before
+// any shard runs, derives one (process, traffic) seed pair per shard
+// from opts.Seed — shared by both, which is what makes "same Options"
+// mean "same replays" across the two networks — and runs shard for
+// every shard through runShards, under a budget of shards x Epochs x
+// EpochCycles so each shard runs the full epoch schedule.
+func runLifetimeShards(net Net, opts Options, lopts LifetimeOptions, shards int, shard func(w int, procSeed, trafficSeed uint64) error) error {
+	if err := net.checkFaults(lopts.Spec); err != nil {
+		return err
+	}
 	root := xrand.New(opts.Seed ^ 0x5bf0_3635_d1c2_a94f)
 	type shardSeed struct{ proc, traffic uint64 }
 	seeds := make([]shardSeed, shards)
@@ -404,107 +380,4 @@ func runLifetimeShard(net Net, lopts LifetimeOptions, src LoadPattern, opts Opti
 		p.rep = pr.Report()
 	}
 	return p, nil
-}
-
-// DilatedLifetimeResult is the availability-over-time view of a dilated
-// delta under sub-wire churn, with the same series and aggregate
-// semantics as LifetimeResult.
-type DilatedLifetimeResult struct {
-	Dilated     dilated.Config
-	MTBF        float64
-	MTTR        float64
-	Timing      lifecycle.Timing
-	Depth       int
-	Policy      queuesim.Policy
-	Epochs      int
-	EpochCycles int
-	Shards      int
-	Threshold   float64
-
-	Bandwidth    *stats.TimeSeries // delivered packets per input per cycle
-	Reachable    *stats.TimeSeries // fraction of output ports still reachable
-	DeadFraction *stats.TimeSeries // dead fraction of the sub-wire population
-	LatencyP99   *stats.TimeSeries // P99 delivery latency within the epoch
-	Parked       *stats.TimeSeries // mean packets parked on dead sub-wires per cycle
-
-	Injected  int64
-	Refused   int64
-	Delivered int64
-	Dropped   int64
-	Stranded  int64
-
-	LifetimeBandwidth  float64
-	DeliveredFraction  float64
-	TimeBelowThreshold float64
-	RecoveryHalfLife   float64
-
-	// Observed: see LifetimeResult.Observed.
-	Observed *probe.Report
-}
-
-// String renders the headline numbers.
-func (r DilatedLifetimeResult) String() string {
-	return fmt.Sprintf("%v mtbf=%g mttr=%g: lifetime thr=%.3f/input below-threshold=%.1f%% half-life=%.1f epochs",
-		r.Dilated, r.MTBF, r.MTTR,
-		r.LifetimeBandwidth, 100*r.TimeBelowThreshold, r.RecoveryHalfLife)
-}
-
-// MarshalJSON encodes the NaN sentinel of RecoveryHalfLife as null;
-// see LifetimeResult.MarshalJSON.
-func (r DilatedLifetimeResult) MarshalJSON() ([]byte, error) {
-	type alias DilatedLifetimeResult
-	aux := struct {
-		alias
-		RecoveryHalfLife *float64 `json:"RecoveryHalfLife"`
-	}{alias: alias(r)}
-	if !math.IsNaN(r.RecoveryHalfLife) {
-		aux.RecoveryHalfLife = &r.RecoveryHalfLife
-	}
-	return json.Marshal(aux)
-}
-
-// DilatedLifetimeSweep simulates a dilated delta's whole service life
-// under sub-wire churn: LifetimeSweep's harness with every sub-wire on
-// an alternating-renewal clock of lopts.Spec's MTBF/MTTR/Timing (the
-// population is always the sub-wires — the network's entire redundancy
-// budget — so Spec.Mode and the blast overlay, which name EDN
-// structures, and repair windows are not applied; a JobSpec that sets
-// them on the dilated engine is an error). Under the same Options the
-// two sweeps churn an EDN and its counterpart through identically
-// distributed outages under identical per-input traffic replays — the
-// measured lifetime half of the equal-redundancy comparison.
-// lopts.Threshold <= 0 selects half the counterpart's own fault-free
-// closed-form bandwidth per input (dilated.Config.PA).
-func DilatedLifetimeSweep(n Dilated, lopts LifetimeOptions, src LoadPattern, opts Options, shards int) (DilatedLifetimeResult, error) {
-	m, err := lifetimeSweep(n, lopts, src, opts, shards)
-	if err != nil {
-		return DilatedLifetimeResult{}, err
-	}
-	return DilatedLifetimeResult{
-		Dilated:            n.Config,
-		MTBF:               m.lopts.Spec.MTBF,
-		MTTR:               m.lopts.Spec.MTTR,
-		Timing:             m.lopts.Spec.Timing,
-		Epochs:             m.lopts.Epochs,
-		EpochCycles:        m.lopts.EpochCycles,
-		Shards:             m.shards,
-		Threshold:          m.lopts.Threshold,
-		Depth:              n.Queue.Depth,
-		Policy:             n.Queue.Policy,
-		Bandwidth:          m.series[lifeBandwidth],
-		Reachable:          m.series[lifeReachable],
-		DeadFraction:       m.series[lifeDeadFrac],
-		LatencyP99:         m.series[lifeP99],
-		Parked:             m.series[lifeParked],
-		Injected:           m.totals.Injected,
-		Refused:            m.totals.Refused,
-		Delivered:          m.totals.Delivered,
-		Dropped:            m.totals.Dropped,
-		Stranded:           m.totals.Stranded,
-		LifetimeBandwidth:  m.lifetimeBandwidth,
-		DeliveredFraction:  m.deliveredFraction,
-		TimeBelowThreshold: m.timeBelowThreshold,
-		RecoveryHalfLife:   m.recoveryHalfLife,
-		Observed:           m.rep,
-	}, nil
 }

@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"errors"
 	"fmt"
 
 	"edn/internal/analytic"
@@ -21,9 +22,10 @@ import (
 // interface is sealed, and everything the two networks do differently
 // — validation, port counts, result labels, engine construction, the
 // fault plan of a degradation sweep, the churned population of a
-// lifetime, and the default lifetime threshold — lives in its two
-// implementations. Faults themselves are one model (internal/faults):
-// both fabrics install the same masks and flood the same way.
+// lifetime, the fault settings each can apply, and the default
+// lifetime threshold — lives in its two implementations. Faults
+// themselves are one model (internal/faults): both fabrics install the
+// same masks and flood the same way.
 type Net interface {
 	String() string
 
@@ -52,6 +54,11 @@ type Net interface {
 	// sweep (see faultPlan), compiled over the fabric in the queue
 	// options' Tables, which must be set (withTables).
 	faultPlan(mode faults.Mode, rng *xrand.Rand) faultPlan
+	// checkFaults rejects the fault settings the network cannot apply: a
+	// failing population (spec.Mode) it does not have, or a lifetime's
+	// blast overlay or repair windows when it has no structure for them.
+	// A degradation sweep checks its mode alone.
+	checkFaults(spec lifecycle.Spec) error
 	// threshold is the default lifetime bandwidth floor per input at
 	// the given load: half the fault-free analytic bandwidth.
 	threshold(load float64) float64
@@ -203,6 +210,8 @@ func (n EDN) process(spec lifecycle.Spec, rng *xrand.Rand) (*lifecycle.Process, 
 	return lifecycle.New(n.Config, spec, rng)
 }
 
+func (EDN) checkFaults(lifecycle.Spec) error { return nil }
+
 func (n EDN) faultPlan(mode faults.Mode, rng *xrand.Rand) faultPlan {
 	plan := faults.NewPlan(n.Config, mode, rng)
 	return func(f float64) (*faults.Masks, error) {
@@ -252,10 +261,27 @@ func (n Dilated) withTables() (Net, error) {
 	return n, nil
 }
 
-// process churns the sub-wires on spec's clocks. Spec.Mode, the blast
-// overlay and repair windows name EDN structures and are not applied.
+// process churns the sub-wires on spec's clocks; checkFaults has
+// rejected every setting that would need more.
 func (n Dilated) process(spec lifecycle.Spec, rng *xrand.Rand) (*lifecycle.Process, error) {
 	return dilatedsim.NewChurn(n.Config, spec.MTBF, spec.MTTR, spec.Timing, rng)
+}
+
+// checkFaults rejects what a dilated delta would otherwise drop without
+// a word: its one failing population is the sub-wires (WireFaults), and
+// it has no switch blocks to blast and no repair batching.
+func (n Dilated) checkFaults(spec lifecycle.Spec) error {
+	var errs []error
+	if spec.Mode != faults.WireFaults {
+		errs = append(errs, fmt.Errorf("simulate: fault mode %v is not a dilated population (a dilated delta fails only by sub-wires: want wires)", spec.Mode))
+	}
+	if spec.BlastRate > 0 {
+		errs = append(errs, fmt.Errorf("simulate: blast rate %g is not supported on a dilated delta (it has no switch blocks to blast)", spec.BlastRate))
+	}
+	if spec.RepairWindow > 1 {
+		errs = append(errs, fmt.Errorf("simulate: repair window %d is not supported on a dilated delta (it repairs every epoch)", spec.RepairWindow))
+	}
+	return errors.Join(errs...)
 }
 
 func (n Dilated) faultPlan(_ faults.Mode, rng *xrand.Rand) faultPlan {

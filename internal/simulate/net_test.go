@@ -68,43 +68,21 @@ func TestZeroNetworkIsAnError(t *testing.T) {
 			_, _, err := MeasureClosedLoopPair(e, d, []float64{0.5}, lo, opts, 1)
 			return err
 		},
-		// The typed degradation and lifetime entry points take only
-		// their own network.
 		"AvailabilitySweep": func(net Net) error {
-			_, err := AvailabilitySweep(net.(EDN), aopts, nil, opts, 1)
+			_, err := AvailabilitySweep(net, aopts, nil, opts, 1)
 			return err
 		},
 		"AvailabilityPoint": func(net Net) error {
-			_, err := AvailabilityPoint(net.(EDN), aopts, 0.1, nil, opts, 1)
+			_, err := AvailabilityPoint(net, aopts, 0.1, nil, opts, 1)
 			return err
 		},
 		"LifetimeSweep": func(net Net) error {
-			_, err := LifetimeSweep(net.(EDN), lopts, nil, opts, 1)
+			_, err := LifetimeSweep(net, lopts, nil, opts, 1)
 			return err
 		},
-		"DilatedAvailabilitySweep": func(net Net) error {
-			_, err := DilatedAvailabilitySweep(net.(Dilated), aopts, nil, opts, 1)
-			return err
-		},
-		"DilatedAvailabilityPoint": func(net Net) error {
-			_, err := DilatedAvailabilityPoint(net.(Dilated), aopts, 0.1, nil, opts, 1)
-			return err
-		},
-		"DilatedLifetimeSweep": func(net Net) error {
-			_, err := DilatedLifetimeSweep(net.(Dilated), lopts, nil, opts, 1)
-			return err
-		},
-	}
-	typed := map[string]Net{
-		"AvailabilitySweep": zeroEDN, "AvailabilityPoint": zeroEDN, "LifetimeSweep": zeroEDN,
-		"DilatedAvailabilitySweep": zeroDil, "DilatedAvailabilityPoint": zeroDil, "DilatedLifetimeSweep": zeroDil,
 	}
 	for name, run := range harnesses {
-		nets := []Net{zeroEDN, zeroDil}
-		if net, ok := typed[name]; ok {
-			nets = []Net{net}
-		}
-		for _, net := range nets {
+		for _, net := range []Net{zeroEDN, zeroDil} {
 			t.Run(fmt.Sprintf("%s/%T", name, net), func(t *testing.T) {
 				defer func() {
 					if r := recover(); r != nil {

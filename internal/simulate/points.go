@@ -68,28 +68,17 @@ func ClosedLoopPoint(net Net, rate float64, index int, lo closedloop.Options, op
 	return closedLoopPoint(net, rate, index, lo, opts, shards)
 }
 
-// AvailabilityPoint measures one fault fraction of an EDN degradation
+// AvailabilityPoint measures one fault fraction of a degradation
 // sweep: the AvailabilityResult that AvailabilitySweep would produce
 // for fraction f under the same Options, bit for bit. The per-shard
 // fault plans and traffic seeds derive from opts.Seed alone (never
 // from the fraction axis), so evaluating fractions one at a time
 // replays the identical failure stories the batch sweep grows.
-func AvailabilityPoint(n EDN, aopts AvailabilityOptions, f float64, src LoadPattern, opts Options, shards int) (AvailabilityResult, error) {
+func AvailabilityPoint(net Net, aopts AvailabilityOptions, f float64, src LoadPattern, opts Options, shards int) (AvailabilityResult, error) {
 	aopts.Fractions = []float64{f}
-	pts, err := availabilitySweep(n, aopts, src, opts, shards)
+	pts, err := AvailabilitySweep(net, aopts, src, opts, shards)
 	if err != nil {
 		return AvailabilityResult{}, err
 	}
-	return pts[0].edn(n.Config), nil
-}
-
-// DilatedAvailabilityPoint is AvailabilityPoint over a dilated delta,
-// pinned to DilatedAvailabilitySweep the same way.
-func DilatedAvailabilityPoint(n Dilated, aopts AvailabilityOptions, f float64, src LoadPattern, opts Options, shards int) (DilatedAvailabilityResult, error) {
-	aopts.Fractions = []float64{f}
-	pts, err := availabilitySweep(n, aopts, src, opts, shards)
-	if err != nil {
-		return DilatedAvailabilityResult{}, err
-	}
-	return pts[0].dilated(n.Config), nil
+	return pts[0], nil
 }

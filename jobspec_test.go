@@ -261,21 +261,11 @@ func facadeRun(t *testing.T, spec JobSpec) *JobResult {
 		r, err = DrainPermutations(j.net(), spec.DrainQ, j.opts)
 		res.Drain = &r
 	case JobAvailability:
-		if j.engine == EngineDilated {
-			res.DilatedAvailability, err = DilatedAvailabilitySweep(j.dil, j.aopts, j.src, j.opts, j.shards)
-		} else {
-			res.Availability, err = AvailabilitySweep(j.edn, j.aopts, j.src, j.opts, j.shards)
-		}
+		res.Availability, err = AvailabilitySweep(j.net(), j.aopts, j.src, j.opts, j.shards)
 	case JobLifetime:
-		if j.engine == EngineDilated {
-			var r DilatedLifetimeResult
-			r, err = DilatedLifetimeSweep(j.dil, j.lopts, j.src, j.opts, j.shards)
-			res.DilatedLifetime = &r
-		} else {
-			var r LifetimeResult
-			r, err = LifetimeSweep(j.edn, j.lopts, j.src, j.opts, j.shards)
-			res.Lifetime = &r
-		}
+		var r LifetimeResult
+		r, err = LifetimeSweep(j.net(), j.lopts, j.src, j.opts, j.shards)
+		res.Lifetime = &r
 	case JobClosedLoop:
 		if j.engine == EnginePair {
 			res.ClosedLoop, res.DilatedClosedLoop, err = MeasureClosedLoopPair(j.edn, j.dil, spec.Rates, j.lo, j.opts, j.shards)
@@ -459,14 +449,14 @@ func TestNegativeShardsUniform(t *testing.T) {
 	if _, err := AvailabilitySweep(ednNet, AvailabilityOptions{Fractions: []float64{0.1}}, nil, opts, -1); err == nil {
 		t.Error("AvailabilitySweep accepted negative shards")
 	}
-	if _, err := DilatedAvailabilitySweep(dilNet, AvailabilityOptions{Fractions: []float64{0.1}}, nil, opts, -1); err == nil {
-		t.Error("DilatedAvailabilitySweep accepted negative shards")
+	if _, err := AvailabilitySweep(dilNet, AvailabilityOptions{Fractions: []float64{0.1}}, nil, opts, -1); err == nil {
+		t.Error("dilated AvailabilitySweep accepted negative shards")
 	}
 	if _, err := LifetimeSweep(ednNet, lopts, nil, opts, -1); err == nil {
 		t.Error("LifetimeSweep accepted negative shards")
 	}
-	if _, err := DilatedLifetimeSweep(dilNet, lopts, nil, opts, -1); err == nil {
-		t.Error("DilatedLifetimeSweep accepted negative shards")
+	if _, err := LifetimeSweep(dilNet, lopts, nil, opts, -1); err == nil {
+		t.Error("dilated LifetimeSweep accepted negative shards")
 	}
 	if _, err := MeasureClosedLoop(ednNet, []float64{0.5}, ClosedLoopOptions{}, opts, -1); err == nil {
 		t.Error("MeasureClosedLoop accepted negative shards")
@@ -505,13 +495,9 @@ func TestJobResultMarshals(t *testing.T) {
 				t.Fatalf("JobResult JSON does not parse back: %v", err)
 			}
 			if spec.Mode == JobLifetime {
-				key := "lifetime"
-				if spec.Engine == EngineDilated {
-					key = "dilated_lifetime"
-				}
-				lr, ok := m[key].(map[string]any)
+				lr, ok := m["lifetime"].(map[string]any)
 				if !ok {
-					t.Fatalf("missing %q in marshaled result", key)
+					t.Fatalf("missing %q in marshaled result", "lifetime")
 				}
 				bw, ok := lr["Bandwidth"].(map[string]any)
 				if !ok {
@@ -556,14 +542,8 @@ func TestRunRejectsNonFiniteInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dead := func() *TimeSeries {
-			if res.Lifetime != nil {
-				return res.Lifetime.DeadFraction
-			}
-			return res.DilatedLifetime.DeadFraction
-		}()
 		for e := 0; e < 6; e++ {
-			if f := dead.Mean(e); f != 0 {
+			if f := res.Lifetime.DeadFraction.Mean(e); f != 0 {
 				t.Errorf("%s epoch %d: MTBF 1e17 dead fraction %g", engine, e, f)
 			}
 		}

@@ -34,10 +34,10 @@ type RunOptions struct {
 	// OnPoint, when non-nil, streams each sweep point as it completes:
 	// index is the point's position on the job's axis, total the axis
 	// length, and point the same LatencyResult / AvailabilityResult /
-	// DilatedAvailabilityResult / ClosedLoopResult the final JobResult
-	// carries. Single-shot modes (latency, drain, lifetime, estimate,
-	// pair) deliver one call with the whole result. Called
-	// sequentially from the Run goroutine.
+	// ClosedLoopResult the final JobResult carries, for either network.
+	// Single-shot modes (latency, drain, lifetime, estimate, pair)
+	// deliver one call with the whole result. Called sequentially from
+	// the Run goroutine.
 	OnPoint func(index, total int, point any)
 	// Trace, when non-nil, records the job's span tree: validation,
 	// table/mask builds with their cache verdicts, per-point execution
@@ -91,24 +91,23 @@ type EstimateResult struct {
 // JobResult carries one job's output; exactly the sections the spec's
 // mode produces are non-nil. The embedded results are the same values
 // the facade functions return, so a JobSpec run through Run, a CLI, or
-// the daemon is one measurement with one answer.
+// the daemon is one measurement with one answer. Every section holds
+// either network's results, each labelled by its Network(); only the
+// pair engine fills a second section, DilatedClosedLoop.
 type JobResult struct {
 	Spec JobSpec `json:"spec"`
 
 	// Points holds the latency mode's single point or the saturation
 	// mode's per-load curve.
 	Points []LatencyResult `json:"points,omitempty"`
-	// Availability / DilatedAvailability hold the degradation curve
-	// (one of the two, by engine).
-	Availability        []AvailabilityResult        `json:"availability,omitempty"`
-	DilatedAvailability []DilatedAvailabilityResult `json:"dilated_availability,omitempty"`
+	// Availability holds the degradation curve.
+	Availability []AvailabilityResult `json:"availability,omitempty"`
 	// ClosedLoop holds the closed-loop rate curve; DilatedClosedLoop
 	// additionally holds the counterpart's curve for the pair engine.
 	ClosedLoop        []ClosedLoopResult `json:"closedloop,omitempty"`
 	DilatedClosedLoop []ClosedLoopResult `json:"dilated_closedloop,omitempty"`
 
 	Lifetime           *LifetimeResult           `json:"lifetime,omitempty"`
-	DilatedLifetime    *DilatedLifetimeResult    `json:"dilated_lifetime,omitempty"`
 	ClosedLoopLifetime *ClosedLoopLifetimeResult `json:"closedloop_lifetime,omitempty"`
 	Drain              *DrainResult              `json:"drain,omitempty"`
 	Estimate           *EstimateResult           `json:"estimate,omitempty"`
@@ -324,38 +323,22 @@ func (j *compiledJob) runDrain(ro RunOptions, res *JobResult) error {
 }
 
 func (j *compiledJob) runAvailability(ctx context.Context, ro RunOptions, res *JobResult) error {
-	// The two networks' degradation points carry different fault
-	// censuses, so each lands in its own typed result section.
 	return sweep(ctx, ro, "fraction", j.aopts.Fractions, func(_ int, f float64) (any, error) {
-		if j.engine == EngineDilated {
-			r, err := simulate.DilatedAvailabilityPoint(j.dil, j.aopts, f, j.src, j.opts, j.shards)
-			res.DilatedAvailability = append(res.DilatedAvailability, r)
-			return r, err
-		}
-		r, err := simulate.AvailabilityPoint(j.edn, j.aopts, f, j.src, j.opts, j.shards)
+		r, err := simulate.AvailabilityPoint(j.net(), j.aopts, f, j.src, j.opts, j.shards)
 		res.Availability = append(res.Availability, r)
 		return r, err
 	})
 }
 
 func (j *compiledJob) runLifetime(ro RunOptions, res *JobResult) error {
-	var point any
-	var err error
 	ps := ro.Trace.Start("point", "index", "0")
-	if j.engine == EngineDilated {
-		var r DilatedLifetimeResult
-		r, err = DilatedLifetimeSweep(j.dil, j.lopts, j.src, j.opts, j.shards)
-		res.DilatedLifetime, point = &r, r
-	} else {
-		var r LifetimeResult
-		r, err = LifetimeSweep(j.edn, j.lopts, j.src, j.opts, j.shards)
-		res.Lifetime, point = &r, r
-	}
+	r, err := LifetimeSweep(j.net(), j.lopts, j.src, j.opts, j.shards)
 	ro.Trace.End(ps)
 	if err != nil {
 		return err
 	}
-	emit(ro, 0, 1, point)
+	res.Lifetime = &r
+	emit(ro, 0, 1, r)
 	return nil
 }
 
