@@ -278,16 +278,14 @@ func TestExplainHotSpotNamesCongestionRoot(t *testing.T) {
 	}
 }
 
-// TestExplainSpecValidation: explain only rides the modes and engines
-// whose runs have an anatomy source.
+// TestExplainSpecValidation: explain only rides the modes whose runs
+// have an anatomy source.
 func TestExplainSpecValidation(t *testing.T) {
 	geo := &GeometrySpec{A: 16, B: 4, C: 4, L: 2}
 	bad := []JobSpec{
 		{Mode: JobDrain, Geometry: geo, DrainQ: 2, Explain: &ExplainSpec{}},
 		{Mode: JobLifetime, Geometry: geo, Explain: &ExplainSpec{},
 			Lifetime: &LifetimeSpec{Epochs: 2, EpochCycles: 50, Load: 0.5}},
-		{Mode: JobClosedLoop, Engine: EnginePair, Geometry: geo, Rates: []float64{0.4},
-			Explain: &ExplainSpec{}},
 	}
 	for i, s := range bad {
 		if _, err := Run(context.Background(), s); err == nil {

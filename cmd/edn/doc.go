@@ -230,14 +230,14 @@
 //
 // With -dilated the equal-redundancy dilated counterpart runs the same
 // sweep under the same shard seeding: the demand streams are replayed
-// bit-for-bit (the harness asserts equal offered counts in the rate
-// sweep), so any difference in goodput or tail latency is the fabric's
-// doing, not the workload's. Runs are deterministic for a fixed
-// (seed, shards) pair, except under -arb random with more than one
-// shard (see cliutil.ArbiterFactory).
+// bit-for-bit (tests pin equal offered counts in the rate sweep and
+// the lifetime), so any difference in goodput or tail latency is the
+// fabric's doing, not the workload's. Runs are deterministic for a
+// fixed (seed, shards) pair, except under -arb random with more than
+// one shard (see cliutil.ArbiterFactory).
 //
-// The rate sweep with -dilated is the single pair-engine job (one JSON
-// document); the lifetime comparison is two jobs.
+// Every run is one (or, with -dilated, two) JobSpec jobs, the EDN's
+// first: the rate sweep and the lifetime alike.
 //
 // # explain
 //
@@ -286,11 +286,12 @@
 // events (block, park, timeout, retry) the median-latency cohort
 // accumulated there versus the P99 cohort — the hop-by-hop location of
 // the tail. -engine selects what runs: core, the Monte-Carlo PA
-// harness on the engine's depth-0 Drop sweep (the circuit-switched
-// cycle; its output equals -engine edn -depth 0 -policy drop but for
-// the engine label, heat rows included); the buffered EDN packet
-// engine; the dilated counterpart; or the closed-loop request/response
-// workload (where a trace's "stage" is the attempt number). The
+// harness's engine, the EDN's depth-0 Drop sweep (the circuit-switched
+// cycle, whatever -depth and -policy say; its output equals -engine edn
+// -depth 0 -policy drop but for the engine label, heat rows included);
+// the buffered EDN packet engine; the dilated counterpart; or the
+// closed-loop request/response workload (where a trace's "stage" is
+// the attempt number). The
 // recorder attaches after -warmup. -dump prints raw traces, -explain
 // annotates them with each hop's wait/block/service split, and -export
 // emits the registry metrics as Prometheus text or JSON lines.

@@ -62,8 +62,12 @@ func TestExplainRejectsUnknownEngineAndMode(t *testing.T) {
 		{"-mode", "drain"},
 	} {
 		var sb strings.Builder
-		if err := runCmd("explain", append([]string{"-a", "4", "-b", "2", "-c", "2", "-l", "2", "-cycles", "50"}, args...), &sb); err == nil {
+		err := runCmd("explain", append([]string{"-a", "4", "-b", "2", "-c", "2", "-l", "2", "-cycles", "50"}, args...), &sb)
+		switch {
+		case err == nil:
 			t.Errorf("edn explain %s accepted", strings.Join(args, " "))
+		case args[0] == "-engine" && !strings.Contains(err.Error(), "edn: unknown engine"):
+			t.Errorf("edn explain %s: %v, want an unknown engine error", strings.Join(args, " "), err)
 		}
 	}
 }

@@ -52,13 +52,13 @@ func cmdLoop(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 		}
 		spec.Probe = edn.NewProbeSpec(pf.Options())
 
+		// Either comparison is two jobs, one per engine, under the same
+		// shard seeding, so both networks draw bit-identical demand.
 		if *lifetime {
 			var lspec edn.LifecycleSpec
 			if spec.Lifetime, lspec, err = cf.spec(*rate); err != nil {
 				return err
 			}
-			// The lifetime comparison is two jobs: the same churned life
-			// on each engine under the same shard seeding.
 			spec.Mode = edn.JobClosedLoopLifetime
 			results, err := jf.run(w, withDilated(spec, dcfg)...)
 			if results == nil {
@@ -70,20 +70,15 @@ func cmdLoop(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 		if spec.Rates, err = cliutil.ParseFloatList(*ratesFlag, 0, 1, "rate"); err != nil {
 			return err
 		}
-		if dcfg != nil {
-			// The paired comparison is one job on the pair engine: both
-			// networks run replay-matched inside a single barriered sweep.
-			spec.Engine = edn.EnginePair
-		}
-		results, err := jf.run(w, spec)
+		results, err := jf.run(w, withDilated(spec, dcfg)...)
 		if results == nil {
 			return err
 		}
-		return renderLoopSweep(w, *format, cfg, dcfg, spec, results[0], pf)
+		return renderLoopSweep(w, *format, cfg, dcfg, spec, results, pf)
 	}
 }
 
-func renderLoopSweep(w io.Writer, format string, cfg edn.Config, dcfg *edn.DilatedDelta, spec edn.JobSpec, res *edn.JobResult, pf *cliutil.ProbeFlagSet) error {
+func renderLoopSweep(w io.Writer, format string, cfg edn.Config, dcfg *edn.DilatedDelta, spec edn.JobSpec, results []*edn.JobResult, pf *cliutil.ProbeFlagSet) error {
 	cols := []cliutil.Column{
 		{Name: "rate", Format: "%5.2f"},
 		{Name: "offered_per_source", Head: "offered", Format: "%8.3f"},
@@ -107,21 +102,21 @@ func renderLoopSweep(w io.Writer, format string, cfg edn.Config, dcfg *edn.Dilat
 	}
 	var labels []string
 	var probes []*edn.ProbeReport
-	rows := make([][]any, len(res.ClosedLoop))
-	for i, r := range res.ClosedLoop {
+	rows := make([][]any, len(results[0].ClosedLoop))
+	for i, r := range results[0].ClosedLoop {
 		rows[i] = []any{
 			r.Rate, r.OfferedRate, r.Goodput, r.SLAAttainment,
 			r.LatencyP50, r.LatencyP95, r.LatencyP99,
 			r.Ledger.Retries, r.Ledger.Timeouts, r.Ledger.GivenUp, r.Ledger.Shed,
 		}
 		if dcfg != nil {
-			d := res.DilatedClosedLoop[i]
+			d := results[1].ClosedLoop[i]
 			rows[i] = append(rows[i], d.Goodput, d.SLAAttainment, d.LatencyP95, d.Ledger.Retries)
 		}
 		labels = append(labels, fmt.Sprintf("probe @ rate=%g", spec.Rates[i]))
 		probes = append(probes, r.Observed)
 	}
-	return render(w, format, cols, rows, []*edn.JobResult{res}, func() error {
+	return render(w, format, cols, rows, results, func() error {
 		tableHead(w, cfg, dcfg, "%v closed loop — %d sources, %d memory ports, W=%d, timeout=%d, retry=%s, depth=%d, policy=%v\n",
 			cfg, cfg.Inputs(), cfg.Outputs(), spec.Loop.Window, spec.Loop.Timeout, spec.Loop.Retry, spec.Queue.Depth, spec.Queue.Policy)
 		if err := cliutil.WriteTable(w, cols, rows); err != nil {

@@ -86,7 +86,7 @@ func TestJSONIsSpecReplay(t *testing.T) {
 		{"latency", "latency", []string{"-loads", "0.4,0.9", "-cycles", "150", "-trace", "3"}, [2]int{1, 2}},
 		{"faults", "faults", []string{"-fractions", "0,0.2", "-cycles", "150", "-expected"}, [2]int{1, 1}},
 		{"lifetime", "lifetime", []string{"-epochs", "4", "-epoch-cycles", "40", "-mtbf", "10", "-mttr", "3"}, [2]int{1, 2}},
-		{"loop", "loop", []string{"-rates", "0.3,0.6", "-cycles", "200"}, [2]int{1, 1}},
+		{"loop", "loop", []string{"-rates", "0.3,0.6", "-cycles", "200"}, [2]int{1, 2}},
 		{"loop-lifetime", "loop", []string{"-lifetime", "-epochs", "4", "-epoch-cycles", "40", "-mtbf", "10", "-mttr", "3", "-rate", "0.4"}, [2]int{1, 2}},
 	} {
 		for i, dilated := range []bool{false, true} {

@@ -40,18 +40,18 @@ func cmdTrace(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 		var rep *edn.ProbeReport
 		var network string
 		switch *engine {
-		case "core":
-			res, err := edn.MeasureUniformPA(cfg, *load, opts)
-			if err != nil {
-				return err
+		case "core", "edn", "dilated":
+			// core is the Section 3.2 harness's engine: the EDN's
+			// depth-0 Drop corner whatever -depth and -policy say, with
+			// MeasurePA's traffic seed (0 selects 1).
+			q := edn.QueueOptions{Policy: edn.QueueDrop, Factory: opts.Factory}
+			seed := max(*jf.seed, 1)
+			if *engine != "core" {
+				seed, q.Depth = *jf.seed, *jf.depth
+				if q.Policy, err = cliutil.ParsePolicy(*jf.policy); err != nil {
+					return err
+				}
 			}
-			rep, network = res.Observed, cfg.String()
-		case "edn", "dilated":
-			pol, err := cliutil.ParsePolicy(*jf.policy)
-			if err != nil {
-				return err
-			}
-			q := edn.QueueOptions{Depth: *jf.depth, Policy: pol, Factory: opts.Factory}
 			var net edn.Net = edn.EDNNet{Config: cfg, Queue: q}
 			if *engine == "dilated" {
 				dcfg, err := edn.DilatedCounterpart(cfg)
@@ -60,7 +60,7 @@ func cmdTrace(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 				}
 				net = edn.DilatedNet{Config: dcfg, Queue: q}
 			}
-			res, err := edn.MeasureLatency(net, edn.Uniform{Rate: *load, Rng: edn.NewRand(*jf.seed)}, opts)
+			res, err := edn.MeasureLatency(net, edn.Uniform{Rate: *load, Rng: edn.NewRand(seed)}, opts)
 			if err != nil {
 				return err
 			}

@@ -124,11 +124,12 @@ func TestTraceRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestTraceCoreIsDepth0Drop: the Monte-Carlo PA harness behind
-// `-engine core` runs on the engine's depth-0 Drop sweep, so in every
-// output form its trace is that engine's trace with the engine label
-// swapped — the same sampled requests, closed at the same stages and
-// cycles, in the same heat vocabulary.
+// TestTraceCoreIsDepth0Drop: `-engine core` traces the Monte-Carlo PA
+// harness's engine, the EDN's depth-0 Drop sweep, whatever -depth and
+// -policy say (their defaults here are 4 and backpressure), so in every
+// output form its trace is `-engine edn -depth 0 -policy drop`'s with
+// the engine label swapped — the same sampled requests, closed at the
+// same stages and cycles, in the same heat vocabulary.
 func TestTraceCoreIsDepth0Drop(t *testing.T) {
 	relabel := strings.NewReplacer(
 		"engine=edn", "engine=core",

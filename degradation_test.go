@@ -176,3 +176,50 @@ func TestDilatedRejectsEDNOnlyFaultSettings(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownFaultModeIsAnError: a FaultMode other than wires, switches
+// or mixed names no population, so every fault sweep on either network
+// rejects it with a simulate: error before any shard runs, instead of
+// measuring the healthy network under a "mode(3)" label.
+func TestUnknownFaultModeIsAnError(t *testing.T) {
+	cfg, err := New(4, 2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcfg, err := DilatedCounterpart(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qopts := QueueOptions{Policy: QueueDrop}
+	var shardsRun atomic.Int64
+	opts := SimOptions{Cycles: 60, Seed: 3, OnStage: func(name string, _, _ int, _ time.Time, _ time.Duration) {
+		if name == "shard" {
+			shardsRun.Add(1)
+		}
+	}}
+	lopts := LifetimeOptions{Epochs: 2, EpochCycles: 20, Spec: LifecycleSpec{Mode: FaultMode(3), MTBF: 10, MTTR: 3}}
+	for _, net := range []Net{EDNNet{Config: cfg, Queue: qopts}, DilatedNet{Config: dcfg, Queue: qopts}} {
+		for name, run := range map[string]func() error{
+			"AvailabilitySweep": func() error {
+				_, err := AvailabilitySweep(net, AvailabilityOptions{Fractions: []float64{0.5}, Mode: lopts.Spec.Mode}, nil, opts, 2)
+				return err
+			},
+			"LifetimeSweep": func() error {
+				_, err := LifetimeSweep(net, lopts, nil, opts, 2)
+				return err
+			},
+			"ClosedLoopLifetimeSweep": func() error {
+				_, err := ClosedLoopLifetimeSweep(net, lopts, ClosedLoopOptions{}, opts, 2)
+				return err
+			},
+		} {
+			shardsRun.Store(0)
+			if err := run(); err == nil || !strings.HasPrefix(err.Error(), "simulate: ") {
+				t.Errorf("%s on %v with mode(3): error %v, want a simulate: error", name, net, err)
+			}
+			if n := shardsRun.Load(); n != 0 {
+				t.Errorf("%s on %v with mode(3): %d shards ran before the error", name, net, n)
+			}
+		}
+	}
+}

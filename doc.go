@@ -96,12 +96,13 @@
 //     give-up-after-N, and a fault-fed avoidance list of unreachable
 //     memory ports. A request-level conservation ledger (Issued ==
 //     Completed + GivenUp + InFlight + RetryWaiting) is asserted on top
-//     of both fabrics' packet ledgers. MeasureClosedLoopPair sweeps
-//     demand with bit-equal offered requests on the EDN and its dilated
-//     counterpart, and ClosedLoopLifetimeSweep runs the workload
-//     through churn with an SLA response-deadline curve that prices
-//     degradation as a cost of downtime; the steady-state advance is
-//     allocation-free (BenchmarkClosedLoopCycle). Batch-repair
+//     of both fabrics' packet ledgers. MeasureClosedLoop sweeps demand
+//     over either network (run on the EDN and on its dilated
+//     counterpart under the same Options, the two sweeps offer
+//     bit-equal request counts), and ClosedLoopLifetimeSweep runs the
+//     workload through churn with an SLA response-deadline curve that
+//     prices degradation as a cost of downtime; the steady-state
+//     advance is allocation-free (BenchmarkClosedLoopCycle). Batch-repair
 //     maintenance windows (LifecycleSpec.RepairWindow) model repairs
 //     that only land on epoch boundaries. See edn loop.
 //   - Observability: a flight-recorder Probe attaches to any of the
@@ -129,10 +130,10 @@
 //   - Jobs and service: JobSpec is the single serializable description
 //     of any experiment the facade can run — every mode (latency,
 //     saturation, drain, availability, lifetime, closed-loop,
-//     closed-loop lifetime, estimate) on either engine (or the
-//     replay-matched pair), with queueing, faults, lifecycle, probe and
-//     sharding sections — and Run executes one bit-for-bit against the
-//     facade functions. Every sweep CLI emits its JobSpec with
+//     closed-loop lifetime, estimate) on either engine, with queueing,
+//     faults, lifecycle, probe and sharding sections — and Run executes
+//     one bit-for-bit against the facade functions; an EDN-vs-dilated
+//     comparison is two jobs. Every sweep CLI emits its JobSpec with
 //     -dump-spec and replays any saved spec with -spec, so a
 //     command-line run, a JSON file and a daemon request are the same
 //     experiment. NewGeometryCache is a byte-budgeted LRU over routing

@@ -681,12 +681,6 @@ func MeasureClosedLoop(net Net, rates []float64, lo ClosedLoopOptions, opts SimO
 	return simulate.MeasureClosedLoop(net, rates, lo, opts, shards)
 }
 
-// MeasureClosedLoopPair runs the replay-matched EDN vs dilated
-// comparison and asserts bit-equal offered demand at every rate point.
-func MeasureClosedLoopPair(e EDNNet, d DilatedNet, rates []float64, lo ClosedLoopOptions, opts SimOptions, shards int) (ednRes, dilRes []ClosedLoopResult, err error) {
-	return simulate.MeasureClosedLoopPair(e, d, rates, lo, opts, shards)
-}
-
 // ClosedLoopLifetimeResult is the closed-loop availability-over-time
 // view: per-epoch goodput/SLA/latency/retry series plus the
 // SLA-weighted cost-of-downtime aggregate.

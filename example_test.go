@@ -673,13 +673,17 @@ func Example_closedloop() {
 	opts := edn.SimOptions{Cycles: 2000, Warmup: 300, Seed: 1}
 	const shards = 4 // fixed so the run is deterministic
 
-	// Healthy rate sweep, replay-matched: the harness asserts both
-	// fabrics saw bit-equal offered request counts at every rate. The
-	// rates straddle the dilated counterpart's knee — the EDN's extra
-	// wiring keeps it comfortable well past where the counterpart
-	// starts missing deadlines.
+	// Healthy rate sweep, replay-matched: the same Options derive the
+	// same shard seeds on both fabrics, so both see bit-equal offered
+	// request counts at every rate. The rates straddle the dilated
+	// counterpart's knee — the EDN's extra wiring keeps it comfortable
+	// well past where the counterpart starts missing deadlines.
 	rates := []float64{0.1, 0.2, 0.25}
-	ednRes, dilRes, err := edn.MeasureClosedLoopPair(ednNet, dilNet, rates, lo, opts, shards)
+	ednRes, err := edn.MeasureClosedLoop(ednNet, rates, lo, opts, shards)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dilRes, err := edn.MeasureClosedLoop(dilNet, rates, lo, opts, shards)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 const goldenDigestFile = "testdata/golden_jobs.sha256"
 
 // goldenSpecs enumerates one JobSpec per valid (mode, engine) pair —
-// plus the static-fault, probe, explain and pair variants — at queue
+// plus the static-fault, probe and explain variants — at queue
 // depths 0, 1 and 4 under both policies. Shards are pinned and the
 // arbiters are the two replayable ones, so every digest is a pure
 // function of the spec on any host.
@@ -59,8 +59,6 @@ func goldenSpecs() map[string]JobSpec {
 			Loop: loop, Probe: probe, Explain: explain},
 		"closedloop-dilated": {Mode: JobClosedLoop, Engine: EngineDilated, Geometry: geo,
 			Rates: []float64{0.2, 0.5}, Loop: loop, Probe: probe, Explain: explain},
-		"closedloop-pair": {Mode: JobClosedLoop, Engine: EnginePair, Geometry: geo,
-			Rates: []float64{0.3}, Loop: loop},
 		"closedloop-lifetime-edn": {Mode: JobClosedLoopLifetime, Geometry: geo,
 			Lifetime: loopLife, Loop: loop, Probe: probe},
 		"closedloop-lifetime-dilated": {Mode: JobClosedLoopLifetime, Engine: EngineDilated, Geometry: geo,

@@ -43,6 +43,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"edn/internal/topology"
@@ -113,6 +114,9 @@ const (
 	MixedFaults
 )
 
+// modes lists the valid modes, in the order flags name them.
+var modes = [...]Mode{WireFaults, SwitchFaults, MixedFaults}
+
 // String renders the mode for reports and flags.
 func (m Mode) String() string {
 	switch m {
@@ -129,16 +133,22 @@ func (m Mode) String() string {
 
 // ParseMode is the inverse of Mode.String, for flag parsing.
 func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "wires":
-		return WireFaults, nil
-	case "switches":
-		return SwitchFaults, nil
-	case "mixed":
-		return MixedFaults, nil
-	default:
-		return 0, fmt.Errorf("faults: unknown mode %q (want wires, switches or mixed)", s)
+	for _, m := range modes {
+		if m.String() == s {
+			return m, nil
+		}
 	}
+	return 0, fmt.Errorf("faults: unknown mode %q (want wires, switches or mixed)", s)
+}
+
+// CheckMode rejects a Mode that names no population: ModePopulation
+// would return an empty one, so a sweep would measure the healthy
+// network under a "mode(n)" label.
+func CheckMode(m Mode) error {
+	if !slices.Contains(modes[:], m) {
+		return fmt.Errorf("faults: unknown mode %v (want wires, switches or mixed)", m)
+	}
+	return nil
 }
 
 // Bernoulli samples a fault set over cfg: each component of the mode's

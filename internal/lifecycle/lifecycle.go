@@ -111,10 +111,8 @@ type Spec struct {
 }
 
 func (s Spec) validate() error {
-	switch s.Mode {
-	case faults.WireFaults, faults.SwitchFaults, faults.MixedFaults:
-	default:
-		return fmt.Errorf("lifecycle: unknown mode %v", s.Mode)
+	if err := faults.CheckMode(s.Mode); err != nil {
+		return fmt.Errorf("lifecycle: %w", err)
 	}
 	switch s.Timing {
 	case Exponential, Deterministic:

@@ -277,40 +277,6 @@ func MeasureClosedLoop(net Net, rates []float64, lo closedloop.Options, opts Opt
 	return results, nil
 }
 
-// MeasureClosedLoopPair runs the replay-matched EDN vs dilated
-// comparison: both sweeps under the same Options, then a hard assertion
-// that every rate point offered a bit-equal demand count on both sides
-// — the demand streams are seed-derived, so anything else means the
-// replay matching broke and the comparison is invalid. The dilated side
-// must have as many ports as the EDN has inputs (dilated.Counterpart
-// arranges this).
-func MeasureClosedLoopPair(e EDN, d Dilated, rates []float64, lo closedloop.Options, opts Options, shards int) (ednRes, dilRes []ClosedLoopResult, err error) {
-	for _, net := range []Net{e, d} {
-		if err := net.validate(); err != nil {
-			return nil, nil, err
-		}
-	}
-	if e.Config.Inputs() != d.Config.Ports() {
-		return nil, nil, fmt.Errorf("simulate: closed-loop pair needs matching source counts, EDN %v has %d inputs, %v has %d ports",
-			e.Config, e.Config.Inputs(), d.Config, d.Config.Ports())
-	}
-	ednRes, err = MeasureClosedLoop(e, rates, lo, opts, shards)
-	if err != nil {
-		return nil, nil, err
-	}
-	dilRes, err = MeasureClosedLoop(d, rates, lo, opts, shards)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := range ednRes {
-		if eo, do := ednRes[i].Ledger.Offered, dilRes[i].Ledger.Offered; eo != do {
-			return nil, nil, fmt.Errorf("simulate: closed-loop pair replay mismatch at rate %.3f: EDN offered %d, dilated %d",
-				ednRes[i].Rate, eo, do)
-		}
-	}
-	return ednRes, dilRes, nil
-}
-
 // ClosedLoopLifetimeResult is the availability-over-time view of the
 // closed-loop workload: per-epoch goodput, SLA attainment, tail latency
 // and retry pressure while the fabric churns underneath, plus the

@@ -200,3 +200,53 @@ func TestDilatedLifetimePairsWithEDN(t *testing.T) {
 		t.Errorf("EDN injected %d, dilated %d — lifetime replays diverged", eres.Injected, dres.Injected)
 	}
 }
+
+// TestDilatedAvailabilityPairsWithEDN: the EDN and counterpart
+// degradation sweeps with the same Options offer the identical
+// per-input injection replay at every fault fraction, whatever each
+// network's fault sample kills.
+func TestDilatedAvailabilityPairsWithEDN(t *testing.T) {
+	cfg, dcfg := headlinePair(t)
+	aopts := AvailabilityOptions{Fractions: []float64{0, 0.1, 0.3}, Load: 0.6}
+	opts := Options{Cycles: 300, Warmup: 50, Seed: 13}
+	qopts := queuesim.Options{Depth: 2, Policy: queuesim.Drop}
+	eres, err := AvailabilitySweep(EDN{Config: cfg, Queue: qopts}, aopts, nil, opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dres, err := AvailabilitySweep(Dilated{Config: dcfg, Queue: qopts}, aopts, nil, opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range aopts.Fractions {
+		if eres[i].Injected != dres[i].Injected {
+			t.Errorf("fraction %g: EDN injected %d, dilated %d — traffic replays diverged", f, eres[i].Injected, dres[i].Injected)
+		}
+	}
+}
+
+// TestDilatedClosedLoopLifetimePairsWithEDN: the EDN and counterpart
+// closed-loop lifetimes with the same Options draw bit-identical demand
+// through their churned lives — offered request counts match exactly.
+func TestDilatedClosedLoopLifetimePairsWithEDN(t *testing.T) {
+	cfg, dcfg := headlinePair(t)
+	lopts := LifetimeOptions{
+		Epochs:      6,
+		EpochCycles: 50,
+		Load:        0.3,
+		Spec:        lifecycle.Spec{MTBF: 12, MTTR: 4, Timing: lifecycle.Exponential},
+	}
+	opts := Options{Warmup: 40, Seed: 23}
+	qopts := queuesim.Options{Depth: 2, Policy: queuesim.Drop}
+	eres, err := ClosedLoopLifetimeSweep(EDN{Config: cfg, Queue: qopts}, lopts, testLoopOptions(), opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dres, err := ClosedLoopLifetimeSweep(Dilated{Config: dcfg, Queue: qopts}, lopts, testLoopOptions(), opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eres.Ledger.Offered == 0 || eres.Ledger.Offered != dres.Ledger.Offered {
+		t.Errorf("EDN offered %d, dilated %d — demand replays diverged", eres.Ledger.Offered, dres.Ledger.Offered)
+	}
+}

@@ -103,8 +103,10 @@ func (r *LatencyResult) fillQuantiles(inputs int) {
 // Latencies retired during warmup are discarded; packets injected
 // during warmup but retired inside the window do count, and the
 // window's still-queued survivors not at all — the standard open-loop
-// truncation.
-func measurePacketEngine(net *queuesim.Network, inputs, outputs int, pattern traffic.Pattern, opts Options, res *LatencyResult) error {
+// truncation. each, when non-nil, sees every cycle's stats after the
+// cycle runs, warmup included: cycles count from 0, and the window
+// opens at cycle opts.Warmup.
+func measurePacketEngine(net *queuesim.Network, inputs, outputs int, pattern traffic.Pattern, opts Options, res *LatencyResult, each func(cycle int, cs queuesim.CycleStats)) error {
 	next := trafficStep(pattern, inputs, outputs)
 	var queuedSum int64
 	var before queuesim.Totals
@@ -129,8 +131,12 @@ func measurePacketEngine(net *queuesim.Network, inputs, outputs int, pattern tra
 				net.SetProbe(pr)
 			}
 		}
-		if _, err := net.Cycle(next()); err != nil {
+		cs, err := net.Cycle(next())
+		if err != nil {
 			return err
+		}
+		if each != nil {
+			each(cycle, cs)
 		}
 		if cycle >= opts.Warmup {
 			queuedSum += net.Queued()
@@ -182,7 +188,7 @@ func MeasureLatency(net Net, pattern traffic.Pattern, opts Options) (LatencyResu
 	}
 	res.Config, res.Dilated = net.label()
 	inputs, outputs := net.ports()
-	if err := measurePacketEngine(eng, inputs, outputs, pattern, opts, &res); err != nil {
+	if err := measurePacketEngine(eng, inputs, outputs, pattern, opts, &res, nil); err != nil {
 		return LatencyResult{}, err
 	}
 	return res, nil

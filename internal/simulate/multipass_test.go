@@ -52,6 +52,32 @@ func TestMeasureStageRatesZeroLoad(t *testing.T) {
 	}
 }
 
+// TestMeasureStageRatesHonorsWarmup: the stage rates are
+// MeasureUniformPA's measurement window, warmup excluded — the offered
+// count its OfferedRate reports, less its per-stage drops.
+func TestMeasureStageRatesHonorsWarmup(t *testing.T) {
+	cfg := mustCfg(t, 4, 2, 2, 2)
+	opts := Options{Cycles: 100, Warmup: 50, Seed: 2}
+	res, err := MeasureStageRates(cfg, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, err := MeasureUniformPA(cfg, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles := float64(opts.Cycles)
+	alive := math.Round(pa.OfferedRate * cycles * float64(cfg.Inputs()))
+	for i := range res.Measured {
+		if i > 0 {
+			alive -= float64(pa.BlockedPerStage[i-1])
+		}
+		if want := alive / (float64(cfg.WiresAfterStage(i)) * cycles); res.Measured[i] != want {
+			t.Errorf("boundary %d: rate %g, MeasureUniformPA's window gives %g", i, res.Measured[i], want)
+		}
+	}
+}
+
 // TestMultipassIdentityOnMasParGeometry: the identity permutation on
 // EDN(64,16,4,2) delivers exactly 64 messages per pass (each first-stage
 // switch drains one capacity-4 bucket), so it needs exactly 16 passes.

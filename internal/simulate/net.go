@@ -210,7 +210,13 @@ func (n EDN) process(spec lifecycle.Spec, rng *xrand.Rand) (*lifecycle.Process, 
 	return lifecycle.New(n.Config, spec, rng)
 }
 
-func (EDN) checkFaults(lifecycle.Spec) error { return nil }
+// checkFaults rejects a mode outside the EDN's three populations.
+func (EDN) checkFaults(spec lifecycle.Spec) error {
+	if err := faults.CheckMode(spec.Mode); err != nil {
+		return fmt.Errorf("simulate: %w", err)
+	}
+	return nil
+}
 
 func (n EDN) faultPlan(mode faults.Mode, rng *xrand.Rand) faultPlan {
 	plan := faults.NewPlan(n.Config, mode, rng)

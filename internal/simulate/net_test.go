@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"edn/internal/closedloop"
-	"edn/internal/dilated"
 	"edn/internal/lifecycle"
-	"edn/internal/topology"
 )
 
 // TestZeroNetworkIsAnError runs every exported harness on a zero EDN
@@ -19,14 +17,6 @@ func TestZeroNetworkIsAnError(t *testing.T) {
 	lopts := LifetimeOptions{Epochs: 2, EpochCycles: 10, Spec: lifecycle.Spec{MTBF: 10, MTTR: 2}}
 	aopts := AvailabilityOptions{Fractions: []float64{0.1}}
 	lo := closedloop.Options{}
-	cfg, err := topology.New(4, 2, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcfg, err := dilated.Counterpart(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	zeroEDN, zeroDil := EDN{}, Dilated{}
 	harnesses := map[string]func(net Net) error{
 		"MeasureLatency": func(net Net) error {
@@ -55,17 +45,6 @@ func TestZeroNetworkIsAnError(t *testing.T) {
 		},
 		"ClosedLoopLifetimeSweep": func(net Net) error {
 			_, err := ClosedLoopLifetimeSweep(net, lopts, lo, opts, 1)
-			return err
-		},
-		"MeasureClosedLoopPair": func(net Net) error {
-			e, d := EDN{Config: cfg}, Dilated{Config: dcfg}
-			switch n := net.(type) {
-			case EDN:
-				e = n
-			case Dilated:
-				d = n
-			}
-			_, _, err := MeasureClosedLoopPair(e, d, []float64{0.5}, lo, opts, 1)
 			return err
 		},
 		"AvailabilitySweep": func(net Net) error {

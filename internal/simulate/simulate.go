@@ -227,7 +227,8 @@ func (r Result) String() string {
 // cycles and reports acceptance statistics. Fresh requests are drawn each
 // cycle; rejected requests are discarded, matching the Section 3.2
 // assumption that blocked requests do not influence later cycles — the
-// packet engine's depth-0 Drop corner.
+// packet engine's depth-0 Drop corner, measured on MeasureLatency's
+// window loop.
 //
 // The steady-state loop is allocation-free: the request vector is
 // reused every cycle, patterns implementing traffic.IntoGenerator fill
@@ -235,57 +236,46 @@ func (r Result) String() string {
 // own scratch. Per-stage blocking is the engine's per-stage drop count
 // over the measurement window.
 func MeasurePA(cfg topology.Config, pattern traffic.Pattern, opts Options) (Result, error) {
+	res, _, err := measurePA(cfg, pattern, opts)
+	return res, err
+}
+
+// measurePA is MeasurePA plus the window's exact injected-packet count.
+func measurePA(cfg topology.Config, pattern traffic.Pattern, opts Options) (Result, int64, error) {
 	opts = opts.withDefaults()
 	net, err := queuesim.New(cfg, queuesim.Options{Policy: queuesim.Drop, Factory: opts.Factory})
 	if err != nil {
-		return Result{}, err
+		return Result{}, 0, err
+	}
+	var paAcc stats.Accumulator
+	warm := make([]int64, cfg.Stages()) // per-stage drops before the window
+	win := LatencyResult{Cycles: opts.Cycles}
+	err = measurePacketEngine(net, cfg.Inputs(), cfg.Outputs(), pattern, opts, &win, func(cycle int, cs queuesim.CycleStats) {
+		switch {
+		case cycle == opts.Warmup-1:
+			warm = net.DroppedPerStage()
+		case cycle >= opts.Warmup && cs.Injected > 0:
+			paAcc.Add(float64(cs.Delivered) / float64(cs.Injected))
+		}
+	})
+	if err != nil {
+		return Result{}, 0, err
 	}
 	res := Result{
 		Config:          cfg,
 		Pattern:         pattern.Name(),
 		Cycles:          opts.Cycles,
+		PA:              win.AcceptedFraction,
+		PACI:            paAcc.CI95(),
+		Bandwidth:       win.Throughput,
+		OfferedRate:     win.OfferedRate,
 		BlockedPerStage: make([]int, cfg.Stages()),
-	}
-	var paAcc stats.Accumulator
-	offered, delivered := 0, 0
-	warm := make([]int64, cfg.Stages()) // per-stage drops before the window
-	next := trafficStep(pattern, cfg.Inputs(), cfg.Outputs())
-	pr := newProbe(opts.Probe, opts.Cycles)
-	for cycle := 0; cycle < opts.Warmup+opts.Cycles; cycle++ {
-		if cycle == opts.Warmup {
-			warm = net.DroppedPerStage()
-			if pr != nil {
-				net.SetProbe(pr)
-			}
-		}
-		cs, err := net.Cycle(next())
-		if err != nil {
-			return Result{}, err
-		}
-		if cycle < opts.Warmup {
-			continue
-		}
-		offered += cs.Injected
-		delivered += cs.Delivered
-		if cs.Injected > 0 {
-			paAcc.Add(float64(cs.Delivered) / float64(cs.Injected))
-		}
+		Observed:        win.Observed,
 	}
 	for s, d := range net.DroppedPerStage() {
 		res.BlockedPerStage[s] = int(d - warm[s])
 	}
-	if offered > 0 {
-		res.PA = float64(delivered) / float64(offered)
-	} else {
-		res.PA = 1
-	}
-	res.PACI = paAcc.CI95()
-	res.Bandwidth = float64(delivered) / float64(opts.Cycles)
-	res.OfferedRate = float64(offered) / float64(opts.Cycles*cfg.Inputs())
-	if pr != nil {
-		res.Observed = pr.Report()
-	}
-	return res, nil
+	return res, win.Injected, nil
 }
 
 // MeasureUniformPA is the common case: Section 3.2 uniform traffic at

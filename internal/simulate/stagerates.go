@@ -1,7 +1,6 @@
 package simulate
 
 import (
-	"edn/internal/queuesim"
 	"edn/internal/topology"
 	"edn/internal/traffic"
 	"edn/internal/xrand"
@@ -19,35 +18,22 @@ type StageRateResult struct {
 }
 
 // MeasureStageRates runs uniform traffic at rate r and reports the mean
-// per-wire survivor rate at every stage boundary. This validates the
-// stage recursion r_{i+1} = E(r_i)/c at every stage, not just its end
-// product PA. The requests alive after stage i are those offered less
-// the engine's drops at stages 1..i, summed over the run.
+// per-wire survivor rate at every stage boundary over MeasureUniformPA's
+// measurement window. This validates the stage recursion r_{i+1} =
+// E(r_i)/c at every stage, not just its end product PA. The requests
+// alive after stage i are those offered less the engine's drops at
+// stages 1..i, summed over the window.
 func MeasureStageRates(cfg topology.Config, r float64, opts Options) (StageRateResult, error) {
 	opts = opts.withDefaults()
-	net, err := queuesim.New(cfg, queuesim.Options{Policy: queuesim.Drop, Factory: opts.Factory})
+	pa, offered, err := measurePA(cfg, traffic.Uniform{Rate: r, Rng: xrand.New(opts.Seed)}, opts)
 	if err != nil {
 		return StageRateResult{}, err
 	}
-	rng := xrand.New(opts.Seed)
-	pattern := traffic.Uniform{Rate: r, Rng: rng}
-
-	var offered int64
-	dest := make([]int, cfg.Inputs())
-	for cycle := 0; cycle < opts.Cycles; cycle++ {
-		pattern.GenerateInto(dest, cfg.Outputs())
-		cs, err := net.Cycle(dest)
-		if err != nil {
-			return StageRateResult{}, err
-		}
-		offered += int64(cs.Injected)
-	}
-
 	res := StageRateResult{Config: cfg, Cycles: opts.Cycles}
 	cycles := float64(opts.Cycles)
 	alive := offered
-	for i, dropped := range append([]int64{0}, net.DroppedPerStage()...) {
-		alive -= dropped
+	for i, dropped := range append([]int{0}, pa.BlockedPerStage...) {
+		alive -= int64(dropped)
 		wires := float64(cfg.WiresAfterStage(i))
 		res.Measured = append(res.Measured, float64(alive)/(wires*cycles))
 	}

@@ -45,7 +45,6 @@ const (
 const (
 	EngineEDN     = "edn"     // the paper's network (default)
 	EngineDilated = "dilated" // the equal-redundancy dilated counterpart
-	EnginePair    = "pair"    // both, replay-matched (closedloop only)
 )
 
 // GeometrySpec names an EDN(a,b,c,l).
@@ -497,14 +496,15 @@ type EstimateSpec struct {
 type JobSpec struct {
 	// Mode selects the measurement (the Job* constants).
 	Mode string `json:"mode"`
-	// Engine selects the network family (the Engine* constants;
-	// default EngineEDN). EnginePair is valid for closedloop only.
+	// Engine selects the one network the job measures (the Engine*
+	// constants; default EngineEDN). An EDN-vs-dilated comparison is
+	// two jobs, one per engine, under the same sim section.
 	Engine string `json:"engine,omitempty"`
 
 	// Geometry names the EDN; required unless Engine is "dilated" with
 	// an explicit Dilated geometry. Dilated names the dilated delta for
-	// the dilated/pair engines; nil derives the equal-redundancy
-	// counterpart of Geometry.
+	// the dilated engine; nil derives the equal-redundancy counterpart
+	// of Geometry.
 	Geometry *GeometrySpec        `json:"geometry,omitempty"`
 	Dilated  *DilatedGeometrySpec `json:"dilated,omitempty"`
 
@@ -554,7 +554,7 @@ type compiledJob struct {
 	spec   JobSpec
 	engine string
 	edn    EDNNet     // geometry valid unless engine == dilated
-	dil    DilatedNet // geometry valid for the dilated/pair engines
+	dil    DilatedNet // geometry valid for the dilated engine
 	src    LoadPattern
 	lo     ClosedLoopOptions
 	opts   SimOptions
@@ -569,7 +569,7 @@ type compiledJob struct {
 }
 
 // net is the network the job measures: the dilated delta for the
-// dilated engine, the EDN otherwise (the pair's EDN side).
+// dilated engine, the EDN otherwise.
 func (j *compiledJob) net() Net {
 	if j.engine == EngineDilated {
 		return j.dil
@@ -583,16 +583,13 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 		j.engine = EngineEDN
 	}
 	switch j.engine {
-	case EngineEDN, EngineDilated, EnginePair:
+	case EngineEDN, EngineDilated:
 	default:
-		return nil, fmt.Errorf("edn: unknown engine %q (want edn, dilated or pair)", j.engine)
-	}
-	if j.engine == EnginePair && s.Mode != JobClosedLoop {
-		return nil, fmt.Errorf("edn: engine pair is only valid for mode closedloop")
+		return nil, fmt.Errorf("edn: unknown engine %q (want edn or dilated)", j.engine)
 	}
 
-	// Geometries. The EDN config is required for the edn and pair
-	// engines and whenever the dilated engine derives its counterpart.
+	// Geometries. The EDN config is required for the edn engine and
+	// whenever the dilated engine derives its counterpart.
 	if s.Geometry != nil {
 		cfg, err := s.Geometry.Compile()
 		if err != nil {
@@ -600,11 +597,10 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 		}
 		j.edn.Config = cfg
 	}
-	needEDN := j.engine == EngineEDN || j.engine == EnginePair
-	if needEDN && s.Geometry == nil {
+	if j.engine == EngineEDN && s.Geometry == nil {
 		return nil, fmt.Errorf("edn: job needs a geometry section")
 	}
-	if j.engine == EngineDilated || j.engine == EnginePair {
+	if j.engine == EngineDilated {
 		switch {
 		case s.Dilated != nil:
 			dcfg, err := s.Dilated.Compile()
@@ -660,9 +656,6 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 		case JobLatency, JobSaturation, JobEstimate, JobClosedLoop:
 		default:
 			return nil, fmt.Errorf("edn: explain is not supported for mode %q (want latency, saturation, estimate or closedloop)", s.Mode)
-		}
-		if j.engine == EnginePair {
-			return nil, fmt.Errorf("edn: explain is not supported for engine pair")
 		}
 		j.anat = s.Explain.compile()
 	}

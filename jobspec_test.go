@@ -153,11 +153,6 @@ func testSpecs() map[string]JobSpec {
 			Rates: []float64{0.3}, Loop: &ClosedLoopSpec{Window: 4},
 			Queue: &QueueSpec{Depth: 2}, Sim: sim,
 		},
-		"closedloop-pair": {
-			Mode: JobClosedLoop, Engine: EnginePair, Geometry: geo,
-			Rates: []float64{0.4}, Loop: &ClosedLoopSpec{Window: 2},
-			Queue: &QueueSpec{Depth: 2}, Sim: sim,
-		},
 		"closedloop-lifetime-edn": {
 			Mode: JobClosedLoopLifetime, Geometry: geo,
 			Lifetime: &LifetimeSpec{Epochs: 3, EpochCycles: 60, MTBF: 25, MTTR: 4, Load: 0.4},
@@ -267,11 +262,7 @@ func facadeRun(t *testing.T, spec JobSpec) *JobResult {
 		r, err = LifetimeSweep(j.net(), j.lopts, j.src, j.opts, j.shards)
 		res.Lifetime = &r
 	case JobClosedLoop:
-		if j.engine == EnginePair {
-			res.ClosedLoop, res.DilatedClosedLoop, err = MeasureClosedLoopPair(j.edn, j.dil, spec.Rates, j.lo, j.opts, j.shards)
-		} else {
-			res.ClosedLoop, err = MeasureClosedLoop(j.net(), spec.Rates, j.lo, j.opts, j.shards)
-		}
+		res.ClosedLoop, err = MeasureClosedLoop(j.net(), spec.Rates, j.lo, j.opts, j.shards)
 	case JobClosedLoopLifetime:
 		var r ClosedLoopLifetimeResult
 		r, err = ClosedLoopLifetimeSweep(j.net(), j.lopts, j.lo, j.opts, j.shards)
@@ -394,7 +385,7 @@ func TestJobSpecValidation(t *testing.T) {
 	bad := map[string]JobSpec{
 		"unknown-mode":      {Mode: "warp", Geometry: geo},
 		"unknown-engine":    {Mode: JobLatency, Engine: "quantum", Geometry: geo},
-		"pair-non-loop":     {Mode: JobLatency, Engine: EnginePair, Geometry: geo},
+		"pair-engine":       {Mode: JobClosedLoop, Engine: "pair", Geometry: geo, Rates: []float64{0.4}, Loop: &ClosedLoopSpec{}},
 		"missing-geometry":  {Mode: JobLatency},
 		"negative-shards":   {Mode: JobLatency, Geometry: geo, Sim: SimSpec{Shards: -1}},
 		"empty-loads":       {Mode: JobSaturation, Geometry: geo},
@@ -422,6 +413,10 @@ func TestJobSpecValidation(t *testing.T) {
 				t.Fatalf("spec validated but should not have: %+v", spec)
 			}
 		})
+	}
+	// A comparison is two jobs, one per engine; "pair" names none.
+	if err := bad["pair-engine"].Validate(); err == nil || !strings.HasPrefix(err.Error(), "edn: unknown engine") {
+		t.Errorf("pair engine: got %v, want an edn: unknown engine error", err)
 	}
 }
 

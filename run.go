@@ -35,9 +35,9 @@ type RunOptions struct {
 	// index is the point's position on the job's axis, total the axis
 	// length, and point the same LatencyResult / AvailabilityResult /
 	// ClosedLoopResult the final JobResult carries, for either network.
-	// Single-shot modes (latency, drain, lifetime, estimate, pair)
-	// deliver one call with the whole result. Called sequentially from
-	// the Run goroutine.
+	// Single-shot modes (latency, drain, lifetime, closed-loop
+	// lifetime, estimate) deliver one call with the whole result.
+	// Called sequentially from the Run goroutine.
 	OnPoint func(index, total int, point any)
 	// Trace, when non-nil, records the job's span tree: validation,
 	// table/mask builds with their cache verdicts, per-point execution
@@ -91,9 +91,9 @@ type EstimateResult struct {
 // JobResult carries one job's output; exactly the sections the spec's
 // mode produces are non-nil. The embedded results are the same values
 // the facade functions return, so a JobSpec run through Run, a CLI, or
-// the daemon is one measurement with one answer. Every section holds
-// either network's results, each labelled by its Network(); only the
-// pair engine fills a second section, DilatedClosedLoop.
+// the daemon is one measurement with one answer. A job measures one
+// network, and every section holds either network's results, each
+// labelled by its Network().
 type JobResult struct {
 	Spec JobSpec `json:"spec"`
 
@@ -102,10 +102,8 @@ type JobResult struct {
 	Points []LatencyResult `json:"points,omitempty"`
 	// Availability holds the degradation curve.
 	Availability []AvailabilityResult `json:"availability,omitempty"`
-	// ClosedLoop holds the closed-loop rate curve; DilatedClosedLoop
-	// additionally holds the counterpart's curve for the pair engine.
-	ClosedLoop        []ClosedLoopResult `json:"closedloop,omitempty"`
-	DilatedClosedLoop []ClosedLoopResult `json:"dilated_closedloop,omitempty"`
+	// ClosedLoop holds the closed-loop rate curve.
+	ClosedLoop []ClosedLoopResult `json:"closedloop,omitempty"`
 
 	Lifetime           *LifetimeResult           `json:"lifetime,omitempty"`
 	ClosedLoopLifetime *ClosedLoopLifetimeResult `json:"closedloop_lifetime,omitempty"`
@@ -239,7 +237,7 @@ func (j *compiledJob) wireCache(c *GeometryCache, tr *SpanCollector) error {
 	if c == nil {
 		return nil
 	}
-	if j.engine != EngineDilated {
+	if j.engine == EngineEDN {
 		s := tr.Start("edn_tables")
 		t, hit, err := c.Tables(j.edn.Config)
 		tr.SetAttr(s, "cache", cacheVerdict(c, hit))
@@ -248,8 +246,7 @@ func (j *compiledJob) wireCache(c *GeometryCache, tr *SpanCollector) error {
 			return err
 		}
 		j.edn.Queue.Tables = t
-	}
-	if j.engine != EngineEDN {
+	} else {
 		s := tr.Start("dilated_tables")
 		t, hit, err := c.DilatedTables(j.dil.Config)
 		tr.SetAttr(s, "cache", cacheVerdict(c, hit))
@@ -343,22 +340,7 @@ func (j *compiledJob) runLifetime(ro RunOptions, res *JobResult) error {
 }
 
 func (j *compiledJob) runClosedLoop(ctx context.Context, ro RunOptions, res *JobResult) error {
-	rates := j.spec.Rates
-	if j.engine == EnginePair {
-		// The paired comparison asserts bit-equal offered demand across
-		// both networks at every rate, so it runs as one barriered call
-		// (its per-rate shard stages all land under one point span).
-		ps := ro.Trace.Start("point", "index", "0")
-		ednRes, dilRes, err := MeasureClosedLoopPair(j.edn, j.dil, rates, j.lo, j.opts, j.shards)
-		ro.Trace.End(ps)
-		if err != nil {
-			return err
-		}
-		res.ClosedLoop, res.DilatedClosedLoop = ednRes, dilRes
-		emit(ro, 0, 1, res)
-		return nil
-	}
-	return sweep(ctx, ro, "rate", rates, func(i int, rate float64) (any, error) {
+	return sweep(ctx, ro, "rate", j.spec.Rates, func(i int, rate float64) (any, error) {
 		r, err := simulate.ClosedLoopPoint(j.net(), rate, i, j.lo, j.opts, j.shards)
 		res.ClosedLoop = append(res.ClosedLoop, r)
 		return r, err

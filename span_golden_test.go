@@ -42,7 +42,6 @@ func spanShapeSpecs() []namedSpec {
 		{"lifetime-dilated", JobSpec{Mode: JobLifetime, Engine: EngineDilated, Geometry: geo, Lifetime: life, Probe: probe, Sim: sim3}},
 		{"closedloop-edn", JobSpec{Mode: JobClosedLoop, Geometry: geo, Rates: []float64{0.2, 0.5}, Loop: loop, Sim: sim2}},
 		{"closedloop-dilated", JobSpec{Mode: JobClosedLoop, Engine: EngineDilated, Geometry: geo, Rates: []float64{0.3}, Loop: loop, Sim: sim3}},
-		{"closedloop-pair", JobSpec{Mode: JobClosedLoop, Engine: EnginePair, Geometry: geo, Rates: []float64{0.2, 0.4}, Loop: loop, Sim: sim2}},
 		{"closedloop-lifetime-edn", JobSpec{Mode: JobClosedLoopLifetime, Geometry: geo, Lifetime: loopLife, Loop: loop, Sim: sim2}},
 		{"closedloop-lifetime-dilated", JobSpec{Mode: JobClosedLoopLifetime, Engine: EngineDilated, Geometry: geo,
 			Lifetime: loopLife, Loop: loop, Probe: probe, Sim: sim3}},
