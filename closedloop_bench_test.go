@@ -6,13 +6,14 @@ import (
 )
 
 // BenchmarkClosedLoopCycle tracks the closed-loop steady-state advance —
-// demand arrivals, the full timeout scan over every outstanding slot,
-// forward issue, both fabric cycles and reply matching — over each
-// packet engine. In-flight request records live in a fixed pooled slot
-// array threaded with intrusive lists and the per-source backlogs are
-// one preallocated FIFO store, so like every steady-state loop in the repository
-// it must report exactly 0 allocs/op under -benchmem; the CI zero-alloc
-// gate enforces that.
+// demand arrivals, the timeouts popped from the deadline list, forward
+// issue over the sources with work, both fabric cycles and reply
+// matching — over each packet engine. In-flight request records live in
+// a fixed pooled slot array threaded with intrusive lists, the event
+// bitmaps and the retry wheel are sized at construction and the
+// per-source backlogs are one preallocated FIFO store, so like every
+// steady-state loop in the repository it must report exactly 0
+// allocs/op under -benchmem; the CI zero-alloc gate enforces that.
 func BenchmarkClosedLoopCycle(b *testing.B) {
 	geometries := []struct {
 		name        string

@@ -237,7 +237,9 @@
 // one shard (see cliutil.ArbiterFactory).
 //
 // Every run is one (or, with -dilated, two) JobSpec jobs, the EDN's
-// first: the rate sweep and the lifetime alike.
+// first: the rate sweep and the lifetime alike. With -trace the table
+// prints each job's probe reports, the dilated job's labelled
+// "(dilated)".
 //
 // # explain
 //
@@ -291,8 +293,9 @@
 // -depth 0 -policy drop but for the engine label, heat rows included);
 // the buffered EDN packet engine; the dilated counterpart; or the
 // closed-loop request/response workload (where a trace's "stage" is
-// the attempt number). The
-// recorder attaches after -warmup. -dump prints raw traces, -explain
+// the attempt number). Every engine takes its arbiter factory, run and
+// traffic from one seed, -seed with 0 selecting 1, as a JobSpec's
+// sim.seed does. The recorder attaches after -warmup. -dump prints raw traces, -explain
 // annotates them with each hop's wait/block/service split, and -export
 // emits the registry metrics as Prometheus text or JSON lines.
 //

@@ -116,6 +116,12 @@ func renderLoopSweep(w io.Writer, format string, cfg edn.Config, dcfg *edn.Dilat
 		labels = append(labels, fmt.Sprintf("probe @ rate=%g", spec.Rates[i]))
 		probes = append(probes, r.Observed)
 	}
+	if dcfg != nil {
+		for i, d := range results[1].ClosedLoop {
+			labels = append(labels, fmt.Sprintf("probe @ rate=%g (dilated)", spec.Rates[i]))
+			probes = append(probes, d.Observed)
+		}
+	}
 	return render(w, format, cols, rows, results, func() error {
 		tableHead(w, cfg, dcfg, "%v closed loop — %d sources, %d memory ports, W=%d, timeout=%d, retry=%s, depth=%d, policy=%v\n",
 			cfg, cfg.Inputs(), cfg.Outputs(), spec.Loop.Window, spec.Loop.Timeout, spec.Loop.Retry, spec.Queue.Depth, spec.Queue.Policy)

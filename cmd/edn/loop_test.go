@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,31 @@ func TestRunSweepTable(t *testing.T) {
 	// Title + dilated header + column header + 2 rate rows.
 	if got := strings.Count(out, "\n"); got != 5 {
 		t.Errorf("expected 5 lines, got %d:\n%s", got, out)
+	}
+}
+
+// TestRunSweepDilatedProbes: `loop -dilated -trace N` prints each
+// network's probe report per rate, the dilated job's under a
+// "(dilated)" label, as `latency -dilated` does.
+func TestRunSweepDilatedProbes(t *testing.T) {
+	var sb strings.Builder
+	err := runCmd("loop", []string{"-a", "4", "-b", "2", "-c", "2", "-l", "2",
+		"-rates", "0.3,0.6", "-cycles", "200", "-warmup", "20", "-shards", "2",
+		"-depth", "0", "-policy", "drop", "-dilated", "-trace", "3"}, &sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	var at []int
+	for _, label := range []string{"probe @ rate=0.3\n", "probe @ rate=0.6\n", "probe @ rate=0.3 (dilated)\n", "probe @ rate=0.6 (dilated)\n"} {
+		i := strings.Index(out, label)
+		if i < 0 || strings.Count(out, label) != 1 {
+			t.Fatalf("want one %q block:\n%s", label, out)
+		}
+		at = append(at, i)
+	}
+	if !sort.IntsAreSorted(at) {
+		t.Errorf("probe blocks out of order (EDN rates, then dilated rates):\n%s", out)
 	}
 }
 

@@ -31,9 +31,12 @@ func cmdTrace(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 		if *jf.warmup < 0 || *traceCap < 0 || *bins < 0 {
 			return fmt.Errorf("-warmup, -trace-cap and -heat-bins must not be negative")
 		}
+		// The arbiter factory, the run and the traffic all draw from one
+		// seed, 0 selecting 1 as a JobSpec's sim.seed does.
+		seed := max(*jf.seed, 1)
 		po := &edn.ProbeOptions{SampleEvery: *sample, TraceCap: *traceCap, Bins: *bins}
-		opts := edn.SimOptions{Cycles: *jf.cycles, Warmup: *jf.warmup, Seed: *jf.seed, Probe: po}
-		if opts.Factory, err = cliutil.ArbiterFactory(*jf.arb, *jf.seed); err != nil {
+		opts := edn.SimOptions{Cycles: *jf.cycles, Warmup: *jf.warmup, Seed: seed, Probe: po}
+		if opts.Factory, err = cliutil.ArbiterFactory(*jf.arb, seed); err != nil {
 			return err
 		}
 
@@ -42,12 +45,10 @@ func cmdTrace(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 		switch *engine {
 		case "core", "edn", "dilated":
 			// core is the Section 3.2 harness's engine: the EDN's
-			// depth-0 Drop corner whatever -depth and -policy say, with
-			// MeasurePA's traffic seed (0 selects 1).
+			// depth-0 Drop corner whatever -depth and -policy say.
 			q := edn.QueueOptions{Policy: edn.QueueDrop, Factory: opts.Factory}
-			seed := max(*jf.seed, 1)
 			if *engine != "core" {
-				seed, q.Depth = *jf.seed, *jf.depth
+				q.Depth = *jf.depth
 				if q.Policy, err = cliutil.ParsePolicy(*jf.policy); err != nil {
 					return err
 				}

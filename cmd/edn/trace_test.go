@@ -129,7 +129,8 @@ func TestTraceRunRejectsBadFlags(t *testing.T) {
 // -policy say (their defaults here are 4 and backpressure), so in every
 // output form its trace is `-engine edn -depth 0 -policy drop`'s with
 // the engine label swapped — the same sampled requests, closed at the
-// same stages and cycles, in the same heat vocabulary.
+// same stages and cycles, in the same heat vocabulary — at every seed,
+// 0 included, since both take every stream from max(-seed, 1).
 func TestTraceCoreIsDepth0Drop(t *testing.T) {
 	relabel := strings.NewReplacer(
 		"engine=edn", "engine=core",
@@ -149,6 +150,8 @@ func TestTraceCoreIsDepth0Drop(t *testing.T) {
 		{"-arb", "roundrobin"},
 		{"-arb", "random"},
 		{"-arb", "random", "-dump"},
+		{"-seed", "0"},
+		{"-seed", "0", "-arb", "random"},
 	} {
 		t.Run(strings.Join(append([]string{"default"}, extra...), " "), func(t *testing.T) {
 			got := runTrace(t, append([]string{"-engine", "core"}, extra...)...)

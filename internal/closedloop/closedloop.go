@@ -33,6 +33,17 @@
 // invariant to the request layer; CheckConservation asserts both layers
 // after any cycle.
 //
+// Each phase of a cycle visits only what has an event in it, so a quiet
+// cycle costs little however many slots are outstanding. Every attempt's
+// deadline is its issue cycle plus Timeout, a constant, so the live
+// attempts sit on one list in issue order and the timeouts are popped
+// from its head; retries waiting out a backoff sit on a wheel of
+// buckets until they come due; forward issue walks a bitmap of the
+// sources with work (a due retry, or a backlog and a free slot) and
+// reply issue a bitmap of the return inputs with a non-empty service
+// list. The event state is O(slots + sources) whatever Timeout and
+// BackoffCap are.
+//
 // The steady-state advance is allocation-free: slots are a fixed pool
 // linked through intrusive lists, the backlogs are one preallocated
 // FIFO store (a ringbuf.Rings of one FIFO per source, as deep as the
@@ -258,16 +269,23 @@ type slot struct {
 	src       int32 // owning source
 	dest      int32 // memory port
 	createdAt int64 // demand arrival cycle (latency epoch)
-	issuedAt  int64 // forward injection cycle of the current attempt
+	issuedAt  int64 // forward injection cycle of the current attempt; it times out Timeout cycles later
 	firstAt   int64 // forward injection cycle of the first attempt
-	deadline  int64 // issuedAt + Timeout
 	readyAt   int64 // service completion cycle (slotService)
 	replyAt   int64 // return injection cycle (slotReply)
 	nextRetry int64 // earliest re-issue cycle (slotRetry)
-	prev      int32
-	next      int32
-	trace     int32 // probe trace record handle, -1 = untraced
+	// prev and next link a live attempt into its fwd, svc or rep list;
+	// next links a retry that is not yet due into its wheel bucket.
+	prev, next int32
+	// older and newer link a live attempt into the deadline list.
+	older, newer int32
+	trace        int32 // probe trace record handle, -1 = untraced
 }
+
+// wheelSize is the bucket count of the retry wheel: a retry due at
+// cycle t waits in bucket t mod wheelSize, and a bucket's drain keeps
+// the retries a whole turn or more away. A power of two.
+const wheelSize = 64
 
 // Loop orchestrates one closed-loop workload over a forward and a
 // return fabric. Build one with New, advance it with Cycle, and read
@@ -285,7 +303,16 @@ type Loop struct {
 	svcHead, svcTail []int32       // [return input] slotService requests keyed by port group
 	repHead, repTail []int32       // [source] slotReply requests keyed by owner
 	backlog          ringbuf.Rings // one FIFO of packed demands per source
-	destFwd, destRev []int
+	destFwd, destRev []int         // request vectors, NoRequest but for this cycle's sent
+	sent             []int32       // inputs given a request in the current issue phase
+
+	// Event state; bit k of a bitmap is bit k&63 of word k>>6.
+	liveHead, liveTail int32            // deadline list: live attempts, oldest issue first
+	wheel              [wheelSize]int32 // retries not yet due, by nextRetry mod wheelSize
+	free               []uint64         // [slot] slotFree
+	due                []uint64         // [slot] slotRetry with nextRetry <= now
+	work               []uint64         // [source] a due retry, or a backlog and a free slot
+	serving            []uint64         // [return input] a non-empty service list
 
 	demandRng  *xrand.Rand
 	destRng    *xrand.Rand
@@ -351,8 +378,14 @@ func New(fwd, rev Engine, inputs, outputs int, opts Options) (*Loop, error) {
 		svcHead: newLinks(inputs), svcTail: newLinks(inputs),
 		repHead: newLinks(inputs), repTail: newLinks(inputs),
 		backlog:  ringbuf.NewRings(inputs, opts.MaxBacklog),
-		destFwd:  make([]int, inputs),
-		destRev:  make([]int, inputs),
+		destFwd:  newRequests(inputs),
+		destRev:  newRequests(inputs),
+		sent:     make([]int32, 0, inputs),
+		liveHead: -1, liveTail: -1,
+		free:     make([]uint64, ringbuf.Words(inputs*opts.Window)),
+		due:      make([]uint64, ringbuf.Words(inputs*opts.Window)),
+		work:     make([]uint64, ringbuf.Words(inputs)),
+		serving:  make([]uint64, ringbuf.Words(inputs)),
 		liveOut:  make([]bool, outputs),
 		liveList: make([]int32, outputs),
 		demand:   xrand.NewCoin(opts.Rate),
@@ -364,7 +397,12 @@ func New(fwd, rev Engine, inputs, outputs int, opts Options) (*Loop, error) {
 	l.destRng = root.Split()
 	l.backoffRng = root.Split()
 	for i := range l.slots {
-		l.slots[i].prev, l.slots[i].next, l.slots[i].trace = -1, -1, -1
+		sl := &l.slots[i]
+		sl.prev, sl.next, sl.older, sl.newer, sl.trace = -1, -1, -1, -1, -1
+		setBit(l.free, i)
+	}
+	for b := range l.wheel {
+		l.wheel[b] = -1
 	}
 	if err := l.SetLiveOutputs(nil); err != nil {
 		return nil, err
@@ -381,6 +419,17 @@ func newLinks(n int) []int32 {
 	}
 	return s
 }
+
+func newRequests(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = NoRequest
+	}
+	return s
+}
+
+func setBit(words []uint64, k int)   { words[k>>6] |= 1 << (k & 63) }
+func clearBit(words []uint64, k int) { words[k>>6] &^= 1 << (k & 63) }
 
 // Inputs returns the source count.
 func (l *Loop) Inputs() int { return l.inputs }
@@ -555,6 +604,64 @@ func (l *Loop) listRemove(head, tail []int32, k int, s int32) {
 	sl.prev, sl.next = -1, -1
 }
 
+// liveAppend puts a just-issued attempt at the tail of the deadline
+// list; liveRemove takes a live attempt off it, at its completion or
+// its timeout.
+func (l *Loop) liveAppend(s int32) {
+	sl := &l.slots[s]
+	sl.older, sl.newer = l.liveTail, -1
+	if l.liveTail >= 0 {
+		l.slots[l.liveTail].newer = s
+	} else {
+		l.liveHead = s
+	}
+	l.liveTail = s
+}
+
+func (l *Loop) liveRemove(s int32) {
+	sl := &l.slots[s]
+	if sl.older >= 0 {
+		l.slots[sl.older].newer = sl.newer
+	} else {
+		l.liveHead = sl.newer
+	}
+	if sl.newer >= 0 {
+		l.slots[sl.newer].older = sl.older
+	} else {
+		l.liveTail = sl.older
+	}
+	sl.older, sl.newer = -1, -1
+}
+
+// window returns source i's slot range [lo, hi).
+func (l *Loop) window(i int) (lo, hi int) {
+	return i * l.opts.Window, (i + 1) * l.opts.Window
+}
+
+// hasWork reports whether source i has a due retry, or a backlogged
+// demand and a free slot to issue it from.
+func (l *Loop) hasWork(i int) bool {
+	lo, hi := l.window(i)
+	return ringbuf.Next(l.due, nil, lo, hi) < hi ||
+		l.backlog.Len(i) > 0 && ringbuf.Next(l.free, nil, lo, hi) < hi
+}
+
+// release returns slot s to its source's free pool.
+func (l *Loop) release(s int32) {
+	sl := &l.slots[s]
+	sl.state = slotFree
+	setBit(l.free, int(s))
+	if l.backlog.Len(int(sl.src)) > 0 {
+		setBit(l.work, int(sl.src))
+	}
+}
+
+// retryDue makes the retry in slot s eligible for issue.
+func (l *Loop) retryDue(s int32) {
+	setBit(l.due, int(s))
+	setBit(l.work, int(l.slots[s].src))
+}
+
 // onRequestDelivered is the forward fabric's delivery hook: a request
 // packet for memory port dest, injected at cycle inject (32-bit
 // truncated), just retired. Match it to the oldest outstanding attempt
@@ -568,6 +675,7 @@ func (l *Loop) onRequestDelivered(dest int, inject int64) {
 			sl.state = slotService
 			sl.readyAt = l.now + int64(l.opts.ServiceCycles)
 			l.listAppend(l.svcHead, l.svcTail, dest/l.ratio, s)
+			setBit(l.serving, dest/l.ratio)
 			return
 		}
 	}
@@ -583,12 +691,13 @@ func (l *Loop) onReplyDelivered(dest int, inject int64) {
 		sl := &l.slots[s]
 		if int64(uint32(sl.replyAt)) == inject {
 			l.listRemove(l.repHead, l.repTail, src, s)
+			l.liveRemove(s)
 			lat := float64(l.now - sl.createdAt)
 			l.lat.Add(lat)
 			l.slaSum += l.opts.SLA.Weight(lat)
 			l.led.Completed++
 			l.led.InFlight--
-			sl.state = slotFree
+			l.release(s)
 			l.cycle.Completed++
 			if l.probe != nil {
 				l.probe.CloseRec(sl.trace, int(sl.attempts), probe.EvComplete, l.now)
@@ -606,10 +715,13 @@ func (l *Loop) onReplyDelivered(dest int, inject int64) {
 }
 
 // Cycle advances the workload and both fabrics by one cycle: demand
-// arrivals, the timeout scan, forward issue (retries first, then fresh
-// requests from the backlog), the forward fabric cycle, reply issue at
-// the memory side, and the return fabric cycle. The whole advance is
-// allocation-free in steady state.
+// arrivals, the retries whose backoff ends now, the timeouts, forward
+// issue (retries first, then fresh requests from the backlog), the
+// forward fabric cycle, reply issue at the memory side, and the return
+// fabric cycle. Each phase takes its events from the deadline list, the
+// retry wheel and the work and serving bitmaps, not from a scan of
+// every slot or input. The whole advance is allocation-free in steady
+// state.
 func (l *Loop) Cycle() (CycleStats, error) {
 	l.now++
 	l.cycle = CycleStats{}
@@ -630,22 +742,47 @@ func (l *Loop) Cycle() (CycleStats, error) {
 		l.backlog.Push(int(i), ringbuf.Pack(l.drawDest(), l.now))
 		l.led.Backlogged++
 		l.cycle.Arrived++
+		if lo, hi := l.window(int(i)); ringbuf.Next(l.free, nil, lo, hi) < hi {
+			setBit(l.work, int(i)) // a backlog now, and a free slot to issue it from
+		}
 	}
 
-	// Timeout scan: write off every attempt past its deadline, wherever
-	// it is in the round trip.
-	for s := range l.slots {
+	// Retries whose backoff ends now leave the wheel; the rest of the
+	// bucket is due a whole turn or more later.
+	b := int(l.now & (wheelSize - 1))
+	s := l.wheel[b]
+	l.wheel[b] = -1
+	for s >= 0 {
 		sl := &l.slots[s]
-		if sl.state == slotFree || sl.state == slotRetry || l.now < sl.deadline {
-			continue
+		next := sl.next
+		if sl.nextRetry <= l.now {
+			l.retryDue(s)
+		} else {
+			sl.next, l.wheel[b] = l.wheel[b], s
 		}
+		s = next
+	}
+
+	// Timeouts: write off every attempt past its deadline, wherever it
+	// is in the round trip. Deadlines fall due in issue order, and a
+	// source issues at most once a cycle, in source order, so the head
+	// of the deadline list expires in ascending slot order. Comparing
+	// the attempt's age, not issuedAt + Timeout, keeps a Timeout near
+	// MaxInt64 from overflowing into an early deadline.
+	for s := l.liveHead; s >= 0 && l.now-l.slots[s].issuedAt >= int64(l.opts.Timeout); s = l.liveHead {
+		sl := &l.slots[s]
+		l.liveRemove(s)
 		switch sl.state {
 		case slotFwd:
-			l.listRemove(l.fwdHead, l.fwdTail, int(sl.dest), int32(s))
+			l.listRemove(l.fwdHead, l.fwdTail, int(sl.dest), s)
 		case slotService:
-			l.listRemove(l.svcHead, l.svcTail, int(sl.dest)/l.ratio, int32(s))
+			r := int(sl.dest) / l.ratio
+			l.listRemove(l.svcHead, l.svcTail, r, s)
+			if l.svcHead[r] < 0 {
+				clearBit(l.serving, r)
+			}
 		case slotReply:
-			l.listRemove(l.repHead, l.repTail, int(sl.src), int32(s))
+			l.listRemove(l.repHead, l.repTail, int(sl.src), s)
 		}
 		l.led.Timeouts++
 		l.led.InFlight--
@@ -655,7 +792,7 @@ func (l *Loop) Cycle() (CycleStats, error) {
 			l.probe.HopRec(sl.trace, int(sl.attempts), probe.EvTimeout, l.now)
 		}
 		if l.opts.MaxAttempts > 0 && int(sl.attempts) >= l.opts.MaxAttempts {
-			sl.state = slotFree
+			l.release(s)
 			l.led.GivenUp++
 			l.cycle.GivenUp++
 			if l.probe != nil {
@@ -668,43 +805,44 @@ func (l *Loop) Cycle() (CycleStats, error) {
 			continue
 		}
 		sl.state = slotRetry
-		sl.nextRetry = l.now + l.retryDelay(int(sl.attempts))
+		d := l.retryDelay(int(sl.attempts))
+		sl.nextRetry = l.now + d
 		l.led.RetryWaiting++
+		if d == 0 {
+			l.retryDue(s)
+		} else {
+			b := int(sl.nextRetry & (wheelSize - 1))
+			sl.next, l.wheel[b] = l.wheel[b], s
+		}
 	}
 
-	// Forward issue: each source injects at most one request per cycle —
-	// the due retry with the earliest deadline first, else the oldest
-	// backlogged demand if a window slot is free.
-	for i := 0; i < l.inputs; i++ {
-		l.destFwd[i] = NoRequest
-		base := i * l.opts.Window
-		pick, free := -1, -1
-		for w := 0; w < l.opts.Window; w++ {
-			sl := &l.slots[base+w]
-			switch {
-			case sl.state == slotRetry && sl.nextRetry <= l.now &&
-				(pick < 0 || sl.nextRetry < l.slots[pick].nextRetry):
-				pick = base + w
-			case sl.state == slotFree && free < 0:
-				free = base + w
-			}
-		}
-		if pick < 0 && (free < 0 || l.backlog.Len(i) == 0) {
-			continue
-		}
+	// Forward issue: each source with work injects at most one request
+	// per cycle — the due retry that came due first (the lowest slot on
+	// a tie), else the oldest backlogged demand into its lowest free
+	// slot.
+	l.sent = l.sent[:0]
+	for i := ringbuf.Next(l.work, nil, 0, l.inputs); i < l.inputs; i = ringbuf.Next(l.work, nil, i+1, l.inputs) {
 		if !l.fwd.InputFree(i) {
 			continue
 		}
-		var s int32
-		if pick >= 0 {
-			s = int32(pick)
+		lo, hi := l.window(i)
+		s := int32(-1)
+		for k := ringbuf.Next(l.due, nil, lo, hi); k < hi; k = ringbuf.Next(l.due, nil, k+1, hi) {
+			if s < 0 || l.slots[k].nextRetry < l.slots[s].nextRetry {
+				s = int32(k)
+			}
+		}
+		retry := s >= 0
+		if retry {
+			clearBit(l.due, int(s))
 			l.led.RetryWaiting--
 			l.led.Retries++
 			l.cycle.Retried++
 		} else {
+			s = int32(ringbuf.Next(l.free, nil, lo, hi))
+			clearBit(l.free, int(s))
 			p := l.backlog.Pop(i)
 			l.led.Backlogged--
-			s = int32(free)
 			sl := &l.slots[s]
 			sl.src = int32(i)
 			sl.dest = int32(ringbuf.Dest(p))
@@ -713,6 +851,9 @@ func (l *Loop) Cycle() (CycleStats, error) {
 			l.led.Issued++
 			l.cycle.Issued++
 		}
+		if !l.hasWork(i) {
+			clearBit(l.work, i)
+		}
 		sl := &l.slots[s]
 		sl.state = slotFwd
 		sl.attempts++
@@ -720,12 +861,13 @@ func (l *Loop) Cycle() (CycleStats, error) {
 		if sl.attempts == 1 {
 			sl.firstAt = l.now
 		}
-		sl.deadline = l.now + int64(l.opts.Timeout)
 		l.led.InFlight++
 		l.listAppend(l.fwdHead, l.fwdTail, int(sl.dest), s)
+		l.liveAppend(s)
 		l.destFwd[i] = int(sl.dest)
+		l.sent = append(l.sent, int32(i))
 		if l.probe != nil {
-			if pick >= 0 {
+			if retry {
 				l.probe.HopRec(sl.trace, int(sl.attempts), probe.EvRetry, l.now)
 			} else {
 				sl.trace = -1
@@ -736,27 +878,31 @@ func (l *Loop) Cycle() (CycleStats, error) {
 			}
 		}
 	}
-	if _, err := l.fwd.Cycle(l.destFwd); err != nil {
+	if err := l.cycleFabric(l.fwd, l.destFwd); err != nil {
 		return CycleStats{}, err
 	}
 
 	// Reply issue: each return input forwards the head of its service
 	// queue once service is complete — head-of-line, modeling the
 	// port-group concentrator as a single reply injector.
-	for r := 0; r < l.inputs; r++ {
-		l.destRev[r] = NoRequest
+	l.sent = l.sent[:0]
+	for r := ringbuf.Next(l.serving, nil, 0, l.inputs); r < l.inputs; r = ringbuf.Next(l.serving, nil, r+1, l.inputs) {
 		h := l.svcHead[r]
-		if h < 0 || l.slots[h].readyAt > l.now || !l.rev.InputFree(r) {
+		if l.slots[h].readyAt > l.now || !l.rev.InputFree(r) {
 			continue
 		}
 		sl := &l.slots[h]
 		l.listRemove(l.svcHead, l.svcTail, r, h)
+		if l.svcHead[r] < 0 {
+			clearBit(l.serving, r)
+		}
 		sl.state = slotReply
 		sl.replyAt = l.now
 		l.listAppend(l.repHead, l.repTail, int(sl.src), h)
 		l.destRev[r] = int(sl.src) * l.ratio
+		l.sent = append(l.sent, int32(r))
 	}
-	if _, err := l.rev.Cycle(l.destRev); err != nil {
+	if err := l.cycleFabric(l.rev, l.destRev); err != nil {
 		return CycleStats{}, err
 	}
 	if l.probe != nil {
@@ -766,6 +912,17 @@ func (l *Loop) Cycle() (CycleStats, error) {
 		l.probe.EndCycle()
 	}
 	return l.cycle, nil
+}
+
+// cycleFabric advances one fabric under its request vector, then
+// returns the vector's entries for this phase's sent inputs to
+// NoRequest.
+func (l *Loop) cycleFabric(e Engine, dest []int) error {
+	_, err := e.Cycle(dest)
+	for _, i := range l.sent {
+		dest[i] = NoRequest
+	}
+	return err
 }
 
 // CheckConservation asserts the two request-ledger balances, the

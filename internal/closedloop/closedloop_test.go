@@ -2,6 +2,7 @@ package closedloop
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"edn/internal/dilated"
@@ -271,6 +272,22 @@ func TestAvoidanceList(t *testing.T) {
 	}
 }
 
+// A Timeout near MaxInt64 never fires: an attempt's age, not its issue
+// cycle plus Timeout, is compared, so no deadline overflows into the
+// past, and a healthy fabric completes every round trip.
+func TestHugeTimeoutNeverFires(t *testing.T) {
+	cfg := mustEDN(t, 4, 2, 2, 2)
+	fwd, rev := newQueuePair(t, cfg, queuesim.Options{Depth: 4})
+	loop, err := New(fwd, rev, cfg.Inputs(), cfg.Outputs(), Options{Rate: 0.3, Timeout: math.MaxInt64, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runChecked(t, loop, 500)
+	if led := loop.Ledger(); led.Completed == 0 || led.Timeouts != 0 {
+		t.Fatalf("timeout %d: %+v", math.MaxInt64, led)
+	}
+}
+
 // Per-source occupancy never exceeds the window.
 func TestWindowCap(t *testing.T) {
 	cfg := mustEDN(t, 4, 2, 2, 2)
@@ -350,5 +367,52 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(fwd, rev, cfg.Inputs(), cfg.Outputs(), Options{Rate: 0.5}); err == nil {
 		t.Fatal("stale fabrics accepted")
+	}
+}
+
+// The event state is sized by the slot and source counts alone: New at
+// a Timeout and BackoffCap of 1<<40 allocates no more than twice what
+// it does at the defaults, and the loop then advances without
+// allocating, with every attempt outstanding for good or with retries
+// parked up to 2^40 cycles out on the wheel.
+func TestEventStateDoesNotScale(t *testing.T) {
+	cfg := mustEDN(t, 4, 2, 2, 2)
+	build := func(opts Options) (*Loop, uint64) {
+		fwd, rev := newQueuePair(t, cfg, queuesim.Options{Depth: 4})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		loop, err := New(fwd, rev, cfg.Inputs(), cfg.Outputs(), opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loop, after.TotalAlloc - before.TotalAlloc
+	}
+	_, base := build(Options{Rate: 0.5})
+	for _, opts := range []Options{
+		{Rate: 0.5, Timeout: 1 << 40, Retry: RetryBackoff, BackoffCap: 1 << 40},
+		{Rate: 0.5, Timeout: 2, Retry: RetryBackoff, BackoffCap: 1 << 40},
+	} {
+		loop, bytes := build(opts)
+		if bytes > 2*base {
+			t.Errorf("timeout %d: New allocated %d bytes, over twice the %d at the defaults", opts.Timeout, bytes, base)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for c := 0; c < 300; c++ {
+			if _, err := loop.Cycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("timeout %d: 300 cycles made %d allocations", opts.Timeout, n)
+		}
+		if err := loop.CheckConservation(); err != nil {
+			t.Fatal(err)
+		}
+		if led := loop.Ledger(); led.Issued == 0 || opts.Timeout == 2 && led.Retries == 0 {
+			t.Errorf("timeout %d: the run tested nothing: %+v", opts.Timeout, led)
+		}
 	}
 }

@@ -15,7 +15,8 @@ import (
 // The extended conservation invariant — request ledger, gauge recounts,
 // cross-layer balance, and both fabrics' packet ledgers — must hold
 // after every cycle under every depth/policy/retry/fault combination,
-// including mid-epoch fault swaps that strand, park and orphan packets.
+// including mid-epoch fault swaps that strand, park and orphan packets,
+// and so must the event state's recount from the slots (checkEvents).
 func TestConservationEverywhere(t *testing.T) {
 	depths := []int{0, 2, queuesim.Unbounded}
 	policies := []queuesim.Policy{queuesim.Backpressure, queuesim.Drop}
@@ -90,6 +91,9 @@ func conservationEDN(t *testing.T, depth int, policy queuesim.Policy, retry Retr
 		if err := loop.CheckConservation(); err != nil {
 			t.Fatalf("cycle %d: %v", c, err)
 		}
+		if err := checkEvents(loop); err != nil {
+			t.Fatalf("cycle %d: %v", c, err)
+		}
 	}
 	if loop.Ledger().Issued == 0 {
 		t.Fatal("nothing issued; the sweep tested nothing")
@@ -139,6 +143,9 @@ func conservationDilated(t *testing.T, depth int, policy queuesim.Policy, retry 
 			t.Fatalf("cycle %d: %v", c, err)
 		}
 		if err := loop.CheckConservation(); err != nil {
+			t.Fatalf("cycle %d: %v", c, err)
+		}
+		if err := checkEvents(loop); err != nil {
 			t.Fatalf("cycle %d: %v", c, err)
 		}
 	}
