@@ -295,7 +295,8 @@
 // closed-loop request/response workload (where a trace's "stage" is
 // the attempt number). Every engine takes its arbiter factory, run and
 // traffic from one seed, -seed with 0 selecting 1, as a JobSpec's
-// sim.seed does. The recorder attaches after -warmup. -dump prints raw traces, -explain
+// sim.seed does, and -format json reports that seed. The recorder
+// attaches after -warmup. -dump prints raw traces, -explain
 // annotates them with each hop's wait/block/service split, and -export
 // emits the registry metrics as Prometheus text or JSON lines.
 //

@@ -113,7 +113,7 @@ func cmdTrace(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 				Network: network,
 				Engine:  *engine,
 				Load:    *load,
-				Seed:    *jf.seed,
+				Seed:    seed,
 				Sampled: rep.Sampled,
 				Traces:  rep.Traces,
 				Cohort:  cohortRows(rep),
@@ -265,7 +265,8 @@ func dumpTraces(w io.Writer, rep *edn.ProbeReport, explain bool) error {
 	return nil
 }
 
-// traceReport is the machine-readable summary.
+// traceReport is the machine-readable summary. Seed is the seed every
+// stream of the run drew from, max(-seed, 1).
 type traceReport struct {
 	Network string            `json:"network"`
 	Engine  string            `json:"engine"`

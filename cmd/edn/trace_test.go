@@ -84,6 +84,24 @@ func TestTraceRunJSON(t *testing.T) {
 	}
 }
 
+// TestTraceJSONReportsEffectiveSeed: -seed 0 runs every stream from
+// seed 1, so its JSON document, the seed field included, is -seed 1's
+// byte for byte.
+func TestTraceJSONReportsEffectiveSeed(t *testing.T) {
+	for _, engine := range []string{"core", "edn", "dilated", "loop"} {
+		t.Run(engine, func(t *testing.T) {
+			zero := runTrace(t, "-engine", engine, "-format", "json", "-seed", "0")
+			one := runTrace(t, "-engine", engine, "-format", "json", "-seed", "1")
+			if zero != one {
+				t.Fatalf("-seed 0 and -seed 1 print different documents:\n--- seed 0\n%s\n--- seed 1\n%s", zero, one)
+			}
+			if !strings.Contains(one, `"seed": 1,`) {
+				t.Fatalf("document does not report seed 1:\n%s", one)
+			}
+		})
+	}
+}
+
 func TestRunExportProm(t *testing.T) {
 	out := runTrace(t, "-load", "0.9", "-export", "prom")
 	for _, want := range []string{

@@ -29,12 +29,13 @@
 // draws from (NewChurn is its lifecycle.Process), and Compile only adds
 // the check that a set names nothing but sub-wires.
 // Everything else — depths, policies, arbitration, stranding and
-// parking, fault swaps, probes and anatomy — is queuesim's, with one
-// fabric-specific rule: a delta's switch path is unique (only the
+// parking, fault swaps, probes and anatomy — is queuesim's, the
+// parking rule included: a delta's switch path is unique (only the
 // sub-wire within each link group is free), so under faults a packet
 // whose path crosses a bucket with no live sub-wire is parked for as
-// long as the mask stands — dilation is redundancy without path
-// diversity, which is precisely the paper's point against it.
+// long as the mask stands. An EDN's switch path is pinned the same way
+// (a bucket's c wires land on one downstream switch), so the engine
+// parks by that one rule on both fabrics.
 package dilatedsim
 
 import (

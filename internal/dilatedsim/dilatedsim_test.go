@@ -131,13 +131,9 @@ func TestDilationOneMatchesQueuesim(t *testing.T) {
 // TestDilationOneFaultedMatchesQueuesim extends the d=1 pin to degraded
 // mode: a dead sub-wire (Boundary, Group, 0) of the 1-dilated delta is
 // the dead interstage wire (Boundary, Wire=Group) of EDN(b,b,1,l), so
-// the two engines must agree under matching fault sets, including an
-// in-place mask swap mid-run and the repair. The unbuffered corner is
-// compared with ParkedOnDead masked out: queuesim's depth-0 engine
-// deliberately declines to classify pinned paths beyond stage 1 for the
-// c=1 corner (see its cycleUnbuffered), while the dilated engine walks
-// the whole pinned path — strictly more complete, so it may only ever
-// report more parked packets, never fewer.
+// the two engines must agree on every CycleStats field, ParkedOnDead
+// included, under matching fault sets, including an in-place mask swap
+// mid-run and the repair.
 func TestDilationOneFaultedMatchesQueuesim(t *testing.T) {
 	b, l := 2, 3
 	dcfg := dilatedCfg(t, b, 1, l)
@@ -208,12 +204,6 @@ func TestDilationOneFaultedMatchesQueuesim(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if depth == 0 && policy == Backpressure {
-						if dcs.ParkedOnDead < qcs.ParkedOnDead {
-							t.Fatalf("cycle %d: dilated parked %d < queuesim %d", c, dcs.ParkedOnDead, qcs.ParkedOnDead)
-						}
-						dcs.ParkedOnDead, qcs.ParkedOnDead = 0, 0
-					}
 					if dcs != qcs {
 						t.Fatalf("cycle %d: stats %+v vs queuesim %+v", c, dcs, qcs)
 					}
@@ -224,6 +214,52 @@ func TestDilationOneFaultedMatchesQueuesim(t *testing.T) {
 				histogramsEqual(t, dn.Latency(), qn.Latency())
 			})
 		}
+	}
+}
+
+// TestVerdictMatchesDropLedger: the depth-0 verdict is readable on the
+// dilated fabric as on the EDN. Under Drop and sub-wire faults, every
+// cycle the offered inputs whose Verdict is 0 are the cycle's
+// deliveries, and those whose Verdict is s are its stage-s drops.
+func TestVerdictMatchesDropLedger(t *testing.T) {
+	for _, g := range []struct{ b, d, l int }{{2, 1, 3}, {2, 2, 3}, {4, 4, 2}} {
+		cfg := dilatedCfg(t, g.b, g.d, g.l)
+		t.Run(cfg.String(), func(t *testing.T) {
+			masks := mustCompile(t, cfg, SubWires(cfg).Plan(xrand.New(31)).At(0.3))
+			net, err := New(cfg, Options{Depth: 0, Policy: Drop, Faults: masks})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stages := net.Stages()
+			gen := traffic.Uniform{Rate: 0.8, Rng: xrand.New(9)}
+			dest := make([]int, cfg.Ports())
+			prev := net.DroppedPerStage()
+			for c := 0; c < 100; c++ {
+				gen.GenerateInto(dest, cfg.Ports())
+				cs, err := net.Cycle(dest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				verdicts := make([]int64, stages+1)
+				for i, d := range dest {
+					if d != NoRequest {
+						verdicts[net.Verdict(i)]++
+					}
+				}
+				drops := net.DroppedPerStage()
+				want := []int64{int64(cs.Delivered)}
+				for s := range drops {
+					want = append(want, drops[s]-prev[s])
+				}
+				prev = drops
+				if fmt.Sprint(verdicts) != fmt.Sprint(want) {
+					t.Fatalf("cycle %d: offered inputs by verdict %v, want deliveries then per-stage drops %v", c, verdicts, want)
+				}
+			}
+			if net.Totals().Dropped == 0 {
+				t.Fatal("the faults dropped nothing: the check saw only deliveries")
+			}
+		})
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // Fabric validates dcfg and builds the dilated delta's fabric:
 // its descriptor over the delta skeleton's interstage tables expanded
 // to sub-wire labels (the O(ports*d) arrays a network build spends its
-// time on), labelled by dcfg and settled by sweep. One Fabric can back
-// any number of concurrently running networks; networks that share it
-// are bit-for-bit identical to networks that built their own.
+// time on), labelled by dcfg. One Fabric can back any number of
+// concurrently running networks; networks that share it are bit-for-bit
+// identical to networks that built their own.
 func Fabric(dcfg dilated.Config) (*queuesim.Fabric, error) {
 	if err := dcfg.Validate(); err != nil {
 		return nil, err
@@ -27,7 +27,7 @@ func Fabric(dcfg dilated.Config) (*queuesim.Fabric, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dilatedsim: %v has no delta skeleton: %w", dcfg, err)
 	}
-	return &queuesim.Fabric{Name: "dilatedsim", Label: dcfg, Stages: stages(dcfg, delta), Settle: queuesim.SettleBySweep}, nil
+	return &queuesim.Fabric{Name: "dilatedsim", Label: dcfg, Stages: stages(dcfg, delta)}, nil
 }
 
 // stages returns the dilated delta's descriptor: l switch stages whose

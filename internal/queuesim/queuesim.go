@@ -45,10 +45,16 @@
 //     bucket grants at most its wire count; Backpressure then means a
 //     blocked packet is resubmitted from its input next cycle — exactly
 //     the Section 4/5.1 closed-loop regime — and Drop is the memoryless
-//     Section 3.2 model behind Equation 4, losers vanishing. Verdict
-//     reads this corner per request: the cycle-level Network of the
-//     root package, the Monte-Carlo PA harnesses and the Section 4/5
-//     resubmission models all run on it.
+//     Section 3.2 model behind Equation 4, losers vanishing. Outcomes
+//     settle after the sweep, in input order, on every fabric. A
+//     blocked Backpressure packet is parked when its input wire, its
+//     destination terminal or a bucket on its switch path has no live
+//     wire: all wires of a bucket land on one downstream switch (for
+//     the EDN, Equation 1's interstage permutation fixes the wire
+//     bits), so the (input, destination) pair pins the switch path on
+//     either fabric. Verdict reads this corner per request: the
+//     cycle-level Network of the root package, the Monte-Carlo PA
+//     harnesses and the Section 4/5 resubmission models all run on it.
 //
 // The depth-1 Drop configuration is the bridge between the two worlds:
 // batches march through the pipeline in lockstep, one stage per cycle,
@@ -185,7 +191,9 @@ type CycleStats struct {
 	// (Backpressure only; under Drop they are discarded and counted in
 	// Dropped or Stranded): head-of-line packets aimed at a dead output
 	// terminal or a bucket with no live wire left, plus packets queued
-	// on wires that died under them. It is an observation, not a flow —
+	// on wires that died under them. At depth 0 that is every blocked
+	// packet whose input wire, destination terminal or switch-path
+	// bucket is dead. It is an observation, not a flow —
 	// the same parked packet is counted again every cycle it stays
 	// parked — so conservation checks can assert on the parked
 	// population directly instead of inferring it from a residue.
@@ -194,53 +202,29 @@ type CycleStats struct {
 	ParkedOnDead int
 }
 
-// Settlement is how the unbuffered (Depth 0) corner settles the
-// packets its wave sweep blocks or delivers. Fabric constructors pick
-// it; it is part of a fabric's definition, not a user option.
-type Settlement int
-
-const (
-	// SettleByInput settles outcomes after the sweep in input order and
-	// keeps each input's verdict readable (see Verdict). A blocked
-	// packet is parked when a component fixed by its (input,
-	// destination) pair is dead — its input wire, its stage-1 bucket
-	// (the switch is pinned by the input), or its destination terminal
-	// — and is charged to that component's stage. Beyond stage 1 an expanded network's c-way wire freedom
-	// redraws paths every cycle, so mid-network dead buckets count as
-	// contention (the c=1 corner's longer pinned paths are not
-	// classified). The EDN's rule.
-	SettleByInput Settlement = iota
-	// SettleBySweep settles each outcome the moment the sweep resolves
-	// it. A blocked packet is parked when any bucket on its switch path
-	// has no live wire, and is charged to the stage that blocked it; the
-	// walk is exact for fabrics whose bucket wires all land on one
-	// downstream switch, which pins the switch path. The dilated delta's
-	// rule.
-	SettleBySweep
-)
-
-// Fabric is a fabric as the engine runs it: the per-stage descriptor
-// (topology.Stage) plus its settlement rule. Name prefixes the engine's
-// error messages and Label, a comparable value, names the geometry in
-// them; compiled fault masks carry the label of the descriptor they
-// were compiled over, and UpdateFaults accepts only masks of the
-// network's own. A Fabric is immutable once built, so one value can
-// back any number of concurrently running networks.
+// Fabric is a fabric as the engine runs it: a per-stage descriptor
+// (topology.Stage) whose buckets each send all their wires to one
+// downstream switch, the property the depth-0 parking test walks on.
+// Name prefixes the engine's error messages and Label, a comparable
+// value, names the geometry in them; compiled fault masks carry the
+// label of the descriptor they were compiled over, and UpdateFaults
+// accepts only masks of the network's own. A Fabric is immutable once
+// built, so one value can back any number of concurrently running
+// networks.
 type Fabric struct {
 	Name   string
 	Label  fmt.Stringer
 	Stages []topology.Stage
-	Settle Settlement
 }
 
 // EDNFabric validates cfg and builds the EDN's fabric: its descriptor
-// (topology.Config.Fabric), labelled by cfg and settled by input.
+// (topology.Config.Fabric), labelled by cfg.
 func EDNFabric(cfg topology.Config) (*Fabric, error) {
 	st, err := cfg.Fabric()
 	if err != nil {
 		return nil, err
 	}
-	return &Fabric{Name: "queuesim", Label: cfg, Stages: st, Settle: SettleByInput}, nil
+	return &Fabric{Name: "queuesim", Label: cfg, Stages: st}, nil
 }
 
 // Bytes returns the footprint of the fabric's interstage tables, the
@@ -258,7 +242,6 @@ type Network struct {
 	name    string
 	label   fmt.Stringer
 	st      []topology.Stage
-	settle  Settlement
 	opts    Options
 	stages  int
 	inputs  int
@@ -281,12 +264,14 @@ type Network struct {
 	// liveCap[s-1][sw*Buckets+bucket] counts the bucket's live wires
 	// under the current mask, so the advance loop can tell "parked on a
 	// dead bucket" from "blocked by contention" without rescanning the
-	// row.
+	// row; deadDepth is the deepest stage holding a bucket whose count
+	// is 0 (0 when none is), how far the depth-0 parking walk goes.
 	liveIn         []bool
 	live           [][]bool // [stage-1] stage-local output label availability
 	liveRows       [][]bool
 	dead           []uint64
 	liveCap        [][]int32
+	deadDepth      int
 	strandedQueued int64 // packets parked in dead rings (Backpressure)
 
 	factory      switchfab.ArbiterFactory
@@ -301,8 +286,8 @@ type Network struct {
 	// wave buffers carry each boundary's per-wire occupancy (origin
 	// input, -1 empty) through the within-cycle stage sweep, and
 	// waveOrder holds one switch's slice of it in arbitration order;
-	// outcome holds each input's result under SettleByInput (0
-	// delivered, s blocked at stage s).
+	// outcome holds each input's result (0 delivered, s blocked at stage
+	// s), which settles after the sweep.
 	pending   []int   // destination held by input i, or NoRequest
 	pendAt    []int64 // injection cycle of the pending packet
 	waveA     []int32
@@ -362,7 +347,6 @@ func NewFabric(f *Fabric, opts Options) (*Network, error) {
 		name:         f.Name,
 		label:        f.Label,
 		st:           f.Stages,
-		settle:       f.Settle,
 		opts:         opts,
 		stages:       stages,
 		inputs:       f.Stages[0].Switches * f.Stages[0].Width,
@@ -488,13 +472,13 @@ func (n *Network) CompileFaults(set faults.Set) (*faults.Masks, error) {
 }
 
 // refreshLive recomputes the engine's view of the current masks:
-// per-bucket live-wire counts and (pipelined) which rings sit on dead
-// wires — the per-stage rows fold a wire's own death, its switch port
-// and its downstream switch into one bit, and the ring is the buffer
-// attached to that wire. Packets found queued in a dead ring are
-// stranded per policy; the strand pass walks only the bitmap words
-// that are both dead and occupied. O(wires) per mask swap, no
-// allocations.
+// per-bucket live-wire counts, the deepest stage with a fully dead
+// bucket, and (pipelined) which rings sit on dead wires — the per-stage
+// rows fold a wire's own death, its switch port and its downstream
+// switch into one bit, and the ring is the buffer attached to that
+// wire. Packets found queued in a dead ring are stranded per policy;
+// the strand pass walks only the bitmap words that are both dead and
+// occupied. O(wires) per mask swap, no allocations.
 func (n *Network) refreshLive() {
 	dead := n.dead // nil at depth 0
 	clear(dead)
@@ -505,6 +489,7 @@ func (n *Network) refreshLive() {
 			}
 		}
 	}
+	n.deadDepth = 0
 	for s, caps := range n.liveCap {
 		row, wires := n.liveRows[s], n.st[s].Wires
 		for b := range caps {
@@ -518,7 +503,11 @@ func (n *Network) refreshLive() {
 			if ok {
 				continue
 			}
-			caps[o/wires]--
+			b := o / wires
+			caps[b]--
+			if caps[b] == 0 {
+				n.deadDepth = s + 1
+			}
 			if dead != nil {
 				down := o
 				if tab != nil {
@@ -1095,11 +1084,13 @@ func (n *Network) stall(s, ring int, pkt uint64, parked bool, blocker int, cs *C
 // through all stages within the cycle — per-switch arbitration at each
 // stage over the wave of surviving packets, at most one packet per
 // wire, then at most one retirement per terminal — the paper's
-// circuit-switched network cycle. Backpressure resubmits blocked
-// packets from the input next cycle — the Section 4 / Section 5.1
-// closed-loop regime; Drop discards them, the memoryless Section 3.2
-// model. Destinations were validated by Cycle before any state changed;
-// an arbiter error aborts the sweep with its packets still pending.
+// circuit-switched network cycle. The sweep records each packet's
+// outcome; the outcomes settle after it, in input order (see settle0).
+// Backpressure resubmits blocked packets from the input next cycle —
+// the Section 4 / Section 5.1 closed-loop regime; Drop discards them,
+// the memoryless Section 3.2 model. Destinations were validated by
+// Cycle before any state changed; an arbiter error aborts the sweep
+// with its packets still pending.
 func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) error {
 	for i := range n.pending {
 		if n.pending[i] != NoRequest {
@@ -1144,7 +1135,7 @@ func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) error {
 		if n.liveIn != nil && !n.liveIn[i] {
 			// A retained packet whose input wire died under it is
 			// blocked at stage 1 before any arbitration.
-			n.resolve(i, 1, cs)
+			n.outcome[i] = 1
 			continue
 		}
 		cur[i] = int32(i)
@@ -1221,19 +1212,17 @@ func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) error {
 				}
 				switch {
 				case !granted:
-					n.resolve(int(org), s, cs)
+					n.outcome[org] = int32(s)
 				case retire:
-					n.resolve(int(org), 0, cs)
+					n.outcome[org] = 0
 				}
 			}
 		}
 		cur, next = nxt, cur[:cap(cur)]
 	}
-	if n.settle == SettleByInput {
-		for i, d := range n.pending {
-			if d != NoRequest {
-				n.settle0(i, int(n.outcome[i]), cs)
-			}
+	for i, d := range n.pending {
+		if d != NoRequest {
+			n.settle0(i, int(n.outcome[i]), cs)
 		}
 	}
 	if n.anat != nil {
@@ -1242,29 +1231,19 @@ func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) error {
 	return nil
 }
 
-// Verdict reports the last depth-0 cycle's verdict on input i's packet
-// under SettleByInput: 0 delivered, s blocked at stage s. It covers
-// every input that offered to a Drop network: a packet that entered the
-// sweep reads its outcome, and one refused at a dead input reads 1, the
-// stage-1 block.
+// Verdict reports the last depth-0 cycle's verdict on input i's
+// packet, on either fabric: 0 delivered, s blocked at stage s. It
+// covers every input that offered to a Drop network: a packet that
+// entered the sweep reads its outcome, and one refused at a dead input
+// reads 1, the stage-1 block.
 func (n *Network) Verdict(i int) int { return int(n.outcome[i]) }
-
-// resolve records the sweep's verdict on input i's packet: delivered
-// (s == 0) or blocked at stage s, settled now or after the sweep per
-// the fabric's Settlement.
-func (n *Network) resolve(i, s int, cs *CycleStats) {
-	if n.settle == SettleBySweep {
-		n.settle0(i, s, cs)
-		return
-	}
-	n.outcome[i] = int32(s)
-}
 
 // settle0 applies input i's depth-0 outcome: a delivery (s == 0) has
 // latency 1 on its first attempt — one whole-network transit inside
 // the injection cycle; a packet blocked at stage s is discarded under
-// Drop and otherwise retained to resubmit, classified as parked when a
-// dead component pins it (see Settlement).
+// Drop and otherwise retained to resubmit, parked and charged to the
+// dead component's stage when one pins it (see deadEnd), blocked at s
+// otherwise.
 func (n *Network) settle0(i, s int, cs *CycleStats) {
 	switch {
 	case s == 0:
@@ -1297,14 +1276,8 @@ func (n *Network) settle0(i, s int, cs *CycleStats) {
 		n.pending[i] = NoRequest
 	default:
 		at, parked := s, false
-		if n.settle == SettleByInput {
-			if dead := n.deadEnd(i); dead != 0 {
-				at, parked = dead, true
-			}
-		} else {
-			parked = n.live != nil && n.pinnedDead(i)
-		}
-		if parked {
+		if dead := n.deadEnd(i); dead != 0 {
+			at, parked = dead, true
 			cs.ParkedOnDead++
 		}
 		if n.probe != nil {
@@ -1321,44 +1294,33 @@ func (n *Network) settle0(i, s int, cs *CycleStats) {
 	}
 }
 
-// deadEnd is SettleByInput's parking test: the stage of the dead
-// component fixed by input i's (input, destination) pair — its input
-// wire, its destination terminal, or its stage-1 bucket — or 0 if all
-// three live.
+// deadEnd is the depth-0 parking test: the stage of the dead component
+// that pins input i's pending packet, or 0 when none does. It checks
+// the input wire (stage 1), then the destination terminal (the retire
+// stage), then the buckets of the packet's switch path from stage 1
+// outward. Every wire of a bucket lands on one downstream switch, so
+// the (input, destination) pair fixes that path; the walk follows each
+// bucket's first wire and stops at deadDepth, past which every bucket
+// has a live wire.
 func (n *Network) deadEnd(i int) int {
-	d := n.pending[i]
+	d := uint32(n.pending[i])
 	switch {
 	case n.liveIn != nil && !n.liveIn[i]:
 		return 1
-	case n.live == nil:
-		return 0
-	case n.live[n.stages-1] != nil && !n.live[n.stages-1][d]:
+	case n.live != nil && n.live[n.stages-1] != nil && !n.live[n.stages-1][d]:
 		return n.stages
 	}
-	st := &n.st[0]
-	if n.live[0] != nil && n.liveCap[0][(i/st.Width)*st.Buckets+int((uint32(d)>>st.Shift)&st.Mask)] == 0 {
-		return 1
-	}
-	return 0
-}
-
-// pinnedDead is SettleBySweep's parking test: it walks input i's
-// switch path to its pending destination — following each bucket's
-// first wire, which lands on the same downstream switch as its others
-// — and reports whether any bucket on the way has zero live wires.
-func (n *Network) pinnedDead(i int) bool {
-	d := uint32(n.pending[i])
 	w := i
-	for s := 0; s < n.stages-1; s++ {
+	for s := range n.deadDepth {
 		st := &n.st[s]
-		b := (w/st.Width)*st.Buckets + int((d>>st.Shift)&st.Mask)
+		b := (w>>n.wshift[s])*st.Buckets + int((d>>st.Shift)&st.Mask)
 		if n.liveCap[s][b] == 0 {
-			return true
+			return s + 1
 		}
 		w = b * st.Wires
 		if st.Table != nil {
 			w = int(st.Table[w])
 		}
 	}
-	return false
+	return 0
 }

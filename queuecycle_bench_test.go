@@ -27,10 +27,11 @@ func BenchmarkQueueCycle(b *testing.B) {
 		policy  QueuePolicy
 		faulted bool
 	}{
-		{"depth1-drop", 1, QueueDrop, false},                 // the core-equivalent corner
-		{"depth4-backpressure", 4, QueueBackpressure, false}, // the store-and-forward default
-		{"depth4-drop-faulted", 4, QueueDrop, true},          // degraded mode: 5% dead wires
-		{"depth0-backpressure", 0, QueueBackpressure, false}, // the unbuffered wave sweep
+		{"depth1-drop", 1, QueueDrop, false},                        // the core-equivalent corner
+		{"depth4-backpressure", 4, QueueBackpressure, false},        // the store-and-forward default
+		{"depth4-drop-faulted", 4, QueueDrop, true},                 // degraded mode: 5% dead wires
+		{"depth0-backpressure", 0, QueueBackpressure, false},        // the unbuffered wave sweep
+		{"depth0-backpressure-faulted", 0, QueueBackpressure, true}, // its parking test: 5% dead wires
 	}
 	for _, g := range geometries {
 		cfg, err := New(g.a, g.bb, g.c, g.l)
