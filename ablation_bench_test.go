@@ -3,7 +3,7 @@ package edn
 import (
 	"testing"
 
-	"edn/internal/switchfab"
+	"edn/internal/cliutil"
 )
 
 // ablation_bench_test.go holds the design-choice ablations DESIGN.md
@@ -24,18 +24,15 @@ func BenchmarkAblationArbitration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cases := []struct {
-		name    string
-		factory ArbiterFactory
-	}{
-		{"priority", nil},
-		{"roundrobin", func() switchfab.Arbiter { return &switchfab.RoundRobinArbiter{} }},
-	}
-	for _, cse := range cases {
-		b.Run(cse.name, func(b *testing.B) {
+	for _, name := range []string{"priority", "roundrobin", "random"} {
+		b.Run(name, func(b *testing.B) {
+			factory, err := cliutil.ArbiterFactory(name, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var pa float64
 			for i := 0; i < b.N; i++ {
-				res, err := MeasureUniformPA(cfg, 1, SimOptions{Cycles: 200, Seed: uint64(i) + 1, Factory: cse.factory})
+				res, err := MeasureUniformPA(cfg, 1, SimOptions{Cycles: 200, Seed: uint64(i) + 1, Factory: factory})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -125,7 +125,7 @@
 // With -dilated the sweep also runs the EDN's equal-redundancy dilated
 // delta counterpart (same port count, dilation equal to the bucket
 // capacity) through the dilated packet simulator at every load point —
-// a measured curve, not the analytic overlay of faults — under the
+// a measured curve, as every -dilated comparison is — under the
 // identical per-input injection replay (same seeds, same shard split),
 // so the throughput and tail columns are a paired comparison. Both
 // networks' wire costs land in the table header.
@@ -151,17 +151,17 @@
 //	edn faults -a 4 -b 4 -c 2 -l 3 -expected -shards 4 -format json
 //	edn faults -a 16 -b 4 -c 4 -l 2 -dilated
 //
-// With -dilated the sweep also evaluates the EDN's dilated-delta
+// With -dilated the sweep also measures the EDN's dilated-delta
 // counterpart (same port count, dilation equal to the bucket capacity)
-// at each fraction: each of the counterpart's sub-wires dies with the
-// fraction's probability, drawn once under -seed so the samples nest
-// as the fraction rises, and the per-wire model -expected evaluates
-// (the same function, on the counterpart's sampled masks) gives its
-// degraded throughput per input in the table's `dilated` column and
+// through the dilated packet simulator at each fraction, under the
+// identical per-input injection replay (same seeds, same shard split):
+// the counterpart fails only by its sub-wires, each dying with the
+// fraction's probability whatever -mode says, and its measured
+// throughput per input lands in the table's `dilated` column and
 // CSV's dilated_throughput_per_input — the degraded half of the
 // paper's Section 1 wire-cost comparison, with the wire counts of both
-// networks in the header. The model is analytic, not a second job, so
-// it is not in the JSON output.
+// networks in the header. With -expected the CSV adds the
+// counterpart's model, dilated_expected_throughput.
 //
 // Each shard grows one nested fault plan (rising fractions add faults,
 // never retract them; one fault sample per shard) under an identical
@@ -173,7 +173,8 @@
 // EDN and the dilated delta) is evaluated on every sampled fault set
 // and reported alongside the measurement.
 //
-// The sweep is one JobSpec availability job.
+// Every run is one (or, with -dilated, two) JobSpec availability jobs,
+// the EDN's first.
 //
 // # lifetime
 //

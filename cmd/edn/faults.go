@@ -15,7 +15,7 @@ func cmdFaults(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 	mode := fs.String("mode", "wires", "failing population: wires, switches, mixed")
 	load := fs.Float64("load", 1, "offered load per input during measurement")
 	expected := fs.Bool("expected", false, "also evaluate the analytic degradation recursion per fault sample")
-	dilatedCmp := cliutil.DilatedFlag(fs, "analytic per-wire model on a sub-wire sample drawn under -seed at each fraction")
+	dilatedCmp := cliutil.DilatedFlag(fs, "measured sub-wire faults at each fraction from the same traffic replay")
 	format := fs.String("format", "table", "output: table, csv, json")
 	return func() error {
 		if *jf.spec != "" {
@@ -38,32 +38,20 @@ func cmdFaults(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 		}
 		spec := jf.job(edn.JobAvailability)
 		spec.Avail = &edn.AvailabilitySpec{Fractions: fractions, Mode: *mode, Load: *load, WithExpected: *expected}
-		results, err := jf.run(w, spec)
-		if results == nil {
-			return err
-		}
-		points := results[0].Availability
-
-		// The dilated comparison kills the counterpart's sub-wires at the
-		// same fraction the sweep applies to the EDN — the two networks
-		// lose the same share of their path redundancy — and reports the
-		// analytic degraded throughput per input beside the measurement:
-		// the model column's per-wire recursion, on one Bernoulli sample
-		// per fraction under the job's seed. Each sub-wire takes one
-		// draw, so the samples nest as the fraction rises.
+		// The dilated twin fails its sub-wires at the EDN's fractions, so
+		// the two networks lose the same share of their path redundancy.
 		dcfg, err := counterpart(*dilatedCmp, cfg)
 		if err != nil {
 			return err
 		}
-		dilatedThr := make([]float64, len(points))
-		for i, r := range points {
-			if dcfg != nil {
-				m, err := edn.CompileDilatedMasks(*dcfg, edn.BernoulliDilatedSubWires(*dcfg, r.FaultFraction, edn.NewRand(*jf.seed)))
-				if err != nil {
-					return err
-				}
-				dilatedThr[i] = edn.ExpectedDegradedBandwidth(m, *load) / float64(dcfg.Ports())
-			}
+		results, err := jf.run(w, withDilated(spec, dcfg)...)
+		if results == nil {
+			return err
+		}
+		points := results[0].Availability
+		var dpoints []edn.AvailabilityResult
+		if dcfg != nil {
+			dpoints = results[1].Availability
 		}
 
 		cols := []cliutil.Column{
@@ -87,13 +75,24 @@ func cmdFaults(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 			{Name: "delivered", CSVOnly: true},
 			{Name: "dropped", CSVOnly: true},
 		}
+		withDilatedModel := dpoints != nil && *expected
+		if withDilatedModel {
+			cols = append(cols, cliutil.Column{Name: "dilated_expected_throughput", CSVOnly: true})
+		}
 		rows := make([][]any, len(points))
 		for i, r := range points {
+			var dilatedThr float64
+			if dpoints != nil {
+				dilatedThr = dpoints[i].ThroughputPerInput
+			}
 			rows[i] = []any{
 				r.FaultFraction, r.Throughput, r.ThroughputPerInput, r.AcceptedFraction,
 				r.ReachableFraction, r.LiveInputFraction, r.DeadSwitches, r.DeadWires,
 				r.LatencyP50, r.LatencyP95, r.LatencyP99, r.LatencyMean, r.LatencyMax,
-				r.ExpectedThroughput, dilatedThr[i], r.Injected, r.Refused, r.Delivered, r.Dropped,
+				r.ExpectedThroughput, dilatedThr, r.Injected, r.Refused, r.Delivered, r.Dropped,
+			}
+			if withDilatedModel {
+				rows[i] = append(rows[i], dpoints[i].ExpectedThroughput)
 			}
 		}
 		return render(w, *format, cols, rows, results, func() error {

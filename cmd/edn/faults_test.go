@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"edn"
 )
 
 func TestFaultsRunTableSweep(t *testing.T) {
@@ -88,65 +91,84 @@ func TestFaultsRunJSON(t *testing.T) {
 }
 
 func TestFaultsRunDilatedComparison(t *testing.T) {
-	var sb strings.Builder
-	err := runCmd("faults", []string{"-a", "16", "-b", "4", "-c", "4", "-l", "2",
-		"-fractions", "0,0.2", "-cycles", "100", "-warmup", "20", "-shards", "1",
-		"-dilated"}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	args := []string{"-a", "16", "-b", "4", "-c", "4", "-l", "2",
+		"-fractions", "0,0.2", "-cycles", "100", "-warmup", "20", "-shards", "1", "-dilated"}
+	out := runOK(t, "faults", args...)
 	for _, want := range []string{"dilated counterpart 4-dilated delta(b=4,l=3)", "dilated", "wires vs EDN"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
 
-	// The counterpart's analytic model is not a job, so it is not in the
-	// JobResult: its degradation shows in the CSV column.
-	sb.Reset()
-	err = runCmd("faults", []string{"-a", "16", "-b", "4", "-c", "4", "-l", "2",
-		"-fractions", "0,0.2", "-cycles", "100", "-warmup", "20", "-shards", "1",
-		"-dilated", "-format", "csv"}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	// The counterpart's measured degradation shows in the CSV column,
+	// and with -expected its model beside it.
+	lines := strings.Split(strings.TrimSpace(runOK(t, "faults", append(args, "-expected", "-format", "csv")...)), "\n")
 	if len(lines) != 3 {
-		t.Fatalf("want header + 2 fraction rows, got:\n%s", sb.String())
+		t.Fatalf("want header + 2 fraction rows, got:\n%s", strings.Join(lines, "\n"))
 	}
-	col := -1
+	col := map[string]int{}
 	for i, name := range strings.Split(lines[0], ",") {
-		if name == "dilated_throughput_per_input" {
-			col = i
-		}
+		col[name] = i
 	}
-	if col < 0 {
-		t.Fatalf("dilated column missing: %q", lines[0])
-	}
-	var dil [2]float64
+	var dil, model [2]float64
 	for i, line := range lines[1:] {
-		if dil[i], err = strconv.ParseFloat(strings.Split(line, ",")[col], 64); err != nil {
+		var err error
+		fields := strings.Split(line, ",")
+		if dil[i], err = strconv.ParseFloat(fields[col["dilated_throughput_per_input"]], 64); err != nil {
 			t.Fatal(err)
 		}
+		if model[i], err = strconv.ParseFloat(fields[col["dilated_expected_throughput"]], 64); err != nil {
+			t.Fatalf("dilated model column missing from %q: %v", lines[0], err)
+		}
 	}
-	if dil[0] <= 0 {
-		t.Errorf("fault-free dilated throughput missing: %v", dil)
+	if dil[0] <= 0 || model[0] <= 0 {
+		t.Errorf("fault-free dilated throughput or model missing: %v %v", dil, model)
 	}
-	if dil[1] >= dil[0] {
-		t.Errorf("dilated model did not degrade: %v", dil)
+	if dil[1] >= dil[0] || model[1] >= model[0] {
+		t.Errorf("dilated throughput or model did not degrade: %v %v", dil, model)
 	}
 
 	// No dilated column without the flag (already covered for table by
 	// TestFaultsRunTableSweep's line count; check json omits the field).
-	sb.Reset()
-	if err := runCmd("faults", []string{"-a", "4", "-b", "4", "-c", "2", "-l", "2",
+	if out := runOK(t, "faults", "-a", "4", "-b", "4", "-c", "2", "-l", "2",
 		"-fractions", "0", "-cycles", "60", "-warmup", "10", "-shards", "1",
-		"-format", "json"}, &sb); err != nil {
-		t.Fatal(err)
+		"-format", "json"); strings.Contains(out, "dilated") {
+		t.Errorf("json shows dilated fields without -dilated:\n%s", out)
 	}
-	if strings.Contains(sb.String(), "dilated") {
-		t.Errorf("json shows dilated fields without -dilated:\n%s", sb.String())
+}
+
+// TestFaultsRunDilatedJSON: the comparison is two jobs, like every
+// other -dilated sweep: -format json prints the EDN's JobResult, then
+// the counterpart's, and the table's dilated column is that second
+// document's measured throughput per input.
+func TestFaultsRunDilatedJSON(t *testing.T) {
+	args := []string{"-a", "4", "-b", "2", "-c", "2", "-l", "2", "-fractions", "0,0.2",
+		"-cycles", "200", "-warmup", "20", "-shards", "2", "-mode", "switches", "-dilated"}
+	results := jobResults(t, runOK(t, "faults", append(args, "-format", "json")...))
+	if len(results) != 2 || results[1].Spec.Engine != edn.EngineDilated {
+		t.Fatalf("want the EDN and dilated results, got %d documents", len(results))
+	}
+	edns, dils := results[0].Availability, results[1].Availability
+	if len(dils) != len(edns) {
+		t.Fatalf("%d dilated points for %d EDN points", len(dils), len(edns))
+	}
+	if results[1].Spec.Avail.Mode != "wires" {
+		t.Errorf("the counterpart fails %q, want its sub-wires", results[1].Spec.Avail.Mode)
+	}
+	for i, p := range dils {
+		if p.Dilated.String() != "2-dilated delta(b=2,l=3)" || p.FaultFraction != edns[i].FaultFraction {
+			t.Errorf("point %d: label %v at fraction %g, want the counterpart at %g", i, p.Dilated, p.FaultFraction, edns[i].FaultFraction)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(runOK(t, "faults", args...)), "\n")[3:]
+	if len(lines) != len(dils) {
+		t.Fatalf("%d table rows for %d points", len(lines), len(dils))
+	}
+	for i, line := range lines {
+		fields := strings.Fields(line)
+		if got, want := fields[len(fields)-1], fmt.Sprintf("%.3f", dils[i].ThroughputPerInput); got != want {
+			t.Errorf("row %d: dilated column %s, want the dilated job's %s", i, got, want)
+		}
 	}
 }
 

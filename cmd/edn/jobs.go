@@ -137,15 +137,21 @@ func counterpart(on bool, cfg edn.Config) (*edn.DilatedDelta, error) {
 // withDilated appends spec's twin on the dilated engine when dcfg is
 // set: the same job under the same seeds and shard split, so both
 // networks see the identical per-input injection replay. The twin
-// churns only its sub-wires, so its own copy of a lifetime section
-// drops the population, blast overlay and repair batching that name
-// EDN structure (the dilated engine rejects them).
+// fails and churns only its sub-wires, so its own copy of an avail
+// section fails wires, and its copy of a lifetime section drops the
+// population, blast overlay and repair batching that name EDN
+// structure (the dilated engine rejects them).
 func withDilated(spec edn.JobSpec, dcfg *edn.DilatedDelta) []edn.JobSpec {
 	if dcfg == nil {
 		return []edn.JobSpec{spec}
 	}
 	dspec := spec
 	dspec.Engine = edn.EngineDilated
+	if spec.Avail != nil {
+		avail := *spec.Avail
+		avail.Mode = "wires"
+		dspec.Avail = &avail
+	}
 	if spec.Lifetime != nil {
 		life := *spec.Lifetime
 		if life.Mode != "wires" {

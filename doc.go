@@ -28,11 +28,11 @@
 //     reads each input's verdict, the PA harnesses read its per-cycle
 //     counters, and RouteMultipass resubmits retained requests on its
 //     Backpressure sweep. Interstage gamma permutations are precomputed
-//     as flat lookup tables, and RouteCycleInto plus the traffic
-//     IntoGenerator fast path (one traffic step, shared by every
-//     measurement loop, refills the request vector in place) let
-//     steady-state measurement loops run with zero allocations per
-//     cycle (see BenchmarkRouteCycleInto).
+//     as flat lookup tables, and RouteCycleInto plus each Pattern's
+//     GenerateInto (one traffic step, shared by every measurement loop,
+//     refills the request vector in place) let steady-state
+//     measurement loops run with zero allocations per cycle (see
+//     BenchmarkRouteCycleInto).
 //   - Queueing: QueueNetwork is the buffered packet-level simulator the
 //     paper's memoryless model cannot express — per-wire FIFOs of
 //     configurable depth at every stage input, head-of-line arbitration,

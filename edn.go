@@ -51,7 +51,8 @@ type Hyperbar = switchfab.Hyperbar
 // Crossbar is an n x m crosspoint switch (the c=1 hyperbar).
 type Crossbar = switchfab.Crossbar
 
-// Arbiter resolves bucket oversubscription inside a switch.
+// Arbiter resolves bucket oversubscription inside a switch: OrderInto
+// fills a caller-provided buffer with one cycle's arbitration order.
 type Arbiter = switchfab.Arbiter
 
 // PriorityArbiter is the paper's input-label priority rule (Figure 2).
@@ -60,7 +61,8 @@ type PriorityArbiter = switchfab.PriorityArbiter
 // RoundRobinArbiter rotates priority across cycles (fairness ablation).
 type RoundRobinArbiter = switchfab.RoundRobinArbiter
 
-// RandomArbiter draws a fresh random arbitration order each cycle.
+// RandomArbiter draws a fresh random arbitration order each cycle, in
+// place, from its Perm source (a Rand's PermInto).
 type RandomArbiter = switchfab.RandomArbiter
 
 // ---------------------------------------------------------------------------
@@ -509,14 +511,11 @@ func RoutePermutation(sys RAEDN, perm []int, opts RouteOptions) (RouteResult, er
 // ---------------------------------------------------------------------------
 // Traffic and randomness
 
-// Pattern produces one request vector per cycle.
+// Pattern produces one request vector per cycle: GenerateInto fills a
+// caller-provided vector in place, the traffic-side half of the
+// allocation-free steady-state loop around Network.RouteCycleInto.
+// RandomPermutation and PartialPermutation are Patterns by pointer.
 type Pattern = traffic.Pattern
-
-// IntoGenerator is a Pattern that can fill a caller-provided request
-// vector in place, the traffic-side half of the allocation-free
-// steady-state loop around Network.RouteCycleInto. All built-in patterns
-// implement it (RandomPermutation and PartialPermutation by pointer).
-type IntoGenerator = traffic.IntoGenerator
 
 // Uniform is iid uniform traffic at a given rate (Section 3.2).
 type Uniform = traffic.Uniform

@@ -167,18 +167,26 @@ func TestPatternFacades(t *testing.T) {
 	if _, err := BitReversalPattern(63); err == nil {
 		t.Fatal("expected power-of-two error")
 	}
-	u := Uniform{Rate: 0.5, Rng: NewRand(1)}
-	if len(u.Generate(16, 16)) != 16 {
-		t.Fatal("uniform pattern length")
+	patterns := map[string]Pattern{
+		"uniform":             Uniform{Rate: 0.5, Rng: NewRand(1)},
+		"hotspot":             HotSpot{Rate: 1, Fraction: 0.5, Hot: 3, Rng: NewRand(2)},
+		"partial permutation": &PartialPermutation{Rate: 0.5, Rng: NewRand(3)},
 	}
-	h := HotSpot{Rate: 1, Fraction: 0.5, Hot: 3, Rng: NewRand(2)}
-	if len(h.Generate(16, 16)) != 16 {
-		t.Fatal("hotspot pattern length")
+	for name, p := range patterns {
+		for i, d := range genVec(p, 16, 16) {
+			if d != NoRequest && (d < 0 || d >= 16) {
+				t.Fatalf("%s: input %d requests output %d of 16", name, i, d)
+			}
+		}
 	}
-	p := PartialPermutation{Rate: 0.5, Rng: NewRand(3)}
-	if len(p.Generate(16, 16)) != 16 {
-		t.Fatal("partial permutation length")
-	}
+}
+
+// genVec draws one request vector of p for a network of the given
+// geometry into a fresh slice.
+func genVec(p Pattern, inputs, outputs int) []int {
+	dest := make([]int, inputs)
+	p.GenerateInto(dest, outputs)
+	return dest
 }
 
 func TestSIMDFacade(t *testing.T) {

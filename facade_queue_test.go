@@ -85,13 +85,14 @@ func TestFacadeHistogram(t *testing.T) {
 }
 
 func TestFacadeTemporalTraffic(t *testing.T) {
-	src := &MarkovOnOff{Rate: 1, POn: 0.1, POff: 0.1, Rng: NewRand(4)}
-	dest := src.Generate(32, 64)
-	if len(dest) != 32 {
-		t.Fatalf("generated %d entries", len(dest))
+	for _, p := range []Pattern{
+		&MarkovOnOff{Rate: 1, POn: 0.1, POff: 0.1, Rng: NewRand(4)},
+		&MovingHotSpot{Rate: 1, Fraction: 1, Period: 2, Rng: NewRand(5)},
+	} {
+		for i, d := range genVec(p, 32, 64) {
+			if d != NoRequest && (d < 0 || d >= 64) {
+				t.Fatalf("%s: input %d requests output %d of 64", p.Name(), i, d)
+			}
+		}
 	}
-	hs := &MovingHotSpot{Rate: 1, Fraction: 1, Period: 2, Rng: NewRand(5)}
-	hs.GenerateInto(dest, 64)
-	var _ IntoGenerator = src
-	var _ IntoGenerator = hs
 }

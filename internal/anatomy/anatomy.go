@@ -24,7 +24,9 @@
 // Report settles the still-queued packets on a copy of the ledgers. A
 // per-ring count of Block calls separates congestion from fault parks.
 // This relies on the engines' contract that a queue's head gets at most
-// one outcome hook (Advance, Deliver, Block, Park or Drop) per cycle.
+// one outcome hook (Advance, Deliver, Block or Drop) per cycle; a head
+// held by a fault gets none, and every cycle a head stays put without a
+// Block call counts as a fault park.
 //
 // Because every live cycle lands in exactly one bin, the per-packet
 // sums obey a conservation law: wait + block + service equals the
@@ -422,12 +424,6 @@ func (c *Collector) Block(ring, blocker int, now int64) {
 		c.blockedList = append(c.blockedList, int32(ring))
 	}
 }
-
-// Park mirrors the head of ring being held by a fault (its target wire
-// or terminal is masked dead): a blocked cycle with no congestion edge.
-// It records nothing: every cycle a head stays put without a Block call
-// is a fault park, whether the engine parked it or never offered it.
-func (c *Collector) Park(ring int, now int64) {}
 
 // Drop mirrors the head of ring being discarded (Drop policy): the
 // dropping cycle is a blocked cycle, then the record closes as dropped.

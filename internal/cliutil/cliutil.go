@@ -92,7 +92,7 @@ func ArbiterFactory(name string, seed uint64) (switchfab.ArbiterFactory, error) 
 			mu.Lock()
 			s := rng.Split()
 			mu.Unlock()
-			return switchfab.RandomArbiter{Perm: s.Perm}
+			return switchfab.RandomArbiter{Perm: s.PermInto}
 		}, nil
 	default:
 		return nil, fmt.Errorf("unknown arbitration %q (want priority, roundrobin or random)", name)

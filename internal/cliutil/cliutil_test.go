@@ -5,11 +5,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"edn/internal/queuesim"
 	"edn/internal/topology"
+	"edn/internal/traffic"
+	"edn/internal/xrand"
 )
 
 func TestParseFloatList(t *testing.T) {
@@ -49,14 +52,71 @@ func TestArbiterFactory(t *testing.T) {
 			t.Errorf("%s: %v, %v", name, f, err)
 			continue
 		}
-		if order := f().Order(4); len(order) != 4 {
-			t.Errorf("%s arbiter order %v", name, order)
+		order := []int{-1, -1, -1, -1}
+		f().OrderInto(order)
+		seen := map[int]bool{}
+		for _, p := range order {
+			if p < 0 || p >= 4 || seen[p] {
+				t.Errorf("%s arbiter order %v is not a permutation", name, order)
+				break
+			}
+			seen[p] = true
+		}
+	}
+	// The random factory's first arbiter draws the first split of its
+	// seed source, permutation for permutation.
+	f, _ := ArbiterFactory("random", 1)
+	arb, src := f(), xrand.New(1+0x9e37).Split()
+	order := make([]int, 16)
+	for cycle := 0; cycle < 5; cycle++ {
+		arb.OrderInto(order)
+		if want := src.Perm(16); !slices.Equal(order, want) {
+			t.Fatalf("cycle %d: random order %v, want %v", cycle, order, want)
 		}
 	}
 	if _, err := ArbiterFactory("coinflip", 1); err != nil {
 		// expected
 	} else {
 		t.Error("bad arbitration accepted")
+	}
+}
+
+// TestArbiterFactoryCycleAllocationFree: every arbitration the CLI
+// offers fills its order in place, so a steady-state packet-engine
+// cycle allocates nothing under it, at depth 0 and at depth 4. The
+// BenchmarkQueueCycle arbiter cases gate the same property at 1K ports.
+func TestArbiterFactoryCycleAllocationFree(t *testing.T) {
+	cfg, err := topology.New(16, 4, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"priority", "roundrobin", "random"} {
+		t.Run(name, func(t *testing.T) {
+			for _, depth := range []int{0, 4} {
+				factory, err := ArbiterFactory(name, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q, err := queuesim.New(cfg, queuesim.Options{Depth: depth, Policy: queuesim.Backpressure, Factory: factory})
+				if err != nil {
+					t.Fatal(err)
+				}
+				gen := traffic.Uniform{Rate: 0.9, Rng: xrand.New(8)}
+				dest := make([]int, cfg.Inputs())
+				cycle := func() {
+					gen.GenerateInto(dest, cfg.Outputs())
+					if _, err := q.Cycle(dest); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for range 50 { // steady state, every switch's arbiter made
+					cycle()
+				}
+				if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+					t.Errorf("depth %d: steady-state Cycle allocates %.1f objects/op, want 0", depth, allocs)
+				}
+			}
+		})
 	}
 }
 

@@ -88,7 +88,7 @@ func fuzzFactory(kind int) switchfab.ArbiterFactory {
 		return func() switchfab.Arbiter { return &switchfab.RoundRobinArbiter{} }
 	case 2:
 		rng := xrand.New(5) // one stream per engine: twins draw identically
-		return func() switchfab.Arbiter { return switchfab.RandomArbiter{Perm: rng.Perm} }
+		return func() switchfab.Arbiter { return switchfab.RandomArbiter{Perm: rng.PermInto} }
 	}
 	return nil
 }

@@ -41,7 +41,7 @@ var bridgeFactories = []bridgeFactory{
 		return func() switchfab.Arbiter { return &switchfab.RoundRobinArbiter{} }
 	}},
 	{"random", func() switchfab.ArbiterFactory {
-		return func() switchfab.Arbiter { return switchfab.RandomArbiter{Perm: xrand.New(17).Perm} }
+		return func() switchfab.Arbiter { return switchfab.RandomArbiter{Perm: xrand.New(17).PermInto} }
 	}},
 }
 
@@ -132,7 +132,7 @@ func bridgeFaultCases(t testing.TB, cfg topology.Config, seed uint64) []faultCas
 // at a dead input is a stage-1 block) and DroppedPerStage. Batch k's
 // stage-s drops happen in pipeline call k+s and its deliveries in call
 // k+Stages().
-func pinDepth1(t *testing.T, cfg topology.Config, fac bridgeFactory, masks []*faults.Masks, batches int, gen traffic.IntoGenerator) {
+func pinDepth1(t *testing.T, cfg topology.Config, fac bridgeFactory, masks []*faults.Masks, batches int, gen traffic.Pattern) {
 	t.Helper()
 	sweep, err := queuesim.New(cfg, queuesim.Options{Policy: queuesim.Drop, Factory: fac.make()})
 	if err != nil {
@@ -227,7 +227,7 @@ func TestDepth1DropMatchesUnbufferedEngine(t *testing.T) {
 			for _, pat := range []string{"uniform", "permutation"} {
 				t.Run(fmt.Sprintf("%v/%s/%s", cfg, fac.name, pat), func(t *testing.T) {
 					rng := xrand.New(99)
-					var gen traffic.IntoGenerator = traffic.Uniform{Rate: 1, Rng: rng}
+					var gen traffic.Pattern = traffic.Uniform{Rate: 1, Rng: rng}
 					if pat == "permutation" {
 						gen = &traffic.RandomPermutation{Rng: rng}
 					}
@@ -258,19 +258,26 @@ func TestDepth1DropWithFaultsMatchesFaultyCore(t *testing.T) {
 	}
 }
 
-// shortArbiter returns an order shorter than its switch.
+// shortArbiter leaves the last entry of its order unwritten: the
+// in-place form of an order one entry short. Its other entries are
+// 1, 2, ..., so a zeroed buffer's last 0 would complete them into a
+// permutation.
 type shortArbiter struct{}
 
-func (shortArbiter) Order(int) []int { return []int{0} }
+func (shortArbiter) OrderInto(order []int) {
+	for i := range order[:len(order)-1] {
+		order[i] = i + 1
+	}
+}
 
-// repeatArbiter returns a full-length order that repeats input 0.
+// repeatArbiter fills its order with input 0 only.
 type repeatArbiter struct{}
 
-func (repeatArbiter) Order(n int) []int { return make([]int, n) }
+func (repeatArbiter) OrderInto(order []int) { clear(order) }
 
-// outOfRangeArbiter fills its in-place order with an index past the
-// switch width.
-type outOfRangeArbiter struct{ repeatArbiter }
+// outOfRangeArbiter fills its order with an index past the switch
+// width.
+type outOfRangeArbiter struct{}
 
 func (outOfRangeArbiter) OrderInto(order []int) {
 	for i := range order {

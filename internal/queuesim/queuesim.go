@@ -849,26 +849,23 @@ func (n *Network) retire(pkt uint64, cs *CycleStats) {
 // never calls it, and the other paths call it only for busy switches,
 // so a stateful arbiter advances once per cycle its switch is busy, at
 // every depth. An order that is not a permutation of [0, width) is an
-// error: arbitrating by it would skip or double-grant inputs.
+// error: arbitrating by it would skip or double-grant inputs. The
+// scratch is reset to -1 first, so an entry the arbiter leaves unwritten
+// fails the check instead of reusing the last switch's order.
 func (n *Network) switchOrder(s, sw, width int) ([]int, error) {
 	a := n.arbiters[s-1][sw]
 	if a == nil {
 		a = n.factory()
 		n.arbiters[s-1][sw] = a
 	}
-	var order []int
-	switch a := a.(type) {
-	case switchfab.PriorityArbiter:
+	if _, ok := a.(switchfab.PriorityArbiter); ok {
 		return nil, nil
-	case switchfab.InPlaceArbiter:
-		order = n.order[:width]
-		a.OrderInto(order)
-	default:
-		order = a.Order(width)
 	}
-	if len(order) != width {
-		return nil, fmt.Errorf("%s: %v stage %d switch %d: arbiter returned order of length %d, want %d", n.name, n.label, s, sw, len(order), width)
+	order := n.order[:width]
+	for i := range order {
+		order[i] = -1
 	}
+	a.OrderInto(order)
 	seen := n.seen[:width]
 	defer clear(seen)
 	for _, p := range order {
@@ -1064,9 +1061,6 @@ func (n *Network) stall(s, ring int, pkt uint64, parked bool, blocker int, cs *C
 		if n.probe != nil {
 			n.probe.AddStage(pmParked, s-1, 1)
 			n.probe.Hop(pkt, s, probe.EvPark, n.now)
-		}
-		if n.anat != nil {
-			n.anat.Park(ring, n.now)
 		}
 	default:
 		if n.probe != nil {

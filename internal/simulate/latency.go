@@ -162,8 +162,8 @@ func measurePacketEngine(net *queuesim.Network, inputs, outputs int, pattern tra
 // MeasureLatency drives pattern through net's packet engine for
 // opts.Warmup + opts.Cycles cycles and reports throughput and the
 // latency distribution of the measurement window. The steady-state loop
-// is allocation-free for bounded depths: IntoGenerator patterns fill
-// the injection vector in place and the engine reuses all ring and
+// is allocation-free for bounded depths: the pattern refills the
+// injection vector in place and the engine reuses all ring and
 // histogram storage. Destinations are drawn in net's own output space;
 // with the same seed and input count, an EDN and its dilated
 // counterpart see the identical per-input injection realization (the

@@ -159,10 +159,9 @@ func TestBurstyLoadHoldsLoadAxisNearSaturation(t *testing.T) {
 	dest := make([]int, inputs)
 	for _, load := range []float64{0.9, 0.97} {
 		pattern := BurstyLoad(16)(load, xrand.New(23))
-		gen := pattern.(traffic.IntoGenerator)
 		requests := 0
 		for cycle := 0; cycle < cycles; cycle++ {
-			gen.GenerateInto(dest, outputs)
+			pattern.GenerateInto(dest, outputs)
 			for _, d := range dest {
 				if d != traffic.None {
 					requests++

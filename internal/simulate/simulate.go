@@ -142,19 +142,15 @@ func (o Options) observation(run func(Options) (*probe.Report, error)) (task fun
 	return task, finish
 }
 
-// trafficStep returns pattern's per-cycle request source: patterns
-// implementing traffic.IntoGenerator (every built-in one) refill one
-// reused vector in place, so steady-state loops stay allocation-free;
-// others return a fresh Generate vector each cycle.
+// trafficStep returns pattern's per-cycle request source: one vector,
+// refilled in place every cycle, so steady-state loops stay
+// allocation-free.
 func trafficStep(pattern traffic.Pattern, inputs, outputs int) func() []int {
-	if gen, ok := pattern.(traffic.IntoGenerator); ok {
-		dest := make([]int, inputs)
-		return func() []int {
-			gen.GenerateInto(dest, outputs)
-			return dest
-		}
+	dest := make([]int, inputs)
+	return func() []int {
+		pattern.GenerateInto(dest, outputs)
+		return dest
 	}
-	return func() []int { return pattern.Generate(inputs, outputs) }
 }
 
 // StageTimer receives one completed execution stage: its name, the
@@ -230,10 +226,9 @@ func (r Result) String() string {
 // packet engine's depth-0 Drop corner, measured on MeasureLatency's
 // window loop.
 //
-// The steady-state loop is allocation-free: the request vector is
-// reused every cycle, patterns implementing traffic.IntoGenerator fill
-// it in place (all the built-in patterns do), and the engine reuses its
-// own scratch. Per-stage blocking is the engine's per-stage drop count
+// The steady-state loop is allocation-free: the pattern refills one
+// request vector in place every cycle, and the engine reuses its own
+// scratch. Per-stage blocking is the engine's per-stage drop count
 // over the measurement window.
 func MeasurePA(cfg topology.Config, pattern traffic.Pattern, opts Options) (Result, error) {
 	res, _, err := measurePA(cfg, pattern, opts)

@@ -131,7 +131,7 @@ func TestArbitrationAblation(t *testing.T) {
 	optsRand := opts
 	optsRand.Factory = func() switchfab.Arbiter {
 		r := rng.Split()
-		return switchfab.RandomArbiter{Perm: r.Perm}
+		return switchfab.RandomArbiter{Perm: r.PermInto}
 	}
 	random, err := MeasureUniformPA(cfg, 1, optsRand)
 	if err != nil {

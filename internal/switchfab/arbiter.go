@@ -10,20 +10,10 @@ package switchfab
 // three must produce statistically identical acceptance rates — a property
 // the simulator test suite checks.
 type Arbiter interface {
-	// Order returns a permutation of [0, n): the arbitration order for one
-	// cycle of a switch with n inputs.
-	Order(n int) []int
-}
-
-// InPlaceArbiter is an optional extension implemented by arbiters that
-// can write their arbitration order into a caller-provided buffer, which
-// lets the packet engine's arbitration run allocation-free.
-type InPlaceArbiter interface {
-	Arbiter
-	// OrderInto fills order (whose length is the switch's input count)
-	// with exactly the permutation Order(len(order)) would return,
-	// advancing any internal state identically, so the two entry points
-	// are interchangeable cycle for cycle.
+	// OrderInto fills order, whose length is the switch's input count,
+	// with one cycle's arbitration order: a permutation of
+	// [0, len(order)). Writing into the caller's buffer keeps the packet
+	// engine's arbitration allocation-free.
 	OrderInto(order []int)
 }
 
@@ -40,14 +30,7 @@ func PriorityArbiters() Arbiter { return PriorityArbiter{} }
 // matching the paper's Figure 2 worked example.
 type PriorityArbiter struct{}
 
-// Order returns 0, 1, ..., n-1.
-func (PriorityArbiter) Order(n int) []int {
-	order := make([]int, n)
-	PriorityArbiter{}.OrderInto(order)
-	return order
-}
-
-// OrderInto implements InPlaceArbiter.
+// OrderInto fills order with 0, 1, ..., len(order)-1.
 func (PriorityArbiter) OrderInto(order []int) {
 	for i := range order {
 		order[i] = i
@@ -61,14 +44,8 @@ type RoundRobinArbiter struct {
 	next int
 }
 
-// Order returns next, next+1, ..., wrapping mod n, then advances next.
-func (r *RoundRobinArbiter) Order(n int) []int {
-	order := make([]int, n)
-	r.OrderInto(order)
-	return order
-}
-
-// OrderInto implements InPlaceArbiter.
+// OrderInto fills order with next, next+1, ..., wrapping mod
+// len(order), then advances next.
 func (r *RoundRobinArbiter) OrderInto(order []int) {
 	n := len(order)
 	if n == 0 {
@@ -85,14 +62,17 @@ func (r *RoundRobinArbiter) OrderInto(order []int) {
 // caller-supplied permutation source, keeping the package free of any RNG
 // dependency. It is not safe for concurrent use.
 type RandomArbiter struct {
-	// Perm returns a uniform random permutation of [0, n).
-	Perm func(n int) []int
+	// Perm fills its argument with a uniform random permutation of
+	// [0, len(order)), as xrand's PermInto does. Nil means the priority
+	// order.
+	Perm func(order []int)
 }
 
-// Order returns Perm(n).
-func (r RandomArbiter) Order(n int) []int {
+// OrderInto fills order by Perm.
+func (r RandomArbiter) OrderInto(order []int) {
 	if r.Perm == nil {
-		return PriorityArbiter{}.Order(n)
+		PriorityArbiter{}.OrderInto(order)
+		return
 	}
-	return r.Perm(n)
+	r.Perm(order)
 }

@@ -39,14 +39,38 @@ func TestRouteDefaultsToPriorityArbiter(t *testing.T) {
 	}
 }
 
-type shortArbiter struct{}
+// badArbiter fills its order by fill; a nil fill writes nothing.
+type badArbiter struct{ fill func(order []int) }
 
-func (shortArbiter) Order(n int) []int { return []int{0} }
+func (b badArbiter) OrderInto(order []int) {
+	if b.fill != nil {
+		b.fill(order)
+	}
+}
 
+// TestRouteRejectsBadArbiter: an order that is not a permutation of the
+// switch's inputs is an error, whether it leaves entries unwritten,
+// repeats an input (which would skip the others) or names an input past
+// the switch (which would index out of range).
 func TestRouteRejectsBadArbiter(t *testing.T) {
 	h := Hyperbar{A: 4, B: 2, C: 1}
-	if _, _, err := h.Route([]int{0, 0, 0, 0}, shortArbiter{}); err == nil {
-		t.Error("expected error for short arbitration order")
+	bad := map[string]func(order []int){
+		"unwritten": nil,
+		"short": func(order []int) {
+			for i := range order[:len(order)-1] {
+				order[i] = i + 1
+			}
+		},
+		"repeat": func(order []int) { clear(order) },
+		"out-of-range": func(order []int) {
+			PriorityArbiter{}.OrderInto(order)
+			order[0] = len(order)
+		},
+	}
+	for name, fill := range bad {
+		if out, _, err := h.Route([]int{0, 1, 0, 1}, badArbiter{fill}); err == nil {
+			t.Errorf("%s arbitration order accepted: out=%v", name, out)
+		}
 	}
 }
 
@@ -59,8 +83,9 @@ func TestRouteInvalidSwitch(t *testing.T) {
 
 func TestRoundRobinZeroInputs(t *testing.T) {
 	arb := &RoundRobinArbiter{}
-	if got := arb.Order(0); len(got) != 0 {
-		t.Errorf("Order(0) = %v", got)
+	arb.OrderInto(nil)
+	if got := orderOf(arb, 3); got[0] != 0 {
+		t.Errorf("an empty order moved the rotation: next order %v", got)
 	}
 }
 

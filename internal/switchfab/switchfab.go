@@ -8,7 +8,9 @@
 // bucket it wants. A bucket accepts at most c requests per cycle; the rest
 // are rejected. Which of the c wires a winner lands on is immaterial to
 // routing (that freedom is exactly the multipath of Theorem 2), so the
-// switch assigns wires in arbitration order.
+// switch assigns wires in arbitration order. An Arbiter has one method,
+// OrderInto, which writes a cycle's order into the caller's buffer, so
+// the packet engine arbitrates without allocating under every policy.
 package switchfab
 
 import "fmt"
@@ -72,7 +74,9 @@ func (h Hyperbar) String() string {
 //
 // The arbiter decides the order in which competing inputs are considered;
 // PriorityArbiter (or a nil arbiter) reproduces the paper's "prioritized
-// according to their input label" rule from the Figure 2 example.
+// according to their input label" rule from the Figure 2 example. An
+// order that is not a permutation of [0, A), an entry left unwritten
+// included, is an error.
 func (h Hyperbar) Route(digits []int, arb Arbiter) (out []int, rejected int, err error) {
 	if err := h.Validate(); err != nil {
 		return nil, 0, err
@@ -85,25 +89,27 @@ func (h Hyperbar) Route(digits []int, arb Arbiter) (out []int, rejected int, err
 			return nil, 0, fmt.Errorf("switchfab: %v input %d digit %d out of range [0,%d)", h, i, d, h.B)
 		}
 	}
-	var order []int // nil means the natural order 0..a-1
-	switch arb.(type) {
-	case nil, PriorityArbiter:
-	default:
-		order = arb.Order(h.A)
-		if len(order) != h.A {
-			return nil, 0, fmt.Errorf("switchfab: arbiter returned order of length %d, want %d", len(order), h.A)
+	if arb == nil {
+		arb = PriorityArbiter{}
+	}
+	order := make([]int, h.A)
+	for i := range order {
+		order[i] = -1
+	}
+	arb.OrderInto(order)
+	seen := make([]bool, h.A)
+	for _, i := range order {
+		if i < 0 || i >= h.A || seen[i] {
+			return nil, 0, fmt.Errorf("switchfab: %v arbiter order %v is not a permutation of [0,%d)", h, order, h.A)
 		}
+		seen[i] = true
 	}
 	out = make([]int, h.A)
 	for i := range out {
 		out[i] = Idle
 	}
 	used := make([]int, h.B)
-	for k := range digits {
-		i := k
-		if order != nil {
-			i = order[k]
-		}
+	for _, i := range order {
 		d := digits[i]
 		if d == Idle {
 			continue

@@ -13,16 +13,9 @@ type Fixed struct {
 // Name implements Pattern.
 func (f Fixed) Name() string { return f.Label }
 
-// Generate implements Pattern. It panics if the stored vector does not
-// match the requested geometry — a harness bug, not a runtime condition.
-func (f Fixed) Generate(inputs, outputs int) []int {
-	dest := make([]int, inputs)
-	f.GenerateInto(dest, outputs)
-	return dest
-}
-
-// GenerateInto implements IntoGenerator, with the same panics as
-// Generate on geometry mismatches.
+// GenerateInto implements Pattern. It panics if the stored vector does
+// not match the requested geometry — a harness bug, not a runtime
+// condition.
 func (f Fixed) GenerateInto(dest []int, outputs int) {
 	if len(f.Dest) != len(dest) {
 		panic(fmt.Sprintf("traffic: fixed pattern %q has %d entries, want %d", f.Label, len(f.Dest), len(dest)))

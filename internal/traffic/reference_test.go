@@ -232,7 +232,7 @@ func TestGenerateResizesMarkovState(t *testing.T) {
 	m := &MarkovOnOff{Rate: 0.7, POn: 0.2, POff: 0.3, Rng: xrand.New(4)}
 	ref := &refMarkov{Rate: 0.7, POn: 0.2, POff: 0.3, Rng: xrand.New(4)}
 	for c, inputs := range []int{8, 8, 3, 64, 64, 1} {
-		got, want := m.Generate(inputs, 16), make([]int, inputs)
+		got, want := genVec(m, inputs, 16), make([]int, inputs)
 		ref.generateInto(want, 16)
 		checkCall(t, m.Name(), c, got, want, m.Rng, ref.Rng)
 	}
@@ -243,8 +243,8 @@ func TestGenerateResizesMarkovState(t *testing.T) {
 // output 5, and 11 is output 3.
 func TestHotSpotNegativeHotWraps(t *testing.T) {
 	for _, c := range [][2]int{{-3, 5}, {11, 3}, {-8, 0}, {-17, 7}} {
-		got := HotSpot{Rate: 1, Fraction: 1, Hot: c[0], Rng: xrand.New(1)}.Generate(4, 8)
-		still := (&MovingHotSpot{Rate: 1, Fraction: 1, Hot: c[0], Period: 1 << 30, Rng: xrand.New(1)}).Generate(4, 8)
+		got := genVec(HotSpot{Rate: 1, Fraction: 1, Hot: c[0], Rng: xrand.New(1)}, 4, 8)
+		still := genVec(&MovingHotSpot{Rate: 1, Fraction: 1, Hot: c[0], Period: 1 << 30, Rng: xrand.New(1)}, 4, 8)
 		for i := range got {
 			if got[i] != c[1] || still[i] != c[1] {
 				t.Fatalf("hot %d on 8 outputs: HotSpot aims at %d, MovingHotSpot at %d, want %d", c[0], got[i], still[i], c[1])

@@ -12,8 +12,8 @@ import (
 // traffic.go, these carry state from cycle to cycle, which is exactly
 // what makes queueing delay interesting — bursts fill buffers faster
 // than the mean rate suggests, and a drifting hot spot keeps re-aiming
-// the congestion before queues drain. Both are used by pointer so the
-// per-cycle state and the GenerateInto fast path can live on the value.
+// the congestion before queues drain. Both are Patterns by pointer, so
+// the per-cycle state lives on the value.
 
 // MarkovOnOff is the classical two-state bursty source: each input
 // independently alternates between an ON state, in which it offers a
@@ -55,19 +55,10 @@ func (m *MarkovOnOff) duty() float64 {
 	return m.POn / (m.POn + m.POff)
 }
 
-// Generate implements Pattern. It draws exactly the same stream as
-// GenerateInto for the same geometry.
-func (m *MarkovOnOff) Generate(inputs, outputs int) []int {
-	dest := make([]int, inputs)
-	m.GenerateInto(dest, outputs)
-	return dest
-}
-
-// GenerateInto implements IntoGenerator. Per input: advance the Markov
-// state, then emit. The draw order (state transition, then emission) is
-// fixed so Generate and GenerateInto are bit-identical. Like requests,
-// it takes each draw at its offset and selects instead of branching,
-// advancing the stream past exactly the draws of the reference loop
+// GenerateInto implements Pattern. Per input: advance the Markov
+// state, then emit. Like requests, it takes each draw at its offset and
+// selects instead of branching, advancing the stream past exactly the
+// draws of the reference loop
 //
 //	if on { on = !Bool(POff) } else { on = Bool(POn) }
 //	if on && Bool(Rate) { Intn(outputs) } else { None }
@@ -158,15 +149,7 @@ func (m *MovingHotSpot) stride() int {
 	return m.Stride
 }
 
-// Generate implements Pattern; the stream is bit-identical to
-// GenerateInto's.
-func (m *MovingHotSpot) Generate(inputs, outputs int) []int {
-	dest := make([]int, inputs)
-	m.GenerateInto(dest, outputs)
-	return dest
-}
-
-// GenerateInto implements IntoGenerator: HotSpot's kernel aimed at
+// GenerateInto implements Pattern: HotSpot's kernel aimed at
 // CurrentHot.
 func (m *MovingHotSpot) GenerateInto(dest []int, outputs int) {
 	requests(dest, outputs, m.Rng, m.Rate, m.Fraction, m.CurrentHot(outputs))

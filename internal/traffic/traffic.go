@@ -4,8 +4,9 @@
 // permutations and hot-spot ("NUTS", after Lang & Kurisaki) patterns used
 // by the extended test and benchmark suites.
 //
-// A pattern is a slice dest with dest[i] = destination label requested by
-// input i, or None when input i is idle this cycle.
+// A pattern fills one request vector per cycle in place (GenerateInto):
+// dest[i] is the destination label requested by input i, or None when
+// input i is idle this cycle.
 //
 // The request model of Section 3.2 draws per input: a coin for a
 // request, then (for the hot-spot family) a coin for the hot output,
@@ -34,29 +35,20 @@ const None = -1
 // Pattern produces one request vector per call. Implementations may be
 // stateful (e.g. draw fresh randomness each cycle).
 type Pattern interface {
-	// Generate fills dest[i] with the destination requested by input i or
-	// None. The returned slice has length inputs and destinations in
-	// [0, outputs).
-	Generate(inputs, outputs int) []int
+	// GenerateInto fills dest (len = network inputs) with one cycle's
+	// requests: dest[i] is the destination requested by input i, in
+	// [0, outputs), or None. It writes every entry, so dest need not be
+	// cleared between cycles, and steady-state Monte-Carlo loops
+	// (simulate.MeasurePA and friends) reuse one vector allocation-free.
+	GenerateInto(dest []int, outputs int)
 	// Name identifies the pattern in reports.
 	Name() string
 }
 
-// IntoGenerator is an optional extension implemented by patterns that
-// can fill a caller-provided request vector, letting steady-state
-// Monte-Carlo loops (simulate.MeasurePA and friends) run allocation-free.
-// GenerateInto must draw exactly the same randomness as Generate would
-// for the same geometry, so the two entry points produce bit-identical
-// traffic streams and measured results never depend on which one the
-// harness picked. Every built-in Generate is GenerateInto into a fresh
-// slice, and GenerateInto writes every entry of dest, so dest need not
-// be cleared between cycles.
-type IntoGenerator interface {
-	Pattern
-	// GenerateInto fills dest (len = network inputs) with one cycle's
-	// requests, destinations in [0, outputs) or None.
-	GenerateInto(dest []int, outputs int)
-}
+// IntoGenerator is Pattern under its former name, kept as an alias
+// because perfbench, which is frozen outside benchmark changes, still
+// names it.
+type IntoGenerator = Pattern
 
 // Uniform is the Section 3.2 reference workload: each input independently
 // carries a request with probability Rate, destined to a uniformly random
@@ -69,14 +61,7 @@ type Uniform struct {
 // Name implements Pattern.
 func (u Uniform) Name() string { return fmt.Sprintf("uniform(r=%.3g)", u.Rate) }
 
-// Generate implements Pattern.
-func (u Uniform) Generate(inputs, outputs int) []int {
-	dest := make([]int, inputs)
-	u.GenerateInto(dest, outputs)
-	return dest
-}
-
-// GenerateInto implements IntoGenerator.
+// GenerateInto implements Pattern.
 func (u Uniform) GenerateInto(dest []int, outputs int) {
 	requests(dest, outputs, u.Rng, u.Rate, 0, 0)
 }
@@ -140,9 +125,8 @@ func requests(dest []int, outputs int, rng *xrand.Rand, rate, fraction float64, 
 
 // RandomPermutation draws a fresh uniform permutation each cycle
 // (Section 3.2.1 and the SIMD analysis assume square networks; for
-// rectangular ones it draws an injection into the outputs). Use it by
-// pointer to get the allocation-free GenerateInto fast path; the value
-// form still implements Pattern.
+// rectangular ones it draws an injection into the outputs). It is a
+// Pattern by pointer, which keeps the rectangular case's scratch.
 type RandomPermutation struct {
 	Rng *xrand.Rand
 
@@ -152,14 +136,7 @@ type RandomPermutation struct {
 // Name implements Pattern.
 func (RandomPermutation) Name() string { return "random-permutation" }
 
-// Generate implements Pattern.
-func (p RandomPermutation) Generate(inputs, outputs int) []int {
-	dest := make([]int, inputs)
-	(&p).GenerateInto(dest, outputs)
-	return dest
-}
-
-// GenerateInto implements IntoGenerator. Square networks permute straight
+// GenerateInto implements Pattern. Square networks permute straight
 // into dest; rectangular ones go through a scratch permutation retained
 // across cycles.
 func (p *RandomPermutation) GenerateInto(dest []int, outputs int) {
@@ -180,14 +157,13 @@ func (p *RandomPermutation) GenerateInto(dest []int, outputs int) {
 }
 
 // PartialPermutation draws a permutation and then keeps each entry with
-// probability Rate: conflict-free traffic at reduced load. As with
-// RandomPermutation, the pointer form adds the allocation-free
-// GenerateInto fast path.
+// probability Rate: conflict-free traffic at reduced load. Like
+// RandomPermutation it is a Pattern by pointer.
 type PartialPermutation struct {
 	Rate float64
 	Rng  *xrand.Rand
 
-	rp RandomPermutation // scratch-bearing delegate for GenerateInto
+	rp RandomPermutation // scratch-bearing delegate
 }
 
 // Name implements Pattern.
@@ -195,14 +171,7 @@ func (p PartialPermutation) Name() string {
 	return fmt.Sprintf("partial-permutation(r=%.3g)", p.Rate)
 }
 
-// Generate implements Pattern.
-func (p PartialPermutation) Generate(inputs, outputs int) []int {
-	dest := make([]int, inputs)
-	(&p).GenerateInto(dest, outputs)
-	return dest
-}
-
-// GenerateInto implements IntoGenerator.
+// GenerateInto implements Pattern.
 func (p *PartialPermutation) GenerateInto(dest []int, outputs int) {
 	p.rp.Rng = p.Rng
 	p.rp.GenerateInto(dest, outputs)
@@ -230,14 +199,7 @@ func (h HotSpot) Name() string {
 	return fmt.Sprintf("hotspot(r=%.3g,f=%.3g,hot=%d)", h.Rate, h.Fraction, h.Hot)
 }
 
-// Generate implements Pattern.
-func (h HotSpot) Generate(inputs, outputs int) []int {
-	dest := make([]int, inputs)
-	h.GenerateInto(dest, outputs)
-	return dest
-}
-
-// GenerateInto implements IntoGenerator.
+// GenerateInto implements Pattern.
 func (h HotSpot) GenerateInto(dest []int, outputs int) {
 	requests(dest, outputs, h.Rng, h.Rate, h.Fraction, wrap(h.Hot, outputs))
 }

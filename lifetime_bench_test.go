@@ -33,7 +33,7 @@ func BenchmarkLifetimeEpoch(b *testing.B) {
 		// full repair, so every swap direction (fault -> fault, fault ->
 		// empty, empty -> fault) sits under the gate.
 		masks := []*FaultMasks{
-			benchMasks(b, cfg),
+			benchMasks(b, cfg, FaultWires),
 			mustMasks(b, cfg, BernoulliFaults(cfg, FaultWires, 0.05, NewRand(29))),
 			mustMasks(b, cfg, FaultSet{}),
 		}

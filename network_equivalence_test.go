@@ -193,7 +193,7 @@ func equivalenceFactories() []factoryCase {
 		}},
 		{name: "random", make: func(seed uint64) switchfab.ArbiterFactory {
 			rng := xrand.New(seed)
-			return func() switchfab.Arbiter { return switchfab.RandomArbiter{Perm: rng.Perm} }
+			return func() switchfab.Arbiter { return switchfab.RandomArbiter{Perm: rng.PermInto} }
 		}},
 	}
 }

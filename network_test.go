@@ -70,19 +70,26 @@ func TestRouteCycleValidation(t *testing.T) {
 	}
 }
 
-// shortArbiter returns an order shorter than its switch.
+// shortArbiter leaves the last entry of its order unwritten: the
+// in-place form of an order one entry short. Its other entries are
+// 1, 2, ..., so a zeroed buffer's last 0 would complete them into a
+// permutation.
 type shortArbiter struct{}
 
-func (shortArbiter) Order(int) []int { return []int{0} }
+func (shortArbiter) OrderInto(order []int) {
+	for i := range order[:len(order)-1] {
+		order[i] = i + 1
+	}
+}
 
-// repeatArbiter returns a full-length order that repeats input 0.
+// repeatArbiter fills its order with input 0 only.
 type repeatArbiter struct{}
 
-func (repeatArbiter) Order(n int) []int { return make([]int, n) }
+func (repeatArbiter) OrderInto(order []int) { clear(order) }
 
-// outOfRangeArbiter fills its in-place order with an index past the
-// switch width.
-type outOfRangeArbiter struct{ repeatArbiter }
+// outOfRangeArbiter fills its order with an index past the switch
+// width.
+type outOfRangeArbiter struct{}
 
 func (outOfRangeArbiter) OrderInto(order []int) {
 	for i := range order {

@@ -141,7 +141,7 @@ func TestUpdateFaultsMatchesConstructionPerMask(t *testing.T) {
 		}},
 		{"random", func(seed uint64) switchfab.ArbiterFactory {
 			rng := xrand.New(seed)
-			return func() switchfab.Arbiter { return switchfab.RandomArbiter{Perm: rng.Split().Perm} }
+			return func() switchfab.Arbiter { return switchfab.RandomArbiter{Perm: rng.Split().PermInto} }
 		}},
 	}
 	masks := epochMasks(t, cfg, faults.MixedFaults, 42, 6)

@@ -39,7 +39,7 @@ func BenchmarkRouteCycleInto(b *testing.B) {
 func benchmarkRouteCycleInto(b *testing.B, cfg Config, pattern string) {
 	var masks *FaultMasks
 	if pattern == "faulted" {
-		masks = benchMasks(b, cfg)
+		masks = benchMasks(b, cfg, FaultWires)
 	}
 	net, err := NewNetworkWithFaults(cfg, nil, masks)
 	if err != nil {
@@ -48,7 +48,7 @@ func benchmarkRouteCycleInto(b *testing.B, cfg Config, pattern string) {
 	rng := NewRand(7)
 	dest := make([]int, cfg.Inputs())
 	outcomes := make([]Outcome, cfg.Inputs())
-	var gen IntoGenerator
+	var gen Pattern
 	switch pattern {
 	case "fixed":
 		for i := range dest {

@@ -20,15 +20,15 @@ func BenchmarkTrafficGenerate(b *testing.B) {
 	gens := []struct {
 		name    string
 		inputs  int
-		pattern func(*Rand) IntoGenerator
+		pattern func(*Rand) Pattern
 	}{
-		{"uniform/4096", 4096, func(r *Rand) IntoGenerator { return Uniform{Rate: 0.75, Rng: r} }},
-		{"uniform-saturated/4096", 4096, func(r *Rand) IntoGenerator { return Uniform{Rate: 1, Rng: r} }},
-		{"bursty/4096", 4096, func(r *Rand) IntoGenerator { return BurstyLoad(8)(0.75, r).(IntoGenerator) }},
-		{"hotspot/1024", 1024, func(r *Rand) IntoGenerator {
+		{"uniform/4096", 4096, func(r *Rand) Pattern { return Uniform{Rate: 0.75, Rng: r} }},
+		{"uniform-saturated/4096", 4096, func(r *Rand) Pattern { return Uniform{Rate: 1, Rng: r} }},
+		{"bursty/4096", 4096, func(r *Rand) Pattern { return BurstyLoad(8)(0.75, r) }},
+		{"hotspot/1024", 1024, func(r *Rand) Pattern {
 			return HotSpot{Rate: 0.8, Fraction: 0.2, Hot: 517, Rng: r}
 		}},
-		{"moving-hotspot/1024", 1024, func(r *Rand) IntoGenerator {
+		{"moving-hotspot/1024", 1024, func(r *Rand) Pattern {
 			return &MovingHotSpot{Rate: 0.8, Fraction: 0.2, Hot: 517, Period: 64, Stride: 3, Rng: r}
 		}},
 	}
