@@ -73,7 +73,7 @@ func BenchmarkAnatomyOff(b *testing.B) {
 }
 
 // BenchmarkObserverOn pins the cost of attached observation: one cycle
-// of explain-hotspot's observation pass — EDN(64,16,4,2) at depth-4
+// of explain-hotspot's instrumented shard — EDN(64,16,4,2) at depth-4
 // backpressure under a moving hot spot at load 0.8, with a probe
 // sampling one injection in 16 and an anatomy collector keeping the top
 // 8 — once warm. Both instruments work per engine event, so the

@@ -13,13 +13,13 @@
 // The packet-level subcommands share one flag group — the EDN(a,b,c,l)
 // geometry, -depth (0 is the unbuffered wave sweep), -policy, -arb,
 // -warmup, -seed, and -cycles and -shards where they apply (lifetime
-// counts epochs, trace runs unsharded) — and, except trace, turn their
+// counts epochs, trace is a one-shard job) — and turn their
 // flags into edn.JobSpec jobs run through edn.Run: -dump-spec prints
 // the specs as JSON (one document per job) instead of running them,
 // and -spec file.json replays a saved spec — whatever its mode — and
 // emits the JobResult as JSON, exactly as edn serve would. For the four
-// sweeps (latency, faults, lifetime, loop) -format json prints the
-// sweep's JobResult documents themselves, byte for byte what -spec
+// sweeps (latency, faults, lifetime, loop) and trace -format json
+// prints the JobResult documents themselves, byte for byte what -spec
 // replays of the -dump-spec output print; table and csv render the
 // same results for humans and spreadsheets. latency, lifetime, loop,
 // explain and trace take -cpuprofile and -memprofile; latency,
@@ -282,6 +282,8 @@
 //	edn trace -a 16 -b 4 -c 4 -l 2 -engine loop -load 0.4
 //	edn trace -a 64 -b 16 -c 4 -l 2 -load 0.9 -dump
 //	edn trace -a 64 -b 16 -c 4 -l 2 -load 0.9 -export prom
+//	edn trace -a 16 -b 4 -c 4 -l 2 -engine loop -dump-spec > trace.json
+//	edn trace -spec trace.json
 //
 // The default summary prints the sampled-trace cohort (latency
 // quantiles over the traced packets), the per-stage event counts, and
@@ -294,12 +296,22 @@
 // -depth 0 -policy drop but for the engine label, heat rows included);
 // the buffered EDN packet engine; the dilated counterpart; or the
 // closed-loop request/response workload (where a trace's "stage" is
-// the attempt number). Every engine takes its arbiter factory, run and
-// traffic from one seed, -seed with 0 selecting 1, as a JobSpec's
-// sim.seed does, and -format json reports that seed. The recorder
-// attaches after -warmup. -dump prints raw traces, -explain
-// annotates them with each hop's wait/block/service split, and -export
-// emits the registry metrics as Prometheus text or JSON lines.
+// the attempt number). A trace is a one-shard JobSpec: a latency job
+// at -load (core pins depth 0 and drop; dilated names the dilated
+// engine), or for -engine loop a closed-loop job with rates [-load],
+// with a probe section of -sample, -trace-cap and -heat-bins, sim.shards
+// 1 (its report does not depend on the shard count, so there is no
+// -shards flag) and sim.seed max(-seed, 1). The arbiter factory takes
+// that seed, and the traffic the job's point seed, as every job's
+// point 0 at one shard does. -dump-spec prints the spec, -spec replays
+// one, and -format json prints the JobResult, byte for byte the -spec
+// replay of -dump-spec; the header's cycles= is the run's measured
+// budget. The spec's checks apply: a negative probe size or warmup and
+// a load outside [0,1] are errors, and so is -load 0 on the open-loop
+// engines (a latency job's load 0 selects the default 1). The recorder
+// attaches after -warmup. -dump prints raw traces, -explain annotates
+// them with each hop's wait/block/service split, and -export emits the
+// registry metrics as Prometheus text or JSON lines.
 //
 // # serve
 //

@@ -25,10 +25,10 @@ type jobFlags struct {
 }
 
 // addJobFlags registers the group with one subcommand's defaults.
-// cycles 0 leaves -cycles out (lifetimes count epochs); job false
-// leaves out -shards and the spec pair (trace drives an engine
-// directly, not through a JobSpec).
-func addJobFlags(fs *flag.FlagSet, geo [4]int, policy string, cycles int, job bool) *jobFlags {
+// cycles 0 leaves -cycles out (lifetimes count epochs); shards false
+// leaves out -shards (a trace's report does not depend on the shard
+// count, and its job pins one).
+func addJobFlags(fs *flag.FlagSet, geo [4]int, policy string, cycles int, shards bool) *jobFlags {
 	j := &jobFlags{
 		depth:  fs.Int("depth", 4, "per-wire FIFO depth (-1 unbounded, 0 unbuffered resubmission)"),
 		policy: fs.String("policy", policy, "blocked-packet policy: backpressure, drop"),
@@ -40,11 +40,11 @@ func addJobFlags(fs *flag.FlagSet, geo [4]int, policy string, cycles int, job bo
 	if cycles > 0 {
 		j.cycles = fs.Int("cycles", cycles, "measured cycles per point")
 	}
-	if job {
+	if shards {
 		j.shards = fs.Int("shards", 0, "parallel shards (0 = GOMAXPROCS)")
-		j.spec = fs.String("spec", "", "run this JobSpec JSON file and emit the JobResult as JSON (ignores the measurement flags)")
-		j.dump = fs.Bool("dump-spec", false, "print the JobSpec the flags describe as JSON and exit without running")
 	}
+	j.spec = fs.String("spec", "", "run this JobSpec JSON file and emit the JobResult as JSON (ignores the measurement flags)")
+	j.dump = fs.Bool("dump-spec", false, "print the JobSpec the flags describe as JSON and exit without running")
 	return j
 }
 
@@ -56,10 +56,13 @@ func (j *jobFlags) job(mode string) edn.JobSpec {
 		Mode:     mode,
 		Geometry: &edn.GeometrySpec{A: *j.a, B: *j.b, C: *j.c, L: *j.l},
 		Queue:    &edn.QueueSpec{Depth: *j.depth, Policy: *j.policy, Arbiter: *j.arb},
-		Sim:      edn.SimSpec{Warmup: *j.warmup, Seed: *j.seed, Shards: *j.shards},
+		Sim:      edn.SimSpec{Warmup: *j.warmup, Seed: *j.seed},
 	}
 	if j.cycles != nil {
 		spec.Sim.Cycles = *j.cycles
+	}
+	if j.shards != nil {
+		spec.Sim.Shards = *j.shards
 	}
 	return spec
 }
@@ -262,17 +265,10 @@ func addRetryFlags(fs *flag.FlagSet, timeout int, attemptsFlag string, attempts 
 // The short backoff explain and trace run the closed loop with.
 const shortBackoffBase, shortBackoffCap = 2, 16
 
-// spec is the group's closed-loop JobSpec section (explain).
+// spec is the group's closed-loop JobSpec section (explain, trace).
 func (r *retryFlags) spec() *edn.ClosedLoopSpec {
 	return &edn.ClosedLoopSpec{Window: *r.window, Timeout: *r.timeout, MaxAttempts: *r.attempts,
 		Retry: *r.retry, BackoffBase: shortBackoffBase, BackoffCap: shortBackoffCap}
-}
-
-// options is the group as facade options (trace).
-func (r *retryFlags) options() (edn.ClosedLoopOptions, error) {
-	retry, err := edn.ParseRetryPolicy(*r.retry)
-	return edn.ClosedLoopOptions{Window: *r.window, Timeout: *r.timeout, MaxAttempts: *r.attempts,
-		Retry: retry, BackoffBase: shortBackoffBase, BackoffCap: shortBackoffCap}, err
 }
 
 // churnFlags is the lifetime churn group: epochs, the per-component

@@ -75,7 +75,8 @@ func TestUnknownCommand(t *testing.T) {
 
 // TestJSONIsSpecReplay: a sweep's -format json output is exactly the
 // concatenated -spec replays of its -dump-spec documents — one JobResult
-// per job, the same bytes the daemon streams for those specs.
+// per job, the same bytes the daemon streams for those specs. A trace
+// is a one-shard job (no -shards, no -dilated) on every engine.
 func TestJSONIsSpecReplay(t *testing.T) {
 	base := []string{"-a", "4", "-b", "2", "-c", "2", "-l", "2", "-warmup", "20", "-seed", "3", "-shards", "2"}
 	for _, tc := range []struct {
@@ -95,25 +96,35 @@ func TestJSONIsSpecReplay(t *testing.T) {
 			if dilated {
 				args, name = append(args, "-dilated"), name+"/dilated"
 			}
-			t.Run(name, func(t *testing.T) {
-				got := runOK(t, tc.cmd, append(args, "-format", "json")...)
-				docs := jsonDocs(t, runOK(t, tc.cmd, append(args, "-dump-spec")...))
-				if len(docs) != tc.docs[i] {
-					t.Fatalf("-dump-spec printed %d specs, want %d", len(docs), tc.docs[i])
-				}
-				var want strings.Builder
-				for j, doc := range docs {
-					path := filepath.Join(t.TempDir(), fmt.Sprintf("spec%d.json", j))
-					if err := os.WriteFile(path, doc, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					want.WriteString(runOK(t, tc.cmd, "-spec", path))
-				}
-				if got != want.String() {
-					t.Errorf("-format json differs from the -spec replays:\n%s\nvs\n%s", got, want.String())
-				}
-			})
+			t.Run(name, func(t *testing.T) { checkSpecReplay(t, tc.cmd, args, tc.docs[i]) })
 		}
+	}
+	for _, engine := range []string{"core", "edn", "dilated", "loop"} {
+		args := []string{"-a", "4", "-b", "2", "-c", "2", "-l", "2", "-warmup", "20", "-seed", "3",
+			"-cycles", "150", "-sample", "2", "-load", "0.6", "-engine", engine}
+		t.Run("trace/"+engine, func(t *testing.T) { checkSpecReplay(t, "trace", args, 1) })
+	}
+}
+
+// checkSpecReplay runs cmd with args under -format json and compares
+// it with the -spec replays of its ndocs -dump-spec documents.
+func checkSpecReplay(t *testing.T, cmd string, args []string, ndocs int) {
+	t.Helper()
+	got := runOK(t, cmd, append(args, "-format", "json")...)
+	docs := jsonDocs(t, runOK(t, cmd, append(args, "-dump-spec")...))
+	if len(docs) != ndocs {
+		t.Fatalf("-dump-spec printed %d specs, want %d", len(docs), ndocs)
+	}
+	var want strings.Builder
+	for j, doc := range docs {
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("spec%d.json", j))
+		if err := os.WriteFile(path, doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want.WriteString(runOK(t, cmd, "-spec", path))
+	}
+	if got != want.String() {
+		t.Errorf("-format json differs from the -spec replays:\n%s\nvs\n%s", got, want.String())
 	}
 }
 

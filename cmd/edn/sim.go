@@ -26,6 +26,9 @@ func cmdSim(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 		if !(*r >= 0 && *r <= 1) {
 			return fmt.Errorf("-r %g is not a rate in [0,1]", *r)
 		}
+		if *cycles < 0 {
+			return fmt.Errorf("-cycles %d is negative (0 selects the default 1000)", *cycles)
+		}
 		if (*pattern == "identity" || *pattern == "bitreversal") && cfg.Inputs() != cfg.Outputs() {
 			return fmt.Errorf("-traffic %s needs as many outputs as inputs; %v has %d inputs and %d outputs", *pattern, cfg, cfg.Inputs(), cfg.Outputs())
 		}

@@ -149,11 +149,13 @@ func TestRunSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestSimRejectsHostileInputs: a rate that is NaN or outside [0,1], and
+// TestSimRejectsHostileInputs: a rate that is NaN or outside [0,1], a
+// negative cycle budget (it used to run the default 1,000), and
 // identity or bit-reversal traffic on a network with fewer outputs than
 // inputs, are errors — never a panic or a measurement of nonsense.
 func TestSimRejectsHostileInputs(t *testing.T) {
 	for _, args := range [][]string{
+		{"-cycles", "-5"},
 		{"-r", "1.5"},
 		{"-r", "-1"},
 		{"-r", "NaN"},

@@ -21,70 +21,47 @@ func cmdTrace(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 	dump := fs.Bool("dump", false, "print raw traces, one hop per line")
 	explain := fs.Bool("explain", false, "annotate dumped trace hops with their wait/block/service split (implies -dump)")
 	export := fs.String("export", "", "emit registry metrics instead of the summary: prom, jsonl")
-	format := fs.String("format", "table", "cohort breakdown output: table, csv, json")
+	format := fs.String("format", "table", "output: table, csv (with the cohort breakdown), json (the JobResult)")
 	rf := addRetryFlags(fs, 32, "attempts", 8)
 	return func() error {
-		cfg, err := jf.config()
-		if err != nil {
-			return err
+		if *jf.spec != "" {
+			return replay(w, *jf.spec)
 		}
-		if *jf.warmup < 0 || *traceCap < 0 || *bins < 0 {
-			return fmt.Errorf("-warmup, -trace-cap and -heat-bins must not be negative")
-		}
-		// The arbiter factory, the run and the traffic all draw from one
-		// seed, 0 selecting 1 as a JobSpec's sim.seed does.
-		seed := max(*jf.seed, 1)
-		po := &edn.ProbeOptions{SampleEvery: *sample, TraceCap: *traceCap, Bins: *bins}
-		opts := edn.SimOptions{Cycles: *jf.cycles, Warmup: *jf.warmup, Seed: seed, Probe: po}
-		if opts.Factory, err = cliutil.ArbiterFactory(*jf.arb, seed); err != nil {
-			return err
-		}
-
-		var rep *edn.ProbeReport
-		var network string
+		// A trace is a one-shard job: its one run carries the probe.
+		// The arbiter factory and the point's streams all derive from
+		// one seed, 0 selecting 1 as a JobSpec's sim.seed does.
+		spec := jf.job(edn.JobLatency)
+		spec.Load = *load
+		spec.Sim.Seed, spec.Sim.Shards = max(*jf.seed, 1), 1
+		spec.Probe = &edn.ProbeSpec{SampleEvery: *sample, TraceCap: *traceCap, Bins: *bins}
 		switch *engine {
-		case "core", "edn", "dilated":
+		case "edn":
+		case "core":
 			// core is the Section 3.2 harness's engine: the EDN's
 			// depth-0 Drop corner whatever -depth and -policy say.
-			q := edn.QueueOptions{Policy: edn.QueueDrop, Factory: opts.Factory}
-			if *engine != "core" {
-				q.Depth = *jf.depth
-				if q.Policy, err = cliutil.ParsePolicy(*jf.policy); err != nil {
-					return err
-				}
-			}
-			var net edn.Net = edn.EDNNet{Config: cfg, Queue: q}
-			if *engine == "dilated" {
-				dcfg, err := edn.DilatedCounterpart(cfg)
-				if err != nil {
-					return err
-				}
-				net = edn.DilatedNet{Config: dcfg, Queue: q}
-			}
-			res, err := edn.MeasureLatency(net, edn.Uniform{Rate: *load, Rng: edn.NewRand(seed)}, opts)
-			if err != nil {
-				return err
-			}
-			rep, network = res.Observed, net.String()
+			spec.Queue.Depth, spec.Queue.Policy = 0, "drop"
+		case "dilated":
+			spec.Engine = edn.EngineDilated
 		case "loop":
-			qopts := edn.QueueOptions{Depth: *jf.depth, Factory: opts.Factory}
-			if qopts.Policy, err = cliutil.ParsePolicy(*jf.policy); err != nil {
-				return err
-			}
-			lo, err := rf.options()
-			if err != nil {
-				return err
-			}
-			results, err := edn.MeasureClosedLoop(edn.EDNNet{Config: cfg, Queue: qopts}, []float64{*load}, lo, opts, 1)
-			if err != nil {
-				return err
-			}
-			rep, network = results[0].Observed, cfg.String()
+			spec.Mode, spec.Load, spec.Rates, spec.Loop = edn.JobClosedLoop, 0, []float64{*load}, rf.spec()
 		default:
 			return fmt.Errorf("unknown engine %q (want core, edn, dilated or loop)", *engine)
 		}
-		if rep == nil {
-			return fmt.Errorf("no probe report collected")
+		if spec.Mode == edn.JobLatency && *load == 0 {
+			return fmt.Errorf("-load 0 is not a latency job's load (0 selects the default 1)")
+		}
+		results, err := jf.run(w, spec)
+		if results == nil {
+			return err
+		}
+		res := results[0]
+		var rep *edn.ProbeReport
+		var network string
+		var cycles int
+		if len(res.Points) > 0 {
+			rep, network, cycles = res.Points[0].Observed, res.Points[0].Network(), res.Points[0].Cycles
+		} else {
+			rep, network, cycles = res.ClosedLoop[0].Observed, res.ClosedLoop[0].Network(), res.ClosedLoop[0].Cycles
 		}
 
 		if *export != "" {
@@ -109,20 +86,12 @@ func cmdTrace(fs *flag.FlagSet, _ io.Reader, w io.Writer) func() error {
 
 		switch *format {
 		case "json":
-			return cliutil.WriteJSON(w, traceReport{
-				Network: network,
-				Engine:  *engine,
-				Load:    *load,
-				Seed:    seed,
-				Sampled: rep.Sampled,
-				Traces:  rep.Traces,
-				Cohort:  cohortRows(rep),
-			})
+			return cliutil.WriteJSON(w, res)
 		case "table", "csv":
 		default:
 			return fmt.Errorf("unknown format %q (want table, csv or json)", *format)
 		}
-		fmt.Fprintf(w, "%s engine=%s load=%g cycles=%d sample=1/%d\n", network, *engine, *load, *jf.cycles, *sample)
+		fmt.Fprintf(w, "%s engine=%s load=%g cycles=%d sample=1/%d\n", network, *engine, *load, cycles, *sample)
 		if err := cliutil.WriteProbeReport(w, rep, *heatmap); err != nil {
 			return err
 		}
@@ -155,11 +124,11 @@ var cohortColumns = []cliutil.Column{
 // at one stage: how often each cohort's traces touched the stage and
 // how many stall events they accumulated there.
 type cohortRow struct {
-	Stage        int     `json:"stage"`
-	MedianVisits float64 `json:"medianVisits"`
-	MedianStalls float64 `json:"medianStalls"`
-	TailVisits   float64 `json:"tailVisits"`
-	TailStalls   float64 `json:"tailStalls"`
+	Stage        int
+	MedianVisits float64
+	MedianStalls float64
+	TailVisits   float64
+	TailStalls   float64
 }
 
 // cohortRows splits completed traces into the at-or-under-median
@@ -263,16 +232,4 @@ func dumpTraces(w io.Writer, rep *edn.ProbeReport, explain bool) error {
 		}
 	}
 	return nil
-}
-
-// traceReport is the machine-readable summary. Seed is the seed every
-// stream of the run drew from, max(-seed, 1).
-type traceReport struct {
-	Network string            `json:"network"`
-	Engine  string            `json:"engine"`
-	Load    float64           `json:"load"`
-	Seed    uint64            `json:"seed"`
-	Sampled int64             `json:"sampled"`
-	Traces  []edn.PacketTrace `json:"traces"`
-	Cohort  []cohortRow       `json:"cohort,omitempty"`
 }

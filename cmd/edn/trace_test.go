@@ -58,34 +58,55 @@ func TestRunDump(t *testing.T) {
 	}
 }
 
+// TestTraceRunJSON: -format json prints the trace's JobResult, a
+// one-shard latency job whose one point carries the probe report.
 func TestTraceRunJSON(t *testing.T) {
 	out := runTrace(t, "-load", "0.9", "-format", "json")
-	var rep struct {
-		Network string `json:"network"`
-		Sampled int64  `json:"sampled"`
-		Traces  []struct {
-			ID   int64 `json:"id"`
-			Hops []struct {
-				Event string `json:"event"`
-			} `json:"hops"`
-		} `json:"traces"`
-		Cohort []struct {
-			Stage int `json:"stage"`
-		} `json:"cohort"`
+	var res struct {
+		Spec struct {
+			Mode  string  `json:"mode"`
+			Load  float64 `json:"load"`
+			Probe struct {
+				SampleEvery int `json:"sample_every"`
+			} `json:"probe"`
+			Sim struct {
+				Shards int `json:"shards"`
+			} `json:"sim"`
+		} `json:"spec"`
+		Points []struct {
+			Config   struct{ A int }
+			Cycles   int
+			Observed struct {
+				Sampled int64 `json:"sampled"`
+				Traces  []struct {
+					ID   int64 `json:"id"`
+					Hops []struct {
+						Event string `json:"event"`
+					} `json:"hops"`
+				} `json:"traces"`
+			}
+		} `json:"points"`
 	}
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+	if err := json.Unmarshal([]byte(out), &res); err != nil {
 		t.Fatalf("not JSON: %v\n%s", err, out)
 	}
-	if rep.Network != "EDN(16,4,4,2)" || rep.Sampled == 0 || len(rep.Traces) == 0 {
-		t.Fatalf("unexpected report: %+v", rep)
+	if res.Spec.Mode != "latency" || res.Spec.Load != 0.9 || res.Spec.Probe.SampleEvery != 4 || res.Spec.Sim.Shards != 1 {
+		t.Fatalf("unexpected spec: %+v", res.Spec)
 	}
-	if rep.Traces[0].Hops[0].Event != "inject" {
-		t.Errorf("first hop should be inject: %+v", rep.Traces[0])
+	if len(res.Points) != 1 {
+		t.Fatalf("%d points, want 1", len(res.Points))
+	}
+	p := res.Points[0]
+	if p.Config.A != 16 || p.Cycles != 400 || p.Observed.Sampled == 0 || len(p.Observed.Traces) == 0 {
+		t.Fatalf("unexpected point: %+v", p)
+	}
+	if p.Observed.Traces[0].Hops[0].Event != "inject" {
+		t.Errorf("first hop should be inject: %+v", p.Observed.Traces[0])
 	}
 }
 
 // TestTraceJSONReportsEffectiveSeed: -seed 0 runs every stream from
-// seed 1, so its JSON document, the seed field included, is -seed 1's
+// seed 1, so its JobResult, the spec's seed included, is -seed 1's
 // byte for byte.
 func TestTraceJSONReportsEffectiveSeed(t *testing.T) {
 	for _, engine := range []string{"core", "edn", "dilated", "loop"} {
@@ -181,16 +202,22 @@ func TestTraceCoreIsDepth0Drop(t *testing.T) {
 	}
 }
 
-// TestTraceRunRejectsNegativeSizes pins that negative probe sizes and a
-// negative warmup are flag errors, not silent substitutions: the probe
-// would quietly take its default sizes, and a negative warmup never
-// reaches the cycle the probe attaches at, so nothing would be sampled.
+// TestTraceRunRejectsNegativeSizes pins that negative probe sizes, a
+// negative warmup and a load outside [0,1] are errors, not silent
+// substitutions: the probe would quietly take its default sizes, a
+// negative warmup never reaches the cycle the probe attaches at, so
+// nothing would be sampled, and a load past 1 is no probability. A
+// trace is a JobSpec, so the spec's checks cover it.
 func TestTraceRunRejectsNegativeSizes(t *testing.T) {
 	base := []string{"-a", "4", "-b", "2", "-c", "2", "-l", "2", "-cycles", "100"}
 	for _, extra := range [][]string{
 		{"-warmup", "10", "-trace-cap", "-1"},
 		{"-warmup", "10", "-heat-bins", "-2"},
 		{"-warmup", "-10"},
+		{"-warmup", "10", "-sample", "-3"},
+		{"-warmup", "10", "-load", "1.5"},
+		{"-warmup", "10", "-load", "1.5", "-engine", "loop"},
+		{"-warmup", "10", "-load", "0"},
 	} {
 		var sb strings.Builder
 		if err := runCmd("trace", append(append([]string{}, base...), extra...), &sb); err == nil {

@@ -81,8 +81,9 @@
 //     DilatedNet through the same harness the EDN runs on, so the same
 //     Options drive both networks under identical replayed traffic —
 //     latency tails, degradation curves and lifetime churn included
-//     (edn faults -dilated adds the per-wire model on a sampled
-//     sub-wire set as its cheap analytic overlay) — and every result
+//     (edn faults -dilated measures the counterpart as its own
+//     availability job, its dilated column that job's throughput, and
+//     -expected adds the analytic model's column) — and every result
 //     type labels either network: Config or Dilated, read through its
 //     Network method. A dilated delta's degradation and lifetime
 //     results carry the census of its one failing population, the
@@ -117,16 +118,16 @@
 //     text and JSON-lines). With no probe attached every hook is one
 //     nil check and the hot loops stay at 0 allocs/op
 //     (BenchmarkProbeOff, CI-gated); with a probe attached the results
-//     are bit-identical to an unprobed run. Sharded saturation and
-//     closed-loop points run their shards bare and collect the
-//     observation from one observation pass, a task of the point's
-//     worker pool run beside the shards under the point's first shard
-//     seed at the full cycle budget, which ignores the shard split, so
-//     the same Options yield the same trace set at any shard count and
-//     GOMAXPROCS;
-//     lifetime sweeps instead keep a heat probe on every shard, one bin
-//     per epoch, and sample traces on shard 0 only. See edn trace and
-//     the -trace/-heatmap flags on edn latency, lifetime and loop.
+//     are bit-identical to an unprobed run. A sharded saturation or
+//     closed-loop point attaches the probe to shard 0 alone, whose
+//     seed ignores the shard split; once shard 0's measured window
+//     closes it keeps cycling to the point's full budget for the probe,
+//     so one run serves the measurement and the observation, and the
+//     same Options yield the same trace set at any shard count and
+//     GOMAXPROCS. Lifetime sweeps instead keep a heat probe on every
+//     shard, one bin per epoch, and sample traces on shard 0 only. See
+//     edn trace (a one-shard latency or closed-loop job) and the
+//     -trace/-heatmap flags on edn latency, lifetime and loop.
 //   - Jobs and service: JobSpec is the single serializable description
 //     of any experiment the facade can run — every mode (latency,
 //     saturation, drain, availability, lifetime, closed-loop,
@@ -187,9 +188,9 @@
 //     like "which hot output is really responsible for this tail".
 //     Closed-loop requests get a five-way split instead: client-queue,
 //     retry-wait, forward-fabric, service, reply-fabric. Reports are
-//     shard-mergeable and ride the same observation pass as the probe,
-//     beside the shards, so explaining a run never moves a measured
-//     number or depends on the shard count or GOMAXPROCS
+//     shard-mergeable and ride shard 0 through the full budget, as the
+//     probe does, so explaining a run never moves a measured number or
+//     depends on the shard count or GOMAXPROCS
 //     (byte-identity property-tested, fault churn included). A
 //     detached collector costs one nil check per hook
 //     (BenchmarkAnatomyOff, 0 allocs/op, CI-gated); an attached one

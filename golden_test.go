@@ -21,7 +21,8 @@ const goldenDigestFile = "testdata/golden_jobs.sha256"
 
 // goldenSpecs enumerates one JobSpec per valid (mode, engine) pair —
 // plus the static-fault, probe and explain variants — at queue
-// depths 0, 1 and 4 under both policies. Shards are pinned and the
+// depths 0, 1 and 4 under both policies. Shards are pinned (2, unless
+// a base spec names its own count) and the
 // arbiters are the two replayable ones, so every digest is a pure
 // function of the spec on any host.
 func goldenSpecs() map[string]JobSpec {
@@ -68,6 +69,13 @@ func goldenSpecs() map[string]JobSpec {
 		"estimate-edn-faults": {Mode: JobEstimate, Geometry: geo, Load: 0.7,
 			Estimate: &EstimateSpec{Src: 2, Dst: 6},
 			Faults:   &FaultsSpec{Fraction: 0.05, Seed: 9}, Explain: explain},
+		// An observed point at one shard and at three: the one run
+		// that carries the instruments is the measured run itself at
+		// one shard, and outlives its measured window at three.
+		"latency-edn-observed-1shard": {Mode: JobLatency, Geometry: geo, Load: 0.9,
+			Probe: probe, Explain: explain, Sim: SimSpec{Shards: 1}},
+		"closedloop-edn-observed-3shards": {Mode: JobClosedLoop, Geometry: geo, Rates: []float64{0.5},
+			Loop: loop, Probe: probe, Explain: explain, Sim: SimSpec{Shards: 3}},
 	}
 	specs := make(map[string]JobSpec)
 	for name, spec := range base {
@@ -83,6 +91,9 @@ func goldenSpecs() map[string]JobSpec {
 				s := spec
 				s.Queue = &QueueSpec{Depth: depth, Policy: policy, Arbiter: arb}
 				s.Sim = sim
+				if spec.Sim.Shards != 0 {
+					s.Sim.Shards = spec.Sim.Shards
+				}
 				specs[fmt.Sprintf("%s/d%d/%s", name, depth, policy)] = s
 			}
 		}
@@ -94,9 +105,10 @@ func goldenSpecs() map[string]JobSpec {
 // anatomy report to digests recorded before the EDN/dilated harnesses
 // were folded onto one network value. TestRunMatchesFacade compares two
 // code paths of the same tree; only this test catches both drifting
-// together. A spec with a probe or an explain section runs its
-// observation pass beside its shards, so it must match its digests
-// under GOMAXPROCS 1, 2 and 4: the schedule never reaches the bytes.
+// together. A spec with a probe or an explain section observes on
+// shard 0 while its other shards run beside it, so it must match its
+// digests under GOMAXPROCS 1, 2 and 4: the schedule never reaches the
+// bytes.
 // On a mismatch it prints the complete new digest file.
 func TestGoldenJobDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {

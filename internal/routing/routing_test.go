@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -165,11 +166,92 @@ func TestTraceRouteArgumentErrors(t *testing.T) {
 	if _, err := TraceRoute(cfg, 0, -1, nil); err == nil {
 		t.Error("expected destination range error")
 	}
+	if _, err := TraceRoute(cfg, 0, cfg.Outputs(), nil); err == nil {
+		t.Error("expected destination range error at Outputs()")
+	}
 	if _, err := TraceRoute(cfg, 0, 0, []int{0}); err == nil {
 		t.Error("expected choice length error")
 	}
 	if _, err := TraceRoute(cfg, 0, 0, []int{0, 99}); err == nil {
 		t.Error("expected choice range error")
+	}
+}
+
+// lines is a trace's wire labels: the source, the wire after each
+// hyperbar stage's interstage wiring, and the crossbar's output.
+func lines(tr Trace) []int {
+	out := []int{tr.Source}
+	for _, h := range tr.Hops {
+		out = append(out, h.NextLine)
+	}
+	return out
+}
+
+// TestTheorem1Connected walks every (src, dst) pair of several small
+// networks with an arbitrary choice vector: Lemma 1 guarantees arrival.
+func TestTheorem1Connected(t *testing.T) {
+	cfgs := []topology.Config{
+		{A: 4, B: 2, C: 2, L: 2},
+		{A: 8, B: 2, C: 4, L: 2},
+		{A: 8, B: 4, C: 2, L: 2},
+		{A: 4, B: 4, C: 1, L: 3},
+		{A: 4, B: 8, C: 2, L: 2},
+		{A: 8, B: 2, C: 2, L: 2}, // contracting network (inputs > outputs)
+	}
+	for _, cfg := range cfgs {
+		choices := make([]int, cfg.L)
+		for src := 0; src < cfg.Inputs(); src++ {
+			for dst := 0; dst < cfg.Outputs(); dst++ {
+				for i := range choices {
+					choices[i] = (src + dst + i) % cfg.C
+				}
+				if _, err := TraceRoute(cfg, src, dst, choices); err != nil {
+					t.Fatalf("%v: walk(%d -> %d) failed: %v", cfg, src, dst, err)
+				}
+			}
+		}
+	}
+}
+
+// TestTheorem2PathCount enumerates all paths on small networks and checks
+// there are exactly c^l distinct ones, all valid.
+func TestTheorem2PathCount(t *testing.T) {
+	cfgs := []topology.Config{
+		{A: 4, B: 2, C: 2, L: 2},
+		{A: 8, B: 2, C: 4, L: 2},
+		{A: 8, B: 4, C: 2, L: 3},
+		{A: 4, B: 4, C: 1, L: 2}, // delta: unique path
+	}
+	for _, cfg := range cfgs {
+		for src := 0; src < cfg.Inputs(); src += max(1, cfg.Inputs()/4) {
+			for dst := 0; dst < cfg.Outputs(); dst += max(1, cfg.Outputs()/4) {
+				seen := map[string]bool{}
+				choices := make([]int, cfg.L)
+				for n := 0; n < cfg.PathCount(); n++ {
+					v := n // n as a base-c choice vector
+					for i := range choices {
+						choices[i] = v % cfg.C
+						v /= cfg.C
+					}
+					tr, err := TraceRoute(cfg, src, dst, choices)
+					if err != nil {
+						t.Fatalf("%v src=%d dst=%d: %v", cfg, src, dst, err)
+					}
+					p := lines(tr)
+					if p[0] != src || p[len(p)-1] != dst {
+						t.Fatalf("%v: path %v does not join %d to %d", cfg, p, src, dst)
+					}
+					key := fmt.Sprint(p)
+					if seen[key] {
+						t.Fatalf("%v src=%d dst=%d: duplicate path %v", cfg, src, dst, p)
+					}
+					seen[key] = true
+				}
+				if len(seen) != cfg.PathCount() {
+					t.Fatalf("%v src=%d dst=%d: %d paths, want %d", cfg, src, dst, len(seen), cfg.PathCount())
+				}
+			}
+		}
 	}
 }
 

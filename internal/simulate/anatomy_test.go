@@ -17,11 +17,11 @@ func testAnatomyOptions() *anatomy.Options {
 }
 
 // TestAnatomySweepShardInvariant pins the anatomy analogue of the probe
-// contract: the collector rides the dedicated sequential observation
-// pass, whose seed and cycle budget do not depend on the shard split,
-// so the same Options yield the identical report whether the measured
-// sweep ran on 1 shard or 3 — and an explained sweep never moves a
-// measured number.
+// contract: the collector rides shard 0 through the full cycle budget,
+// and neither shard 0's seed nor that budget depends on the shard
+// split, so the same Options yield the identical report whether the
+// measured sweep ran on 1 shard or 3 — and an explained sweep never
+// moves a measured number.
 func TestAnatomySweepShardInvariant(t *testing.T) {
 	cfg, err := topology.New(16, 4, 4, 2)
 	if err != nil {

@@ -191,7 +191,7 @@ func AvailabilitySweep(net Net, aopts AvailabilityOptions, src LoadPattern, opts
 func availabilityPoint(net Net, aopts AvailabilityOptions, f float64, src LoadPattern, opts Options, shards int, plans []faultPlan, trafficSeeds []uint64) (AvailabilityResult, error) {
 	parts := make([]LatencyResult, shards)
 	censuses := make([]faultCensus, shards)
-	err := runShards(opts, shards, nil, func(w, cycles int) error {
+	err := runShards(opts, shards, func(w, cycles int) error {
 		m, err := plans[w](f)
 		if err != nil {
 			return err

@@ -55,9 +55,8 @@ type ClosedLoopResult struct {
 	// Observed carries the flight-recorder report when Options.Probe
 	// was set: sampled request traces (attempt-numbered issue, timeout,
 	// retry and completion events) plus per-cycle ledger-gauge heat,
-	// from the one observation pass, run beside the shards on the
-	// point's worker pool (see Options.observation for the determinism
-	// argument).
+	// from shard 0, which carries the probe through the full cycle
+	// budget (see Options.instrument for the determinism argument).
 	Observed *probe.Report
 }
 
@@ -120,8 +119,10 @@ func ledgerAdd(into *closedloop.Ledger, d closedloop.Ledger) {
 // (requests forward, replies back) with demand drawn from seed, runs
 // o.Warmup + o.Cycles cycles with o's probe and anatomy collector
 // attached at the measurement boundary, asserts conservation, and
-// returns the measurement-window deltas.
-func runClosedLoopShard(net Net, lo closedloop.Options, seed uint64, o Options) (closedLoopPartial, error) {
+// returns the measurement-window deltas. It then keeps cycling to
+// o.Warmup + budget, for the instruments alone (see
+// measurePacketEngine).
+func runClosedLoopShard(net Net, lo closedloop.Options, seed uint64, o Options, budget int) (closedLoopPartial, error) {
 	fwd, err := net.engine(o.Factory)
 	if err != nil {
 		return closedLoopPartial{}, err
@@ -143,7 +144,7 @@ func runClosedLoopShard(net Net, lo closedloop.Options, seed uint64, o Options) 
 	}
 	warmLed, warmSLA := loop.Ledger(), loop.SLACredit()
 	loop.ResetLatency()
-	pr := newProbe(o.Probe, o.Cycles)
+	pr := newProbe(o.Probe, budget)
 	if pr != nil {
 		loop.SetProbe(pr)
 	}
@@ -162,14 +163,19 @@ func runClosedLoopShard(net Net, lo closedloop.Options, seed uint64, o Options) 
 	if err := loop.CheckConservation(); err != nil {
 		return closedLoopPartial{}, err
 	}
-	if an != nil && o.OnAnatomy != nil {
-		o.OnAnatomy(an.Report())
-	}
 	part := closedLoopPartial{
 		led:    ledgerDelta(loop.Ledger(), warmLed),
 		sla:    loop.SLACredit() - warmSLA,
 		hist:   loop.Latency().Clone(),
 		cycles: o.Cycles,
+	}
+	for c := o.Cycles; c < budget; c++ {
+		if _, err := loop.Cycle(); err != nil {
+			return closedLoopPartial{}, err
+		}
+	}
+	if an != nil && o.OnAnatomy != nil {
+		o.OnAnatomy(an.Report())
 	}
 	if pr != nil {
 		part.rep = pr.Report()
@@ -178,24 +184,20 @@ func runClosedLoopShard(net Net, lo closedloop.Options, seed uint64, o Options) 
 }
 
 // closedLoopPoint measures one demand-rate point — point `index` on
-// the sweep's rate axis — as bare shards under pointSeeds, the seeds a
-// saturation point derives: same Options mean same shard seeds, which
-// is what keeps an EDN sweep and its dilated counterpart replay-matched
-// at the request level. The observation pass runs beside the shards on
-// the point's worker pool. Callers must have run prepare.
+// the sweep's rate axis — as one run per shard under pointSeeds, the
+// seeds a saturation point derives: same Options mean same shard seeds,
+// which is what keeps an EDN sweep and its dilated counterpart
+// replay-matched at the request level. Shard 0 carries the instruments
+// (Options.instrument). Callers must have run prepare.
 func closedLoopPoint(net Net, rate float64, index int, lo closedloop.Options, opts Options, shards int) (ClosedLoopResult, error) {
 	lo.Rate = rate
 	seeds := pointSeeds(opts.Seed, index, shards)
-	observe, observed := opts.observation(func(o Options) (*probe.Report, error) {
-		obs, err := runClosedLoopShard(net, lo, seeds[0], o)
-		return obs.rep, err
-	})
 	parts := make([]closedLoopPartial, shards)
-	err := runShards(opts, shards, observe, func(w, cycles int) (err error) {
-		parts[w], err = runClosedLoopShard(net, lo, seeds[w], opts.bare(cycles))
+	shard, finish := opts.instrument(func(w int, o Options, budget int) (err error) {
+		parts[w], err = runClosedLoopShard(net, lo, seeds[w], o, budget)
 		return err
 	})
-	if err != nil {
+	if err := runShards(opts, shards, shard); err != nil {
 		return ClosedLoopResult{}, err
 	}
 
@@ -220,7 +222,8 @@ func closedLoopPoint(net Net, rate float64, index int, lo closedloop.Options, op
 	inputs, _ := net.ports()
 	res.fill(inputs)
 	opts.stage("merge", -1, 0, mergeStart)
-	res.Observed = observed()
+	finish()
+	res.Observed = parts[0].rep
 	return res, nil
 }
 

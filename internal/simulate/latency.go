@@ -58,11 +58,10 @@ type LatencyResult struct {
 	Histogram *stats.Histogram
 
 	// Observed carries the flight-recorder report when Options.Probe
-	// was set. Sharded sweeps fill it from the dedicated observation
-	// pass, one task of the point's worker pool run beside the shards
-	// under the point's first shard seed at the full cycle budget
-	// (deterministic for a given Options regardless of the shard count
-	// and GOMAXPROCS); the probed pass never feeds the measured
+	// was set. Sharded sweeps fill it from shard 0, which carries the
+	// probe through the full cycle budget under the point's first
+	// shard seed (deterministic for a given Options regardless of the
+	// shard count and GOMAXPROCS); the probe never moves the measured
 	// counters above.
 	Observed *probe.Report
 }
@@ -105,12 +104,15 @@ func (r *LatencyResult) fillQuantiles(inputs int) {
 // window's still-queued survivors not at all — the standard open-loop
 // truncation. each, when non-nil, sees every cycle's stats after the
 // cycle runs, warmup included: cycles count from 0, and the window
-// opens at cycle opts.Warmup.
-func measurePacketEngine(net *queuesim.Network, inputs, outputs int, pattern traffic.Pattern, opts Options, res *LatencyResult, each func(cycle int, cs queuesim.CycleStats)) error {
+// opens at cycle opts.Warmup. The run then keeps cycling past the
+// window to opts.Warmup + budget, which only shard 0 of an observed
+// point asks for (see Options.instrument): the instruments observe the
+// point's full budget, and the probe's bins split it.
+func measurePacketEngine(net *queuesim.Network, inputs, outputs int, pattern traffic.Pattern, opts Options, budget int, res *LatencyResult, each func(cycle int, cs queuesim.CycleStats)) error {
 	next := trafficStep(pattern, inputs, outputs)
 	var queuedSum int64
 	var before queuesim.Totals
-	pr := newProbe(opts.Probe, opts.Cycles)
+	pr := newProbe(opts.Probe, budget)
 	var an *anatomy.Collector
 	if opts.Anatomy != nil {
 		// Unlike the probe, the collector attaches at cycle 0: its FIFO
@@ -150,6 +152,11 @@ func measurePacketEngine(net *queuesim.Network, inputs, outputs int, pattern tra
 	res.AvgQueued = float64(queuedSum) / float64(opts.Cycles)
 	res.Histogram = net.Latency().Clone()
 	res.fillQuantiles(inputs)
+	for cycle := opts.Warmup + opts.Cycles; cycle < opts.Warmup+budget; cycle++ {
+		if _, err := net.Cycle(next()); err != nil {
+			return err
+		}
+	}
 	if pr != nil {
 		res.Observed = pr.Report()
 	}
@@ -175,6 +182,12 @@ func MeasureLatency(net Net, pattern traffic.Pattern, opts Options) (LatencyResu
 		return LatencyResult{}, err
 	}
 	opts = opts.withDefaults()
+	return measureLatency(net, pattern, opts, opts.Cycles)
+}
+
+// measureLatency is MeasureLatency over validated, defaulted options,
+// run on to budget cycles past warmup (see measurePacketEngine).
+func measureLatency(net Net, pattern traffic.Pattern, opts Options, budget int) (LatencyResult, error) {
 	eng, err := net.engine(opts.Factory)
 	if err != nil {
 		return LatencyResult{}, err
@@ -188,7 +201,7 @@ func MeasureLatency(net Net, pattern traffic.Pattern, opts Options) (LatencyResu
 	}
 	res.Config, res.Dilated = net.label()
 	inputs, outputs := net.ports()
-	if err := measurePacketEngine(eng, inputs, outputs, pattern, opts, &res, nil); err != nil {
+	if err := measurePacketEngine(eng, inputs, outputs, pattern, opts, budget, &res, nil); err != nil {
 		return LatencyResult{}, err
 	}
 	return res, nil
@@ -261,62 +274,36 @@ func SaturationSweep(net Net, loads []float64, src LoadPattern, opts Options, sh
 // runShards is the one scheduler of every sharded measurement. It
 // splits opts.Cycles across shards — shard w gets Cycles/shards cycles
 // plus one of the remainder — and runs fn(w, cycles) for every shard
-// with a non-zero share, and observe when it is non-nil, on one worker
-// per shard that pull one fixed task list: the shards in shard order
-// with observe right after shard 0. So at one shard the observation
-// runs after shard 0, and at two or more it runs beside the shards, the
-// last shard starting when a worker frees up. Each shard is reported
-// as a "shard" stage. It returns the first shard error in shard order,
-// else observe's; a task's panic becomes its error, with the panic
-// value and stack. Keeping the split in one place keeps the shard
-// seeding pairing between EDN and dilated sweeps identical everywhere.
-// The lifetime families pass a budget of shards x Epochs x EpochCycles,
+// with a non-zero share, each on its own goroutine. Each shard is
+// reported as a "shard" stage. It returns the first shard error in
+// shard order; a shard's panic becomes its error, with the panic value
+// and stack. Keeping the split in one place keeps the shard seeding
+// pairing between EDN and dilated sweeps identical everywhere. The
+// lifetime families pass a budget of shards x Epochs x EpochCycles,
 // so every shard runs the whole schedule.
-func runShards(opts Options, shards int, observe func() error, fn func(w, cycles int) error) error {
+func runShards(opts Options, shards int, fn func(w, cycles int) error) error {
 	per, extra := opts.Cycles/shards, opts.Cycles%shards
-	// Task w < shards is shard w, task shards the observation; errs is
-	// indexed the same way, so shard errors outrank the observation's.
-	tasks := make(chan int, shards+1) // sized to the number of sends
-	for w := 0; w < shards; w++ {
-		if w < extra || per > 0 {
-			tasks <- w
-		}
-		if w == 0 && observe != nil {
-			tasks <- shards
-		}
-	}
-	close(tasks)
-	errs := make([]error, shards+1)
-	run := func(w int) {
-		defer func() {
-			if r := recover(); r != nil {
-				task := fmt.Sprintf("shard %d", w)
-				if w == shards {
-					task = "observation"
-				}
-				errs[w] = fmt.Errorf("simulate: %s panicked: %v\n%s", task, r, debug.Stack())
-			}
-		}()
-		if w == shards {
-			errs[w] = observe()
-			return
-		}
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	for w := range shards {
 		cycles := per
 		if w < extra {
 			cycles++
 		}
-		start := time.Now()
-		errs[w] = fn(w, cycles)
-		opts.stage("shard", w, cycles, start)
-	}
-	var wg sync.WaitGroup
-	for range shards {
+		if cycles == 0 {
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for w := range tasks {
-				run(w)
-			}
+			defer func() {
+				if r := recover(); r != nil {
+					errs[w] = fmt.Errorf("simulate: shard %d panicked: %v\n%s", w, r, debug.Stack())
+				}
+			}()
+			start := time.Now()
+			errs[w] = fn(w, cycles)
+			opts.stage("shard", w, cycles, start)
 		}()
 	}
 	wg.Wait()
@@ -332,8 +319,8 @@ func runShards(opts Options, shards int, observe func() error, fn func(w, cycles
 // up front, so the assignment does not depend on scheduling. Saturation
 // and closed-loop points share it: the same Options give an EDN and its
 // dilated counterpart the same seeds, hence identical per-input
-// injection replays, and seeds[0], the observation pass's seed, does
-// not depend on the shard count.
+// injection replays, and seeds[0], the seed of shard 0 and of its
+// instruments, does not depend on the shard count.
 func pointSeeds(seed uint64, index, shards int) []uint64 {
 	root := xrand.New(seed ^ uint64(index+1)*0x9e3779b97f4a7c15)
 	seeds := make([]uint64, shards)
@@ -343,29 +330,22 @@ func pointSeeds(seed uint64, index, shards int) []uint64 {
 	return seeds
 }
 
-// saturationPoint measures point `index` of a saturation sweep: bare
-// shards under pointSeeds and the observation pass on one worker pool,
-// the shards merged by mergeLatency. SaturationSweep and
+// saturationPoint measures point `index` of a saturation sweep: one
+// run per shard under pointSeeds, shard 0 carrying the instruments
+// (Options.instrument), merged by mergeLatency. SaturationSweep and
 // SaturationPoint share it, so a streamed point is the batch sweep's
 // point by construction. Callers must have run prepare.
 func saturationPoint(net Net, load float64, index int, src LoadPattern, opts Options, shards int) (LatencyResult, error) {
 	if src == nil {
 		src = UniformLoad
 	}
-	measure := func(seed uint64, o Options) (LatencyResult, error) {
-		return MeasureLatency(net, src(load, xrand.New(seed)), o)
-	}
 	seeds := pointSeeds(opts.Seed, index, shards)
-	observe, observed := opts.observation(func(o Options) (*probe.Report, error) {
-		obs, err := measure(seeds[0], o)
-		return obs.Observed, err
-	})
 	parts := make([]LatencyResult, shards)
-	err := runShards(opts, shards, observe, func(w, cycles int) (err error) {
-		parts[w], err = measure(seeds[w], opts.bare(cycles))
+	shard, finish := opts.instrument(func(w int, o Options, budget int) (err error) {
+		parts[w], err = measureLatency(net, src(load, xrand.New(seeds[w])), o, budget)
 		return err
 	})
-	if err != nil {
+	if err := runShards(opts, shards, shard); err != nil {
 		return LatencyResult{}, err
 	}
 	inputs, _ := net.ports()
@@ -373,7 +353,8 @@ func saturationPoint(net Net, load float64, index int, src LoadPattern, opts Opt
 	if err != nil {
 		return LatencyResult{}, err
 	}
-	merged.Observed = observed()
+	finish()
+	merged.Observed = parts[0].Observed
 	return merged, nil
 }
 

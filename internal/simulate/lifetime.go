@@ -290,7 +290,7 @@ func runLifetimeShards(net Net, opts Options, lopts LifetimeOptions, shards int,
 	}
 	budget := opts
 	budget.Cycles = shards * lopts.Epochs * lopts.EpochCycles
-	return runShards(budget, shards, nil, func(w, _ int) error {
+	return runShards(budget, shards, func(w, _ int) error {
 		return shard(w, seeds[w].proc, seeds[w].traffic)
 	})
 }

@@ -1,10 +1,15 @@
 package simulate
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"edn/internal/anatomy"
 	"edn/internal/closedloop"
 	"edn/internal/dilated"
 	"edn/internal/dilatedsim"
@@ -13,6 +18,8 @@ import (
 	"edn/internal/probe"
 	"edn/internal/queuesim"
 	"edn/internal/topology"
+	"edn/internal/traffic"
+	"edn/internal/xrand"
 )
 
 func observeProbeOptions() *probe.Options {
@@ -35,8 +42,8 @@ func sameTraces(t *testing.T, a, b *probe.Report) {
 }
 
 // TestObservedSweepShardInvariant pins the shard-merge determinism
-// contract: because rate sweeps collect their report from a dedicated
-// sequential observation pass (seeded by the first root draw, which
+// contract: because rate sweeps collect their report from shard 0 run
+// through the full cycle budget (seeded by the first root draw, which
 // does not depend on the shard split), the same Options produce the
 // identical trace set whether the measured sweep ran on 1 shard or 3 —
 // and the measured results stay bit-identical to an unprobed sweep.
@@ -71,8 +78,8 @@ func TestObservedSweepShardInvariant(t *testing.T) {
 }
 
 // TestObservedDilatedSweepShardInvariant pins the same contract for the
-// dilated engine: its sweeps route through the same observation-pass
-// machinery, so traces and heat must not depend on the shard split, and
+// dilated engine: its sweeps put the probe on shard 0 the same way, so
+// traces and heat must not depend on the shard split, and
 // a probed sweep must not move the measured numbers.
 func TestObservedDilatedSweepShardInvariant(t *testing.T) {
 	cfg, err := topology.New(16, 4, 4, 2)
@@ -194,5 +201,140 @@ func TestObservedLifetimeShardInvariant(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain1, stripped) {
 		t.Fatalf("probed lifetime changed measured results")
+	}
+}
+
+// observationPass is the observation pass sharded points used to run
+// beside their shards, kept as the oracle of shard 0's instruments: one
+// instrumented run of the full budget under the point's first shard
+// seed, pointSeeds(seed, index, shards)[0]. It returns the JSON of the
+// probe report and of the anatomy report.
+func observationPass(t *testing.T, opts Options, seed uint64, run func(Options, uint64) (*probe.Report, error)) (obs, anat []byte) {
+	t.Helper()
+	var rep *anatomy.Report
+	opts.OnAnatomy = func(r *anatomy.Report) { rep = r }
+	pr, err := run(opts, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustJSON(t, pr), mustJSON(t, rep)
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestShardZeroIsTheObservationPass pins that a sharded point's
+// observation is the observation pass it replaced, byte for byte:
+// shard 0 carries the instruments past its measured window to the full
+// budget, and its probe and anatomy reports equal one instrumented
+// full-budget run under the point's first shard seed, for saturation
+// and closed-loop points at 1, 2 and 3 shards, on an EDN and a dilated
+// delta, at depths 0 and 2.
+func TestShardZeroIsTheObservationPass(t *testing.T) {
+	cfg, err := topology.New(16, 4, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcfg, err := dilated.Counterpart(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := closedloop.Options{Window: 3, Timeout: 20, MaxAttempts: 3,
+		Retry: closedloop.RetryBackoff, BackoffBase: 2, BackoffCap: 8}
+	loads := []float64{0.5, 0.9}
+	for _, q := range []queuesim.Options{{Depth: 0, Policy: queuesim.Drop}, {Depth: 2}} {
+		for _, net := range []Net{EDN{Config: cfg, Queue: q}, Dilated{Config: dcfg, Queue: q}} {
+			for _, shards := range []int{1, 2, 3} {
+				t.Run(fmt.Sprintf("%v/depth%d/%dshards", net, q.Depth, shards), func(t *testing.T) {
+					var anats [][]byte
+					opts := Options{Cycles: 301, Warmup: 40, Seed: 7,
+						Probe: observeProbeOptions(), Anatomy: testAnatomyOptions(),
+						OnAnatomy: func(r *anatomy.Report) { anats = append(anats, mustJSON(t, r)) }}
+					sat, err := SaturationSweep(net, loads, nil, opts, shards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					loop, err := MeasureClosedLoop(net, loads, lo, opts, shards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(anats) != 2*len(loads) {
+						t.Fatalf("%d anatomy reports for %d points", len(anats), 2*len(loads))
+					}
+					for i, load := range loads {
+						seed := pointSeeds(opts.Seed, i, shards)[0]
+						obs, anat := observationPass(t, opts, seed, func(o Options, seed uint64) (*probe.Report, error) {
+							r, err := MeasureLatency(net, UniformLoad(load, xrand.New(seed)), o)
+							return r.Observed, err
+						})
+						if got := mustJSON(t, sat[i].Observed); !bytes.Equal(got, obs) {
+							t.Errorf("saturation point %d: observed report differs from the pass's", i)
+						}
+						if !bytes.Equal(anats[i], anat) {
+							t.Errorf("saturation point %d: anatomy report differs from the pass's", i)
+						}
+						obs, anat = observationPass(t, opts, seed, func(o Options, seed uint64) (*probe.Report, error) {
+							l := lo
+							l.Rate = load
+							p, err := runClosedLoopShard(net, l, seed, o, o.Cycles)
+							return p.rep, err
+						})
+						if got := mustJSON(t, loop[i].Observed); !bytes.Equal(got, obs) {
+							t.Errorf("closed-loop point %d: observed report differs from the pass's", i)
+						}
+						if !bytes.Equal(anats[len(loads)+i], anat) {
+							t.Errorf("closed-loop point %d: anatomy report differs from the pass's", i)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// countingLoad counts the request vectors its patterns draw.
+type countingLoad struct {
+	traffic.Pattern
+	n *atomic.Int64
+}
+
+func (c countingLoad) GenerateInto(dest []int, outputs int) {
+	c.n.Add(1)
+	c.Pattern.GenerateInto(dest, outputs)
+}
+
+// TestObservedPointRunsItsBudgetOnce pins that an observed point adds
+// no run of its own: at one shard it draws exactly Warmup + Cycles
+// request vectors, and at two shard 0 draws Warmup + Cycles (its
+// window, then its continuation for the instruments) and shard 1
+// Warmup plus its share.
+func TestObservedPointRunsItsBudgetOnce(t *testing.T) {
+	cfg, err := topology.New(16, 4, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n atomic.Int64
+	src := func(load float64, rng *xrand.Rand) traffic.Pattern {
+		return countingLoad{UniformLoad(load, rng), &n}
+	}
+	opts := Options{Cycles: 300, Warmup: 40, Seed: 3, Probe: observeProbeOptions(), Anatomy: testAnatomyOptions()}
+	net := EDN{Config: cfg, Queue: queuesim.Options{Depth: 2}}
+	for _, tc := range []struct {
+		shards int
+		want   int64
+	}{{1, 40 + 300}, {2, (40 + 300) + (40 + 150)}} {
+		n.Store(0)
+		if _, err := SaturationPoint(net, 0.8, 0, src, opts, tc.shards); err != nil {
+			t.Fatal(err)
+		}
+		if got := n.Load(); got != tc.want {
+			t.Errorf("%d shards: %d request vectors drawn, want %d", tc.shards, got, tc.want)
+		}
 	}
 }

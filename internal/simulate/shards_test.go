@@ -2,11 +2,8 @@ package simulate
 
 import (
 	"errors"
-	"fmt"
-	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +17,7 @@ import (
 // shard's error, with its value and stack, and errors are reported in
 // shard order whatever order the goroutines finished in.
 func TestRunShardsRecoversPanic(t *testing.T) {
-	err := runShards(Options{Cycles: 10}, 3, nil, func(w, cycles int) error {
+	err := runShards(Options{Cycles: 10}, 3, func(w, cycles int) error {
 		switch w {
 		case 1:
 			panic("shard exploded")
@@ -41,18 +38,11 @@ func TestRunShardsRecoversPanic(t *testing.T) {
 	}
 }
 
-// withProcs runs the rest of the test under GOMAXPROCS n.
-func withProcs(t *testing.T, n int) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
 // TestObserveStartsBeforeMerge pins that a probed point's observation
-// pass runs inside the point's worker pool, not after the merge: its
-// "observe" stage starts before the "merge" stage does, yet is filed
-// after it, and the anatomy report reaches OnAnatomy once, after the
-// merge, before the observe stage is filed.
+// rides on shard 0, not on a run after the merge: its "observe" stage
+// starts before the "merge" stage does, yet is filed after it, and the
+// anatomy report reaches OnAnatomy once, after the merge, before the
+// observe stage is filed.
 func TestObserveStartsBeforeMerge(t *testing.T) {
 	cfg, err := topology.New(16, 4, 4, 2)
 	if err != nil {
@@ -88,96 +78,5 @@ func TestObserveStartsBeforeMerge(t *testing.T) {
 	}
 	if !starts["observe"].Before(starts["merge"]) {
 		t.Fatalf("observe started at %v, not before merge at %v", starts["observe"], starts["merge"])
-	}
-}
-
-// TestRunShardsOverlapsObservation pins that at two shards the
-// observation runs beside the shards and starts at once: each shard
-// waits for the observation to start and the observation waits for
-// shard 1, which only a concurrent schedule that lists the observation
-// right after shard 0 satisfies.
-func TestRunShardsOverlapsObservation(t *testing.T) {
-	withProcs(t, 2)
-	shardStarted, obsStarted := make(chan struct{}), make(chan struct{})
-	await := func(ch <-chan struct{}, what string) error {
-		select {
-		case <-ch:
-			return nil
-		case <-time.After(2 * time.Second):
-			return fmt.Errorf("%s never started", what)
-		}
-	}
-	observe := func() error {
-		close(obsStarted)
-		return await(shardStarted, "shard 1")
-	}
-	err := runShards(Options{Cycles: 10}, 2, observe, func(w, _ int) error {
-		if w == 1 {
-			close(shardStarted)
-		}
-		return await(obsStarted, "the observation")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunShardsObservationOrder pins that a single shard gets one
-// worker whatever GOMAXPROCS is, so its observation runs after shard 0,
-// never beside it.
-func TestRunShardsObservationOrder(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
-			withProcs(t, procs)
-			var mu sync.Mutex
-			var order []string
-			var busy atomic.Bool
-			record := func(name string) error {
-				if busy.Swap(true) {
-					return fmt.Errorf("%s ran beside another task", name)
-				}
-				mu.Lock()
-				order = append(order, name)
-				mu.Unlock()
-				time.Sleep(5 * time.Millisecond) // give a concurrent task the chance to show
-				busy.Store(false)
-				return nil
-			}
-			err := runShards(Options{Cycles: 30}, 1, func() error { return record("obs") },
-				func(w, _ int) error { return record(fmt.Sprint(w)) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := strings.Join(order, ","); got != "0,obs" {
-				t.Fatalf("task order %s, want 0,obs", got)
-			}
-		})
-	}
-}
-
-// TestRunShardsObservationErrors pins how the observation's failures
-// surface: its error or panic (with the stack) fails the point, but a
-// failing shard's error outranks it.
-func TestRunShardsObservationErrors(t *testing.T) {
-	withProcs(t, 2)
-	errObs, errShard := errors.New("observation failed"), errors.New("shard failed")
-	ok := func(int, int) error { return nil }
-	err := runShards(Options{Cycles: 10}, 2, func() error { return errObs }, ok)
-	if !errors.Is(err, errObs) {
-		t.Errorf("failing observation: got %v", err)
-	}
-	err = runShards(Options{Cycles: 10}, 2, func() error { panic("observer exploded") }, ok)
-	if err == nil || !strings.Contains(err.Error(), "observation panicked: observer exploded") ||
-		!strings.Contains(err.Error(), "runtime/debug.Stack") {
-		t.Errorf("panicking observation: got %v", err)
-	}
-	err = runShards(Options{Cycles: 10}, 2, func() error { return errObs }, func(w, _ int) error {
-		if w == 1 {
-			return errShard
-		}
-		return nil
-	})
-	if !errors.Is(err, errShard) {
-		t.Errorf("a failing shard must outrank the observation: got %v", err)
 	}
 }

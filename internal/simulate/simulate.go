@@ -16,15 +16,15 @@
 //
 // Every sharded measurement runs through one skeleton: runShards is the
 // only scheduler (it splits the cycle budget, runs the shards on one
-// worker each and reports each as a "shard" stage), a
-// point's shard seeds derive from (Options.Seed, point index) in one
-// place, its shards merge exactly, and Options.observation is the one
-// observation pass that carries a probe or an anatomy collector, so the
-// shards run bare. The pass is one task of the point's worker pool, run
-// beside the shards under the point's first shard seed at the full
-// cycle budget, so traces and reports do not depend on the shard count
-// or GOMAXPROCS. Lifetimes keep per-shard heat probes instead,
-// one heat bin per epoch.
+// goroutine each and reports each as a "shard" stage), a point's shard
+// seeds derive from (Options.Seed, point index) in one place, and its
+// shards merge exactly. A probe or an anatomy collector rides on shard
+// 0 alone (Options.instrument): shard 0's seed does not depend on the
+// shard count, and once its measured window closes it keeps cycling
+// to the point's full budget for the instruments, so traces and
+// reports do not depend on the shard count or GOMAXPROCS, and the
+// measured numbers never see an instrument. Lifetimes keep per-shard
+// heat probes instead, one heat bin per epoch.
 package simulate
 
 import (
@@ -51,40 +51,41 @@ type Options struct {
 	// Probe, when non-nil, attaches a flight-recorder probe to the
 	// measurement and fills the result's Observed report: sampled packet
 	// traces plus per-stage heat series over the measurement window.
-	// Sharded points keep their shard runs unprobed and gather the
-	// report from the one observation pass (Options.observation), a
-	// task of the point's worker pool run beside the shards, or, in
-	// lifetime sweeps, from per-shard heat probes, so the measured
-	// results are bit-identical with and without a probe.
+	// A sharded point attaches it to shard 0 alone, which runs on past
+	// its measured window to the point's full cycle budget for the
+	// probe (see instrument); lifetime sweeps probe every shard, one
+	// heat bin per epoch. The measured results are bit-identical with
+	// and without a probe.
 	Probe *probe.Options
 
 	// Anatomy, when non-nil, attaches a latency-anatomy collector to the
 	// measurement: per-stage wait/block/service attribution, switch
 	// blame, congestion trees and flow breakdowns (plus the five-way
 	// request split for closed loops), delivered through OnAnatomy.
-	// Like Probe, sharded points keep their shard runs bare and collect
-	// the anatomy on the observation pass, beside the shards, under the
-	// point's first shard seed at the full cycle budget, so the measured
-	// results are bit-identical with and without it and the report is
-	// invariant to the shard count and GOMAXPROCS.
+	// Like Probe, a sharded point attaches it to shard 0 alone, under
+	// the point's first shard seed and through the full cycle budget,
+	// so the measured results are bit-identical with and without it and
+	// the report is invariant to the shard count and GOMAXPROCS.
 	Anatomy *anatomy.Options
 
 	// OnAnatomy receives each measured point's anatomy report when
-	// Anatomy is set: once per point. Sharded points call it on the
-	// caller's goroutine after the merge; MeasureLatency calls it when
-	// its run completes.
+	// Anatomy is set: once per point. Sharded points call it with
+	// shard 0's report, on the caller's goroutine after the merge;
+	// MeasureLatency calls it when its run completes.
 	OnAnatomy func(*anatomy.Report)
 
 	// OnStage, when non-nil, observes the coarse execution stages of a
 	// sharded measurement: one "shard" event per shard run from
 	// runShards (shard index, cycle share) as it completes, one "merge"
-	// for the exact-merge step, then one "observe" for the observation
-	// pass when Probe or Anatomy is set, filed after the merge with the
-	// pass's own start and duration although it ran beside the shards.
-	// Shard events fire concurrently from pool workers; merge and
-	// observe fire on the caller's goroutine. Observation-only, like
-	// Probe: set or nil, the measured results are bit-identical — the
-	// serve layer feeds it into a job's span tree.
+	// for the exact-merge step, then one "observe" when Probe or
+	// Anatomy is set, filed after the merge with the full cycle budget:
+	// shard 0's instrumented run, from its start to the end of its
+	// continuation past the measured window, so it spans the same run
+	// as shard 0's "shard" event. Shard events fire concurrently from
+	// the shard goroutines; merge and observe fire on the caller's
+	// goroutine. Observation-only, like Probe: set or nil, the measured
+	// results are bit-identical — the serve layer feeds it into a
+	// job's span tree.
 	OnStage StageTimer
 }
 
@@ -102,44 +103,46 @@ func (o Options) bare(cycles int) Options {
 	return o
 }
 
-// observation is the one observation pass of a sharded point. When o
-// asks for a probe or an anatomy report, task runs run(o) — which
-// measures the point once more at the full cycle budget under the
-// point's first shard seed, independent of the shard count — so traces
-// and the anatomy report are pure functions of Options and the merged
-// shard results never see an instrument. runShards runs task beside the
-// shards; finish, called on the caller's goroutine after the merge,
-// delivers the pass's anatomy report to OnAnatomy, files its "observe"
-// stage with its own start and duration, and returns its probe report.
-// task is nil when o asks for neither instrument.
-func (o Options) observation(run func(Options) (*probe.Report, error)) (task func() error, finish func() *probe.Report) {
-	if o.Probe == nil && o.Anatomy == nil {
-		return nil, func() *probe.Report { return nil }
-	}
-	var rep *probe.Report
+// instrument gives a sharded point's probe and anatomy collector to
+// shard 0. The shard function it returns runs run(w, so, budget) for
+// shard w with bare options cycles long and a budget of its cycles,
+// except shard 0's, which keep o's instruments and take o.Cycles, the
+// point's full budget: run measures the window of so.Cycles cycles and
+// then keeps cycling to budget before it reads the instruments. Shard
+// 0's seed does not depend on the shard count, so that run is the same
+// instrumented run at any shard count, and traces and the anatomy
+// report are pure functions of Options. finish, called on the caller's
+// goroutine after the merge, delivers shard 0's anatomy report to
+// OnAnatomy and files the "observe" stage with shard 0's start and
+// duration.
+func (o Options) instrument(run func(w int, so Options, budget int) error) (shard func(w, cycles int) error, finish func()) {
+	observed := o.Probe != nil || o.Anatomy != nil
 	var anat *anatomy.Report
 	var start time.Time
 	var took time.Duration
-	pass := o
-	if o.OnAnatomy != nil {
-		pass.OnAnatomy = func(r *anatomy.Report) { anat = r }
-	}
-	task = func() (err error) {
+	shard = func(w, cycles int) error {
+		so := o.bare(cycles)
+		if w != 0 || !observed {
+			return run(w, so, cycles)
+		}
+		so.Probe, so.Anatomy = o.Probe, o.Anatomy
+		if o.OnAnatomy != nil {
+			so.OnAnatomy = func(r *anatomy.Report) { anat = r }
+		}
 		start = time.Now()
-		rep, err = run(pass)
+		err := run(w, so, o.Cycles)
 		took = time.Since(start)
 		return err
 	}
-	finish = func() *probe.Report {
+	finish = func() {
 		if anat != nil {
 			o.OnAnatomy(anat)
 		}
-		if o.OnStage != nil {
+		if observed && o.OnStage != nil {
 			o.OnStage("observe", -1, o.Cycles, start, took)
 		}
-		return rep
 	}
-	return task, finish
+	return shard, finish
 }
 
 // trafficStep returns pattern's per-cycle request source: one vector,
@@ -159,7 +162,7 @@ func trafficStep(pattern traffic.Pattern, inputs, outputs int) func() []int {
 type StageTimer func(stage string, shard, cycles int, start time.Time, d time.Duration)
 
 // newProbe instantiates a measurement probe: the zero BinCycles means
-// "split the measured window across the configured bins", which is the
+// "split the observed cycles across the configured bins", which is the
 // natural default for a one-shot run of measCycles cycles.
 func newProbe(po *probe.Options, measCycles int) *probe.Probe {
 	if po == nil {
@@ -245,7 +248,7 @@ func measurePA(cfg topology.Config, pattern traffic.Pattern, opts Options) (Resu
 	var paAcc stats.Accumulator
 	warm := make([]int64, cfg.Stages()) // per-stage drops before the window
 	win := LatencyResult{Cycles: opts.Cycles}
-	err = measurePacketEngine(net, cfg.Inputs(), cfg.Outputs(), pattern, opts, &win, func(cycle int, cs queuesim.CycleStats) {
+	err = measurePacketEngine(net, cfg.Inputs(), cfg.Outputs(), pattern, opts, opts.Cycles, &win, func(cycle int, cs queuesim.CycleStats) {
 		switch {
 		case cycle == opts.Warmup-1:
 			warm = net.DroppedPerStage()

@@ -2,87 +2,6 @@ package topology
 
 import "fmt"
 
-// Walk traces one complete path of a message from network input src to
-// network output dst, taking the wire choice choices[i-1] in [0, c) inside
-// the bucket selected at hyperbar stage i. It implements the constructive
-// walk of Lemma 1: digit d_(l-i) of the destination is retired at stage i
-// and the final base-c digit x at the crossbar stage.
-//
-// The returned slice holds the wire label at the entrance of every stage
-// plus the final output: lines[0] = src, lines[i] = the wire entering
-// stage i+1, and lines[l+1] = dst on success. Walk returns an error if a
-// choice is out of range; by Theorem 1 the walk itself cannot fail.
-func (cfg Config) Walk(src, dst int, choices []int) ([]int, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if src < 0 || src >= cfg.Inputs() {
-		return nil, fmt.Errorf("topology: source %d out of range [0,%d)", src, cfg.Inputs())
-	}
-	if dst < 0 || dst >= cfg.Outputs() {
-		return nil, fmt.Errorf("topology: destination %d out of range [0,%d)", dst, cfg.Outputs())
-	}
-	if len(choices) != cfg.L {
-		return nil, fmt.Errorf("topology: got %d wire choices, want %d", len(choices), cfg.L)
-	}
-
-	// Destination label dst = (d_(l-1) ... d_0)_base-b * c + x.
-	x := dst % cfg.C
-	digits := make([]int, cfg.L) // digits[i] = d_i
-	rest := dst / cfg.C
-	for i := 0; i < cfg.L; i++ {
-		digits[i] = rest % cfg.B
-		rest /= cfg.B
-	}
-
-	lines := make([]int, 0, cfg.L+2)
-	lines = append(lines, src)
-	line := src
-	for i := 1; i <= cfg.L; i++ {
-		k := choices[i-1]
-		if k < 0 || k >= cfg.C {
-			return nil, fmt.Errorf("topology: stage %d wire choice %d out of range [0,%d)", i, k, cfg.C)
-		}
-		sw, _ := cfg.SwitchOfLine(i, line)
-		d := digits[cfg.L-i] // retire d_(l-i) at stage i
-		out := cfg.LineOfSwitchOutput(i, sw, d, k)
-		line = cfg.InterstageGamma(i).Apply(out)
-		lines = append(lines, line)
-	}
-	sw, _ := cfg.SwitchOfLine(cfg.L+1, line)
-	out := cfg.LineOfSwitchOutput(cfg.L+1, sw, x, 0)
-	lines = append(lines, out)
-	if out != dst {
-		// Theorem 1 says this cannot happen; reaching here means the wiring
-		// or the walk is wrong, which the tests treat as fatal.
-		return lines, fmt.Errorf("topology: walk from %d ended at %d, want %d", src, out, dst)
-	}
-	return lines, nil
-}
-
-// EnumeratePaths returns every distinct path from src to dst, one per
-// combination of per-stage wire choices. By Theorem 2 the result has
-// exactly c^l entries. Intended for small networks (tests, tooling).
-func (cfg Config) EnumeratePaths(src, dst int) ([][]int, error) {
-	total := cfg.PathCount()
-	paths := make([][]int, 0, total)
-	choices := make([]int, cfg.L)
-	for n := 0; n < total; n++ {
-		// Decode n as a base-c choice vector.
-		v := n
-		for i := range choices {
-			choices[i] = v % cfg.C
-			v /= cfg.C
-		}
-		p, err := cfg.Walk(src, dst, choices)
-		if err != nil {
-			return nil, err
-		}
-		paths = append(paths, p)
-	}
-	return paths, nil
-}
-
 // Family is a fixed-switch family of EDNs, e.g. EDN(8,4,2,*): the networks
 // obtained from one hyperbar geometry by growing the stage count. The
 // performance figures of the paper (Figures 7, 8 and 11) sweep exactly

@@ -198,83 +198,6 @@ func TestCrossbarCostMatchesAB(t *testing.T) {
 	}
 }
 
-// TestTheorem2PathCount enumerates all paths on small networks and checks
-// there are exactly c^l distinct ones, all valid.
-func TestTheorem2PathCount(t *testing.T) {
-	cfgs := []Config{
-		{A: 4, B: 2, C: 2, L: 2},
-		{A: 8, B: 2, C: 4, L: 2},
-		{A: 8, B: 4, C: 2, L: 3},
-		{A: 4, B: 4, C: 1, L: 2}, // delta: unique path
-	}
-	for _, cfg := range cfgs {
-		for src := 0; src < cfg.Inputs(); src += max(1, cfg.Inputs()/4) {
-			for dst := 0; dst < cfg.Outputs(); dst += max(1, cfg.Outputs()/4) {
-				paths, err := cfg.EnumeratePaths(src, dst)
-				if err != nil {
-					t.Fatalf("%v src=%d dst=%d: %v", cfg, src, dst, err)
-				}
-				if len(paths) != cfg.PathCount() {
-					t.Fatalf("%v src=%d dst=%d: %d paths, want %d", cfg, src, dst, len(paths), cfg.PathCount())
-				}
-				seen := map[string]bool{}
-				for _, p := range paths {
-					if p[0] != src || p[len(p)-1] != dst {
-						t.Fatalf("%v: path %v does not join %d to %d", cfg, p, src, dst)
-					}
-					key := fingerprint(p)
-					if seen[key] {
-						t.Fatalf("%v src=%d dst=%d: duplicate path %v", cfg, src, dst, p)
-					}
-					seen[key] = true
-				}
-			}
-		}
-	}
-}
-
-// TestTheorem1Connected walks every (src, dst) pair of several small
-// networks with an arbitrary choice vector: Lemma 1 guarantees arrival.
-func TestTheorem1Connected(t *testing.T) {
-	cfgs := []Config{
-		{A: 4, B: 2, C: 2, L: 2},
-		{A: 8, B: 2, C: 4, L: 2},
-		{A: 8, B: 4, C: 2, L: 2},
-		{A: 4, B: 4, C: 1, L: 3},
-		{A: 4, B: 8, C: 2, L: 2},
-		{A: 8, B: 2, C: 2, L: 2}, // contracting network (inputs > outputs)
-	}
-	for _, cfg := range cfgs {
-		choices := make([]int, cfg.L)
-		for src := 0; src < cfg.Inputs(); src++ {
-			for dst := 0; dst < cfg.Outputs(); dst++ {
-				for i := range choices {
-					choices[i] = (src + dst + i) % cfg.C
-				}
-				if _, err := cfg.Walk(src, dst, choices); err != nil {
-					t.Fatalf("%v: walk(%d -> %d) failed: %v", cfg, src, dst, err)
-				}
-			}
-		}
-	}
-}
-
-func TestWalkRejectsBadArguments(t *testing.T) {
-	cfg := Config{A: 4, B: 2, C: 2, L: 2}
-	if _, err := cfg.Walk(-1, 0, []int{0, 0}); err == nil {
-		t.Error("expected error for negative source")
-	}
-	if _, err := cfg.Walk(0, cfg.Outputs(), []int{0, 0}); err == nil {
-		t.Error("expected error for destination out of range")
-	}
-	if _, err := cfg.Walk(0, 0, []int{0}); err == nil {
-		t.Error("expected error for short choice vector")
-	}
-	if _, err := cfg.Walk(0, 0, []int{0, 2}); err == nil {
-		t.Error("expected error for wire choice out of range")
-	}
-}
-
 func TestFamilyConfigs(t *testing.T) {
 	fam := Family{A: 8, B: 4, C: 2}
 	cfgs, err := fam.Configs(1, 100000)
@@ -351,12 +274,4 @@ func close(a, b float64) bool {
 		scale = 1
 	}
 	return diff <= 1e-9*scale
-}
-
-func fingerprint(p []int) string {
-	out := make([]byte, 0, len(p)*4)
-	for _, v := range p {
-		out = append(out, byte(v), byte(v>>8), byte(v>>16), ',')
-	}
-	return string(out)
 }

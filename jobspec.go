@@ -14,7 +14,9 @@ package edn
 // The zero values of optional sections follow the underlying option
 // structs: a nil Queue is the zero QueueOptions (depth-0 unbuffered,
 // backpressure, priority arbitration), a nil Traffic is uniform iid
-// load, a nil Probe attaches no flight recorder.
+// load, a nil Probe attaches no flight recorder. A zero count, cycle
+// budget or bucket width selects its default; a negative one is an
+// error.
 
 import (
 	"errors"
@@ -431,9 +433,9 @@ func (p *ProbeSpec) compile() *ProbeOptions {
 // saturation, estimate and closedloop modes over the edn or dilated
 // engine. Observation-only: the measured results are byte-identical
 // with and without an explain section, and the report is invariant to
-// the shard count and GOMAXPROCS (it comes from the dedicated
-// observation pass, run beside the shards under the first shard seed
-// at the full cycle budget). The report is delivered through
+// the shard count and GOMAXPROCS (the collector rides on shard 0, under
+// the point's first shard seed, which keeps cycling past its measured
+// window to the full cycle budget). The report is delivered through
 // RunOptions.OnExplain — it rides beside the JobResult, never inside
 // it.
 type ExplainSpec struct {
@@ -459,7 +461,8 @@ func (e *ExplainSpec) compile() *AnatomyOptions {
 
 // SimSpec is the serializable face of SimOptions plus the shard count.
 type SimSpec struct {
-	// Cycles is the measured cycle budget (default 1000).
+	// Cycles is the measured cycle budget (default 1000; negative is an
+	// error).
 	Cycles int `json:"cycles,omitempty"`
 	// Warmup cycles run before measurement (default 0; negative is an
 	// error).
@@ -549,6 +552,49 @@ func checkUnit(field string, vals ...float64) error {
 	return nil
 }
 
+// checkSizes rejects a negative count, cycle budget or bucket width in
+// any section the spec carries, one edn: error per field naming it: 0
+// selects the field's default, and a negative value would otherwise
+// run on that default while the JobResult echoed it.
+func (s JobSpec) checkSizes() error {
+	type size struct {
+		field string
+		v     float64
+	}
+	sizes := []size{{"sim.cycles", float64(s.Sim.Cycles)}, {"sim.warmup", float64(s.Sim.Warmup)},
+		{"sim.shards", float64(s.Sim.Shards)}}
+	if q := s.Queue; q != nil {
+		sizes = append(sizes, size{"queue.latency_buckets", float64(q.LatencyBuckets)},
+			size{"queue.latency_bucket_width", q.LatencyBucketWidth})
+	}
+	if l := s.Lifetime; l != nil {
+		sizes = append(sizes, size{"lifetime.epoch_cycles", float64(l.EpochCycles)})
+	}
+	if c := s.Loop; c != nil {
+		sizes = append(sizes, size{"loop.window", float64(c.Window)},
+			size{"loop.service_cycles", float64(c.ServiceCycles)}, size{"loop.timeout", float64(c.Timeout)},
+			size{"loop.backoff_base", float64(c.BackoffBase)}, size{"loop.backoff_cap", float64(c.BackoffCap)},
+			size{"loop.max_backlog", float64(c.MaxBacklog)}, size{"loop.latency_buckets", float64(c.LatencyBuckets)},
+			size{"loop.latency_bucket_width", c.LatencyBucketWidth})
+	}
+	if p := s.Probe; p != nil {
+		sizes = append(sizes, size{"probe.sample_every", float64(p.SampleEvery)},
+			size{"probe.trace_cap", float64(p.TraceCap)}, size{"probe.max_hops", float64(p.MaxHops)},
+			size{"probe.bins", float64(p.Bins)})
+	}
+	if e := s.Explain; e != nil {
+		sizes = append(sizes, size{"explain.top_k", float64(e.TopK)},
+			size{"explain.hist_buckets", float64(e.HistBuckets)}, size{"explain.hist_bucket_width", e.HistBucketWidth})
+	}
+	var errs []error
+	for _, z := range sizes {
+		if z.v < 0 {
+			errs = append(errs, fmt.Errorf("edn: %s %g is negative (0 selects the default)", z.field, z.v))
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // compiledJob is a JobSpec lowered to the facade's Go values.
 type compiledJob struct {
 	spec   JobSpec
@@ -633,14 +679,8 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 	j.dil.Queue = j.edn.Queue
 	j.opts = s.Sim.compile(s.Probe.compile())
 	j.shards = s.Sim.Shards
-	if j.shards < 0 {
-		return nil, fmt.Errorf("edn: shards %d is negative (0 selects GOMAXPROCS)", j.shards)
-	}
-	if s.Sim.Warmup < 0 {
-		return nil, fmt.Errorf("edn: warmup %d is negative", s.Sim.Warmup)
-	}
-	if p := s.Probe; p != nil && min(p.SampleEvery, p.TraceCap, p.MaxHops, p.Bins) < 0 {
-		return nil, fmt.Errorf("edn: probe sample_every, trace_cap, max_hops and bins must not be negative")
+	if err := s.checkSizes(); err != nil {
+		return nil, err
 	}
 	if s.Probe != nil {
 		switch s.Mode {

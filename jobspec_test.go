@@ -641,6 +641,56 @@ func TestHostileSpecsAreErrors(t *testing.T) {
 	}
 }
 
+// TestNegativeSizesAreErrors pins that a negative count, cycle budget
+// or bucket width in any section is one edn: error naming its field,
+// from Validate and from Run. Each used to run on the field's default
+// while the JobResult echoed the negative value; 0 still selects the
+// default.
+func TestNegativeSizesAreErrors(t *testing.T) {
+	geo := &GeometrySpec{A: 4, B: 2, C: 2, L: 2}
+	base := func() JobSpec {
+		return JobSpec{Mode: JobClosedLoop, Geometry: geo, Rates: []float64{0.5},
+			Sim: SimSpec{Cycles: 60, Warmup: 10, Seed: 1, Shards: 1}, Queue: &QueueSpec{},
+			Loop: &ClosedLoopSpec{}, Explain: &ExplainSpec{}}
+	}
+	lifetime := func() JobSpec {
+		return JobSpec{Mode: JobLifetime, Geometry: geo, Sim: SimSpec{Warmup: 10, Seed: 1, Shards: 1},
+			Lifetime: &LifetimeSpec{Epochs: 2, EpochCycles: 20, MTBF: 8, MTTR: 3}}
+	}
+	for field, spec := range map[string]func() JobSpec{
+		"sim.cycles":                 func() JobSpec { s := base(); s.Sim.Cycles = -5; return s },
+		"lifetime.epoch_cycles":      func() JobSpec { s := lifetime(); s.Lifetime.EpochCycles = -7; return s },
+		"loop.window":                func() JobSpec { s := base(); s.Loop.Window = -3; return s },
+		"loop.service_cycles":        func() JobSpec { s := base(); s.Loop.ServiceCycles = -1; return s },
+		"loop.timeout":               func() JobSpec { s := base(); s.Loop.Timeout = -3; return s },
+		"loop.backoff_base":          func() JobSpec { s := base(); s.Loop.BackoffBase = -2; return s },
+		"loop.backoff_cap":           func() JobSpec { s := base(); s.Loop.BackoffCap = -8; return s },
+		"loop.max_backlog":           func() JobSpec { s := base(); s.Loop.MaxBacklog = -1; return s },
+		"loop.latency_buckets":       func() JobSpec { s := base(); s.Loop.LatencyBuckets = -4; return s },
+		"loop.latency_bucket_width":  func() JobSpec { s := base(); s.Loop.LatencyBucketWidth = -0.5; return s },
+		"queue.latency_buckets":      func() JobSpec { s := base(); s.Queue.LatencyBuckets = -4; return s },
+		"queue.latency_bucket_width": func() JobSpec { s := base(); s.Queue.LatencyBucketWidth = -2; return s },
+		"explain.top_k":              func() JobSpec { s := base(); s.Explain.TopK = -1; return s },
+		"explain.hist_buckets":       func() JobSpec { s := base(); s.Explain.HistBuckets = -6; return s },
+		"explain.hist_bucket_width":  func() JobSpec { s := base(); s.Explain.HistBucketWidth = -1; return s },
+	} {
+		t.Run(field, func(t *testing.T) {
+			err := spec().Validate()
+			if err == nil || !strings.HasPrefix(err.Error(), "edn: "+field+" ") || strings.Contains(err.Error(), "\n") {
+				t.Fatalf("Validate: want one edn: error naming %s, got %v", field, err)
+			}
+			if _, err := Run(context.Background(), spec()); err == nil {
+				t.Error("Run accepted the spec")
+			}
+		})
+	}
+	for _, ok := range []JobSpec{base(), lifetime()} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("zero sizes must select the defaults: %v", err)
+		}
+	}
+}
+
 // TestTrafficSpecIsBounded: a hot_fraction that is NaN or outside
 // [0,1] and a non-finite mean_burst are edn: errors, not a clamped
 // fraction or sources that never turn on; a burst below 1 still
@@ -749,6 +799,46 @@ func TestProbeNeedsAnObservedReport(t *testing.T) {
 			}
 			if _, err := Run(context.Background(), tc.spec); (err == nil) != tc.valid {
 				t.Fatalf("Run: valid=%v, got error %v", tc.valid, err)
+			}
+		})
+	}
+}
+
+// TestInstrumentsKeepRandomArbitration pins that a probe and an
+// explain section never move a measured number under random
+// arbitration either. The arbiter factory hands every engine a job
+// builds its per-switch streams from one shared stream, in build order
+// (fixed at one shard), so an instrumented run that built engines of
+// its own would shift the streams of every later point; shard 0 is the
+// only instrumented run.
+func TestInstrumentsKeepRandomArbitration(t *testing.T) {
+	for _, base := range []JobSpec{
+		{Mode: JobSaturation, Loads: []float64{0.5, 0.9}},
+		{Mode: JobClosedLoop, Rates: []float64{0.3, 0.7}, Loop: &ClosedLoopSpec{Window: 2, Timeout: 24}},
+	} {
+		t.Run(base.Mode, func(t *testing.T) {
+			spec := base
+			spec.Geometry = &GeometrySpec{A: 16, B: 4, C: 4, L: 2}
+			spec.Queue = &QueueSpec{Depth: 2, Arbiter: "random"}
+			spec.Sim = SimSpec{Cycles: 300, Warmup: 50, Seed: 3, Shards: 1}
+			bare, err := Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Probe = &ProbeSpec{SampleEvery: 3, TraceCap: 16, Bins: 4}
+			spec.Explain = &ExplainSpec{TopK: 2}
+			observed, err := Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range observed.Points {
+				observed.Points[i].Observed = nil
+			}
+			for i := range observed.ClosedLoop {
+				observed.ClosedLoop[i].Observed = nil
+			}
+			if !reflect.DeepEqual(bare.Points, observed.Points) || !reflect.DeepEqual(bare.ClosedLoop, observed.ClosedLoop) {
+				t.Fatal("instruments moved a measured number under random arbitration")
 			}
 		})
 	}

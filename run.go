@@ -145,8 +145,8 @@ func RunJob(ctx context.Context, spec JobSpec, ro RunOptions) (*JobResult, error
 	if tr != nil {
 		j.opts.OnStage = tr.ObserveStage
 	}
-	// The explain section rides on the sharded harnesses' observation
-	// pass, which runs beside each point's shards; simulate hands each
+	// The explain section rides on each point's shard 0, which carries
+	// the collector through the full cycle budget; simulate hands each
 	// point's anatomy report to OnAnatomy on this goroutine after the
 	// point's merge, and the reports merge into one job-level report,
 	// delivered through ro.OnExplain after the run.
